@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -424,13 +425,17 @@ def cmd_bench(cfg: RunConfig, args) -> int:
                 drop_columns=_drop_list(args),
             )
         except (OSError, ValueError) as exc:
-            failures.append((dataset_name, "*", str(exc)))
+            failures.append((dataset_name, "*", type(exc).__name__, str(exc)))
             continue
         for recipe in recipes:
             try:
                 res, metrics, refit_report = _bench_one(ds, recipe, grid, cfg, adam)
-            except (ValueError, OSError) as exc:
-                failures.append((dataset_name, recipe.name, str(exc)))
+            except Exception as exc:
+                # one failed work item must not abort the others; an
+                # unexpected exception type also gets its traceback
+                if not isinstance(exc, (ValueError, OSError)):
+                    traceback.print_exc(file=sys.stderr)
+                failures.append((dataset_name, recipe.name, type(exc).__name__, str(exc)))
                 continue
             results.append(
                 (
@@ -475,7 +480,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     if failures:
         with open(os.path.join(outdir, "failures.csv"), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["dataset", "model", "error"])
+            w.writerow(["dataset", "model", "error_type", "error"])
             w.writerows(failures)
 
     print(f"benchmark rows      : {len(results)} -> {os.path.join(outdir, 'results.csv')}")
@@ -564,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
     common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--threads", type=int, help="parallel work items for search/bench")
+    common.add_argument("--threads", type=int, help="kernel-width groups searched in parallel")
     common.add_argument("--scaling", choices=["none", "minmax", "zscore"], help="feature/target scaling")
     common.add_argument("--trace", action="store_true", help="record per-iteration objective values")
 

@@ -21,7 +21,7 @@ from . import losses
 from .data import Dataset, kfold_split
 from .kernels import KernelSpec
 from .losses import LossSpec
-from .model import FitReport, fit, predict
+from .model import FitReport, fit_cells, predict
 from .optimizer import AdamConfig
 from .seeding import child_seed
 
@@ -225,27 +225,30 @@ def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
     ]
 
 
-def _evaluate_cell(ds, folds, recipe, cell, adam, scaling, seed, cell_index, selection):
-    loss = recipe.build_loss(cell.epsilon, cell.lam, cell.a)
-    kernel = recipe.build_kernel(cell.sigma)
-    fold_rmse, fold_metrics, fold_reports = [], [], []
+def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed):
+    """Fold results of the cells ``members``, which share one kernel.
+
+    Per fold the cells train in one :func:`fit_cells` call, so the fold's
+    Gram matrix is built once and is the only one this call holds.
+    """
+    kernel = recipe.build_kernel(cells[members[0]].sigma)
+    cell_losses = [recipe.build_loss(cells[i].epsilon, cells[i].lam, cells[i].a) for i in members]
+    folds_of = {i: ([], [], []) for i in members}
     all_idx = np.arange(ds.n)
     for j, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        cfg = replace(adam, gamma=cell.gamma, seed=child_seed(seed, cell_index, j))
-        model, report = fit(
-            ds.X[train_idx], ds.y[train_idx], kernel, loss, C=cell.C, adam=cfg, scaling=scaling
-        )
-        pred = predict(model, ds.X[test_idx])
-        metrics = compute_metrics(ds.y[test_idx], pred)
-        fold_rmse.append(metrics.rmse)
-        fold_metrics.append(metrics)
-        fold_reports.append(report)
-    if selection == "best_fold":
-        stat = min(fold_rmse)
-    else:
-        stat = float(np.mean(fold_rmse))
-    return CellResult(cell, fold_rmse, fold_metrics, fold_reports, stat)
+        specs = [
+            (loss, cells[i].C, replace(adam, gamma=cells[i].gamma, seed=child_seed(seed, i, j)))
+            for i, loss in zip(members, cell_losses)
+        ]
+        fitted = fit_cells(ds.X[train_idx], ds.y[train_idx], kernel, specs, scaling=scaling)
+        for i, (model, report) in zip(members, fitted):
+            metrics = compute_metrics(ds.y[test_idx], predict(model, ds.X[test_idx]))
+            fold_rmse, fold_metrics, fold_reports = folds_of[i]
+            fold_rmse.append(metrics.rmse)
+            fold_metrics.append(metrics)
+            fold_reports.append(report)
+    return folds_of
 
 
 def grid_search_cv(
@@ -264,8 +267,14 @@ def grid_search_cv(
     the held-out fold.  A cell's statistic is its best (lowest) fold RMSE
     by default, or the fold mean with ``selection="mean"``.  Ties break
     to the first cell in ascending (C, sigma, epsilon, lambda, a, gamma)
-    order.  Cells are independent work items; results do not depend on
-    ``threads``.
+    order.
+
+    Cells that share a kernel width form one work item: per fold they
+    train together on one Gram matrix (see :func:`fit_cells`).  Cell i's
+    fold j trains with the Adam seed ``child_seed(seed, i, j)``, and its
+    numbers are bit-identical to a standalone :func:`fit` with that seed,
+    whatever the grouping.  ``threads`` work items run at once; results
+    do not depend on it.
     """
     if selection not in ("best_fold", "mean"):
         raise ValueError(f"selection must be 'best_fold' or 'mean', got {selection!r}")
@@ -273,17 +282,27 @@ def grid_search_cv(
         adam = AdamConfig()
     folds = kfold_split(ds.n, grid.k, seed)
     cells = _enumerate_cells(grid, recipe)
+    groups: dict = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell.sigma, []).append(i)
 
-    def run(i):
-        return _evaluate_cell(ds, folds, recipe, cells[i], adam, scaling, seed, i, selection)
+    def run(members):
+        return _search_group(ds, folds, recipe, cells, members, adam, scaling, seed)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(len(cells))))
+            done = list(pool.map(run, groups.values()))
     else:
-        results = [run(i) for i in range(len(cells))]
+        done = [run(members) for members in groups.values()]
+    folds_of = {i: fr for group in done for i, fr in group.items()}
+
+    results = []
+    for i, cell in enumerate(cells):
+        fold_rmse, fold_metrics, fold_reports = folds_of[i]
+        stat = min(fold_rmse) if selection == "best_fold" else float(np.mean(fold_rmse))
+        results.append(CellResult(cell, fold_rmse, fold_metrics, fold_reports, stat))
 
     best = None
     for res in results:

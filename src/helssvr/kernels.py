@@ -1,6 +1,11 @@
 """Kernel functions and dense Gram-matrix construction.
 
 The RBF kernel uses the exp(-||x - z||^2 / sigma^2) parameterization.
+RBF values below the smallest normal double (about 2.2e-308) are flushed to
+zero: subnormal operands make every later floating-point operation on them
+much slower, and a term that small cannot move a sum of normal-sized terms.
+The flush acts on the exponent (arguments below log(2.2e-308) become -inf),
+which also spares exp() its slow underflow path.
 Gram matrices are stored dense and row-major (8 * N^2 bytes); every row is
 produced by the same code path as :func:`kernel_row`, so the two agree
 bitwise and the matrix is exactly symmetric.
@@ -15,6 +20,9 @@ import numpy as np
 RBF = "rbf"
 LINEAR = "linear"
 KERNEL_KINDS = (RBF, LINEAR)
+
+#: exp() of anything below this is subnormal or zero
+_LOG_TINY = np.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,9 @@ def kernel_row(spec: KernelSpec, x, X) -> np.ndarray:
         return X @ x
     diff = X - x
     sq = np.einsum("ij,ij->i", diff, diff)
-    return np.exp(-sq / (spec.sigma * spec.sigma))
+    arg = -sq / (spec.sigma * spec.sigma)
+    arg[arg < _LOG_TINY] = -np.inf
+    return np.exp(arg, out=arg)
 
 
 def kernel_eval(spec: KernelSpec, x, z) -> float:

@@ -175,6 +175,37 @@ class LossSpec:
         return characteristics(self)
 
 
+@dataclass(frozen=True)
+class LossStack:
+    """The parameters of several specs of one kind, as (m, width) blocks.
+
+    Row c holds ``specs[c]``'s value in every column, so that
+    ``loss_derivative(stack, R)`` on an (m, width) residual block is plain
+    same-shape elementwise work and gives row c bit-for-bit what
+    ``loss_derivative(specs[c], R[c])`` gives.
+    """
+
+    kind: str
+    epsilon: np.ndarray | None = None
+    a: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    theta: np.ndarray | None = None
+    t: np.ndarray | None = None
+
+
+def stack_losses(specs, width: int) -> LossStack:
+    """Stack specs of one kind: row c repeats ``specs[c]``'s parameters ``width`` times."""
+    kinds = {spec.kind for spec in specs}
+    if len(kinds) != 1:
+        raise ValueError(f"a loss stack needs specs of exactly one kind, got {sorted(kinds)}")
+    kind = kinds.pop()
+    blocks = {
+        name: np.repeat(np.array([[getattr(spec, name)] for spec in specs], dtype=float), width, axis=1)
+        for name in _REQUIRED_PARAMS[kind]
+    }
+    return LossStack(kind, **blocks)
+
+
 def hawkeye(epsilon: float, a: float, lam: float) -> LossSpec:
     return LossSpec(HAWKEYE, epsilon=epsilon, a=a, lam=lam)
 
@@ -221,7 +252,7 @@ def bounded_least_squares(t: float, theta: float) -> LossSpec:
 
 def _check_residual(r):
     arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("residual must be finite")
     return arr
 
@@ -395,7 +426,8 @@ def loss_derivative(spec: LossSpec, r):
     """dL/dr at residual ``r`` (scalar or array, finite).
 
     Non-smooth kinds return the 0 subgradient at their kink points, which
-    keeps every kind usable under the same gradient-based trainer.
+    keeps every kind usable under the same gradient-based trainer.  ``spec``
+    may be a :class:`LossStack` of m specs with ``r`` of shape (m, n).
     """
     arr = _check_residual(r)
     out = np.sign(arr) * _DERIV_FNS[spec.kind](spec, np.abs(arr))

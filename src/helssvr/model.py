@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,12 @@ class TrainedModel:
 
 @dataclass
 class FitReport:
-    """Training summary: objective values, iterations, wall times."""
+    """Training summary: objective values, iterations, wall times.
+
+    When cells train together (:func:`fit_cells`), the Gram build and each
+    optimizer stack's run are timed once and split evenly among the cells
+    that share them.
+    """
 
     final_objective: float
     initial_objective: float
@@ -51,6 +56,75 @@ class FitReport:
     wall_time_seconds: float
     gram_seconds: float
     trace: list[float] | None = None
+
+
+#: most cells one optimizer stack trains together; bounds the (rows, n)
+#: working arrays of :func:`train_adam`
+STACK_ROWS = 32
+
+
+def fit_cells(X, y, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[tuple[TrainedModel, FitReport]]:
+    """Train several cells on one (X, y) and kernel; one (model, report) each.
+
+    ``cells`` holds ``(loss, C, adam)`` triples (``adam`` None means the
+    defaults).  Scaling and the Gram matrix are computed once.  Cells whose
+    loss kind and Adam settings other than gamma and seed agree train
+    together, in stacks of at most :data:`STACK_ROWS`.  Every cell's model
+    and objectives are bit-identical to a :func:`fit` of that cell alone.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("training data contains non-finite values")
+    cells = [(loss, C, AdamConfig() if adam is None else adam) for loss, C, adam in cells]
+    if not cells:
+        raise ValueError("fit_cells needs at least one cell")
+    if not all(C > 0 for _, C, _ in cells):
+        raise ValueError("C must be > 0")
+
+    state_scaling = scale_fit(X, y, scaling)
+    Xs = scale_features(state_scaling, X)
+    ys = scale_target(state_scaling, y)
+
+    t0 = time.perf_counter()
+    gram = gram_matrix(kernel, Xs)
+    gram_seconds = (time.perf_counter() - t0) / len(cells)
+
+    groups: dict = {}
+    for i, (loss, _, adam) in enumerate(cells):
+        groups.setdefault((loss.kind, replace(adam, gamma=1.0, seed=0)), []).append(i)
+    out = [None] * len(cells)
+    for members in groups.values():
+        for k in range(0, len(members), STACK_ROWS):
+            chunk = members[k : k + STACK_ROWS]
+            losses, Cs, adams = zip(*(cells[i] for i in chunk))
+            t1 = time.perf_counter()
+            stack = train_adam(
+                gram, ys, Cs, losses, adams[0], gamma=[a.gamma for a in adams], seed=[a.seed for a in adams]
+            )
+            wall = (time.perf_counter() - t1) / len(chunk)
+            for i, state in zip(chunk, stack.states):
+                loss, C, adam = cells[i]
+                alpha0 = np.full(Xs.shape[0], float(adam.alpha0))
+                model = TrainedModel(
+                    alpha=state.alpha, X_train=Xs, kernel=kernel, loss=loss, C=float(C), scaling=state_scaling
+                )
+                report = FitReport(
+                    final_objective=objective_value(state.alpha, gram, ys, C, loss),
+                    initial_objective=objective_value(alpha0, gram, ys, C, loss),
+                    iterations=state.t,
+                    wall_time_seconds=wall,
+                    gram_seconds=gram_seconds,
+                    trace=state.trace,
+                )
+                out[i] = (model, report)
+    return out
 
 
 def fit(
@@ -66,56 +140,9 @@ def fit(
 
     Scaling parameters are fit on this training data only.  The reported
     wall time covers the optimizer run; Gram construction is timed
-    separately.
+    separately.  This is the one-cell case of :func:`fit_cells`.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("training data contains non-finite values")
-    if not C > 0:
-        raise ValueError("C must be > 0")
-    if adam is None:
-        adam = AdamConfig()
-
-    state_scaling = scale_fit(X, y, scaling)
-    Xs = scale_features(state_scaling, X)
-    ys = scale_target(state_scaling, y)
-
-    t0 = time.perf_counter()
-    gram = gram_matrix(kernel, Xs)
-    gram_seconds = time.perf_counter() - t0
-
-    alpha0 = np.full(Xs.shape[0], float(adam.alpha0))
-    initial_objective = objective_value(alpha0, gram, ys, C, loss)
-
-    t1 = time.perf_counter()
-    state = train_adam(gram, ys, C, loss, adam)
-    wall = time.perf_counter() - t1
-
-    final_objective = objective_value(state.alpha, gram, ys, C, loss)
-    model = TrainedModel(
-        alpha=state.alpha,
-        X_train=Xs,
-        kernel=kernel,
-        loss=loss,
-        C=float(C),
-        scaling=state_scaling,
-    )
-    report = FitReport(
-        final_objective=final_objective,
-        initial_objective=initial_objective,
-        iterations=state.t,
-        wall_time_seconds=wall,
-        gram_seconds=gram_seconds,
-        trace=state.trace,
-    )
-    return model, report
+    return fit_cells(X, y, kernel, [(loss, C, adam)], scaling)[0]
 
 
 def predict(model: TrainedModel, X_new) -> np.ndarray:
@@ -131,6 +158,10 @@ def predict(model: TrainedModel, X_new) -> np.ndarray:
         raise ValueError(
             f"feature count {X_new.shape[1]} does not match training data ({model.X_train.shape[1]})"
         )
+    bad = ~np.isfinite(X_new)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"features must be finite: row {row}, column {col} is {X_new[row, col]!r}")
     Xs = scale_features(model.scaling, X_new)
     raw = np.empty(Xs.shape[0])
     for i in range(Xs.shape[0]):
@@ -154,11 +185,34 @@ def _scaling_to_doc(s: ScalingState) -> dict:
     }
 
 
-def _scaling_from_doc(doc: dict) -> ScalingState:
+def _array_field(value, name: str, ndim: int) -> np.ndarray:
+    """Model field ``name`` as a finite float array of ``ndim`` dimensions."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model field {name!r} is not a numeric array: {exc}") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"model field {name!r} must be {ndim}-dimensional, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"model field {name!r} contains non-finite values")
+    return arr
+
+
+def _scaling_from_doc(doc: dict, n_features: int) -> ScalingState:
+    vectors = {}
+    for key in ("feature_a", "feature_b"):
+        if doc[key] is None:
+            vectors[key] = None
+            continue
+        vectors[key] = _array_field(doc[key], f"scaling.{key}", 1)
+        if vectors[key].shape[0] != n_features:
+            raise ValueError(
+                f"model field 'scaling.{key}' has {vectors[key].shape[0]} entries for {n_features} features"
+            )
     return ScalingState(
         mode=doc["mode"],
-        feature_a=None if doc["feature_a"] is None else np.asarray(doc["feature_a"], dtype=float),
-        feature_b=None if doc["feature_b"] is None else np.asarray(doc["feature_b"], dtype=float),
+        feature_a=vectors["feature_a"],
+        feature_b=vectors["feature_b"],
         target_a=doc["target_a"],
         target_b=doc["target_b"],
     )
@@ -178,18 +232,30 @@ def model_to_json(model: TrainedModel) -> str:
 
 
 def model_from_json(text: str) -> TrainedModel:
+    """Parse a saved model, rejecting fields that could not have been saved.
+
+    ``alpha`` must be finite and 1-D, ``x_train`` finite, 2-D and one row
+    per coefficient, and the scaling vectors one finite entry per feature;
+    the error names the first field that is not.
+    """
     doc = json.loads(text)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     loss_doc = dict(doc["loss"])
     kind = loss_doc.pop("kind")
+    alpha = _array_field(doc["alpha"], "alpha", 1)
+    X_train = _array_field(doc["x_train"], "x_train", 2)
+    if X_train.shape[0] != alpha.shape[0]:
+        raise ValueError(
+            f"model field 'alpha' has {alpha.shape[0]} coefficients for {X_train.shape[0]} rows of 'x_train'"
+        )
     return TrainedModel(
-        alpha=np.asarray(doc["alpha"], dtype=float),
-        X_train=np.asarray(doc["x_train"], dtype=float),
+        alpha=alpha,
+        X_train=X_train,
         kernel=KernelSpec(kind=doc["kernel"]["kind"], sigma=doc["kernel"]["sigma"]),
         loss=LossSpec(kind=kind, **loss_doc),
         C=float(doc["C"]),
-        scaling=_scaling_from_doc(doc["scaling"]),
+        scaling=_scaling_from_doc(doc["scaling"], X_train.shape[1]),
     )
 
 
@@ -208,6 +274,7 @@ __all__ = [
     "FitReport",
     "TrainedModel",
     "fit",
+    "fit_cells",
     "load_model",
     "model_from_json",
     "model_to_json",

@@ -423,3 +423,47 @@ class TestRank:
         rows = read_rows(tmp_path / "r_ranks.csv")
         assert rows[1] == ["d1", "1.0", "2.0"]
         assert rows[2] == ["d2", "1.0", "2.0"]
+
+
+class TestBenchIsolatesFailures:
+    def test_unexpected_exception_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
+        import helssvr.cli
+
+        real = helssvr.cli.grid_search_cv
+
+        def flaky(ds, grid, recipe, **kw):
+            if recipe.name == "least_squares":
+                raise RuntimeError("solver exploded")
+            return real(ds, grid, recipe, **kw)
+
+        monkeypatch.setattr(helssvr.cli, "grid_search_cv", flaky)
+        d1, d2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        write_toy_csv(d1, seed=1)
+        write_toy_csv(d2, seed=2)
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", str(d1), str(d2), "--target", "y",
+                   "--recipes", "least_squares,hawkeye", "--outdir", str(outdir), *fast_flags()])
+        assert rc == 1
+        results = read_rows(outdir / "results.csv")
+        assert sorted((r[0], r[1]) for r in results[1:]) == [(str(d1), "hawkeye"), (str(d2), "hawkeye")]
+        failures = read_rows(outdir / "failures.csv")
+        assert failures[0] == ["dataset", "model", "error_type", "error"]
+        assert sorted(failures[1:]) == [
+            [str(d1), "least_squares", "RuntimeError", "solver exploded"],
+            [str(d2), "least_squares", "RuntimeError", "solver exploded"],
+        ]
+        assert "Traceback" in capsys.readouterr().err
+
+
+class TestPredictNonFinite:
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_exit_3(self, tmp_path, capsys, cell):
+        _, model = TestPredict().setup_model(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y,y_true\n1.0,2.0,3.0\n{cell},2.0,3.0\n")
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(bad), "--target", "y",
+                   "--out", str(out)])
+        assert rc == 3
+        assert "features must be finite: row 1, column 0" in capsys.readouterr().err
+        assert not out.exists()

@@ -361,3 +361,38 @@ class TestGridSearch:
         assert DEFAULT_GRID.a_values[-1] == pytest.approx(4.9)
         assert DEFAULT_GRID.gamma_values == (0.0001, 0.001, 0.01)
         assert DEFAULT_GRID.k == 5
+
+
+class TestStackedSearchMatchesStandaloneFits:
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_every_cell_matches_its_standalone_fit(self, monkeypatch, batch_size):
+        import helssvr.model
+        from dataclasses import replace
+
+        from helssvr.model import fit, predict
+        from helssvr.seeding import child_seed
+
+        # two rows per stack: each sigma group of six cells spans three stacks
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", 2)
+        ds = toy_dataset(n=60, seed=8)
+        grid = GridSpec(C_values=(1.0, 10.0, 100.0), sigma_values=(0.3, 1.0), a_values=(1.0, 3.0), k=3)
+        recipe = recipe_from_name("hawkeye")
+        adam = fast_adam(batch_size=batch_size)
+        res = grid_search_cv(ds, grid, recipe, seed=11, adam=adam, scaling="zscore")
+        assert len(res.cells) == 12
+        all_idx = np.arange(ds.n)
+        for i, cell in enumerate(res.cells):
+            p = cell.params
+            for j, test_idx in enumerate(res.folds):
+                train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
+                model, report = fit(
+                    ds.X[train_idx], ds.y[train_idx], recipe.build_kernel(p.sigma),
+                    recipe.build_loss(p.epsilon, p.lam, p.a), C=p.C,
+                    adam=replace(adam, gamma=p.gamma, seed=child_seed(11, i, j)), scaling="zscore",
+                )
+                rmse = compute_metrics(ds.y[test_idx], predict(model, ds.X[test_idx])).rmse
+                got = cell.fold_reports[j]
+                assert cell.fold_rmse[j].hex() == rmse.hex()
+                assert got.final_objective.hex() == report.final_objective.hex()
+                assert got.initial_objective.hex() == report.initial_objective.hex()
+                assert got.iterations == report.iterations

@@ -102,3 +102,18 @@ class TestGram:
         g = gram_matrix(KernelSpec("linear"), np.eye(3))
         assert isinstance(g, GramMatrix)
         assert np.array_equal(g.values, np.eye(3))
+
+
+class TestSubnormalFlush:
+    def test_narrow_rbf_gram_has_no_subnormal_entries(self):
+        # at sigma=0.1 on z-scored data most pairs lie far enough apart
+        # that exp(-d^2 / sigma^2) falls into the subnormal range
+        from helssvr.data import SyntheticSpec, generate_synthetic, scale_features, scale_fit
+
+        ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=400, seed=500))
+        Xs = scale_features(scale_fit(ds.X, ds.y, "zscore"), ds.X)
+        g = gram_matrix(KernelSpec("rbf", sigma=0.1), Xs).values
+        tiny = np.finfo(float).tiny
+        assert np.count_nonzero((g > 0) & (g < tiny)) == 0
+        assert np.count_nonzero(g == 0) > 0  # the flushed entries
+        assert np.all(np.diag(g) == 1.0)

@@ -256,3 +256,92 @@ class TestRobustnessOrdering:
         rmse_he = float(np.sqrt(np.mean((predict(he, X_te) - y_te_clean) ** 2)))
         rmse_ls = float(np.sqrt(np.mean((predict(ls, X_te) - y_te_clean) ** 2)))
         assert rmse_he < rmse_ls
+
+
+class TestFitCells:
+    def test_cells_match_standalone_fits(self, monkeypatch):
+        # mixed loss kinds and Adam settings split into separate stacks;
+        # one row per stack exercises the chunking as well
+        import helssvr.model
+        from helssvr.model import fit_cells
+
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1, 1, (21, 2))
+        y = np.cos(2 * X[:, 0]) + 0.1 * rng.normal(size=21)
+        cells = [
+            (hawkeye(0.05, 1.0, 1.0), 10.0, AdamConfig(max_iter=60, seed=1)),
+            (hawkeye(0.1, 3.0, 1.0), 100.0, AdamConfig(max_iter=60, seed=2, gamma=1e-3)),
+            (LossSpec("least_squares"), 1.0, AdamConfig(max_iter=60, seed=3)),
+            (hawkeye(0.05, 2.0, 0.5), 10.0, AdamConfig(max_iter=40, batch_size=5, seed=4)),
+            (hawkeye(0.05, 1.0, 1.0), 10.0, None),
+        ]
+        for rows in (1, 32):
+            monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
+            fitted = fit_cells(X, y, rbf(0.8), cells, scaling="zscore")
+            for (loss, C, adam), (model, report) in zip(cells, fitted):
+                alone, alone_report = fit(X, y, rbf(0.8), loss, C=C, adam=adam, scaling="zscore")
+                assert model.alpha.tobytes() == alone.alpha.tobytes()
+                assert model.loss == loss
+                assert report.final_objective == alone_report.final_objective
+                assert report.iterations == alone_report.iterations
+
+    def test_every_C_validated(self):
+        from helssvr.model import fit_cells
+
+        cells = [(hawkeye(), 1.0, None), (hawkeye(), 0.0, None)]
+        with pytest.raises(ValueError, match="C must be > 0"):
+            fit_cells(np.eye(3), np.ones(3), rbf(), cells)
+
+
+class TestPredictRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature(self, bad):
+        from helssvr.data import ScalingState
+
+        model = TrainedModel(np.ones(2), np.zeros((2, 2)), rbf(), hawkeye(), 1.0, ScalingState(mode="none"))
+        Q = np.zeros((3, 2))
+        Q[2, 1] = bad
+        with pytest.raises(ValueError, match="row 2, column 1"):
+            predict(model, Q)
+
+
+class TestLoadValidation:
+    def saved_doc(self):
+        import json
+
+        model, _ = fit(
+            np.array([[0.0, 1.0], [1.0, 0.5], [0.5, 0.2]]), np.array([0.1, 0.4, 0.3]), rbf(), hawkeye(),
+            C=10.0, adam=AdamConfig(max_iter=5, seed=0),
+        )
+        return json.loads(model_to_json(model))
+
+    def load(self, tmp_path, doc):
+        import json
+
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        return load_model(p)
+
+    def test_valid_document_loads(self, tmp_path):
+        assert self.load(tmp_path, self.saved_doc()).alpha.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["alpha"].__setitem__(1, float("nan")), "'alpha' contains non-finite"),
+            (lambda d: d.__setitem__("alpha", [d["alpha"]]), "'alpha' must be 1-dimensional"),
+            (lambda d: d["x_train"][0].__setitem__(0, float("inf")), "'x_train' contains non-finite"),
+            (lambda d: d.__setitem__("x_train", d["x_train"][0]), "'x_train' must be 2-dimensional"),
+            (lambda d: d["x_train"].pop(), "3 coefficients for 2 rows of 'x_train'"),
+            (lambda d: d["scaling"]["feature_a"].pop(), "'scaling.feature_a' has 1 entries for 2"),
+            (lambda d: d["scaling"]["feature_b"].__setitem__(0, float("nan")),
+             "'scaling.feature_b' contains non-finite"),
+        ],
+        ids=["alpha-nan", "alpha-2d", "x_train-inf", "x_train-1d", "length-mismatch",
+             "feature_a-length", "feature_b-nan"],
+    )
+    def test_bad_field_named(self, tmp_path, edit, message):
+        doc = self.saved_doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            self.load(tmp_path, doc)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,56 @@ class TestTrainAdam:
         )
         resid = ds.y - predict(model, ds.X)
         assert float(np.sqrt(np.mean(resid**2))) < 0.05
+
+
+class TestStackedTraining:
+    """Cells trained in one stack match one-cell runs bit for bit."""
+
+    def instance(self, n=23):
+        rng = np.random.default_rng(40)
+        X = rng.uniform(-1, 1, size=(n, 2))
+        y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n)
+        return gram_matrix(KernelSpec("rbf", sigma=0.7), X), y
+
+    @pytest.mark.parametrize("batch_size", [5, 1000])
+    def test_rows_match_one_cell_runs(self, batch_size):
+        gram, y = self.instance()
+        Cs = [0.1, 1.0, 100.0, 100.0]
+        losses = [
+            LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0),
+            LossSpec("hawkeye", epsilon=0.1, a=3.0, lam=0.5),
+            LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0),
+            LossSpec("hawkeye", epsilon=0.05, a=2.0, lam=1.5),
+        ]
+        gammas = [1e-3, 1e-3, 1e-2, 1e-3]
+        seeds = [4, 5, 6, 4]
+        # a loose tolerance stops some cells early, at different steps
+        cfg = AdamConfig(
+            max_iter=200, batch_size=batch_size, collect_trace=True,
+            early_stop=True, early_stop_tol=1e-2, early_stop_patience=4,
+        )
+        stack = train_adam(gram, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
+        steps = []
+        for C, loss, gamma, seed, got in zip(Cs, losses, gammas, seeds, stack.states):
+            alone = train_adam(gram, y, C, loss, replace(cfg, gamma=gamma, seed=seed))
+            for name in ("alpha", "m", "v"):
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+            assert got.t == alone.t
+            assert [h.hex() for h in got.trace] == [h.hex() for h in alone.trace]
+            steps.append(got.t)
+        assert len(set(steps)) > 1 and max(steps) == cfg.max_iter
+        assert stack.t == sum(steps)
+
+    def test_cell_counts_must_agree(self):
+        gram, y = self.instance()
+        loss = LossSpec("least_squares")
+        with pytest.raises(ValueError, match="number of cells"):
+            train_adam(gram, y, [1.0, 2.0], [loss], AdamConfig())
+        with pytest.raises(ValueError, match="number of cells"):
+            train_adam(gram, y, [1.0], [loss], AdamConfig(), gamma=[0.01, 0.02])
+
+    def test_one_loss_kind_per_stack(self):
+        gram, y = self.instance()
+        losses = [LossSpec("least_squares"), LossSpec("huber", theta=1.0)]
+        with pytest.raises(ValueError, match="one kind"):
+            train_adam(gram, y, [1.0, 1.0], losses, AdamConfig(max_iter=5))
