@@ -24,6 +24,7 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
+    load_features,
     write_synthetic_csv,
 )
 from .evaluation import (
@@ -82,7 +83,6 @@ def _parse_choice(*allowed):
 # key -> (default, parser-from-string)
 CONFIG_SCHEMA: dict[str, tuple] = {
     "seed": (0, int),
-    "threads": (1, int),
     "scaling": ("minmax", _parse_choice("none", "minmax", "zscore")),
     "trace": (False, _parse_bool),
     "C": (100.0, float),
@@ -164,7 +164,7 @@ def assemble_config(args) -> RunConfig:
         key, _, value = pair.partition("=")
         cfg.set(key.strip(), value.strip(), source="--set")
     # named flags win over --set and the file
-    for key, attr in (("seed", "seed"), ("threads", "threads"), ("scaling", "scaling")):
+    for key, attr in (("seed", "seed"), ("scaling", "scaling")):
         val = getattr(args, attr, None)
         if val is not None:
             cfg.set(key, str(val), source=f"--{attr}")
@@ -249,71 +249,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _coerce_target(target):
-    if target is not None and target.lstrip("-").isdigit():
-        return int(target)
-    return target
-
-
-def _drop_list(args):
-    raw = getattr(args, "drop", None)
-    if not raw:
-        return ()
-    return tuple(c.strip() for c in raw.split(",") if c.strip())
-
-
-def _load_dataset(args):
-    return load_csv(
-        args.data,
+def _csv_options(args, path) -> dict:
+    """The CSV options of a command line, for :func:`load_csv` or :func:`load_features`."""
+    return dict(
+        path=path,
         has_header=not args.no_header,
-        target_column=_coerce_target(args.target),
+        target_column=args.target,  # a name, or an index as digits
         delimiter=args.delimiter,
-        drop_columns=_drop_list(args),
+        drop_columns=tuple(c.strip() for c in (args.drop or "").split(",") if c.strip()),
     )
-
-
-def _read_feature_matrix(args) -> np.ndarray:
-    """Strict feature parse for prediction: any bad cell is an error, so
-    the output rows always correspond one-to-one with the input rows."""
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=args.delimiter) if r]
-    names = None
-    if not args.no_header:
-        if not rows:
-            raise ValueError(f"{args.data}: empty file")
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise ValueError(f"{args.data}: no data rows")
-    width = len(names) if names is not None else len(rows[0])
-
-    def resolve(col, what):
-        if not col.lstrip("-").isdigit():
-            if names is None:
-                raise ValueError(f"{what} column given by name but the file has no header")
-            if col not in names:
-                raise ValueError(f"{what} column {col!r} not in header {names}")
-            return names.index(col)
-        idx = int(col)
-        if not -width <= idx < width:
-            raise ValueError(f"{what} column index {idx} out of range")
-        return idx % width
-
-    skip = {resolve(c, "drop") for c in _drop_list(args)}
-    if args.target is not None:
-        skip.add(resolve(args.target, "target"))
-    keep = [i for i in range(width) if i not in skip]
-    if not keep:
-        raise ValueError(f"{args.data}: no feature columns left")
-    out = []
-    for lineno, row in enumerate(rows, start=2 if names is not None else 1):
-        if len(row) != width:
-            raise ValueError(f"{args.data}:{lineno}: expected {width} cells, found {len(row)}")
-        try:
-            out.append([float(row[i]) for i in keep])
-        except ValueError:
-            raise ValueError(f"{args.data}:{lineno}: non-numeric cell") from None
-    return np.asarray(out, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +268,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     loss = build_loss(cfg)
     kernel = build_kernel(cfg)
     adam = build_adam(cfg, collect_trace=cfg["trace"])
-    ds, report = _load_dataset(args)
+    ds, report = load_csv(**_csv_options(args, args.data))
     model, fit_report = fit(ds.X, ds.y, kernel, loss, C=cfg["C"], adam=adam, scaling=cfg["scaling"])
     save_model(model, args.out)
     if cfg["trace"]:
@@ -345,7 +289,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_predict(cfg: RunConfig, args) -> int:
     model = load_model(args.model)
-    X = _read_feature_matrix(args)
+    X = load_features(**_csv_options(args, args.data))
     preds = predict(model, X)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -382,7 +326,6 @@ def _bench_one(ds, recipe, grid, cfg, adam):
         adam=adam,
         scaling=cfg["scaling"],
         selection=cfg["cv.selection"],
-        threads=cfg["threads"],
     )
     best = res.best
     # refit on the full dataset with the winning cell: reported training
@@ -417,13 +360,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     for path in args.data:
         dataset_name = str(path)
         try:
-            ds, _ = load_csv(
-                path,
-                has_header=not args.no_header,
-                target_column=_coerce_target(args.target),
-                delimiter=args.delimiter,
-                drop_columns=_drop_list(args),
-            )
+            ds, _ = load_csv(**_csv_options(args, path))
         except (OSError, ValueError) as exc:
             failures.append((dataset_name, "*", type(exc).__name__, str(exc)))
             continue
@@ -569,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
     common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--threads", type=int, help="kernel-width groups searched in parallel")
     common.add_argument("--scaling", choices=["none", "minmax", "zscore"], help="feature/target scaling")
     common.add_argument("--trace", action="store_true", help="record per-iteration objective values")
 

@@ -1,10 +1,13 @@
 """Dataset ingestion, scaling, fold splitting, and synthetic benchmarks.
 
-CSV ingestion is strict: rows whose cell count differs from the header are
-a format error, and rows containing non-numeric or missing cells are
-dropped and counted.  The synthetic generators produce five 1-d target
-functions with a choice of Gaussian, uniform, or Student-t noise, always
-returning the noise-free targets alongside the noisy ones.
+One reader parses every data CSV.  Rows whose cell count differs from the
+header are a format error.  A row with a non-numeric or missing target or
+feature cell is skipped and counted when loading a training set
+(:func:`load_csv`), and is an error when loading features to predict on
+(:func:`load_features`); dropped columns are never parsed.  The synthetic
+generators produce five 1-d target functions with a choice of Gaussian,
+uniform, or Student-t noise, always returning the noise-free targets
+alongside the noisy ones.
 """
 
 from __future__ import annotations
@@ -57,35 +60,28 @@ class LoadReport:
     rows_rejected: int
 
 
-def load_csv(
-    path,
-    has_header: bool = True,
-    target_column=None,
-    delimiter: str = ",",
-    drop_columns=(),
-) -> tuple[Dataset, LoadReport]:
-    """Parse a numeric CSV into a dataset.
+def _read_columns(path, has_header, delimiter, target_column, drop_columns, strict_rows):
+    """The target and feature columns of a numeric CSV, parsed row by row.
 
-    ``target_column`` may be a column name (header required), an integer
-    index, or None for the last column.  ``drop_columns`` (names or
-    indices) are excluded from the features; useful for auxiliary columns
-    such as the noise-free targets in synthetic files.  Rows with a wrong
-    cell count raise; rows with unparseable or empty cells are skipped and
-    counted in the report.
+    Returns ``(y, X, feature_names, report)``; ``y`` is None when
+    ``target_column`` is None.  Only the target and feature cells are
+    parsed, so a dropped column may hold text.  A row with a wrong cell
+    count raises; a row with an unparseable or empty cell raises with
+    ``strict_rows``, and is otherwise skipped and counted.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    rows = [r for r in rows if r]  # blank lines carry no data
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = [(reader.line_num, r) for r in reader if r]  # blank lines carry no data
     if not rows:
         raise ValueError(f"{path}: no rows")
 
     names = None
     if has_header:
-        names = [c.strip() for c in rows[0]]
+        names = [c.strip() for c in rows[0][1]]
         rows = rows[1:]
         width = len(names)
     else:
-        width = len(rows[0])
+        width = len(rows[0][1])
 
     def resolve_column(col, what):
         if isinstance(col, str) and not col.lstrip("-").isdigit():
@@ -100,39 +96,84 @@ def load_csv(
             raise ValueError(f"{what} column index {idx} out of range for width {width}")
         return idx % width
 
-    if target_column is None:
-        target_idx = width - 1
-    else:
-        target_idx = resolve_column(target_column, "target")
+    target_idx = None if target_column is None else resolve_column(target_column, "target")
     drop_idx = {resolve_column(c, "drop") for c in drop_columns}
     if target_idx in drop_idx:
         raise ValueError("target column cannot also be dropped")
+    feature_idx = [i for i in range(width) if i != target_idx and i not in drop_idx]
+    if not feature_idx:
+        raise ValueError(f"{path}: no feature columns left")
+    used = feature_idx if target_idx is None else [target_idx, *feature_idx]
 
     parsed = []
     rejected = 0
-    for lineno, row in enumerate(rows, start=2 if has_header else 1):
+    for lineno, row in rows:
         if len(row) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} cells, found {len(row)}")
         try:
-            parsed.append([float(c) for c in row])
+            parsed.append([float(row[i]) for i in used])
         except ValueError:
+            if strict_rows:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
             rejected += 1
     if not parsed:
         raise ValueError(f"{path}: no usable numeric rows")
 
     data = np.asarray(parsed, dtype=float)
-    if not np.all(np.isfinite(data)):
+    if target_idx is None:
+        y, X = None, data
+    else:
+        # column-major: the summation order of the column means that
+        # zscore scaling takes, and so their bits, follow the layout
+        y, X = data[:, 0], np.asfortranarray(data[:, 1:])
+    feature_names = None if names is None else [names[i] for i in feature_idx]
+    report = LoadReport(rows_total=len(rows), rows_used=len(parsed), rows_rejected=rejected)
+    return y, X, feature_names, report
+
+
+def load_csv(
+    path,
+    has_header: bool = True,
+    target_column=None,
+    delimiter: str = ",",
+    drop_columns=(),
+) -> tuple[Dataset, LoadReport]:
+    """Parse a numeric CSV into a dataset.
+
+    ``target_column`` may be a column name (header required), an integer
+    index, or None for the last column.  ``drop_columns`` (names or
+    indices) are excluded from the features and never parsed; useful for
+    auxiliary columns such as the noise-free targets in synthetic files or
+    a text id.  Rows with a wrong cell count raise; rows with an
+    unparseable or empty target or feature cell are skipped and counted in
+    the report.
+    """
+    target = -1 if target_column is None else target_column
+    y, X, feature_names, report = _read_columns(
+        path, has_header, delimiter, target, drop_columns, strict_rows=False
+    )
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError(f"{path}: non-finite values in data")
-    y = data[:, target_idx]
-    feature_idx = [i for i in range(width) if i != target_idx and i not in drop_idx]
-    if not feature_idx:
-        raise ValueError(f"{path}: no feature columns left")
-    X = data[:, feature_idx]
-    feature_names = None
-    if names is not None:
-        feature_names = [names[i] for i in feature_idx]
-    ds = Dataset(X=X, y=y, feature_names=feature_names, name=str(path))
-    return ds, LoadReport(rows_total=len(rows), rows_used=len(parsed), rows_rejected=rejected)
+    return Dataset(X=X, y=y, feature_names=feature_names, name=str(path)), report
+
+
+def load_features(
+    path,
+    has_header: bool = True,
+    target_column=None,
+    delimiter: str = ",",
+    drop_columns=(),
+) -> np.ndarray:
+    """Feature matrix of a CSV to predict on, one row per data row.
+
+    No target column is required: ``target_column``, if given, is skipped
+    like the ``drop_columns``.  Every row must have the header's width and
+    every feature cell must parse, else the ValueError names the file and
+    line; so the output rows map one-to-one to the input rows.  Non-finite
+    values are passed on for :func:`~helssvr.model.predict` to reject.
+    """
+    skip = tuple(drop_columns) if target_column is None else (*drop_columns, target_column)
+    return _read_columns(path, has_header, delimiter, None, skip, strict_rows=True)[1]
 
 
 def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
@@ -293,6 +334,7 @@ def scale_fit(X, y, mode: str) -> ScalingState:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     fa, fb = _fit_columns(X, mode)
+    fa.flags.writeable = fb.flags.writeable = False  # shared by every model the state scales
     ta, tb = _fit_columns(y.reshape(-1, 1), mode)
     return ScalingState(mode=mode, feature_a=fa, feature_b=fb, target_a=float(ta[0]), target_b=float(tb[0]))
 

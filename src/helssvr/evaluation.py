@@ -259,7 +259,6 @@ def grid_search_cv(
     adam: AdamConfig | None = None,
     scaling: str = "minmax",
     selection: str = "best_fold",
-    threads: int = 1,
 ) -> GridSearchResult:
     """Search the grid with k-fold cross validation.
 
@@ -273,8 +272,8 @@ def grid_search_cv(
     train together on one Gram matrix (see :func:`fit_cells`).  Cell i's
     fold j trains with the Adam seed ``child_seed(seed, i, j)``, and its
     numbers are bit-identical to a standalone :func:`fit` with that seed,
-    whatever the grouping.  ``threads`` work items run at once; results
-    do not depend on it.
+    whatever the grouping.  Work items run one after another: threads
+    measured slower, because each Adam step's Python work holds the GIL.
     """
     if selection not in ("best_fold", "mean"):
         raise ValueError(f"selection must be 'best_fold' or 'mean', got {selection!r}")
@@ -285,18 +284,9 @@ def grid_search_cv(
     groups: dict = {}
     for i, cell in enumerate(cells):
         groups.setdefault(cell.sigma, []).append(i)
-
-    def run(members):
-        return _search_group(ds, folds, recipe, cells, members, adam, scaling, seed)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, groups.values()))
-    else:
-        done = [run(members) for members in groups.values()]
-    folds_of = {i: fr for group in done for i, fr in group.items()}
+    folds_of = {}
+    for members in groups.values():
+        folds_of.update(_search_group(ds, folds, recipe, cells, members, adam, scaling, seed))
 
     results = []
     for i, cell in enumerate(cells):

@@ -165,15 +165,6 @@ class LossSpec:
             if f.name != "kind" and getattr(self, f.name) is not None
         }
 
-    def value(self, r):
-        return loss_value(self, r)
-
-    def derivative(self, r):
-        return loss_derivative(self, r)
-
-    def characteristics(self) -> LossCharacteristics:
-        return characteristics(self)
-
 
 @dataclass(frozen=True)
 class LossStack:

@@ -26,9 +26,15 @@ from .optimizer import AdamConfig, objective_value, train_adam
 MODEL_FORMAT = "helssvr-model-v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
-    """Coefficients, retained training inputs, and scaling metadata."""
+    """Coefficients, retained training inputs, and scaling metadata.
+
+    Immutable: the fields cannot be reassigned, and ``alpha``, ``X_train``
+    and the scaling vectors are read-only arrays, so a model (and the
+    training inputs and scaling the models of one :func:`fit_cells` call
+    share) is safe to share.
+    """
 
     alpha: np.ndarray
     X_train: np.ndarray  # stored in scaled space
@@ -90,6 +96,7 @@ def fit_cells(X, y, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[
 
     state_scaling = scale_fit(X, y, scaling)
     Xs = scale_features(state_scaling, X)
+    Xs.flags.writeable = False  # shared by every cell's model
     ys = scale_target(state_scaling, y)
 
     t0 = time.perf_counter()
@@ -111,6 +118,7 @@ def fit_cells(X, y, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[
             wall = (time.perf_counter() - t1) / len(chunk)
             for i, state in zip(chunk, stack.states):
                 loss, C, adam = cells[i]
+                state.alpha.flags.writeable = False
                 alpha0 = np.full(Xs.shape[0], float(adam.alpha0))
                 model = TrainedModel(
                     alpha=state.alpha, X_train=Xs, kernel=kernel, loss=loss, C=float(C), scaling=state_scaling
@@ -205,6 +213,7 @@ def _scaling_from_doc(doc: dict, n_features: int) -> ScalingState:
             vectors[key] = None
             continue
         vectors[key] = _array_field(doc[key], f"scaling.{key}", 1)
+        vectors[key].flags.writeable = False
         if vectors[key].shape[0] != n_features:
             raise ValueError(
                 f"model field 'scaling.{key}' has {vectors[key].shape[0]} entries for {n_features} features"
@@ -245,6 +254,7 @@ def model_from_json(text: str) -> TrainedModel:
     kind = loss_doc.pop("kind")
     alpha = _array_field(doc["alpha"], "alpha", 1)
     X_train = _array_field(doc["x_train"], "x_train", 2)
+    alpha.flags.writeable = X_train.flags.writeable = False
     if X_train.shape[0] != alpha.shape[0]:
         raise ValueError(
             f"model field 'alpha' has {alpha.shape[0]} coefficients for {X_train.shape[0]} rows of 'x_train'"

@@ -245,7 +245,7 @@ def test_criterion_6_synthetic_regression():
         ds, y_true = generate_synthetic(SyntheticSpec(fid, "gaussian", n_samples=500, seed=100 + fid))
         train = Dataset(X=ds.X[:400], y=ds.y[:400], name=f"f{fid}")
         res = grid_search_cv(
-            train, grid, recipe, seed=fid, adam=adam, scaling="zscore", selection="mean", threads=4
+            train, grid, recipe, seed=fid, adam=adam, scaling="zscore", selection="mean"
         )
         p = res.best_params
         model, _ = fit(
@@ -313,8 +313,8 @@ def test_criterion_8_determinism(tmp_path):
         "--set", "grid.C=1,100", "--set", "grid.sigma=0.3,1", "--set", "grid.a=1",
         "--set", "grid.k=3", "--set", "adam.max_iter=150",
     ]
-    ok &= cli_main(bench_argv + ["--outdir", str(b1), "--threads", "1"]) == 0
-    ok &= cli_main(bench_argv + ["--outdir", str(b2), "--threads", "4"]) == 0
+    ok &= cli_main(bench_argv + ["--outdir", str(b1)]) == 0
+    ok &= cli_main(bench_argv + ["--outdir", str(b2)]) == 0
 
     import csv as _csv
 
@@ -346,7 +346,7 @@ def test_criterion_9_end_to_end_cli(tmp_path):
     rc = cli_main(
         ["bench", "--data", *paths, "--target", "y", "--drop", "y_true",
          "--recipes", "hawkeye,least_squares",
-         "--outdir", str(outdir), "--threads", "4",
+         "--outdir", str(outdir),
          "--set", "grid.C=100", "--set", "grid.sigma=0.3,1", "--set", "grid.a=1,3",
          "--set", "grid.k=5", "--set", "scaling=zscore"]
     )

@@ -313,19 +313,6 @@ class TestBench:
         assert len(rows) == 2
         assert float(rows[1][2]) >= 0.0
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        data = tmp_path / "toy.csv"
-        write_toy_csv(data)
-        out1, out2 = tmp_path / "b1", tmp_path / "b2"
-        argv = ["bench", "--data", str(data), "--target", "y",
-                "--recipes", "hawkeye,least_squares", *fast_flags()]
-        assert main(argv + ["--outdir", str(out1), "--threads", "1"]) == 0
-        assert main(argv + ["--outdir", str(out2), "--threads", "3"]) == 0
-        rows1 = [r[:6] for r in read_rows(out1 / "results.csv")]  # drop the timing column
-        rows2 = [r[:6] for r in read_rows(out2 / "results.csv")]
-        assert rows1 == rows2
-        assert read_rows(out1 / "best_params.csv") == read_rows(out2 / "best_params.csv")
-
 
 class TestRank:
     def write_wide_table(self, path):
@@ -467,3 +454,56 @@ class TestPredictNonFinite:
         assert rc == 3
         assert "features must be finite: row 1, column 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDroppedTextColumn:
+    """A dropped column is never parsed, so it may hold text such as an id."""
+
+    def write_id_csv(self, path):
+        ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=30, seed=3))
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["id", "x", "y"])
+            for i, (x, y) in enumerate(zip(ds.X[:, 0], ds.y)):
+                w.writerow([f"row{i}", repr(float(x)), repr(float(y))])
+        return ds
+
+    def train(self, tmp_path, data):
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--target", "y", "--drop", "id",
+                   "--out", str(model), "--set", "adam.max_iter=50"])
+        return rc, model
+
+    def test_train_keeps_every_row(self, tmp_path, capsys):
+        data = tmp_path / "ids.csv"
+        self.write_id_csv(data)
+        rc, _ = self.train(tmp_path, data)
+        assert rc == 0
+        assert "training samples    : 30 (rejected rows: 0)" in capsys.readouterr().out
+
+    def test_predict_matches_library(self, tmp_path):
+        data = tmp_path / "ids.csv"
+        ds = self.write_id_csv(data)
+        rc, model = self.train(tmp_path, data)
+        assert rc == 0
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--target", "y",
+                     "--drop", "id", "--out", str(out)]) == 0
+        from helssvr.model import load_model, predict as lib_predict
+
+        got = np.array([float(r[0]) for r in read_rows(out)[1:]])
+        assert np.array_equal(got, lib_predict(load_model(model), ds.X))
+
+
+class TestThreadsRemoved:
+    def test_threads_config_key_unknown(self, tmp_path, capsys):
+        rc = main(["bench", "--data", str(tmp_path / "d.csv"), "--recipes", "hawkeye",
+                   "--outdir", str(tmp_path / "b"), "--set", "threads=2"])
+        assert rc == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err
+
+    def test_threads_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", str(tmp_path / "d.csv"), "--recipes", "hawkeye",
+                  "--outdir", str(tmp_path / "b"), "--threads", "2"])
+        assert exc.value.code == 2

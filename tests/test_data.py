@@ -14,6 +14,7 @@ from helssvr.data import (
     inverse_target,
     kfold_split,
     load_csv,
+    load_features,
     scale_features,
     scale_fit,
     scale_fit_transform,
@@ -87,6 +88,37 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="target"):
             load_csv(p, has_header=True, target_column="z")
+
+    def test_dropped_column_is_not_parsed(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("id,x,y\na,0.1,1.0\nb,0.2,oops\nc,0.3,3.0\n")
+        ds, report = load_csv(p, target_column="y", drop_columns=("id",))
+        assert np.array_equal(ds.X, [[0.1], [0.3]])
+        assert np.array_equal(ds.y, [1.0, 3.0])
+        assert (report.rows_used, report.rows_rejected) == (2, 1)
+
+
+class TestLoadFeatures:
+    def test_target_is_optional(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("id,a,b\nr1,1,2\nr2,3,4\n")
+        assert np.array_equal(load_features(p, drop_columns=("id",)), [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(load_features(p, target_column="b", drop_columns=("id",)), [[1.0], [3.0]])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2\nfoo,4\n", "d.csv:3: non-numeric cell"),
+            ("1,2\n3\n", "d.csv:3: expected 2 cells, found 1"),
+            ("\n1,2\nfoo,4\n", "d.csv:4: non-numeric cell"),  # blank lines count
+        ],
+        ids=["bad-cell", "short-row", "after-blank-line"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, body, message):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_features(p)
 
 
 class TestKfold:

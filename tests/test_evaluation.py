@@ -312,23 +312,6 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_cv(ds, grid, recipe, selection="median")
 
-    def test_threads_do_not_change_results(self):
-        ds = toy_dataset(n=36, seed=6)
-        grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), k=3)
-        recipe = recipe_from_name("hawkeye")
-        grid = GridSpec(
-            C_values=(1.0, 100.0),
-            sigma_values=(0.3, 1.0),
-            epsilon_values=(0.05,),
-            lambda_values=(1.0,),
-            a_values=(1.0,),
-            k=3,
-        )
-        r1 = grid_search_cv(ds, grid, recipe, seed=7, adam=fast_adam(), threads=1)
-        r2 = grid_search_cv(ds, grid, recipe, seed=7, adam=fast_adam(), threads=3)
-        assert r1.best_params == r2.best_params
-        assert [c.stat for c in r1.cells] == [c.stat for c in r2.cells]
-
     def test_hawkeye_recipe_consumes_loss_axes(self):
         grid = GridSpec(
             C_values=(1.0,),

@@ -117,3 +117,12 @@ class TestSubnormalFlush:
         assert np.count_nonzero((g > 0) & (g < tiny)) == 0
         assert np.count_nonzero(g == 0) > 0  # the flushed entries
         assert np.all(np.diag(g) == 1.0)
+
+
+class TestGramAlignment:
+    @pytest.mark.parametrize("n", [1, 7, 320])
+    def test_buffer_starts_on_64_byte_boundary(self, n):
+        X = np.linspace(0, 1, n).reshape(-1, 1)
+        values = gram_matrix(KernelSpec("rbf", sigma=0.5), X).values
+        assert values.ctypes.data % 64 == 0
+        assert values.flags.c_contiguous and values.shape == (n, n)

@@ -345,3 +345,35 @@ class TestLoadValidation:
         edit(doc)
         with pytest.raises(ValueError, match=message):
             self.load(tmp_path, doc)
+
+
+class TestTrainedModelImmutable:
+    def check_immutable(self, model):
+        from dataclasses import FrozenInstanceError
+
+        with pytest.raises(ValueError, match="read-only"):
+            model.X_train[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.alpha[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.scaling.feature_a[0] = 5.0
+        with pytest.raises(FrozenInstanceError):
+            model.C = 5.0
+
+    def test_fitted_models_cannot_change_each_other(self):
+        from helssvr.model import fit_cells
+
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1, 1, (12, 1))
+        y = np.sin(3 * X[:, 0])
+        cells = [(hawkeye(), 10.0, AdamConfig(max_iter=30, seed=s)) for s in (1, 2)]
+        (m1, _), (m2, _) = fit_cells(X, y, rbf(0.5), cells)
+        assert m1.X_train is m2.X_train  # the scaled inputs are shared
+        before = predict(m2, X)
+        self.check_immutable(m1)
+        assert np.array_equal(predict(m2, X), before)
+
+    def test_loaded_model_is_immutable(self):
+        X = np.linspace(0, 1, 6).reshape(-1, 1)
+        model, _ = fit(X, X[:, 0] ** 2, rbf(), hawkeye(), C=10.0, adam=AdamConfig(max_iter=20, seed=0))
+        self.check_immutable(model_from_json(model_to_json(model)))
