@@ -46,10 +46,6 @@ class Dataset:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.X.shape[1]
-
 
 @dataclass(frozen=True)
 class LoadReport:
@@ -320,11 +316,6 @@ def _apply_columns(values, a, b, mode):
     return np.where(nz, scaled, 0.0)
 
 
-def _invert_columns(values, a, b, mode):
-    span = b - a if mode == "minmax" else b
-    return np.asarray(values, dtype=float) * span + a
-
-
 def scale_fit(X, y, mode: str) -> ScalingState:
     """Fit scaling parameters on training features and targets."""
     if mode not in SCALING_MODES:
@@ -357,27 +348,10 @@ def scale_target(state: ScalingState, y) -> np.ndarray:
     return _apply_columns(y.reshape(-1, 1), np.array([state.target_a]), np.array([state.target_b]), state.mode)[:, 0]
 
 
-def inverse_features(state: ScalingState, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if state.mode == "none":
-        return X.copy()
-    return _invert_columns(X, state.feature_a, state.feature_b, state.mode)
-
-
 def inverse_target(state: ScalingState, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if state.mode == "none":
         return y.copy()
-    return _invert_columns(y.reshape(-1, 1), np.array([state.target_a]), np.array([state.target_b]), state.mode)[:, 0]
+    span = state.target_b - state.target_a if state.mode == "minmax" else state.target_b
+    return y * span + state.target_a
 
-
-def scale_fit_transform(ds: Dataset, mode: str) -> tuple[Dataset, ScalingState]:
-    """Fit scaling on a dataset and return the scaled copy plus the state."""
-    state = scale_fit(ds.X, ds.y, mode)
-    scaled = Dataset(
-        X=scale_features(state, ds.X),
-        y=scale_target(state, ds.y),
-        feature_names=ds.feature_names,
-        name=ds.name,
-    )
-    return scaled, state

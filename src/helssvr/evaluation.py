@@ -94,93 +94,58 @@ class GridSpec:
             raise ValueError("grid k must be >= 2")
 
 
-#: default search sets in the spirit of the usual powers-of-ten sweeps
-DEFAULT_GRID = GridSpec(
-    C_values=tuple(10.0**i for i in range(-6, 7, 2)),
-    sigma_values=tuple(10.0**i for i in range(-6, 7, 2)),
-    epsilon_values=(0.001, 0.005, 0.01, 0.05, 0.1, 0.15, 0.2, 0.25),
-    lambda_values=tuple(np.arange(0.1, 2.0 + 1e-12, 0.2)),
-    a_values=tuple(np.arange(0.1, 5.0 + 1e-12, 0.2)),
-    gamma_values=(0.0001, 0.001, 0.01),
-)
-
-#: loss kinds whose insensitivity half-width comes from the grid
-_EPSILON_KINDS = frozenset(
-    {
-        losses.HAWKEYE,
-        losses.INSENSITIVE,
-        losses.RAMP_INSENSITIVE,
-        losses.RAMP_INSENSITIVE_LEAST_SQUARES,
-        losses.QUADRATIC_NONCONVEX_INSENSITIVE,
-        losses.CANAL,
-    }
-)
-
-
 @dataclass(frozen=True)
 class ModelRecipe:
-    """A trainable model family: loss kind, kernel kind, fixed loss params.
+    """A trainable model family: a loss kind plus the loss params it fixes.
 
-    Grid axes that the recipe does not consume (e.g. lambda for a least
-    squares loss) are collapsed so the search does not revisit identical
-    models.
+    The grid's epsilon, lambda and a axes apply to the loss parameters the
+    kind takes (:func:`losses.required_params`) and the recipe does not
+    fix; the other axes collapse to None, so the search does not revisit
+    identical models.  Search kernels are RBF.
     """
 
     name: str
     loss_kind: str
-    kernel_kind: str = "rbf"
     fixed: tuple[tuple[str, float], ...] = ()
 
     def fixed_params(self) -> dict:
         return dict(self.fixed)
 
-    def uses_epsilon(self) -> bool:
-        return self.loss_kind in _EPSILON_KINDS and "epsilon" not in self.fixed_params()
-
-    def uses_lambda(self) -> bool:
-        return self.loss_kind == losses.HAWKEYE and "lam" not in self.fixed_params()
-
-    def uses_a(self) -> bool:
-        return self.loss_kind == losses.HAWKEYE and "a" not in self.fixed_params()
-
-    def uses_sigma(self) -> bool:
-        return self.kernel_kind == "rbf"
+    def grid_params(self) -> tuple[str, ...]:
+        """Loss parameters whose values come from the grid."""
+        fixed = self.fixed_params()
+        return tuple(p for p in losses.required_params(self.loss_kind) if p not in fixed)
 
     def build_loss(self, epsilon, lam, a) -> LossSpec:
+        axes = {"epsilon": epsilon, "lam": lam, "a": a}
         params = self.fixed_params()
-        if self.loss_kind in _EPSILON_KINDS:
-            params.setdefault("epsilon", epsilon)
-        if self.loss_kind == losses.HAWKEYE:
-            params.setdefault("lam", lam)
-            params.setdefault("a", a)
+        params.update((p, axes.get(p)) for p in self.grid_params())
         return LossSpec(self.loss_kind, **params)
 
     def build_kernel(self, sigma) -> KernelSpec:
-        if self.kernel_kind == "rbf":
-            return KernelSpec("rbf", sigma=sigma)
-        return KernelSpec(self.kernel_kind)
+        return KernelSpec("rbf", sigma=sigma)
 
 
 def recipe_from_name(name: str) -> ModelRecipe:
-    """Recipe for a loss kind referred to by its config name."""
+    """Recipe for a loss kind referred to by its config name.
+
+    The loss parameters that no grid axis covers, theta and t, are fixed
+    at 1.0, except theta = 2.0 for bounded least squares.
+    """
     if name not in losses.LOSS_KINDS:
         raise ValueError(f"unknown model recipe {name!r}")
-    fixed: tuple[tuple[str, float], ...] = ()
-    if name in (losses.HUBER, losses.NONCONVEX_LEAST_SQUARES):
-        fixed = (("theta", 1.0),)
-    elif name in (losses.RAMP_INSENSITIVE, losses.RAMP_INSENSITIVE_LEAST_SQUARES, losses.CANAL):
-        fixed = (("theta", 1.0),)
-    elif name == losses.QUADRATIC_NONCONVEX_INSENSITIVE:
-        fixed = (("t", 1.0), ("theta", 1.0))
-    elif name == losses.BOUNDED_LEAST_SQUARES:
-        fixed = (("t", 1.0), ("theta", 2.0))
+    fixed = tuple(
+        (p, 2.0 if (name, p) == (losses.BOUNDED_LEAST_SQUARES, "theta") else 1.0)
+        for p in losses.required_params(name)
+        if p in ("theta", "t")
+    )
     return ModelRecipe(name=name, loss_kind=name, fixed=fixed)
 
 
 @dataclass(frozen=True)
 class CellParams:
     C: float
-    sigma: float | None
+    sigma: float
     epsilon: float | None
     lam: float | None
     a: float | None
@@ -213,11 +178,12 @@ class GridSearchResult:
 
 
 def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
+    axes = recipe.grid_params()
     cs = sorted(grid.C_values)
-    sigmas = sorted(grid.sigma_values) if recipe.uses_sigma() else [None]
-    epss = sorted(grid.epsilon_values) if recipe.uses_epsilon() else [None]
-    lams = sorted(grid.lambda_values) if recipe.uses_lambda() else [None]
-    avals = sorted(grid.a_values) if recipe.uses_a() else [None]
+    sigmas = sorted(grid.sigma_values)
+    epss = sorted(grid.epsilon_values) if "epsilon" in axes else [None]
+    lams = sorted(grid.lambda_values) if "lam" in axes else [None]
+    avals = sorted(grid.a_values) if "a" in axes else [None]
     gammas = sorted(grid.gamma_values)
     return [
         CellParams(C=c, sigma=s, epsilon=e, lam=l, a=a, gamma=g)
@@ -366,9 +332,14 @@ def _row_ranks(values: np.ndarray, tie: str) -> np.ndarray:
     return ranks
 
 
-def _truncate(x: float, decimals: int) -> float:
-    scale = 10.0**decimals
-    return math.floor(x * scale) / scale
+def _truncate(twice_sum: int, count: int, decimals: int) -> float:
+    """The average rank ``twice_sum / (2 * count)`` cut to ``decimals`` places.
+
+    Integer arithmetic: a floating-point floor of ``x * 10**decimals`` cuts
+    an exact average such as 2.28 (stored as 2.27999...) to 2.2799.
+    """
+    scale = 10**decimals
+    return (twice_sum * scale // (2 * count)) / scale
 
 
 @dataclass
@@ -430,16 +401,21 @@ def rank_models(
         rank_matrix[i] = _row_ranks(values[i], tie)
 
     present_counts = np.sum(~np.isnan(rank_matrix), axis=0)
+    if not present_counts.all():
+        raise ValueError(f"model column {int(np.argmin(present_counts))} has no present entries")
     avg_ranks = np.nansum(rank_matrix, axis=0) / present_counts
 
     if rank_decimals is None:
         stat_ranks = avg_ranks.copy()
     else:
-        stat_ranks = np.array([_truncate(r, rank_decimals) for r in avg_ranks])
+        # ranks are multiples of 1/2, so twice a model's rank sum is an integer
+        twice_sums = np.nansum(2 * rank_matrix, axis=0)
+        stat_ranks = np.array(
+            [_truncate(int(s), int(c), rank_decimals) for s, c in zip(twice_sums, present_counts)]
+        )
 
     chi2 = friedman_chi2(stat_ranks, D, p)
-    denom = D * (p - 1) - chi2
-    f_f = math.inf if denom <= 0 else float((D - 1) * chi2 / denom)
+    f_f = iman_davenport_F(chi2, D, p) if D * (p - 1) > chi2 else math.inf
     if q_alpha is None:
         if p not in NEMENYI_Q_ALPHA_05:
             raise ValueError(f"no built-in q_alpha for p={p}; pass q_alpha explicitly")

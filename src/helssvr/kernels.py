@@ -48,10 +48,6 @@ class KernelSpec:
             raise ValueError("linear kernel does not take sigma")
 
 
-def rbf(sigma: float) -> KernelSpec:
-    return KernelSpec(RBF, sigma=sigma)
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Dense N x N matrix of pairwise kernel values."""
@@ -87,12 +83,6 @@ def kernel_row(spec: KernelSpec, x, X) -> np.ndarray:
     arg = -sq / (spec.sigma * spec.sigma)
     arg[arg < _LOG_TINY] = -np.inf
     return np.exp(arg, out=arg)
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Kernel value of a single pair of points."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    return float(kernel_row(spec, x, z.reshape(1, -1))[0])
 
 
 def gram_matrix(spec: KernelSpec, X) -> GramMatrix:

@@ -197,50 +197,6 @@ def stack_losses(specs, width: int) -> LossStack:
     return LossStack(kind, **blocks)
 
 
-def hawkeye(epsilon: float, a: float, lam: float) -> LossSpec:
-    return LossSpec(HAWKEYE, epsilon=epsilon, a=a, lam=lam)
-
-
-def least_squares() -> LossSpec:
-    return LossSpec(LEAST_SQUARES)
-
-
-def absolute() -> LossSpec:
-    return LossSpec(ABSOLUTE)
-
-
-def huber(theta: float) -> LossSpec:
-    return LossSpec(HUBER, theta=theta)
-
-
-def insensitive(epsilon: float) -> LossSpec:
-    return LossSpec(INSENSITIVE, epsilon=epsilon)
-
-
-def ramp_insensitive(epsilon: float, theta: float) -> LossSpec:
-    return LossSpec(RAMP_INSENSITIVE, epsilon=epsilon, theta=theta)
-
-
-def nonconvex_least_squares(theta: float) -> LossSpec:
-    return LossSpec(NONCONVEX_LEAST_SQUARES, theta=theta)
-
-
-def ramp_insensitive_least_squares(epsilon: float, theta: float) -> LossSpec:
-    return LossSpec(RAMP_INSENSITIVE_LEAST_SQUARES, epsilon=epsilon, theta=theta)
-
-
-def quadratic_nonconvex_insensitive(epsilon: float, t: float, theta: float) -> LossSpec:
-    return LossSpec(QUADRATIC_NONCONVEX_INSENSITIVE, epsilon=epsilon, t=t, theta=theta)
-
-
-def canal(epsilon: float, theta: float) -> LossSpec:
-    return LossSpec(CANAL, epsilon=epsilon, theta=theta)
-
-
-def bounded_least_squares(t: float, theta: float) -> LossSpec:
-    return LossSpec(BOUNDED_LEAST_SQUARES, t=t, theta=theta)
-
-
 def _check_residual(r):
     arr = np.asarray(r, dtype=float)
     if not np.isfinite(arr).all():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class TrainedModel:
     loss: LossSpec
     C: float
     scaling: ScalingState
-
-    def predict(self, X_new) -> np.ndarray:
-        return predict(self, X_new)
 
 
 @dataclass
@@ -206,24 +203,41 @@ def _array_field(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _member(doc, path: str):
+    """The value at the dotted ``path`` of a model document.
+
+    The error names the field that is missing or is not a JSON object.
+    """
+    value, keys = doc, path.split(".")
+    for depth, key in enumerate(keys):
+        if not isinstance(value, dict):
+            where = f"field {'.'.join(keys[:depth])!r}" if depth else "document"
+            raise ValueError(f"model {where} must be a JSON object, got {type(value).__name__}")
+        if key not in value:
+            raise ValueError(f"model field {'.'.join(keys[: depth + 1])!r} is missing")
+        value = value[key]
+    return value
+
+
 def _scaling_from_doc(doc: dict, n_features: int) -> ScalingState:
     vectors = {}
     for key in ("feature_a", "feature_b"):
-        if doc[key] is None:
+        value = _member(doc, f"scaling.{key}")
+        if value is None:
             vectors[key] = None
             continue
-        vectors[key] = _array_field(doc[key], f"scaling.{key}", 1)
+        vectors[key] = _array_field(value, f"scaling.{key}", 1)
         vectors[key].flags.writeable = False
         if vectors[key].shape[0] != n_features:
             raise ValueError(
                 f"model field 'scaling.{key}' has {vectors[key].shape[0]} entries for {n_features} features"
             )
     return ScalingState(
-        mode=doc["mode"],
+        mode=_member(doc, "scaling.mode"),
         feature_a=vectors["feature_a"],
         feature_b=vectors["feature_b"],
-        target_a=doc["target_a"],
-        target_b=doc["target_b"],
+        target_a=_member(doc, "scaling.target_a"),
+        target_b=_member(doc, "scaling.target_b"),
     )
 
 
@@ -244,16 +258,21 @@ def model_from_json(text: str) -> TrainedModel:
     """Parse a saved model, rejecting fields that could not have been saved.
 
     ``alpha`` must be finite and 1-D, ``x_train`` finite, 2-D and one row
-    per coefficient, and the scaling vectors one finite entry per feature;
-    the error names the first field that is not.
+    per coefficient, ``C`` one finite number, and the scaling vectors one
+    finite entry per feature; a document that is not a JSON object, a
+    missing field or an unknown loss parameter is rejected too.  The
+    error names the first field at fault.
     """
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {doc.get('format')!r}")
-    loss_doc = dict(doc["loss"])
-    kind = loss_doc.pop("kind")
-    alpha = _array_field(doc["alpha"], "alpha", 1)
-    X_train = _array_field(doc["x_train"], "x_train", 2)
+    if _member(doc, "format") != MODEL_FORMAT:
+        raise ValueError(f"unsupported model format {doc['format']!r}")
+    kind = _member(doc, "loss.kind")
+    loss_params = {k: v for k, v in doc["loss"].items() if k != "kind"}
+    unknown = sorted(set(loss_params) - {f.name for f in fields(LossSpec)})
+    if unknown:
+        raise ValueError(f"model field 'loss' has unknown parameter {unknown[0]!r}")
+    alpha = _array_field(_member(doc, "alpha"), "alpha", 1)
+    X_train = _array_field(_member(doc, "x_train"), "x_train", 2)
     alpha.flags.writeable = X_train.flags.writeable = False
     if X_train.shape[0] != alpha.shape[0]:
         raise ValueError(
@@ -262,10 +281,10 @@ def model_from_json(text: str) -> TrainedModel:
     return TrainedModel(
         alpha=alpha,
         X_train=X_train,
-        kernel=KernelSpec(kind=doc["kernel"]["kind"], sigma=doc["kernel"]["sigma"]),
-        loss=LossSpec(kind=kind, **loss_doc),
-        C=float(doc["C"]),
-        scaling=_scaling_from_doc(doc["scaling"], X_train.shape[1]),
+        kernel=KernelSpec(kind=_member(doc, "kernel.kind"), sigma=_member(doc, "kernel.sigma")),
+        loss=LossSpec(kind=kind, **loss_params),
+        C=float(_array_field(_member(doc, "C"), "C", 0)),
+        scaling=_scaling_from_doc(doc, X_train.shape[1]),
     )
 
 

@@ -28,7 +28,7 @@ class TestConfigPrecedence:
         import argparse
 
         ns = argparse.Namespace(
-            config=None, set=None, seed=None, threads=None, scaling=None, trace=False
+            config=None, set=None, seed=None, scaling=None, trace=False
         )
         for k, v in extra.items():
             setattr(ns, k, v)
@@ -455,6 +455,19 @@ class TestPredictNonFinite:
         assert "features must be finite: row 1, column 0" in capsys.readouterr().err
         assert not out.exists()
 
+
+class TestPredictBadModel:
+    def test_malformed_model_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        model = tmp_path / "bad.json"
+        model.write_text("[]\n")
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(data), "--target", "y",
+                   "--out", str(out)])
+        assert rc == 3
+        assert "model document must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestDroppedTextColumn:
     """A dropped column is never parsed, so it may hold text such as an id."""

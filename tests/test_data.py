@@ -10,14 +10,12 @@ from helssvr.data import (
     SyntheticSpec,
     benchmark_function,
     generate_synthetic,
-    inverse_features,
     inverse_target,
     kfold_split,
     load_csv,
     load_features,
     scale_features,
     scale_fit,
-    scale_fit_transform,
     scale_target,
     write_synthetic_csv,
 )
@@ -258,7 +256,10 @@ class TestScaling:
         state = scale_fit(X, y, "minmax")
         scaled = scale_features(state, X)
         assert np.array_equal(scaled[:, 0], [0.0, 0.0, 0.0])
-        assert np.array_equal(inverse_features(state, scaled)[:, 0], [7.0, 7.0, 7.0])
+        y_const = np.array([7.0, 7.0, 7.0])
+        state = scale_fit(X, y_const, "minmax")
+        assert np.array_equal(scale_target(state, y_const), [0.0, 0.0, 0.0])
+        assert np.array_equal(inverse_target(state, np.zeros(3)), y_const)
 
     def test_zscore(self):
         rng = np.random.default_rng(0)
@@ -292,18 +293,11 @@ class TestScaling:
         X = rng.uniform(-100, 100, size=(20, 3))
         y = rng.uniform(-50, 50, size=20)
         state = scale_fit(X, y, mode)
-        Xr = inverse_features(state, scale_features(state, X))
+        span = state.feature_b - state.feature_a if mode == "minmax" else state.feature_b
+        Xr = scale_features(state, X) * span + state.feature_a
         yr = inverse_target(state, scale_target(state, y))
         assert np.all(np.abs(Xr - X) <= 1e-12 * np.maximum(1.0, np.abs(X)))
         assert np.all(np.abs(yr - y) <= 1e-12 * np.maximum(1.0, np.abs(y)))
-
-    def test_scale_fit_transform_dataset(self):
-        ds = Dataset(X=np.array([[0.0], [10.0]]), y=np.array([5.0, 15.0]), name="toy")
-        scaled, state = scale_fit_transform(ds, "minmax")
-        assert np.array_equal(scaled.X[:, 0], [0.0, 1.0])
-        assert np.array_equal(scaled.y, [0.0, 1.0])
-        assert state.mode == "minmax"
-        assert scaled.name == "toy"
 
 
 class TestDatasetValidation:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from helssvr.data import Dataset
 from helssvr.evaluation import (
-    DEFAULT_GRID,
     NEMENYI_Q_ALPHA_05,
     GridSpec,
     ModelRecipe,
@@ -17,6 +16,7 @@ from helssvr.evaluation import (
     rank_models,
     recipe_from_name,
 )
+from helssvr.losses import LOSS_KINDS, required_params
 from helssvr.optimizer import AdamConfig
 
 # Published four-model RMSE comparison over 18 regression datasets used as
@@ -206,6 +206,21 @@ class TestRankModels:
         assert exact.chi2_F == pytest.approx(23.2642, abs=1e-3)
         assert trunc.chi2_F == pytest.approx(23.2540, abs=1e-3)
 
+    def test_truncation_keeps_exact_four_decimal_averages(self):
+        # model 0 ranks 3rd on 7 datasets and 2nd on 18: average 57/25 = 2.28,
+        # which a floating-point floor of 2.28 * 10**4 would cut to 2.2799
+        table = np.array([[3.0, 1.0, 2.0]] * 7 + [[2.0, 1.0, 3.0]] * 18)
+        analysis = rank_models(table)
+        assert analysis.avg_ranks[0] == 2.28
+        assert list(analysis.stat_ranks) == [2.28, 1.0, 2.72]
+        assert analysis.chi2_F == friedman_chi2([2.28, 1.0, 2.72], 25, 3)
+
+    def test_truncation_cuts_longer_averages(self):
+        # fractional ties: model 0 averages (1.5 + 1 + 1) / 3 = 1.1666...
+        table = np.array([[0.1, 0.1, 0.3], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+        analysis = rank_models(table, tie="fractional")
+        assert list(analysis.stat_ranks) == [1.1666, 1.8333, 3.0]
+
     def test_single_dataset_distinct_values(self):
         analysis = rank_models(np.array([[0.1, 0.2, 0.3]]))
         assert np.array_equal(analysis.rank_matrix[0], [1, 2, 3])
@@ -238,6 +253,10 @@ class TestRankModels:
     def test_all_absent_row_rejected(self):
         with pytest.raises(ValueError):
             rank_models(np.array([[np.nan, np.nan], [0.1, 0.2]]))
+
+    def test_all_absent_column_rejected(self):
+        with pytest.raises(ValueError, match="model column 0 has no present entries"):
+            rank_models(np.array([[np.nan, 0.1, 0.2], [np.nan, 0.2, 0.1]]))
 
     def test_explicit_q_alpha(self):
         analysis = rank_models(np.array([[1.0, 2.0], [2.0, 1.0]]), q_alpha=3.0)
@@ -327,23 +346,34 @@ class TestGridSearch:
         assert len(he_cells) == 8
         assert len(ls_cells) == 1
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_recipe_axes_follow_required_params(self, kind):
+        from helssvr.evaluation import _enumerate_cells
+
+        grid = GridSpec(
+            C_values=(1.0,),
+            sigma_values=(0.5,),
+            epsilon_values=(0.01, 0.05),
+            lambda_values=(0.5, 1.0),
+            a_values=(1.0, 2.0),
+        )
+        recipe = recipe_from_name(kind)
+        fixed = dict(recipe.fixed)
+        axes = [p for p in ("epsilon", "lam", "a") if p in required_params(kind) and p not in fixed]
+        cells = _enumerate_cells(grid, recipe)
+        assert len(cells) == 2 ** len(axes)
+        for cell in cells:
+            assert cell.sigma == 0.5
+            for p in ("epsilon", "lam", "a"):
+                assert (getattr(cell, p) is not None) == (p in axes)
+            loss = recipe.build_loss(cell.epsilon, cell.lam, cell.a)
+            assert loss.params() == {**fixed, **{p: getattr(cell, p) for p in axes}}
+
     def test_fold_infeasible(self):
         ds = toy_dataset(n=4)
         grid = GridSpec(C_values=(1.0,), sigma_values=(0.5,), k=5)
         with pytest.raises(ValueError):
             grid_search_cv(ds, grid, recipe_from_name("least_squares"), adam=fast_adam())
-
-    def test_default_grid_is_the_canonical_sweep(self):
-        assert DEFAULT_GRID.C_values == tuple(10.0**i for i in range(-6, 7, 2))
-        assert DEFAULT_GRID.sigma_values == DEFAULT_GRID.C_values
-        assert DEFAULT_GRID.epsilon_values == (0.001, 0.005, 0.01, 0.05, 0.1, 0.15, 0.2, 0.25)
-        assert len(DEFAULT_GRID.lambda_values) == 10
-        assert DEFAULT_GRID.lambda_values[0] == pytest.approx(0.1)
-        assert DEFAULT_GRID.lambda_values[-1] == pytest.approx(1.9)
-        assert len(DEFAULT_GRID.a_values) == 25
-        assert DEFAULT_GRID.a_values[-1] == pytest.approx(4.9)
-        assert DEFAULT_GRID.gamma_values == (0.0001, 0.001, 0.01)
-        assert DEFAULT_GRID.k == 5
 
 
 class TestStackedSearchMatchesStandaloneFits:

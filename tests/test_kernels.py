@@ -3,27 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from helssvr.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_eval, kernel_row
+from helssvr.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_row
 
 
 class TestKernelEval:
     def test_rbf_zero_distance(self):
         spec = KernelSpec("rbf", sigma=1.0)
-        assert kernel_eval(spec, [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert kernel_row(spec, [1.0, 2.0], np.array([[1.0, 2.0]]))[0] == 1.0
 
     def test_rbf_known_value(self):
         spec = KernelSpec("rbf", sigma=2.0)
         # squared distance 4, sigma^2 = 4 -> e^{-1}
-        assert kernel_eval(spec, [0.0, 0.0], [2.0, 0.0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert kernel_row(spec, [0.0, 0.0], np.array([[2.0, 0.0]]))[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_linear_dot_product(self):
         spec = KernelSpec("linear")
-        assert kernel_eval(spec, [1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert kernel_row(spec, [1.0, 2.0], np.array([[3.0, 4.0]]))[0] == 11.0
 
     def test_dimension_mismatch(self):
         spec = KernelSpec("rbf", sigma=1.0)
         with pytest.raises(ValueError):
-            kernel_eval(spec, [1.0, 2.0], [1.0, 2.0, 3.0])
+            kernel_row(spec, [1.0, 2.0], np.array([[1.0, 2.0, 3.0]]))
         with pytest.raises(ValueError):
             kernel_row(spec, [1.0, 2.0, 3.0], np.zeros((4, 2)))
 

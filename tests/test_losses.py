@@ -165,11 +165,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LossSpec(**kwargs)
 
-    def test_factories(self):
-        assert losses.hawkeye(0.1, 1.0, 1.0).kind == "hawkeye"
-        assert losses.least_squares().kind == "least_squares"
-        assert losses.canal(0.1, 1.0).theta == 1.0
-
 
 class TestCharacteristics:
     def test_hawkeye_row(self):

@@ -347,6 +347,29 @@ class TestLoadValidation:
             self.load(tmp_path, doc)
 
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda d: [d], "model document must be a JSON object, got list"),
+            (lambda d: {k: v for k, v in d.items() if k != "loss"}, "model field 'loss' is missing"),
+            (lambda d: {**d, "loss": {**d["loss"], "bogus": 1.0}}, "model field 'loss' has unknown parameter 'bogus'"),
+        ],
+        ids=["list", "missing-loss", "unknown-loss-parameter"],
+    )
+    def test_malformed_document_named(self, tmp_path, make, message):
+        with pytest.raises(ValueError, match=message):
+            self.load(tmp_path, make(self.saved_doc()))
+
+
+class TestExports:
+    @pytest.mark.parametrize("module", ["helssvr", "helssvr.model"])
+    def test_every_exported_name_resolves(self, module):
+        import importlib
+
+        mod = importlib.import_module(module)
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == []
+
 class TestTrainedModelImmutable:
     def check_immutable(self, model):
         from dataclasses import FrozenInstanceError
