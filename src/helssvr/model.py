@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import ScalingState, inverse_target, scale_features, scale_fit, scale_target
+from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
 from .kernels import KernelSpec, gram_matrix, kernel_row
 from .losses import LossSpec
 from .optimizer import AdamConfig, objective_value, train_adam
@@ -219,25 +219,38 @@ def _member(doc, path: str):
     return value
 
 
+def _number(doc, path: str) -> float:
+    """The finite JSON number at the dotted ``path`` of a model document."""
+    value = _member(doc, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ValueError(f"model field {path!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _scaling_from_doc(doc: dict, n_features: int) -> ScalingState:
+    mode = _member(doc, "scaling.mode")
+    if mode not in SCALING_MODES:
+        raise ValueError(f"model field 'scaling.mode' must be one of {SCALING_MODES}, got {mode!r}")
+    keys = ("feature_a", "feature_b", "target_a", "target_b")
+    if mode == "none":
+        for key in keys:
+            if _member(doc, f"scaling.{key}") is not None:
+                raise ValueError(f"model field 'scaling.{key}' must be null for scaling mode 'none'")
+        return ScalingState(mode="none")
     vectors = {}
-    for key in ("feature_a", "feature_b"):
-        value = _member(doc, f"scaling.{key}")
-        if value is None:
-            vectors[key] = None
-            continue
-        vectors[key] = _array_field(value, f"scaling.{key}", 1)
+    for key in keys[:2]:
+        vectors[key] = _array_field(_member(doc, f"scaling.{key}"), f"scaling.{key}", 1)
         vectors[key].flags.writeable = False
         if vectors[key].shape[0] != n_features:
             raise ValueError(
                 f"model field 'scaling.{key}' has {vectors[key].shape[0]} entries for {n_features} features"
             )
     return ScalingState(
-        mode=_member(doc, "scaling.mode"),
+        mode=mode,
         feature_a=vectors["feature_a"],
         feature_b=vectors["feature_b"],
-        target_a=_member(doc, "scaling.target_a"),
-        target_b=_member(doc, "scaling.target_b"),
+        target_a=_number(doc, "scaling.target_a"),
+        target_b=_number(doc, "scaling.target_b"),
     )
 
 
@@ -258,19 +271,23 @@ def model_from_json(text: str) -> TrainedModel:
     """Parse a saved model, rejecting fields that could not have been saved.
 
     ``alpha`` must be finite and 1-D, ``x_train`` finite, 2-D and one row
-    per coefficient, ``C`` one finite number, and the scaling vectors one
-    finite entry per feature; a document that is not a JSON object, a
-    missing field or an unknown loss parameter is rejected too.  The
-    error names the first field at fault.
+    per coefficient, and ``C``, the loss parameters and ``kernel.sigma``
+    (null for a linear kernel) finite numbers.  ``scaling.mode`` must be
+    one of ``SCALING_MODES``; a scaled model needs finite target numbers
+    and scaling vectors of one finite entry per feature, an unscaled one
+    null in all four fields.  A document that is not a JSON object, a
+    missing field or an unknown loss parameter is rejected too.  The error
+    names the first field at fault.
     """
     doc = json.loads(text)
     if _member(doc, "format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {doc['format']!r}")
     kind = _member(doc, "loss.kind")
-    loss_params = {k: v for k, v in doc["loss"].items() if k != "kind"}
+    loss_params = [k for k in doc["loss"] if k != "kind"]
     unknown = sorted(set(loss_params) - {f.name for f in fields(LossSpec)})
     if unknown:
         raise ValueError(f"model field 'loss' has unknown parameter {unknown[0]!r}")
+    sigma = None if _member(doc, "kernel.sigma") is None else _number(doc, "kernel.sigma")
     alpha = _array_field(_member(doc, "alpha"), "alpha", 1)
     X_train = _array_field(_member(doc, "x_train"), "x_train", 2)
     alpha.flags.writeable = X_train.flags.writeable = False
@@ -281,9 +298,9 @@ def model_from_json(text: str) -> TrainedModel:
     return TrainedModel(
         alpha=alpha,
         X_train=X_train,
-        kernel=KernelSpec(kind=_member(doc, "kernel.kind"), sigma=_member(doc, "kernel.sigma")),
-        loss=LossSpec(kind=kind, **loss_params),
-        C=float(_array_field(_member(doc, "C"), "C", 0)),
+        kernel=KernelSpec(kind=_member(doc, "kernel.kind"), sigma=sigma),
+        loss=LossSpec(kind=kind, **{k: _number(doc, f"loss.{k}") for k in loss_params}),
+        C=_number(doc, "C"),
         scaling=_scaling_from_doc(doc, X_train.shape[1]),
     )
 

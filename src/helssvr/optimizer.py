@@ -144,9 +144,11 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     """Run ``cfg.max_iter`` Adam iterations and return the final state.
 
     A fresh mini-batch of size min(batch_size, N) is drawn uniformly
-    without replacement at every iteration.  Residuals use the full
-    coefficient vector against the batch's Gram rows.  The run is
-    bit-reproducible for a fixed config (including the seed).
+    without replacement at every iteration.  The batches are drawn N
+    steps at a time, in one sampler call per cell, and are the batches
+    one draw per step would give.  Residuals use the full coefficient
+    vector against the batch's Gram rows.  The run is bit-reproducible for
+    a fixed config (including the seed).
 
     When ``collect_trace`` is set, ``state.trace[t]`` holds H(alpha_t) for
     t = 0..T.  Optional early stopping ends the run once successive
@@ -202,7 +204,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     stack, C_blk, gamma_blk = blocks(live)
     Y = np.tile(y, (rows, 1))
     Kalpha, Kd = np.empty((rows, n)), np.empty((rows, n))
-    batch, row_of = np.empty((rows, s), dtype=np.intp), np.arange(rows)[:, None]
+    block, row_of = np.empty((rows, 0, s), dtype=np.intp), np.arange(rows)[:, None]
     rngs = [make_rng(c) for c in seed]
     traces = [[] for _ in range(rows)] if cfg.collect_trace else [None] * rows
     track = cfg.collect_trace or cfg.early_stop
@@ -215,7 +217,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             alpha=state.alpha[r].copy(), m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c]
         )
 
-    for _ in range(cfg.max_iter):
+    for step in range(cfg.max_iter):
         for alpha_r, out_r in zip(state.alpha, Kalpha):
             np.matmul(K, alpha_r, out=out_r)
         if track:
@@ -236,7 +238,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             if len(keep) < len(live):
                 live = [live[r] for r in keep]
                 state = AdamState(alpha=state.alpha[keep], m=state.m[keep], v=state.v[keep], t=state.t)
-                Y, Kalpha, Kd, batch = Y[keep], Kalpha[keep], Kd[keep], batch[keep]
+                Y, Kalpha, Kd, block = Y[keep], Kalpha[keep], Kd[keep], block[keep]
                 stack, C_blk, gamma_blk = blocks(live)
                 row_of = row_of[: len(live)]
         if s == n:
@@ -245,11 +247,15 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             for d_r, out_r in zip(d, Kd):
                 np.matmul(K, d_r, out=out_r)
         else:
-            for r, c in enumerate(live):
-                batch[r] = sample_without_replacement(rngs[c], n, s)
-            # canonical index order keeps the float summation order
-            # independent of the draw
-            batch.sort(axis=1)
+            if step % n == 0:
+                # the next n steps' batches (fewer near the end) in one
+                # draw per row: n * n scratch indices, no more than the Gram
+                draws = min(n, cfg.max_iter - step)
+                block = np.stack([sample_without_replacement(rngs[c], n, s, draws=draws) for c in live])
+                # canonical index order keeps the float summation order
+                # independent of the draw
+                block.sort(axis=2)
+            batch = block[:, step % n]
             d = loss_derivative(stack, y[batch] - Kalpha[row_of, batch])
             for batch_r, d_r, out_r in zip(batch, d, Kd):
                 np.matmul(K[batch_r].T, d_r, out=out_r)

@@ -25,19 +25,30 @@ def child_seed(master: int, *indices: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def sample_without_replacement(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+def sample_without_replacement(rng: np.random.Generator, n: int, k: int, draws: int | None = None) -> np.ndarray:
     """Draw ``k`` distinct indices from ``range(n)``, uniformly.
 
     Partial Fisher-Yates over an index buffer: only the first ``k``
     positions are shuffled.  The k uniform variates are drawn in one call
     and mapped to shrinking ranges, which keeps the draw cheap for small
     batches from large index sets.
+
+    With ``draws`` set, returns a (draws, k) block whose row t is the t-th
+    of ``draws`` successive one-draw calls, bit for bit, and leaves ``rng``
+    in the same state: the variates come in one (draws, k) call, in the
+    order the successive calls take them, and each of the k swaps runs
+    once for all draws on a flat index buffer of draws * n entries.
     """
     if not 0 <= k <= n:
         raise ValueError(f"cannot draw {k} distinct indices from {n}")
-    idx = np.arange(n)
-    us = rng.random(k)
-    for i in range(k):
-        j = i + int(us[i] * (n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k].copy()
+    rows = 1 if draws is None else draws
+    us = rng.random((rows, k))
+    cols = np.arange(k)
+    base = np.arange(rows)[:, None] * n  # each draw's offset in the flat buffer
+    src = (base + cols).T.copy()
+    dst = (base + cols + (us * (n - cols)).astype(np.intp)).T.copy()
+    idx = np.tile(np.arange(n), rows)
+    for a, b in zip(src, dst):
+        idx[a], idx[b] = idx[b], idx[a]
+    block = idx.reshape(rows, n)[:, :k]
+    return block[0].copy() if draws is None else block.copy()

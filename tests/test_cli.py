@@ -469,6 +469,25 @@ class TestPredictBadModel:
         assert "model document must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_scaling_mode_exit_3(self, tmp_path, capsys):
+        import json
+
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--target", "y", "--out", str(model),
+                     "--set", "adam.max_iter=20"]) == 0
+        doc = json.loads(model.read_text())
+        assert doc["scaling"]["mode"] == "minmax"
+        doc["scaling"]["mode"] = "bogus"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(data), "--target", "y",
+                   "--out", str(out)])
+        assert rc == 3
+        assert "model field 'scaling.mode' must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestDroppedTextColumn:
     """A dropped column is never parsed, so it may hold text such as an id."""
 

@@ -169,6 +169,14 @@ class TestRankStatistics:
     def test_q_table_entry(self):
         assert NEMENYI_Q_ALPHA_05[4] == 2.569
 
+    def test_demsar_2006_worked_example(self):
+        # Demsar 2006 (JMLR 7), section 3.2.2: four classifiers on 14 data sets
+        ranks, D, p = [3.143, 2.000, 2.893, 1.964], 14, 4
+        chi2 = friedman_chi2(ranks, D=D, p=p)
+        assert round(chi2, 2) == 9.28
+        assert round(iman_davenport_F(chi2, D=D, p=p), 2) == 3.69
+        assert round(nemenyi_cd(NEMENYI_Q_ALPHA_05[p], p=p, D=D), 2) == 1.25
+
 
 class TestRankModels:
     def test_reproduces_published_rank_rows(self):

@@ -360,6 +360,41 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match=message):
             self.load(tmp_path, make(self.saved_doc()))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("kernel", "sigma", "abc"),
+            ("scaling", "target_a", "x"),
+            ("scaling", "target_b", None),
+            ("loss", "epsilon", "abc"),
+            (None, "C", "10.0"),
+            (None, "C", True),
+        ],
+        ids=["sigma-text", "target_a-text", "target_b-null", "epsilon-text", "C-text", "C-bool"],
+    )
+    def test_non_numeric_scalar_named(self, tmp_path, section, key, value):
+        doc = self.saved_doc()
+        (doc if section is None else doc[section])[key] = value
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError, match=rf"model field '{path}' must be a finite number"):
+            self.load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"mode": "bogus"}, r"'scaling.mode' must be one of \('none', 'minmax', 'zscore'\), got 'bogus'"),
+            ({"feature_b": None}, "'scaling.feature_b' must be 1-dimensional"),
+            ({"mode": "none"}, "'scaling.feature_a' must be null for scaling mode 'none'"),
+        ],
+        ids=["unknown-mode", "minmax-without-feature_b", "none-with-vectors"],
+    )
+    def test_scaling_mode_checked(self, tmp_path, edit, message):
+        doc = self.saved_doc()
+        assert doc["scaling"]["mode"] == "minmax"
+        doc["scaling"].update(edit)
+        with pytest.raises(ValueError, match=message):
+            self.load(tmp_path, doc)
+
 
 class TestExports:
     @pytest.mark.parametrize("module", ["helssvr", "helssvr.model"])

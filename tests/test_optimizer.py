@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helssvr.kernels import KernelSpec, gram_matrix
-from helssvr.losses import LossSpec
+from helssvr.losses import LossSpec, loss_value
 from helssvr.optimizer import (
     AdamConfig,
     AdamState,
@@ -13,6 +13,7 @@ from helssvr.optimizer import (
     objective_value,
     train_adam,
 )
+from helssvr.seeding import make_rng, sample_without_replacement
 
 
 def zero_cfg(**kw):
@@ -278,6 +279,25 @@ class TestTrainAdam:
         assert float(np.sqrt(np.mean(resid**2))) < 0.05
 
 
+def per_step_reference(gram, y, C, loss, cfg):
+    """One cell with one sampler draw per step: the reference for block draws."""
+    K, n = gram.values, gram.n
+    rng = make_rng(cfg.seed)
+    state = AdamState(alpha=np.full(n, cfg.alpha0), m=np.full(n, cfg.m0), v=np.full(n, cfg.v0))
+    prev_h, flat_run = None, 0
+    for _ in range(cfg.max_iter):
+        Kalpha = K @ state.alpha
+        h = float(0.5 * state.alpha @ Kalpha + C * np.sum(loss_value(loss, y - Kalpha)))
+        if cfg.early_stop and prev_h is not None:
+            flat_run = flat_run + 1 if abs(h - prev_h) < cfg.early_stop_tol else 0
+            if flat_run >= cfg.early_stop_patience:
+                break
+        prev_h = h
+        batch = np.sort(sample_without_replacement(rng, n, min(cfg.batch_size, n)))
+        state = adam_step(state, objective_gradient(state.alpha, gram, y, C, loss, batch), cfg)
+    return state
+
+
 class TestStackedTraining:
     """Cells trained in one stack match one-cell runs bit for bit."""
 
@@ -315,6 +335,24 @@ class TestStackedTraining:
             steps.append(got.t)
         assert len(set(steps)) > 1 and max(steps) == cfg.max_iter
         assert stack.t == sum(steps)
+
+    def test_block_draws_match_one_draw_per_step(self):
+        # n=20, batch 8: batches come 20 steps at a time; 75 steps end
+        # inside a block, and early stops drop rows inside blocks
+        gram, y = self.instance(n=20)
+        Cs = [1.0, 1.0, 100.0]
+        loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
+        gammas, seeds = [1e-2, 1e-3, 1e-2], [4, 5, 6]
+        cfg = AdamConfig(max_iter=75, batch_size=8, early_stop=True, early_stop_tol=1e-2, early_stop_patience=3)
+        stack = train_adam(gram, y, Cs, [loss] * 3, cfg, gamma=gammas, seed=seeds)
+        steps = [got.t for got in stack.states]
+        assert max(steps) == 75
+        assert any(t < 75 and t % 20 for t in steps[:-1])
+        for C, gamma, seed, got in zip(Cs, gammas, seeds, stack.states):
+            want = per_step_reference(gram, y, C, loss, replace(cfg, gamma=gamma, seed=seed))
+            for name in ("alpha", "m", "v"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.t == want.t
 
     def test_cell_counts_must_agree(self):
         gram, y = self.instance()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helssvr.data import kfold_split
 from helssvr.seeding import child_seed, make_rng, sample_without_replacement
 
 
@@ -57,3 +58,46 @@ class TestSampleWithoutReplacement:
             counts[sample_without_replacement(rng, 30, 6)] += 1
         freq = counts / trials
         assert np.all(np.abs(freq - 0.2) < 0.015)
+
+
+class TestGoldenDraws:
+    """Recorded bits of the sampler; every fold split and Adam seed depends on them."""
+
+    def test_kfold_split(self):
+        folds = [fold.tolist() for fold in kfold_split(10, 3, 0)]
+        assert folds == [[1, 2, 7, 8], [3, 6, 9], [0, 4, 5]]
+
+    def test_successive_draws(self):
+        rng = make_rng(5)
+        draws = [sample_without_replacement(rng, 20, 6).tolist() for _ in range(3)]
+        assert draws == [[17, 18, 9, 5, 12, 13], [5, 16, 17, 2, 7, 4], [16, 6, 3, 4, 15, 14]]
+
+
+def one_draw(rng, n, k):
+    """The scalar partial Fisher-Yates loop: the reference for block draws."""
+    idx = np.arange(n)
+    us = rng.random(k)
+    for i in range(k):
+        j = i + int(us[i] * (n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k].copy()
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 0), (5, 5), (33, 32), (160, 32), (2000, 32)])
+    @pytest.mark.parametrize("draws", [1, 7, 200])
+    def test_rows_are_successive_draws(self, n, k, draws):
+        rng, ref = make_rng(n, k, draws), make_rng(n, k, draws)
+        block = sample_without_replacement(rng, n, k, draws=draws)
+        assert block.shape == (draws, k)
+        for row in block:
+            assert np.array_equal(row, one_draw(ref, n, k))
+        assert rng.random() == ref.random()
+
+    def test_single_draw_matches_reference(self):
+        rng, ref = make_rng(11), make_rng(11)
+        for _ in range(5):
+            got = sample_without_replacement(rng, 40, 9)
+            assert got.shape == (9,)
+            assert np.array_equal(got, one_draw(ref, 40, 9))
+        assert rng.random() == ref.random()
