@@ -21,7 +21,7 @@ from . import losses
 from .data import Dataset, kfold_split
 from .kernels import KernelSpec
 from .losses import LossSpec
-from .model import FitReport, fit_cells, predict
+from .model import FitReport, fit_cells, predict_cells
 from .optimizer import AdamConfig
 from .seeding import child_seed
 
@@ -194,22 +194,26 @@ def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
 def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed):
     """Fold results of the cells ``members``, which share one kernel.
 
-    Per fold the cells train in one :func:`fit_cells` call, so the fold's
-    Gram matrix is built once and is the only one this call holds.
+    Every fold of every cell trains in one :func:`fit_cells` call, which
+    stacks folds of equal size while their Gram matrices fit its budget.
+    Each fold's held-out kernel rows are computed once for all its cells.
     """
     kernel = recipe.build_kernel(cells[members[0]].sigma)
     cell_losses = [recipe.build_loss(cells[i].epsilon, cells[i].lam, cells[i].a) for i in members]
-    folds_of = {i: ([], [], []) for i in members}
     all_idx = np.arange(ds.n)
+    train = [np.setdiff1d(all_idx, test_idx, assume_unique=True) for test_idx in folds]
+    specs = [
+        (j, loss, cells[i].C, replace(adam, gamma=cells[i].gamma, seed=child_seed(seed, i, j)))
+        for j in range(len(folds))
+        for i, loss in zip(members, cell_losses)
+    ]
+    fitted = fit_cells([(ds.X[idx], ds.y[idx]) for idx in train], kernel, specs, scaling=scaling)
+    folds_of = {i: ([], [], []) for i in members}
     for j, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        specs = [
-            (loss, cells[i].C, replace(adam, gamma=cells[i].gamma, seed=child_seed(seed, i, j)))
-            for i, loss in zip(members, cell_losses)
-        ]
-        fitted = fit_cells(ds.X[train_idx], ds.y[train_idx], kernel, specs, scaling=scaling)
-        for i, (model, report) in zip(members, fitted):
-            metrics = compute_metrics(ds.y[test_idx], predict(model, ds.X[test_idx]))
+        fold_fits = fitted[j * len(members) : (j + 1) * len(members)]
+        preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
+        for i, (_, report), pred in zip(members, fold_fits, preds):
+            metrics = compute_metrics(ds.y[test_idx], pred)
             fold_rmse, fold_metrics, fold_reports = folds_of[i]
             fold_rmse.append(metrics.rmse)
             fold_metrics.append(metrics)
@@ -234,8 +238,9 @@ def grid_search_cv(
     to the first cell in ascending (C, sigma, epsilon, lambda, a, gamma)
     order.
 
-    Cells that share a kernel width form one work item: per fold they
-    train together on one Gram matrix (see :func:`fit_cells`).  Cell i's
+    Cells that share a kernel width form one work item: all their folds
+    train in one :func:`fit_cells` call, each fold's Gram matrix built once
+    and folds of equal size stacked within its budget.  Cell i's
     fold j trains with the Adam seed ``child_seed(seed, i, j)``, and its
     numbers are bit-identical to a standalone :func:`fit` with that seed,
     whatever the grouping.  Work items run one after another: threads

@@ -50,13 +50,15 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Dense N x N matrix of pairwise kernel values."""
+    """Dense N x N matrix of pairwise kernel values, or a (f, N, N) stack
+    of f such matrices, one per training set of N rows."""
 
     values: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        """Training rows N."""
+        return self.values.shape[-1]
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -85,20 +87,32 @@ def kernel_row(spec: KernelSpec, x, X) -> np.ndarray:
     return np.exp(arg, out=arg)
 
 
-def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
+def gram_buffer(f: int, n: int) -> np.ndarray:
+    """An uninitialized (f, n, n) float array in one buffer, each of whose
+    f matrices starts on a :data:`_GRAM_ALIGN`-byte boundary."""
+    align = _GRAM_ALIGN // 8
+    stride = -(-n * n // align) * align  # n * n rounded up to whole alignments
+    buf = np.empty(f * stride + align)
+    skip = (-buf.ctypes.data % _GRAM_ALIGN) // 8
+    return buf[skip : skip + f * stride].reshape(f, stride)[:, : n * n].reshape(f, n, n)
+
+
+def gram_matrix(spec: KernelSpec, X, out=None) -> GramMatrix:
     """Pairwise kernel matrix of the rows of ``X``.
 
     Rows are filled one at a time through :func:`kernel_row`; construction
-    is single-threaded and deterministic.  The matrix starts on a
-    :data:`_GRAM_ALIGN`-byte boundary.
+    is single-threaded and deterministic.  The matrix is written into
+    ``out``, an (n, n) array such as one matrix of a :func:`gram_buffer`,
+    or else into a new one that starts on a :data:`_GRAM_ALIGN`-byte
+    boundary.
     """
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
         raise ValueError("gram matrix of an empty sample set")
-    buf = np.empty(n * n + _GRAM_ALIGN // 8)
-    skip = (-buf.ctypes.data % _GRAM_ALIGN) // 8
-    values = buf[skip : skip + n * n].reshape(n, n)
+    values = gram_buffer(1, n)[0] if out is None else out
+    if values.shape != (n, n):
+        raise ValueError(f"gram matrix of {n} samples needs an ({n}, {n}) output, got {values.shape}")
     for i in range(n):
         values[i] = kernel_row(spec, X[i], X)
     return GramMatrix(values)

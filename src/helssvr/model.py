@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
-from .kernels import KernelSpec, gram_matrix, kernel_row
+from .kernels import GramMatrix, KernelSpec, gram_buffer, gram_matrix, kernel_row
 from .losses import LossSpec
 from .optimizer import AdamConfig, objective_value, train_adam
 
@@ -65,16 +65,53 @@ class FitReport:
 #: working arrays of :func:`train_adam`
 STACK_ROWS = 32
 
+#: most bytes of Gram matrices one optimizer stack holds.  Training sets of
+#: equal size share a stack while their Grams (8 n^2 bytes each) total at
+#: most this; a larger Gram trains in a stack of its own.  Stacking saves
+#: per-step Python work, but each step reads every Gram of the stack, and
+#: once they spill from the per-core L2 cache (2 MiB) the reads cost more
+#: than the saving.  Five folds of two HawkEye cells, 1000 steps, time with
+#: one fold per stack -> all five in one stack (2-core Xeon VM, OpenBLAS
+#: 0.3.31 on one thread, min-max of 3 runs):
+#:
+#:   ====================  ===========  ==========================  =====
+#:   fold rows, batch      Grams        one per stack -> stacked    ratio
+#:   ====================  ===========  ==========================  =====
+#:   120, 32               576,000 B    0.29-0.31 s -> 0.12-0.17 s  0.47
+#:   160, 32 (cli_bench)   1,024,000 B  0.29-0.33 s -> 0.16-0.17 s  0.52
+#:   160, full             1,024,000 B  0.29-0.29 s -> 0.15-0.19 s  0.56
+#:   200, 32               1,600,000 B  0.32-0.32 s -> 0.22-0.23 s  0.71
+#:   200, full             1,600,000 B  0.27-0.28 s -> 0.21-0.24 s  0.79
+#:   240, 32               2,304,000 B  0.36-0.47 s -> 0.36-0.48 s  0.85
+#:   240, full             2,304,000 B  0.36-0.39 s -> 0.37-0.40 s  1.05
+#:   280, 32               3,136,000 B  0.36-0.43 s -> 0.40-0.45 s  1.14
+#:   320, full (grid_cv)   4,096,000 B  0.52-0.62 s -> 0.66-0.67 s  1.25
+#:   ====================  ===========  ==========================  =====
+#:
+#: The gain fades between 1.6 and 2.3 MB, and an earlier sweep put the
+#: crossover near 1 MiB; the budget keeps to the side where stacking won
+#: every measurement.
+STACK_GRAM_BYTES = 1 << 20
 
-def fit_cells(X, y, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[tuple[TrainedModel, FitReport]]:
-    """Train several cells on one (X, y) and kernel; one (model, report) each.
 
-    ``cells`` holds ``(loss, C, adam)`` triples (``adam`` None means the
-    defaults).  Scaling and the Gram matrix are computed once.  Cells whose
-    loss kind and Adam settings other than gamma and seed agree train
-    together, in stacks of at most :data:`STACK_ROWS`.  Every cell's model
-    and objectives are bit-identical to a :func:`fit` of that cell alone.
+def _fold_stacks(sizes) -> list[list[int]]:
+    """The training sets, by index, whose cells share each optimizer stack.
+
+    ``sizes`` gives each set's row count.  Only sets of equal size share a
+    stack, in index order, as many as :data:`STACK_GRAM_BYTES` and
+    :data:`STACK_ROWS` allow (at least one).
     """
+    by_size: dict = {}
+    for j, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(j)
+    stacks = []
+    for n, sets in by_size.items():
+        per = max(1, min(STACK_GRAM_BYTES // (8 * n * n), STACK_ROWS))
+        stacks.extend(sets[k : k + per] for k in range(0, len(sets), per))
+    return stacks
+
+
+def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
@@ -85,51 +122,96 @@ def fit_cells(X, y, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[
         raise ValueError("cannot fit on an empty dataset")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data contains non-finite values")
-    cells = [(loss, C, AdamConfig() if adam is None else adam) for loss, C, adam in cells]
+    return X, y
+
+
+def fit_cells(sets, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[tuple[TrainedModel, FitReport]]:
+    """Train cells on one or more training sets with one kernel.
+
+    ``sets`` holds ``(X, y)`` training sets, such as the folds of a cross
+    validation, and ``cells`` holds ``(set, loss, C, adam)``: the index of
+    the cell's training set, then its loss, C and Adam settings (None means
+    the defaults).  Returns one (model, report) per cell.
+
+    Each set is scaled and gets its Gram matrix once.  Cells train together
+    when their sets agree in size (see :func:`_fold_stacks`) and their loss
+    kind and Adam settings other than gamma and seed agree, in stacks of at
+    most :data:`STACK_ROWS`.  Only one stack's Grams are held at a time, in
+    one buffer.  Every cell's model and objectives are bit-identical to a
+    :func:`fit` of that cell alone.
+    """
+    sets = [_training_set(X, y) for X, y in sets]
+    cells = [(j, loss, C, AdamConfig() if adam is None else adam) for j, loss, C, adam in cells]
     if not cells:
         raise ValueError("fit_cells needs at least one cell")
-    if not all(C > 0 for _, C, _ in cells):
+    if not all(C > 0 for _, _, C, _ in cells):
         raise ValueError("C must be > 0")
+    if not all(0 <= j < len(sets) for j, *_ in cells):
+        raise ValueError(f"cell training set indices must lie in [0, {len(sets)})")
+    cells_of = [[] for _ in sets]
+    for i, (j, *_) in enumerate(cells):
+        cells_of[j].append(i)
 
-    state_scaling = scale_fit(X, y, scaling)
-    Xs = scale_features(state_scaling, X)
-    Xs.flags.writeable = False  # shared by every cell's model
-    ys = scale_target(state_scaling, y)
-
-    t0 = time.perf_counter()
-    gram = gram_matrix(kernel, Xs)
-    gram_seconds = (time.perf_counter() - t0) / len(cells)
-
-    groups: dict = {}
-    for i, (loss, _, adam) in enumerate(cells):
-        groups.setdefault((loss.kind, replace(adam, gamma=1.0, seed=0)), []).append(i)
     out = [None] * len(cells)
+    used = [j for j in range(len(sets)) if cells_of[j]]
+    for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
+        _fit_group(sets, [used[g] for g in group], kernel, cells, cells_of, scaling, out)
+    return out
+
+
+def _fit_group(sets, group, kernel, cells, cells_of, scaling, out) -> None:
+    """Train the cells of the equal-size training sets ``group`` on one
+    buffer of their Gram matrices; ``out[i]`` gets cell i's (model, report)."""
+    n = sets[group[0]][0].shape[0]
+    gram = GramMatrix(gram_buffer(len(group), n))
+    ys = np.empty((len(group), n))
+    scaled = []  # (scaled X, scaling, Gram seconds per cell) of each set
+    for k, j in enumerate(group):
+        X, y = sets[j]
+        state_scaling = scale_fit(X, y, scaling)
+        Xs = scale_features(state_scaling, X)
+        Xs.flags.writeable = False  # shared by every cell's model
+        ys[k] = scale_target(state_scaling, y)
+        t0 = time.perf_counter()
+        gram_matrix(kernel, Xs, out=gram.values[k])
+        scaled.append((Xs, state_scaling, (time.perf_counter() - t0) / len(cells_of[j])))
+
+    # a stack takes the same number of cells from each set, so that its
+    # layout stays uniform across the sets
+    groups: dict = {}
+    for k, j in enumerate(group):
+        for i in cells_of[j]:
+            _, loss, _, adam = cells[i]
+            groups.setdefault((loss.kind, replace(adam, gamma=1.0, seed=0)), {}).setdefault(k, []).append(i)
+    per = max(1, STACK_ROWS // len(group))
     for members in groups.values():
-        for k in range(0, len(members), STACK_ROWS):
-            chunk = members[k : k + STACK_ROWS]
-            losses, Cs, adams = zip(*(cells[i] for i in chunk))
+        for lo in range(0, max(map(len, members.values())), per):
+            folds, rows = zip(*((k, i) for k, ids in members.items() for i in ids[lo : lo + per]))
+            _, losses, Cs, adams = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()
             stack = train_adam(
-                gram, ys, Cs, losses, adams[0], gamma=[a.gamma for a in adams], seed=[a.seed for a in adams]
+                gram, ys, Cs, losses, adams[0],
+                gamma=[a.gamma for a in adams], seed=[a.seed for a in adams], fold=folds,
             )
-            wall = (time.perf_counter() - t1) / len(chunk)
-            for i, state in zip(chunk, stack.states):
-                loss, C, adam = cells[i]
+            wall = (time.perf_counter() - t1) / len(rows)
+            for k, i, state in zip(folds, rows, stack.states):
+                _, loss, C, adam = cells[i]
+                Xs, state_scaling, gram_seconds = scaled[k]
+                gram_k = GramMatrix(gram.values[k])
                 state.alpha.flags.writeable = False
-                alpha0 = np.full(Xs.shape[0], float(adam.alpha0))
+                alpha0 = np.full(n, float(adam.alpha0))
                 model = TrainedModel(
                     alpha=state.alpha, X_train=Xs, kernel=kernel, loss=loss, C=float(C), scaling=state_scaling
                 )
                 report = FitReport(
-                    final_objective=objective_value(state.alpha, gram, ys, C, loss),
-                    initial_objective=objective_value(alpha0, gram, ys, C, loss),
+                    final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
+                    initial_objective=objective_value(alpha0, gram_k, ys[k], C, loss),
                     iterations=state.t,
                     wall_time_seconds=wall,
                     gram_seconds=gram_seconds,
                     trace=state.trace,
                 )
                 out[i] = (model, report)
-    return out
 
 
 def fit(
@@ -147,7 +229,43 @@ def fit(
     wall time covers the optimizer run; Gram construction is timed
     separately.  This is the one-cell case of :func:`fit_cells`.
     """
-    return fit_cells(X, y, kernel, [(loss, C, adam)], scaling)[0]
+    return fit_cells([(X, y)], kernel, [(0, loss, C, adam)], scaling)[0]
+
+
+def predict_cells(models, X_new) -> list[np.ndarray]:
+    """Predictions of several models for new samples, one array per model.
+
+    The models must share their training inputs and scaling (the same
+    objects, as the models of one training set of :func:`fit_cells` do)
+    and their kernel.  Each new sample's kernel row is computed once, and
+    each raw prediction is that row's dot product with one model's
+    coefficients, so every model's predictions are bit-identical to
+    :func:`predict` of it alone.  Predictions are in original target units.
+    """
+    models = list(models)
+    if not models:
+        raise ValueError("predict_cells needs at least one model")
+    first = models[0]
+    if not all(m.X_train is first.X_train and m.scaling is first.scaling and m.kernel == first.kernel for m in models):
+        raise ValueError("predict_cells needs models that share X_train, scaling and kernel")
+    X_new = np.asarray(X_new, dtype=float)
+    if X_new.ndim == 1:
+        X_new = X_new.reshape(-1, 1)
+    if X_new.shape[1] != first.X_train.shape[1]:
+        raise ValueError(
+            f"feature count {X_new.shape[1]} does not match training data ({first.X_train.shape[1]})"
+        )
+    bad = ~np.isfinite(X_new)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"features must be finite: row {row}, column {col} is {X_new[row, col]!r}")
+    Xs = scale_features(first.scaling, X_new)
+    raw = np.empty((len(models), Xs.shape[0]))
+    for i in range(Xs.shape[0]):
+        row = kernel_row(first.kernel, Xs[i], first.X_train)
+        for c, model in enumerate(models):
+            raw[c, i] = row @ model.alpha
+    return [inverse_target(first.scaling, r) for r in raw]
 
 
 def predict(model: TrainedModel, X_new) -> np.ndarray:
@@ -155,23 +273,9 @@ def predict(model: TrainedModel, X_new) -> np.ndarray:
 
     Each raw prediction is the dot product of a kernel row against the
     coefficients, computed through the same code path as the Gram rows.
+    This is the one-model case of :func:`predict_cells`.
     """
-    X_new = np.asarray(X_new, dtype=float)
-    if X_new.ndim == 1:
-        X_new = X_new.reshape(-1, 1)
-    if X_new.shape[1] != model.X_train.shape[1]:
-        raise ValueError(
-            f"feature count {X_new.shape[1]} does not match training data ({model.X_train.shape[1]})"
-        )
-    bad = ~np.isfinite(X_new)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(f"features must be finite: row {row}, column {col} is {X_new[row, col]!r}")
-    Xs = scale_features(model.scaling, X_new)
-    raw = np.empty(Xs.shape[0])
-    for i in range(Xs.shape[0]):
-        raw[i] = kernel_row(model.kernel, Xs[i], model.X_train) @ model.alpha
-    return inverse_target(model.scaling, raw)
+    return predict_cells([model], X_new)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +302,11 @@ def _array_field(value, name: str, ndim: int) -> np.ndarray:
         raise ValueError(f"model field {name!r} is not a numeric array: {exc}") from None
     if arr.ndim != ndim:
         raise ValueError(f"model field {name!r} must be {ndim}-dimensional, got shape {arr.shape}")
+    # the float conversion also accepts numeric text ("0.04") and booleans
+    leaves = np.asarray(value, dtype=object).ravel()
+    if set(map(type, leaves)) - {int, float}:
+        bad = next(v for v in leaves if type(v) not in (int, float))
+        raise ValueError(f"model field {name!r} must hold only numbers, got {bad!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"model field {name!r} contains non-finite values")
     return arr
@@ -270,8 +379,8 @@ def model_to_json(model: TrainedModel) -> str:
 def model_from_json(text: str) -> TrainedModel:
     """Parse a saved model, rejecting fields that could not have been saved.
 
-    ``alpha`` must be finite and 1-D, ``x_train`` finite, 2-D and one row
-    per coefficient, and ``C``, the loss parameters and ``kernel.sigma``
+    ``alpha`` must be 1-D, ``x_train`` 2-D and one row per coefficient,
+    both of finite JSON numbers (not text or booleans), and ``C``, the loss parameters and ``kernel.sigma``
     (null for a linear kernel) finite numbers.  ``scaling.mode`` must be
     one of ``SCALING_MODES``; a scaled model needs finite target numbers
     and scaling vectors of one finite entry per feature, an unscaled one
@@ -326,5 +435,6 @@ __all__ = [
     "model_to_json",
     "objective_value",
     "predict",
+    "predict_cells",
     "save_model",
 ]

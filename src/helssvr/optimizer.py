@@ -9,8 +9,9 @@ where K is the training Gram matrix and L any loss from
 :mod:`helssvr.losses`.  Each iteration draws a fresh uniform mini-batch
 without replacement; the quadratic term's gradient K alpha is computed
 exactly every step, while the loss-sum gradient is restricted to the
-batch rows.  One call can train several cells (C, loss and Adam settings)
-that share a Gram matrix, each bit-identical to a run of its own.
+batch rows.  One call can train several cells (C, loss and Adam settings),
+on one training set or on several of equal size, each bit-identical to a
+run of its own.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def objective_gradient(alpha, gram: GramMatrix, y, C: float, loss: LossSpec, bat
     return Kalpha - C * (K[batch].T @ d)
 
 
-def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None) -> AdamState:
+def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> AdamState:
     """One Adam update; returns the new state with ``t`` incremented.
 
     Bias correction uses the post-increment step counter, and the
@@ -116,16 +117,44 @@ def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None) -> AdamState:
     alpha <- alpha - gamma * m_hat / sqrt(v_hat + delta).
     ``gamma`` overrides ``cfg.gamma``; an array shaped like the state gives
     each row of a stacked state its own learning rate.
+
+    ``out`` is an optional pair of work arrays shaped like the state.  With
+    it the update is made in place, allocating nothing: ``state``'s arrays
+    are overwritten and ``state`` itself is returned.  Without it the input
+    state is left as it was.  Both run the same operations in the same
+    order, so their results agree bit for bit.
     """
     grad = np.asarray(grad, dtype=float)
     gamma = cfg.gamma if gamma is None else gamma
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (grad * grad)
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    alpha = state.alpha - gamma * m_hat / np.sqrt(v_hat + cfg.delta)
-    return AdamState(alpha=alpha, m=m, v=v, t=t, trace=state.trace)
+    if out is None:
+        state = AdamState(
+            alpha=np.array(state.alpha, dtype=float),
+            m=np.array(state.m, dtype=float),
+            v=np.array(state.v, dtype=float),
+            t=state.t,
+            trace=state.trace,
+        )
+        out = (np.empty_like(state.alpha), np.empty_like(state.alpha))
+    a, b = out
+    state.t += 1
+    # m <- beta1 * m + (1 - beta1) * grad
+    np.multiply(grad, 1.0 - cfg.beta1, out=a)
+    state.m *= cfg.beta1
+    state.m += a
+    # v <- beta2 * v + (1 - beta2) * grad^2
+    np.multiply(grad, grad, out=a)
+    a *= 1.0 - cfg.beta2
+    state.v *= cfg.beta2
+    state.v += a
+    # alpha <- alpha - gamma * m_hat / sqrt(v_hat + delta)
+    np.divide(state.m, 1.0 - cfg.beta1**state.t, out=a)
+    a *= gamma
+    np.divide(state.v, 1.0 - cfg.beta2**state.t, out=b)
+    b += cfg.delta
+    np.sqrt(b, out=b)
+    a /= b
+    state.alpha -= a
+    return state
 
 
 @dataclass
@@ -140,7 +169,7 @@ class AdamStack:
         return sum(state.t for state in self.states)
 
 
-def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=None):
+def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None):
     """Run ``cfg.max_iter`` Adam iterations and return the final state.
 
     A fresh mini-batch of size min(batch_size, N) is drawn uniformly
@@ -155,33 +184,44 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     objective values differ by less than ``early_stop_tol`` for
     ``early_stop_patience`` consecutive iterations.
 
-    To train m cells on the same Gram matrix at once, pass ``C`` and
-    ``loss`` as sequences of m values, and optionally ``gamma`` and
-    ``seed`` as sequences that replace ``cfg``'s learning rate and seed
-    per cell; ``cfg`` gives every other setting.  The call then returns an
-    :class:`AdamStack`.  The cells' coefficient, moment and residual
-    vectors are stacked as the rows of (m, n) arrays, so the elementwise
-    work of a step runs once for all of them.  Each cell keeps its own
-    mini-batch draws, trace and early stop.  Every matrix-vector product
-    is still one GEMV per row, so each cell's numbers are bit-for-bit those
-    of a one-cell run, whatever cells share its stack.
+    To train m cells at once, pass ``C`` and ``loss`` as sequences of m
+    values, and optionally ``gamma`` and ``seed`` as sequences that replace
+    ``cfg``'s learning rate and seed per cell; ``cfg`` gives every other
+    setting.  The call then returns an :class:`AdamStack`.  The cells may
+    belong to different training sets of N rows each: ``gram`` then holds
+    an (f, N, N) stack of their Gram matrices, ``y`` the (f, N) targets and
+    ``fold`` each cell's set (all 0 by default).
+
+    The cells' coefficient, moment and residual vectors are stacked as the
+    rows of (m, N) arrays, grouped by set, so the elementwise work of a
+    step runs once for all of them.  Each cell keeps its own targets,
+    mini-batch draws, trace and early stop.  The products with the Gram
+    matrix run as batched matmuls that are still one GEMV per row: K alpha
+    (and, at full batch, K d) as a broadcast of each set's matrix over its
+    rows, and a mini-batch's K_B^T d on each row's gathered batch rows.  So
+    each cell's numbers are bit-for-bit those of a one-cell run, whatever
+    cells share its stack.
     """
     if isinstance(loss, LossSpec):
         return train_adam(gram, y, [C], [loss], cfg).states[0]
-    y = np.asarray(y, dtype=float)
     n = gram.n
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    if y.shape != (n,):
-        raise ValueError(f"target vector has shape {y.shape}, expected ({n},)")
+    y = np.asarray(y, dtype=float)
+    if y.shape != gram.values.shape[:-1]:
+        raise ValueError(f"target vector has shape {y.shape}, expected {gram.values.shape[:-1]}")
+    K, Ys = gram.values.reshape(-1, n, n), y.reshape(-1, n)
+    f = K.shape[0]
     C, loss = list(C), list(loss)
     rows = len(C)
     gamma = [cfg.gamma] * rows if gamma is None else list(gamma)
     seed = [cfg.seed] * rows if seed is None else list(seed)
-    if not rows == len(loss) == len(gamma) == len(seed) > 0:
-        raise ValueError("C, loss, gamma and seed must give the same non-zero number of cells")
+    fold = [0] * rows if fold is None else [int(k) for k in fold]
+    if not rows == len(loss) == len(gamma) == len(seed) == len(fold) > 0:
+        raise ValueError("C, loss, gamma, seed and fold must give the same non-zero number of cells")
+    if not all(0 <= k < f for k in fold):
+        raise ValueError(f"fold indices must lie in [0, {f})")
 
-    K = gram.values
     s = min(cfg.batch_size, n)
 
     def blocks(cells):
@@ -194,15 +234,37 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             np.repeat(np.array([[gamma[c]] for c in cells], dtype=float), n, axis=1),
         )
 
+    def layout(cells):
+        # each row's set, and the row span of each set: None when every
+        # set holds the same number of rows, so that one broadcast matmul
+        # covers the stack
+        fold_of = np.array([fold[c] for c in cells])
+        counts = np.bincount(fold_of, minlength=f)
+        if counts.min() == counts.max():
+            return fold_of, None
+        ends = np.cumsum(counts)
+        return fold_of, [(k, slice(e - c, e)) for k, (c, e) in enumerate(zip(counts, ends)) if c]
+
+    def matvec(A, out):
+        # out[r] = K[fold of row r] @ A[r], one GEMV per row; out is a
+        # C-contiguous (m, n) array, so the reshape below is a view
+        if spans is None:
+            np.matmul(K[:, None], A.reshape(f, -1, n, 1), out=out.reshape(f, -1, n, 1))
+        else:
+            for k, rows_k in spans:
+                np.matmul(K[k], A[rows_k, :, None], out=out[rows_k, :, None])
+
+    live = sorted(range(rows), key=fold.__getitem__)  # the cell of each stack row
+    fold_of, spans = layout(live)
+    stack, C_blk, gamma_blk = blocks(live)
     state = AdamState(
         alpha=np.full((rows, n), float(cfg.alpha0)),
         m=np.full((rows, n), float(cfg.m0)),
         v=np.full((rows, n), float(cfg.v0)),
         t=0,
     )
-    live = list(range(rows))  # the cell of each stack row
-    stack, C_blk, gamma_blk = blocks(live)
-    Y = np.tile(y, (rows, 1))
+    work = (np.empty((rows, n)), np.empty((rows, n)))  # adam_step's in-place buffers
+    Y = Ys[fold_of]
     Kalpha, Kd = np.empty((rows, n)), np.empty((rows, n))
     block, row_of = np.empty((rows, 0, s), dtype=np.intp), np.arange(rows)[:, None]
     rngs = [make_rng(c) for c in seed]
@@ -218,12 +280,11 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         )
 
     for step in range(cfg.max_iter):
-        for alpha_r, out_r in zip(state.alpha, Kalpha):
-            np.matmul(K, alpha_r, out=out_r)
+        matvec(state.alpha, Kalpha)
         if track:
             keep = []
             for r, c in enumerate(live):
-                h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], y - Kalpha[r])))
+                h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], Y[r] - Kalpha[r])))
                 if cfg.collect_trace:
                     traces[c].append(h)
                 if cfg.early_stop and prev_h[c] is not None:
@@ -237,15 +298,14 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 break
             if len(keep) < len(live):
                 live = [live[r] for r in keep]
+                fold_of, spans = layout(live)
                 state = AdamState(alpha=state.alpha[keep], m=state.m[keep], v=state.v[keep], t=state.t)
-                Y, Kalpha, Kd, block = Y[keep], Kalpha[keep], Kd[keep], block[keep]
+                Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
+                Kd, work, row_of = Kd[: len(keep)], tuple(w[: len(keep)] for w in work), row_of[: len(keep)]
                 stack, C_blk, gamma_blk = blocks(live)
-                row_of = row_of[: len(live)]
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
-            d = loss_derivative(stack, Y - Kalpha)
-            for d_r, out_r in zip(d, Kd):
-                np.matmul(K, d_r, out=out_r)
+            matvec(loss_derivative(stack, Y - Kalpha), Kd)
         else:
             if step % n == 0:
                 # the next n steps' batches (fewer near the end) in one
@@ -256,13 +316,16 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 # independent of the draw
                 block.sort(axis=2)
             batch = block[:, step % n]
-            d = loss_derivative(stack, y[batch] - Kalpha[row_of, batch])
-            for batch_r, d_r, out_r in zip(batch, d, Kd):
-                np.matmul(K[batch_r].T, d_r, out=out_r)
-        state = adam_step(state, Kalpha - C_blk * Kd, cfg, gamma=gamma_blk)
+            d = loss_derivative(stack, Y[row_of, batch] - Kalpha[row_of, batch])
+            np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=Kd[:, :, None])
+        # the gradient K alpha - C * K d, in place in Kd
+        Kd *= C_blk
+        np.subtract(Kalpha, Kd, out=Kd)
+        state = adam_step(state, Kd, cfg, gamma=gamma_blk, out=work)
     else:
         for r, c in enumerate(live):
             finish(r, c)
             if cfg.collect_trace:
-                traces[c].append(objective_value(out[c].alpha, gram, y, C[c], loss[c]))
+                k = fold[c]
+                traces[c].append(objective_value(out[c].alpha, GramMatrix(K[k]), Ys[k], C[c], loss[c]))
     return AdamStack(out)

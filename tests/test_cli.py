@@ -488,6 +488,28 @@ class TestPredictBadModel:
         assert "model field 'scaling.mode' must be one of" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("alpha", "0.04"), ("x_train", True)], ids=["alpha-text", "x_train-bool"])
+    def test_non_numeric_array_entry_exit_3(self, tmp_path, capsys, field, value):
+        import json
+
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--target", "y", "--out", str(model),
+                     "--set", "adam.max_iter=20"]) == 0
+        doc = json.loads(model.read_text())
+        if field == "alpha":
+            doc["alpha"][0] = value
+        else:
+            doc["x_train"][0][0] = value
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(data), "--target", "y",
+                   "--out", str(out)])
+        assert rc == 3
+        assert f"model field '{field}' must hold only numbers, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestDroppedTextColumn:
     """A dropped column is never parsed, so it may hold text such as an id."""
 

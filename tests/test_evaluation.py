@@ -417,3 +417,82 @@ class TestStackedSearchMatchesStandaloneFits:
                 assert got.final_objective.hex() == report.final_objective.hex()
                 assert got.initial_objective.hex() == report.initial_objective.hex()
                 assert got.iterations == report.iterations
+
+
+# grid_search_cv(toy_dataset(n=31, seed=3), C 1 and 100, sigma 0.3 and 1, k=3,
+# seed 7, zscore, 60 steps, early stop at tol 2e-2 / patience 3), recorded
+# before fold stacking: per cell, the fold RMSEs, initial and final
+# objectives (as float.hex) and iteration counts.  The folds hold 11, 10
+# and 10 rows, so the training sets are 20, 21 and 21 rows.
+GOLDEN_SEARCH = {
+    8: [
+        (
+            ('0x1.d93565278de79p-2', '0x1.027fb385566bbp-1', '0x1.4430964f76c84p-1'),
+            ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
+            ('0x1.4b27af671325ep+1', '0x1.56e903b6c44eap+1', '0x1.838936f28a180p+1'),
+            (41, 39, 39),
+        ),
+        (
+            ('0x1.61b565b39568ep-2', '0x1.2f4cd267ffe0bp-2', '0x1.ed85b53cc8dc4p-2'),
+            ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
+            ('0x1.0c0f8db9687c6p+1', '0x1.b9edb1786fc1fp+0', '0x1.0d60c19c0bf4ep+1'),
+            (30, 30, 30),
+        ),
+        (
+            ('0x1.e6090ffc8f93ep-4', '0x1.1fd295cb38ab9p-2', '0x1.75bb0b6ff0967p-3'),
+            ('0x1.aaa645e660c6dp+8', '0x1.d04432d999248p+8', '0x1.c4e58ba152122p+8'),
+            ('0x1.e9314a6a35852p+3', '0x1.0089267db61d5p+4', '0x1.b2918f1e74bc2p+4'),
+            (60, 60, 60),
+        ),
+        (
+            ('0x1.fa4b086a53c2dp-4', '0x1.1360073b4b4acp-3', '0x1.05060303332f8p-2'),
+            ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
+            ('0x1.b0e6f6b5b65d2p+4', '0x1.92b2bf2687f9ap+3', '0x1.90f89c5daabdep+5'),
+            (60, 60, 60),
+        ),
+    ],
+    1000: [
+        (
+            ('0x1.59774c220d8dcp-2', '0x1.b5eba9f25b79ep-2', '0x1.fb29632652369p-2'),
+            ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
+            ('0x1.127340c4ef526p+1', '0x1.1ad6915be1d58p+1', '0x1.454cdfbf55909p+1'),
+            (33, 32, 32),
+        ),
+        (
+            ('0x1.c2811fde2a4cap-3', '0x1.547a22aadf074p-3', '0x1.97ba20188e33fp-2'),
+            ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
+            ('0x1.e4b4ab1cb3d28p+0', '0x1.80926998e6710p+0', '0x1.02c3b713ebb39p+1'),
+            (23, 22, 20),
+        ),
+        (
+            ('0x1.beaebe5d6b131p-4', '0x1.01a8320744a98p-2', '0x1.02dba9a0ea5f5p-3'),
+            ('0x1.aaa645e660c6dp+8', '0x1.d04432d999248p+8', '0x1.c4e58ba152122p+8'),
+            ('0x1.b0ac9cd386150p+3', '0x1.611106ec23765p+3', '0x1.d032e281684a4p+3'),
+            (60, 60, 60),
+        ),
+        (
+            ('0x1.e901af26b62c2p-4', '0x1.ff0d2090e29abp-4', '0x1.90e35fe2cf2a5p-3'),
+            ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
+            ('0x1.41bd471cad107p+4', '0x1.3fcdf9fc04f6ap+3', '0x1.d2b9372cee8abp+4'),
+            (60, 60, 60),
+        ),
+    ],
+}
+
+
+class TestGoldenSearch:
+    @pytest.mark.parametrize("batch_size", [8, 1000])
+    def test_search_matches_recorded_values(self, batch_size):
+        grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), k=3)
+        adam = fast_adam(max_iter=60, batch_size=batch_size, early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)
+        res = grid_search_cv(toy_dataset(n=31, seed=3), grid, recipe_from_name("hawkeye"), seed=7, adam=adam, scaling="zscore")
+        got = [
+            (
+                tuple(r.hex() for r in cell.fold_rmse),
+                tuple(r.initial_objective.hex() for r in cell.fold_reports),
+                tuple(r.final_objective.hex() for r in cell.fold_reports),
+                tuple(r.iterations for r in cell.fold_reports),
+            )
+            for cell in res.cells
+        ]
+        assert got == GOLDEN_SEARCH[batch_size]

@@ -126,3 +126,29 @@ class TestGramAlignment:
         values = gram_matrix(KernelSpec("rbf", sigma=0.5), X).values
         assert values.ctypes.data % 64 == 0
         assert values.flags.c_contiguous and values.shape == (n, n)
+
+
+class TestGramBuffer:
+    @pytest.mark.parametrize("f, n", [(1, 7), (3, 7), (5, 160), (2, 333)])
+    def test_every_matrix_aligned(self, f, n):
+        from helssvr.kernels import gram_buffer
+
+        values = gram_buffer(f, n)
+        assert values.shape == (f, n, n)
+        for k in range(f):
+            assert values[k].ctypes.data % 64 == 0 and values[k].flags.c_contiguous
+        # the matrices do not overlap
+        values[:] = np.arange(f).reshape(-1, 1, 1)
+        assert all(np.all(values[k] == k) for k in range(f))
+
+    def test_gram_written_into_out(self):
+        from helssvr.kernels import gram_buffer
+
+        X = np.random.default_rng(3).uniform(size=(9, 2))
+        spec = KernelSpec("rbf", sigma=0.5)
+        values = gram_buffer(2, 9)
+        out = values[1]
+        assert gram_matrix(spec, X, out=out).values is out
+        assert values[1].tobytes() == gram_matrix(spec, X).values.tobytes()
+        with pytest.raises(ValueError, match=r"needs an \(9, 9\) output"):
+            gram_matrix(spec, X, out=values[:, :8, :8][0])

@@ -277,7 +277,7 @@ class TestFitCells:
         ]
         for rows in (1, 32):
             monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
-            fitted = fit_cells(X, y, rbf(0.8), cells, scaling="zscore")
+            fitted = fit_cells([(X, y)], rbf(0.8), [(0, *cell) for cell in cells], scaling="zscore")
             for (loss, C, adam), (model, report) in zip(cells, fitted):
                 alone, alone_report = fit(X, y, rbf(0.8), loss, C=C, adam=adam, scaling="zscore")
                 assert model.alpha.tobytes() == alone.alpha.tobytes()
@@ -288,9 +288,116 @@ class TestFitCells:
     def test_every_C_validated(self):
         from helssvr.model import fit_cells
 
-        cells = [(hawkeye(), 1.0, None), (hawkeye(), 0.0, None)]
+        cells = [(0, hawkeye(), 1.0, None), (0, hawkeye(), 0.0, None)]
         with pytest.raises(ValueError, match="C must be > 0"):
-            fit_cells(np.eye(3), np.ones(3), rbf(), cells)
+            fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
+
+
+class TestFoldStacks:
+    """Which training sets share an optimizer stack, decided without training."""
+
+    def test_budget_stacks_small_folds_and_splits_large_ones(self):
+        from helssvr.model import STACK_GRAM_BYTES, _fold_stacks
+
+        assert 5 * 8 * 160**2 <= STACK_GRAM_BYTES < 2 * 8 * 320**2
+        assert _fold_stacks([160] * 5) == [[0, 1, 2, 3, 4]]
+        assert _fold_stacks([320] * 5) == [[0], [1], [2], [3], [4]]
+        assert _fold_stacks([2000]) == [[0]]
+
+    def test_unequal_sizes_never_share(self):
+        from helssvr.model import _fold_stacks
+
+        assert _fold_stacks([20, 21, 21, 20]) == [[0, 3], [1, 2]]
+
+    def test_stack_rows_caps_the_sets(self, monkeypatch):
+        import helssvr.model
+        from helssvr.model import _fold_stacks
+
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", 2)
+        assert _fold_stacks([160] * 5) == [[0, 1], [2, 3], [4]]
+
+
+class TestFitCellsAcrossSets:
+    def sets(self):
+        rng = np.random.default_rng(70)
+        out = []
+        for n in (21, 20, 21, 21):  # unequal sizes: 20 trains apart from 21
+            X = rng.uniform(-1, 1, (n, 2))
+            out.append((X, np.cos(2 * X[:, 0]) + 0.1 * rng.normal(size=n)))
+        return out
+
+    @pytest.mark.parametrize("rows", [1, 2, 32])
+    def test_cells_match_standalone_fits(self, monkeypatch, rows):
+        import helssvr.model
+        from helssvr.model import fit_cells
+
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
+        sets = self.sets()
+        stop = dict(early_stop=True, early_stop_tol=3e-1, early_stop_patience=3)
+        per_set = [
+            (hawkeye(0.05, 1.0, 1.0), 10.0, dict(max_iter=60, **stop)),
+            (hawkeye(0.1, 3.0, 1.0), 100.0, dict(max_iter=60, gamma=1e-3, **stop)),
+            (LossSpec("least_squares"), 1.0, dict(max_iter=60)),
+            (hawkeye(0.05, 2.0, 0.5), 10.0, dict(max_iter=40, batch_size=5)),
+        ]
+        cells = [
+            (j, loss, C, AdamConfig(seed=10 * j + c, **kw))
+            for j in range(len(sets))
+            for c, (loss, C, kw) in enumerate(per_set)
+        ]
+        cells.append((2, hawkeye(), 10.0, None))  # set 2 holds one cell more
+        fitted = fit_cells(sets, rbf(0.8), cells, scaling="zscore")
+        steps = set()
+        for (j, loss, C, adam), (model, report) in zip(cells, fitted):
+            alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=adam, scaling="zscore")
+            assert model.alpha.tobytes() == alone.alpha.tobytes()
+            assert model.X_train.tobytes() == alone.X_train.tobytes()
+            assert report.final_objective == alone_report.final_objective
+            assert report.initial_objective == alone_report.initial_objective
+            assert report.iterations == alone_report.iterations
+            steps.add(report.iterations)
+        assert len(steps) > 3  # early stops at several steps
+
+    def test_models_of_one_set_share_inputs(self):
+        from helssvr.model import fit_cells
+
+        cells = [(j, hawkeye(), 10.0, AdamConfig(max_iter=10, seed=s)) for j in (0, 1) for s in (1, 2)]
+        models = [m for m, _ in fit_cells(self.sets()[:2], rbf(0.5), cells)]
+        assert models[0].X_train is models[1].X_train and models[0].scaling is models[1].scaling
+        assert models[1].X_train is not models[2].X_train
+
+    def test_set_index_checked(self):
+        from helssvr.model import fit_cells
+
+        with pytest.raises(ValueError, match=r"set indices must lie in \[0, 1\)"):
+            fit_cells([(np.eye(3), np.ones(3))], rbf(), [(1, hawkeye(), 1.0, None)])
+
+
+class TestPredictCells:
+    def test_matches_predict_of_each_model(self):
+        from helssvr.model import fit_cells, predict_cells
+
+        rng = np.random.default_rng(80)
+        X = rng.uniform(-1, 1, (30, 2))
+        y = np.sin(2 * X[:, 0])
+        cells = [(0, hawkeye(0.05, a, 1.0), C, AdamConfig(max_iter=40, seed=1)) for a in (1.0, 3.0) for C in (1.0, 100.0)]
+        models = [m for m, _ in fit_cells([(X, y)], rbf(0.6), cells, scaling="zscore")]
+        X_new = rng.uniform(-1, 1, (17, 2))
+        got = predict_cells(models, X_new)
+        assert len(got) == 4
+        for model, pred in zip(models, got):
+            assert pred.tobytes() == predict(model, X_new).tobytes()
+
+    def test_models_must_share_inputs(self):
+        from helssvr.model import predict_cells
+
+        X = np.linspace(0, 1, 8).reshape(-1, 1)
+        a, _ = fit(X, X[:, 0], rbf(), hawkeye(), C=10.0, adam=AdamConfig(max_iter=5, seed=0))
+        b, _ = fit(X, X[:, 0], rbf(), hawkeye(), C=10.0, adam=AdamConfig(max_iter=5, seed=1))
+        with pytest.raises(ValueError, match="share X_train, scaling and kernel"):
+            predict_cells([a, b], X)
+        with pytest.raises(ValueError, match="at least one model"):
+            predict_cells([], X)
 
 
 class TestPredictRejectsNonFinite:
@@ -382,6 +489,29 @@ class TestLoadValidation:
     @pytest.mark.parametrize(
         "edit, message",
         [
+            (lambda d: d["alpha"].__setitem__(1, "0.04"), "'alpha' must hold only numbers, got '0.04'"),
+            (lambda d: d["alpha"].__setitem__(0, True), "'alpha' must hold only numbers, got True"),
+            (lambda d: d["x_train"][1].__setitem__(0, False), "'x_train' must hold only numbers, got False"),
+            (lambda d: d["x_train"][2].__setitem__(1, "1"), "'x_train' must hold only numbers, got '1'"),
+            (lambda d: d["scaling"]["feature_a"].__setitem__(0, "0"),
+             "'scaling.feature_a' must hold only numbers, got '0'"),
+        ],
+        ids=["alpha-text", "alpha-bool", "x_train-bool", "x_train-text", "feature_a-text"],
+    )
+    def test_non_numeric_array_entry_named(self, tmp_path, edit, message):
+        doc = self.saved_doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            self.load(tmp_path, doc)
+
+    def test_integer_entries_load(self, tmp_path):
+        doc = self.saved_doc()
+        doc["x_train"][0] = [0, 1]
+        assert self.load(tmp_path, doc).X_train[0].tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
             ({"mode": "bogus"}, r"'scaling.mode' must be one of \('none', 'minmax', 'zscore'\), got 'bogus'"),
             ({"feature_b": None}, "'scaling.feature_b' must be 1-dimensional"),
             ({"mode": "none"}, "'scaling.feature_a' must be null for scaling mode 'none'"),
@@ -424,8 +554,8 @@ class TestTrainedModelImmutable:
         rng = np.random.default_rng(5)
         X = rng.uniform(-1, 1, (12, 1))
         y = np.sin(3 * X[:, 0])
-        cells = [(hawkeye(), 10.0, AdamConfig(max_iter=30, seed=s)) for s in (1, 2)]
-        (m1, _), (m2, _) = fit_cells(X, y, rbf(0.5), cells)
+        cells = [(0, hawkeye(), 10.0, AdamConfig(max_iter=30, seed=s)) for s in (1, 2)]
+        (m1, _), (m2, _) = fit_cells([(X, y)], rbf(0.5), cells)
         assert m1.X_train is m2.X_train  # the scaled inputs are shared
         before = predict(m2, X)
         self.check_immutable(m1)

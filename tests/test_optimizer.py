@@ -367,3 +367,146 @@ class TestStackedTraining:
         losses = [LossSpec("least_squares"), LossSpec("huber", theta=1.0)]
         with pytest.raises(ValueError, match="one kind"):
             train_adam(gram, y, [1.0, 1.0], losses, AdamConfig(max_iter=5))
+
+
+class TestAdamStepInPlace:
+    def test_out_buffers_match_new_state(self):
+        rng = np.random.default_rng(50)
+        cfg = AdamConfig()
+        gamma = np.repeat([[1e-2], [1e-3]], 7, axis=1)
+        fresh = AdamState(alpha=rng.normal(size=(2, 7)), m=rng.normal(size=(2, 7)), v=rng.uniform(size=(2, 7)))
+        inplace = AdamState(alpha=fresh.alpha.copy(), m=fresh.m.copy(), v=fresh.v.copy())
+        work = (np.empty((2, 7)), np.empty((2, 7)))
+        for _ in range(5):
+            grad = rng.normal(size=(2, 7))
+            before = fresh.alpha.copy()
+            fresh = adam_step(fresh, grad, cfg, gamma=gamma)
+            assert not np.array_equal(before, fresh.alpha)
+            returned = adam_step(inplace, grad, cfg, gamma=gamma, out=work)
+            assert returned is inplace
+            for name in ("alpha", "m", "v"):
+                assert getattr(inplace, name).tobytes() == getattr(fresh, name).tobytes()
+            assert inplace.t == fresh.t
+
+    def test_without_out_the_input_is_kept(self):
+        state = zero_state(3)
+        state.alpha[:] = 1.0
+        new = adam_step(state, np.ones(3), zero_cfg())
+        assert state.t == 0 and np.all(state.alpha == 1.0) and np.all(state.m == 0.0)
+        assert new.t == 1 and not np.shares_memory(new.alpha, state.alpha)
+
+
+def fold_stack(sizes_n=20, folds=3, seed=60):
+    """(f, n, n) Grams in one aligned buffer, the (f, n) targets, and the
+    one-set Gram of each fold."""
+    from helssvr.kernels import GramMatrix, gram_buffer
+
+    rng = np.random.default_rng(seed)
+    values = gram_buffer(folds, sizes_n)
+    Ys = np.empty((folds, sizes_n))
+    for k in range(folds):
+        X = rng.uniform(-1, 1, size=(sizes_n, 2))
+        gram_matrix(KernelSpec("rbf", sigma=0.7), X, out=values[k])
+        Ys[k] = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=sizes_n)
+    return GramMatrix(values), Ys, [GramMatrix(values[k]) for k in range(folds)]
+
+
+class TestCrossFoldStack:
+    """Rows of one stack train on different folds' Grams and targets."""
+
+    loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
+
+    def check_rows(self, stack, Ys, grams, Cs, fold, gammas, seeds, cfg):
+        for C, k, gamma, seed, got in zip(Cs, fold, gammas, seeds, stack.states):
+            alone = train_adam(grams[k], Ys[k], C, self.loss, replace(cfg, gamma=gamma, seed=seed))
+            for name in ("alpha", "m", "v"):
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+            assert got.t == alone.t
+            if cfg.collect_trace:
+                assert [h.hex() for h in got.trace] == [h.hex() for h in alone.trace]
+                want = objective_value(got.alpha, grams[k], Ys[k], C, self.loss)
+                assert got.trace[-1] == want
+
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_rows_stopping_early_in_different_folds(self, batch_size):
+        gram, Ys, grams = fold_stack()
+        # two rows per fold, listed out of fold order; a loose tolerance
+        # stops rows early at different steps, which leaves the folds
+        # holding unequal numbers of rows mid-run
+        fold = [2, 0, 1, 0, 2, 1]
+        Cs = [1.0, 1.0, 100.0, 100.0, 10.0, 1.0]
+        gammas = [1e-2, 1e-3, 1e-2, 1e-2, 1e-3, 1e-3]
+        seeds = [4, 5, 6, 7, 8, 9]
+        cfg = AdamConfig(
+            max_iter=80, batch_size=batch_size, collect_trace=True,
+            early_stop=True, early_stop_tol=1e-2, early_stop_patience=3,
+        )
+        stack = train_adam(gram, Ys, Cs, [self.loss] * 6, cfg, gamma=gammas, seed=seeds, fold=fold)
+        steps = [state.t for state in stack.states]
+        assert len(set(steps)) > 2 and max(steps) == 80 and min(steps) < 80
+        self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
+        assert stack.t == sum(steps)
+
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_unequal_rows_per_fold(self, batch_size):
+        # fold 1 holds no row at all, fold 0 three and fold 2 one
+        gram, Ys, grams = fold_stack()
+        fold, Cs, gammas, seeds = [0, 2, 0, 0], [1.0, 10.0, 100.0, 1.0], [1e-2] * 4, [1, 2, 3, 4]
+        cfg = AdamConfig(max_iter=45, batch_size=batch_size, collect_trace=True)
+        stack = train_adam(gram, Ys, Cs, [self.loss] * 4, cfg, gamma=gammas, seed=seeds, fold=fold)
+        self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
+
+    def test_fold_checked(self):
+        gram, Ys, _ = fold_stack()
+        with pytest.raises(ValueError, match=r"fold indices must lie in \[0, 3\)"):
+            train_adam(gram, Ys, [1.0], [self.loss], AdamConfig(max_iter=5), fold=[3])
+        with pytest.raises(ValueError, match="number of cells"):
+            train_adam(gram, Ys, [1.0, 1.0], [self.loss] * 2, AdamConfig(max_iter=5), fold=[0])
+        with pytest.raises(ValueError, match=r"expected \(3, 20\)"):
+            train_adam(gram, Ys[0], [1.0], [self.loss], AdamConfig(max_iter=5))
+
+
+class TestBatchedProductsAreRowGemvs:
+    """The trainer's batched matmuls must equal one GEMV per row bit for bit.
+
+    Cells trained in one stack are bit-identical to one-cell runs only
+    because numpy runs each of these products as a GEMV per row.  A numpy or
+    BLAS build that does otherwise fails here first.
+    """
+
+    def operands(self, n, folds=3, rows_per_fold=2):
+        from helssvr.kernels import gram_buffer
+
+        rng = np.random.default_rng(n)
+        K = gram_buffer(folds, n)
+        for k in range(folds):
+            gram_matrix(KernelSpec("rbf", sigma=0.5), rng.uniform(-1, 1, size=(n, 2)), out=K[k])
+        A = rng.normal(size=(folds * rows_per_fold, n))
+        fold_of = np.repeat(np.arange(folds), rows_per_fold)
+        return K, A, fold_of
+
+    @pytest.mark.parametrize("n", [80, 160, 333])
+    def test_broadcast_matmul_equals_row_gemvs(self, n):
+        K, A, fold_of = self.operands(n)
+        f = K.shape[0]
+        got = np.empty_like(A)
+        np.matmul(K[:, None], A.reshape(f, -1, n, 1), out=got.reshape(f, -1, n, 1))
+        per_fold = np.empty_like(A)
+        for k in range(f):
+            rows = fold_of == k
+            per_fold[rows] = np.matmul(K[k], A[rows, :, None])[:, :, 0]
+        for r, k in enumerate(fold_of):
+            want = np.matmul(K[k], A[r])
+            assert got[r].tobytes() == want.tobytes()
+            assert per_fold[r].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [80, 160, 333])
+    def test_gathered_batch_matmul_equals_row_gemvs(self, n):
+        K, A, fold_of = self.operands(n)
+        rng = np.random.default_rng(n + 1)
+        batch = np.sort(np.stack([rng.choice(n, 32, replace=False) for _ in fold_of]), axis=1)
+        d = rng.normal(size=(len(fold_of), 32))
+        got = np.empty_like(A)
+        np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=got[:, :, None])
+        for r, k in enumerate(fold_of):
+            assert got[r].tobytes() == np.matmul(K[k][batch[r]].T, d[r]).tobytes()
