@@ -88,9 +88,10 @@ STACK_ROWS = 32
 #:   320, full (grid_cv)   4,096,000 B  0.52-0.62 s -> 0.66-0.67 s  1.25
 #:   ====================  ===========  ==========================  =====
 #:
-#: The gain fades between 1.6 and 2.3 MB, and an earlier sweep put the
-#: crossover near 1 MiB; the budget keeps to the side where stacking won
-#: every measurement.
+#: The crossover lies between 1.6 and 2.3 MB.  Any budget from 1,024,000 B
+#: to 4,096,000 B splits the benchmark's shapes alike (160-row folds
+#: stacked, 320-row folds apart); 1 MiB is the conservative choice, on
+#: the side where stacking won every measurement.
 STACK_GRAM_BYTES = 1 << 20
 
 
