@@ -38,7 +38,7 @@ from .evaluation import (
 from .kernels import KernelSpec
 from .losses import LOSS_KINDS, LossSpec, required_params
 from .model import fit, load_model, predict, save_model
-from .optimizer import AdamConfig
+from .optimizer import AVERAGES, AdamConfig
 
 
 class ConfigError(Exception):
@@ -101,6 +101,7 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "adam.batch_size": (32, int),
     "adam.max_iter": (1000, int),
     "adam.seed": (None, _parse_optional_int),
+    "adam.average": ("none", _parse_choice(*AVERAGES)),
     "grid.C": ((1.0, 100.0, 10000.0), _parse_float_list),
     "grid.sigma": ((0.1, 1.0, 10.0), _parse_float_list),
     "grid.epsilon": ((0.05,), _parse_float_list),
@@ -220,6 +221,7 @@ def build_adam(cfg: RunConfig, collect_trace: bool = False) -> AdamConfig:
             batch_size=cfg["adam.batch_size"],
             max_iter=cfg["adam.max_iter"],
             seed=seed,
+            average=cfg["adam.average"],
             collect_trace=collect_trace,
         )
     except ValueError as exc:

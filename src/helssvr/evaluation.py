@@ -241,10 +241,14 @@ def grid_search_cv(
     Cells that share a kernel width form one work item: all their folds
     train in one :func:`fit_cells` call, each fold's Gram matrix built once
     and folds of equal size stacked within its budget.  Cell i's
-    fold j trains with the Adam seed ``child_seed(seed, i, j)``, and its
-    numbers are bit-identical to a standalone :func:`fit` with that seed,
-    whatever the grouping.  Work items run one after another: threads
-    measured slower, because each Adam step's Python work holds the GIL.
+    fold j trains with the Adam seed ``child_seed(seed, i, j)``.  Its
+    numbers are bit-identical from run to run for the same grid and
+    ``model.STACK_ROWS``, and agree with a standalone :func:`fit` with that
+    seed to rounding.  Over a long run the last Adam iterate can carry
+    that rounding into another selected cell; with ``average="ema"`` the
+    selection held on every input of the README's seed sweep.  Work items
+    run one after another: threads measured slower, because each Adam
+    step's Python work holds the GIL.
     """
     if selection not in ("best_fold", "mean"):
         raise ValueError(f"selection must be 'best_fold' or 'mean', got {selection!r}")

@@ -30,6 +30,11 @@ _LOG_TINY = np.log(np.finfo(float).tiny)
 #: where the allocator happened to place the Gram.
 _GRAM_ALIGN = 64
 
+#: most bytes one :func:`gram_buffer` may allocate (2 GiB: one Gram of up
+#: to N = 16,383 rows).  A larger request raises before anything is
+#: allocated; raise this to train on larger sets where memory allows.
+GRAM_MAX_BYTES = 1 << 31
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -89,9 +94,19 @@ def kernel_row(spec: KernelSpec, x, X) -> np.ndarray:
 
 def gram_buffer(f: int, n: int) -> np.ndarray:
     """An uninitialized (f, n, n) float array in one buffer, each of whose
-    f matrices starts on a :data:`_GRAM_ALIGN`-byte boundary."""
+    f matrices starts on a :data:`_GRAM_ALIGN`-byte boundary.
+
+    Raises ValueError, before allocating, when the buffer would take more
+    than :data:`GRAM_MAX_BYTES`.
+    """
     align = _GRAM_ALIGN // 8
     stride = -(-n * n // align) * align  # n * n rounded up to whole alignments
+    size = 8 * (f * stride + align)
+    if size > GRAM_MAX_BYTES:
+        raise ValueError(
+            f"a Gram buffer of f={f} matrices of N={n} rows needs {size:,} bytes, "
+            f"more than kernels.GRAM_MAX_BYTES = {GRAM_MAX_BYTES:,}"
+        )
     buf = np.empty(f * stride + align)
     skip = (-buf.ctypes.data % _GRAM_ALIGN) // 8
     return buf[skip : skip + f * stride].reshape(f, stride)[:, : n * n].reshape(f, n, n)

@@ -48,6 +48,8 @@ class TrainedModel:
 class FitReport:
     """Training summary: objective values, iterations, wall times.
 
+    ``final_objective`` is H of the returned coefficients: the averaged
+    iterate under ``AdamConfig.average == "ema"``, else the last one.
     When cells train together (:func:`fit_cells`), the Gram build and each
     optimizer stack's run are timed once and split evenly among the cells
     that share them.
@@ -78,20 +80,26 @@ STACK_ROWS = 32
 #:   fold rows, batch      Grams        one per stack -> stacked    ratio
 #:   ====================  ===========  ==========================  =====
 #:   120, 32               576,000 B    0.29-0.31 s -> 0.12-0.17 s  0.47
-#:   160, 32 (cli_bench)   1,024,000 B  0.29-0.33 s -> 0.16-0.17 s  0.52
+#:   160, 32 (cli_bench)   1,024,000 B  0.31-0.35 s -> 0.15-0.20 s  0.49
 #:   160, full             1,024,000 B  0.29-0.29 s -> 0.15-0.19 s  0.56
 #:   200, 32               1,600,000 B  0.32-0.32 s -> 0.22-0.23 s  0.71
 #:   200, full             1,600,000 B  0.27-0.28 s -> 0.21-0.24 s  0.79
 #:   240, 32               2,304,000 B  0.36-0.47 s -> 0.36-0.48 s  0.85
 #:   240, full             2,304,000 B  0.36-0.39 s -> 0.37-0.40 s  1.05
 #:   280, 32               3,136,000 B  0.36-0.43 s -> 0.40-0.45 s  1.14
-#:   320, full (grid_cv)   4,096,000 B  0.52-0.62 s -> 0.66-0.67 s  1.25
+#:   320, full (grid_cv)   4,096,000 B  0.39-0.42 s -> 0.45-0.46 s  1.17
 #:   ====================  ===========  ==========================  =====
+#:
+#: The two benchmark rows were timed with each fold's two rows as one GEMM
+#: (:func:`helssvr.optimizer.gram_products`); two more rounds gave ratios
+#: of 0.43-0.64 and 1.12-1.32.  The other rows were timed with one GEMV
+#: per row.
 #:
 #: The crossover lies between 1.6 and 2.3 MB.  Any budget from 1,024,000 B
 #: to 4,096,000 B splits the benchmark's shapes alike (160-row folds
 #: stacked, 320-row folds apart); 1 MiB is the conservative choice, on
-#: the side where stacking won every measurement.
+#: the side where stacking won every measurement.  With the GEMM the two
+#: benchmark shapes stay on their sides, so the budget is unchanged.
 STACK_GRAM_BYTES = 1 << 20
 
 
@@ -138,8 +146,11 @@ def fit_cells(sets, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[
     when their sets agree in size (see :func:`_fold_stacks`) and their loss
     kind and Adam settings other than gamma and seed agree, in stacks of at
     most :data:`STACK_ROWS`.  Only one stack's Grams are held at a time, in
-    one buffer.  Every cell's model and objectives are bit-identical to a
-    :func:`fit` of that cell alone.
+    one buffer.  Results are bit-identical for the same cells and
+    :data:`STACK_ROWS`.  A cell that trains as the only row of its set in
+    its stack is bit-identical to a :func:`fit` of that cell alone; one
+    that shares its set's Gram products with other rows agrees with it to
+    rounding (see :func:`helssvr.optimizer.train_adam`).
     """
     sets = [_training_set(X, y) for X, y in sets]
     cells = [(j, loss, C, AdamConfig() if adam is None else adam) for j, loss, C, adam in cells]

@@ -10,8 +10,10 @@ where K is the training Gram matrix and L any loss from
 without replacement; the quadratic term's gradient K alpha is computed
 exactly every step, while the loss-sum gradient is restricted to the
 batch rows.  One call can train several cells (C, loss and Adam settings),
-on one training set or on several of equal size, each bit-identical to a
-run of its own.
+on one training set or on several of equal size.  A cell alone in its
+training set computes exactly what a run of its own does; cells that share
+a set share its Gram products, which agree with a run of their own to
+rounding (see :func:`train_adam`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from .kernels import GramMatrix
 from .losses import LossSpec, loss_derivative, loss_value, stack_losses
 from .seeding import make_rng, sample_without_replacement
 
+#: what :func:`train_adam` returns: the last iterate, or an exponential
+#: moving average of the iterates
+AVERAGES = ("none", "ema")
+
+#: weight of the previous average in ``average="ema"``: avg_t = w avg_{t-1}
+#: + (1 - w) alpha_t, from avg_0 = alpha_0 (Kingma & Ba 2015, section 7.2)
+EMA_WEIGHT = 0.99
+
 
 @dataclass(frozen=True)
 class AdamConfig:
@@ -32,7 +42,9 @@ class AdamConfig:
     Defaults: beta1=0.9, beta2=0.999, delta=1e-8, batch_size=32,
     max_iter=1000, and 0.01 for the initial coefficient and both moment
     vectors.  ``gamma`` is the learning rate; 0.01 is the largest value of
-    the usual search set {1e-4, 1e-3, 1e-2}.
+    the usual search set {1e-4, 1e-3, 1e-2}.  ``average`` is one of
+    :data:`AVERAGES`: ``"ema"`` returns the averaged iterate instead of the
+    last one.
     """
 
     gamma: float = 0.01
@@ -49,6 +61,7 @@ class AdamConfig:
     early_stop: bool = False
     early_stop_tol: float = 1e-10
     early_stop_patience: int = 20
+    average: str = "none"
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -63,6 +76,8 @@ class AdamConfig:
             raise ValueError("adam batch_size must be >= 1")
         if self.max_iter < 1:
             raise ValueError("adam max_iter must be >= 1")
+        if self.average not in AVERAGES:
+            raise ValueError(f"adam average must be one of {AVERAGES}, got {self.average!r}")
 
 
 @dataclass
@@ -157,6 +172,35 @@ def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> 
     return state
 
 
+def gram_products(K, A, out, spans=None) -> None:
+    """Store K[k] @ A[r] in ``out[r]`` for every row r of every set k.
+
+    ``K`` is an (f, n, n) stack of symmetric matrices; ``A`` and ``out``
+    are C-contiguous (m, n) arrays whose rows are grouped by set.
+    ``spans`` lists each set's (k, slice of rows), sets without rows left
+    out; None means f equal groups of m / f rows in set order.
+
+    A set of one row runs as the GEMV K_k @ a, bit for bit the product a
+    one-cell run computes.  A set of several rows runs as one GEMM,
+    A_k @ K_k: that equals K_k applied to each row exactly in real
+    arithmetic, because K_k is symmetric, but the GEMM sums in another
+    order than the GEMV, so the two differ in the last bits.  The result
+    depends only on the set sizes, not on what else is in ``A``.
+    """
+    f, n = K.shape[0], K.shape[-1]
+    if spans is None:
+        if len(A) == f:
+            np.matmul(K, A[:, :, None], out=out[:, :, None])
+        else:
+            np.matmul(A.reshape(f, -1, n), K, out=out.reshape(f, -1, n))
+        return
+    for k, rows in spans:
+        if rows.stop - rows.start == 1:
+            np.matmul(K[k], A[rows.start], out=out[rows.start])
+        else:
+            np.matmul(A[rows], K[k], out=out[rows])
+
+
 @dataclass
 class AdamStack:
     """Final states of the cells one stacked :func:`train_adam` call trained."""
@@ -165,7 +209,7 @@ class AdamStack:
 
     @property
     def t(self) -> int:
-        """Adam steps summed over the cells; each is two GEMVs on the Gram."""
+        """Adam steps summed over the cells; each makes two products with the Gram."""
         return sum(state.t for state in self.states)
 
 
@@ -180,9 +224,14 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     a fixed config (including the seed).
 
     When ``collect_trace`` is set, ``state.trace[t]`` holds H(alpha_t) for
-    t = 0..T.  Optional early stopping ends the run once successive
-    objective values differ by less than ``early_stop_tol`` for
-    ``early_stop_patience`` consecutive iterations.
+    t = 0..T, except that the last entry is H of the returned coefficients
+    (:func:`objective_value`).  Optional early stopping ends the run once
+    successive objective values of the iterates differ by less than
+    ``early_stop_tol`` for ``early_stop_patience`` consecutive iterations.
+    With ``cfg.average == "ema"`` the state's ``alpha`` is the average
+    avg_t = w avg_{t-1} + (1 - w) alpha_t (w = :data:`EMA_WEIGHT`,
+    avg_0 = alpha_0) at the step the run ended, not the last iterate; the
+    moments are the last iterate's.
 
     To train m cells at once, pass ``C`` and ``loss`` as sequences of m
     values, and optionally ``gamma`` and ``seed`` as sequences that replace
@@ -195,12 +244,16 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     The cells' coefficient, moment and residual vectors are stacked as the
     rows of (m, N) arrays, grouped by set, so the elementwise work of a
     step runs once for all of them.  Each cell keeps its own targets,
-    mini-batch draws, trace and early stop.  The products with the Gram
-    matrix run as batched matmuls that are still one GEMV per row: K alpha
-    (and, at full batch, K d) as a broadcast of each set's matrix over its
-    rows, and a mini-batch's K_B^T d on each row's gathered batch rows.  So
-    each cell's numbers are bit-for-bit those of a one-cell run, whatever
-    cells share its stack.
+    mini-batch draws, trace and early stop.  K alpha (and, at full batch,
+    K d) runs through :func:`gram_products`: one GEMM per set, or a GEMV
+    for a set of one row; a mini-batch's K_B^T d is one GEMV per row on
+    its gathered batch rows.  So:
+
+    * a cell alone in its set is bit-identical to a one-cell run;
+    * a run is bit-identical to itself for the same cells in the same
+      stack layout (cells per set, in the same order);
+    * a cell whose set holds several rows differs from a one-cell run by
+      the rounding of the GEMM, which Adam then carries forward.
     """
     if isinstance(loss, LossSpec):
         return train_adam(gram, y, [C], [loss], cfg).states[0]
@@ -235,30 +288,24 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         )
 
     def layout(cells):
-        # each row's set, and the row span of each set: None when every
-        # set holds the same number of rows, so that one broadcast matmul
-        # covers the stack.  The per-set spans alone would serve every
-        # case; the broadcast is kept because it measured faster.  On
-        # cli_bench (five sets of 160 rows, batch 32), 10 alternating
-        # pairs of 35 s runs, 2-core VM: fits_per_ref median 0.2113
-        # [q1 0.2092, q3 0.2164] with the broadcast against 0.1997
-        # [0.1978, 0.2027] with per-set matmuls only; the broadcast won
-        # 9 of 10 pairs.
+        # each row's set, and the row span of each set for gram_products:
+        # None when every set holds the same number of rows, so that one
+        # batched matmul covers the stack.  The per-set spans alone would
+        # serve every case, with the same bits; the batched call is kept
+        # because it measured faster.  Five sets of two rows at n=160
+        # (the cli_bench stack), 1000 steps, 5 alternating pairs, median
+        # of 3 runs each, 2-core VM: 0.143-0.202 s batched against
+        # 0.161-0.208 s per set at batch 32, and 0.116-0.134 s against
+        # 0.127-0.164 s at full batch; batched was faster in every pair.
+        # When every product was a GEMV per row, the broadcast that one
+        # row per set still uses won 9 of 10 pairs of 35 s cli_bench runs
+        # against per-set GEMVs (fits_per_ref median 0.2113 against 0.1997).
         fold_of = np.array([fold[c] for c in cells])
         counts = np.bincount(fold_of, minlength=f)
         if counts.min() == counts.max():
             return fold_of, None
         ends = np.cumsum(counts)
         return fold_of, [(k, slice(e - c, e)) for k, (c, e) in enumerate(zip(counts, ends)) if c]
-
-    def matvec(A, out):
-        # out[r] = K[fold of row r] @ A[r], one GEMV per row; out is a
-        # C-contiguous (m, n) array, so the reshape below is a view
-        if spans is None:
-            np.matmul(K[:, None], A.reshape(f, -1, n, 1), out=out.reshape(f, -1, n, 1))
-        else:
-            for k, rows_k in spans:
-                np.matmul(K[k], A[rows_k, :, None], out=out[rows_k, :, None])
 
     live = sorted(range(rows), key=fold.__getitem__)  # the cell of each stack row
     fold_of, spans = layout(live)
@@ -269,6 +316,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         v=np.full((rows, n), float(cfg.v0)),
         t=0,
     )
+    avg = np.full((rows, n), float(cfg.alpha0)) if cfg.average == "ema" else None
     work = (np.empty((rows, n)), np.empty((rows, n)))  # adam_step's in-place buffers
     Y = Ys[fold_of]
     Kalpha, Kd = np.empty((rows, n)), np.empty((rows, n))
@@ -281,12 +329,18 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     out = [None] * rows
 
     def finish(r, c):
-        out[c] = AdamState(
-            alpha=state.alpha[r].copy(), m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c]
-        )
+        alpha = (state.alpha if avg is None else avg)[r].copy()
+        out[c] = AdamState(alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c])
+        if cfg.collect_trace:
+            # a row that stops early has traced this step's iterate; the
+            # entry becomes that of the returned coefficients
+            if len(traces[c]) > state.t:
+                traces[c].pop()
+            k = fold[c]
+            traces[c].append(objective_value(alpha, GramMatrix(K[k]), Ys[k], C[c], loss[c]))
 
     for step in range(cfg.max_iter):
-        matvec(state.alpha, Kalpha)
+        gram_products(K, state.alpha, Kalpha, spans)
         if track:
             keep = []
             for r, c in enumerate(live):
@@ -306,12 +360,13 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 live = [live[r] for r in keep]
                 fold_of, spans = layout(live)
                 state = AdamState(alpha=state.alpha[keep], m=state.m[keep], v=state.v[keep], t=state.t)
+                avg = None if avg is None else avg[keep]
                 Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
                 Kd, work, row_of = Kd[: len(keep)], tuple(w[: len(keep)] for w in work), row_of[: len(keep)]
                 stack, C_blk, gamma_blk = blocks(live)
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
-            matvec(loss_derivative(stack, Y - Kalpha), Kd)
+            gram_products(K, loss_derivative(stack, Y - Kalpha), Kd, spans)
         else:
             if step % n == 0:
                 # the next n steps' batches (fewer near the end) in one
@@ -328,10 +383,12 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)
         state = adam_step(state, Kd, cfg, gamma=gamma_blk, out=work)
+        if avg is not None:
+            # avg += (1 - w) * (alpha - avg), in adam_step's work buffer
+            a = np.subtract(state.alpha, avg, out=work[0])
+            a *= 1.0 - EMA_WEIGHT
+            avg += a
     else:
         for r, c in enumerate(live):
             finish(r, c)
-            if cfg.collect_trace:
-                k = fold[c]
-                traces[c].append(objective_value(out[c].alpha, GramMatrix(K[k]), Ys[k], C[c], loss[c]))
     return AdamStack(out)

@@ -76,6 +76,16 @@ class TestConfigPrecedence:
             assemble_config(self.parse_train_args({"set": ["adam.max_iter=soon"]}))
 
 
+    def test_adam_average_key(self):
+        from helssvr.cli import ConfigError, build_adam
+
+        assert build_adam(assemble_config(self.parse_train_args({}))).average == "none"
+        cfg = assemble_config(self.parse_train_args({"set": ["adam.average=ema"]}))
+        assert build_adam(cfg).average == "ema"
+        with pytest.raises(ConfigError, match="bad value"):
+            assemble_config(self.parse_train_args({"set": ["adam.average=mean"]}))
+
+
 class TestTrain:
     def test_train_writes_model(self, tmp_path):
         data = tmp_path / "toy.csv"
@@ -413,6 +423,25 @@ class TestRank:
 
 
 class TestBenchIsolatesFailures:
+    def test_gram_over_budget_fails_only_its_work_item(self, tmp_path, monkeypatch):
+        import helssvr.kernels
+
+        # 40 rows: every Gram buffer of the search and the refit fits in
+        # 20,000 bytes; 60 rows: the three 40-row folds' buffer needs 38,464
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", 20_000)
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        write_toy_csv(small, n=40, seed=1)
+        write_toy_csv(large, n=60, seed=2)
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", str(small), str(large), "--target", "y",
+                   "--recipes", "hawkeye", "--outdir", str(outdir), *fast_flags()])
+        assert rc == 1
+        assert [r[:2] for r in read_rows(outdir / "results.csv")[1:]] == [[str(small), "hawkeye"]]
+        failures = read_rows(outdir / "failures.csv")[1:]
+        assert len(failures) == 1 and failures[0][:3] == [str(large), "hawkeye", "ValueError"]
+        assert "f=3 matrices of N=40 rows needs 38,464 bytes" in failures[0][3]
+        assert "GRAM_MAX_BYTES = 20,000" in failures[0][3]
+
     def test_unexpected_exception_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
         import helssvr.cli
 

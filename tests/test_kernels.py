@@ -152,3 +152,36 @@ class TestGramBuffer:
         assert values[1].tobytes() == gram_matrix(spec, X).values.tobytes()
         with pytest.raises(ValueError, match=r"needs an \(9, 9\) output"):
             gram_matrix(spec, X, out=values[:, :8, :8][0])
+
+
+class TestGramBudget:
+    """The memory check runs before anything is allocated."""
+
+    def test_over_budget_raises_before_allocating(self, monkeypatch):
+        import helssvr.kernels
+        from helssvr.kernels import gram_buffer
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        # 3 matrices of 100 x 100 doubles plus the 64-byte alignment slack
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", 3 * 80_000 + 63)
+        monkeypatch.setattr(helssvr.kernels.np, "empty", no_allocation)
+        with pytest.raises(ValueError, match=r"f=3 matrices of N=100 rows needs 240,064 bytes, "
+                                             r"more than kernels.GRAM_MAX_BYTES = 240,063"):
+            gram_buffer(3, 100)
+        # one 174 x 174 Gram: 8 * (174**2 rounded up to 8, plus 8) bytes
+        with pytest.raises(ValueError, match="f=1 matrices of N=174 rows needs 242,304 bytes"):
+            gram_matrix(KernelSpec("rbf", sigma=1.0), np.zeros((174, 1)))
+
+    def test_buffer_at_budget_allocates(self, monkeypatch):
+        import helssvr.kernels
+        from helssvr.kernels import gram_buffer
+
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", 3 * 80_000 + 64)
+        assert gram_buffer(3, 100).shape == (3, 100, 100)
+
+    def test_default_budget_admits_the_benchmark_gram(self):
+        from helssvr.kernels import GRAM_MAX_BYTES
+
+        assert 8 * 2000**2 < GRAM_MAX_BYTES
