@@ -13,6 +13,8 @@ bitwise and the matrix is exactly symmetric.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +32,20 @@ _LOG_TINY = np.log(np.finfo(float).tiny)
 #: where the allocator happened to place the Gram.
 _GRAM_ALIGN = 64
 
-#: most bytes one :func:`gram_buffer` may allocate (2 GiB: one Gram of up
-#: to N = 16,383 rows).  A larger request raises before anything is
-#: allocated; raise this to train on larger sets where memory allows.
-GRAM_MAX_BYTES = 1 << 31
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or sys.maxsize where the system does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+    return pages * page_size if pages > 0 and page_size > 0 else sys.maxsize
+
+
+#: most bytes one :func:`gram_buffer` may allocate: the machine's physical
+#: memory, so a request that could never fit raises before anything is
+#: allocated instead of failing in the allocator or swapping
+GRAM_MAX_BYTES = _physical_memory()
 
 
 @dataclass(frozen=True)

@@ -80,20 +80,20 @@ STACK_ROWS = 32
 #:   fold rows, batch      Grams        one per stack -> stacked    ratio
 #:   ====================  ===========  ==========================  =====
 #:   120, 32               576,000 B    0.29-0.31 s -> 0.12-0.17 s  0.47
-#:   160, 32 (cli_bench)   1,024,000 B  0.31-0.35 s -> 0.15-0.20 s  0.49
+#:   160, 32 (cli_bench)   1,024,000 B  0.34-0.35 s -> 0.20-0.20 s  0.58
 #:   160, full             1,024,000 B  0.29-0.29 s -> 0.15-0.19 s  0.56
 #:   200, 32               1,600,000 B  0.32-0.32 s -> 0.22-0.23 s  0.71
 #:   200, full             1,600,000 B  0.27-0.28 s -> 0.21-0.24 s  0.79
 #:   240, 32               2,304,000 B  0.36-0.47 s -> 0.36-0.48 s  0.85
 #:   240, full             2,304,000 B  0.36-0.39 s -> 0.37-0.40 s  1.05
 #:   280, 32               3,136,000 B  0.36-0.43 s -> 0.40-0.45 s  1.14
-#:   320, full (grid_cv)   4,096,000 B  0.39-0.42 s -> 0.45-0.46 s  1.17
+#:   320, full (grid_cv)   4,096,000 B  0.43-0.44 s -> 0.56-0.57 s  1.30
 #:   ====================  ===========  ==========================  =====
 #:
 #: The two benchmark rows were timed with each fold's two rows as one GEMM
-#: (:func:`helssvr.optimizer.gram_products`); two more rounds gave ratios
-#: of 0.43-0.64 and 1.12-1.32.  The other rows were timed with one GEMV
-#: per row.
+#: per fold (:func:`helssvr.optimizer.gram_products`); two more rounds gave
+#: ratios of 0.56-0.59 and 1.26-1.41.  The other rows were timed with one
+#: GEMV per row.
 #:
 #: The crossover lies between 1.6 and 2.3 MB.  Any budget from 1,024,000 B
 #: to 4,096,000 B splits the benchmark's shapes alike (160-row folds

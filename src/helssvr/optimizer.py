@@ -178,7 +178,7 @@ def gram_products(K, A, out, spans=None) -> None:
     ``K`` is an (f, n, n) stack of symmetric matrices; ``A`` and ``out``
     are C-contiguous (m, n) arrays whose rows are grouped by set.
     ``spans`` lists each set's (k, slice of rows), sets without rows left
-    out; None means f equal groups of m / f rows in set order.
+    out; None means one row per set, in set order.
 
     A set of one row runs as the GEMV K_k @ a, bit for bit the product a
     one-cell run computes.  A set of several rows runs as one GEMM,
@@ -187,12 +187,8 @@ def gram_products(K, A, out, spans=None) -> None:
     order than the GEMV, so the two differ in the last bits.  The result
     depends only on the set sizes, not on what else is in ``A``.
     """
-    f, n = K.shape[0], K.shape[-1]
     if spans is None:
-        if len(A) == f:
-            np.matmul(K, A[:, :, None], out=out[:, :, None])
-        else:
-            np.matmul(A.reshape(f, -1, n), K, out=out.reshape(f, -1, n))
+        np.matmul(K, A[:, :, None], out=out[:, :, None])
         return
     for k, rows in spans:
         if rows.stop - rows.start == 1:
@@ -289,20 +285,15 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
 
     def layout(cells):
         # each row's set, and the row span of each set for gram_products:
-        # None when every set holds the same number of rows, so that one
-        # batched matmul covers the stack.  The per-set spans alone would
-        # serve every case, with the same bits; the batched call is kept
-        # because it measured faster.  Five sets of two rows at n=160
-        # (the cli_bench stack), 1000 steps, 5 alternating pairs, median
-        # of 3 runs each, 2-core VM: 0.143-0.202 s batched against
-        # 0.161-0.208 s per set at batch 32, and 0.116-0.134 s against
-        # 0.127-0.164 s at full batch; batched was faster in every pair.
-        # When every product was a GEMV per row, the broadcast that one
-        # row per set still uses won 9 of 10 pairs of 35 s cli_bench runs
-        # against per-set GEMVs (fits_per_ref median 0.2113 against 0.1997).
+        # None when every set holds one row, so that one broadcast matmul
+        # makes all the GEMVs.  The per-set spans alone would serve that
+        # case too, with the same bits; but when every product was a GEMV
+        # per row, the broadcast won 9 of 10 pairs of 35 s cli_bench runs
+        # against per-set matmuls (fits_per_ref median 0.2113 against
+        # 0.1997, 2-core VM).  Sets of several rows take one GEMM per span.
         fold_of = np.array([fold[c] for c in cells])
         counts = np.bincount(fold_of, minlength=f)
-        if counts.min() == counts.max():
+        if counts.min() == counts.max() == 1:
             return fold_of, None
         ends = np.cumsum(counts)
         return fold_of, [(k, slice(e - c, e)) for k, (c, e) in enumerate(zip(counts, ends)) if c]

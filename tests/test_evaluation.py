@@ -524,7 +524,18 @@ class TestAveragedSelectionIsLayoutStable:
     The grid keeps the sweep's sigma=1 cells only, the width all three
     select in every run of the sweep, and the cells between which their
     selection moved.
+
+    The selected cell is a measured result of one build (OpenBLAS 0.3.31),
+    not a bound: there the selected cell leads the runner-up by 1.2e-4,
+    8.6e-5 and 2.6e-4 relative, while each cell's statistic moves by at
+    most 7.8e-5, 4.7e-5 and 1.4e-5 between layouts; without averaging the
+    largest moves are 3.5e-3 to 6.4e-3, more than the gap.  What
+    averaging guarantees more robustly is that smaller movement, which
+    ``STAT_RTOL`` checks with a wide margin on both sides.
     """
+
+    #: largest relative change of a cell's statistic between layouts
+    STAT_RTOL = 1e-3
 
     @pytest.mark.parametrize("seed", [105, 107, 205])
     def test_selected_cell_same_for_one_row_stacks_and_default(self, monkeypatch, seed):
@@ -542,4 +553,6 @@ class TestAveragedSelectionIsLayoutStable:
         stacked = search()
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", 1)
         one_row = search()
+        for a, b in zip(stacked.cells, one_row.cells):
+            assert abs(a.stat - b.stat) <= self.STAT_RTOL * b.stat
         assert stacked.best_params == one_row.best_params

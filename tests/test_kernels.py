@@ -185,3 +185,16 @@ class TestGramBudget:
         from helssvr.kernels import GRAM_MAX_BYTES
 
         assert 8 * 2000**2 < GRAM_MAX_BYTES
+
+    def test_default_budget_is_physical_memory(self, monkeypatch):
+        import os
+        import sys
+
+        from helssvr.kernels import GRAM_MAX_BYTES, _physical_memory
+
+        assert GRAM_MAX_BYTES == _physical_memory()
+        if hasattr(os, "sysconf"):
+            assert GRAM_MAX_BYTES == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        # a system that does not report its memory sets no limit
+        monkeypatch.delattr(os, "sysconf", raising=False)
+        assert _physical_memory() == sys.maxsize
