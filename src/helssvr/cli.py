@@ -284,6 +284,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     print(f"training samples    : {ds.n} (rejected rows: {report.rows_rejected})")
     print(f"final objective     : {fit_report.final_objective:.6g}")
     print(f"iterations          : {fit_report.iterations}")
+    print(f"stop reason         : {fit_report.stop_reason}")
     print(f"fit seconds         : {fit_report.wall_time_seconds:.4f}")
     print(f"gram seconds        : {fit_report.gram_seconds:.4f}")
     return 0

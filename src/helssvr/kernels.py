@@ -6,9 +6,12 @@ zero: subnormal operands make every later floating-point operation on them
 much slower, and a term that small cannot move a sum of normal-sized terms.
 The flush acts on the exponent (arguments below log(2.2e-308) become -inf),
 which also spares exp() its slow underflow path.
-Gram matrices are stored dense and row-major (8 * N^2 bytes); every row is
-produced by the same code path as :func:`kernel_row`, so the two agree
-bitwise and the matrix is exactly symmetric.
+Gram matrices are stored dense and row-major (8 * N^2 bytes).  Gram builds
+and prediction both evaluate kernel rows a block of :func:`block_rows`
+points at a time through :func:`kernel_row`; each row of a block is
+bit-identical to the row of its point alone, so a Gram row, a prediction's
+kernel row and :func:`kernel_row` of one point agree bitwise, and the
+matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ def _physical_memory() -> int:
 #: memory, so a request that could never fit raises before anything is
 #: allocated instead of failing in the allocator or swapping
 GRAM_MAX_BYTES = _physical_memory()
+
+#: most bytes of the largest temporary one block of kernel rows makes (an
+#: RBF block's (b, n, d) differences), so that a block stays in the per-core
+#: L2 cache.  Per-point rows cost a Python call each: a 20,000-row predict
+#: against 2000 training rows (d = 1) took a median 0.45 s that way and
+#: 0.22 s in blocks of this size (10 runs each, 2-core Xeon VM).
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -87,21 +97,59 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def kernel_row(spec: KernelSpec, x, X) -> np.ndarray:
-    """Kernel values of one point ``x`` against every row of ``X``."""
+def block_rows(n: int, d: int) -> int:
+    """Points per block of :func:`kernel_row` against n training rows of d
+    features: as many as keep the block's temporaries within
+    :data:`BLOCK_BYTES`, and at least one."""
+    return max(1, BLOCK_BYTES // (8 * n * d))
+
+
+def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
+    """Kernel values of one point ``x`` against every row of ``X``, or of
+    each point of a 2-d block ``x`` of b points.
+
+    One point gives an (n,) row, a block a (b, n) array of rows; either is
+    written into ``out`` when given, an array of that shape.  Each row of a
+    block is bit-identical to the row of its point alone: the RBF kernel
+    makes the same elementwise operations and per-row sums, and the linear
+    kernel keeps one matrix-vector product per point (a matrix product
+    would sum in another order).
+    """
     X = _as_matrix(X)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != X.shape[1]:
+    x = np.asarray(x, dtype=float)
+    Q = x if x.ndim == 2 else x.reshape(1, -1)
+    if Q.shape[1] != X.shape[1]:
         raise ValueError(
-            f"dimension mismatch: point has {x.shape[0]} features, matrix has {X.shape[1]}"
+            f"dimension mismatch: point has {Q.shape[1]} features, matrix has {X.shape[1]}"
         )
+    shape = (Q.shape[0], X.shape[0]) if x.ndim == 2 else (X.shape[0],)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"kernel rows of shape {shape} need an output of that shape, got {out.shape}")
+    rows = out.reshape(Q.shape[0], X.shape[0])
     if spec.kind == LINEAR:
-        return X @ x
-    diff = X - x
-    sq = np.einsum("ij,ij->i", diff, diff)
-    arg = -sq / (spec.sigma * spec.sigma)
-    arg[arg < _LOG_TINY] = -np.inf
-    return np.exp(arg, out=arg)
+        for q, row in zip(Q, rows):
+            np.matmul(X, q, out=row)
+        return out
+    diff = X[None] - Q[:, None]
+    np.einsum("bij,bij->bi", diff, diff, out=rows)
+    rows /= -(spec.sigma * spec.sigma)
+    rows[rows < _LOG_TINY] = -np.inf
+    np.exp(rows, out=rows)
+    return out
+
+
+def _gram_stride(n: int) -> int:
+    """Elements from one matrix of a :func:`gram_buffer` to the next: n * n
+    rounded up to whole alignments."""
+    align = _GRAM_ALIGN // 8
+    return -(-n * n // align) * align
+
+
+def gram_buffer_bytes(f: int, n: int) -> int:
+    """Bytes :func:`gram_buffer` allocates for f matrices of n rows."""
+    return 8 * (f * _gram_stride(n) + _GRAM_ALIGN // 8)
 
 
 def gram_buffer(f: int, n: int) -> np.ndarray:
@@ -111,9 +159,8 @@ def gram_buffer(f: int, n: int) -> np.ndarray:
     Raises ValueError, before allocating, when the buffer would take more
     than :data:`GRAM_MAX_BYTES`.
     """
-    align = _GRAM_ALIGN // 8
-    stride = -(-n * n // align) * align  # n * n rounded up to whole alignments
-    size = 8 * (f * stride + align)
+    align, stride = _GRAM_ALIGN // 8, _gram_stride(n)
+    size = gram_buffer_bytes(f, n)
     if size > GRAM_MAX_BYTES:
         raise ValueError(
             f"a Gram buffer of f={f} matrices of N={n} rows needs {size:,} bytes, "
@@ -127,11 +174,11 @@ def gram_buffer(f: int, n: int) -> np.ndarray:
 def gram_matrix(spec: KernelSpec, X, out=None) -> GramMatrix:
     """Pairwise kernel matrix of the rows of ``X``.
 
-    Rows are filled one at a time through :func:`kernel_row`; construction
-    is single-threaded and deterministic.  The matrix is written into
-    ``out``, an (n, n) array such as one matrix of a :func:`gram_buffer`,
-    or else into a new one that starts on a :data:`_GRAM_ALIGN`-byte
-    boundary.
+    Rows are filled a block of :func:`block_rows` at a time through
+    :func:`kernel_row`; construction is single-threaded and deterministic.
+    The matrix is written into ``out``, an (n, n) array such as one matrix
+    of a :func:`gram_buffer`, or else into a new one that starts on a
+    :data:`_GRAM_ALIGN`-byte boundary.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -140,6 +187,7 @@ def gram_matrix(spec: KernelSpec, X, out=None) -> GramMatrix:
     values = gram_buffer(1, n)[0] if out is None else out
     if values.shape != (n, n):
         raise ValueError(f"gram matrix of {n} samples needs an ({n}, {n}) output, got {values.shape}")
-    for i in range(n):
-        values[i] = kernel_row(spec, X[i], X)
+    step = block_rows(*X.shape)
+    for lo in range(0, n, step):
+        kernel_row(spec, X[lo : lo + step], X, out=values[lo : lo + step])
     return GramMatrix(values)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import kernels
 from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
-from .kernels import GramMatrix, KernelSpec, gram_buffer, gram_matrix, kernel_row
+from .kernels import GramMatrix, KernelSpec, block_rows, gram_buffer, gram_matrix, kernel_row
 from .losses import LossSpec
 from .optimizer import AdamConfig, objective_value, train_adam
 
@@ -46,10 +47,14 @@ class TrainedModel:
 
 @dataclass
 class FitReport:
-    """Training summary: objective values, iterations, wall times.
+    """Training summary: objective values, iterations, why training
+    stopped, wall times.
 
     ``final_objective`` is H of the returned coefficients: the averaged
     iterate under ``AdamConfig.average == "ema"``, else the last one.
+    ``stop_reason`` is ``"max_iter"`` when all ``AdamConfig.max_iter`` steps
+    ran, or ``"early_stop"`` when the early-stopping rule ended the run
+    after ``iterations`` steps.
     When cells train together (:func:`fit_cells`), the Gram build and each
     optimizer stack's run are timed once and split evenly among the cells
     that share them.
@@ -58,6 +63,7 @@ class FitReport:
     final_objective: float
     initial_objective: float
     iterations: int
+    stop_reason: str
     wall_time_seconds: float
     gram_seconds: float
     trace: list[float] | None = None
@@ -107,8 +113,9 @@ def _fold_stacks(sizes) -> list[list[int]]:
     """The training sets, by index, whose cells share each optimizer stack.
 
     ``sizes`` gives each set's row count.  Only sets of equal size share a
-    stack, in index order, as many as :data:`STACK_GRAM_BYTES` and
-    :data:`STACK_ROWS` allow (at least one).
+    stack, in index order, as many as :data:`STACK_GRAM_BYTES`,
+    :data:`STACK_ROWS` and a Gram buffer within
+    :data:`helssvr.kernels.GRAM_MAX_BYTES` allow (at least one).
     """
     by_size: dict = {}
     for j, n in enumerate(sizes):
@@ -116,6 +123,8 @@ def _fold_stacks(sizes) -> list[list[int]]:
     stacks = []
     for n, sets in by_size.items():
         per = max(1, min(STACK_GRAM_BYTES // (8 * n * n), STACK_ROWS))
+        while per > 1 and kernels.gram_buffer_bytes(per, n) > kernels.GRAM_MAX_BYTES:
+            per -= 1
         stacks.extend(sets[k : k + per] for k in range(0, len(sets), per))
     return stacks
 
@@ -219,6 +228,7 @@ def _fit_group(sets, group, kernel, cells, cells_of, scaling, out) -> None:
                     final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
                     initial_objective=objective_value(alpha0, gram_k, ys[k], C, loss),
                     iterations=state.t,
+                    stop_reason="max_iter" if state.t == adam.max_iter else "early_stop",
                     wall_time_seconds=wall,
                     gram_seconds=gram_seconds,
                     trace=state.trace,
@@ -249,9 +259,10 @@ def predict_cells(models, X_new) -> list[np.ndarray]:
 
     The models must share their training inputs and scaling (the same
     objects, as the models of one training set of :func:`fit_cells` do)
-    and their kernel.  Each new sample's kernel row is computed once, and
-    each raw prediction is that row's dot product with one model's
-    coefficients, so every model's predictions are bit-identical to
+    and their kernel.  Each new sample's kernel row is computed once, in
+    blocks of :func:`helssvr.kernels.block_rows` samples that reuse one
+    buffer, and each raw prediction is that row's dot product with one
+    model's coefficients, so every model's predictions are bit-identical to
     :func:`predict` of it alone.  Predictions are in original target units.
     """
     models = list(models)
@@ -272,11 +283,15 @@ def predict_cells(models, X_new) -> list[np.ndarray]:
         row, col = np.argwhere(bad)[0]
         raise ValueError(f"features must be finite: row {row}, column {col} is {X_new[row, col]!r}")
     Xs = scale_features(first.scaling, X_new)
+    step = block_rows(*first.X_train.shape)
+    block = np.empty((min(step, Xs.shape[0]), first.X_train.shape[0]))
     raw = np.empty((len(models), Xs.shape[0]))
-    for i in range(Xs.shape[0]):
-        row = kernel_row(first.kernel, Xs[i], first.X_train)
-        for c, model in enumerate(models):
-            raw[c, i] = row @ model.alpha
+    for lo in range(0, Xs.shape[0], step):
+        queries = Xs[lo : lo + step]
+        rows = kernel_row(first.kernel, queries, first.X_train, out=block[: queries.shape[0]])
+        for i, row in enumerate(rows, lo):
+            for c, model in enumerate(models):
+                raw[c, i] = row @ model.alpha
     return [inverse_target(first.scaling, r) for r in raw]
 
 

@@ -87,7 +87,7 @@ class TestConfigPrecedence:
 
 
 class TestTrain:
-    def test_train_writes_model(self, tmp_path):
+    def test_train_writes_model(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
         out = tmp_path / "model.json"
@@ -95,6 +95,26 @@ class TestTrain:
                    "--set", "adam.max_iter=100"])
         assert rc == 0
         assert out.exists()
+        printed = capsys.readouterr().out
+        assert "iterations          : 100\n" in printed
+        assert "stop reason         : max_iter\n" in printed
+
+    def test_train_prints_early_stop(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import helssvr.cli
+
+        # the config has no early-stopping keys; turn it on in the Adam
+        # settings the command builds
+        build_adam = helssvr.cli.build_adam
+        monkeypatch.setattr(helssvr.cli, "build_adam", lambda *a, **kw: dataclasses.replace(
+            build_adam(*a, **kw), early_stop=True, early_stop_tol=1e-2, early_stop_patience=3))
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"),
+                   "--set", "adam.max_iter=500", "--set", "adam.batch_size=1000"])
+        assert rc == 0
+        assert "stop reason         : early_stop\n" in capsys.readouterr().out
 
     def test_invalid_loss_parameter_exit_2(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
@@ -427,7 +447,8 @@ class TestBenchIsolatesFailures:
         import helssvr.kernels
 
         # 40 rows: every Gram buffer of the search and the refit fits in
-        # 20,000 bytes; 60 rows: the three 40-row folds' buffer needs 38,464
+        # 20,000 bytes; 60 rows: the search's 40-row folds train one per
+        # stack (12,864 bytes each), and the 60-row refit needs 28,864
         monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", 20_000)
         small, large = tmp_path / "small.csv", tmp_path / "large.csv"
         write_toy_csv(small, n=40, seed=1)
@@ -439,7 +460,7 @@ class TestBenchIsolatesFailures:
         assert [r[:2] for r in read_rows(outdir / "results.csv")[1:]] == [[str(small), "hawkeye"]]
         failures = read_rows(outdir / "failures.csv")[1:]
         assert len(failures) == 1 and failures[0][:3] == [str(large), "hawkeye", "ValueError"]
-        assert "f=3 matrices of N=40 rows needs 38,464 bytes" in failures[0][3]
+        assert "f=1 matrices of N=60 rows needs 28,864 bytes" in failures[0][3]
         assert "GRAM_MAX_BYTES = 20,000" in failures[0][3]
 
     def test_unexpected_exception_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):

@@ -498,10 +498,26 @@ GOLDEN_SEARCH = {
 class TestGoldenSearch:
     @pytest.mark.parametrize("batch_size", [8, 1000])
     def test_search_matches_recorded_values(self, batch_size):
+        assert self.search(batch_size) == GOLDEN_SEARCH[batch_size]
+
+    def test_gram_budget_below_the_stack_splits_it(self, monkeypatch):
+        # the two 21-row training sets share a stack whose buffer needs
+        # 7,232 bytes; under a budget that admits one 21-row Gram (3,648
+        # bytes) they train apart, with the same per-set layout and results
+        import helssvr.kernels
+        from helssvr.kernels import gram_buffer_bytes
+
+        budget = gram_buffer_bytes(2, 21) - 1
+        assert gram_buffer_bytes(1, 21) <= budget
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", budget)
+        assert self.search(8) == GOLDEN_SEARCH[8]
+
+    @staticmethod
+    def search(batch_size):
         grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), k=3)
         adam = fast_adam(max_iter=60, batch_size=batch_size, early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)
         res = grid_search_cv(toy_dataset(n=31, seed=3), grid, recipe_from_name("hawkeye"), seed=7, adam=adam, scaling="zscore")
-        got = [
+        return [
             (
                 tuple(r.hex() for r in cell.fold_rmse),
                 tuple(r.initial_objective.hex() for r in cell.fold_reports),
@@ -510,7 +526,6 @@ class TestGoldenSearch:
             )
             for cell in res.cells
         ]
-        assert got == GOLDEN_SEARCH[batch_size]
 
 
 class TestAveragedSelectionIsLayoutStable:

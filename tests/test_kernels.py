@@ -104,6 +104,75 @@ class TestGram:
         assert np.array_equal(g.values, np.eye(3))
 
 
+def per_point_row(spec, x, X):
+    """One kernel row, written out as the per-point loop computed it before
+    rows were evaluated in blocks: the reference for every blocked row."""
+    if spec.kind == "linear":
+        return X @ x
+    diff = X - x
+    arg = -np.einsum("ij,ij->i", diff, diff) / (spec.sigma * spec.sigma)
+    arg[arg < np.log(np.finfo(float).tiny)] = -np.inf
+    return np.exp(arg)
+
+
+class TestBlockedRows:
+    """Kernel rows evaluated a block at a time agree bit for bit with the
+    per-point formula, whatever the block size."""
+
+    SPECS = (KernelSpec("rbf", sigma=0.7), KernelSpec("linear"))
+
+    @staticmethod
+    def blocks_of(monkeypatch, rows, n, d):
+        import helssvr.kernels
+
+        monkeypatch.setattr(helssvr.kernels, "BLOCK_BYTES", rows * 8 * n * d)
+        assert helssvr.kernels.block_rows(n, d) == rows
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_block_rows_match_per_point_rows(self, spec, d):
+        rng = np.random.default_rng(d)
+        X, Q = rng.normal(size=(11, d)), rng.normal(size=(8, d))
+        block = kernel_row(spec, Q, X)
+        assert block.shape == (8, 11)
+        out = np.empty((8, 11))
+        assert kernel_row(spec, Q, X, out=out) is out
+        one = kernel_row(spec, Q[2], X)
+        assert one.shape == (11,)
+        assert one.tobytes() == per_point_row(spec, Q[2], X).tobytes()
+        for q, got, written in zip(Q, block, out):
+            assert got.tobytes() == written.tobytes() == per_point_row(spec, q, X).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_gram_in_several_blocks_matches_per_point_rows(self, monkeypatch, spec, d):
+        # 3 rows per block over 11 rows: blocks of 3, 3, 3 and a partial 2
+        X = np.random.default_rng(10 + d).normal(size=(11, d))
+        self.blocks_of(monkeypatch, 3, 11, d)
+        g = gram_matrix(spec, X).values
+        for i in range(11):
+            assert g[i].tobytes() == per_point_row(spec, X[i], X).tobytes()
+
+    def test_flushed_arguments_give_exact_zeros(self, monkeypatch):
+        # at sigma=0.1 pairs further apart than about 2.7 are flushed
+        X = np.random.default_rng(9).uniform(0.0, 3.0, size=(13, 3))
+        spec = KernelSpec("rbf", sigma=0.1)
+        self.blocks_of(monkeypatch, 4, 13, 3)
+        g = gram_matrix(spec, X).values
+        off = g[~np.eye(13, dtype=bool)]
+        assert np.all(np.diag(g) == 1.0) and np.count_nonzero(off == 0.0) > 0 and np.count_nonzero(off) > 0
+        assert not np.any((g > 0) & (g < np.finfo(float).tiny))
+        for i in range(13):
+            assert g[i].tobytes() == per_point_row(spec, X[i], X).tobytes()
+
+    def test_output_shape_checked(self):
+        spec = KernelSpec("rbf", sigma=1.0)
+        with pytest.raises(ValueError, match=r"need an output of that shape, got \(3, 4\)"):
+            kernel_row(spec, np.zeros((3, 2)), np.zeros((5, 2)), out=np.empty((3, 4)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kernel_row(spec, np.zeros((3, 3)), np.zeros((5, 2)))
+
+
 class TestSubnormalFlush:
     def test_narrow_rbf_gram_has_no_subnormal_entries(self):
         # at sigma=0.1 on z-scored data most pairs lie far enough apart

@@ -15,6 +15,7 @@ from helssvr.model import (
     save_model,
 )
 from helssvr.optimizer import AdamConfig
+from test_kernels import per_point_row
 
 
 # Stated tolerance of a short run (up to 200 Adam steps) between stack
@@ -35,6 +36,7 @@ def assert_matches_fit(model, report, alone, alone_report, exact):
         assert report.final_objective == pytest.approx(alone_report.final_objective, rel=SHORT_RUN_RTOL, abs=0)
     assert report.initial_objective == alone_report.initial_objective
     assert report.iterations == alone_report.iterations
+    assert report.stop_reason == alone_report.stop_reason
 
 
 def rbf(sigma=1.0):
@@ -126,6 +128,17 @@ class TestFit:
             dn[j] -= h
             fd = (objective_value(up, gram, y, 2.0, loss) - objective_value(dn, gram, y, 2.0, loss)) / (2 * h)
             assert abs(g[j] - fd) <= max(1e-5, 1e-4 * abs(fd))
+
+
+    def test_stop_reason_names_how_training_ended(self):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1, 1, (20, 1))
+        y = np.sin(3 * X[:, 0])
+        _, full = fit(X, y, rbf(), hawkeye(), C=10.0, adam=AdamConfig(max_iter=30, seed=0))
+        assert (full.stop_reason, full.iterations) == ("max_iter", 30)
+        stop = AdamConfig(max_iter=500, seed=0, early_stop=True, early_stop_tol=1e-2, early_stop_patience=3)
+        _, early = fit(X, y, rbf(), hawkeye(), C=10.0, adam=stop)
+        assert early.stop_reason == "early_stop" and early.iterations < 500
 
 
 class TestPredict:
@@ -336,6 +349,18 @@ class TestFoldStacks:
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", 2)
         assert _fold_stacks([160] * 5) == [[0, 1], [2, 3], [4]]
 
+    def test_gram_budget_caps_the_sets(self, monkeypatch):
+        import helssvr.kernels
+        from helssvr.kernels import gram_buffer_bytes
+        from helssvr.model import _fold_stacks
+
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(2, 160))
+        assert _fold_stacks([160] * 5) == [[0, 1], [2, 3], [4]]
+        # a budget below one Gram still gives each set a stack, whose
+        # buffer then raises
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(1, 160) - 1)
+        assert _fold_stacks([160] * 5) == [[0], [1], [2], [3], [4]]
+
 
 class TestFitCellsAcrossSets:
     def sets(self):
@@ -404,6 +429,47 @@ class TestPredictCells:
         assert len(got) == 4
         for model, pred in zip(models, got):
             assert pred.tobytes() == predict(model, X_new).tobytes()
+
+    @pytest.mark.parametrize("spec", [rbf(0.6), KernelSpec("linear")], ids=lambda s: s.kind)
+    def test_blocks_match_per_point_rows(self, monkeypatch, spec):
+        import helssvr.kernels
+        from helssvr.data import ScalingState
+        from helssvr.model import predict_cells
+
+        rng = np.random.default_rng(81)
+        X = rng.uniform(-1, 1, (9, 3))
+        X.flags.writeable = False
+        scaling = ScalingState(mode="none")
+        models = [TrainedModel(rng.normal(size=9), X, spec, hawkeye(), 1.0, scaling) for _ in range(2)]
+        # 3 queries per block: 8 queries make blocks of 3, 3 and 2
+        monkeypatch.setattr(helssvr.kernels, "BLOCK_BYTES", 3 * 8 * 9 * 3)
+        for Q in (rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, (1, 3))):
+            got = predict_cells(models, Q)
+            for model, pred in zip(models, got):
+                rows = [per_point_row(spec, q, X) for q in Q]
+                assert pred.tobytes() == np.array([row @ model.alpha for row in rows]).tobytes()
+
+    def test_wide_data_allocates_about_one_block(self):
+        import tracemalloc
+
+        from helssvr.data import ScalingState
+        from helssvr.kernels import BLOCK_BYTES
+
+        rng = np.random.default_rng(82)
+        n, d, queries = 500, 50, 2000
+        X = rng.uniform(-1, 1, (n, d))
+        X.flags.writeable = False
+        model = TrainedModel(rng.normal(size=n), X, rbf(3.0), hawkeye(), 1.0, ScalingState(mode="none"))
+        Q = rng.uniform(-1, 1, (queries, d))
+        tracemalloc.start()
+        try:
+            pred = predict(model, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the scaled copy of the queries, the raw and the unscaled
+        # predictions, and the block's (b, n, d) differences and (b, n) rows
+        assert peak <= Q.nbytes + 2 * pred.nbytes + 2 * BLOCK_BYTES
 
     def test_models_must_share_inputs(self):
         from helssvr.model import predict_cells
