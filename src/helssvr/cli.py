@@ -101,6 +101,9 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "adam.batch_size": (32, int),
     "adam.max_iter": (1000, int),
     "adam.seed": (None, _parse_optional_int),
+    "adam.early_stop": (False, _parse_bool),
+    "adam.early_stop_tol": (1e-10, float),
+    "adam.early_stop_patience": (20, int),
     "adam.average": ("none", _parse_choice(*AVERAGES)),
     "grid.C": ((1.0, 100.0, 10000.0), _parse_float_list),
     "grid.sigma": ((0.1, 1.0, 10.0), _parse_float_list),
@@ -221,6 +224,9 @@ def build_adam(cfg: RunConfig, collect_trace: bool = False) -> AdamConfig:
             batch_size=cfg["adam.batch_size"],
             max_iter=cfg["adam.max_iter"],
             seed=seed,
+            early_stop=cfg["adam.early_stop"],
+            early_stop_tol=cfg["adam.early_stop_tol"],
+            early_stop_patience=cfg["adam.early_stop_patience"],
             average=cfg["adam.average"],
             collect_trace=collect_trace,
         )

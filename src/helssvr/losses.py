@@ -133,6 +133,8 @@ class LossSpec:
                 raise ValueError("hawkeye loss requires a > 0")
             if self.lam <= 0:
                 raise ValueError("hawkeye loss requires lam > 0")
+            if not np.isfinite(self.lam * self.a):
+                raise ValueError("hawkeye loss requires a finite lam * a")
         elif kind in (INSENSITIVE,):
             if self.epsilon < 0:
                 raise ValueError("insensitive loss requires epsilon >= 0")
@@ -182,6 +184,8 @@ class LossStack:
     lam: np.ndarray | None = None
     theta: np.ndarray | None = None
     t: np.ndarray | None = None
+    #: hawkeye only: the block lam * a, the derivative's scale
+    lam_a: np.ndarray | None = None
 
 
 def stack_losses(specs, width: int) -> LossStack:
@@ -194,6 +198,8 @@ def stack_losses(specs, width: int) -> LossStack:
         name: np.repeat(np.array([[getattr(spec, name)] for spec in specs], dtype=float), width, axis=1)
         for name in _REQUIRED_PARAMS[kind]
     }
+    if kind == HAWKEYE:
+        blocks["lam_a"] = blocks["lam"] * blocks["a"]
     return LossStack(kind, **blocks)
 
 
@@ -210,12 +216,13 @@ def _check_residual(r):
 
 
 def _hawkeye_value(spec, m):
-    # Outside the band: lam * (1 - (u + 1) * e^{-u}) with u = a * (|r| - eps).
-    # u >= 0 there, so the exponent never overflows; for huge u the product
-    # (u + 1) * e^{-u} underflows gracefully to 0 and the loss saturates at lam.
-    u = spec.a * (m - spec.epsilon)
-    out = np.where(m < spec.epsilon, 0.0, spec.lam * (1.0 - (np.maximum(u, 0.0) + 1.0) * np.exp(-np.maximum(u, 0.0))))
-    return out
+    # lam * (1 - (up + 1) * e^{-up}) with up = max(a * (|r| - eps), 0).  up >=
+    # 0, so the exponent never overflows; for huge up the product
+    # (up + 1) * e^{-up} underflows gracefully to 0 and the loss saturates at
+    # lam.  Inside the band up is +0.0, which makes the loss exactly +0.0
+    # there with no select.
+    up = np.maximum(spec.a * (m - spec.epsilon), 0.0)
+    return spec.lam * (1.0 - (up + 1.0) * np.exp(-up))
 
 
 def _least_squares_value(spec, m):
@@ -283,16 +290,31 @@ _VALUE_FNS = {
 
 
 # ---------------------------------------------------------------------------
-# Derivatives.  Helpers return dL/d|r|; the dispatcher multiplies by sign(r),
-# which gives the odd symmetry of dL/dr exactly and picks the 0 subgradient
-# at r = 0 for the kinds with a kink there.  Non-smooth kinds return 0 at
-# every kink point (strict inequalities on both sides).
+# Derivatives.  dL/dr is sign(r) times dL/d|r|, which gives the odd symmetry
+# of dL/dr exactly and picks the 0 subgradient at r = 0 for the kinds with a
+# kink there.  Non-smooth kinds return 0 at every kink point (strict
+# inequalities on both sides).  The hawkeye derivative is computed in the
+# output array plus one scratch block; the other helpers return dL/d|r| and
+# the dispatcher multiplies it by sign(r) into the output.
 
 
-def _hawkeye_deriv(spec, m):
-    u = spec.a * (m - spec.epsilon)
-    up = np.maximum(u, 0.0)
-    return np.where(m <= spec.epsilon, 0.0, spec.lam * spec.a * up * np.exp(-up))
+def _hawkeye_deriv(spec, r, out):
+    # (((lam * a) * up) * e^{-up}) * sign(r) with up = max(a * (|r| - eps), 0),
+    # the products in that association.  Inside the band up is +0.0
+    # (np.maximum(-x, 0.0) and np.maximum(-0.0, 0.0) both give +0.0) and
+    # lam * a is finite and > 0, so the product there is exactly +0.0 with no
+    # select.
+    lam_a = spec.lam_a if isinstance(spec, LossStack) else spec.lam * spec.a
+    up = np.abs(r, out=out)
+    up -= spec.epsilon
+    up *= spec.a
+    np.maximum(up, 0.0, out=up)
+    scratch = np.negative(up, out=np.empty_like(up))
+    np.exp(scratch, out=scratch)
+    up *= lam_a
+    up *= scratch
+    up *= np.sign(r, out=scratch)
+    return up
 
 
 def _least_squares_deriv(spec, m):
@@ -344,7 +366,6 @@ def _bounded_least_squares_deriv(spec, m):
 
 
 _DERIV_FNS = {
-    HAWKEYE: _hawkeye_deriv,
     LEAST_SQUARES: _least_squares_deriv,
     ABSOLUTE: _absolute_deriv,
     HUBER: _huber_deriv,
@@ -369,16 +390,28 @@ def loss_value(spec: LossSpec, r):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def loss_derivative(spec: LossSpec, r):
+def loss_derivative(spec: LossSpec, r, out=None):
     """dL/dr at residual ``r`` (scalar or array, finite).
 
     Non-smooth kinds return the 0 subgradient at their kink points, which
     keeps every kind usable under the same gradient-based trainer.  ``spec``
     may be a :class:`LossStack` of m specs with ``r`` of shape (m, n).
+
+    ``out`` is an optional float array shaped like ``r``, sharing no memory
+    with it, that receives the result and is returned; the values are
+    bit-identical to the allocating call.  The hawkeye kind then allocates
+    one scratch block of r's shape and nothing else; the other kinds write
+    only their final product into ``out``.
     """
     arr = _check_residual(r)
-    out = np.sign(arr) * _DERIV_FNS[spec.kind](spec, np.abs(arr))
-    return float(out) if np.ndim(r) == 0 else out
+    if out is not None and np.may_share_memory(out, arr):
+        raise ValueError("loss_derivative's out must not overlap the residual")
+    res = np.empty_like(arr) if out is None else out
+    if spec.kind == HAWKEYE:
+        _hawkeye_deriv(spec, arr, res)
+    else:
+        np.multiply(np.sign(arr), _DERIV_FNS[spec.kind](spec, np.abs(arr)), out=res)
+    return float(res) if out is None and np.ndim(r) == 0 else res
 
 
 def characteristics(spec: LossSpec) -> LossCharacteristics:

@@ -261,9 +261,11 @@ def predict_cells(models, X_new) -> list[np.ndarray]:
     objects, as the models of one training set of :func:`fit_cells` do)
     and their kernel.  Each new sample's kernel row is computed once, in
     blocks of :func:`helssvr.kernels.block_rows` samples that reuse one
-    buffer, and each raw prediction is that row's dot product with one
-    model's coefficients, so every model's predictions are bit-identical to
-    :func:`predict` of it alone.  Predictions are in original target units.
+    buffer; each block is scaled as it is evaluated, so the queries are
+    never copied as a whole.  Each raw prediction is that row's dot
+    product with one model's coefficients, so every model's predictions
+    are bit-identical to :func:`predict` of it alone.  Predictions are in
+    original target units.
     """
     models = list(models)
     if not models:
@@ -278,16 +280,16 @@ def predict_cells(models, X_new) -> list[np.ndarray]:
         raise ValueError(
             f"feature count {X_new.shape[1]} does not match training data ({first.X_train.shape[1]})"
         )
-    bad = ~np.isfinite(X_new)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    if not np.isfinite(X_new).all():
+        row, col = np.argwhere(~np.isfinite(X_new))[0]
         raise ValueError(f"features must be finite: row {row}, column {col} is {X_new[row, col]!r}")
-    Xs = scale_features(first.scaling, X_new)
     step = block_rows(*first.X_train.shape)
-    block = np.empty((min(step, Xs.shape[0]), first.X_train.shape[0]))
-    raw = np.empty((len(models), Xs.shape[0]))
-    for lo in range(0, Xs.shape[0], step):
-        queries = Xs[lo : lo + step]
+    block = np.empty((min(step, X_new.shape[0]), first.X_train.shape[0]))
+    raw = np.empty((len(models), X_new.shape[0]))
+    for lo in range(0, X_new.shape[0], step):
+        queries = X_new[lo : lo + step]
+        if first.scaling.mode != "none":
+            queries = scale_features(first.scaling, queries)
         rows = kernel_row(first.kernel, queries, first.X_train, out=block[: queries.shape[0]])
         for i, row in enumerate(rows, lo):
             for c, model in enumerate(models):

@@ -76,6 +76,10 @@ class AdamConfig:
             raise ValueError("adam batch_size must be >= 1")
         if self.max_iter < 1:
             raise ValueError("adam max_iter must be >= 1")
+        if not 0 < self.early_stop_tol < np.inf:
+            raise ValueError("adam early_stop_tol must be finite and > 0")
+        if self.early_stop_patience < 1:
+            raise ValueError("adam early_stop_patience must be >= 1")
         if self.average not in AVERAGES:
             raise ValueError(f"adam average must be one of {AVERAGES}, got {self.average!r}")
 
@@ -235,15 +239,18 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     setting.  The call then returns an :class:`AdamStack`.  The cells may
     belong to different training sets of N rows each: ``gram`` then holds
     an (f, N, N) stack of their Gram matrices, ``y`` the (f, N) targets and
-    ``fold`` each cell's set (all 0 by default).
+    ``fold`` each cell's set (all 0 by default).  A non-finite residual
+    raises a ValueError that names the step and each affected cell (its
+    position in ``C``) and set; the whole stack stops.
 
     The cells' coefficient, moment and residual vectors are stacked as the
     rows of (m, N) arrays, grouped by set, so the elementwise work of a
-    step runs once for all of them.  Each cell keeps its own targets,
-    mini-batch draws, trace and early stop.  K alpha (and, at full batch,
-    K d) runs through :func:`gram_products`: one GEMM per set, or a GEMV
-    for a set of one row; a mini-batch's K_B^T d is one GEMV per row on
-    its gathered batch rows.  So:
+    step runs once for all of them, in buffers allocated once per call.
+    Each cell keeps its own targets, mini-batch draws, trace and early
+    stop.  K alpha (and, at full batch, K d) runs through
+    :func:`gram_products`: one GEMM per set, or a GEMV for a set of one
+    row; a mini-batch's K_B^T d is one GEMV per row on its gathered batch
+    rows.  So:
 
     * a cell alone in its set is bit-identical to a one-cell run;
     * a run is bit-identical to itself for the same cells in the same
@@ -311,6 +318,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     work = (np.empty((rows, n)), np.empty((rows, n)))  # adam_step's in-place buffers
     Y = Ys[fold_of]
     Kalpha, Kd = np.empty((rows, n)), np.empty((rows, n))
+    R, D = np.empty((rows, s)), np.empty((rows, s))  # the residual and its derivative
     block, row_of = np.empty((rows, 0, s), dtype=np.intp), np.arange(rows)[:, None]
     rngs = [make_rng(c) for c in seed]
     traces = [[] for _ in range(rows)] if cfg.collect_trace else [None] * rows
@@ -330,12 +338,29 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             k = fold[c]
             traces[c].append(objective_value(alpha, GramMatrix(K[k]), Ys[k], C[c], loss[c]))
 
+    def non_finite(step, resid):
+        # the error for stack rows with a non-finite residual, naming each
+        # row's cell and set; the whole stack aborts
+        bad = sorted(live[r] for r in np.flatnonzero(~np.isfinite(resid).all(axis=1)))
+        cells = ", ".join(f"cell {c} (fold {fold[c]})" for c in bad)
+        return ValueError(f"residual must be finite: step {step}, {cells}")
+
+    def derivative(step):
+        # dL/dr of the residual block R, into D
+        try:
+            return loss_derivative(stack, R, out=D)
+        except ValueError as exc:
+            raise non_finite(step, R) from exc
+
     for step in range(cfg.max_iter):
         gram_products(K, state.alpha, Kalpha, spans)
         if track:
             keep = []
             for r, c in enumerate(live):
-                h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], Y[r] - Kalpha[r])))
+                try:
+                    h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], Y[r] - Kalpha[r])))
+                except ValueError as exc:
+                    raise non_finite(step, Y - Kalpha) from exc
                 if cfg.collect_trace:
                     traces[c].append(h)
                 if cfg.early_stop and prev_h[c] is not None:
@@ -354,10 +379,12 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 avg = None if avg is None else avg[keep]
                 Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
                 Kd, work, row_of = Kd[: len(keep)], tuple(w[: len(keep)] for w in work), row_of[: len(keep)]
+                R, D = R[: len(keep)], D[: len(keep)]
                 stack, C_blk, gamma_blk = blocks(live)
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
-            gram_products(K, loss_derivative(stack, Y - Kalpha), Kd, spans)
+            np.subtract(Y, Kalpha, out=R)
+            gram_products(K, derivative(step), Kd, spans)
         else:
             if step % n == 0:
                 # the next n steps' batches (fewer near the end) in one
@@ -368,7 +395,8 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 # independent of the draw
                 block.sort(axis=2)
             batch = block[:, step % n]
-            d = loss_derivative(stack, Y[row_of, batch] - Kalpha[row_of, batch])
+            np.subtract(Y[row_of, batch], Kalpha[row_of, batch], out=R)
+            d = derivative(step)
             np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=Kd[:, :, None])
         # the gradient K alpha - C * K d, in place in Kd
         Kd *= C_blk

@@ -99,22 +99,34 @@ class TestTrain:
         assert "iterations          : 100\n" in printed
         assert "stop reason         : max_iter\n" in printed
 
-    def test_train_prints_early_stop(self, tmp_path, capsys, monkeypatch):
-        import dataclasses
-
-        import helssvr.cli
-
-        # the config has no early-stopping keys; turn it on in the Adam
-        # settings the command builds
-        build_adam = helssvr.cli.build_adam
-        monkeypatch.setattr(helssvr.cli, "build_adam", lambda *a, **kw: dataclasses.replace(
-            build_adam(*a, **kw), early_stop=True, early_stop_tol=1e-2, early_stop_patience=3))
+    def test_train_prints_early_stop(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
         rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"),
-                   "--set", "adam.max_iter=500", "--set", "adam.batch_size=1000"])
+                   "--set", "adam.max_iter=500", "--set", "adam.batch_size=1000",
+                   "--set", "adam.early_stop=true", "--set", "adam.early_stop_tol=1e-2",
+                   "--set", "adam.early_stop_patience=3"])
         assert rc == 0
-        assert "stop reason         : early_stop\n" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "stop reason         : early_stop\n" in printed
+        assert "iterations          : 500\n" not in printed
+
+    @pytest.mark.parametrize("pair, message", [
+        ("adam.early_stop_tol=0", "early_stop_tol must be finite and > 0"),
+        ("adam.early_stop_tol=-1e-3", "early_stop_tol must be finite and > 0"),
+        ("adam.early_stop_tol=inf", "early_stop_tol must be finite and > 0"),
+        ("adam.early_stop_tol=nan", "early_stop_tol must be finite and > 0"),
+        ("adam.early_stop_patience=0", "early_stop_patience must be >= 1"),
+        ("adam.early_stop=maybe", "not a boolean"),
+    ])
+    def test_bad_early_stop_setting_exit_2(self, tmp_path, capsys, pair, message):
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"),
+                   "--set", "adam.early_stop=true", "--set", pair])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_invalid_loss_parameter_exit_2(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"

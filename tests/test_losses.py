@@ -150,6 +150,7 @@ class TestConstruction:
             dict(kind="hawkeye", epsilon=0.5, a=1.0, lam=0.0),
             dict(kind="hawkeye", epsilon=-1.0, a=1.0, lam=1.0),
             dict(kind="hawkeye", epsilon=0.5, a=1.0),  # missing lam
+            dict(kind="hawkeye", epsilon=0.5, a=1e200, lam=1e200),  # lam * a overflows
             dict(kind="insensitive", epsilon=-0.1),
             dict(kind="huber", theta=-1.0),
             dict(kind="ramp_insensitive", epsilon=1.0, theta=0.5),
@@ -389,3 +390,103 @@ class TestHawkeyeSmoothness:
         assert abs(loss_derivative(spec, r_star)) == pytest.approx(
             1.5 * 2.0 * math.exp(-1.0), rel=1e-12
         )
+
+
+# Reference hawkeye forms with an explicit select over the insensitive band;
+# the library's select-free forms must match them byte for byte.
+def where_hawkeye_value(spec, m):
+    u = spec.a * (m - spec.epsilon)
+    return np.where(m < spec.epsilon, 0.0, spec.lam * (1.0 - (np.maximum(u, 0.0) + 1.0) * np.exp(-np.maximum(u, 0.0))))
+
+
+def where_hawkeye_derivative(spec, r):
+    m = np.abs(r)
+    up = np.maximum(spec.a * (m - spec.epsilon), 0.0)
+    return np.sign(r) * np.where(m <= spec.epsilon, 0.0, spec.lam * spec.a * up * np.exp(-up))
+
+
+def edge_residuals(eps):
+    """Residuals at and around the band edges, signed zeros, subnormals and
+    huge values, with both signs."""
+    tiny = np.nextafter(0.0, 1.0)
+    m = np.array([
+        0.0, eps, eps * (1 + 2.0**-52), eps * (1 - 2.0**-52), np.nextafter(eps, 0.0), np.nextafter(eps, 1.0),
+        tiny, 1e-310, 2.2250738585072014e-308, eps / 2, 2 * eps, 1.0, 50.0, 1e300,
+    ])
+    return np.concatenate([m, -m])
+
+
+class TestSelectFreeHawkeye:
+    """The hawkeye value and derivative carry no np.where over the band:
+    inside it up = max(a (|r| - eps), 0) is +0.0 and lam * a is finite and
+    > 0, so the plain formulas already give exactly +0.0 there."""
+
+    SPECS = [
+        hawkeye(0.05, 1.0, 1.0),
+        hawkeye(0.5, 3.0, 0.25),
+        hawkeye(1e-300, 1e300, 1e-5),
+        # a * (|r| - eps) underflows to -0.0 inside the band
+        hawkeye(0.05, 5e-324, 2.0),
+        hawkeye(1e300, 1.0, 1e300),
+    ]
+
+    @staticmethod
+    def residuals(spec):
+        # the edge cases, then the slope: |r| up to eps + 8 / a
+        scale = min(spec.epsilon + 8.0 / spec.a, 1e300)
+        return np.concatenate([edge_residuals(spec.epsilon), np.random.default_rng(12).uniform(-scale, scale, 200)])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"eps={s.epsilon},a={s.a},lam={s.lam}")
+    def test_value_matches_where_form(self, spec):
+        r = self.residuals(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = where_hawkeye_value(spec, np.abs(r))
+            assert losses._hawkeye_value(spec, np.abs(r)).tobytes() == want.tobytes()
+            assert loss_value(spec, r).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"eps={s.epsilon},a={s.a},lam={s.lam}")
+    def test_derivative_matches_where_form(self, spec):
+        r = self.residuals(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = where_hawkeye_derivative(spec, r)
+            assert loss_derivative(spec, r).tobytes() == want.tobytes()
+            assert losses._hawkeye_deriv(spec, r, np.empty_like(r)).tobytes() == want.tobytes()
+            for x, w in zip(r, want):
+                assert np.float64(loss_derivative(spec, float(x))).tobytes() == w.tobytes()
+            stack = losses.stack_losses([spec, spec], r.size)
+            got = loss_derivative(stack, np.stack([r, r[::-1]]))
+            assert got.tobytes() == np.stack([want, want[::-1]]).tobytes()
+
+    def test_inside_band_is_signed_zero(self):
+        # the value is +0.0, the derivative sign(r) * +0.0
+        for spec in self.SPECS:
+            m = np.array([0.0, spec.epsilon / 2, spec.epsilon])
+            r = np.concatenate([m, -m])
+            assert loss_value(spec, r).tobytes() == np.zeros(6).tobytes()
+            assert loss_derivative(spec, r).tobytes() == (np.sign(r) * 0.0).tobytes()
+
+
+class TestDerivativeOut:
+    @pytest.mark.parametrize("spec", _one_spec_per_kind(), ids=lambda s: s.kind)
+    def test_out_matches_allocating_call(self, spec):
+        rng = np.random.default_rng(11)
+        R = np.concatenate([rng.normal(0, 1.5, (3, 40)), np.tile(edge_residuals(0.5)[:14], (3, 1))], axis=1)
+        R[1, :3] = (0.5, 1.0, 1.5)  # the kinds' kink points
+        for loss, r in ((losses.stack_losses([spec] * 3, R.shape[1]), R), (spec, R[0])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = loss_derivative(loss, r)
+                buf = np.full_like(r, np.nan)
+                got = loss_derivative(loss, r, out=buf)
+            assert got is buf
+            assert buf.tobytes() == want.tobytes()
+
+    def test_out_must_not_overlap_residual(self):
+        r = np.array([0.1, 1.0, -2.0])
+        with pytest.raises(ValueError, match="must not overlap"):
+            loss_derivative(hawkeye(), r, out=r)
+
+    def test_out_keeps_finiteness_check(self):
+        spec = hawkeye()
+        buf = np.zeros(2)
+        with pytest.raises(ValueError, match="residual must be finite"):
+            loss_derivative(spec, np.array([0.1, np.nan]), out=buf)

@@ -430,24 +430,27 @@ class TestPredictCells:
         for model, pred in zip(models, got):
             assert pred.tobytes() == predict(model, X_new).tobytes()
 
+    @pytest.mark.parametrize("mode", ["none", "minmax", "zscore"])
     @pytest.mark.parametrize("spec", [rbf(0.6), KernelSpec("linear")], ids=lambda s: s.kind)
-    def test_blocks_match_per_point_rows(self, monkeypatch, spec):
+    def test_blocks_match_per_point_rows(self, monkeypatch, spec, mode):
         import helssvr.kernels
-        from helssvr.data import ScalingState
+        from helssvr.data import inverse_target, scale_features, scale_fit
         from helssvr.model import predict_cells
 
         rng = np.random.default_rng(81)
         X = rng.uniform(-1, 1, (9, 3))
         X.flags.writeable = False
-        scaling = ScalingState(mode="none")
+        scaling = scale_fit(rng.uniform(-2, 3, (9, 3)), rng.normal(size=9), mode)
         models = [TrainedModel(rng.normal(size=9), X, spec, hawkeye(), 1.0, scaling) for _ in range(2)]
-        # 3 queries per block: 8 queries make blocks of 3, 3 and 2
+        # 3 queries per block: 8 queries make blocks of 3, 3 and 2, each
+        # scaled on its own; the expected rows scale all queries at once
         monkeypatch.setattr(helssvr.kernels, "BLOCK_BYTES", 3 * 8 * 9 * 3)
         for Q in (rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, (1, 3))):
             got = predict_cells(models, Q)
             for model, pred in zip(models, got):
-                rows = [per_point_row(spec, q, X) for q in Q]
-                assert pred.tobytes() == np.array([row @ model.alpha for row in rows]).tobytes()
+                rows = [per_point_row(spec, q, X) for q in scale_features(scaling, Q)]
+                want = inverse_target(scaling, np.array([row @ model.alpha for row in rows]))
+                assert pred.tobytes() == want.tobytes()
 
     def test_wide_data_allocates_about_one_block(self):
         import tracemalloc
@@ -467,9 +470,11 @@ class TestPredictCells:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the scaled copy of the queries, the raw and the unscaled
-        # predictions, and the block's (b, n, d) differences and (b, n) rows
-        assert peak <= Q.nbytes + 2 * pred.nbytes + 2 * BLOCK_BYTES
+        # the raw and the unscaled predictions, and the block's (b, n, d)
+        # differences and (b, n) rows; no copy of the queries (Q.nbytes is
+        # larger than the whole bound)
+        assert Q.nbytes > 2 * pred.nbytes + 2 * BLOCK_BYTES
+        assert peak <= 2 * pred.nbytes + 2 * BLOCK_BYTES
 
     def test_models_must_share_inputs(self):
         from helssvr.model import predict_cells

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,11 @@ class TestConfigValidation:
             dict(delta=0.0),
             dict(batch_size=0),
             dict(max_iter=0),
+            dict(early_stop_tol=0.0),
+            dict(early_stop_tol=-1e-3),
+            dict(early_stop_tol=float("inf")),
+            dict(early_stop_tol=float("nan")),
+            dict(early_stop_patience=0),
         ],
     )
     def test_bad_configs(self, kw):
@@ -593,6 +599,21 @@ class TestCrossFoldStack:
         cfg = AdamConfig(max_iter=45, batch_size=batch_size, collect_trace=True)
         stack = train_adam(gram, Ys, Cs, [self.loss] * 4, cfg, gamma=gammas, seed=seeds, fold=fold)
         self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_non_finite_residual_names_step_cell_and_set(self, batch_size, trace):
+        # cell 1, the second listed but the last stack row (fold 2), has a
+        # learning rate that overflows its coefficients: the stack aborts
+        # as a whole, naming that cell and its set, whether the objective
+        # trace or the derivative meets the residual first
+        gram, Ys, _ = fold_stack()
+        cfg = AdamConfig(max_iter=50, batch_size=batch_size, collect_trace=trace)
+        with pytest.raises(ValueError) as info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_adam(gram, Ys, [1.0] * 3, [self.loss] * 3, cfg, gamma=[1e-2, 1e300, 1e-2], fold=[0, 2, 1])
+        assert re.fullmatch(r"residual must be finite: step [1-9]\d*, cell 1 \(fold 2\)", str(info.value))
+        assert str(info.value.__cause__) == "residual must be finite"
 
     def test_fold_checked(self):
         gram, Ys, _ = fold_stack()
