@@ -430,9 +430,8 @@ class TestPredictCells:
         for model, pred in zip(models, got):
             assert pred.tobytes() == predict(model, X_new).tobytes()
 
-    @pytest.mark.parametrize("mode", ["none", "minmax", "zscore"])
-    @pytest.mark.parametrize("spec", [rbf(0.6), KernelSpec("linear")], ids=lambda s: s.kind)
-    def test_blocks_match_per_point_rows(self, monkeypatch, spec, mode):
+    @staticmethod
+    def check_blocks_match_per_point_rows(monkeypatch, spec, mode):
         import helssvr.kernels
         from helssvr.data import inverse_target, scale_features, scale_fit
         from helssvr.model import predict_cells
@@ -451,6 +450,15 @@ class TestPredictCells:
                 rows = [per_point_row(spec, q, X) for q in scale_features(scaling, Q)]
                 want = inverse_target(scaling, np.array([row @ model.alpha for row in rows]))
                 assert pred.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [rbf(0.6), KernelSpec("linear")], ids=lambda s: s.kind)
+    def test_blocks_match_per_point_rows(self, monkeypatch, spec):
+        self.check_blocks_match_per_point_rows(monkeypatch, spec, "none")
+
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    @pytest.mark.parametrize("spec", [rbf(0.6), KernelSpec("linear")], ids=lambda s: s.kind)
+    def test_scaled_blocks_match_per_point_rows(self, monkeypatch, spec, mode):
+        self.check_blocks_match_per_point_rows(monkeypatch, spec, mode)
 
     def test_wide_data_allocates_about_one_block(self):
         import tracemalloc
