@@ -38,7 +38,7 @@ from .evaluation import (
 from .kernels import KernelSpec
 from .losses import LOSS_KINDS, LossSpec, required_params
 from .model import fit, load_model, predict, save_model
-from .optimizer import AVERAGES, AdamConfig
+from .optimizer import AdamConfig
 
 
 class ConfigError(Exception):
@@ -66,9 +66,12 @@ def _parse_optional_float(text: str):
     return None if low in ("", "none") else float(text)
 
 
-def _parse_optional_int(text: str):
+def _parse_optional_count(text: str):
     low = str(text).strip().lower()
-    return None if low in ("", "none") else int(text)
+    value = None if low in ("", "none") else int(text)
+    if value is not None and value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_choice(*allowed):
@@ -100,11 +103,10 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "adam.delta": (1e-8, float),
     "adam.batch_size": (32, int),
     "adam.max_iter": (1000, int),
-    "adam.seed": (None, _parse_optional_int),
+    "adam.seed": (None, _parse_optional_count),
     "adam.early_stop": (False, _parse_bool),
     "adam.early_stop_tol": (1e-10, float),
     "adam.early_stop_patience": (20, int),
-    "adam.average": ("none", _parse_choice(*AVERAGES)),
     "grid.C": ((1.0, 100.0, 10000.0), _parse_float_list),
     "grid.sigma": ((0.1, 1.0, 10.0), _parse_float_list),
     "grid.epsilon": ((0.05,), _parse_float_list),
@@ -117,7 +119,7 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "rank.tie": ("competition", _parse_choice("competition", "fractional")),
     "rank.q_alpha": (None, _parse_optional_float),
     "rank.critical_f": (None, _parse_optional_float),
-    "rank.decimals": (4, _parse_optional_int),
+    "rank.decimals": (4, _parse_optional_count),
 }
 
 
@@ -227,7 +229,6 @@ def build_adam(cfg: RunConfig, collect_trace: bool = False) -> AdamConfig:
             early_stop=cfg["adam.early_stop"],
             early_stop_tol=cfg["adam.early_stop_tol"],
             early_stop_patience=cfg["adam.early_stop_patience"],
-            average=cfg["adam.average"],
             collect_trace=collect_trace,
         )
     except ValueError as exc:
@@ -436,48 +437,47 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _rank_score(text, where):
+    """A rank table's score cell; empty or ``-`` means absent (NaN)."""
+    text = text.strip()
+    try:
+        return np.nan if text in ("", "-") else float(text)
+    except ValueError:
+        raise ValueError(f"{where}: score {text!r} is not a number") from None
+
+
 def _read_rank_table(path, delimiter=","):
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
-    if len(rows) < 2:
+        reader = csv.reader(fh, delimiter=delimiter)
+        lines = [(f"{path}:{reader.line_num}", r) for r in reader if r]
+    if len(lines) < 2:
         raise ValueError(f"{path}: need a header row plus at least one data row")
-    header = [c.strip() for c in rows[0]]
-    body = rows[1:]
+    header = [c.strip() for c in lines[0][1]]
+    body = lines[1:]
+    for where, row in body:
+        if len(row) != len(header):
+            raise ValueError(f"{where}: ragged row {row!r}")
 
     if {"dataset", "model", "rmse"} <= set(header):
         d_i, m_i, r_i = header.index("dataset"), header.index("model"), header.index("rmse")
-        datasets, models = [], []
-        cells = {}
-        for row in body:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: ragged row {row!r}")
-            d, m, v = row[d_i], row[m_i], row[r_i]
-            if d not in datasets:
-                datasets.append(d)
-            if m not in models:
-                models.append(m)
-            cells[(d, m)] = float(v) if v.strip() else np.nan
+        # each dataset and model name -> its first-seen position
+        datasets, models, cells = {}, {}, {}
+        for where, row in body:
+            d, m = row[d_i], row[m_i]
+            cell = (datasets.setdefault(d, len(datasets)), models.setdefault(m, len(models)))
+            if cell in cells:
+                raise ValueError(f"{where}: second rmse for dataset {d!r}, model {m!r}")
+            cells[cell] = _rank_score(row[r_i], where)
         table = np.full((len(datasets), len(models)), np.nan)
-        for i, d in enumerate(datasets):
-            for j, m in enumerate(models):
-                if (d, m) in cells:
-                    table[i, j] = cells[(d, m)]
-        return table, datasets, models
+        for cell, score in cells.items():
+            table[cell] = score
+        return table, list(datasets), list(models)
 
     models = header[1:]
     if not models:
         raise ValueError(f"{path}: wide rank table needs model columns")
-    datasets, values = [], []
-    for row in body:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: ragged row {row!r}")
-        datasets.append(row[0])
-        parsed = []
-        for cell in row[1:]:
-            cell = cell.strip()
-            parsed.append(np.nan if cell in ("", "-") else float(cell))
-        values.append(parsed)
-    return np.asarray(values, dtype=float), datasets, models
+    values = [[_rank_score(cell, where) for cell in row[1:]] for where, row in body]
+    return np.asarray(values, dtype=float), [row[0] for _, row in body], models
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:

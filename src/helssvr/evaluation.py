@@ -244,9 +244,9 @@ def grid_search_cv(
     fold j trains with the Adam seed ``child_seed(seed, i, j)``.  Its
     numbers are bit-identical from run to run for the same grid and
     ``model.STACK_ROWS``, and agree with a standalone :func:`fit` with that
-    seed to rounding.  Over a long run the last Adam iterate can carry
-    that rounding into another selected cell; with ``average="ema"`` the
-    selection held on every input of the README's seed sweep.  Work items
+    seed to rounding.  The returned coefficients average the Adam
+    iterates, so that rounding did not move the selected cell on any input
+    of the README's seed sweep, where the last iterate did.  Work items
     run one after another: threads measured slower, because each Adam
     step's Python work holds the GIL.
     """
@@ -389,9 +389,9 @@ def rank_models(
     the full dataset count D.
 
     ``rank_decimals`` truncates the average ranks to that many decimal
-    places before the test statistics are computed, which matches how the
-    statistics are conventionally recomputed from 4-decimal published rank
-    tables; pass None to use the exact averages.
+    places (>= 0) before the test statistics are computed, which matches
+    how the statistics are conventionally recomputed from 4-decimal
+    published rank tables; pass None to use the exact averages.
     """
     values = np.asarray(table, dtype=float)
     if values.ndim != 2:
@@ -401,6 +401,8 @@ def rank_models(
         raise ValueError("need at least two models to rank")
     if tie not in ("competition", "fractional"):
         raise ValueError(f"tie must be 'competition' or 'fractional', got {tie!r}")
+    if rank_decimals is not None and rank_decimals < 0:
+        raise ValueError(f"rank_decimals must be >= 0 or None, got {rank_decimals}")
 
     rank_matrix = np.full(values.shape, np.nan)
     for i in range(D):

@@ -50,8 +50,8 @@ class FitReport:
     """Training summary: objective values, iterations, why training
     stopped, wall times.
 
-    ``final_objective`` is H of the returned coefficients: the averaged
-    iterate under ``AdamConfig.average == "ema"``, else the last one.
+    ``final_objective`` is H of the returned coefficients, the averaged
+    iterate (see :func:`~helssvr.optimizer.train_adam`).
     ``stop_reason`` is ``"max_iter"`` when all ``AdamConfig.max_iter`` steps
     ran, or ``"early_stop"`` when the early-stopping rule ended the run
     after ``iterations`` steps.

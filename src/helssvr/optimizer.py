@@ -26,12 +26,9 @@ from .kernels import GramMatrix
 from .losses import LossSpec, loss_derivative, loss_value, stack_losses
 from .seeding import make_rng, sample_without_replacement
 
-#: what :func:`train_adam` returns: the last iterate, or an exponential
-#: moving average of the iterates
-AVERAGES = ("none", "ema")
-
-#: weight of the previous average in ``average="ema"``: avg_t = w avg_{t-1}
-#: + (1 - w) alpha_t, from avg_0 = alpha_0 (Kingma & Ba 2015, section 7.2)
+#: weight of the previous average in the coefficients :func:`train_adam`
+#: returns: avg_t = w avg_{t-1} + (1 - w) alpha_t, from avg_0 = alpha_0
+#: (Kingma & Ba 2015, section 7.2)
 EMA_WEIGHT = 0.99
 
 
@@ -42,9 +39,9 @@ class AdamConfig:
     Defaults: beta1=0.9, beta2=0.999, delta=1e-8, batch_size=32,
     max_iter=1000, and 0.01 for the initial coefficient and both moment
     vectors.  ``gamma`` is the learning rate; 0.01 is the largest value of
-    the usual search set {1e-4, 1e-3, 1e-2}.  ``average`` is one of
-    :data:`AVERAGES`: ``"ema"`` returns the averaged iterate instead of the
-    last one.
+    the usual search set {1e-4, 1e-3, 1e-2}.  The initial scalars must be
+    finite, and v0 >= 0.  The coefficients :func:`train_adam` returns are
+    the moving average of its iterates (:data:`EMA_WEIGHT`).
     """
 
     gamma: float = 0.01
@@ -61,17 +58,16 @@ class AdamConfig:
     early_stop: bool = False
     early_stop_tol: float = 1e-10
     early_stop_patience: int = 20
-    average: str = "none"
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("adam gamma must be > 0")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("adam gamma must be finite and > 0")
         if not 0 <= self.beta1 < 1:
             raise ValueError("adam beta1 must lie in [0, 1)")
         if not 0 <= self.beta2 < 1:
             raise ValueError("adam beta2 must lie in [0, 1)")
-        if not self.delta > 0:
-            raise ValueError("adam delta must be > 0")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("adam delta must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("adam batch_size must be >= 1")
         if self.max_iter < 1:
@@ -80,8 +76,10 @@ class AdamConfig:
             raise ValueError("adam early_stop_tol must be finite and > 0")
         if self.early_stop_patience < 1:
             raise ValueError("adam early_stop_patience must be >= 1")
-        if self.average not in AVERAGES:
-            raise ValueError(f"adam average must be one of {AVERAGES}, got {self.average!r}")
+        if not np.isfinite([self.alpha0, self.m0]).all():
+            raise ValueError("adam alpha0 and m0 must be finite")
+        if not 0 <= self.v0 < np.inf:
+            raise ValueError("adam v0 must be finite and >= 0")
 
 
 @dataclass
@@ -214,7 +212,8 @@ class AdamStack:
 
 
 def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None):
-    """Run ``cfg.max_iter`` Adam iterations and return the final state.
+    """Run ``cfg.max_iter`` Adam iterations and return the final state,
+    whose coefficients are the moving average of the iterates.
 
     A fresh mini-batch of size min(batch_size, N) is drawn uniformly
     without replacement at every iteration.  The batches are drawn N
@@ -228,10 +227,10 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     (:func:`objective_value`).  Optional early stopping ends the run once
     successive objective values of the iterates differ by less than
     ``early_stop_tol`` for ``early_stop_patience`` consecutive iterations.
-    With ``cfg.average == "ema"`` the state's ``alpha`` is the average
-    avg_t = w avg_{t-1} + (1 - w) alpha_t (w = :data:`EMA_WEIGHT`,
-    avg_0 = alpha_0) at the step the run ended, not the last iterate; the
-    moments are the last iterate's.
+    The state's ``alpha`` is the average avg_t = w avg_{t-1} + (1 - w)
+    alpha_t (w = :data:`EMA_WEIGHT`, avg_0 = alpha_0) at the step the run
+    ended, not the last iterate, which oscillates at a constant step size;
+    the moments are the last iterate's.
 
     To train m cells at once, pass ``C`` and ``loss`` as sequences of m
     values, and optionally ``gamma`` and ``seed`` as sequences that replace
@@ -314,7 +313,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         v=np.full((rows, n), float(cfg.v0)),
         t=0,
     )
-    avg = np.full((rows, n), float(cfg.alpha0)) if cfg.average == "ema" else None
+    avg = np.full((rows, n), float(cfg.alpha0))
     work = (np.empty((rows, n)), np.empty((rows, n)))  # adam_step's in-place buffers
     Y = Ys[fold_of]
     Kalpha, Kd = np.empty((rows, n)), np.empty((rows, n))
@@ -328,7 +327,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     out = [None] * rows
 
     def finish(r, c):
-        alpha = (state.alpha if avg is None else avg)[r].copy()
+        alpha = avg[r].copy()
         out[c] = AdamState(alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c])
         if cfg.collect_trace:
             # a row that stops early has traced this step's iterate; the
@@ -376,7 +375,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 live = [live[r] for r in keep]
                 fold_of, spans = layout(live)
                 state = AdamState(alpha=state.alpha[keep], m=state.m[keep], v=state.v[keep], t=state.t)
-                avg = None if avg is None else avg[keep]
+                avg = avg[keep]
                 Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
                 Kd, work, row_of = Kd[: len(keep)], tuple(w[: len(keep)] for w in work), row_of[: len(keep)]
                 R, D = R[: len(keep)], D[: len(keep)]
@@ -402,11 +401,10 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)
         state = adam_step(state, Kd, cfg, gamma=gamma_blk, out=work)
-        if avg is not None:
-            # avg += (1 - w) * (alpha - avg), in adam_step's work buffer
-            a = np.subtract(state.alpha, avg, out=work[0])
-            a *= 1.0 - EMA_WEIGHT
-            avg += a
+        # avg += (1 - w) * (alpha - avg), in adam_step's work buffer
+        a = np.subtract(state.alpha, avg, out=work[0])
+        a *= 1.0 - EMA_WEIGHT
+        avg += a
     else:
         for r, c in enumerate(live):
             finish(r, c)

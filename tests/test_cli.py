@@ -75,15 +75,13 @@ class TestConfigPrecedence:
         with pytest.raises(ConfigError, match="bad value"):
             assemble_config(self.parse_train_args({"set": ["adam.max_iter=soon"]}))
 
-
-    def test_adam_average_key(self):
-        from helssvr.cli import ConfigError, build_adam
-
-        assert build_adam(assemble_config(self.parse_train_args({}))).average == "none"
-        cfg = assemble_config(self.parse_train_args({"set": ["adam.average=ema"]}))
-        assert build_adam(cfg).average == "ema"
-        with pytest.raises(ConfigError, match="bad value"):
-            assemble_config(self.parse_train_args({"set": ["adam.average=mean"]}))
+    def test_adam_average_key(self, tmp_path, capsys):
+        # the trainer always returns the averaged iterate; the key that
+        # chose the last iterate is gone
+        rc = main(["train", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "m.json"),
+                   "--set", "adam.average=ema"])
+        assert rc == 2
+        assert "unknown config key 'adam.average'" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -118,6 +116,10 @@ class TestTrain:
         ("adam.early_stop_tol=nan", "early_stop_tol must be finite and > 0"),
         ("adam.early_stop_patience=0", "early_stop_patience must be >= 1"),
         ("adam.early_stop=maybe", "not a boolean"),
+        ("adam.gamma=inf", "gamma must be finite and > 0"),
+        ("adam.gamma=nan", "gamma must be finite and > 0"),
+        ("adam.delta=inf", "delta must be finite and > 0"),
+        ("adam.seed=-1", "must be >= 0, got -1"),
     ])
     def test_bad_early_stop_setting_exit_2(self, tmp_path, capsys, pair, message):
         data = tmp_path / "toy.csv"
@@ -452,6 +454,32 @@ class TestRank:
         rows = read_rows(tmp_path / "r_ranks.csv")
         assert rows[1] == ["d1", "1.0", "2.0"]
         assert rows[2] == ["d2", "1.0", "2.0"]
+
+    def rank_long(self, tmp_path, capsys, lines):
+        inp = tmp_path / "results.csv"
+        inp.write_text("dataset,model,rmse\n" + "".join(f"{line}\n" for line in lines))
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
+        return rc, capsys.readouterr().err, inp
+
+    def test_long_format_duplicate_entry_exit_3(self, tmp_path, capsys):
+        rc, err, inp = self.rank_long(tmp_path, capsys, ["d1,a,0.2", "d1,b,0.3", "d2,b,0.1", "d2,a,0.4", "d2,b,0.9"])
+        assert rc == 3
+        assert f"{inp}:6: second rmse for dataset 'd2', model 'b'" in err
+        assert not (tmp_path / "r_ranks.csv").exists()
+
+    def test_long_format_non_numeric_rmse_exit_3(self, tmp_path, capsys):
+        rc, err, inp = self.rank_long(tmp_path, capsys, ["d1,a,0.2", "d1,b,abc"])
+        assert rc == 3
+        assert f"{inp}:3: score 'abc' is not a number" in err
+
+    @pytest.mark.parametrize("decimals", ["-1", "-4"])
+    def test_negative_decimals_exit_2(self, tmp_path, capsys, decimals):
+        inp = tmp_path / "table.csv"
+        self.write_wide_table(inp)
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r"), "--set", f"rank.decimals={decimals}"])
+        assert rc == 2
+        assert "rank.decimals" in capsys.readouterr().err
+        assert not (tmp_path / "r_ranks.csv").exists()
 
 
 class TestBenchIsolatesFailures:

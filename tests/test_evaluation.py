@@ -275,6 +275,14 @@ class TestRankModels:
         with pytest.raises(ValueError, match="q_alpha"):
             rank_models(table)
 
+    @pytest.mark.parametrize("decimals", [-1, -4])
+    def test_negative_decimals_rejected(self, decimals):
+        with pytest.raises(ValueError, match="rank_decimals must be >= 0"):
+            rank_models(RMSE_TABLE, rank_decimals=decimals)
+        assert rank_models(RMSE_TABLE, rank_decimals=0).stat_ranks.tolist() == [
+            float(int(r)) for r in rank_models(RMSE_TABLE, rank_decimals=None).avg_ranks
+        ]
+
 
 def toy_dataset(n=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -441,53 +449,53 @@ class TestStackedSearchMatchesStandaloneFits:
 GOLDEN_SEARCH = {
     8: [
         (
-            ('0x1.d93565278de79p-2', '0x1.027fb385566bbp-1', '0x1.4430964f76c84p-1'),
+            ('0x1.486b4924f4d87p-1', '0x1.3fe6a09c95b39p-1', '0x1.8be10ae2b95fep-1'),
             ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
-            ('0x1.4b27af671325ep+1', '0x1.56e903b6c44eap+1', '0x1.838936f28a180p+1'),
+            ('0x1.f119432a99ee2p+1', '0x1.0c52f82e56db1p+2', '0x1.0c1aec6a2898ap+2'),
             (41, 39, 39),
         ),
         (
-            ('0x1.61b565b39568ep-2', '0x1.2f4cd267ffe0bp-2', '0x1.ed85b53cc8dc4p-2'),
+            ('0x1.4268d3ec887f7p-1', '0x1.30015e8d1737cp-1', '0x1.801759116b69ep-1'),
             ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
-            ('0x1.0c0f8db9687c6p+1', '0x1.b9edb1786fc1ep+0', '0x1.0d60c19c0bf4ep+1'),
+            ('0x1.e6716c7909049p+1', '0x1.032d51000f9e4p+2', '0x1.fcdf4e242f991p+1'),
             (30, 30, 30),
         ),
         (
-            ('0x1.e6090ffc8f93ep-4', '0x1.1fd295cb38ab9p-2', '0x1.75bb0b6ff0967p-3'),
+            ('0x1.f5a2ae7497b98p-2', '0x1.029d97e9b3e2bp-1', '0x1.3b98c2616ac89p-1'),
             ('0x1.aaa645e660c6dp+8', '0x1.d04432d999248p+8', '0x1.c4e58ba152122p+8'),
-            ('0x1.e9314a6a35858p+3', '0x1.0089267db61dbp+4', '0x1.b2918f1e74bbcp+4'),
+            ('0x1.ebaceac3fb886p+7', '0x1.f5f87ed36f81bp+7', '0x1.0f3f571cfd24fp+8'),
             (60, 60, 60),
         ),
         (
-            ('0x1.fa4b086a53c2ep-4', '0x1.1360073b4b4abp-3', '0x1.05060303332f8p-2'),
+            ('0x1.b58fca7ba800ap-2', '0x1.9aaaa9b33476bp-2', '0x1.247f1a260b68ep-1'),
             ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
-            ('0x1.b0e6f6b5b65c9p+4', '0x1.92b2bf2687f7bp+3', '0x1.90f89c5daabe3p+5'),
+            ('0x1.b7586f714618ep+7', '0x1.af47cbe2efc8fp+7', '0x1.cbf3f39c0b3c2p+7'),
             (60, 60, 60),
         ),
     ],
     1000: [
         (
-            ('0x1.59774c220d8dcp-2', '0x1.b5eba9f25b79ep-2', '0x1.fb29632652368p-2'),
+            ('0x1.4247d5d6737e7p-1', '0x1.3b5515188b688p-1', '0x1.8415c1343ab75p-1'),
             ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
-            ('0x1.127340c4ef528p+1', '0x1.1ad6915be1d58p+1', '0x1.454cdfbf55908p+1'),
+            ('0x1.e3240982f81eep+1', '0x1.036537412d721p+2', '0x1.02ca9d0ddab59p+2'),
             (33, 32, 32),
         ),
         (
-            ('0x1.c2811fde2a4c9p-3', '0x1.547a22aadf074p-3', '0x1.97ba20188e33fp-2'),
+            ('0x1.404b39464867ep-1', '0x1.2fc7b5f81528bp-1', '0x1.84b284edf629dp-1'),
             ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
-            ('0x1.e4b4ab1cb3d27p+0', '0x1.80926998e670fp+0', '0x1.02c3b713ebb39p+1'),
+            ('0x1.e09f918ae0769p+1', '0x1.03a0219ca997ep+2', '0x1.03f14d447888dp+2'),
             (23, 22, 20),
         ),
         (
-            ('0x1.beaebe5d6b131p-4', '0x1.01a8320744a97p-2', '0x1.02dba9a0ea5f5p-3'),
+            ('0x1.e31f8bbbf76ffp-2', '0x1.f730e268a6300p-2', '0x1.30380aff2d41ep-1'),
             ('0x1.aaa645e660c6dp+8', '0x1.d04432d999248p+8', '0x1.c4e58ba152122p+8'),
-            ('0x1.b0ac9cd386158p+3', '0x1.611106ec2375fp+3', '0x1.d032e281684b0p+3'),
+            ('0x1.ceef7bdb78d4ap+7', '0x1.e34d91e01387dp+7', '0x1.fe4fd42ef77e8p+7'),
             (60, 60, 60),
         ),
         (
-            ('0x1.e901af26b62bfp-4', '0x1.ff0d2090e29aap-4', '0x1.90e35fe2cf2a2p-3'),
+            ('0x1.ac24db9116d88p-2', '0x1.9700bb3f8154cp-2', '0x1.1c7290e85cea1p-1'),
             ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
-            ('0x1.41bd471cad10bp+4', '0x1.3fcdf9fc04f5ep+3', '0x1.d2b9372cee8aep+4'),
+            ('0x1.a9a8a01e2fe92p+7', '0x1.9dc24c2f5c229p+7', '0x1.bca72f57db30dp+7'),
             (60, 60, 60),
         ),
     ],
@@ -529,13 +537,14 @@ class TestGoldenSearch:
 
 
 class TestAveragedSelectionIsLayoutStable:
-    """With ``adam.average = "ema"`` the selected cell does not depend on the
-    stack layout.
+    """The trainer returns the averaged iterate, so the selected cell does
+    not depend on the stack layout.
 
     The benchmark's grid_cv search (5 folds of 320 training rows, full
     batch, 1000 steps) on three of the seed sweep's inputs: the ones whose
     selection moves between one row per stack (one GEMV per row) and the
-    default stacks (one GEMM per fold) when the last iterate is returned.
+    default stacks (one GEMM per fold) when the last iterate is returned,
+    as the trainer did before it averaged.
     The grid keeps the sweep's sigma=1 cells only, the width all three
     select in every run of the sweep, and the cells between which their
     selection moved.
@@ -543,8 +552,8 @@ class TestAveragedSelectionIsLayoutStable:
     The selected cell is a measured result of one build (OpenBLAS 0.3.31),
     not a bound: there the selected cell leads the runner-up by 1.2e-4,
     8.6e-5 and 2.6e-4 relative, while each cell's statistic moves by at
-    most 7.8e-5, 4.7e-5 and 1.4e-5 between layouts; without averaging the
-    largest moves are 3.5e-3 to 6.4e-3, more than the gap.  What
+    most 7.8e-5, 4.7e-5 and 1.4e-5 between layouts; with the last iterate
+    the largest moves were 3.5e-3 to 6.4e-3, more than the gap.  What
     averaging guarantees more robustly is that smaller movement, which
     ``STAT_RTOL`` checks with a wide margin on both sides.
     """
@@ -560,7 +569,7 @@ class TestAveragedSelectionIsLayoutStable:
         ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=500, seed=seed))
         train = Dataset(X=ds.X[:400], y=ds.y[:400], name=ds.name)
         grid = GridSpec(C_values=(1.0, 100.0, 10000.0), sigma_values=(1.0,), a_values=(1.0, 3.0), k=5)
-        adam = AdamConfig(batch_size=400, average="ema")
+        adam = AdamConfig(batch_size=400)
 
         def search():
             return grid_search_cv(train, grid, recipe_from_name("hawkeye"), adam=adam, scaling="zscore", selection="mean")

@@ -134,6 +134,17 @@ class TestConfigValidation:
             dict(early_stop_tol=float("inf")),
             dict(early_stop_tol=float("nan")),
             dict(early_stop_patience=0),
+            dict(gamma=float("inf")),
+            dict(gamma=float("nan")),
+            dict(delta=float("inf")),
+            dict(delta=float("nan")),
+            dict(alpha0=float("nan")),
+            dict(alpha0=float("-inf")),
+            dict(m0=float("inf")),
+            dict(m0=float("nan")),
+            dict(v0=-1.0),
+            dict(v0=float("inf")),
+            dict(v0=float("nan")),
         ],
     )
     def test_bad_configs(self, kw):
@@ -338,9 +349,6 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
                 out.update(zip(rows, np.stack([vectors[c] for c in rows]) @ K[k]))
         return out
 
-    def returned(c):
-        return avgs[c] if cfg.average == "ema" else states[c].alpha
-
     for step in range(cfg.max_iter):
         Kalpha = products({c: states[c].alpha for c in live})
         for c in list(live):
@@ -367,8 +375,8 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
             avgs[c] = avgs[c] + (1.0 - EMA_WEIGHT) * (states[c].alpha - avgs[c])
     for c, trace in enumerate(traces):
         k = fold[c]
-        trace[states[c].t :] = [objective_value(returned(c), GramMatrix(K[k]), Ys[k], Cs[c], losses[c])]
-        states[c] = AdamState(alpha=returned(c), m=states[c].m, v=states[c].v, t=states[c].t, trace=trace)
+        trace[states[c].t :] = [objective_value(avgs[c], GramMatrix(K[k]), Ys[k], Cs[c], losses[c])]
+        states[c] = AdamState(alpha=avgs[c], m=states[c].m, v=states[c].v, t=states[c].t, trace=trace)
     return states
 
 
@@ -490,43 +498,37 @@ class TestAdamStepInPlace:
 
 
 class TestAveragedIterate:
-    """``average="ema"`` returns the EMA of the iterates."""
+    """The trainer returns the EMA of the iterates, bit for bit the layout
+    oracle's, which averages per-row :func:`adam_step` iterates."""
 
     loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
 
     def test_config(self):
-        assert AdamConfig().average == "none"
-        with pytest.raises(ValueError, match="average must be one of"):
-            AdamConfig(average="mean")
+        # no field selects the last iterate
+        with pytest.raises(TypeError):
+            AdamConfig(average="ema")
 
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_rows_match_hand_rolled_ema_of_one_cell_iterates(self, batch_size):
-        # one row per fold, so each row's products are those of a one-cell
-        # run; the loose tolerance stops rows early, at different steps
+        # one row per fold, so each row's products are the GEMVs of a
+        # one-cell run; the loose tolerance stops rows early, at different
+        # steps
         gram, Ys, grams = fold_stack()
         fold, Cs, gammas, seeds = [0, 1, 2], [1.0, 100.0, 10.0], [1e-2, 1e-2, 1e-3], [4, 5, 6]
         cfg = AdamConfig(
-            max_iter=40, batch_size=batch_size, collect_trace=True, average="ema",
+            max_iter=40, batch_size=batch_size, collect_trace=True,
             early_stop=True, early_stop_tol=1e-2, early_stop_patience=3,
         )
         stack = train_adam(gram, Ys, Cs, [self.loss] * 3, cfg, gamma=gammas, seed=seeds, fold=fold)
         steps = [got.t for got in stack.states]
         assert min(steps) < 40 and max(steps) == 40
+        want = layout_reference(gram.values, Ys, Cs, [self.loss] * 3, cfg, gammas, seeds, fold)
+        assert_matches_reference(stack, want)
         for k, C, gamma, seed, got in zip(fold, Cs, gammas, seeds, stack.states):
-            last = replace(cfg, average="none", gamma=gamma, seed=seed)
-            avg = np.full(gram.n, cfg.alpha0)
-            for t in range(1, got.t + 1):
-                alpha_t = train_adam(grams[k], Ys[k], C, self.loss, replace(last, max_iter=t)).alpha
-                avg = avg + (1.0 - EMA_WEIGHT) * (alpha_t - avg)
-            assert got.alpha.tobytes() == avg.tobytes()
-            # the moments and the traced iterates are those of the last-iterate run
-            alone = train_adam(grams[k], Ys[k], C, self.loss, last)
-            assert got.t == alone.t
-            assert got.m.tobytes() == alone.m.tobytes() and got.v.tobytes() == alone.v.tobytes()
-            assert got.trace[:-1] == alone.trace[:-1]
+            alone = train_adam(grams[k], Ys[k], C, self.loss, replace(cfg, gamma=gamma, seed=seed))
+            assert got.alpha.tobytes() == alone.alpha.tobytes() and got.trace == alone.trace
             # the last trace entry is H of the returned coefficients
             assert got.trace[-1] == objective_value(got.alpha, grams[k], Ys[k], C, self.loss)
-            assert got.trace[-1] != alone.trace[-1]
 
 
 def fold_stack(sizes_n=20, folds=3, seed=60):
@@ -579,12 +581,14 @@ class TestCrossFoldStack:
 
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_averaged_rows_stopping_early(self, batch_size):
-        # as above, with the averaged iterate: rows leave the stack, and
-        # the folds' row counts change, with their averages
+        # as above, with one learning rate: rows leave the stack, and the
+        # folds' row counts change, with their averages; the oracle builds
+        # each row's average from its iterates, so the traced iterates,
+        # moments and steps are checked bit for bit as well
         gram, Ys, grams = fold_stack()
         fold, Cs, gammas, seeds = [2, 0, 1, 0, 2, 1], [1.0, 1.0, 100.0, 100.0, 10.0, 1.0], [1e-2] * 6, [4, 5, 6, 7, 8, 9]
         cfg = AdamConfig(
-            max_iter=80, batch_size=batch_size, collect_trace=True, average="ema",
+            max_iter=80, batch_size=batch_size, collect_trace=True,
             early_stop=True, early_stop_tol=1e-2, early_stop_patience=3,
         )
         stack = train_adam(gram, Ys, Cs, [self.loss] * 6, cfg, gamma=gammas, seed=seeds, fold=fold)
