@@ -66,12 +66,16 @@ def _parse_optional_float(text: str):
     return None if low in ("", "none") else float(text)
 
 
-def _parse_optional_count(text: str):
-    low = str(text).strip().lower()
-    value = None if low in ("", "none") else int(text)
-    if value is not None and value < 0:
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
         raise ValueError(f"must be >= 0, got {value}")
     return value
+
+
+def _parse_optional_count(text: str):
+    low = str(text).strip().lower()
+    return None if low in ("", "none") else _parse_count(text)
 
 
 def _parse_choice(*allowed):
@@ -85,7 +89,7 @@ def _parse_choice(*allowed):
 
 # key -> (default, parser-from-string)
 CONFIG_SCHEMA: dict[str, tuple] = {
-    "seed": (0, int),
+    "seed": (0, _parse_count),
     "scaling": ("minmax", _parse_choice("none", "minmax", "zscore")),
     "trace": (False, _parse_bool),
     "C": (100.0, float),

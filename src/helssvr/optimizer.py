@@ -27,8 +27,8 @@ from .losses import LossSpec, loss_derivative, loss_value, stack_losses
 from .seeding import make_rng, sample_without_replacement
 
 #: weight of the previous average in the coefficients :func:`train_adam`
-#: returns: avg_t = w avg_{t-1} + (1 - w) alpha_t, from avg_0 = alpha_0
-#: (Kingma & Ba 2015, section 7.2)
+#: returns: avg_t = w avg_{t-1} + (1 - w) alpha_t from avg_0 = 0, divided
+#: by 1 - w^t (Kingma & Ba 2015, section 7.2)
 EMA_WEIGHT = 0.99
 
 
@@ -41,7 +41,7 @@ class AdamConfig:
     vectors.  ``gamma`` is the learning rate; 0.01 is the largest value of
     the usual search set {1e-4, 1e-3, 1e-2}.  The initial scalars must be
     finite, and v0 >= 0.  The coefficients :func:`train_adam` returns are
-    the moving average of its iterates (:data:`EMA_WEIGHT`).
+    the bias-corrected moving average of its iterates (:data:`EMA_WEIGHT`).
     """
 
     gamma: float = 0.01
@@ -227,10 +227,12 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     (:func:`objective_value`).  Optional early stopping ends the run once
     successive objective values of the iterates differ by less than
     ``early_stop_tol`` for ``early_stop_patience`` consecutive iterations.
-    The state's ``alpha`` is the average avg_t = w avg_{t-1} + (1 - w)
-    alpha_t (w = :data:`EMA_WEIGHT`, avg_0 = alpha_0) at the step the run
-    ended, not the last iterate, which oscillates at a constant step size;
-    the moments are the last iterate's.
+    The state's ``alpha`` is the bias-corrected average avg_t / (1 - w^t),
+    avg_t = w avg_{t-1} + (1 - w) alpha_t (w = :data:`EMA_WEIGHT`,
+    avg_0 = 0), at the step the run ended, not the last iterate, which
+    oscillates at a constant step size.  The correction makes it a weighted
+    mean of alpha_1..alpha_t, so a short or early-stopped run keeps no
+    weight on alpha_0.  The moments are the last iterate's.
 
     To train m cells at once, pass ``C`` and ``loss`` as sequences of m
     values, and optionally ``gamma`` and ``seed`` as sequences that replace
@@ -313,7 +315,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         v=np.full((rows, n), float(cfg.v0)),
         t=0,
     )
-    avg = np.full((rows, n), float(cfg.alpha0))
+    avg = np.zeros((rows, n))
     work = (np.empty((rows, n)), np.empty((rows, n)))  # adam_step's in-place buffers
     Y = Ys[fold_of]
     Kalpha, Kd = np.empty((rows, n)), np.empty((rows, n))
@@ -327,7 +329,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     out = [None] * rows
 
     def finish(r, c):
-        alpha = avg[r].copy()
+        alpha = avg[r] / (1.0 - EMA_WEIGHT**state.t)
         out[c] = AdamState(alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c])
         if cfg.collect_trace:
             # a row that stops early has traced this step's iterate; the

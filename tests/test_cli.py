@@ -120,6 +120,7 @@ class TestTrain:
         ("adam.gamma=nan", "gamma must be finite and > 0"),
         ("adam.delta=inf", "delta must be finite and > 0"),
         ("adam.seed=-1", "must be >= 0, got -1"),
+        ("seed=-1", "must be >= 0, got -1"),
     ])
     def test_bad_early_stop_setting_exit_2(self, tmp_path, capsys, pair, message):
         data = tmp_path / "toy.csv"

@@ -449,53 +449,53 @@ class TestStackedSearchMatchesStandaloneFits:
 GOLDEN_SEARCH = {
     8: [
         (
-            ('0x1.486b4924f4d87p-1', '0x1.3fe6a09c95b39p-1', '0x1.8be10ae2b95fep-1'),
+            ('0x1.1e9a2e2469ef7p-1', '0x1.2236a3359feacp-1', '0x1.6b6b91b3e9279p-1'),
             ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
-            ('0x1.f119432a99ee2p+1', '0x1.0c52f82e56db1p+2', '0x1.0c1aec6a2898ap+2'),
+            ('0x1.9ab2ce2e8d547p+1', '0x1.ae51bd0aa8b16p+1', '0x1.c893dfd9d99aep+1'),
             (41, 39, 39),
         ),
         (
-            ('0x1.4268d3ec887f7p-1', '0x1.30015e8d1737cp-1', '0x1.801759116b69ep-1'),
+            ('0x1.e4bbd61db8f2cp-2', '0x1.b9142a09d8895p-2', '0x1.3423b9d1399a8p-1'),
             ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
-            ('0x1.e6716c7909049p+1', '0x1.032d51000f9e4p+2', '0x1.fcdf4e242f991p+1'),
+            ('0x1.5d1c16530d74cp+1', '0x1.49f1a721a126cp+1', '0x1.5b5c19cca9ddep+1'),
             (30, 30, 30),
         ),
         (
-            ('0x1.f5a2ae7497b98p-2', '0x1.029d97e9b3e2bp-1', '0x1.3b98c2616ac89p-1'),
+            ('0x1.0c9d04295a276p-2', '0x1.6fc719a1c218fp-2', '0x1.988aafd2c80fbp-2'),
             ('0x1.aaa645e660c6dp+8', '0x1.d04432d999248p+8', '0x1.c4e58ba152122p+8'),
-            ('0x1.ebaceac3fb886p+7', '0x1.f5f87ed36f81bp+7', '0x1.0f3f571cfd24fp+8'),
+            ('0x1.1898ab69883ebp+6', '0x1.d77118d02d5efp+5', '0x1.b49e1c9cb47e7p+6'),
             (60, 60, 60),
         ),
         (
-            ('0x1.b58fca7ba800ap-2', '0x1.9aaaa9b33476bp-2', '0x1.247f1a260b68ep-1'),
+            ('0x1.48cc1d83d254dp-3', '0x1.38c31e61e4a34p-3', '0x1.4be556f9e7f88p-2'),
             ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
-            ('0x1.b7586f714618ep+7', '0x1.af47cbe2efc8fp+7', '0x1.cbf3f39c0b3c2p+7'),
+            ('0x1.e117d353450bbp+5', '0x1.61a0946149945p+4', '0x1.34e5a6dd18801p+6'),
             (60, 60, 60),
         ),
     ],
     1000: [
         (
-            ('0x1.4247d5d6737e7p-1', '0x1.3b5515188b688p-1', '0x1.8415c1343ab75p-1'),
+            ('0x1.f95558207ff0fp-2', '0x1.0b7cd017e13d2p-1', '0x1.47006b4a0139dp-1'),
             ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
-            ('0x1.e3240982f81eep+1', '0x1.036537412d721p+2', '0x1.02ca9d0ddab59p+2'),
+            ('0x1.6097aa25087b8p+1', '0x1.6a81d4e0e912fp+1', '0x1.87d71fe3e99efp+1'),
             (33, 32, 32),
         ),
         (
-            ('0x1.404b39464867ep-1', '0x1.2fc7b5f81528bp-1', '0x1.84b284edf629dp-1'),
+            ('0x1.98e1dabc8c3b6p-2', '0x1.7180f6169a831p-2', '0x1.207aa21d20835p-1'),
             ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
-            ('0x1.e09f918ae0769p+1', '0x1.03a0219ca997ep+2', '0x1.03f14d447888dp+2'),
+            ('0x1.2d7a6e22eb5f6p+1', '0x1.110300823d470p+1', '0x1.3c4ceff7882f3p+1'),
             (23, 22, 20),
         ),
         (
-            ('0x1.e31f8bbbf76ffp-2', '0x1.f730e268a6300p-2', '0x1.30380aff2d41ep-1'),
+            ('0x1.cf7f115f13864p-3', '0x1.535c2ac5e8e86p-2', '0x1.68b3cd6989c3fp-2'),
             ('0x1.aaa645e660c6dp+8', '0x1.d04432d999248p+8', '0x1.c4e58ba152122p+8'),
-            ('0x1.ceef7bdb78d4ap+7', '0x1.e34d91e01387dp+7', '0x1.fe4fd42ef77e8p+7'),
+            ('0x1.977ce6179d9c2p+5', '0x1.7fb95eef67563p+5', '0x1.55bf39b461b73p+6'),
             (60, 60, 60),
         ),
         (
-            ('0x1.ac24db9116d88p-2', '0x1.9700bb3f8154cp-2', '0x1.1c7290e85cea1p-1'),
+            ('0x1.22bb056655624p-3', '0x1.1cf7d6bc4f8ebp-3', '0x1.284619d3ae52dp-2'),
             ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
-            ('0x1.a9a8a01e2fe92p+7', '0x1.9dc24c2f5c229p+7', '0x1.bca72f57db30dp+7'),
+            ('0x1.7787ed1b200a9p+5', '0x1.0387bedc1ca80p+4', '0x1.dde0dcb0477ecp+5'),
             (60, 60, 60),
         ),
     ],

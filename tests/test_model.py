@@ -682,6 +682,24 @@ class TestAveragedFit:
         assert report.final_objective == report.trace[-1] == h
         assert report.initial_objective == report.trace[0]
 
+    def test_early_stopped_fit_keeps_the_iterates_objective(self):
+        # the run stops after 63 steps, inside the average's 100-step
+        # window; the bias-corrected average is a mean of trained iterates,
+        # so its objective ends near theirs (1.1% of the descent from the
+        # initial objective here), where an average started at alpha0
+        # would keep half its weight on the initial coefficients
+        ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=30, seed=0))
+        adam = AdamConfig(
+            max_iter=5000, seed=0, collect_trace=True,
+            early_stop=True, early_stop_tol=1e-3, early_stop_patience=5,
+        )
+        _, report = fit(ds.X, ds.y, rbf(0.5), hawkeye(), C=1.0, adam=adam, scaling="zscore")
+        assert report.iterations < 100
+        # trace[-2] is the iterate before the last, within early_stop_tol
+        # of the last one's objective
+        h0, last = report.initial_objective, report.trace[-2]
+        assert report.final_objective - last <= 0.05 * (h0 - last)
+
 
 class TestGoldenModelFile:
     """A standalone fit's model file, pinned by its SHA-256.
@@ -696,8 +714,8 @@ class TestGoldenModelFile:
     @pytest.mark.parametrize(
         "batch_size, digest",
         [
-            (8, "277cb0ed70a57cb6fb8dabb140665927ce3cb57e87ca28f207f7d58075cffd7e"),
-            (1000, "589d4efebf8c998e64737d720a2077f0d179f691bdc4adbe791865035470e635"),
+            (8, "71aff4c9fcc8a139cd2baaa281cfe81cdf9de14711212e6a445c14a9c195da12"),
+            (1000, "dd4b673ee59254342a4b1d90856ab70490477b847d3168fa7854f66e8570401b"),
         ],
     )
     def test_standalone_fit_model_file(self, batch_size, digest):

@@ -333,7 +333,7 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
     n = K.shape[-1]
     s = min(cfg.batch_size, n)
     states = [AdamState(alpha=np.full(n, cfg.alpha0), m=np.full(n, cfg.m0), v=np.full(n, cfg.v0)) for _ in Cs]
-    avgs = [np.full(n, cfg.alpha0) for _ in Cs]
+    avgs = [np.zeros(n) for _ in Cs]
     rngs = [make_rng(seed) for seed in seeds]
     traces = [[] for _ in Cs]
     prev_h, flat_run = [None] * len(Cs), [0] * len(Cs)
@@ -375,8 +375,9 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
             avgs[c] = avgs[c] + (1.0 - EMA_WEIGHT) * (states[c].alpha - avgs[c])
     for c, trace in enumerate(traces):
         k = fold[c]
-        trace[states[c].t :] = [objective_value(avgs[c], GramMatrix(K[k]), Ys[k], Cs[c], losses[c])]
-        states[c] = AdamState(alpha=avgs[c], m=states[c].m, v=states[c].v, t=states[c].t, trace=trace)
+        alpha = avgs[c] / (1.0 - EMA_WEIGHT ** states[c].t)
+        trace[states[c].t :] = [objective_value(alpha, GramMatrix(K[k]), Ys[k], Cs[c], losses[c])]
+        states[c] = AdamState(alpha=alpha, m=states[c].m, v=states[c].v, t=states[c].t, trace=trace)
     return states
 
 
