@@ -166,6 +166,64 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LossSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # one case per domain rule, in the order each kind checks them
+            (dict(kind="hawkeye", epsilon=0.0, a=1.0, lam=1.0), "hawkeye loss requires epsilon > 0"),
+            (dict(kind="hawkeye", epsilon=0.5, a=-1.0, lam=1.0), "hawkeye loss requires a > 0"),
+            (dict(kind="hawkeye", epsilon=0.5, a=1.0, lam=0.0), "hawkeye loss requires lam > 0"),
+            (dict(kind="hawkeye", epsilon=0.5, a=1e200, lam=1e200), "hawkeye loss requires a finite lam * a"),
+            (dict(kind="insensitive", epsilon=-0.1), "insensitive loss requires epsilon >= 0"),
+            (dict(kind="huber", theta=-1.0), "huber loss requires theta >= 0"),
+            (dict(kind="nonconvex_least_squares", theta=-1.0), "nonconvex_least_squares loss requires theta >= 0"),
+            (dict(kind="ramp_insensitive", epsilon=-0.1, theta=1.0), "ramp_insensitive loss requires epsilon >= 0"),
+            (dict(kind="ramp_insensitive", epsilon=1.0, theta=0.5), "ramp_insensitive loss requires theta >= epsilon"),
+            (
+                dict(kind="ramp_insensitive_least_squares", epsilon=-0.1, theta=1.0),
+                "ramp_insensitive_least_squares loss requires epsilon >= 0",
+            ),
+            (
+                dict(kind="ramp_insensitive_least_squares", epsilon=1.0, theta=0.5),
+                "ramp_insensitive_least_squares loss requires theta >= epsilon",
+            ),
+            (dict(kind="canal", epsilon=-0.1, theta=1.0), "canal loss requires epsilon >= 0"),
+            (dict(kind="canal", epsilon=1.0, theta=0.5), "canal loss requires theta >= epsilon"),
+            (
+                dict(kind="quadratic_nonconvex_insensitive", epsilon=-0.1, t=0.5, theta=1.0),
+                "quadratic_nonconvex_insensitive loss requires epsilon >= 0",
+            ),
+            (
+                dict(kind="quadratic_nonconvex_insensitive", epsilon=1.0, t=0.5, theta=1.0),
+                "quadratic_nonconvex_insensitive loss requires t >= epsilon",
+            ),
+            (
+                dict(kind="quadratic_nonconvex_insensitive", epsilon=0.1, t=0.5, theta=-1.0),
+                "quadratic_nonconvex_insensitive loss requires theta >= 0",
+            ),
+            (dict(kind="bounded_least_squares", t=0.0, theta=1.0), "bounded_least_squares loss requires t > 0"),
+            (dict(kind="bounded_least_squares", t=1.0, theta=-1.0), "bounded_least_squares loss requires theta >= 0"),
+            # the checks that come before the domain rules
+            (dict(kind="nope"), "unknown loss kind 'nope'"),
+            (dict(kind="hawkeye", epsilon=0.5, a=1.0), "hawkeye loss requires parameter 'lam'"),
+            (dict(kind="huber", theta=math.inf), "huber loss parameter 'theta' must be finite"),
+            (dict(kind="least_squares", epsilon=0.1), "least_squares loss does not take parameter 'epsilon'"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_error_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            LossSpec(**kwargs)
+        assert str(exc.value) == message
+
+    def test_boundaries_accepted(self):
+        # each non-strict bound admits its own value
+        LossSpec("insensitive", epsilon=0.0)
+        LossSpec("huber", theta=0.0)
+        LossSpec("canal", epsilon=0.5, theta=0.5)
+        LossSpec("quadratic_nonconvex_insensitive", epsilon=0.5, t=0.5, theta=0.0)
+        LossSpec("bounded_least_squares", t=1e-300, theta=0.0)
+
 
 class TestCharacteristics:
     def test_hawkeye_row(self):
@@ -490,3 +548,53 @@ class TestDerivativeOut:
         buf = np.zeros(2)
         with pytest.raises(ValueError, match="residual must be finite"):
             loss_derivative(spec, np.array([0.1, np.nan]), out=buf)
+
+
+class TestCanalOracle:
+    """canal is min(theta - eps, max(0, |r| - eps)), with dL/d|r| = 1 strictly
+    between eps and theta and 0 elsewhere; the library must give these
+    formulas' bits, which are also the ramp-insensitive loss's."""
+
+    PAIRS = [(0.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.05, 1.0), (0.5, 1.5), (1e-300, 1e300), (5e-324, 1e-310), (1.0, 1e308)]
+
+    @staticmethod
+    def oracle_value(eps, th, m):
+        return np.minimum(th - eps, np.maximum(0.0, m - eps))
+
+    @staticmethod
+    def oracle_derivative(eps, th, r):
+        m = np.abs(r)
+        return np.sign(r) * np.where((m > eps) & (m < th), 1.0, 0.0)
+
+    @staticmethod
+    def residuals(eps, th):
+        # 0, eps, theta and their float neighbours, subnormals, huge values
+        # and a random sweep past theta, with both signs
+        tiny = np.nextafter(0.0, 1.0)
+        points = [0.0, tiny, 1e-310, 2.2250738585072014e-308, 1.0, 1e308]
+        for x in (eps, th):
+            points += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), x * (1 + 2.0**-52), x * (1 - 2.0**-52)]
+        scale = min(2.0 * th + 1.0, 1e308)
+        m = np.concatenate([points, np.random.default_rng(13).uniform(0.0, scale, 2000)])
+        return np.concatenate([m, -m])
+
+    @pytest.mark.parametrize("eps, th", PAIRS)
+    def test_value_matches_formula(self, eps, th):
+        spec = LossSpec("canal", epsilon=eps, theta=th)
+        r = self.residuals(eps, th)
+        want = self.oracle_value(eps, th, np.abs(r))
+        assert loss_value(spec, r).tobytes() == want.tobytes()
+        assert loss_value(LossSpec("ramp_insensitive", epsilon=eps, theta=th), r).tobytes() == want.tobytes()
+        for x, w in zip(r[:40], want[:40]):
+            assert np.float64(loss_value(spec, float(x))).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("eps, th", PAIRS)
+    def test_derivative_matches_formula(self, eps, th):
+        spec = LossSpec("canal", epsilon=eps, theta=th)
+        r = self.residuals(eps, th)
+        want = self.oracle_derivative(eps, th, r)
+        assert loss_derivative(spec, r).tobytes() == want.tobytes()
+        assert loss_derivative(LossSpec("ramp_insensitive", epsilon=eps, theta=th), r).tobytes() == want.tobytes()
+        stack = losses.stack_losses([spec, spec], r.size)
+        got = loss_derivative(stack, np.stack([r, r[::-1]]))
+        assert got.tobytes() == np.stack([want, want[::-1]]).tobytes()
