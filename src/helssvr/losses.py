@@ -10,6 +10,7 @@ stop contributing gradient.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,30 +27,6 @@ QUADRATIC_NONCONVEX_INSENSITIVE = "quadratic_nonconvex_insensitive"
 CANAL = "canal"
 BOUNDED_LEAST_SQUARES = "bounded_least_squares"
 
-#: parameters each kind accepts (and must receive)
-_REQUIRED_PARAMS = {
-    HAWKEYE: ("epsilon", "a", "lam"),
-    LEAST_SQUARES: (),
-    ABSOLUTE: (),
-    HUBER: ("theta",),
-    INSENSITIVE: ("epsilon",),
-    RAMP_INSENSITIVE: ("epsilon", "theta"),
-    NONCONVEX_LEAST_SQUARES: ("theta",),
-    RAMP_INSENSITIVE_LEAST_SQUARES: ("epsilon", "theta"),
-    QUADRATIC_NONCONVEX_INSENSITIVE: ("epsilon", "t", "theta"),
-    CANAL: ("epsilon", "theta"),
-    BOUNDED_LEAST_SQUARES: ("t", "theta"),
-}
-
-LOSS_KINDS = tuple(_REQUIRED_PARAMS)
-
-
-def required_params(kind: str) -> tuple[str, ...]:
-    """Hyperparameter names a loss kind needs at construction."""
-    if kind not in _REQUIRED_PARAMS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    return _REQUIRED_PARAMS[kind]
-
 
 @dataclass(frozen=True)
 class LossCharacteristics:
@@ -60,23 +37,6 @@ class LossCharacteristics:
     bounded: bool
     convex: bool
     smooth: bool
-
-
-# Trait matrix is stored as declared metadata; the numeric probes live in
-# the test suite (boundedness, zone width, smoothness where measurable).
-_CHARACTERISTICS = {
-    LEAST_SQUARES: LossCharacteristics(False, False, False, True, True),
-    ABSOLUTE: LossCharacteristics(False, False, False, True, False),
-    HUBER: LossCharacteristics(False, False, False, True, True),
-    INSENSITIVE: LossCharacteristics(False, True, False, True, False),
-    RAMP_INSENSITIVE: LossCharacteristics(True, True, True, False, False),
-    NONCONVEX_LEAST_SQUARES: LossCharacteristics(True, False, True, False, False),
-    RAMP_INSENSITIVE_LEAST_SQUARES: LossCharacteristics(True, True, True, False, False),
-    QUADRATIC_NONCONVEX_INSENSITIVE: LossCharacteristics(True, True, True, False, False),
-    CANAL: LossCharacteristics(True, True, True, False, False),
-    BOUNDED_LEAST_SQUARES: LossCharacteristics(True, False, True, False, True),
-    HAWKEYE: LossCharacteristics(True, True, True, False, True),
-}
 
 
 @dataclass(frozen=True)
@@ -110,54 +70,25 @@ class LossSpec:
     t: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED_PARAMS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        required = _REQUIRED_PARAMS[self.kind]
+        kind = _KINDS[self.kind]
         for name in ("epsilon", "a", "lam", "theta", "t"):
             val = getattr(self, name)
-            if name in required:
+            if name in kind.params:
                 if val is None:
                     raise ValueError(f"{self.kind} loss requires parameter {name!r}")
                 if not np.isfinite(val):
                     raise ValueError(f"{self.kind} loss parameter {name!r} must be finite")
             elif val is not None:
                 raise ValueError(f"{self.kind} loss does not take parameter {name!r}")
-        self._validate_domain()
-
-    def _validate_domain(self):
-        kind = self.kind
-        if kind == HAWKEYE:
-            if self.epsilon <= 0:
-                raise ValueError("hawkeye loss requires epsilon > 0")
-            if self.a <= 0:
-                raise ValueError("hawkeye loss requires a > 0")
-            if self.lam <= 0:
-                raise ValueError("hawkeye loss requires lam > 0")
-            if not np.isfinite(self.lam * self.a):
-                raise ValueError("hawkeye loss requires a finite lam * a")
-        elif kind in (INSENSITIVE,):
-            if self.epsilon < 0:
-                raise ValueError("insensitive loss requires epsilon >= 0")
-        elif kind in (HUBER, NONCONVEX_LEAST_SQUARES):
-            if self.theta < 0:
-                raise ValueError(f"{kind} loss requires theta >= 0")
-        elif kind in (RAMP_INSENSITIVE, RAMP_INSENSITIVE_LEAST_SQUARES, CANAL):
-            if self.epsilon < 0:
-                raise ValueError(f"{kind} loss requires epsilon >= 0")
-            if self.theta < self.epsilon:
-                raise ValueError(f"{kind} loss requires theta >= epsilon")
-        elif kind == QUADRATIC_NONCONVEX_INSENSITIVE:
-            if self.epsilon < 0:
-                raise ValueError(f"{kind} loss requires epsilon >= 0")
-            if self.t < self.epsilon:
-                raise ValueError(f"{kind} loss requires t >= epsilon")
-            if self.theta < 0:
-                raise ValueError(f"{kind} loss requires theta >= 0")
-        elif kind == BOUNDED_LEAST_SQUARES:
-            if self.t <= 0:
-                raise ValueError(f"{kind} loss requires t > 0")
-            if self.theta < 0:
-                raise ValueError(f"{kind} loss requires theta >= 0")
+        for name, bound, strict in kind.rules:
+            val = getattr(self, name)
+            limit = getattr(self, bound) if isinstance(bound, str) else bound
+            if val < limit or (strict and val == limit):
+                raise ValueError(f"{self.kind} loss requires {name} {'>' if strict else '>='} {bound}")
+        if self.kind == HAWKEYE and not np.isfinite(self.lam * self.a):
+            raise ValueError("hawkeye loss requires a finite lam * a")
 
     def params(self) -> dict:
         """Hyperparameters actually carried by this kind, as a dict."""
@@ -196,7 +127,7 @@ def stack_losses(specs, width: int) -> LossStack:
     kind = kinds.pop()
     blocks = {
         name: np.repeat(np.array([[getattr(spec, name)] for spec in specs], dtype=float), width, axis=1)
-        for name in _REQUIRED_PARAMS[kind]
+        for name in _KINDS[kind].params
     }
     if kind == HAWKEYE:
         blocks["lam_a"] = blocks["lam"] * blocks["a"]
@@ -264,29 +195,9 @@ def _quadratic_nonconvex_insensitive_value(spec, m):
     return np.where(m < eps, 0.0, np.where(m > t, tail, (m - eps) ** 2))
 
 
-def _canal_value(spec, m):
-    eps, th = spec.epsilon, spec.theta
-    return np.minimum(th - eps, np.maximum(0.0, m - eps))
-
-
 def _bounded_least_squares_value(spec, m):
     t, th = spec.t, spec.theta
     return (1.0 / t) * (1.0 - 1.0 / (1.0 + th * m * m))
-
-
-_VALUE_FNS = {
-    HAWKEYE: _hawkeye_value,
-    LEAST_SQUARES: _least_squares_value,
-    ABSOLUTE: _absolute_value,
-    HUBER: _huber_value,
-    INSENSITIVE: _insensitive_value,
-    RAMP_INSENSITIVE: _ramp_insensitive_value,
-    NONCONVEX_LEAST_SQUARES: _nonconvex_least_squares_value,
-    RAMP_INSENSITIVE_LEAST_SQUARES: _ramp_insensitive_least_squares_value,
-    QUADRATIC_NONCONVEX_INSENSITIVE: _quadratic_nonconvex_insensitive_value,
-    CANAL: _canal_value,
-    BOUNDED_LEAST_SQUARES: _bounded_least_squares_value,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +265,85 @@ def _quadratic_nonconvex_insensitive_deriv(spec, m):
     )
 
 
-def _canal_deriv(spec, m):
-    eps, th = spec.epsilon, spec.theta
-    return np.where((m > eps) & (m < th), 1.0, 0.0)
-
-
 def _bounded_least_squares_deriv(spec, m):
     t, th = spec.t, spec.theta
     denom = (1.0 + th * m * m) ** 2
     return 2.0 * th * m / (t * denom)
 
 
-_DERIV_FNS = {
-    LEAST_SQUARES: _least_squares_deriv,
-    ABSOLUTE: _absolute_deriv,
-    HUBER: _huber_deriv,
-    INSENSITIVE: _insensitive_deriv,
-    RAMP_INSENSITIVE: _ramp_insensitive_deriv,
-    NONCONVEX_LEAST_SQUARES: _nonconvex_least_squares_deriv,
-    RAMP_INSENSITIVE_LEAST_SQUARES: _ramp_insensitive_least_squares_deriv,
-    QUADRATIC_NONCONVEX_INSENSITIVE: _quadratic_nonconvex_insensitive_deriv,
-    CANAL: _canal_deriv,
-    BOUNDED_LEAST_SQUARES: _bounded_least_squares_deriv,
+@dataclass(frozen=True)
+class _Kind:
+    """Everything one loss kind is made of.
+
+    ``rules`` are its domain checks, run in order after the finiteness
+    checks: (parameter, lower bound, strict), where the bound is a number or
+    another parameter's name and the parameter must exceed it (strict) or
+    reach it.  ``value`` and ``deriv`` take (spec, |r|) and return L and
+    dL/d|r|; ``deriv`` is None for hawkeye, whose :func:`_hawkeye_deriv`
+    writes dL/dr itself.
+    """
+
+    params: tuple[str, ...]
+    rules: tuple[tuple[str, float | str, bool], ...]
+    traits: LossCharacteristics
+    value: Callable
+    deriv: Callable | None
+
+
+_EPS_GE_0, _THETA_GE_0, _THETA_GE_EPS = ("epsilon", 0, False), ("theta", 0, False), ("theta", "epsilon", False)
+
+# The trait matrix is declared metadata; the numeric probes live in the test
+# suite (boundedness, zone width, smoothness where measurable).  canal is the
+# ramp-insensitive loss under a second name: both are min(theta - eps,
+# max(0, |r| - eps)).
+_KINDS = {
+    HAWKEYE: _Kind(
+        ("epsilon", "a", "lam"), (("epsilon", 0, True), ("a", 0, True), ("lam", 0, True)),
+        LossCharacteristics(True, True, True, False, True), _hawkeye_value, None),
+    LEAST_SQUARES: _Kind(
+        (), (),
+        LossCharacteristics(False, False, False, True, True), _least_squares_value, _least_squares_deriv),
+    ABSOLUTE: _Kind(
+        (), (),
+        LossCharacteristics(False, False, False, True, False), _absolute_value, _absolute_deriv),
+    HUBER: _Kind(
+        ("theta",), (_THETA_GE_0,),
+        LossCharacteristics(False, False, False, True, True), _huber_value, _huber_deriv),
+    INSENSITIVE: _Kind(
+        ("epsilon",), (_EPS_GE_0,),
+        LossCharacteristics(False, True, False, True, False), _insensitive_value, _insensitive_deriv),
+    RAMP_INSENSITIVE: _Kind(
+        ("epsilon", "theta"), (_EPS_GE_0, _THETA_GE_EPS),
+        LossCharacteristics(True, True, True, False, False), _ramp_insensitive_value, _ramp_insensitive_deriv),
+    NONCONVEX_LEAST_SQUARES: _Kind(
+        ("theta",), (_THETA_GE_0,),
+        LossCharacteristics(True, False, True, False, False),
+        _nonconvex_least_squares_value, _nonconvex_least_squares_deriv),
+    RAMP_INSENSITIVE_LEAST_SQUARES: _Kind(
+        ("epsilon", "theta"), (_EPS_GE_0, _THETA_GE_EPS),
+        LossCharacteristics(True, True, True, False, False),
+        _ramp_insensitive_least_squares_value, _ramp_insensitive_least_squares_deriv),
+    QUADRATIC_NONCONVEX_INSENSITIVE: _Kind(
+        ("epsilon", "t", "theta"), (_EPS_GE_0, ("t", "epsilon", False), _THETA_GE_0),
+        LossCharacteristics(True, True, True, False, False),
+        _quadratic_nonconvex_insensitive_value, _quadratic_nonconvex_insensitive_deriv),
+    CANAL: _Kind(
+        ("epsilon", "theta"), (_EPS_GE_0, _THETA_GE_EPS),
+        LossCharacteristics(True, True, True, False, False), _ramp_insensitive_value, _ramp_insensitive_deriv),
+    BOUNDED_LEAST_SQUARES: _Kind(
+        ("t", "theta"), (("t", 0, True), _THETA_GE_0),
+        LossCharacteristics(True, False, True, False, True),
+        _bounded_least_squares_value, _bounded_least_squares_deriv),
 }
+
+LOSS_KINDS = tuple(_KINDS)
+
+
+def required_params(kind: str) -> tuple[str, ...]:
+    """Hyperparameter names a loss kind needs at construction."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return _KINDS[kind].params
 
 
 def loss_value(spec: LossSpec, r):
@@ -386,7 +353,7 @@ def loss_value(spec: LossSpec, r):
     outside the band, and never exceeds ``lam``.
     """
     arr = _check_residual(r)
-    out = _VALUE_FNS[spec.kind](spec, np.abs(arr))
+    out = _KINDS[spec.kind].value(spec, np.abs(arr))
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -410,10 +377,10 @@ def loss_derivative(spec: LossSpec, r, out=None):
     if spec.kind == HAWKEYE:
         _hawkeye_deriv(spec, arr, res)
     else:
-        np.multiply(np.sign(arr), _DERIV_FNS[spec.kind](spec, np.abs(arr)), out=res)
+        np.multiply(np.sign(arr), _KINDS[spec.kind].deriv(spec, np.abs(arr)), out=res)
     return float(res) if out is None and np.ndim(r) == 0 else res
 
 
 def characteristics(spec: LossSpec) -> LossCharacteristics:
     """Trait record (robust / insensitive zone / bounded / convex / smooth)."""
-    return _CHARACTERISTICS[spec.kind]
+    return _KINDS[spec.kind].traits
