@@ -17,6 +17,7 @@ import os
 import sys
 import traceback
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
@@ -369,6 +370,14 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         raise ConfigError("bench needs at least one recipe")
     grid = build_grid(cfg)
     adam = build_adam(cfg)
+    # build every loss the searches will build, so that a bad loss axis is a
+    # config error before any data loads, not a failure of every work item
+    for recipe in recipes:
+        for epsilon, lam, a in product(grid.epsilon_values, grid.lambda_values, grid.a_values):
+            try:
+                recipe.build_loss(epsilon, lam, a)
+            except ValueError as exc:
+                raise ConfigError(f"bad grid value: {exc}") from exc
 
     results, timings, best_rows, failures = [], [], [], []
     for path in args.data:
@@ -450,6 +459,16 @@ def _rank_score(text, where):
         raise ValueError(f"{where}: score {text!r} is not a number") from None
 
 
+def _first_repeat(names):
+    """Index of the first name that already appeared earlier, or None."""
+    seen = set()
+    for i, name in enumerate(names):
+        if name in seen:
+            return i
+        seen.add(name)
+    return None
+
+
 def _read_rank_table(path, delimiter=","):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -480,8 +499,15 @@ def _read_rank_table(path, delimiter=","):
     models = header[1:]
     if not models:
         raise ValueError(f"{path}: wide rank table needs model columns")
+    datasets = [row[0] for _, row in body]
+    i = _first_repeat(models)
+    if i is not None:
+        raise ValueError(f"{lines[0][0]}: second column for model {models[i]!r}")
+    i = _first_repeat(datasets)
+    if i is not None:
+        raise ValueError(f"{body[i][0]}: second row for dataset {datasets[i]!r}")
     values = [[_rank_score(cell, where) for cell in row[1:]] for where, row in body]
-    return np.asarray(values, dtype=float), [row[0] for _, row in body], models
+    return np.asarray(values, dtype=float), datasets, models
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:
@@ -515,16 +541,19 @@ def cmd_rank(cfg: RunConfig, args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each command takes only the flags it reads, so argparse rejects the rest
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
-    common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--scaling", choices=["none", "minmax", "zscore"], help="feature/target scaling")
-    common.add_argument("--trace", action="store_true", help="record per-iteration objective values")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="master random seed")
+    scaled = argparse.ArgumentParser(add_help=False)
+    scaled.add_argument("--scaling", choices=["none", "minmax", "zscore"], help="feature/target scaling")
 
-    io_csv = argparse.ArgumentParser(add_help=False)
+    delimited = argparse.ArgumentParser(add_help=False)
+    delimited.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
+    io_csv = argparse.ArgumentParser(add_help=False, parents=[delimited])
     io_csv.add_argument("--no-header", action="store_true", help="CSV has no header row")
-    io_csv.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
     io_csv.add_argument(
         "--drop",
         help="comma-separated columns (names or indices) excluded from the features,"
@@ -534,10 +563,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="helssvr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[common, io_csv], help="fit a model on a CSV dataset")
+    p = sub.add_parser("train", parents=[common, seeded, scaled, io_csv], help="fit a model on a CSV dataset")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--target", help="target column name or index (default: last column)")
     p.add_argument("--out", required=True, help="model file to write")
+    p.add_argument("--trace", action="store_true", help="record per-iteration objective values")
     p.add_argument("--trace-out", help="objective trace CSV (with --trace)")
     p.set_defaults(handler=cmd_train)
 
@@ -548,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="predictions CSV to write")
     p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic benchmark dataset")
+    p = sub.add_parser("synth", parents=[common, seeded], help="generate a synthetic benchmark dataset")
     p.add_argument("--function", type=int, required=True, help="benchmark function id (1..5)")
     p.add_argument("--noise", required=True, choices=["gaussian", "uniform", "student"], help="noise family")
     p.add_argument("--n", type=int, default=500, help="sample count (default 500)")
@@ -556,14 +586,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV to write (columns x,y,y_true)")
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("bench", parents=[common, io_csv], help="grid-search recipes over datasets")
+    p = sub.add_parser("bench", parents=[common, seeded, scaled, io_csv], help="grid-search recipes over datasets")
     p.add_argument("--data", nargs="+", required=True, help="dataset CSV paths")
     p.add_argument("--target", help="target column name or index (default: last column)")
     p.add_argument("--recipes", required=True, help="comma-separated loss kinds to benchmark")
     p.add_argument("--outdir", required=True, help="directory for results/timing/best_params CSVs")
     p.set_defaults(handler=cmd_bench)
 
-    p = sub.add_parser("rank", parents=[common, io_csv], help="rank models from a results table")
+    p = sub.add_parser("rank", parents=[common, delimited], help="rank models from a results table")
     p.add_argument("--input", required=True, help="bench results.csv or a wide dataset-by-model table")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(handler=cmd_rank)

@@ -86,10 +86,15 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("C_values", "sigma_values", "epsilon_values", "lambda_values", "a_values", "gamma_values"):
-            vals = getattr(self, name)
-            object.__setattr__(self, name, tuple(float(v) for v in vals))
-            if not getattr(self, name):
+            vals = tuple(float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, vals)
+            if not vals:
                 raise ValueError(f"grid {name} must be non-empty")
+            # the loss axes are checked by the LossSpec each recipe builds
+            if name in ("C_values", "sigma_values", "gamma_values") and not all(
+                math.isfinite(v) and v > 0 for v in vals
+            ):
+                raise ValueError(f"grid {name} must be finite and > 0, got {vals}")
         if self.k < 2:
             raise ValueError("grid k must be >= 2")
 

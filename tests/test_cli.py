@@ -346,6 +346,31 @@ class TestBench:
                    "--outdir", str(tmp_path / "b")])
         assert rc == 2
 
+    @pytest.mark.parametrize("pair, message", [
+        ("grid.sigma=-1", "grid sigma_values must be finite and > 0"),
+        ("grid.gamma=0", "grid gamma_values must be finite and > 0"),
+        ("grid.C=0", "grid C_values must be finite and > 0"),
+        ("grid.C=nan", "grid C_values must be finite and > 0"),
+        ("grid.epsilon=-1", "bad grid value: hawkeye loss requires epsilon > 0"),
+        ("grid.a=0", "bad grid value: hawkeye loss requires a > 0"),
+    ])
+    def test_bad_grid_value_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, pair, message):
+        import helssvr.cli
+
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+
+        def no_load(**kw):
+            raise AssertionError("bench loaded data despite a bad grid value")
+
+        monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", str(data), "--target", "y", "--recipes", "least_squares,hawkeye",
+                   "--outdir", str(outdir), *fast_flags(), "--set", pair])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_refit_report_mode(self, tmp_path):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
@@ -472,6 +497,22 @@ class TestRank:
         rc, err, inp = self.rank_long(tmp_path, capsys, ["d1,a,0.2", "d1,b,abc"])
         assert rc == 3
         assert f"{inp}:3: score 'abc' is not a number" in err
+
+    def test_wide_format_duplicate_model_exit_3(self, tmp_path, capsys):
+        inp = tmp_path / "t.csv"
+        inp.write_text("dataset,a,a\nd1,0.2,0.3\nd2,0.1,0.4\n")
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"{inp}:1: second column for model 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "r_ranks.csv").exists()
+
+    def test_wide_format_duplicate_dataset_exit_3(self, tmp_path, capsys):
+        inp = tmp_path / "t.csv"
+        inp.write_text("dataset,a,b\nd1,0.2,0.3\nd2,0.1,0.4\nd1,0.5,0.6\n")
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"{inp}:4: second row for dataset 'd1'" in capsys.readouterr().err
+        assert not (tmp_path / "r_ranks.csv").exists()
 
     @pytest.mark.parametrize("decimals", ["-1", "-4"])
     def test_negative_decimals_exit_2(self, tmp_path, capsys, decimals):
@@ -652,3 +693,45 @@ class TestThreadsRemoved:
             main(["bench", "--data", str(tmp_path / "d.csv"), "--recipes", "hawkeye",
                   "--outdir", str(tmp_path / "b"), "--threads", "2"])
         assert exc.value.code == 2
+
+
+class TestFlagsPerCommand:
+    """A command offers only the flags it reads; argparse rejects the rest."""
+
+    ARGV = {
+        "train": ["train", "--data", "d.csv", "--out", "m.json"],
+        "predict": ["predict", "--model", "m.json", "--data", "d.csv", "--out", "p.csv"],
+        "synth": ["synth", "--function", "1", "--noise", "gaussian", "--out", "s.csv"],
+        "bench": ["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir", "b"],
+        "rank": ["rank", "--input", "t.csv", "--out", "r"],
+    }
+
+    @pytest.mark.parametrize("command, flags", [
+        ("rank", ["--no-header"]),
+        ("rank", ["--drop", "a"]),
+        ("rank", ["--seed", "3"]),
+        ("rank", ["--scaling", "zscore"]),
+        ("rank", ["--trace"]),
+        ("predict", ["--seed", "3"]),
+        ("predict", ["--scaling", "zscore"]),
+        ("predict", ["--trace"]),
+        ("synth", ["--scaling", "zscore"]),
+        ("synth", ["--trace"]),
+        ("bench", ["--trace"]),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_unread_flag_exit_2(self, tmp_path, monkeypatch, capsys, command, flags):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGV[command], *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_config_and_set_on_every_command(self, tmp_path, monkeypatch, capsys, command):
+        # both reach the config layer, which rejects the unknown key
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("seed = 1\n")
+        rc = main([*self.ARGV[command], "--config", "run.cfg", "--set", "bogus=1"])
+        assert rc == 2
+        assert "unknown config key 'bogus'" in capsys.readouterr().err
