@@ -72,17 +72,17 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        kind = _KINDS[self.kind]
+        record = _KINDS[self.kind]
         for name in ("epsilon", "a", "lam", "theta", "t"):
             val = getattr(self, name)
-            if name in kind.params:
+            if name in record.params:
                 if val is None:
                     raise ValueError(f"{self.kind} loss requires parameter {name!r}")
                 if not np.isfinite(val):
                     raise ValueError(f"{self.kind} loss parameter {name!r} must be finite")
             elif val is not None:
                 raise ValueError(f"{self.kind} loss does not take parameter {name!r}")
-        for name, bound, strict in kind.rules:
+        for name, bound, strict in record.rules:
             val = getattr(self, name)
             limit = getattr(self, bound) if isinstance(bound, str) else bound
             if val < limit or (strict and val == limit):
