@@ -339,6 +339,29 @@ class TestBench:
         assert len(read_rows(outdir / "results.csv")) == 2  # good dataset still processed
         assert (outdir / "failures.csv").exists()
 
+    def test_result_files_share_sorted_items(self, tmp_path):
+        # datasets and recipes given out of order, with a missing file between
+        d1, d2, missing = tmp_path / "t1.csv", tmp_path / "t2.csv", tmp_path / "missing.csv"
+        write_toy_csv(d1, seed=1)
+        write_toy_csv(d2, seed=2)
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", str(d2), str(missing), str(d1), "--target", "y",
+                   "--recipes", "least_squares,hawkeye", "--outdir", str(outdir), *fast_flags()])
+        assert rc == 1
+        results = read_rows(outdir / "results.csv")
+        timing = read_rows(outdir / "timing.csv")
+        best = read_rows(outdir / "best_params.csv")
+        assert timing[0] == ["dataset", "model", "fit_seconds", "gram_seconds"]
+        assert best[0] == ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"]
+        items = [(str(d), m) for d in (d1, d2) for m in ("hawkeye", "least_squares")]
+        for rows in (results, timing, best):
+            assert [tuple(r[:2]) for r in rows[1:]] == items
+        assert [r[6] for r in results[1:]] == [r[2] for r in timing[1:]]
+        failures = read_rows(outdir / "failures.csv")
+        assert len(failures) == 2
+        assert failures[1][:3] == [str(missing), "*", "FileNotFoundError"]
+        assert str(missing) in failures[1][3]
+
     def test_unknown_recipe_exit_2(self, tmp_path):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
