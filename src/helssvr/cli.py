@@ -16,6 +16,7 @@ import csv
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
@@ -26,6 +27,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_features,
+    write_csv,
     write_synthetic_csv,
 )
 from .evaluation import (
@@ -46,6 +48,15 @@ class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
+@contextmanager
+def _config_errors(prefix: str = ""):
+    """Re-raise a ValueError from the block as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -62,11 +73,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return vals
 
 
-def _parse_optional_float(text: str):
-    low = str(text).strip().lower()
-    return None if low in ("", "none") else float(text)
-
-
 def _parse_count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -74,9 +80,13 @@ def _parse_count(text: str) -> int:
     return value
 
 
-def _parse_optional_count(text: str):
-    low = str(text).strip().lower()
-    return None if low in ("", "none") else _parse_count(text)
+def _optional(parser):
+    """``parser``, except that an empty value or ``none`` means unset (None)."""
+
+    def parse(text):
+        return None if str(text).strip().lower() in ("", "none") else parser(text)
+
+    return parse
 
 
 def _parse_choice(*allowed):
@@ -98,8 +108,8 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "loss.epsilon": (0.05, float),
     "loss.a": (1.0, float),
     "loss.lambda": (1.0, float),
-    "loss.theta": (None, _parse_optional_float),
-    "loss.t": (None, _parse_optional_float),
+    "loss.theta": (None, _optional(float)),
+    "loss.t": (None, _optional(float)),
     "kernel.kind": ("rbf", _parse_choice("rbf", "linear")),
     "kernel.sigma": (1.0, float),
     "adam.gamma": (0.01, float),
@@ -108,7 +118,7 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "adam.delta": (1e-8, float),
     "adam.batch_size": (32, int),
     "adam.max_iter": (1000, int),
-    "adam.seed": (None, _parse_optional_count),
+    "adam.seed": (None, _optional(_parse_count)),
     "adam.early_stop": (False, _parse_bool),
     "adam.early_stop_tol": (1e-10, float),
     "adam.early_stop_patience": (20, int),
@@ -122,9 +132,9 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "cv.selection": ("best_fold", _parse_choice("best_fold", "mean")),
     "bench.report": ("best_fold", _parse_choice("best_fold", "refit")),
     "rank.tie": ("competition", _parse_choice("competition", "fractional")),
-    "rank.q_alpha": (None, _parse_optional_float),
-    "rank.critical_f": (None, _parse_optional_float),
-    "rank.decimals": (4, _parse_optional_count),
+    "rank.q_alpha": (None, _optional(float)),
+    "rank.critical_f": (None, _optional(float)),
+    "rank.decimals": (4, _optional(_parse_count)),
 }
 
 
@@ -139,14 +149,17 @@ class RunConfig:
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key {key!r} (from {source})")
         _, parser = CONFIG_SCHEMA[key]
-        try:
+        with _config_errors(f"bad value for {key!r} (from {source}): "):
             self.values[key] = parser(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} (from {source}): {exc}") from exc
         self.explicit.add(key)
 
     def __getitem__(self, key: str):
         return self.values[key]
+
+    def section(self, prefix: str) -> dict:
+        """The values of the keys ``prefix.*``, by the name after the dot."""
+        start = len(prefix) + 1
+        return {k[start:]: v for k, v in self.values.items() if k.startswith(prefix + ".")}
 
 
 def _read_config_file(cfg: RunConfig, path: str):
@@ -205,54 +218,30 @@ def build_loss(cfg: RunConfig) -> LossSpec:
             params[pname] = value
         elif key in cfg.explicit:
             raise ConfigError(f"{key} is not a parameter of loss.kind={kind}")
-    try:
+    with _config_errors():
         return LossSpec(kind, **params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_kernel(cfg: RunConfig) -> KernelSpec:
-    try:
+    with _config_errors():
         if cfg["kernel.kind"] == "rbf":
             return KernelSpec("rbf", sigma=cfg["kernel.sigma"])
         return KernelSpec("linear")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_adam(cfg: RunConfig, collect_trace: bool = False) -> AdamConfig:
-    seed = cfg["adam.seed"] if cfg["adam.seed"] is not None else cfg["seed"]
-    try:
-        return AdamConfig(
-            gamma=cfg["adam.gamma"],
-            beta1=cfg["adam.beta1"],
-            beta2=cfg["adam.beta2"],
-            delta=cfg["adam.delta"],
-            batch_size=cfg["adam.batch_size"],
-            max_iter=cfg["adam.max_iter"],
-            seed=seed,
-            early_stop=cfg["adam.early_stop"],
-            early_stop_tol=cfg["adam.early_stop_tol"],
-            early_stop_patience=cfg["adam.early_stop_patience"],
-            collect_trace=collect_trace,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fields = cfg.section("adam")  # each adam.* key names an AdamConfig field
+    if fields["seed"] is None:
+        fields["seed"] = cfg["seed"]
+    with _config_errors():
+        return AdamConfig(**fields, collect_trace=collect_trace)
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
-    try:
-        return GridSpec(
-            C_values=cfg["grid.C"],
-            sigma_values=cfg["grid.sigma"],
-            epsilon_values=cfg["grid.epsilon"],
-            lambda_values=cfg["grid.lambda"],
-            a_values=cfg["grid.a"],
-            gamma_values=cfg["grid.gamma"],
-            k=cfg["grid.k"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # grid.k is GridSpec's k; every other grid.<axis> key is its <axis>_values
+    fields = {(n if n == "k" else f"{n}_values"): v for n, v in cfg.section("grid").items()}
+    with _config_errors():
+        return GridSpec(**fields)
 
 
 def _fmt(value) -> str:
@@ -287,11 +276,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     save_model(model, args.out)
     if cfg["trace"]:
         trace_path = args.trace_out or (str(args.out) + ".trace.csv")
-        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "objective"])
-            for i, h in enumerate(fit_report.trace or []):
-                w.writerow([i, repr(h)])
+        trace = ((i, repr(h)) for i, h in enumerate(fit_report.trace or []))
+        write_csv(trace_path, ["iter", "objective"], trace)
     print(f"model written       : {args.out}")
     print(f"training samples    : {ds.n} (rejected rows: {report.rows_rejected})")
     print(f"final objective     : {fit_report.final_objective:.6g}")
@@ -306,17 +292,13 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     model = load_model(args.model)
     X = load_features(**_csv_options(args, args.data))
     preds = predict(model, X)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["prediction"])
-        for p in preds:
-            w.writerow([repr(float(p))])
+    write_csv(args.out, ["prediction"], ([repr(float(p))] for p in preds))
     print(f"predictions written : {args.out} ({preds.size} rows)")
     return 0
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    try:
+    with _config_errors():
         spec = SyntheticSpec(
             function_id=args.function,
             noise=args.noise,
@@ -324,8 +306,6 @@ def cmd_synth(cfg: RunConfig, args) -> int:
             seed=cfg["seed"],
             sampling=args.sampling,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     ds, y_true = generate_synthetic(spec)
     write_synthetic_csv(args.out, ds, y_true)
     print(f"synthetic dataset written : {args.out} ({ds.n} rows, {ds.name})")
@@ -359,27 +339,20 @@ def _bench_one(ds, recipe, grid, cfg, adam):
 
 
 def cmd_bench(cfg: RunConfig, args) -> int:
-    recipes = []
-    for name in args.recipes.split(","):
-        name = name.strip()
-        try:
-            recipes.append(recipe_from_name(name))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if not recipes:
-        raise ConfigError("bench needs at least one recipe")
+    # an empty name is an unknown recipe, so --recipes always names at least one
+    with _config_errors():
+        recipes = [recipe_from_name(name.strip()) for name in args.recipes.split(",")]
     grid = build_grid(cfg)
     adam = build_adam(cfg)
     # build every loss the searches will build, so that a bad loss axis is a
     # config error before any data loads, not a failure of every work item
-    for recipe in recipes:
-        for epsilon, lam, a in product(grid.epsilon_values, grid.lambda_values, grid.a_values):
-            try:
+    with _config_errors("bad grid value: "):
+        for recipe in recipes:
+            for epsilon, lam, a in product(grid.epsilon_values, grid.lambda_values, grid.a_values):
                 recipe.build_loss(epsilon, lam, a)
-            except ValueError as exc:
-                raise ConfigError(f"bad grid value: {exc}") from exc
 
-    results, timings, best_rows, failures = [], [], [], []
+    # one (dataset, model, search result, metrics, refit report) per work item
+    items, failures = [], []
     for path in args.data:
         dataset_name = str(path)
         try:
@@ -389,63 +362,45 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             continue
         for recipe in recipes:
             try:
-                res, metrics, refit_report = _bench_one(ds, recipe, grid, cfg, adam)
+                items.append((dataset_name, recipe.name, *_bench_one(ds, recipe, grid, cfg, adam)))
             except Exception as exc:
                 # one failed work item must not abort the others; an
                 # unexpected exception type also gets its traceback
                 if not isinstance(exc, (ValueError, OSError)):
                     traceback.print_exc(file=sys.stderr)
                 failures.append((dataset_name, recipe.name, type(exc).__name__, str(exc)))
-                continue
-            results.append(
-                (
-                    dataset_name,
-                    recipe.name,
-                    metrics.rmse,
-                    metrics.mae,
-                    metrics.error_pos,
-                    metrics.error_neg,
-                    refit_report.wall_time_seconds,
-                )
-            )
-            timings.append(
-                (dataset_name, recipe.name, refit_report.wall_time_seconds, refit_report.gram_seconds)
-            )
-            p = res.best_params
-            best_rows.append(
-                (dataset_name, recipe.name, p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, res.best_rmse)
-            )
+    items.sort(key=lambda item: item[:2])
 
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
-    results.sort(key=lambda r: (r[0], r[1]))
-    timings.sort(key=lambda r: (r[0], r[1]))
-    best_rows.sort(key=lambda r: (r[0], r[1]))
-
-    with open(os.path.join(outdir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "model", "rmse", "mae", "error_pos", "error_neg", "train_seconds"])
-        for row in results:
-            w.writerow([row[0], row[1], *[_fmt(v) for v in row[2:6]], f"{row[6]:.6f}"])
-    with open(os.path.join(outdir, "timing.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "model", "fit_seconds", "gram_seconds"])
-        for row in timings:
-            w.writerow([row[0], row[1], f"{row[2]:.6f}", f"{row[3]:.6f}"])
-    with open(os.path.join(outdir, "best_params.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"])
-        for row in best_rows:
-            w.writerow([row[0], row[1], *[_fmt(v) for v in row[2:]]])
+    results_path = os.path.join(outdir, "results.csv")
+    write_csv(
+        results_path,
+        ["dataset", "model", "rmse", "mae", "error_pos", "error_neg", "train_seconds"],
+        (
+            [d, m, *map(_fmt, (mt.rmse, mt.mae, mt.error_pos, mt.error_neg)), f"{rep.wall_time_seconds:.6f}"]
+            for d, m, _, mt, rep in items
+        ),
+    )
+    write_csv(
+        os.path.join(outdir, "timing.csv"),
+        ["dataset", "model", "fit_seconds", "gram_seconds"],
+        ([d, m, f"{rep.wall_time_seconds:.6f}", f"{rep.gram_seconds:.6f}"] for d, m, _, _, rep in items),
+    )
+    write_csv(
+        os.path.join(outdir, "best_params.csv"),
+        ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"],
+        (
+            [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, res.best_rmse))]
+            for d, m, res, _, _ in items
+            for p in [res.best_params]
+        ),
+    )
+    print(f"benchmark rows      : {len(items)} -> {results_path}")
     if failures:
-        with open(os.path.join(outdir, "failures.csv"), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dataset", "model", "error_type", "error"])
-            w.writerows(failures)
-
-    print(f"benchmark rows      : {len(results)} -> {os.path.join(outdir, 'results.csv')}")
-    if failures:
-        print(f"failed work items   : {len(failures)} -> {os.path.join(outdir, 'failures.csv')}", file=sys.stderr)
+        failures_path = os.path.join(outdir, "failures.csv")
+        write_csv(failures_path, ["dataset", "model", "error_type", "error"], failures)
+        print(f"failed work items   : {len(failures)} -> {failures_path}", file=sys.stderr)
         return 1
     return 0
 
@@ -521,12 +476,12 @@ def cmd_rank(cfg: RunConfig, args) -> int:
         dataset_names=datasets,
     )
     ranks_path = f"{args.out}_ranks.csv"
-    with open(ranks_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", *models])
-        for name, row in zip(datasets, analysis.rank_matrix):
-            w.writerow([name, *[("" if np.isnan(v) else _fmt(float(v))) for v in row]])
-        w.writerow(["average_rank", *[_fmt(float(v)) for v in analysis.avg_ranks]])
+    rows = [
+        [name, *[("" if np.isnan(v) else _fmt(float(v))) for v in row]]
+        for name, row in zip(datasets, analysis.rank_matrix)
+    ]
+    rows.append(["average_rank", *[_fmt(float(v)) for v in analysis.avg_ranks]])
+    write_csv(ranks_path, ["dataset", *models], rows)
     report = format_rank_report(analysis, critical_f=cfg["rank.critical_f"])
     report_path = f"{args.out}_report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -601,15 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = assemble_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.handler(cfg, args)
+        return args.handler(assemble_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -275,14 +275,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     return ds, y_true
 
 
-def write_synthetic_csv(path, ds: Dataset, y_true) -> None:
-    """Write a synthetic dataset as x,y,y_true rows."""
-    y_true = np.asarray(y_true, dtype=float)
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then every row of ``rows`` as one CSV file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["x", "y", "y_true"])
-        for xi, yi, ti in zip(ds.X[:, 0], ds.y, y_true):
-            w.writerow([repr(float(xi)), repr(float(yi)), repr(float(ti))])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_synthetic_csv(path, ds: Dataset, y_true) -> None:
+    """Write a synthetic dataset as x,y,y_true rows."""
+    columns = (ds.X[:, 0], ds.y, np.asarray(y_true, dtype=float))
+    write_csv(path, ["x", "y", "y_true"], ([repr(float(v)) for v in row] for row in zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
