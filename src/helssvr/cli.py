@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import traceback
@@ -73,6 +74,13 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return vals
 
 
+def _parse_positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def _parse_count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -103,7 +111,7 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "seed": (0, _parse_count),
     "scaling": ("minmax", _parse_choice("none", "minmax", "zscore")),
     "trace": (False, _parse_bool),
-    "C": (100.0, float),
+    "C": (100.0, _parse_positive),
     "loss.kind": ("hawkeye", _parse_choice(*LOSS_KINDS)),
     "loss.epsilon": (0.05, float),
     "loss.a": (1.0, float),
@@ -132,8 +140,8 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "cv.selection": ("best_fold", _parse_choice("best_fold", "mean")),
     "bench.report": ("best_fold", _parse_choice("best_fold", "refit")),
     "rank.tie": ("competition", _parse_choice("competition", "fractional")),
-    "rank.q_alpha": (None, _optional(float)),
-    "rank.critical_f": (None, _optional(float)),
+    "rank.q_alpha": (None, _optional(_parse_positive)),
+    "rank.critical_f": (None, _optional(_parse_positive)),
     "rank.decimals": (4, _optional(_parse_count)),
 }
 
@@ -166,7 +174,7 @@ def _read_config_file(cfg: RunConfig, path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -223,10 +231,12 @@ def build_loss(cfg: RunConfig) -> LossSpec:
 
 
 def build_kernel(cfg: RunConfig) -> KernelSpec:
-    with _config_errors():
-        if cfg["kernel.kind"] == "rbf":
-            return KernelSpec("rbf", sigma=cfg["kernel.sigma"])
+    if cfg["kernel.kind"] == "linear":
+        if "kernel.sigma" in cfg.explicit:
+            raise ConfigError("kernel.sigma is not a parameter of kernel.kind=linear")
         return KernelSpec("linear")
+    with _config_errors():
+        return KernelSpec("rbf", sigma=cfg["kernel.sigma"])
 
 
 def build_adam(cfg: RunConfig, collect_trace: bool = False) -> AdamConfig:

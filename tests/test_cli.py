@@ -75,6 +75,19 @@ class TestConfigPrecedence:
         with pytest.raises(ConfigError, match="bad value"):
             assemble_config(self.parse_train_args({"set": ["adam.max_iter=soon"]}))
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file run.cfg: [Errno 2] No such file or directory"),
+        (b"seed = 1\nseed 3\n", "run.cfg:2: expected 'key = value', got 'seed 3'"),
+        (b"seed = \xff\n", "cannot read config file run.cfg: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["missing", "no-equals", "not-utf8"])
+    def test_bad_config_file_exit_2(self, tmp_path, monkeypatch, capsys, content, message):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "run.cfg").write_bytes(content)
+        rc = main(["train", "--data", "d.csv", "--out", "m.json", "--config", "run.cfg"])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_adam_average_key(self, tmp_path, capsys):
         # the trainer always returns the averaged iterate; the key that
         # chose the last iterate is gone
@@ -121,6 +134,10 @@ class TestTrain:
         ("adam.delta=inf", "delta must be finite and > 0"),
         ("adam.seed=-1", "must be >= 0, got -1"),
         ("seed=-1", "must be >= 0, got -1"),
+        ("nokey", "--set expects key=value, got 'nokey'"),
+        ("grid.C=,", "bad value for 'grid.C' (from --set): empty list"),
+        ("scaling=bogus", "bad value for 'scaling' (from --set): must be one of ('none', 'minmax', 'zscore'), got 'bogus'"),
+        ("loss.kind=huber", "loss.theta is required for loss.kind=huber"),
     ])
     def test_bad_early_stop_setting_exit_2(self, tmp_path, capsys, pair, message):
         data = tmp_path / "toy.csv"
@@ -129,6 +146,30 @@ class TestTrain:
                    "--set", "adam.early_stop=true", "--set", pair])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("pairs, message", [
+        (["C=0"], "bad value for 'C' (from --set): must be finite and > 0, got 0.0"),
+        (["C=-1"], "bad value for 'C' (from --set): must be finite and > 0, got -1.0"),
+        (["C=nan"], "bad value for 'C' (from --set): must be finite and > 0, got nan"),
+        (["C=inf"], "bad value for 'C' (from --set): must be finite and > 0, got inf"),
+        (["kernel.kind=linear", "kernel.sigma=-3"], "kernel.sigma is not a parameter of kernel.kind=linear"),
+        (["kernel.kind=linear", "kernel.sigma=1"], "kernel.sigma is not a parameter of kernel.kind=linear"),
+    ], ids=["C=0", "C=-1", "C=nan", "C=inf", "linear-sigma=-3", "linear-sigma=1"])
+    def test_bad_setting_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, pairs, message):
+        import helssvr.cli
+
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+
+        def no_load(**kw):
+            raise AssertionError("train loaded data despite a bad setting")
+
+        monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
+        sets = [arg for pair in pairs for arg in ("--set", pair)]
+        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"), *sets])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_invalid_loss_parameter_exit_2(self, tmp_path, capsys):
@@ -222,6 +263,23 @@ class TestPredict:
         main(["predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(out1)])
         main(["predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_linear_kernel_round_trip(self, tmp_path):
+        import json
+
+        from helssvr.model import load_model, predict as lib_predict
+
+        data = tmp_path / "toy.csv"
+        ds = write_toy_csv(data)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--target", "y", "--drop", "y_true", "--out", str(model),
+                     "--set", "kernel.kind=linear", "--set", "adam.max_iter=50"]) == 0
+        assert json.loads(model.read_text())["kernel"]["kind"] == "linear"
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--target", "y",
+                     "--drop", "y_true", "--out", str(out)]) == 0
+        got = np.array([float(r[0]) for r in read_rows(out)[1:]])
+        assert np.array_equal(got, lib_predict(load_model(model), ds.X))
 
     def test_empty_input_exit_3(self, tmp_path):
         _, model = self.setup_model(tmp_path)
@@ -476,6 +534,30 @@ class TestRank:
         inp.write_text("dataset,m1,m2\nd1,0.5\n")
         rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
         assert rc == 3
+
+    def test_header_only_table_exit_3(self, tmp_path, capsys):
+        inp = tmp_path / "t.csv"
+        inp.write_text("dataset,m1,m2\n")
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"{inp}: need a header row plus at least one data row" in capsys.readouterr().err
+        assert not (tmp_path / "r_ranks.csv").exists()
+
+    @pytest.mark.parametrize("key", ["rank.q_alpha", "rank.critical_f"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_critical_value_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, key, value):
+        import helssvr.cli
+
+        def no_read(*a, **kw):
+            raise AssertionError("rank read the table despite a bad setting")
+
+        monkeypatch.setattr(helssvr.cli, "_read_rank_table", no_read)
+        inp = tmp_path / "table.csv"
+        self.write_wide_table(inp)
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r"), "--set", f"{key}={value}"])
+        assert rc == 2
+        assert f"bad value for {key!r} (from --set): must be finite and > 0, got {float(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "r_report.txt").exists()
 
     def test_exact_rank_mode_via_config(self, tmp_path):
         inp = tmp_path / "t.csv"
