@@ -16,6 +16,7 @@ import csv
 import math
 import os
 import sys
+import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import replace
@@ -323,6 +324,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def _bench_one(ds, recipe, grid, cfg, adam):
+    t0 = time.perf_counter()
     res = grid_search_cv(
         ds,
         grid,
@@ -332,6 +334,7 @@ def _bench_one(ds, recipe, grid, cfg, adam):
         scaling=cfg["scaling"],
         selection=cfg["cv.selection"],
     )
+    search_seconds = time.perf_counter() - t0
     best = res.best
     # refit on the full dataset with the winning cell: reported training
     # time always comes from this single fit
@@ -345,10 +348,15 @@ def _bench_one(ds, recipe, grid, cfg, adam):
         metrics = compute_metrics(ds.y, predict(model, ds.X))
     else:
         metrics = best.fold_metrics[int(np.argmin(best.fold_rmse))]
-    return res, metrics, refit_report
+    return res, search_seconds, metrics, refit_report
 
 
 def cmd_bench(cfg: RunConfig, args) -> int:
+    # bench trains the recipes over the grid: the keys of a single fit would
+    # be ignored, so setting one is an error
+    unread = sorted(k for k in cfg.explicit if k == "C" or k.startswith(("loss.", "kernel.")))
+    if unread:
+        raise ConfigError(f"{unread[0]} is not read by bench; set the grid.* keys and --recipes instead")
     # an empty name is an unknown recipe, so --recipes always names at least one
     with _config_errors():
         recipes = [recipe_from_name(name.strip()) for name in args.recipes.split(",")]
@@ -361,7 +369,8 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             for epsilon, lam, a in product(grid.epsilon_values, grid.lambda_values, grid.a_values):
                 recipe.build_loss(epsilon, lam, a)
 
-    # one (dataset, model, search result, metrics, refit report) per work item
+    # one (dataset, model, search result, search seconds, metrics, refit
+    # report) per work item
     items, failures = [], []
     for path in args.data:
         dataset_name = str(path)
@@ -389,21 +398,41 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         ["dataset", "model", "rmse", "mae", "error_pos", "error_neg", "train_seconds"],
         (
             [d, m, *map(_fmt, (mt.rmse, mt.mae, mt.error_pos, mt.error_neg)), f"{rep.wall_time_seconds:.6f}"]
-            for d, m, _, mt, rep in items
+            for d, m, _, _, mt, rep in items
         ),
     )
     write_csv(
         os.path.join(outdir, "timing.csv"),
-        ["dataset", "model", "fit_seconds", "gram_seconds"],
-        ([d, m, f"{rep.wall_time_seconds:.6f}", f"{rep.gram_seconds:.6f}"] for d, m, _, _, rep in items),
+        ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells", "fits"],
+        (
+            [d, m, f"{rep.wall_time_seconds:.6f}", f"{rep.gram_seconds:.6f}", f"{secs:.6f}",
+             len(res.cells), sum(len(c.fold_rmse) for c in res.cells)]
+            for d, m, res, secs, _, rep in items
+        ),
     )
     write_csv(
         os.path.join(outdir, "best_params.csv"),
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"],
         (
             [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, res.best_rmse))]
-            for d, m, res, _, _ in items
+            for d, m, res, _, _, _ in items
             for p in [res.best_params]
+        ),
+    )
+    # every cell's fold RMSEs, statistic, and each fold's steps and stop
+    # reason ("halved" for a cell successive halving cut)
+    folds = range(1, grid.k + 1)
+    write_csv(
+        os.path.join(outdir, "cells.csv"),
+        ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma",
+         *(f"rmse_fold{j}" for j in folds), "stat",
+         *(f"iterations_fold{j}" for j in folds), *(f"stop_reason_fold{j}" for j in folds)],
+        (
+            [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, *cell.fold_rmse, cell.stat)),
+             *(r.iterations for r in cell.fold_reports), *(r.stop_reason for r in cell.fold_reports)]
+            for d, m, res, _, _, _ in items
+            for cell in res.cells
+            for p in [cell.params]
         ),
     )
     print(f"benchmark rows      : {len(items)} -> {results_path}")

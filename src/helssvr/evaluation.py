@@ -196,12 +196,14 @@ def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
     ]
 
 
-def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed):
+def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, states):
     """Fold results of the cells ``members``, which share one kernel.
 
     Every fold of every cell trains in one :func:`fit_cells` call, which
     stacks folds of equal size while their Gram matrices fit its budget.
-    Each fold's held-out kernel rows are computed once for all its cells.
+    A (cell, fold) with an entry in ``states`` resumes from it, and every
+    (cell, fold) leaves its final optimizer state there.  Each fold's
+    held-out kernel rows are computed once for all its cells.
     """
     kernel = recipe.build_kernel(cells[members[0]].sigma)
     cell_losses = [recipe.build_loss(cells[i].epsilon, cells[i].lam, cells[i].a) for i in members]
@@ -212,18 +214,32 @@ def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed):
         for j in range(len(folds))
         for i, loss in zip(members, cell_losses)
     ]
-    fitted = fit_cells([(ds.X[idx], ds.y[idx]) for idx in train], kernel, specs, scaling=scaling)
+    fitted = fit_cells(
+        [(ds.X[idx], ds.y[idx]) for idx in train], kernel, specs, scaling=scaling,
+        resume=[states.get((i, j)) for j in range(len(folds)) for i in members],
+    )
     folds_of = {i: ([], [], []) for i in members}
     for j, test_idx in enumerate(folds):
         fold_fits = fitted[j * len(members) : (j + 1) * len(members)]
         preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
         for i, (_, report), pred in zip(members, fold_fits, preds):
             metrics = compute_metrics(ds.y[test_idx], pred)
+            states[i, j] = report.state
             fold_rmse, fold_metrics, fold_reports = folds_of[i]
             fold_rmse.append(metrics.rmse)
             fold_metrics.append(metrics)
-            fold_reports.append(report)
+            fold_reports.append(replace(report, state=None))
     return folds_of
+
+
+#: successive halving's rungs, in tenths of ``max_iter`` (100 and 300 of
+#: the default 1000 steps); see :func:`grid_search_cv`
+RUNG_TENTHS = (1, 3)
+
+#: fewest cells a rung of successive halving keeps training.  In a probe
+#: on cli_bench-sized grids (2 and 4 cells, mini-batch 32, best fold),
+#: halving below four lost the exhaustive search's cell on 5 of 24 items.
+HALVING_FLOOR = 4
 
 
 def grid_search_cv(
@@ -235,21 +251,37 @@ def grid_search_cv(
     scaling: str = "minmax",
     selection: str = "best_fold",
 ) -> GridSearchResult:
-    """Search the grid with k-fold cross validation.
+    """Search the grid with k-fold cross validation and successive halving.
 
     For each cell the model trains on k-1 folds and is scored by RMSE on
     the held-out fold.  A cell's statistic is its best (lowest) fold RMSE
-    by default, or the fold mean with ``selection="mean"``.  Ties break
-    to the first cell in ascending (C, sigma, epsilon, lambda, a, gamma)
-    order.
+    by default, or the fold mean with ``selection="mean"``.
 
-    Cells that share a kernel width form one work item: all their folds
-    train in one :func:`fit_cells` call, each fold's Gram matrix built once
-    and folds of equal size stacked within its budget.  Cell i's
-    fold j trains with the Adam seed ``child_seed(seed, i, j)``.  Its
+    Successive halving (Jamieson & Talwalkar 2016) trains every cell to the
+    rungs at ``max_iter // 10`` and ``3 * max_iter // 10`` steps
+    (:data:`RUNG_TENTHS`) and scores it there, on the held-out folds, as
+    at the end.  After each rung only the better half of the cells still
+    training (rounded up, and never fewer than :data:`HALVING_FLOOR`; ties
+    go to the earlier cell) resume, from their optimizer states, to the
+    next rung or to ``max_iter``.  A cut cell keeps its rung statistic and
+    fold results; its folds report ``stop_reason="halved"`` with the rung
+    step as ``iterations``.  A cell counts as training while one of its
+    folds has not stopped early.  A search over at most
+    :data:`HALVING_FLOOR` cells, or whose cells still training number at
+    most that many at a rung, trains them straight on.  The best cell is
+    the lowest statistic over all cells, cut or not (Hyperband's return
+    rule, Li et al. 2018).  Ties break to the first cell in ascending
+    (C, sigma, epsilon, lambda, a, gamma) order.
+
+    Cells that share a kernel width form one work item per rung: all their
+    folds train in one :func:`fit_cells` call, each fold's Gram matrix
+    built once and folds of equal size stacked within its budget.  Cell
+    i's fold j trains with the Adam seed ``child_seed(seed, i, j)``.  Its
     numbers are bit-identical from run to run for the same grid and
-    ``model.STACK_ROWS``, and agree with a standalone :func:`fit` with that
-    seed to rounding.  The returned coefficients average the Adam
+    ``model.STACK_ROWS``.  A cell that trains all the way with the same
+    stack layout at every rung is bit-identical to an exhaustive search's,
+    and every cell agrees with a standalone :func:`fit` of its steps with
+    that seed to rounding.  The returned coefficients average the Adam
     iterates, so that rounding did not move the selected cell on any input
     of the README's seed sweep, where the last iterate did.  Work items
     run one after another: threads measured slower, because each Adam
@@ -261,19 +293,39 @@ def grid_search_cv(
         adam = AdamConfig()
     folds = kfold_split(ds.n, grid.k, seed)
     cells = _enumerate_cells(grid, recipe)
-    groups: dict = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(cell.sigma, []).append(i)
-    folds_of = {}
-    for members in groups.values():
-        folds_of.update(_search_group(ds, folds, recipe, cells, members, adam, scaling, seed))
+    folds_of, states = {}, {}  # each cell's latest fold results; each (cell, fold)'s optimizer state
 
-    results = []
-    for i, cell in enumerate(cells):
-        fold_rmse, fold_metrics, fold_reports = folds_of[i]
-        stat = min(fold_rmse) if selection == "best_fold" else float(np.mean(fold_rmse))
-        results.append(CellResult(cell, fold_rmse, fold_metrics, fold_reports, stat))
+    def stat(i):
+        fold_rmse = folds_of[i][0]
+        return min(fold_rmse) if selection == "best_fold" else float(np.mean(fold_rmse))
 
+    def rank(i):
+        # a non-finite statistic ranks last
+        return (stat(i) if math.isfinite(stat(i)) else math.inf, i)
+
+    training = list(range(len(cells)))
+    rungs = [adam.max_iter * r // 10 for r in RUNG_TENTHS]
+    for steps in [*(r for r in rungs if 0 < r < adam.max_iter), adam.max_iter]:
+        if steps < adam.max_iter and len(training) <= HALVING_FLOOR:
+            continue
+        groups: dict = {}
+        for i in training:
+            groups.setdefault(cells[i].sigma, []).append(i)
+        run = replace(adam, max_iter=steps)
+        for members in groups.values():
+            folds_of.update(_search_group(ds, folds, recipe, cells, members, run, scaling, seed, states))
+        training = [i for i in training if not all(states[i, j].stopped for j in range(len(folds)))]
+        if steps == adam.max_iter:
+            break
+        ranked = sorted(training, key=rank)
+        keep = max(HALVING_FLOOR, -(-len(training) // 2))
+        for i in ranked[keep:]:
+            fold_rmse, fold_metrics, fold_reports = folds_of[i]
+            halved = [r if r.stop_reason == "early_stop" else replace(r, stop_reason="halved") for r in fold_reports]
+            folds_of[i] = (fold_rmse, fold_metrics, halved)
+        training = sorted(ranked[:keep])
+
+    results = [CellResult(cell, *folds_of[i], stat(i)) for i, cell in enumerate(cells)]
     best = None
     for res in results:
         if not math.isfinite(res.stat):

@@ -22,7 +22,7 @@ from . import kernels
 from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
 from .kernels import GramMatrix, KernelSpec, block_rows, gram_buffer, gram_matrix, kernel_row
 from .losses import LossSpec
-from .optimizer import AdamConfig, objective_value, train_adam
+from .optimizer import AdamConfig, AdamState, objective_value, train_adam
 
 MODEL_FORMAT = "helssvr-model-v1"
 
@@ -54,10 +54,15 @@ class FitReport:
     iterate (see :func:`~helssvr.optimizer.train_adam`).
     ``stop_reason`` is ``"max_iter"`` when all ``AdamConfig.max_iter`` steps
     ran, or ``"early_stop"`` when the early-stopping rule ended the run
-    after ``iterations`` steps.
+    after ``iterations`` steps.  In a grid search a fold of a cell that
+    successive halving cut reports ``"halved"``, with the step of the cut
+    as ``iterations`` (see :func:`helssvr.evaluation.grid_search_cv`).
     When cells train together (:func:`fit_cells`), the Gram build and each
     optimizer stack's run are timed once and split evenly among the cells
-    that share them.
+    that share them; a resumed cell's times are those of the call that
+    resumed it.  ``state`` is the optimizer's final state, from which
+    :func:`fit_cells` can resume the cell (None in a grid search's
+    reports).
     """
 
     final_objective: float
@@ -67,6 +72,7 @@ class FitReport:
     wall_time_seconds: float
     gram_seconds: float
     trace: list[float] | None = None
+    state: AdamState | None = None
 
 
 #: most cells one optimizer stack trains together; bounds the (rows, n)
@@ -143,13 +149,20 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def fit_cells(sets, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[tuple[TrainedModel, FitReport]]:
+def fit_cells(
+    sets, kernel: KernelSpec, cells, scaling: str = "minmax", resume=None
+) -> list[tuple[TrainedModel, FitReport]]:
     """Train cells on one or more training sets with one kernel.
 
     ``sets`` holds ``(X, y)`` training sets, such as the folds of a cross
     validation, and ``cells`` holds ``(set, loss, C, adam)``: the index of
     the cell's training set, then its loss, C and Adam settings (None means
-    the defaults).  Returns one (model, report) per cell.
+    the defaults).  Returns one (model, report) per cell.  ``resume``
+    optionally gives each cell a ``FitReport.state`` of an earlier call
+    with the same set, loss and C, from which it trains on to
+    ``adam.max_iter`` steps (None starts it fresh; the cells that share a
+    stack must all start fresh or from one step count).  The Grams are
+    built again.
 
     Each set is scaled and gets its Gram matrix once.  Cells train together
     when their sets agree in size (see :func:`_fold_stacks`) and their loss
@@ -159,7 +172,8 @@ def fit_cells(sets, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[
     :data:`STACK_ROWS`.  A cell that trains as the only row of its set in
     its stack is bit-identical to a :func:`fit` of that cell alone; one
     that shares its set's Gram products with other rows agrees with it to
-    rounding (see :func:`helssvr.optimizer.train_adam`).
+    rounding (see :func:`helssvr.optimizer.train_adam`).  A run resumed to
+    step T is bit-identical to a run to T in the same stack layout.
     """
     sets = [_training_set(X, y) for X, y in sets]
     cells = [(j, loss, C, AdamConfig() if adam is None else adam) for j, loss, C, adam in cells]
@@ -169,6 +183,9 @@ def fit_cells(sets, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[
         raise ValueError("C must be > 0")
     if not all(0 <= j < len(sets) for j, *_ in cells):
         raise ValueError(f"cell training set indices must lie in [0, {len(sets)})")
+    resume = [None] * len(cells) if resume is None else list(resume)
+    if len(resume) != len(cells):
+        raise ValueError(f"fit_cells got {len(resume)} resume states for {len(cells)} cells")
     cells_of = [[] for _ in sets]
     for i, (j, *_) in enumerate(cells):
         cells_of[j].append(i)
@@ -176,11 +193,11 @@ def fit_cells(sets, kernel: KernelSpec, cells, scaling: str = "minmax") -> list[
     out = [None] * len(cells)
     used = [j for j in range(len(sets)) if cells_of[j]]
     for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
-        _fit_group(sets, [used[g] for g in group], kernel, cells, cells_of, scaling, out)
+        _fit_group(sets, [used[g] for g in group], kernel, cells, cells_of, scaling, resume, out)
     return out
 
 
-def _fit_group(sets, group, kernel, cells, cells_of, scaling, out) -> None:
+def _fit_group(sets, group, kernel, cells, cells_of, scaling, resume, out) -> None:
     """Train the cells of the equal-size training sets ``group`` on one
     buffer of their Gram matrices; ``out[i]`` gets cell i's (model, report)."""
     n = sets[group[0]][0].shape[0]
@@ -213,6 +230,7 @@ def _fit_group(sets, group, kernel, cells, cells_of, scaling, out) -> None:
             stack = train_adam(
                 gram, ys, Cs, losses, adams[0],
                 gamma=[a.gamma for a in adams], seed=[a.seed for a in adams], fold=folds,
+                resume=[resume[i] for i in rows],
             )
             wall = (time.perf_counter() - t1) / len(rows)
             for k, i, state in zip(folds, rows, stack.states):
@@ -228,10 +246,11 @@ def _fit_group(sets, group, kernel, cells, cells_of, scaling, out) -> None:
                     final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
                     initial_objective=objective_value(alpha0, gram_k, ys[k], C, loss),
                     iterations=state.t,
-                    stop_reason="max_iter" if state.t == adam.max_iter else "early_stop",
+                    stop_reason="early_stop" if state.stopped else "max_iter",
                     wall_time_seconds=wall,
                     gram_seconds=gram_seconds,
                     trace=state.trace,
+                    state=state,
                 )
                 out[i] = (model, report)
 

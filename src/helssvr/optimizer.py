@@ -18,6 +18,7 @@ rounding (see :func:`train_adam`).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,12 @@ class AdamState:
     """Coefficients plus both moment vectors and the step counter.
 
     The vectors are 1-D for one cell, or the rows of (m, n) arrays while
-    :func:`train_adam` trains m cells together.
+    :func:`train_adam` trains m cells together.  A state :func:`train_adam`
+    returns also holds what its ``resume`` argument needs to continue the
+    cell: the raw iterate (``alpha`` is the averaged one), the average
+    before its bias correction, the cell's generator, its early-stop
+    counters and whether the early-stopping rule ended it.  :func:`adam_step`
+    leaves these unset.
     """
 
     alpha: np.ndarray
@@ -95,6 +101,12 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     trace: list[float] | None = None
+    iterate: np.ndarray | None = None
+    avg: np.ndarray | None = None
+    rng: np.random.Generator | None = None
+    prev_h: float | None = None
+    flat_run: int = 0
+    stopped: bool = False
 
 
 def objective_value(alpha, gram: GramMatrix, y, C: float, loss: LossSpec) -> float:
@@ -207,20 +219,23 @@ class AdamStack:
 
     @property
     def t(self) -> int:
-        """Adam steps summed over the cells; each makes two products with the Gram."""
+        """Adam steps summed over the cells; each makes two products with the Gram.
+
+        A resumed cell's ``t`` counts the steps of the calls before too.
+        """
         return sum(state.t for state in self.states)
 
 
-def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None):
-    """Run ``cfg.max_iter`` Adam iterations and return the final state,
-    whose coefficients are the moving average of the iterates.
+def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None, resume=None):
+    """Run Adam iterations up to step ``cfg.max_iter`` and return the final
+    state, whose coefficients are the moving average of the iterates.
 
     A fresh mini-batch of size min(batch_size, N) is drawn uniformly
-    without replacement at every iteration.  The batches are drawn N
-    steps at a time, in one sampler call per cell, and are the batches
-    one draw per step would give.  Residuals use the full coefficient
-    vector against the batch's Gram rows.  The run is bit-reproducible for
-    a fixed config (including the seed).
+    without replacement at every iteration.  The batches are drawn up to
+    the next multiple of N steps at a time, in one sampler call per cell,
+    and are the batches one draw per step would give.  Residuals use the
+    full coefficient vector against the batch's Gram rows.  The run is
+    bit-reproducible for a fixed config (including the seed).
 
     When ``collect_trace`` is set, ``state.trace[t]`` holds H(alpha_t) for
     t = 0..T, except that the last entry is H of the returned coefficients
@@ -234,15 +249,27 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     mean of alpha_1..alpha_t, so a short or early-stopped run keeps no
     weight on alpha_0.  The moments are the last iterate's.
 
+    ``resume`` continues earlier runs: a state this function returned,
+    given with the cell's settings and set of that run, trains on from its
+    step t to ``cfg.max_iter``, with its own generator, early-stop counters
+    and trace; ``cfg.seed`` and ``seed`` then play no part.  A state the
+    early-stopping rule ended is returned as it is.  The cells resumed in
+    one call must share t.  The states passed in are left as they were.
+    A run to step k resumed to step T is bit-identical to a run to T in the
+    same stack layout (below): a resumed cell draws the rest of its block
+    of batches, and a block of draws is bit for bit the successive draws
+    (:func:`~helssvr.seeding.sample_without_replacement`).
+
     To train m cells at once, pass ``C`` and ``loss`` as sequences of m
-    values, and optionally ``gamma`` and ``seed`` as sequences that replace
-    ``cfg``'s learning rate and seed per cell; ``cfg`` gives every other
-    setting.  The call then returns an :class:`AdamStack`.  The cells may
-    belong to different training sets of N rows each: ``gram`` then holds
-    an (f, N, N) stack of their Gram matrices, ``y`` the (f, N) targets and
-    ``fold`` each cell's set (all 0 by default).  A non-finite residual
-    raises a ValueError that names the step and each affected cell (its
-    position in ``C``) and set; the whole stack stops.
+    values, and optionally ``gamma``, ``seed`` and ``resume`` as sequences
+    that replace ``cfg``'s learning rate and seed, and the fresh start, per
+    cell (a None in ``resume`` starts that cell fresh); ``cfg`` gives every
+    other setting.  The call then returns an :class:`AdamStack`.  The cells
+    may belong to different training sets of N rows each: ``gram`` then
+    holds an (f, N, N) stack of their Gram matrices, ``y`` the (f, N)
+    targets and ``fold`` each cell's set (all 0 by default).  A non-finite
+    residual raises a ValueError that names the step and each affected cell
+    (its position in ``C``) and set; the whole stack stops.
 
     The cells' coefficient, moment and residual vectors are stacked as the
     rows of (m, N) arrays, grouped by set, so the elementwise work of a
@@ -260,7 +287,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
       the rounding of the GEMM, which Adam then carries forward.
     """
     if isinstance(loss, LossSpec):
-        return train_adam(gram, y, [C], [loss], cfg).states[0]
+        return train_adam(gram, y, [C], [loss], cfg, resume=None if resume is None else [resume]).states[0]
     n = gram.n
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -274,10 +301,29 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     gamma = [cfg.gamma] * rows if gamma is None else list(gamma)
     seed = [cfg.seed] * rows if seed is None else list(seed)
     fold = [0] * rows if fold is None else [int(k) for k in fold]
-    if not rows == len(loss) == len(gamma) == len(seed) == len(fold) > 0:
-        raise ValueError("C, loss, gamma, seed and fold must give the same non-zero number of cells")
+    resume = [None] * rows if resume is None else list(resume)
+    if not rows == len(loss) == len(gamma) == len(seed) == len(fold) == len(resume) > 0:
+        raise ValueError("C, loss, gamma, seed, fold and resume must give the same non-zero number of cells")
     if not all(0 <= k < f for k in fold):
         raise ValueError(f"fold indices must lie in [0, {f})")
+
+    def fresh(c):
+        alpha0 = np.full(n, float(cfg.alpha0))
+        return AdamState(
+            alpha=alpha0, m=np.full(n, float(cfg.m0)), v=np.full(n, float(cfg.v0)),
+            trace=[] if cfg.collect_trace else None, iterate=alpha0, avg=np.zeros(n), rng=make_rng(seed[c]),
+        )
+
+    begin = [fresh(c) if start is None else start for c, start in enumerate(resume)]
+    out = [start if start.stopped else None for start in begin]
+    live = sorted((c for c in range(rows) if out[c] is None), key=fold.__getitem__)  # the cell of each stack row
+    if not live:
+        return AdamStack(out)
+    t0 = begin[live[0]].t
+    if any(begin[c].t != t0 for c in live) or t0 > cfg.max_iter:
+        raise ValueError(f"resumed cells must share one step count, at most max_iter ({cfg.max_iter})")
+    if cfg.collect_trace and any(begin[c].trace is None for c in live):
+        raise ValueError("cannot trace a cell resumed from a run without a trace")
 
     s = min(cfg.batch_size, n)
 
@@ -306,31 +352,37 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         ends = np.cumsum(counts)
         return fold_of, [(k, slice(e - c, e)) for k, (c, e) in enumerate(zip(counts, ends)) if c]
 
-    live = sorted(range(rows), key=fold.__getitem__)  # the cell of each stack row
+    m = len(live)
     fold_of, spans = layout(live)
     stack, C_blk, gamma_blk = blocks(live)
+    # np.stack copies, so the states passed in stay as they were
     state = AdamState(
-        alpha=np.full((rows, n), float(cfg.alpha0)),
-        m=np.full((rows, n), float(cfg.m0)),
-        v=np.full((rows, n), float(cfg.v0)),
-        t=0,
+        alpha=np.stack([begin[c].iterate for c in live]),
+        m=np.stack([begin[c].m for c in live]),
+        v=np.stack([begin[c].v for c in live]),
+        t=t0,
     )
-    avg = np.zeros((rows, n))
-    work = (np.empty((rows, n)), np.empty((rows, n)))  # adam_step's in-place buffers
+    avg = np.stack([begin[c].avg for c in live])
+    work = (np.empty((m, n)), np.empty((m, n)))  # adam_step's in-place buffers
     Y = Ys[fold_of]
-    Kalpha, Kd = np.empty((rows, n)), np.empty((rows, n))
-    R, D = np.empty((rows, s)), np.empty((rows, s))  # the residual and its derivative
-    block, row_of = np.empty((rows, 0, s), dtype=np.intp), np.arange(rows)[:, None]
-    rngs = [make_rng(c) for c in seed]
-    traces = [[] for _ in range(rows)] if cfg.collect_trace else [None] * rows
+    Kalpha, Kd = np.empty((m, n)), np.empty((m, n))
+    R, D = np.empty((m, s)), np.empty((m, s))  # the residual and its derivative
+    block, row_of = np.empty((m, 0, s), dtype=np.intp), np.arange(m)[:, None]
+    rngs = [start.rng if given is None else copy.deepcopy(start.rng) for start, given in zip(begin, resume)]
+    # a trace ends in H of the averaged coefficients, which a resumed
+    # cell's next step replaces
+    traces = [start.trace[: start.t] if cfg.collect_trace and out[c] is None else None for c, start in enumerate(begin)]
     track = cfg.collect_trace or cfg.early_stop
-    prev_h = [None] * rows
-    flat_run = [0] * rows
-    out = [None] * rows
+    prev_h = [start.prev_h for start in begin]
+    flat_run = [start.flat_run for start in begin]
 
-    def finish(r, c):
+    def finish(r, c, stopped=False):
         alpha = avg[r] / (1.0 - EMA_WEIGHT**state.t)
-        out[c] = AdamState(alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c])
+        out[c] = AdamState(
+            alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c],
+            iterate=state.alpha[r].copy(), avg=avg[r].copy(), rng=rngs[c],
+            prev_h=prev_h[c], flat_run=flat_run[c], stopped=stopped,
+        )
         if cfg.collect_trace:
             # a row that stops early has traced this step's iterate; the
             # entry becomes that of the returned coefficients
@@ -353,7 +405,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         except ValueError as exc:
             raise non_finite(step, R) from exc
 
-    for step in range(cfg.max_iter):
+    for step in range(t0, cfg.max_iter):
         gram_products(K, state.alpha, Kalpha, spans)
         if track:
             keep = []
@@ -367,7 +419,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 if cfg.early_stop and prev_h[c] is not None:
                     flat_run[c] = flat_run[c] + 1 if abs(h - prev_h[c]) < cfg.early_stop_tol else 0
                     if flat_run[c] >= cfg.early_stop_patience:
-                        finish(r, c)
+                        finish(r, c, stopped=True)
                         continue
                 prev_h[c] = h
                 keep.append(r)
@@ -387,15 +439,17 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             np.subtract(Y, Kalpha, out=R)
             gram_products(K, derivative(step), Kd, spans)
         else:
-            if step % n == 0:
-                # the next n steps' batches (fewer near the end) in one
-                # draw per row: n * n scratch indices, no more than the Gram
-                draws = min(n, cfg.max_iter - step)
+            if step % n == 0 or step == t0:
+                # the batches up to the next multiple of n steps (or the
+                # run's end) in one draw per row: at most n * n scratch
+                # indices, no more than the Gram.  A resumed run draws the
+                # rest of the block it stopped in
+                drawn_at, draws = step, min(n - step % n, cfg.max_iter - step)
                 block = np.stack([sample_without_replacement(rngs[c], n, s, draws=draws) for c in live])
                 # canonical index order keeps the float summation order
                 # independent of the draw
                 block.sort(axis=2)
-            batch = block[:, step % n]
+            batch = block[:, step - drawn_at]
             np.subtract(Y[row_of, batch], Kalpha[row_of, batch], out=R)
             d = derivative(step)
             np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=Kd[:, :, None])

@@ -409,12 +409,29 @@ class TestBench:
         results = read_rows(outdir / "results.csv")
         timing = read_rows(outdir / "timing.csv")
         best = read_rows(outdir / "best_params.csv")
-        assert timing[0] == ["dataset", "model", "fit_seconds", "gram_seconds"]
+        cells = read_rows(outdir / "cells.csv")
+        assert timing[0] == ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells", "fits"]
         assert best[0] == ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"]
+        assert cells[0] == [
+            "dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma",
+            "rmse_fold1", "rmse_fold2", "rmse_fold3", "stat",
+            "iterations_fold1", "iterations_fold2", "iterations_fold3",
+            "stop_reason_fold1", "stop_reason_fold2", "stop_reason_fold3",
+        ]
         items = [(str(d), m) for d in (d1, d2) for m in ("hawkeye", "least_squares")]
         for rows in (results, timing, best):
             assert [tuple(r[:2]) for r in rows[1:]] == items
         assert [r[6] for r in results[1:]] == [r[2] for r in timing[1:]]
+        # two cells per item (grid.sigma=0.3,1), each with 3 folds; the best
+        # cell's row carries the search's statistic
+        assert [tuple(r[5:]) for r in timing[1:]] == [("2", "6")] * 4
+        assert all(float(r[4]) > 0 for r in timing[1:])
+        assert [tuple(r[:2]) for r in cells[1:]] == [item for item in items for _ in range(2)]
+        for (d, m, *p, cv_rmse), rows in zip(best[1:], (cells[1 + 2 * k : 3 + 2 * k] for k in range(4))):
+            assert [p, cv_rmse] in [[r[2:8], r[11]] for r in rows]
+        for r in cells[1:]:
+            assert float(r[11]) == min(map(float, r[8:11]))
+            assert r[12:] == ["150"] * 3 + ["max_iter"] * 3
         failures = read_rows(outdir / "failures.csv")
         assert len(failures) == 2
         assert failures[1][:3] == [str(missing), "*", "FileNotFoundError"]
@@ -451,6 +468,40 @@ class TestBench:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_train_only_keys_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        # bench searches the grid's C, loss and kernel values: it reads no
+        # C, loss.* or kernel.* key, so setting one is a config error
+        import helssvr.cli
+
+        def no_load(**kw):
+            raise AssertionError("bench loaded data despite a train-only key")
+
+        monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
+        outdir = tmp_path / "bench"
+        base = ["bench", "--data", str(tmp_path / "toy.csv"), "--recipes", "hawkeye", "--outdir", str(outdir)]
+        rc = main([*base, "--set", "kernel.kind=linear", "--set", "loss.a=0", "--set", "C=5"])
+        assert rc == 2
+        assert "config error: C is not read by bench" in capsys.readouterr().err
+        for pair in ("loss.kind=least_squares", "kernel.sigma=2"):
+            assert main([*base, "--set", pair]) == 2
+            assert f"{pair.split('=')[0]} is not read by bench" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_cells_file_names_cut_cells(self, tmp_path):
+        # six cells: the rung at step 15 cuts two of them
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", str(data), "--target", "y", "--recipes", "hawkeye",
+                   "--outdir", str(outdir), *fast_flags(), "--set", "grid.C=1,10,100"])
+        assert rc == 0
+        cells = read_rows(outdir / "cells.csv")[1:]
+        assert len(cells) == 6
+        assert sorted(tuple(r[12:]) for r in cells) == (
+            [("15",) * 3 + ("halved",) * 3] * 2 + [("150",) * 3 + ("max_iter",) * 3] * 4
+        )
+        assert read_rows(outdir / "timing.csv")[1][5:] == ["6", "18"]
 
     def test_refit_report_mode(self, tmp_path):
         data = tmp_path / "toy.csv"

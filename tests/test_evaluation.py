@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,22 +423,126 @@ class TestStackedSearchMatchesStandaloneFits:
         adam = fast_adam(batch_size=batch_size)
         res = grid_search_cv(ds, grid, recipe, seed=11, adam=adam, scaling="zscore")
         assert len(res.cells) == 12
+        # halving cuts 6 cells at step 15 and 2 more at step 45; each cell,
+        # cut or not, matches a standalone fit of the steps it trained
+        steps = sorted(cell.fold_reports[0].iterations for cell in res.cells)
+        assert steps == [15] * 6 + [45] * 2 + [150] * 4
         all_idx = np.arange(ds.n)
         for i, cell in enumerate(res.cells):
             p = cell.params
             for j, test_idx in enumerate(res.folds):
+                got = cell.fold_reports[j]
                 train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
                 model, report = fit(
                     ds.X[train_idx], ds.y[train_idx], recipe.build_kernel(p.sigma),
                     recipe.build_loss(p.epsilon, p.lam, p.a), C=p.C,
-                    adam=replace(adam, gamma=p.gamma, seed=child_seed(11, i, j)), scaling="zscore",
+                    adam=replace(adam, gamma=p.gamma, seed=child_seed(11, i, j), max_iter=got.iterations),
+                    scaling="zscore",
                 )
                 rmse = compute_metrics(ds.y[test_idx], predict(model, ds.X[test_idx])).rmse
-                got = cell.fold_reports[j]
                 assert cell.fold_rmse[j] == pytest.approx(rmse, rel=SHORT_RUN_RTOL, abs=0)
                 assert got.final_objective == pytest.approx(report.final_objective, rel=SHORT_RUN_RTOL, abs=0)
                 assert got.initial_objective.hex() == report.initial_objective.hex()
                 assert got.iterations == report.iterations
+
+
+class TestSuccessiveHalving:
+    """The search trains every cell to the rungs at max_iter // 10 and
+    3 * max_iter // 10 steps (15 and 45 of 150 here), and resumes only the
+    better half of the cells still training, never fewer than four."""
+
+    grid = GridSpec(C_values=(1.0, 10.0, 100.0), sigma_values=(0.3, 1.0), a_values=(1.0, 3.0), k=3)
+
+    def search(self, grid=None, **kw):
+        adam = fast_adam(**{"batch_size": 32, **kw})
+        return grid_search_cv(
+            toy_dataset(n=60, seed=8), grid or self.grid, recipe_from_name("hawkeye"), seed=11, adam=adam, scaling="zscore"
+        )
+
+    @staticmethod
+    def summary(res):
+        return [
+            (
+                tuple(r.hex() for r in cell.fold_rmse),
+                cell.stat.hex(),
+                tuple((r.iterations, r.stop_reason, r.final_objective.hex()) for r in cell.fold_reports),
+            )
+            for cell in res.cells
+        ]
+
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_bit_reproducible_from_the_seed(self, batch_size):
+        first = self.summary(self.search(batch_size=batch_size))
+        assert self.summary(self.search(batch_size=batch_size)) == first
+        assert any(folds[0][:2] == (15, "halved") for _, _, folds in first)
+
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_cut_cells_are_finite_and_halved(self, batch_size):
+        res = self.search(batch_size=batch_size)
+        steps = []
+        for cell in res.cells:
+            (t,) = {r.iterations for r in cell.fold_reports}
+            (reason,) = {r.stop_reason for r in cell.fold_reports}
+            assert reason == ("max_iter" if t == 150 else "halved")
+            assert math.isfinite(cell.stat) and all(math.isfinite(r) for r in cell.fold_rmse)
+            steps.append(t)
+        # 12 cells -> 6 at step 15 -> 4 (not 3) at step 45
+        assert sorted(steps) == [15] * 6 + [45] * 2 + [150] * 4
+
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_best_cell_is_the_minimum_over_all_cells(self, batch_size):
+        res = self.search(batch_size=batch_size)
+        stats = [cell.stat for cell in res.cells]
+        assert res.best is res.cells[stats.index(min(stats))]
+
+    def test_first_rung_cuts_the_worse_half(self, monkeypatch):
+        # the first rung trains all 12 cells in the layout of a 15-step
+        # search without rungs, so it scores them bit for bit as that
+        # search does; the six worst (ties to the earlier cell) are cut
+        import helssvr.evaluation
+
+        res = self.search()
+        monkeypatch.setattr(helssvr.evaluation, "RUNG_TENTHS", ())
+        short = self.search(max_iter=15)
+        ranked = sorted(range(12), key=lambda i: (short.cells[i].stat, i))
+        cut = [i for i, cell in enumerate(res.cells) if cell.fold_reports[0].iterations == 15]
+        assert cut == sorted(ranked[6:])
+        for i in cut:
+            assert self.summary(res)[i][:2] == self.summary(short)[i][:2]
+
+    def test_ties_go_to_the_earlier_cell(self, monkeypatch):
+        # five copies of one cell: at full batch their seeds draw nothing,
+        # and one row per stack trains each by the same GEMVs, so all five
+        # tie at every step; the rung keeps the first four
+        import helssvr.model
+
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", 1)
+        res = self.search(GridSpec(C_values=(10.0,) * 5, sigma_values=(1.0,), k=3), batch_size=1000)
+        assert [cell.fold_reports[0].iterations for cell in res.cells] == [150] * 4 + [15]
+        assert len({cell.stat for cell in res.cells[:4]}) == 1
+        assert res.best is res.cells[0]
+
+    def test_five_cells_keep_four(self):
+        grid = GridSpec(C_values=(1.0, 3.0, 10.0, 30.0, 100.0), sigma_values=(1.0,), k=3)
+        res = self.search(grid)
+        assert sorted(cell.fold_reports[0].iterations for cell in res.cells) == [15, 150, 150, 150, 150]
+
+    def test_four_cells_train_straight_on(self):
+        grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), k=3)
+        res = self.search(grid)
+        assert {r.stop_reason for cell in res.cells for r in cell.fold_reports} == {"max_iter"}
+
+    def test_early_stopped_folds_keep_their_reason(self):
+        # a loose tolerance stops folds before and between the rungs; their
+        # reports keep early_stop, and the other folds of a cut cell say halved
+        res = self.search(early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)
+        reasons = {}
+        for cell in res.cells:
+            assert math.isfinite(cell.stat)
+            for r in cell.fold_reports:
+                reasons.setdefault(r.stop_reason, set()).add(r.iterations)
+                assert (r.stop_reason == "halved") == (r.iterations in (15, 45) and r.stop_reason != "early_stop")
+        assert reasons["halved"] and reasons["early_stop"] and max(reasons["early_stop"]) < 150
 
 
 # grid_search_cv(toy_dataset(n=31, seed=3), C 1 and 100, sigma 0.3 and 1, k=3,

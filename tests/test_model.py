@@ -400,6 +400,34 @@ class TestFitCellsAcrossSets:
             steps.add(report.iterations)
         assert len(steps) > 3  # early stops at several steps
 
+    @pytest.mark.parametrize("batch_size", [5, 1000])
+    def test_resumed_cells_match_one_call(self, batch_size):
+        # each cell's FitReport.state resumes it, bit for bit, in the same
+        # stack layout; cells that stopped early before the resume keep
+        # their results
+        from dataclasses import replace
+
+        from helssvr.model import fit_cells
+
+        sets = self.sets()
+        adam = AdamConfig(max_iter=60, batch_size=batch_size, early_stop=True, early_stop_tol=3e-1, early_stop_patience=3)
+        cells = [
+            (j, hawkeye(0.05, a, 1.0), C, replace(adam, seed=10 * j + c))
+            for j in range(len(sets))
+            for c, (a, C) in enumerate([(1.0, 10.0), (3.0, 100.0), (2.0, 1.0)])
+        ]
+        whole = fit_cells(sets, rbf(0.8), cells, scaling="zscore")
+        part = fit_cells(sets, rbf(0.8), [(j, l, C, replace(a, max_iter=17)) for j, l, C, a in cells], scaling="zscore")
+        resumed = fit_cells(sets, rbf(0.8), cells, scaling="zscore", resume=[r.state for _, r in part])
+        for (model, report), (want, want_report) in zip(resumed, whole):
+            assert model.alpha.tobytes() == want.alpha.tobytes()
+            assert report.final_objective == want_report.final_objective
+            assert (report.iterations, report.stop_reason) == (want_report.iterations, want_report.stop_reason)
+        steps = sorted(r.iterations for _, r in whole)
+        assert steps[0] < 17 and any(17 < t < 60 for t in steps) and steps[-1] == 60
+        with pytest.raises(ValueError, match="2 resume states for 12 cells"):
+            fit_cells(sets, rbf(0.8), cells, resume=[None, None])
+
     def test_models_of_one_set_share_inputs(self):
         from helssvr.model import fit_cells
 

@@ -688,3 +688,78 @@ class TestBatchedProductsAreRowGemvs:
         np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=got[:, :, None])
         for r, k in enumerate(fold_of):
             assert got[r].tobytes() == np.matmul(K[k][batch[r]].T, d[r]).tobytes()
+
+
+class TestResume:
+    """A run to step k resumed to step T is bit for bit one run to T in the
+    same stack layout, whether rows stop early before the resume, after
+    it or not at all, and whether the resume falls inside a block of
+    mini-batch draws."""
+
+    loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
+    # two rows per fold, listed out of fold order
+    fold, Cs = [2, 0, 1, 0, 2, 1], [1.0, 1.0, 100.0, 100.0, 10.0, 1.0]
+    gammas, seeds = [1e-2, 1e-3, 1e-2, 1e-2, 1e-3, 1e-3], [4, 5, 6, 7, 8, 9]
+
+    def train(self, cfg, steps, resume=None):
+        gram, Ys, _ = fold_stack()
+        return train_adam(
+            gram, Ys, self.Cs, [self.loss] * 6, replace(cfg, max_iter=steps),
+            gamma=self.gammas, seed=self.seeds, fold=self.fold, resume=resume,
+        )
+
+    @staticmethod
+    def assert_same_states(got, want):
+        for a, b in zip(got, want):
+            for name in ("alpha", "m", "v", "iterate", "avg"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert (a.t, a.trace, a.prev_h, a.flat_run, a.stopped) == (b.t, b.trace, b.prev_h, b.flat_run, b.stopped)
+
+    @pytest.mark.parametrize("option", ["early_stop", "collect_trace"])
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_resumed_run_is_one_run(self, batch_size, option):
+        # 20 training rows: at batch 6 the batches come 20 steps at a time,
+        # so the resume at step 13 falls inside the first block; with early
+        # stopping, one row stops before step 13 and one after it
+        cfg = AdamConfig(batch_size=batch_size, early_stop_tol=1e-2, early_stop_patience=3, **{option: True})
+        whole = self.train(cfg, 57)
+        steps = sorted(state.t for state in whole.states)
+        # with early stopping, also resume one step before a later stop,
+        # while that row's run of flat steps is under way
+        for k in {13, min(t for t in steps if t > 13) - 1}:
+            resumed = self.train(cfg, 57, resume=self.train(cfg, k).states)
+            self.assert_same_states(resumed.states, whole.states)
+        if option == "early_stop":
+            assert steps[0] < 13 and any(13 < t < 57 for t in steps) and steps[-1] == 57
+        else:
+            assert steps == [57] * 6 and all(len(state.trace) == 58 for state in resumed.states)
+
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_resume_leaves_its_states_unchanged(self, batch_size):
+        cfg = AdamConfig(batch_size=batch_size, collect_trace=True)
+        start = self.train(cfg, 13).states
+        copies = [(s.iterate.copy(), s.avg.copy(), s.m.copy(), list(s.trace), repr(s.rng.bit_generator.state)) for s in start]
+        first = self.train(cfg, 30, resume=start)
+        self.assert_same_states(self.train(cfg, 30, resume=start).states, first.states)
+        for s, (iterate, avg, m, trace, rng) in zip(start, copies):
+            assert s.iterate.tobytes() == iterate.tobytes() and s.avg.tobytes() == avg.tobytes()
+            assert s.m.tobytes() == m.tobytes() and s.trace == trace and repr(s.rng.bit_generator.state) == rng
+
+    def test_one_cell_resumes(self):
+        gram, Ys, grams = fold_stack()
+        cfg = AdamConfig(max_iter=40, batch_size=6, seed=3)
+        whole = train_adam(grams[0], Ys[0], 10.0, self.loss, cfg)
+        part = train_adam(grams[0], Ys[0], 10.0, self.loss, replace(cfg, max_iter=25))
+        self.assert_same_states([train_adam(grams[0], Ys[0], 10.0, self.loss, cfg, resume=part)], [whole])
+
+    def test_resumed_cells_must_share_a_step_count(self):
+        gram, Ys, _ = fold_stack()
+        cfg = AdamConfig(max_iter=10)
+        a = train_adam(gram, Ys, [1.0], [self.loss], replace(cfg, max_iter=3)).states[0]
+        b = train_adam(gram, Ys, [1.0], [self.loss], replace(cfg, max_iter=4)).states[0]
+        with pytest.raises(ValueError, match="share one step count"):
+            train_adam(gram, Ys, [1.0, 1.0], [self.loss] * 2, cfg, resume=[a, b])
+        with pytest.raises(ValueError, match="share one step count"):
+            train_adam(gram, Ys, [1.0], [self.loss], replace(cfg, max_iter=3), resume=[b])
+        with pytest.raises(ValueError, match="without a trace"):
+            train_adam(gram, Ys, [1.0], [self.loss], replace(cfg, collect_trace=True), resume=[a])
