@@ -642,6 +642,189 @@ class TestGoldenSearch:
         ]
 
 
+# grid_search_cv(toy_dataset(n=31, seed=3), C 1 and 100, sigma 0.3 and 1, a 1
+# and 3, k=3, seed 7, zscore, 60 steps), keyed by (batch size, early-stop
+# tolerance at patience 3, or None for no early stop): per cell, the fold
+# RMSEs and statistic (as float.hex), each fold's iterations and stop reason.
+# The 8 cells reach the first rung at step 6, which keeps 4; those train
+# straight on to 60, since 4 do not halve again.  With early stopping, folds
+# stop before the rung (a cut cell's other folds say halved) and after it.
+# Like GOLDEN_SEARCH this pins one fixed stack layout bit for bit.
+GOLDEN_HALVING = {
+    (8, None): [
+        (
+            ('0x1.578ee43898938p-1', '0x1.496177dd83f1cp-1', '0x1.962a9fbb41e37p-1'),
+            '0x1.496177dd83f1cp-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.563482ad8618fp-1', '0x1.49e5da9a7e51dp-1', '0x1.9604b44edafe1p-1'),
+            '0x1.49e5da9a7e51dp-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.4c10c11d6646fp-1', '0x1.3adf2d4fd7595p-1', '0x1.883ed5ce136fdp-1'),
+            '0x1.3adf2d4fd7595p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.082a4afae5067p-2', '0x1.b16640b17fbe2p-3', '0x1.ae9220a671d16p-2'),
+            '0x1.b16640b17fbe2p-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.0e2e6ff4c2eccp-2', '0x1.7adbe391143d5p-2', '0x1.9c7ac421f2ed4p-2'),
+            '0x1.0e2e6ff4c2eccp-2',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.42b1618cf8d09p-1', '0x1.3ad398d9d7ee2p-1', '0x1.821fb129563fep-1'),
+            '0x1.3ad398d9d7ee2p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.565d80729d563p-3', '0x1.300b074aa8512p-3', '0x1.4f996179efc5dp-2'),
+            '0x1.300b074aa8512p-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.3155b33063561p-3', '0x1.27cfc344c8c50p-3', '0x1.45c96c0205f33p-2'),
+            '0x1.27cfc344c8c50p-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+    ],
+    (1000, None): [
+        (
+            ('0x1.4f8bf6cb0562fp-1', '0x1.44122281e06d9p-1', '0x1.8f437752e506dp-1'),
+            '0x1.44122281e06d9p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.4e26fbe3fd84cp-1', '0x1.439407e79ce72p-1', '0x1.8ef3cf409ed55p-1'),
+            '0x1.439407e79ce72p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.f776d81e6a571p-3', '0x1.da4da6b298d2ap-3', '0x1.a0b1445027f10p-2'),
+            '0x1.da4da6b298d2ap-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.24231c70a5737p-3', '0x1.4169814f8609ap-3', '0x1.282f3fd00cb7ep-2'),
+            '0x1.24231c70a5737p-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.3d207775d2196p-1', '0x1.36102a683c65ap-1', '0x1.7e72e66742273p-1'),
+            '0x1.36102a683c65ap-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.3cfac1e9510e3p-1', '0x1.3699c8c590f45p-1', '0x1.7ef4f3910f270p-1'),
+            '0x1.3699c8c590f45p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.22bb056655625p-3', '0x1.1cf7d6bc4f8ecp-3', '0x1.284619d3ae52dp-2'),
+            '0x1.1cf7d6bc4f8ecp-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.f8ffe69c1b2acp-4', '0x1.1dc419725a438p-3', '0x1.087198215b431p-2'),
+            '0x1.f8ffe69c1b2acp-4',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+    ],
+    (8, 0.05): [
+        (
+            ('0x1.5afb6a5288af5p-1', '0x1.496177dd83f1cp-1', '0x1.99028e02af541p-1'),
+            '0x1.496177dd83f1cp-1',
+            (3, 6, 3),
+            ('early_stop', 'halved', 'early_stop'),
+        ),
+        (
+            ('0x1.563482ad8618fp-1', '0x1.49e5da9a7e51dp-1', '0x1.9604b44edafe1p-1'),
+            '0x1.49e5da9a7e51dp-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.4c10c11d6646fp-1', '0x1.3adf2d4fd7595p-1', '0x1.883ed5ce136fdp-1'),
+            '0x1.3adf2d4fd7595p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.45989b8114930p-2', '0x1.61d9ca9e729a0p-2', '0x1.10c52359f224cp-1'),
+            '0x1.45989b8114930p-2',
+            (45, 30, 35),
+            ('early_stop', 'early_stop', 'early_stop'),
+        ),
+        (
+            ('0x1.0e2e6ff4c2eccp-2', '0x1.7adbe391143d5p-2', '0x1.9c7ac421f2ed4p-2'),
+            '0x1.0e2e6ff4c2eccp-2',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.42b1618cf8d09p-1', '0x1.3ad398d9d7ee2p-1', '0x1.821fb129563fep-1'),
+            '0x1.3ad398d9d7ee2p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.565d80729d563p-3', '0x1.300b074aa8512p-3', '0x1.4f996179efc5dp-2'),
+            '0x1.300b074aa8512p-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+        (
+            ('0x1.3155b33063561p-3', '0x1.27cfc344c8c50p-3', '0x1.45c96c0205f33p-2'),
+            '0x1.27cfc344c8c50p-3',
+            (60, 60, 60),
+            ('max_iter', 'max_iter', 'max_iter'),
+        ),
+    ],
+}
+
+
+class TestGoldenHalvingSearch:
+    @pytest.mark.parametrize("case", list(GOLDEN_HALVING))
+    def test_search_matches_recorded_values(self, case):
+        batch_size, tol = case
+        stop = {} if tol is None else dict(early_stop=True, early_stop_tol=tol, early_stop_patience=3)
+        grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), a_values=(1.0, 3.0), k=3)
+        adam = fast_adam(max_iter=60, batch_size=batch_size, **stop)
+        res = grid_search_cv(toy_dataset(n=31, seed=3), grid, recipe_from_name("hawkeye"), seed=7, adam=adam, scaling="zscore")
+        got = [
+            (
+                tuple(r.hex() for r in cell.fold_rmse),
+                cell.stat.hex(),
+                tuple(r.iterations for r in cell.fold_reports),
+                tuple(r.stop_reason for r in cell.fold_reports),
+            )
+            for cell in res.cells
+        ]
+        assert got == GOLDEN_HALVING[case]
+        assert res.best is res.cells[7]
+
+
 class TestAveragedSelectionIsLayoutStable:
     """The trainer returns the averaged iterate, so the selected cell does
     not depend on the stack layout.
