@@ -196,8 +196,8 @@ def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
     ]
 
 
-def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, states):
-    """Fold results of the cells ``members``, which share one kernel.
+def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, selection, states):
+    """Results of the cells ``members``, which share one kernel, by cell.
 
     Every fold of every cell trains in one :func:`fit_cells` call, which
     stacks folds of equal size while their Gram matrices fit its budget.
@@ -210,26 +210,27 @@ def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, states
     all_idx = np.arange(ds.n)
     train = [np.setdiff1d(all_idx, test_idx, assume_unique=True) for test_idx in folds]
     specs = [
-        (j, loss, cells[i].C, replace(adam, gamma=cells[i].gamma, seed=child_seed(seed, i, j)))
+        (j, loss, cells[i].C, cells[i].gamma, child_seed(seed, i, j))
         for j in range(len(folds))
         for i, loss in zip(members, cell_losses)
     ]
     fitted = fit_cells(
-        [(ds.X[idx], ds.y[idx]) for idx in train], kernel, specs, scaling=scaling,
+        [(ds.X[idx], ds.y[idx]) for idx in train], kernel, specs, adam, scaling=scaling,
         resume=[states.get((i, j)) for j in range(len(folds)) for i in members],
     )
-    folds_of = {i: ([], [], []) for i in members}
+    results = {i: CellResult(cells[i], [], [], [], math.nan) for i in members}
     for j, test_idx in enumerate(folds):
         fold_fits = fitted[j * len(members) : (j + 1) * len(members)]
         preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
         for i, (_, report), pred in zip(members, fold_fits, preds):
             metrics = compute_metrics(ds.y[test_idx], pred)
             states[i, j] = report.state
-            fold_rmse, fold_metrics, fold_reports = folds_of[i]
-            fold_rmse.append(metrics.rmse)
-            fold_metrics.append(metrics)
-            fold_reports.append(replace(report, state=None))
-    return folds_of
+            results[i].fold_rmse.append(metrics.rmse)
+            results[i].fold_metrics.append(metrics)
+            results[i].fold_reports.append(replace(report, state=None))
+    for res in results.values():
+        res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
+    return results
 
 
 #: successive halving's rungs, in tenths of ``max_iter`` (100 and 300 of
@@ -293,15 +294,11 @@ def grid_search_cv(
         adam = AdamConfig()
     folds = kfold_split(ds.n, grid.k, seed)
     cells = _enumerate_cells(grid, recipe)
-    folds_of, states = {}, {}  # each cell's latest fold results; each (cell, fold)'s optimizer state
+    results, states = [None] * len(cells), {}  # each cell's latest result; each (cell, fold)'s optimizer state
 
-    def stat(i):
-        fold_rmse = folds_of[i][0]
-        return min(fold_rmse) if selection == "best_fold" else float(np.mean(fold_rmse))
-
-    def rank(i):
+    def rank(res):
         # a non-finite statistic ranks last
-        return (stat(i) if math.isfinite(stat(i)) else math.inf, i)
+        return res.stat if math.isfinite(res.stat) else math.inf
 
     training = list(range(len(cells)))
     rungs = [adam.max_iter * r // 10 for r in RUNG_TENTHS]
@@ -313,26 +310,22 @@ def grid_search_cv(
             groups.setdefault(cells[i].sigma, []).append(i)
         run = replace(adam, max_iter=steps)
         for members in groups.values():
-            folds_of.update(_search_group(ds, folds, recipe, cells, members, run, scaling, seed, states))
+            for i, res in _search_group(ds, folds, recipe, cells, members, run, scaling, seed, selection, states).items():
+                results[i] = res
         training = [i for i in training if not all(states[i, j].stopped for j in range(len(folds)))]
         if steps == adam.max_iter:
             break
-        ranked = sorted(training, key=rank)
+        # sorted is stable, so ties go to the earlier cell
+        ranked = sorted(training, key=lambda i: rank(results[i]))
         keep = max(HALVING_FLOOR, -(-len(training) // 2))
         for i in ranked[keep:]:
-            fold_rmse, fold_metrics, fold_reports = folds_of[i]
-            halved = [r if r.stop_reason == "early_stop" else replace(r, stop_reason="halved") for r in fold_reports]
-            folds_of[i] = (fold_rmse, fold_metrics, halved)
+            results[i].fold_reports = [
+                r if r.stop_reason == "early_stop" else replace(r, stop_reason="halved") for r in results[i].fold_reports
+            ]
         training = sorted(ranked[:keep])
 
-    results = [CellResult(cell, *folds_of[i], stat(i)) for i, cell in enumerate(cells)]
-    best = None
-    for res in results:
-        if not math.isfinite(res.stat):
-            continue
-        if best is None or res.stat < best.stat:
-            best = res
-    if best is None:
+    best = min(results, key=rank)
+    if not math.isfinite(best.stat):
         raise ValueError("no grid cell produced a finite fold RMSE")
     return GridSearchResult(best=best, cells=results, folds=folds, selection=selection)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -150,25 +150,27 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_cells(
-    sets, kernel: KernelSpec, cells, scaling: str = "minmax", resume=None
+    sets, kernel: KernelSpec, cells, adam: AdamConfig | None = None, scaling: str = "minmax", resume=None
 ) -> list[tuple[TrainedModel, FitReport]]:
-    """Train cells on one or more training sets with one kernel.
+    """Train cells of one loss kind on one or more training sets with one
+    kernel and one Adam configuration.
 
     ``sets`` holds ``(X, y)`` training sets, such as the folds of a cross
-    validation, and ``cells`` holds ``(set, loss, C, adam)``: the index of
-    the cell's training set, then its loss, C and Adam settings (None means
-    the defaults).  Returns one (model, report) per cell.  ``resume``
-    optionally gives each cell a ``FitReport.state`` of an earlier call
-    with the same set, loss and C, from which it trains on to
+    validation, and ``cells`` holds ``(set, loss, C, gamma, seed)``: the
+    index of the cell's training set, then its loss, C, learning rate and
+    Adam seed, which replace ``adam``'s (None means the defaults).  Every
+    cell's loss is of one kind.  Returns one (model, report) per cell.
+    ``resume`` optionally gives each cell a ``FitReport.state`` of an
+    earlier call with the same set, loss and C, from which it trains on to
     ``adam.max_iter`` steps (None starts it fresh; the cells that share a
     stack must all start fresh or from one step count).  The Grams are
     built again.
 
     Each set is scaled and gets its Gram matrix once.  Cells train together
-    when their sets agree in size (see :func:`_fold_stacks`) and their loss
-    kind and Adam settings other than gamma and seed agree, in stacks of at
-    most :data:`STACK_ROWS`.  Only one stack's Grams are held at a time, in
-    one buffer.  Results are bit-identical for the same cells and
+    when their sets agree in size (see :func:`_fold_stacks`), in stacks of
+    at most :data:`STACK_ROWS` that take the same number of cells from each
+    set, in cell order.  Only one stack's Grams are held at a time, in one
+    buffer.  Results are bit-identical for the same cells and
     :data:`STACK_ROWS`.  A cell that trains as the only row of its set in
     its stack is bit-identical to a :func:`fit` of that cell alone; one
     that shares its set's Gram products with other rows agrees with it to
@@ -176,10 +178,14 @@ def fit_cells(
     step T is bit-identical to a run to T in the same stack layout.
     """
     sets = [_training_set(X, y) for X, y in sets]
-    cells = [(j, loss, C, AdamConfig() if adam is None else adam) for j, loss, C, adam in cells]
+    adam = AdamConfig() if adam is None else adam
+    cells = list(cells)
     if not cells:
         raise ValueError("fit_cells needs at least one cell")
-    if not all(C > 0 for _, _, C, _ in cells):
+    kinds = sorted({loss.kind for _, loss, *_ in cells})
+    if len(kinds) > 1:
+        raise ValueError(f"fit_cells trains one loss kind per call, got {kinds}")
+    if not all(C > 0 for _, _, C, *_ in cells):
         raise ValueError("C must be > 0")
     if not all(0 <= j < len(sets) for j, *_ in cells):
         raise ValueError(f"cell training set indices must lie in [0, {len(sets)})")
@@ -193,58 +199,42 @@ def fit_cells(
     out = [None] * len(cells)
     used = [j for j in range(len(sets)) if cells_of[j]]
     for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
-        _fit_group(sets, [used[g] for g in group], kernel, cells, cells_of, scaling, resume, out)
-    return out
+        group = [used[g] for g in group]
+        n = sets[group[0]][0].shape[0]
+        gram = GramMatrix(gram_buffer(len(group), n))
+        ys = np.empty((len(group), n))
+        scaled = []  # (scaled X, scaling, Gram seconds per cell) of each set
+        for k, j in enumerate(group):
+            X, y = sets[j]
+            state_scaling = scale_fit(X, y, scaling)
+            Xs = scale_features(state_scaling, X)
+            Xs.flags.writeable = False  # shared by every cell's model
+            ys[k] = scale_target(state_scaling, y)
+            t0 = time.perf_counter()
+            gram_matrix(kernel, Xs, out=gram.values[k])
+            scaled.append((Xs, state_scaling, (time.perf_counter() - t0) / len(cells_of[j])))
 
-
-def _fit_group(sets, group, kernel, cells, cells_of, scaling, resume, out) -> None:
-    """Train the cells of the equal-size training sets ``group`` on one
-    buffer of their Gram matrices; ``out[i]`` gets cell i's (model, report)."""
-    n = sets[group[0]][0].shape[0]
-    gram = GramMatrix(gram_buffer(len(group), n))
-    ys = np.empty((len(group), n))
-    scaled = []  # (scaled X, scaling, Gram seconds per cell) of each set
-    for k, j in enumerate(group):
-        X, y = sets[j]
-        state_scaling = scale_fit(X, y, scaling)
-        Xs = scale_features(state_scaling, X)
-        Xs.flags.writeable = False  # shared by every cell's model
-        ys[k] = scale_target(state_scaling, y)
-        t0 = time.perf_counter()
-        gram_matrix(kernel, Xs, out=gram.values[k])
-        scaled.append((Xs, state_scaling, (time.perf_counter() - t0) / len(cells_of[j])))
-
-    # a stack takes the same number of cells from each set, so that its
-    # layout stays uniform across the sets
-    groups: dict = {}
-    for k, j in enumerate(group):
-        for i in cells_of[j]:
-            _, loss, _, adam = cells[i]
-            groups.setdefault((loss.kind, replace(adam, gamma=1.0, seed=0)), {}).setdefault(k, []).append(i)
-    per = max(1, STACK_ROWS // len(group))
-    for members in groups.values():
-        for lo in range(0, max(map(len, members.values())), per):
-            folds, rows = zip(*((k, i) for k, ids in members.items() for i in ids[lo : lo + per]))
-            _, losses, Cs, adams = zip(*(cells[i] for i in rows))
+        # a stack takes the same number of cells from each set, so that its
+        # layout stays uniform across the sets
+        per = max(1, STACK_ROWS // len(group))
+        for lo in range(0, max(len(cells_of[j]) for j in group), per):
+            folds, rows = zip(*((k, i) for k, j in enumerate(group) for i in cells_of[j][lo : lo + per]))
+            _, losses, Cs, gammas, seeds = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()
             stack = train_adam(
-                gram, ys, Cs, losses, adams[0],
-                gamma=[a.gamma for a in adams], seed=[a.seed for a in adams], fold=folds,
-                resume=[resume[i] for i in rows],
+                gram, ys, Cs, losses, adam, gamma=gammas, seed=seeds, fold=folds, resume=[resume[i] for i in rows]
             )
             wall = (time.perf_counter() - t1) / len(rows)
-            for k, i, state in zip(folds, rows, stack.states):
-                _, loss, C, adam = cells[i]
+            for k, i, loss, C, state in zip(folds, rows, losses, Cs, stack.states):
                 Xs, state_scaling, gram_seconds = scaled[k]
                 gram_k = GramMatrix(gram.values[k])
                 state.alpha.flags.writeable = False
-                alpha0 = np.full(n, float(adam.alpha0))
                 model = TrainedModel(
                     alpha=state.alpha, X_train=Xs, kernel=kernel, loss=loss, C=float(C), scaling=state_scaling
                 )
                 report = FitReport(
                     final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
-                    initial_objective=objective_value(alpha0, gram_k, ys[k], C, loss),
+                    initial_objective=objective_value(np.full(n, float(adam.alpha0)), gram_k, ys[k], C, loss),
                     iterations=state.t,
                     stop_reason="early_stop" if state.stopped else "max_iter",
                     wall_time_seconds=wall,
@@ -253,6 +243,7 @@ def _fit_group(sets, group, kernel, cells, cells_of, scaling, resume, out) -> No
                     state=state,
                 )
                 out[i] = (model, report)
+    return out
 
 
 def fit(
@@ -270,7 +261,8 @@ def fit(
     wall time covers the optimizer run; Gram construction is timed
     separately.  This is the one-cell case of :func:`fit_cells`.
     """
-    return fit_cells([(X, y)], kernel, [(0, loss, C, adam)], scaling)[0]
+    adam = AdamConfig() if adam is None else adam
+    return fit_cells([(X, y)], kernel, [(0, loss, C, adam.gamma, adam.seed)], adam, scaling)[0]
 
 
 def predict_cells(models, X_new) -> list[np.ndarray]:

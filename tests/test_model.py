@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -291,38 +293,57 @@ class TestRobustnessOrdering:
         assert rmse_he < rmse_ls
 
 
+def cell_adam(adam, gamma, seed):
+    """The standalone fit's Adam settings of a :func:`fit_cells` cell."""
+    return replace(adam or AdamConfig(), gamma=gamma, seed=seed)
+
+
 class TestFitCells:
     def test_cells_match_standalone_fits(self, monkeypatch):
-        # mixed loss kinds and Adam settings split into separate stacks;
-        # one row per stack exercises the chunking as well
+        # one call per loss kind and Adam settings; the cells of a call
+        # differ in gamma and seed, and one row per stack exercises the
+        # chunking as well
         import helssvr.model
         from helssvr.model import fit_cells
 
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, (21, 2))
         y = np.cos(2 * X[:, 0]) + 0.1 * rng.normal(size=21)
-        cells = [
-            (hawkeye(0.05, 1.0, 1.0), 10.0, AdamConfig(max_iter=60, seed=1)),
-            (hawkeye(0.1, 3.0, 1.0), 100.0, AdamConfig(max_iter=60, seed=2, gamma=1e-3)),
-            (LossSpec("least_squares"), 1.0, AdamConfig(max_iter=60, seed=3)),
-            (hawkeye(0.05, 2.0, 0.5), 10.0, AdamConfig(max_iter=40, batch_size=5, seed=4)),
-            (hawkeye(0.05, 1.0, 1.0), 10.0, None),
+        calls = [
+            (AdamConfig(max_iter=60), [(hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 1), (hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3, 2)]),
+            (AdamConfig(max_iter=60), [(LossSpec("least_squares"), 1.0, 1e-2, 3)]),
+            (AdamConfig(max_iter=40, batch_size=5), [(hawkeye(0.05, 2.0, 0.5), 10.0, 1e-2, 4)]),
+            (None, [(hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 0)]),
         ]
         # one row per stack is the layout of a standalone fit, bit for bit;
         # rows that share the set's Gram products stay within tolerance
         for rows in (1, 32):
             monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
-            fitted = fit_cells([(X, y)], rbf(0.8), [(0, *cell) for cell in cells], scaling="zscore")
-            for (loss, C, adam), (model, report) in zip(cells, fitted):
-                alone, alone_report = fit(X, y, rbf(0.8), loss, C=C, adam=adam, scaling="zscore")
-                assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
-                assert model.loss == loss
+            for adam, cells in calls:
+                fitted = fit_cells([(X, y)], rbf(0.8), [(0, *cell) for cell in cells], adam, scaling="zscore")
+                for (loss, C, gamma, seed), (model, report) in zip(cells, fitted):
+                    alone_adam = cell_adam(adam, gamma, seed)
+                    alone, alone_report = fit(X, y, rbf(0.8), loss, C=C, adam=alone_adam, scaling="zscore")
+                    assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
+                    assert model.loss == loss
 
     def test_every_C_validated(self):
         from helssvr.model import fit_cells
 
-        cells = [(0, hawkeye(), 1.0, None), (0, hawkeye(), 0.0, None)]
+        cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, hawkeye(), 0.0, 0.01, 0)]
         with pytest.raises(ValueError, match="C must be > 0"):
+            fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
+
+    def test_mixed_loss_kinds_raise_before_any_gram(self, monkeypatch):
+        import helssvr.model
+        from helssvr.model import fit_cells
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram matrix was built")
+
+        monkeypatch.setattr(helssvr.model, "gram_matrix", no_gram)
+        cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, LossSpec("least_squares"), 1.0, 0.01, 0)]
+        with pytest.raises(ValueError, match=r"one loss kind per call, got \['hawkeye', 'least_squares'\]"):
             fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
 
 
@@ -379,25 +400,27 @@ class TestFitCellsAcrossSets:
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
         sets = self.sets()
         stop = dict(early_stop=True, early_stop_tol=3e-1, early_stop_patience=3)
+        # one call per loss kind and Adam settings: (settings, the cells of
+        # every set as (c, loss, C, gamma)), each cell seeded 10 j + c
         per_set = [
-            (hawkeye(0.05, 1.0, 1.0), 10.0, dict(max_iter=60, **stop)),
-            (hawkeye(0.1, 3.0, 1.0), 100.0, dict(max_iter=60, gamma=1e-3, **stop)),
-            (LossSpec("least_squares"), 1.0, dict(max_iter=60)),
-            (hawkeye(0.05, 2.0, 0.5), 10.0, dict(max_iter=40, batch_size=5)),
+            (AdamConfig(max_iter=60, **stop), [(0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2), (1, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3)]),
+            (AdamConfig(max_iter=60), [(2, LossSpec("least_squares"), 1.0, 1e-2)]),
+            (AdamConfig(max_iter=40, batch_size=5), [(3, hawkeye(0.05, 2.0, 0.5), 10.0, 1e-2)]),
         ]
-        cells = [
-            (j, loss, C, AdamConfig(seed=10 * j + c, **kw))
-            for j in range(len(sets))
-            for c, (loss, C, kw) in enumerate(per_set)
+        calls = [
+            (adam, [(j, loss, C, gamma, 10 * j + c) for j in range(len(sets)) for c, loss, C, gamma in cells])
+            for adam, cells in per_set
         ]
-        cells.append((2, hawkeye(), 10.0, None))  # set 2 holds one cell more
-        fitted = fit_cells(sets, rbf(0.8), cells, scaling="zscore")
+        calls.append((None, [(2, hawkeye(), 10.0, 0.01, 0)]))  # set 2 holds one cell more
         steps = set()
-        for (j, loss, C, adam), (model, report) in zip(cells, fitted):
-            alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=adam, scaling="zscore")
-            assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
-            assert model.X_train.tobytes() == alone.X_train.tobytes()
-            steps.add(report.iterations)
+        for adam, cells in calls:
+            fitted = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore")
+            for (j, loss, C, gamma, seed), (model, report) in zip(cells, fitted):
+                alone_adam = cell_adam(adam, gamma, seed)
+                alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=alone_adam, scaling="zscore")
+                assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
+                assert model.X_train.tobytes() == alone.X_train.tobytes()
+                steps.add(report.iterations)
         assert len(steps) > 3  # early stops at several steps
 
     @pytest.mark.parametrize("batch_size", [5, 1000])
@@ -405,20 +428,18 @@ class TestFitCellsAcrossSets:
         # each cell's FitReport.state resumes it, bit for bit, in the same
         # stack layout; cells that stopped early before the resume keep
         # their results
-        from dataclasses import replace
-
         from helssvr.model import fit_cells
 
         sets = self.sets()
         adam = AdamConfig(max_iter=60, batch_size=batch_size, early_stop=True, early_stop_tol=3e-1, early_stop_patience=3)
         cells = [
-            (j, hawkeye(0.05, a, 1.0), C, replace(adam, seed=10 * j + c))
+            (j, hawkeye(0.05, a, 1.0), C, adam.gamma, 10 * j + c)
             for j in range(len(sets))
             for c, (a, C) in enumerate([(1.0, 10.0), (3.0, 100.0), (2.0, 1.0)])
         ]
-        whole = fit_cells(sets, rbf(0.8), cells, scaling="zscore")
-        part = fit_cells(sets, rbf(0.8), [(j, l, C, replace(a, max_iter=17)) for j, l, C, a in cells], scaling="zscore")
-        resumed = fit_cells(sets, rbf(0.8), cells, scaling="zscore", resume=[r.state for _, r in part])
+        whole = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore")
+        part = fit_cells(sets, rbf(0.8), cells, replace(adam, max_iter=17), scaling="zscore")
+        resumed = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore", resume=[r.state for _, r in part])
         for (model, report), (want, want_report) in zip(resumed, whole):
             assert model.alpha.tobytes() == want.alpha.tobytes()
             assert report.final_objective == want_report.final_objective
@@ -426,13 +447,13 @@ class TestFitCellsAcrossSets:
         steps = sorted(r.iterations for _, r in whole)
         assert steps[0] < 17 and any(17 < t < 60 for t in steps) and steps[-1] == 60
         with pytest.raises(ValueError, match="2 resume states for 12 cells"):
-            fit_cells(sets, rbf(0.8), cells, resume=[None, None])
+            fit_cells(sets, rbf(0.8), cells, adam, resume=[None, None])
 
     def test_models_of_one_set_share_inputs(self):
         from helssvr.model import fit_cells
 
-        cells = [(j, hawkeye(), 10.0, AdamConfig(max_iter=10, seed=s)) for j in (0, 1) for s in (1, 2)]
-        models = [m for m, _ in fit_cells(self.sets()[:2], rbf(0.5), cells)]
+        cells = [(j, hawkeye(), 10.0, 0.01, s) for j in (0, 1) for s in (1, 2)]
+        models = [m for m, _ in fit_cells(self.sets()[:2], rbf(0.5), cells, AdamConfig(max_iter=10))]
         assert models[0].X_train is models[1].X_train and models[0].scaling is models[1].scaling
         assert models[1].X_train is not models[2].X_train
 
@@ -440,7 +461,7 @@ class TestFitCellsAcrossSets:
         from helssvr.model import fit_cells
 
         with pytest.raises(ValueError, match=r"set indices must lie in \[0, 1\)"):
-            fit_cells([(np.eye(3), np.ones(3))], rbf(), [(1, hawkeye(), 1.0, None)])
+            fit_cells([(np.eye(3), np.ones(3))], rbf(), [(1, hawkeye(), 1.0, 0.01, 0)])
 
 
 class TestPredictCells:
@@ -450,8 +471,8 @@ class TestPredictCells:
         rng = np.random.default_rng(80)
         X = rng.uniform(-1, 1, (30, 2))
         y = np.sin(2 * X[:, 0])
-        cells = [(0, hawkeye(0.05, a, 1.0), C, AdamConfig(max_iter=40, seed=1)) for a in (1.0, 3.0) for C in (1.0, 100.0)]
-        models = [m for m, _ in fit_cells([(X, y)], rbf(0.6), cells, scaling="zscore")]
+        cells = [(0, hawkeye(0.05, a, 1.0), C, 0.01, 1) for a in (1.0, 3.0) for C in (1.0, 100.0)]
+        models = [m for m, _ in fit_cells([(X, y)], rbf(0.6), cells, AdamConfig(max_iter=40), scaling="zscore")]
         X_new = rng.uniform(-1, 1, (17, 2))
         got = predict_cells(models, X_new)
         assert len(got) == 4
@@ -678,8 +699,8 @@ class TestTrainedModelImmutable:
         rng = np.random.default_rng(5)
         X = rng.uniform(-1, 1, (12, 1))
         y = np.sin(3 * X[:, 0])
-        cells = [(0, hawkeye(), 10.0, AdamConfig(max_iter=30, seed=s)) for s in (1, 2)]
-        (m1, _), (m2, _) = fit_cells([(X, y)], rbf(0.5), cells)
+        cells = [(0, hawkeye(), 10.0, 0.01, s) for s in (1, 2)]
+        (m1, _), (m2, _) = fit_cells([(X, y)], rbf(0.5), cells, AdamConfig(max_iter=30))
         assert m1.X_train is m2.X_train  # the scaled inputs are shared
         before = predict(m2, X)
         self.check_immutable(m1)
