@@ -213,17 +213,16 @@ def gram_products(K, A, out, spans=None) -> None:
 
 @dataclass
 class AdamStack:
-    """Final states of the cells one stacked :func:`train_adam` call trained."""
+    """Final states of the cells one stacked :func:`train_adam` call trained.
+
+    ``t`` is the number of Adam steps this call ran, summed over the cells;
+    each step makes two products with the Gram.  A resumed cell adds the
+    steps past its state's ``t`` only, and a cell that arrived stopped
+    adds none.
+    """
 
     states: list[AdamState]
-
-    @property
-    def t(self) -> int:
-        """Adam steps summed over the cells; each makes two products with the Gram.
-
-        A resumed cell's ``t`` counts the steps of the calls before too.
-        """
-        return sum(state.t for state in self.states)
+    t: int
 
 
 def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None, resume=None):
@@ -318,7 +317,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     out = [start if start.stopped else None for start in begin]
     live = sorted((c for c in range(rows) if out[c] is None), key=fold.__getitem__)  # the cell of each stack row
     if not live:
-        return AdamStack(out)
+        return AdamStack(out, 0)
     t0 = begin[live[0]].t
     if any(begin[c].t != t0 for c in live) or t0 > cfg.max_iter:
         raise ValueError(f"resumed cells must share one step count, at most max_iter ({cfg.max_iter})")
@@ -464,4 +463,4 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     else:
         for r, c in enumerate(live):
             finish(r, c)
-    return AdamStack(out)
+    return AdamStack(out, sum(end.t - start.t for end, start in zip(out, begin)))

@@ -752,6 +752,19 @@ class TestResume:
         part = train_adam(grams[0], Ys[0], 10.0, self.loss, replace(cfg, max_iter=25))
         self.assert_same_states([train_adam(grams[0], Ys[0], 10.0, self.loss, cfg, resume=part)], [whole])
 
+    def test_stack_counts_the_steps_this_call_ran(self):
+        # a resumed row adds its steps past step 13 only, a row that
+        # stopped early before the resume adds none
+        cfg = AdamConfig(batch_size=6, early_stop=True, early_stop_tol=1e-2, early_stop_patience=3)
+        part = self.train(cfg, 13)
+        assert part.t == sum(state.t for state in part.states)
+        resumed = self.train(cfg, 57, resume=part.states)
+        assert any(state.stopped for state in part.states) and not all(state.stopped for state in part.states)
+        assert resumed.t == sum(end.t - 13 for end, start in zip(resumed.states, part.states) if not start.stopped)
+        assert resumed.t < sum(state.t for state in resumed.states)
+        # every row arrives stopped or at max_iter: no step runs
+        assert self.train(cfg, 57, resume=resumed.states).t == 0
+
     def test_resumed_cells_must_share_a_step_count(self):
         gram, Ys, _ = fold_stack()
         cfg = AdamConfig(max_iter=10)
