@@ -279,6 +279,8 @@ def _csv_options(args, path) -> dict:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    if args.trace_out and not cfg["trace"]:
+        raise ConfigError("--trace-out needs --trace (or trace=true): without it no trace is recorded")
     loss = build_loss(cfg)
     kernel = build_kernel(cfg)
     adam = build_adam(cfg, collect_trace=cfg["trace"])
@@ -358,8 +360,14 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     if unread:
         raise ConfigError(f"{unread[0]} is not read by bench; set the grid.* keys and --recipes instead")
     # an empty name is an unknown recipe, so --recipes always names at least one
+    names = [name.strip() for name in args.recipes.split(",")]
     with _config_errors():
-        recipes = [recipe_from_name(name.strip()) for name in args.recipes.split(",")]
+        recipes = [recipe_from_name(name) for name in names]
+    # a repeated item would write a second row for its (dataset, model)
+    for what, given, key in (("recipe", names, names), ("dataset", args.data, map(os.path.realpath, args.data))):
+        i = _first_repeat(key)
+        if i is not None:
+            raise ConfigError(f"{what} {given[i]!r} is given twice")
     grid = build_grid(cfg)
     adam = build_adam(cfg)
     # build every loss the searches will build, so that a bad loss axis is a

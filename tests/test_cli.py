@@ -205,6 +205,30 @@ class TestTrain:
         assert rows[0] == ["iter", "objective"]
         assert len(rows) == 52  # header + objective at steps 0..50
 
+    def test_trace_out_without_trace_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        import helssvr.cli
+
+        def no_load(**kw):
+            raise AssertionError("train loaded data despite an unread --trace-out")
+
+        monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
+        out, trace = tmp_path / "m.json", tmp_path / "t.csv"
+        rc = main(["train", "--data", str(tmp_path / "toy.csv"), "--out", str(out), "--trace-out", str(trace)])
+        assert rc == 2
+        assert "config error: --trace-out needs --trace (or trace=true)" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
+
+    def test_trace_key_writes_trace_out(self, tmp_path):
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        out, trace = tmp_path / "m.json", tmp_path / "t.csv"
+        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(out),
+                   "--set", "trace=true", "--trace-out", str(trace), "--set", "adam.max_iter=20"])
+        assert rc == 0
+        rows = read_rows(trace)
+        assert rows[0] == ["iter", "objective"] and len(rows) == 22
+        assert not (tmp_path / "m.json.trace.csv").exists()
+
     def test_train_with_baseline_loss_kind(self, tmp_path):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
@@ -487,6 +511,26 @@ class TestBench:
             assert main([*base, "--set", pair]) == 2
             assert f"{pair.split('=')[0]} is not read by bench" in capsys.readouterr().err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("data, recipes, message", [
+        (["d.csv", "d.csv"], "least_squares", "dataset 'd.csv' is given twice"),
+        (["d.csv", "./d.csv"], "least_squares", "dataset './d.csv' is given twice"),
+        (["d.csv", "e.csv"], "least_squares,hawkeye, least_squares", "recipe 'least_squares' is given twice"),
+    ], ids=["same-path", "same-file", "same-recipe"])
+    def test_repeated_inputs_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, data, recipes, message):
+        # a repeated dataset or recipe would write two results.csv rows for
+        # one (dataset, model), which rank then rejects
+        import helssvr.cli
+
+        def no_load(**kw):
+            raise AssertionError("bench loaded data despite a repeated input")
+
+        monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["bench", "--data", *data, "--recipes", recipes, "--outdir", "bench"])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
     def test_cells_file_names_cut_cells(self, tmp_path):
         # six cells: the rung at step 15 cuts two of them
