@@ -97,6 +97,18 @@ class TestConfigPrecedence:
         assert "unknown config key 'adam.average'" in capsys.readouterr().err
 
 
+def test_every_config_key_is_in_the_readme_table():
+    # the first column of the README's configuration table names each key
+    from pathlib import Path
+
+    from helssvr.cli import CONFIG_SCHEMA
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Configuration", 1)[1].split("\n\n| key |", 1)[1].split("\n\n", 1)[0]
+    documented = {key for row in table.splitlines() for key in row.split("|")[1].split("`")[1::2]}
+    assert sorted(set(CONFIG_SCHEMA) - documented) == []
+
+
 class TestTrain:
     def test_train_writes_model(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
