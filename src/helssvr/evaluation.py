@@ -196,8 +196,9 @@ def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
     ]
 
 
-def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, selection, states):
-    """Results of the cells ``members``, which share one kernel, by cell.
+def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, states):
+    """Results of the cells ``members``, which share one kernel, by cell,
+    with their fold results; the caller sets each statistic.
 
     Every fold of every cell trains in one :func:`fit_cells` call, which
     stacks folds of equal size while their Gram matrices fit its budget.
@@ -228,8 +229,6 @@ def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, select
             results[i].fold_rmse.append(metrics.rmse)
             results[i].fold_metrics.append(metrics)
             results[i].fold_reports.append(replace(report, state=None))
-    for res in results.values():
-        res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
     return results
 
 
@@ -310,7 +309,8 @@ def grid_search_cv(
             groups.setdefault(cells[i].sigma, []).append(i)
         run = replace(adam, max_iter=steps)
         for members in groups.values():
-            for i, res in _search_group(ds, folds, recipe, cells, members, run, scaling, seed, selection, states).items():
+            for i, res in _search_group(ds, folds, recipe, cells, members, run, scaling, seed, states).items():
+                res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
                 results[i] = res
         training = [i for i in training if not all(states[i, j].stopped for j in range(len(folds)))]
         if steps == adam.max_iter:
