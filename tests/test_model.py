@@ -423,6 +423,22 @@ class TestFitCellsAcrossSets:
                 steps.add(report.iterations)
         assert len(steps) > 3  # early stops at several steps
 
+    @pytest.mark.parametrize("rows", [1, 2, 32])
+    def test_set_with_one_cell_more_matches_standalone_fits(self, monkeypatch, rows):
+        # set 2 holds three cells, the others two: a stack still takes the
+        # same number of cells from each set while they last
+        import helssvr.model
+        from helssvr.model import fit_cells
+
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
+        sets = self.sets()
+        adam = AdamConfig(max_iter=40, batch_size=5)
+        cells = [(j, hawkeye(0.05, a, 1.0), 10.0, 1e-2, 10 * j + c) for j in range(4) for c, a in enumerate((1.0, 3.0))]
+        cells.append((2, hawkeye(), 100.0, 1e-3, 99))
+        for (j, loss, C, gamma, seed), (model, report) in zip(cells, fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore")):
+            alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
+            assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
+
     @pytest.mark.parametrize("batch_size", [5, 1000])
     def test_resumed_cells_match_one_call(self, batch_size):
         # each cell's FitReport.state resumes it, bit for bit, in the same
