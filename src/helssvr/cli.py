@@ -111,7 +111,6 @@ def _parse_choice(*allowed):
 CONFIG_SCHEMA: dict[str, tuple] = {
     "seed": (0, _parse_count),
     "scaling": ("minmax", _parse_choice("none", "minmax", "zscore")),
-    "trace": (False, _parse_bool),
     "C": (100.0, _parse_positive),
     "loss.kind": ("hawkeye", _parse_choice(*LOSS_KINDS)),
     "loss.epsilon": (0.05, float),
@@ -127,7 +126,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "adam.delta": (1e-8, float),
     "adam.batch_size": (32, int),
     "adam.max_iter": (1000, int),
-    "adam.seed": (None, _optional(_parse_count)),
     "adam.early_stop": (False, _parse_bool),
     "adam.early_stop_tol": (1e-10, float),
     "adam.early_stop_patience": (20, int),
@@ -201,8 +199,6 @@ def assemble_config(args) -> RunConfig:
         val = getattr(args, attr, None)
         if val is not None:
             cfg.set(key, str(val), source=f"--{attr}")
-    if getattr(args, "trace", False):
-        cfg.set("trace", "true", source="--trace")
     return cfg
 
 
@@ -242,10 +238,8 @@ def build_kernel(cfg: RunConfig) -> KernelSpec:
 
 def build_adam(cfg: RunConfig, collect_trace: bool = False) -> AdamConfig:
     fields = cfg.section("adam")  # each adam.* key names an AdamConfig field
-    if fields["seed"] is None:
-        fields["seed"] = cfg["seed"]
     with _config_errors():
-        return AdamConfig(**fields, collect_trace=collect_trace)
+        return AdamConfig(**fields, seed=cfg["seed"], collect_trace=collect_trace)
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
@@ -279,18 +273,14 @@ def _csv_options(args, path) -> dict:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    if args.trace_out and not cfg["trace"]:
-        raise ConfigError("--trace-out needs --trace (or trace=true): without it no trace is recorded")
     loss = build_loss(cfg)
     kernel = build_kernel(cfg)
-    adam = build_adam(cfg, collect_trace=cfg["trace"])
+    adam = build_adam(cfg, collect_trace=args.trace_out is not None)
     ds, report = load_csv(**_csv_options(args, args.data))
     model, fit_report = fit(ds.X, ds.y, kernel, loss, C=cfg["C"], adam=adam, scaling=cfg["scaling"])
     save_model(model, args.out)
-    if cfg["trace"]:
-        trace_path = args.trace_out or (str(args.out) + ".trace.csv")
-        trace = ((i, repr(h)) for i, h in enumerate(fit_report.trace or []))
-        write_csv(trace_path, ["iter", "objective"], trace)
+    if args.trace_out is not None:
+        write_csv(args.trace_out, ["iter", "objective"], ((i, repr(h)) for i, h in enumerate(fit_report.trace)))
     print(f"model written       : {args.out}")
     print(f"training samples    : {ds.n} (rejected rows: {report.rows_rejected})")
     print(f"final objective     : {fit_report.final_objective:.6g}")
@@ -356,9 +346,12 @@ def _bench_one(ds, recipe, grid, cfg, adam):
 def cmd_bench(cfg: RunConfig, args) -> int:
     # bench trains the recipes over the grid: the keys of a single fit would
     # be ignored, so setting one is an error
-    unread = sorted(k for k in cfg.explicit if k == "C" or k.startswith(("loss.", "kernel.")))
+    unread = sorted(k for k in cfg.explicit if k in ("C", "adam.gamma") or k.startswith(("loss.", "kernel.")))
     if unread:
-        raise ConfigError(f"{unread[0]} is not read by bench; set the grid.* keys and --recipes instead")
+        raise ConfigError(
+            f"{unread[0]} is not read by bench; set the grid.* keys (grid.gamma for the learning rate)"
+            " and --recipes instead"
+        )
     # an empty name is an unknown recipe, so --recipes always names at least one
     names = [name.strip() for name in args.recipes.split(",")]
     with _config_errors():
@@ -422,7 +415,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         os.path.join(outdir, "best_params.csv"),
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"],
         (
-            [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, res.best_rmse))]
+            [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, res.best.stat))]
             for d, m, res, _, _, _ in items
             for p in [res.best_params]
         ),
@@ -569,8 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--target", help="target column name or index (default: last column)")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--trace", action="store_true", help="record per-iteration objective values")
-    p.add_argument("--trace-out", help="objective trace CSV (with --trace)")
+    p.add_argument("--trace-out", help="record the objective at every step and write it to this CSV")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("predict", parents=[common, io_csv], help="predict with a saved model")

@@ -101,50 +101,35 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ModelRecipe:
-    """A trainable model family: a loss kind plus the loss params it fixes.
+    """A trainable model family: the loss kind ``name``.
 
     The grid's epsilon, lambda and a axes apply to the loss parameters the
-    kind takes (:func:`losses.required_params`) and the recipe does not
-    fix; the other axes collapse to None, so the search does not revisit
-    identical models.  Search kernels are RBF.
+    kind takes (:func:`losses.required_params`); the other axes collapse to
+    None, so the search does not revisit identical models.  The parameters
+    no grid axis covers are fixed: theta = 1.0 (2.0 for bounded least
+    squares) and t = 1.0.  Search kernels are RBF.
     """
 
     name: str
-    loss_kind: str
-    fixed: tuple[tuple[str, float], ...] = ()
 
-    def fixed_params(self) -> dict:
-        return dict(self.fixed)
-
-    def grid_params(self) -> tuple[str, ...]:
-        """Loss parameters whose values come from the grid."""
-        fixed = self.fixed_params()
-        return tuple(p for p in losses.required_params(self.loss_kind) if p not in fixed)
+    def __post_init__(self):
+        if self.name not in losses.LOSS_KINDS:
+            raise ValueError(f"unknown model recipe {self.name!r}")
 
     def build_loss(self, epsilon, lam, a) -> LossSpec:
-        axes = {"epsilon": epsilon, "lam": lam, "a": a}
-        params = self.fixed_params()
-        params.update((p, axes.get(p)) for p in self.grid_params())
-        return LossSpec(self.loss_kind, **params)
+        theta = 2.0 if self.name == losses.BOUNDED_LEAST_SQUARES else 1.0
+        values = dict(epsilon=epsilon, lam=lam, a=a, theta=theta, t=1.0)
+        return LossSpec(self.name, **{p: values[p] for p in losses.required_params(self.name)})
 
     def build_kernel(self, sigma) -> KernelSpec:
         return KernelSpec("rbf", sigma=sigma)
 
 
 def recipe_from_name(name: str) -> ModelRecipe:
-    """Recipe for a loss kind referred to by its config name.
-
-    The loss parameters that no grid axis covers, theta and t, are fixed
-    at 1.0, except theta = 2.0 for bounded least squares.
-    """
-    if name not in losses.LOSS_KINDS:
-        raise ValueError(f"unknown model recipe {name!r}")
-    fixed = tuple(
-        (p, 2.0 if (name, p) == (losses.BOUNDED_LEAST_SQUARES, "theta") else 1.0)
-        for p in losses.required_params(name)
-        if p in ("theta", "t")
-    )
-    return ModelRecipe(name=name, loss_kind=name, fixed=fixed)
+    """Recipe for a loss kind referred to by its config name: theta and t,
+    which no grid axis covers, are 1.0, except theta = 2.0 for bounded
+    least squares."""
+    return ModelRecipe(name)
 
 
 @dataclass(frozen=True)
@@ -177,13 +162,9 @@ class GridSearchResult:
     def best_params(self) -> CellParams:
         return self.best.params
 
-    @property
-    def best_rmse(self) -> float:
-        return self.best.stat
-
 
 def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
-    axes = recipe.grid_params()
+    axes = losses.required_params(recipe.name)
     cs = sorted(grid.C_values)
     sigmas = sorted(grid.sigma_values)
     epss = sorted(grid.epsilon_values) if "epsilon" in axes else [None]

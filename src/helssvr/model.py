@@ -22,7 +22,7 @@ from . import kernels
 from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
 from .kernels import GramMatrix, KernelSpec, block_rows, gram_buffer, gram_matrix, kernel_row
 from .losses import LossSpec
-from .optimizer import AdamConfig, AdamState, objective_value, train_adam
+from .optimizer import AdamConfig, AdamState, check_rate_and_seed, objective_value, train_adam
 
 MODEL_FORMAT = "helssvr-model-v1"
 
@@ -158,7 +158,8 @@ def fit_cells(
     ``sets`` holds ``(X, y)`` training sets, such as the folds of a cross
     validation, and ``cells`` holds ``(set, loss, C, gamma, seed)``: the
     index of the cell's training set, then its loss, C, learning rate and
-    Adam seed, which replace ``adam``'s (None means the defaults).  Every
+    Adam seed, which replace ``adam``'s (None means the defaults) and are
+    checked as :class:`AdamConfig` checks its own, naming the cell.  Every
     cell's loss is of one kind.  Returns one (model, report) per cell.
     ``resume`` optionally gives each cell a ``FitReport.state`` of an
     earlier call with the same set, loss and C, from which it trains on to
@@ -187,6 +188,8 @@ def fit_cells(
         raise ValueError(f"fit_cells trains one loss kind per call, got {kinds}")
     if not all(C > 0 for _, _, C, *_ in cells):
         raise ValueError("C must be > 0")
+    for i, (*_, gamma, seed) in enumerate(cells):
+        check_rate_and_seed(gamma, seed, f": cell {i}")
     if not all(0 <= j < len(sets) for j, *_ in cells):
         raise ValueError(f"cell training set indices must lie in [0, {len(sets)})")
     resume = [None] * len(cells) if resume is None else list(resume)

@@ -19,6 +19,7 @@ rounding (see :func:`train_adam`).
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ class AdamConfig:
     the usual search set {1e-4, 1e-3, 1e-2}.  The initial scalars must be
     finite, and v0 >= 0.  The coefficients :func:`train_adam` returns are
     the bias-corrected moving average of its iterates (:data:`EMA_WEIGHT`).
+    ``seed`` is an integer >= 0.
     """
 
     gamma: float = 0.01
@@ -61,8 +63,7 @@ class AdamConfig:
     early_stop_patience: int = 20
 
     def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise ValueError("adam gamma must be finite and > 0")
+        check_rate_and_seed(self.gamma, self.seed)
         if not 0 <= self.beta1 < 1:
             raise ValueError("adam beta1 must lie in [0, 1)")
         if not 0 <= self.beta2 < 1:
@@ -81,6 +82,15 @@ class AdamConfig:
             raise ValueError("adam alpha0 and m0 must be finite")
         if not 0 <= self.v0 < np.inf:
             raise ValueError("adam v0 must be finite and >= 0")
+
+
+def check_rate_and_seed(gamma, seed, where=""):
+    """Raise :class:`AdamConfig`'s ValueError, ending in ``where``, unless
+    ``gamma`` is finite and > 0 and ``seed`` an integer >= 0."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"adam gamma must be finite and > 0{where}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"adam seed must be an integer >= 0{where}")
 
 
 @dataclass
@@ -263,8 +273,10 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     values, and optionally ``gamma``, ``seed`` and ``resume`` as sequences
     that replace ``cfg``'s learning rate and seed, and the fresh start, per
     cell (a None in ``resume`` starts that cell fresh); ``cfg`` gives every
-    other setting.  The call then returns an :class:`AdamStack`.  The cells
-    may belong to different training sets of N rows each: ``gram`` then
+    other setting.  A cell's learning rate and seed are checked as
+    :class:`AdamConfig` checks its own, and an error names the cell.  The
+    call then returns an :class:`AdamStack`.  The cells may belong to
+    different training sets of N rows each: ``gram`` then
     holds an (f, N, N) stack of their Gram matrices, ``y`` the (f, N)
     targets and ``fold`` each cell's set (all 0 by default).  A non-finite
     residual raises a ValueError that names the step and each affected cell
@@ -305,6 +317,8 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         raise ValueError("C, loss, gamma, seed, fold and resume must give the same non-zero number of cells")
     if not all(0 <= k < f for k in fold):
         raise ValueError(f"fold indices must lie in [0, {f})")
+    for c in range(rows):
+        check_rate_and_seed(gamma[c], seed[c], f": cell {c}")
 
     def fresh(c):
         alpha0 = np.full(n, float(cfg.alpha0))

@@ -238,7 +238,7 @@ def test_criterion_6_synthetic_regression():
         gamma_values=(0.01,),
         k=5,
     )
-    recipe = ModelRecipe(name="hawkeye", loss_kind="hawkeye")
+    recipe = ModelRecipe("hawkeye")
     adam = AdamConfig(batch_size=400)  # >= n: deterministic full-batch descent
     rmses = {}
     for fid in (1, 2, 3, 4, 5):

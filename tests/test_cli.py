@@ -109,6 +109,25 @@ def test_every_config_key_is_in_the_readme_table():
     assert sorted(set(CONFIG_SCHEMA) - documented) == []
 
 
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every line of the README's CLI block, in order, with training cut to
+    # 20 steps: the block's flags stay those the parser takes
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = ("synth", "synth", "train", "predict", "bench", "rank")
+    assert [argv[:2] for argv in lines] == [["helssvr", c] for c in commands]
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        steps = ["--set", "adam.max_iter=20"] if argv[1] in ("train", "bench") else []
+        assert main(argv[1:] + steps) == 0, " ".join(argv)
+    assert len(read_rows(tmp_path / "trace.csv")) == 22
+    assert len(read_rows(tmp_path / "bench" / "results.csv")) == 5
+
+
 class TestTrain:
     def test_train_writes_model(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
@@ -144,7 +163,6 @@ class TestTrain:
         ("adam.gamma=inf", "gamma must be finite and > 0"),
         ("adam.gamma=nan", "gamma must be finite and > 0"),
         ("adam.delta=inf", "delta must be finite and > 0"),
-        ("adam.seed=-1", "must be >= 0, got -1"),
         ("seed=-1", "must be >= 0, got -1"),
         ("nokey", "--set expects key=value, got 'nokey'"),
         ("grid.C=,", "bad value for 'grid.C' (from --set): empty list"),
@@ -209,37 +227,29 @@ class TestTrain:
     def test_trace_written(self, tmp_path):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
-        out = tmp_path / "m.json"
+        out, trace = tmp_path / "m.json", tmp_path / "t.csv"
         rc = main(["train", "--data", str(data), "--target", "y", "--out", str(out),
-                   "--trace", "--set", "adam.max_iter=50"])
+                   "--trace-out", str(trace), "--set", "adam.max_iter=50"])
         assert rc == 0
-        rows = read_rows(str(out) + ".trace.csv")
+        rows = read_rows(trace)
         assert rows[0] == ["iter", "objective"]
         assert len(rows) == 52  # header + objective at steps 0..50
+        assert not (tmp_path / "m.json.trace.csv").exists()
 
-    def test_trace_out_without_trace_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+    def test_adam_seed_and_trace_keys_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        # the master seed seeds Adam, and --trace-out alone turns tracing on
         import helssvr.cli
 
         def no_load(**kw):
-            raise AssertionError("train loaded data despite an unread --trace-out")
+            raise AssertionError("train loaded data despite an unknown key")
 
         monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
-        out, trace = tmp_path / "m.json", tmp_path / "t.csv"
-        rc = main(["train", "--data", str(tmp_path / "toy.csv"), "--out", str(out), "--trace-out", str(trace)])
-        assert rc == 2
-        assert "config error: --trace-out needs --trace (or trace=true)" in capsys.readouterr().err
-        assert not out.exists() and not trace.exists()
-
-    def test_trace_key_writes_trace_out(self, tmp_path):
-        data = tmp_path / "toy.csv"
-        write_toy_csv(data)
-        out, trace = tmp_path / "m.json", tmp_path / "t.csv"
-        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(out),
-                   "--set", "trace=true", "--trace-out", str(trace), "--set", "adam.max_iter=20"])
-        assert rc == 0
-        rows = read_rows(trace)
-        assert rows[0] == ["iter", "objective"] and len(rows) == 22
-        assert not (tmp_path / "m.json.trace.csv").exists()
+        out = tmp_path / "m.json"
+        for pair in ("adam.seed=1", "trace=true"):
+            rc = main(["train", "--data", str(tmp_path / "toy.csv"), "--out", str(out), "--set", pair])
+            assert rc == 2
+            assert f"config error: unknown config key {pair.split('=')[0]!r} (from --set)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_with_baseline_loss_kind(self, tmp_path):
         data = tmp_path / "toy.csv"
@@ -506,8 +516,9 @@ class TestBench:
         assert not outdir.exists()
 
     def test_train_only_keys_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
-        # bench searches the grid's C, loss and kernel values: it reads no
-        # C, loss.* or kernel.* key, so setting one is a config error
+        # bench searches the grid's C, loss, kernel and learning rate values:
+        # it reads no C, loss.*, kernel.* or adam.gamma key, so setting one
+        # is a config error
         import helssvr.cli
 
         def no_load(**kw):
@@ -522,6 +533,8 @@ class TestBench:
         for pair in ("loss.kind=least_squares", "kernel.sigma=2"):
             assert main([*base, "--set", pair]) == 2
             assert f"{pair.split('=')[0]} is not read by bench" in capsys.readouterr().err
+        assert main([*base, "--set", "adam.gamma=0.5"]) == 2
+        assert "adam.gamma is not read by bench; set the grid.* keys (grid.gamma" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("data, recipes, message", [

@@ -314,7 +314,7 @@ class TestGridSearch:
         assert res.best_params.C == 10.0
         assert res.best_params.sigma == 0.5
         assert len(res.cells) == 1
-        assert res.best_rmse == min(res.best.fold_rmse)
+        assert res.best.stat == min(res.best.fold_rmse)
 
     def test_duplicated_values_match_deduplicated(self):
         ds = toy_dataset()
@@ -326,7 +326,7 @@ class TestGridSearch:
         # the duplicates change the stack layout, so the numbers agree
         # within the short-run tolerance
         assert r1.best_params == r2.best_params
-        assert r1.best_rmse == pytest.approx(r2.best_rmse, rel=SHORT_RUN_RTOL, abs=0)
+        assert r1.best.stat == pytest.approx(r2.best.stat, rel=SHORT_RUN_RTOL, abs=0)
 
     def test_better_cell_wins(self):
         # one cell with an absurd kernel width, one with a sensible one:
@@ -342,7 +342,7 @@ class TestGridSearch:
         # identical models in every cell: C differs only nominally because
         # the loss band swallows all residuals, so fold RMSEs coincide
         grid = GridSpec(C_values=(1.0, 2.0), sigma_values=(0.5,), epsilon_values=(1e6,), k=3)
-        recipe = ModelRecipe(name="insensitive", loss_kind="insensitive")
+        recipe = ModelRecipe("insensitive")
         res = grid_search_cv(ds, grid, recipe, seed=0, adam=fast_adam(alpha0=0.0, m0=0.0, v0=0.0))
         assert res.best_params.C == 1.0
 
@@ -356,6 +356,11 @@ class TestGridSearch:
         assert mean.best.stat == pytest.approx(np.mean(mean.best.fold_rmse), rel=1e-15)
         with pytest.raises(ValueError):
             grid_search_cv(ds, grid, recipe, selection="median")
+
+    def test_recipe_name_validated(self):
+        for make in (ModelRecipe, recipe_from_name):
+            with pytest.raises(ValueError, match="unknown model recipe 'nope'"):
+                make("nope")
 
     def test_hawkeye_recipe_consumes_loss_axes(self):
         grid = GridSpec(
@@ -384,7 +389,13 @@ class TestGridSearch:
             a_values=(1.0, 2.0),
         )
         recipe = recipe_from_name(kind)
-        fixed = dict(recipe.fixed)
+        # theta and t, which no grid axis covers, are 1.0, except theta = 2.0
+        # for bounded least squares
+        fixed = {
+            p: 2.0 if (kind, p) == ("bounded_least_squares", "theta") else 1.0
+            for p in required_params(kind)
+            if p in ("theta", "t")
+        }
         axes = [p for p in ("epsilon", "lam", "a") if p in required_params(kind) and p not in fixed]
         cells = _enumerate_cells(grid, recipe)
         assert len(cells) == 2 ** len(axes)

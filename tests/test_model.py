@@ -18,6 +18,7 @@ from helssvr.model import (
 )
 from helssvr.optimizer import AdamConfig
 from test_kernels import per_point_row
+from test_optimizer import BAD_RATE_OR_SEED
 
 
 # Stated tolerance of a short run (up to 200 Adam steps) between stack
@@ -344,6 +345,21 @@ class TestFitCells:
         monkeypatch.setattr(helssvr.model, "gram_matrix", no_gram)
         cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, LossSpec("least_squares"), 1.0, 0.01, 0)]
         with pytest.raises(ValueError, match=r"one loss kind per call, got \['hawkeye', 'least_squares'\]"):
+            fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
+
+    @pytest.mark.parametrize("gamma, seed, message", BAD_RATE_OR_SEED)
+    def test_every_rate_and_seed_validated_before_any_gram(self, monkeypatch, gamma, seed, message):
+        import re
+
+        import helssvr.model
+        from helssvr.model import fit_cells
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram matrix was built")
+
+        monkeypatch.setattr(helssvr.model, "gram_matrix", no_gram)
+        cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, hawkeye(), 1.0, gamma, seed)]
+        with pytest.raises(ValueError, match=re.escape(f"{message}: cell 1")):
             fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
 
 

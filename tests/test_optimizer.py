@@ -404,6 +404,18 @@ def assert_close_runs(got, alone):
         assert np.allclose(got.trace, alone.trace, rtol=SHORT_RUN_RTOL, atol=0)
 
 
+#: (gamma, seed, AdamConfig's message) for each kind of bad learning rate
+#: or seed a cell can carry
+BAD_RATE_OR_SEED = [
+    pytest.param(-0.01, 0, "adam gamma must be finite and > 0", id="gamma=-0.01"),
+    pytest.param(0.0, 0, "adam gamma must be finite and > 0", id="gamma=0"),
+    pytest.param(float("nan"), 0, "adam gamma must be finite and > 0", id="gamma=nan"),
+    pytest.param(float("inf"), 0, "adam gamma must be finite and > 0", id="gamma=inf"),
+    pytest.param(0.01, -1, "adam seed must be an integer >= 0", id="seed=-1"),
+    pytest.param(0.01, 1.5, "adam seed must be an integer >= 0", id="seed=1.5"),
+]
+
+
 class TestStackedTraining:
     """Cells that share one training set's Gram products: within the
     short-run tolerance of one-cell runs, and bit for bit the layout
@@ -469,6 +481,18 @@ class TestStackedTraining:
         losses = [LossSpec("least_squares"), LossSpec("huber", theta=1.0)]
         with pytest.raises(ValueError, match="one kind"):
             train_adam(gram, y, [1.0, 1.0], losses, AdamConfig(max_iter=5))
+
+    @pytest.mark.parametrize("gamma, seed, message", BAD_RATE_OR_SEED)
+    def test_every_rate_and_seed_checked(self, gamma, seed, message):
+        # a per-cell value bypasses AdamConfig, so train_adam checks it the
+        # same way: a negative rate would train uphill, a zero one return
+        # the start
+        gram, y = self.instance()
+        loss = LossSpec("least_squares")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AdamConfig(gamma=gamma, seed=seed)
+        with pytest.raises(ValueError, match=re.escape(f"{message}: cell 1")):
+            train_adam(gram, y, [1.0, 1.0], [loss, loss], AdamConfig(max_iter=5), gamma=[0.01, gamma], seed=[0, seed])
 
 
 class TestAdamStepInPlace:
