@@ -273,6 +273,9 @@ def _csv_options(args, path) -> dict:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    _check_outputs(
+        [("--config", args.config), ("--data", args.data)], [("--out", args.out), ("--trace-out", args.trace_out)]
+    )
     loss = build_loss(cfg)
     kernel = build_kernel(cfg)
     adam = build_adam(cfg, collect_trace=args.trace_out is not None)
@@ -292,6 +295,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
+    _check_outputs([("--config", args.config), ("--model", args.model), ("--data", args.data)], [("--out", args.out)])
     model = load_model(args.model)
     X = load_features(**_csv_options(args, args.data))
     preds = predict(model, X)
@@ -462,6 +466,21 @@ def _first_repeat(names):
             return i
         seen.add(name)
     return None
+
+
+def _check_outputs(inputs, outputs):
+    """Raise ConfigError when an output file of a command is one of its
+    inputs or an earlier output, compared by real path as bench compares
+    its datasets: writing it would destroy that file.  Both lists hold
+    (flag, path) pairs; a None path is a flag not given."""
+    seen = {os.path.realpath(path): (flag, path) for flag, path in inputs if path is not None}
+    for flag, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{flag} {path!r} is the same file as {seen[real][0]} {seen[real][1]!r}")
+        seen[real] = (flag, path)
 
 
 def _read_rank_table(path, delimiter=","):

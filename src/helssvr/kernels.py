@@ -6,9 +6,13 @@ zero: subnormal operands make every later floating-point operation on them
 much slower, and a term that small cannot move a sum of normal-sized terms.
 The flush acts on the exponent (arguments below log(2.2e-308) become -inf),
 which also spares exp() its slow underflow path.
-Gram matrices are stored dense and row-major (8 * N^2 bytes).  Gram builds
-and prediction both evaluate kernel rows a block of :func:`block_rows`
-points at a time through :func:`kernel_row`; each row of a block is
+Gram matrices are stored dense and row-major, in float64 (8 * N^2 bytes) or
+in float32 (4 * N^2 bytes; :func:`helssvr.model.fit_cells` picks float32 for
+a Gram too large to share an optimizer stack).  A float32 Gram is filled
+from the float64 kernel rows, with entries below the smallest normal float32
+(about 1.2e-38) flushed to zero before rounding, for the same reason as
+above.  Gram builds and prediction both evaluate kernel rows a block of
+:func:`block_rows` points at a time through :func:`kernel_row`; each row of a block is
 bit-identical to the row of its point alone, so a Gram row, a prediction's
 kernel row and :func:`kernel_row` of one point agree bitwise, and the
 matrix is exactly symmetric.
@@ -28,6 +32,9 @@ KERNEL_KINDS = (RBF, LINEAR)
 
 #: exp() of anything below this is subnormal or zero
 _LOG_TINY = np.log(np.finfo(float).tiny)
+
+#: float32 entries of smaller magnitude than this would be subnormal
+_TINY32 = np.finfo(np.float32).tiny
 
 #: byte alignment of a Gram matrix's buffer.  numpy aligns to 16 bytes, and
 #: OpenBLAS's matrix-vector product over an n=320 Gram whose address is not
@@ -140,34 +147,37 @@ def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
     return out
 
 
-def _gram_stride(n: int) -> int:
+def _gram_stride(n: int, itemsize: int) -> int:
     """Elements from one matrix of a :func:`gram_buffer` to the next: n * n
     rounded up to whole alignments."""
-    align = _GRAM_ALIGN // 8
+    align = _GRAM_ALIGN // itemsize
     return -(-n * n // align) * align
 
 
-def gram_buffer_bytes(f: int, n: int) -> int:
+def gram_buffer_bytes(f: int, n: int, dtype=np.float64) -> int:
     """Bytes :func:`gram_buffer` allocates for f matrices of n rows."""
-    return 8 * (f * _gram_stride(n) + _GRAM_ALIGN // 8)
+    itemsize = np.dtype(dtype).itemsize
+    return itemsize * (f * _gram_stride(n, itemsize) + _GRAM_ALIGN // itemsize)
 
 
-def gram_buffer(f: int, n: int) -> np.ndarray:
-    """An uninitialized (f, n, n) float array in one buffer, each of whose
-    f matrices starts on a :data:`_GRAM_ALIGN`-byte boundary.
+def gram_buffer(f: int, n: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialized (f, n, n) array of ``dtype`` (float64 or float32) in
+    one buffer, each of whose f matrices starts on a
+    :data:`_GRAM_ALIGN`-byte boundary.
 
     Raises ValueError, before allocating, when the buffer would take more
     than :data:`GRAM_MAX_BYTES`.
     """
-    align, stride = _GRAM_ALIGN // 8, _gram_stride(n)
-    size = gram_buffer_bytes(f, n)
+    itemsize = np.dtype(dtype).itemsize
+    align, stride = _GRAM_ALIGN // itemsize, _gram_stride(n, itemsize)
+    size = gram_buffer_bytes(f, n, dtype)
     if size > GRAM_MAX_BYTES:
         raise ValueError(
             f"a Gram buffer of f={f} matrices of N={n} rows needs {size:,} bytes, "
             f"more than kernels.GRAM_MAX_BYTES = {GRAM_MAX_BYTES:,}"
         )
-    buf = np.empty(f * stride + align)
-    skip = (-buf.ctypes.data % _GRAM_ALIGN) // 8
+    buf = np.empty(f * stride + align, dtype)
+    skip = (-buf.ctypes.data % _GRAM_ALIGN) // itemsize
     return buf[skip : skip + f * stride].reshape(f, stride)[:, : n * n].reshape(f, n, n)
 
 
@@ -177,8 +187,10 @@ def gram_matrix(spec: KernelSpec, X, out=None) -> GramMatrix:
     Rows are filled a block of :func:`block_rows` at a time through
     :func:`kernel_row`; construction is single-threaded and deterministic.
     The matrix is written into ``out``, an (n, n) array such as one matrix
-    of a :func:`gram_buffer`, or else into a new one that starts on a
-    :data:`_GRAM_ALIGN`-byte boundary.
+    of a :func:`gram_buffer`, or else into a new float64 one that starts on
+    a :data:`_GRAM_ALIGN`-byte boundary.  A float32 ``out`` gets each
+    float64 block rounded to float32, after entries of magnitude below
+    float32's smallest normal are set to 0.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -188,6 +200,12 @@ def gram_matrix(spec: KernelSpec, X, out=None) -> GramMatrix:
     if values.shape != (n, n):
         raise ValueError(f"gram matrix of {n} samples needs an ({n}, {n}) output, got {values.shape}")
     step = block_rows(*X.shape)
+    wide = values.dtype == np.float64
+    block = None if wide else np.empty((min(step, n), n))
     for lo in range(0, n, step):
-        kernel_row(spec, X[lo : lo + step], X, out=values[lo : lo + step])
+        target = values[lo : lo + step]
+        rows = kernel_row(spec, X[lo : lo + step], X, out=target if wide else block[: len(target)])
+        if not wide:
+            rows[np.abs(rows) < _TINY32] = 0.0
+            target[...] = rows
     return GramMatrix(values)

@@ -112,6 +112,11 @@ STACK_ROWS = 32
 #: stacked, 320-row folds apart); 1 MiB is the conservative choice, on
 #: the side where stacking won every measurement.  With the GEMM the two
 #: benchmark shapes stay on their sides, so the budget is unchanged.
+#:
+#: The budget also sets the Gram's dtype: a set whose float64 Gram exceeds
+#: it (n >= 363 rows) trains alone, on a float32 Gram (see
+#: :func:`fit_cells`).  Changing the budget therefore changes the numbers
+#: of every fit whose size lies between the old and the new gate.
 STACK_GRAM_BYTES = 1 << 20
 
 
@@ -177,6 +182,15 @@ def fit_cells(
     that shares its set's Gram products with other rows agrees with it to
     rounding (see :func:`helssvr.optimizer.train_adam`).  A run resumed to
     step T is bit-identical to a run to T in the same stack layout.
+
+    A set whose float64 Gram would exceed :data:`STACK_GRAM_BYTES`, and so
+    trains in a stack of its own (n >= 363 rows), gets a float32 Gram
+    instead: the trainer's Gram products, which bound such fits by memory
+    bandwidth, then read half the bytes.  Its coefficients, moments,
+    residuals and reports stay float64, and so do the models, but they
+    differ from a float64 Gram's by float32's rounding of the Gram and of
+    its products, which Adam carries forward.  Every smaller set keeps a
+    float64 Gram and the same operations as before.
     """
     sets = [_training_set(X, y) for X, y in sets]
     adam = AdamConfig() if adam is None else adam
@@ -204,7 +218,8 @@ def fit_cells(
     for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
         group = [used[g] for g in group]
         n = sets[group[0]][0].shape[0]
-        gram = GramMatrix(gram_buffer(len(group), n))
+        # a Gram too large to share a stack is stored in float32
+        gram = GramMatrix(gram_buffer(len(group), n, np.float32 if 8 * n * n > STACK_GRAM_BYTES else np.float64))
         ys = np.empty((len(group), n))
         scaled = []  # (scaled X, scaling, Gram seconds per cell) of each set
         for k, j in enumerate(group):

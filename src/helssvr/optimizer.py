@@ -120,11 +120,14 @@ class AdamState:
 
 
 def objective_value(alpha, gram: GramMatrix, y, C: float, loss: LossSpec) -> float:
-    """H(alpha) = 1/2 alpha^T K alpha + C * sum of losses at the residuals."""
+    """H(alpha) = 1/2 alpha^T K alpha + C * sum of losses at the residuals.
+
+    K alpha is computed in the Gram's dtype, everything else in float64.
+    """
     alpha = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
     K = gram.values
-    Kalpha = K @ alpha
+    Kalpha = (K @ alpha.astype(K.dtype, copy=False)).astype(float, copy=False)
     xi = y - Kalpha
     return float(0.5 * alpha @ Kalpha + C * np.sum(loss_value(loss, xi)))
 
@@ -134,7 +137,8 @@ def objective_gradient(alpha, gram: GramMatrix, y, C: float, loss: LossSpec, bat
 
     Returns K alpha + C * sum over the batch of the loss-term gradients,
     each of which is -dL/dxi_i times row i of K.  With the full index set
-    as the batch this is the exact gradient of H.
+    as the batch this is the exact gradient of H.  The products with K are
+    computed in the Gram's dtype, everything else in float64.
     """
     alpha = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -142,10 +146,11 @@ def objective_gradient(alpha, gram: GramMatrix, y, C: float, loss: LossSpec, bat
     batch = np.asarray(batch, dtype=int)
     if batch.size and (batch.min() < 0 or batch.max() >= gram.n):
         raise ValueError("batch index out of range")
-    Kalpha = K @ alpha
+    Kalpha = (K @ alpha.astype(K.dtype, copy=False)).astype(float, copy=False)
     xi = y[batch] - Kalpha[batch]
     d = loss_derivative(loss, xi)
-    return Kalpha - C * (K[batch].T @ d)
+    Kd = (K[batch].T @ d.astype(K.dtype, copy=False)).astype(float, copy=False)
+    return Kalpha - C * Kd
 
 
 def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> AdamState:
@@ -196,13 +201,17 @@ def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> 
     return state
 
 
-def gram_products(K, A, out, spans=None) -> None:
+def gram_products(K, A, out, spans=None, cast=None) -> None:
     """Store K[k] @ A[r] in ``out[r]`` for every row r of every set k.
 
     ``K`` is an (f, n, n) stack of symmetric matrices; ``A`` and ``out``
     are C-contiguous (m, n) arrays whose rows are grouped by set.
     ``spans`` lists each set's (k, slice of rows), sets without rows left
-    out; None means one row per set, in set order.
+    out; None means one row per set, in set order.  When ``K`` is float32,
+    the first two entries of ``cast`` are C-contiguous float32 (m, n) work
+    arrays: ``A`` is rounded into the first, the products are made in
+    float32 into the second and then widened into ``out``, so that K is
+    never upcast.
 
     A set of one row runs as the GEMV K_k @ a, bit for bit the product a
     one-cell run computes.  A set of several rows runs as one GEMM,
@@ -211,6 +220,11 @@ def gram_products(K, A, out, spans=None) -> None:
     order than the GEMV, so the two differ in the last bits.  The result
     depends only on the set sizes, not on what else is in ``A``.
     """
+    if cast is not None:
+        np.copyto(cast[0], A)
+        gram_products(K, cast[0], cast[1], spans)
+        np.copyto(out, cast[1])
+        return
     if spans is None:
         np.matmul(K, A[:, :, None], out=out[:, :, None])
         return
@@ -296,6 +310,14 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
       stack layout (cells per set, in the same order);
     * a cell whose set holds several rows differs from a one-cell run by
       the rounding of the GEMM, which Adam then carries forward.
+
+    A float32 ``gram`` is multiplied in float32 and never upcast: each
+    product's float64 operand (the coefficient or derivative rows) is
+    rounded into a float32 buffer, and the float32 product widened into
+    the float64 one, through buffers allocated once per call.  The
+    coefficients, moments, average, residuals, derivatives and objectives
+    stay float64, and the three points above hold for the float32
+    products.
     """
     if isinstance(loss, LossSpec):
         return train_adam(gram, y, [C], [loss], cfg, resume=None if resume is None else [resume]).states[0]
@@ -377,6 +399,13 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     )
     avg = np.stack([begin[c].avg for c in live])
     work = (np.empty((m, n)), np.empty((m, n)))  # adam_step's in-place buffers
+    # with a float32 Gram the products run in float32: the coefficient or
+    # full-batch derivative rows are rounded into the first buffer, the
+    # mini-batch derivative into the third, and each product is made in
+    # the second and widened from it
+    cast = None
+    if K.dtype != np.float64:
+        cast = (np.empty((m, n), K.dtype), np.empty((m, n), K.dtype), np.empty((m, s), K.dtype))
     Y = Ys[fold_of]
     Kalpha, Kd = np.empty((m, n)), np.empty((m, n))
     R, D = np.empty((m, s)), np.empty((m, s))  # the residual and its derivative
@@ -419,7 +448,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             raise non_finite(step, R) from exc
 
     for step in range(t0, cfg.max_iter):
-        gram_products(K, state.alpha, Kalpha, spans)
+        gram_products(K, state.alpha, Kalpha, spans, cast)
         if track:
             keep = []
             for r, c in enumerate(live):
@@ -445,12 +474,14 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 avg = avg[keep]
                 Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
                 Kd, work, row_of = Kd[: len(keep)], tuple(w[: len(keep)] for w in work), row_of[: len(keep)]
+                if cast is not None:
+                    cast = tuple(w[: len(keep)] for w in cast)
                 R, D = R[: len(keep)], D[: len(keep)]
                 stack, C_blk, gamma_blk = blocks(live)
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
             np.subtract(Y, Kalpha, out=R)
-            gram_products(K, derivative(step), Kd, spans)
+            gram_products(K, derivative(step), Kd, spans, cast)
         else:
             if step % n == 0 or step == t0:
                 # the batches up to the next multiple of n steps (or the
@@ -464,8 +495,15 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 block.sort(axis=2)
             batch = block[:, step - drawn_at]
             np.subtract(Y[row_of, batch], Kalpha[row_of, batch], out=R)
-            d = derivative(step)
-            np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=Kd[:, :, None])
+            d, product = derivative(step), Kd
+            if cast is not None:
+                np.copyto(cast[2], d)
+                d, product = cast[2], cast[1]
+            # the gathered batch rows are a temporary, freed before the
+            # next step gathers its own
+            np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=product[:, :, None])
+            if cast is not None:
+                np.copyto(Kd, product)
         # the gradient K alpha - C * K d, in place in Kd
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)

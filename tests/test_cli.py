@@ -202,6 +202,38 @@ class TestTrain:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @staticmethod
+    def refuse_to_load(monkeypatch):
+        import helssvr.cli
+
+        def no_load(**kw):
+            raise AssertionError("a CSV was read despite an output path that is another file of the command")
+
+        monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
+        monkeypatch.setattr(helssvr.cli, "load_features", no_load)
+
+    def test_trace_out_on_the_model_path_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        # the trace CSV would replace the model file
+        data, model = tmp_path / "toy.csv", tmp_path / "m.json"
+        write_toy_csv(data)
+        self.refuse_to_load(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["train", "--data", str(data), "--target", "y", "--out", "m.json", "--trace-out", "./m.json"])
+        assert rc == 2
+        assert "config error: --trace-out './m.json' is the same file as --out 'm.json'" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_out_on_the_data_path_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        # the model file would replace the training CSV
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        before = data.read_bytes()
+        self.refuse_to_load(monkeypatch)
+        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(data)])
+        assert rc == 2
+        assert f"config error: --out '{data}' is the same file as --data '{data}'" in capsys.readouterr().err
+        assert data.read_bytes() == before
+
     def test_invalid_loss_parameter_exit_2(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
@@ -302,6 +334,16 @@ class TestPredict:
         rows = read_rows(out)
         assert rows[0] == ["prediction"]
         assert len(rows) == 41
+
+    def test_out_on_the_model_path_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        # the predictions CSV would replace the model file
+        data, model = self.setup_model(tmp_path)
+        before = model.read_bytes()
+        TestTrain.refuse_to_load(monkeypatch)
+        rc = main(["predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(model)])
+        assert rc == 2
+        assert f"config error: --out '{model}' is the same file as --model '{model}'" in capsys.readouterr().err
+        assert model.read_bytes() == before
 
     def test_predict_round_trip_identical(self, tmp_path):
         data, model = self.setup_model(tmp_path)

@@ -165,6 +165,19 @@ class TestBlockedRows:
         for i in range(13):
             assert g[i].tobytes() == per_point_row(spec, X[i], X).tobytes()
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_float32_gram_is_the_flushed_float64_gram_rounded(self, monkeypatch, spec):
+        # blocks of 3, 3, 3 and a partial 2, through one float64 scratch block
+        from helssvr.kernels import gram_buffer
+
+        X = np.random.default_rng(11).normal(size=(11, 3))
+        self.blocks_of(monkeypatch, 3, 11, 3)
+        wide = gram_matrix(spec, X).values
+        out = gram_buffer(1, 11, np.float32)[0]
+        assert gram_matrix(spec, X, out=out).values is out
+        tiny32 = np.finfo(np.float32).tiny
+        assert out.tobytes() == np.where(np.abs(wide) < tiny32, 0.0, wide).astype(np.float32).tobytes()
+
     def test_output_shape_checked(self):
         spec = KernelSpec("rbf", sigma=1.0)
         with pytest.raises(ValueError, match=r"need an output of that shape, got \(3, 4\)"):
@@ -188,6 +201,26 @@ class TestSubnormalFlush:
         assert np.all(np.diag(g) == 1.0)
 
 
+    def test_narrow_rbf_float32_gram_has_no_subnormal_entries(self):
+        # 400 rows, a Gram too large to share a stack and so stored in
+        # float32.  Rounded without the flush, 3.7% of its entries would be
+        # float32 subnormals, and a float32 GEMV over them ran 18x slower,
+        # a (6, 400) GEMM 44x (one OpenBLAS thread)
+        from helssvr.data import SyntheticSpec, generate_synthetic, scale_features, scale_fit
+        from helssvr.kernels import gram_buffer
+
+        ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=400, seed=500))
+        Xs = scale_features(scale_fit(ds.X, ds.y, "zscore"), ds.X)
+        spec = KernelSpec("rbf", sigma=0.1)
+        g = gram_matrix(spec, Xs, out=gram_buffer(1, 400, np.float32)[0]).values
+        wide = gram_matrix(spec, Xs).values
+        tiny32 = np.finfo(np.float32).tiny
+        assert np.count_nonzero((g > 0) & (g < tiny32)) == 0
+        rounded = wide.astype(np.float32)
+        assert np.count_nonzero((rounded > 0) & (rounded < tiny32)) > 0.03 * wide.size
+        assert np.all(np.diag(g) == 1.0) and np.array_equal(g, g.T)
+
+
 class TestGramAlignment:
     @pytest.mark.parametrize("n", [1, 7, 320])
     def test_buffer_starts_on_64_byte_boundary(self, n):
@@ -199,16 +232,20 @@ class TestGramAlignment:
 
 class TestGramBuffer:
     @pytest.mark.parametrize("f, n", [(1, 7), (3, 7), (5, 160), (2, 333)])
-    def test_every_matrix_aligned(self, f, n):
+    def test_every_matrix_aligned(self, f, n, dtype=np.float64):
         from helssvr.kernels import gram_buffer
 
-        values = gram_buffer(f, n)
-        assert values.shape == (f, n, n)
+        values = gram_buffer(f, n, dtype)
+        assert values.shape == (f, n, n) and values.dtype == dtype
         for k in range(f):
             assert values[k].ctypes.data % 64 == 0 and values[k].flags.c_contiguous
         # the matrices do not overlap
         values[:] = np.arange(f).reshape(-1, 1, 1)
         assert all(np.all(values[k] == k) for k in range(f))
+
+    @pytest.mark.parametrize("f, n", [(1, 7), (3, 7), (2, 363)])
+    def test_every_float32_matrix_aligned(self, f, n):
+        self.test_every_matrix_aligned(f, n, np.float32)
 
     def test_gram_written_into_out(self):
         from helssvr.kernels import gram_buffer
@@ -249,6 +286,28 @@ class TestGramBudget:
 
         monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", 3 * 80_000 + 64)
         assert gram_buffer(3, 100).shape == (3, 100, 100)
+
+    def test_budget_between_the_float32_and_float64_buffers(self, monkeypatch):
+        # 4-byte entries: a budget admits a float32 Gram of sqrt(2) times
+        # the rows of the largest float64 one (400 against 283 rows here),
+        # and a fit of 400 rows, whose Gram is float32, trains under it
+        import helssvr.kernels
+        from helssvr.kernels import gram_buffer, gram_buffer_bytes
+        from helssvr.losses import LossSpec
+        from helssvr.model import fit
+        from helssvr.optimizer import AdamConfig
+
+        budget = gram_buffer_bytes(1, 283)
+        assert gram_buffer_bytes(1, 400, np.float32) == 640_064 <= budget == 640_832
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", budget)
+        assert gram_buffer(1, 400, np.float32).shape == (1, 400, 400)
+        for n, dtype, size in ((284, np.float64, "645,312"), (400, np.float64, "1,280,064"), (401, np.float32, "643,328")):
+            with pytest.raises(ValueError, match=f"f=1 matrices of N={n} rows needs {size} bytes"):
+                gram_buffer(1, n, dtype)
+        X = np.linspace(0.0, 1.0, 400).reshape(-1, 1)
+        model, _ = fit(X, np.sin(3 * X[:, 0]), KernelSpec("rbf", sigma=0.5), LossSpec("least_squares"), C=1.0,
+                       adam=AdamConfig(max_iter=2))
+        assert model.alpha.shape == (400,)
 
     def test_default_budget_admits_the_benchmark_gram(self):
         from helssvr.kernels import GRAM_MAX_BYTES

@@ -782,6 +782,83 @@ class TestAveragedFit:
         assert report.final_objective - last <= 0.05 * (h0 - last)
 
 
+class TestFloat32Gram:
+    """A training set whose float64 Gram exceeds STACK_GRAM_BYTES, and so
+    trains in a stack of its own, gets a float32 Gram; every smaller one
+    keeps float64."""
+
+    @staticmethod
+    def gram_dtype(monkeypatch, n):
+        import helssvr.model
+
+        seen, train = [], helssvr.model.train_adam
+
+        def spy(gram, *args, **kwargs):
+            seen.append(gram.values.dtype)
+            return train(gram, *args, **kwargs)
+
+        monkeypatch.setattr(helssvr.model, "train_adam", spy)
+        X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+        fit(X, np.sin(3 * X[:, 0]), rbf(0.5), hawkeye(), C=1.0, adam=AdamConfig(max_iter=1))
+        monkeypatch.setattr(helssvr.model, "train_adam", train)
+        return seen
+
+    def test_gate_at_363_rows(self, monkeypatch):
+        from helssvr.model import STACK_GRAM_BYTES
+
+        assert 8 * 362**2 <= STACK_GRAM_BYTES < 8 * 363**2
+        assert self.gram_dtype(monkeypatch, 362) == [np.float64]
+        assert self.gram_dtype(monkeypatch, 363) == [np.float32]
+
+    def test_predictions_match_a_float64_reference(self):
+        # the same 400-row fit trained on a float64 Gram (gram_matrix +
+        # train_adam).  Stated tolerance: 1e-6 of the target range.  Over
+        # 300 mini-batch steps with sigma <= 0.5 (functions 1 and 4, seeds
+        # 1-2, C from 1 to 1e4) the largest difference measured was 3e-8.
+        # Wider kernels and longer full-batch runs move further: they are
+        # worse conditioned, and Adam carries float32's rounding of K alpha
+        # forward as it carries any perturbation of the Gram.
+        from helssvr.data import scale_target
+        from helssvr.optimizer import train_adam
+
+        ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=500, seed=2))
+        X, y = ds.X[:400], ds.y[:400]
+        loss, adam = hawkeye(0.05, 3.0, 1.0), AdamConfig(max_iter=300, batch_size=32, seed=3)
+        model, _ = fit(X, y, rbf(0.5), loss, C=100.0, adam=adam, scaling="zscore")
+        want = train_adam(gram_matrix(rbf(0.5), model.X_train), scale_target(model.scaling, y), 100.0, loss, adam)
+        got, ref = predict(model, ds.X[400:]), predict(replace(model, alpha=want.alpha), ds.X[400:])
+        assert not np.array_equal(got, ref)
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.ptp(y)
+
+    def test_report_allocates_less_than_its_gram(self):
+        # the float32 Gram is never upcast: upcasting it would allocate
+        # twice its bytes for each objective and each product
+        import tracemalloc
+
+        from helssvr.kernels import gram_buffer
+        from helssvr.optimizer import train_adam
+
+        n = 400
+        X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+        y = np.sin(3 * X[:, 0])
+        gram = gram_matrix(rbf(0.5), X, out=gram_buffer(1, n, np.float32)[0])
+        traced = AdamConfig(max_iter=3, batch_size=n, collect_trace=True)
+        runs = {
+            "objective": lambda: objective_value(np.full(n, 0.01), gram, y, 100.0, hawkeye()),
+            "full batch": lambda: train_adam(gram, y, 100.0, hawkeye(), traced),
+            "mini-batch": lambda: train_adam(gram, y, 100.0, hawkeye(), replace(traced, batch_size=8)),
+        }
+        for name, run in runs.items():
+            run()  # first calls set up numpy's and the library's lazy state
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < gram.values.nbytes, name
+
+
 class TestGoldenModelFile:
     """A standalone fit's model file, pinned by its SHA-256.
 
@@ -805,4 +882,16 @@ class TestGoldenModelFile:
         ds, _ = generate_synthetic(SyntheticSpec(2, "gaussian", n_samples=30, seed=9))
         adam = AdamConfig(max_iter=300, batch_size=batch_size, seed=3)
         model, _ = fit(ds.X, ds.y, rbf(0.5), hawkeye(0.05, 3.0, 1.0), C=100.0, adam=adam, scaling="zscore")
+        assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest
+
+    def test_float32_gram_fit_model_file(self):
+        # 400 rows, above the float32 gate: pins the float32 products of a
+        # full-batch fit, sgemv where the digests above pin dgemv; like
+        # them, it holds for one BLAS build
+        import hashlib
+
+        ds, _ = generate_synthetic(SyntheticSpec(2, "gaussian", n_samples=400, seed=9))
+        adam = AdamConfig(max_iter=300, batch_size=1000, seed=3)
+        model, _ = fit(ds.X, ds.y, rbf(0.5), hawkeye(0.05, 3.0, 1.0), C=100.0, adam=adam, scaling="zscore")
+        digest = "06aee27c9a204f4ea3732ab9bb06e18f9074ce2e3e215443f3f19b696e011cfa"
         assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest

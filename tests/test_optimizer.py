@@ -328,7 +328,9 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
     set holds one row and one GEMM A_k @ K_k when it holds several, and a
     GEMV on a row's gathered batch rows for a mini-batch.  Everything else
     runs per row as in a one-cell run, with one sampler draw per step.
-    ``K`` is the (f, n, n) Gram stack and ``Ys`` the (f, n) targets.
+    ``K`` is the (f, n, n) Gram stack and ``Ys`` the (f, n) targets.  A
+    float32 ``K`` multiplies the vectors rounded to float32, and each
+    product is widened to float64.
     """
     n = K.shape[-1]
     s = min(cfg.batch_size, n)
@@ -344,9 +346,9 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
         for k in sorted({fold[c] for c in live}):
             rows = [c for c in live if fold[c] == k]
             if len(rows) == 1:
-                out[rows[0]] = K[k] @ vectors[rows[0]]
+                out[rows[0]] = (K[k] @ vectors[rows[0]].astype(K.dtype)).astype(float)
             else:
-                out.update(zip(rows, np.stack([vectors[c] for c in rows]) @ K[k]))
+                out.update(zip(rows, (np.stack([vectors[c] for c in rows]).astype(K.dtype) @ K[k]).astype(float)))
         return out
 
     for step in range(cfg.max_iter):
@@ -369,7 +371,7 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
             for c in live:
                 batch = np.sort(sample_without_replacement(rngs[c], n, s))
                 d = loss_derivative(losses[c], Ys[fold[c]][batch] - Kalpha[c][batch])
-                Kd[c] = K[fold[c]][batch].T @ d
+                Kd[c] = (K[fold[c]][batch].T @ d.astype(K.dtype)).astype(float)
         for c in live:
             states[c] = adam_step(states[c], Kalpha[c] - Cs[c] * Kd[c], replace(cfg, gamma=gammas[c]))
             avgs[c] = avgs[c] + (1.0 - EMA_WEIGHT) * (states[c].alpha - avgs[c])
@@ -556,13 +558,13 @@ class TestAveragedIterate:
             assert got.trace[-1] == objective_value(got.alpha, grams[k], Ys[k], C, self.loss)
 
 
-def fold_stack(sizes_n=20, folds=3, seed=60):
-    """(f, n, n) Grams in one aligned buffer, the (f, n) targets, and the
-    one-set Gram of each fold."""
+def fold_stack(sizes_n=20, folds=3, seed=60, dtype=np.float64):
+    """(f, n, n) Grams in one aligned buffer of ``dtype``, the (f, n)
+    targets, and the one-set Gram of each fold."""
     from helssvr.kernels import GramMatrix, gram_buffer
 
     rng = np.random.default_rng(seed)
-    values = gram_buffer(folds, sizes_n)
+    values = gram_buffer(folds, sizes_n, dtype)
     Ys = np.empty((folds, sizes_n))
     for k in range(folds):
         X = rng.uniform(-1, 1, size=(sizes_n, 2))
@@ -585,8 +587,8 @@ class TestCrossFoldStack:
             assert got.trace[-1] == objective_value(got.alpha, grams[k], Ys[k], C, self.loss)
 
     @pytest.mark.parametrize("batch_size", [6, 1000])
-    def test_rows_stopping_early_in_different_folds(self, batch_size):
-        gram, Ys, grams = fold_stack()
+    def test_rows_stopping_early_in_different_folds(self, batch_size, dtype=np.float64):
+        gram, Ys, grams = fold_stack(dtype=dtype)
         # two rows per fold, listed out of fold order; a loose tolerance
         # stops rows early at different steps, which leaves the folds
         # holding unequal numbers of rows mid-run
@@ -621,13 +623,21 @@ class TestCrossFoldStack:
         self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
 
     @pytest.mark.parametrize("batch_size", [6, 1000])
-    def test_unequal_rows_per_fold(self, batch_size):
+    def test_unequal_rows_per_fold(self, batch_size, dtype=np.float64):
         # fold 1 holds no row at all, fold 0 three and fold 2 one
-        gram, Ys, grams = fold_stack()
+        gram, Ys, grams = fold_stack(dtype=dtype)
         fold, Cs, gammas, seeds = [0, 2, 0, 0], [1.0, 10.0, 100.0, 1.0], [1e-2] * 4, [1, 2, 3, 4]
         cfg = AdamConfig(max_iter=45, batch_size=batch_size, collect_trace=True)
         stack = train_adam(gram, Ys, Cs, [self.loss] * 4, cfg, gamma=gammas, seed=seeds, fold=fold)
         self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
+
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_float32_grams(self, batch_size):
+        # the two tests above on float32 Grams: every product is the
+        # oracle's float32 one, GEMVs, GEMMs and mini-batch gathers alike,
+        # and the trainer's float32 work buffers shrink with the stack
+        self.test_rows_stopping_early_in_different_folds(batch_size, np.float32)
+        self.test_unequal_rows_per_fold(batch_size, np.float32)
 
     @pytest.mark.parametrize("trace", [False, True])
     @pytest.mark.parametrize("batch_size", [6, 1000])
