@@ -2,8 +2,9 @@
 
 Configuration is layered: built-in defaults, then an optional flat
 key=value config file, then command-line flags (``--set key=value`` plus
-the named convenience flags).  Unknown keys are rejected before any
-computation starts.
+the named convenience flags).  Each key of ``CONFIG_SCHEMA`` names the
+commands that read it: a key that is unknown, or set for a command that
+does not read it, is a configuration error before any input is read.
 
 Exit codes: 0 success, 1 benchmark finished with some failed work items,
 2 configuration error, 3 data or runtime error.
@@ -34,11 +35,11 @@ from .data import (
 )
 from .evaluation import (
     GridSpec,
+    ModelRecipe,
     compute_metrics,
     format_rank_report,
     grid_search_cv,
     rank_models,
-    recipe_from_name,
 )
 from .kernels import KernelSpec
 from .losses import LOSS_KINDS, LossSpec, required_params
@@ -107,41 +108,41 @@ def _parse_choice(*allowed):
     return parse
 
 
-# key -> (default, parser-from-string)
+# key -> (default, parser-from-string, the commands that read it)
 CONFIG_SCHEMA: dict[str, tuple] = {
-    "seed": (0, _parse_count),
-    "scaling": ("minmax", _parse_choice("none", "minmax", "zscore")),
-    "C": (100.0, _parse_positive),
-    "loss.kind": ("hawkeye", _parse_choice(*LOSS_KINDS)),
-    "loss.epsilon": (0.05, float),
-    "loss.a": (1.0, float),
-    "loss.lambda": (1.0, float),
-    "loss.theta": (None, _optional(float)),
-    "loss.t": (None, _optional(float)),
-    "kernel.kind": ("rbf", _parse_choice("rbf", "linear")),
-    "kernel.sigma": (1.0, float),
-    "adam.gamma": (0.01, float),
-    "adam.beta1": (0.9, float),
-    "adam.beta2": (0.999, float),
-    "adam.delta": (1e-8, float),
-    "adam.batch_size": (32, int),
-    "adam.max_iter": (1000, int),
-    "adam.early_stop": (False, _parse_bool),
-    "adam.early_stop_tol": (1e-10, float),
-    "adam.early_stop_patience": (20, int),
-    "grid.C": ((1.0, 100.0, 10000.0), _parse_float_list),
-    "grid.sigma": ((0.1, 1.0, 10.0), _parse_float_list),
-    "grid.epsilon": ((0.05,), _parse_float_list),
-    "grid.lambda": ((1.0,), _parse_float_list),
-    "grid.a": ((1.0, 3.0), _parse_float_list),
-    "grid.gamma": ((0.01,), _parse_float_list),
-    "grid.k": (5, int),
-    "cv.selection": ("best_fold", _parse_choice("best_fold", "mean")),
-    "bench.report": ("best_fold", _parse_choice("best_fold", "refit")),
-    "rank.tie": ("competition", _parse_choice("competition", "fractional")),
-    "rank.q_alpha": (None, _optional(_parse_positive)),
-    "rank.critical_f": (None, _optional(_parse_positive)),
-    "rank.decimals": (4, _optional(_parse_count)),
+    "seed": (0, _parse_count, "train synth bench"),
+    "scaling": ("minmax", _parse_choice("none", "minmax", "zscore"), "train bench"),
+    "C": (100.0, _parse_positive, "train"),
+    "loss.kind": ("hawkeye", _parse_choice(*LOSS_KINDS), "train"),
+    "loss.epsilon": (0.05, float, "train"),
+    "loss.a": (1.0, float, "train"),
+    "loss.lambda": (1.0, float, "train"),
+    "loss.theta": (None, _optional(float), "train"),
+    "loss.t": (None, _optional(float), "train"),
+    "kernel.kind": ("rbf", _parse_choice("rbf", "linear"), "train"),
+    "kernel.sigma": (1.0, float, "train"),
+    "adam.gamma": (0.01, float, "train"),
+    "adam.beta1": (0.9, float, "train bench"),
+    "adam.beta2": (0.999, float, "train bench"),
+    "adam.delta": (1e-8, float, "train bench"),
+    "adam.batch_size": (32, int, "train bench"),
+    "adam.max_iter": (1000, int, "train bench"),
+    "adam.early_stop": (False, _parse_bool, "train bench"),
+    "adam.early_stop_tol": (1e-10, float, "train bench"),
+    "adam.early_stop_patience": (20, int, "train bench"),
+    "grid.C": ((1.0, 100.0, 10000.0), _parse_float_list, "bench"),
+    "grid.sigma": ((0.1, 1.0, 10.0), _parse_float_list, "bench"),
+    "grid.epsilon": ((0.05,), _parse_float_list, "bench"),
+    "grid.lambda": ((1.0,), _parse_float_list, "bench"),
+    "grid.a": ((1.0, 3.0), _parse_float_list, "bench"),
+    "grid.gamma": ((0.01,), _parse_float_list, "bench"),
+    "grid.k": (5, int, "bench"),
+    "cv.selection": ("best_fold", _parse_choice("best_fold", "mean"), "bench"),
+    "bench.report": ("best_fold", _parse_choice("best_fold", "refit"), "bench"),
+    "rank.tie": ("competition", _parse_choice("competition", "fractional"), "rank"),
+    "rank.q_alpha": (None, _optional(_parse_positive), "rank"),
+    "rank.critical_f": (None, _optional(_parse_positive), "rank"),
+    "rank.decimals": (4, _optional(_parse_count), "rank"),
 }
 
 
@@ -149,13 +150,13 @@ class RunConfig:
     """Validated key-value configuration with layered precedence."""
 
     def __init__(self):
-        self.values = {k: default for k, (default, _) in CONFIG_SCHEMA.items()}
+        self.values = {k: default for k, (default, *_) in CONFIG_SCHEMA.items()}
         self.explicit: set[str] = set()
 
     def set(self, key: str, raw: str, source: str):
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key {key!r} (from {source})")
-        _, parser = CONFIG_SCHEMA[key]
+        parser = CONFIG_SCHEMA[key][1]
         with _config_errors(f"bad value for {key!r} (from {source}): "):
             self.values[key] = parser(raw)
         self.explicit.add(key)
@@ -195,28 +196,30 @@ def assemble_config(args) -> RunConfig:
         key, _, value = pair.partition("=")
         cfg.set(key.strip(), value.strip(), source="--set")
     # named flags win over --set and the file
-    for key, attr in (("seed", "seed"), ("scaling", "scaling")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg.set(key, str(val), source=f"--{attr}")
+    for key in ("seed", "scaling"):
+        if getattr(args, key, None) is not None:
+            cfg.set(key, str(getattr(args, key)), source=f"--{key}")
     return cfg
 
 
-_LOSS_KEY_BY_PARAM = {
-    "epsilon": "loss.epsilon",
-    "a": "loss.a",
-    "lam": "loss.lambda",
-    "theta": "loss.theta",
-    "t": "loss.t",
-}
+def _check_read(cfg: RunConfig, command: str):
+    """Raise ConfigError for the first key set for ``command`` that it does not read and so would ignore."""
+    for key in sorted(cfg.explicit):
+        readers = CONFIG_SCHEMA[key][2].split()
+        if command == "bench" and readers == ["train"]:
+            # bench searches the grid's values in place of a single fit's
+            raise ConfigError(f"{key} is not read by bench; set the grid.* keys (grid.gamma for the learning rate)"
+                              " and --recipes instead")
+        if command not in readers:
+            raise ConfigError(f"{key} is not read by {command}, only by {', '.join(readers)}")
 
 
 def build_loss(cfg: RunConfig) -> LossSpec:
     kind = cfg["loss.kind"]
-    required = required_params(kind)
     params = {}
-    for pname, key in _LOSS_KEY_BY_PARAM.items():
-        if pname in required:
+    for name in ("epsilon", "a", "lambda", "theta", "t"):
+        key, pname = f"loss.{name}", "lam" if name == "lambda" else name
+        if pname in required_params(kind):
             value = cfg[key]
             if value is None:
                 raise ConfigError(f"{key} is required for loss.kind={kind}")
@@ -348,18 +351,10 @@ def _bench_one(ds, recipe, grid, cfg, adam):
 
 
 def cmd_bench(cfg: RunConfig, args) -> int:
-    # bench trains the recipes over the grid: the keys of a single fit would
-    # be ignored, so setting one is an error
-    unread = sorted(k for k in cfg.explicit if k in ("C", "adam.gamma") or k.startswith(("loss.", "kernel.")))
-    if unread:
-        raise ConfigError(
-            f"{unread[0]} is not read by bench; set the grid.* keys (grid.gamma for the learning rate)"
-            " and --recipes instead"
-        )
     # an empty name is an unknown recipe, so --recipes always names at least one
     names = [name.strip() for name in args.recipes.split(",")]
     with _config_errors():
-        recipes = [recipe_from_name(name) for name in names]
+        recipes = [ModelRecipe(name) for name in names]
     # a repeated item would write a second row for its (dataset, model)
     for what, given, key in (("recipe", names, names), ("dataset", args.data, map(os.path.realpath, args.data))):
         i = _first_repeat(key)
@@ -616,7 +611,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(assemble_config(args), args)
+        cfg = assemble_config(args)
+        _check_read(cfg, args.command)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
