@@ -53,7 +53,7 @@ def exhaustive():
 
 def run_search(train, X_test, y_test_true, grid, scaling, selection, adam):
     """The selected cell, the refit's noise-free test RMSE, the search seconds."""
-    recipe = hs.recipe_from_name("hawkeye")
+    recipe = hs.ModelRecipe("hawkeye")
     t0 = time.perf_counter()
     res = hs.grid_search_cv(train, grid, recipe, seed=0, adam=adam, scaling=scaling, selection=selection)
     seconds = time.perf_counter() - t0

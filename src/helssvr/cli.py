@@ -276,9 +276,7 @@ def _csv_options(args, path) -> dict:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    _check_outputs(
-        [("--config", args.config), ("--data", args.data)], [("--out", args.out), ("--trace-out", args.trace_out)]
-    )
+    _check_outputs(args, [("--data", args.data)], [("--out", args.out), ("--trace-out", args.trace_out)])
     loss = build_loss(cfg)
     kernel = build_kernel(cfg)
     adam = build_adam(cfg, collect_trace=args.trace_out is not None)
@@ -298,7 +296,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
-    _check_outputs([("--config", args.config), ("--model", args.model), ("--data", args.data)], [("--out", args.out)])
+    _check_outputs(args, [("--model", args.model), ("--data", args.data)], [("--out", args.out)])
     model = load_model(args.model)
     X = load_features(**_csv_options(args, args.data))
     preds = predict(model, X)
@@ -308,6 +306,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    _check_outputs(args, [], [("--out", args.out)])
     with _config_errors():
         spec = SyntheticSpec(
             function_id=args.function,
@@ -351,6 +350,9 @@ def _bench_one(ds, recipe, grid, cfg, adam):
 
 
 def cmd_bench(cfg: RunConfig, args) -> int:
+    _check_outputs(args, [("--data", path) for path in args.data], [("--outdir", args.outdir)])
+    if os.path.exists(args.outdir) and not os.path.isdir(args.outdir):
+        raise ConfigError(f"--outdir {args.outdir!r} is not a directory")
     # an empty name is an unknown recipe, so --recipes always names at least one
     names = [name.strip() for name in args.recipes.split(",")]
     with _config_errors():
@@ -463,18 +465,21 @@ def _first_repeat(names):
     return None
 
 
-def _check_outputs(inputs, outputs):
-    """Raise ConfigError when an output file of a command is one of its
-    inputs or an earlier output, compared by real path as bench compares
-    its datasets: writing it would destroy that file.  Both lists hold
-    (flag, path) pairs; a None path is a flag not given."""
-    seen = {os.path.realpath(path): (flag, path) for flag, path in inputs if path is not None}
+def _check_outputs(args, inputs, outputs):
+    """Raise ConfigError when an output of a command lies in no existing
+    directory, or is one of its inputs (``--config`` and ``inputs``) or an
+    earlier output, compared by real path as bench compares its datasets:
+    writing it would fail after the work, or destroy that file.  Both lists
+    hold (flag, path) pairs; a None path is a flag not given."""
+    seen = {os.path.realpath(p): (flag, p) for flag, p in [("--config", args.config), *inputs] if p is not None}
     for flag, path in outputs:
         if path is None:
             continue
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(f"{flag} {path!r} is the same file as {seen[real][0]} {seen[real][1]!r}")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ConfigError(f"{flag} {path!r}: {os.path.dirname(real)!r} is not an existing directory")
         seen[real] = (flag, path)
 
 
@@ -520,6 +525,8 @@ def _read_rank_table(path, delimiter=","):
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:
+    ranks_path, report_path = f"{args.out}_ranks.csv", f"{args.out}_report.txt"
+    _check_outputs(args, [("--input", args.input)], [("--out", ranks_path), ("--out", report_path)])
     table, datasets, models = _read_rank_table(args.input, delimiter=args.delimiter)
     analysis = rank_models(
         table,
@@ -529,7 +536,6 @@ def cmd_rank(cfg: RunConfig, args) -> int:
         model_names=models,
         dataset_names=datasets,
     )
-    ranks_path = f"{args.out}_ranks.csv"
     rows = [
         [name, *[("" if np.isnan(v) else _fmt(float(v))) for v in row]]
         for name, row in zip(datasets, analysis.rank_matrix)
@@ -537,7 +543,6 @@ def cmd_rank(cfg: RunConfig, args) -> int:
     rows.append(["average_rank", *[_fmt(float(v)) for v in analysis.avg_ranks]])
     write_csv(ranks_path, ["dataset", *models], rows)
     report = format_rank_report(analysis, critical_f=cfg["rank.critical_f"])
-    report_path = f"{args.out}_report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report)
     sys.stdout.write(report)

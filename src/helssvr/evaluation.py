@@ -126,9 +126,7 @@ class ModelRecipe:
 
 
 def recipe_from_name(name: str) -> ModelRecipe:
-    """Recipe for a loss kind referred to by its config name: theta and t,
-    which no grid axis covers, are 1.0, except theta = 2.0 for bounded
-    least squares."""
+    """The old name of ``ModelRecipe(name)``."""
     return ModelRecipe(name)
 
 

@@ -1,10 +1,13 @@
 import csv
+import os
+from itertools import product
 
 import numpy as np
 import pytest
 
-from helssvr.cli import assemble_config, main
+from helssvr.cli import CONFIG_SCHEMA, assemble_config, main
 from helssvr.data import SyntheticSpec, generate_synthetic, write_synthetic_csv
+from helssvr.losses import LOSS_KINDS, required_params
 
 
 def write_toy_csv(path, n=40, seed=0):
@@ -21,6 +24,22 @@ def fast_flags():
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+class Reached(Exception):
+    """Raised by a stubbed input reader: the command passed its checks."""
+
+
+def stub_readers(monkeypatch):
+    # every function through which a command reads its inputs, and synth's
+    # generator, which does its work
+    import helssvr.cli
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name in ("load_csv", "load_features", "load_model", "_read_rank_table", "generate_synthetic"):
+        monkeypatch.setattr(helssvr.cli, name, reached)
 
 
 class TestConfigPrecedence:
@@ -98,15 +117,20 @@ class TestConfigPrecedence:
 
 
 def test_every_config_key_is_in_the_readme_table():
-    # the first column of the README's configuration table names each key
+    # the first column of the README's configuration table names each key,
+    # the third the commands that read it
     from pathlib import Path
-
-    from helssvr.cli import CONFIG_SCHEMA
 
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Configuration", 1)[1].split("\n\n| key |", 1)[1].split("\n\n", 1)[0]
     documented = {key for row in table.splitlines() for key in row.split("|")[1].split("`")[1::2]}
     assert sorted(set(CONFIG_SCHEMA) - documented) == []
+    read_by = {
+        key: sorted(cells[3].split("`")[1::2])
+        for cells in (row.split("|") for row in table.splitlines())
+        for key in cells[1].split("`")[1::2]
+    }
+    assert read_by == {key: sorted(readers.split()) for key, (_, _, readers) in CONFIG_SCHEMA.items()}
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
@@ -1002,3 +1026,71 @@ class TestFlagsPerCommand:
         rc = main([*self.ARGV[command], "--config", "run.cfg", "--set", "bogus=1"])
         assert rc == 2
         assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+    # the keys each command reads, stated apart from CONFIG_SCHEMA
+    READS = {
+        "train": lambda key: not key.startswith(("grid.", "cv.", "bench.", "rank.")),
+        "predict": lambda key: False,
+        "synth": lambda key: key == "seed",
+        "bench": lambda key: key not in ("C", "adam.gamma") and not key.startswith(("loss.", "kernel.", "rank.")),
+        "rank": lambda key: key.startswith("rank."),
+    }
+
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    @pytest.mark.parametrize("command, key", list(product(sorted(ARGV), CONFIG_SCHEMA)))
+    def test_key_read_or_rejected_before_reading(self, tmp_path, monkeypatch, capsys, command, key, via):
+        # a key the command reads passes to its first input reader; any
+        # other exits 2, naming the key and the command, before that reader
+        default, reads = CONFIG_SCHEMA[key][0], self.READS[command](key)
+        value = ",".join(map(repr, default)) if isinstance(default, tuple) else "" if default is None else default
+        pairs = [f"{key}={value}"]
+        if key in ("loss.theta", "loss.t") and reads:
+            # the default loss kind takes neither
+            kind = next(k for k in LOSS_KINDS if {"t", "theta"} <= set(required_params(k)))
+            pairs = [f"loss.kind={kind}", "loss.t=1", "loss.theta=1"]
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{pair}\n" for pair in pairs))
+        flags = ["--config", str(config)] if via == "--config" else [arg for pair in pairs for arg in ("--set", pair)]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        stub_readers(monkeypatch)
+        if reads:
+            with pytest.raises(Reached):
+                main([*self.ARGV[command], *flags])
+        else:
+            assert main([*self.ARGV[command], *flags]) == 2
+            assert f"config error: {key} is not read by {command}" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+
+class TestUnusableOutputs:
+    """An output a command could not write exits 2 before any input is read."""
+
+    @pytest.mark.parametrize("argv, flag, path, message", [
+        (["train", "--data", "d.csv", "--out", "no/m.json"], "--out", "no/m.json", "'{no}' is not an existing directory"),
+        (["train", "--data", "d.csv", "--out", "m.json", "--trace-out", "no/t.csv"], "--trace-out", "no/t.csv",
+         "'{no}' is not an existing directory"),
+        (["predict", "--model", "m.json", "--data", "d.csv", "--out", "no/p.csv"], "--out", "no/p.csv",
+         "'{no}' is not an existing directory"),
+        (["synth", "--function", "1", "--noise", "gaussian", "--out", "no/s.csv"], "--out", "no/s.csv",
+         "'{no}' is not an existing directory"),
+        (["rank", "--input", "t.csv", "--out", "no/r"], "--out", "no/r_ranks.csv", "'{no}' is not an existing directory"),
+        (["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir", "no/b"], "--outdir", "no/b",
+         "'{no}' is not an existing directory"),
+        (["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir", "f.txt"], "--outdir", "f.txt",
+         "is not a directory"),
+        (["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir", "f.txt/b"], "--outdir", "f.txt/b",
+         "'{f.txt}' is not an existing directory"),
+    ], ids=["train-out", "train-trace-out", "predict-out", "synth-out", "rank-out", "bench-outdir-in-missing",
+            "bench-outdir-is-file", "bench-outdir-under-file"])
+    def test_exit_2_before_reading(self, tmp_path, monkeypatch, capsys, argv, flag, path, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("not a directory\n")
+        stub_readers(monkeypatch)
+        assert main(argv) == 2
+        real = {name: os.path.realpath(tmp_path / name) for name in ("no", "f.txt")}
+        err = capsys.readouterr().err
+        assert f"config error: {flag} {path!r}" in err
+        assert message.replace("{no}", real["no"]).replace("{f.txt}", real["f.txt"]) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
