@@ -1048,9 +1048,10 @@ class TestFlagsPerCommand:
             # the default loss kind takes neither
             kind = next(k for k in LOSS_KINDS if {"t", "theta"} <= set(required_params(k)))
             pairs = [f"loss.kind={kind}", "loss.t=1", "loss.theta=1"]
-        config = tmp_path / "run.cfg"
-        config.write_text("".join(f"{pair}\n" for pair in pairs))
-        flags = ["--config", str(config)] if via == "--config" else [arg for pair in pairs for arg in ("--set", pair)]
+        flags = [arg for pair in pairs for arg in ("--set", pair)]
+        if via == "--config":
+            (tmp_path / "run.cfg").write_text("".join(f"{pair}\n" for pair in pairs))
+            flags = ["--config", str(tmp_path / "run.cfg")]
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
@@ -1067,30 +1068,29 @@ class TestFlagsPerCommand:
 class TestUnusableOutputs:
     """An output a command could not write exits 2 before any input is read."""
 
-    @pytest.mark.parametrize("argv, flag, path, message", [
-        (["train", "--data", "d.csv", "--out", "no/m.json"], "--out", "no/m.json", "'{no}' is not an existing directory"),
-        (["train", "--data", "d.csv", "--out", "m.json", "--trace-out", "no/t.csv"], "--trace-out", "no/t.csv",
-         "'{no}' is not an existing directory"),
-        (["predict", "--model", "m.json", "--data", "d.csv", "--out", "no/p.csv"], "--out", "no/p.csv",
-         "'{no}' is not an existing directory"),
-        (["synth", "--function", "1", "--noise", "gaussian", "--out", "no/s.csv"], "--out", "no/s.csv",
-         "'{no}' is not an existing directory"),
-        (["rank", "--input", "t.csv", "--out", "no/r"], "--out", "no/r_ranks.csv", "'{no}' is not an existing directory"),
-        (["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir", "no/b"], "--outdir", "no/b",
-         "'{no}' is not an existing directory"),
-        (["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir", "f.txt"], "--outdir", "f.txt",
-         "is not a directory"),
-        (["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir", "f.txt/b"], "--outdir", "f.txt/b",
-         "'{f.txt}' is not an existing directory"),
+    BENCH = ["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir"]
+
+    # (argv, flag, the output path named, the path that is not a directory;
+    # None when it is the output path itself)
+    @pytest.mark.parametrize("argv, flag, path, not_dir", [
+        (["train", "--data", "d.csv", "--out", "no/m.json"], "--out", "no/m.json", "no"),
+        (["train", "--data", "d.csv", "--out", "m.json", "--trace-out", "no/t.csv"], "--trace-out", "no/t.csv", "no"),
+        (["predict", "--model", "m.json", "--data", "d.csv", "--out", "no/p.csv"], "--out", "no/p.csv", "no"),
+        (["synth", "--function", "1", "--noise", "gaussian", "--out", "no/s.csv"], "--out", "no/s.csv", "no"),
+        (["rank", "--input", "t.csv", "--out", "no/r"], "--out", "no/r_ranks.csv", "no"),
+        ([*BENCH, "no/b"], "--outdir", "no/b", "no"),
+        ([*BENCH, "f.txt"], "--outdir", "f.txt", None),
+        ([*BENCH, "f.txt/b"], "--outdir", "f.txt/b", "f.txt"),
     ], ids=["train-out", "train-trace-out", "predict-out", "synth-out", "rank-out", "bench-outdir-in-missing",
             "bench-outdir-is-file", "bench-outdir-under-file"])
-    def test_exit_2_before_reading(self, tmp_path, monkeypatch, capsys, argv, flag, path, message):
+    def test_exit_2_before_reading(self, tmp_path, monkeypatch, capsys, argv, flag, path, not_dir):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.txt").write_text("not a directory\n")
         stub_readers(monkeypatch)
         assert main(argv) == 2
-        real = {name: os.path.realpath(tmp_path / name) for name in ("no", "f.txt")}
-        err = capsys.readouterr().err
-        assert f"config error: {flag} {path!r}" in err
-        assert message.replace("{no}", real["no"]).replace("{f.txt}", real["f.txt"]) in err
+        if not_dir is None:
+            message = f"{flag} {path!r} is not a directory"
+        else:
+            message = f"{flag} {path!r}: {os.path.realpath(tmp_path / not_dir)!r} is not an existing directory"
+        assert f"config error: {message}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
