@@ -20,7 +20,6 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -38,12 +37,12 @@ from .evaluation import (
     ModelRecipe,
     compute_metrics,
     format_rank_report,
-    grid_search_cv,
+    grid_search_recipes,
     rank_models,
 )
 from .kernels import KernelSpec
 from .losses import LOSS_KINDS, LossSpec, required_params
-from .model import fit, load_model, predict, save_model
+from .model import fit, fit_cells, load_model, predict, save_model
 from .optimizer import AdamConfig
 
 
@@ -321,38 +320,44 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _bench_one(ds, recipe, grid, cfg, adam):
-    t0 = time.perf_counter()
-    res = grid_search_cv(
-        ds,
-        grid,
-        recipe,
-        seed=cfg["seed"],
-        adam=adam,
-        scaling=cfg["scaling"],
-        selection=cfg["cv.selection"],
-    )
-    search_seconds = time.perf_counter() - t0
-    best = res.best
-    # refit on the full dataset with the winning cell: reported training
-    # time always comes from this single fit
-    loss = recipe.build_loss(best.params.epsilon, best.params.lam, best.params.a)
-    kernel = recipe.build_kernel(best.params.sigma)
-    refit_adam = replace(adam, gamma=best.params.gamma)
-    model, refit_report = fit(
-        ds.X, ds.y, kernel, loss, C=best.params.C, adam=refit_adam, scaling=cfg["scaling"]
-    )
-    if cfg["bench.report"] == "refit":
-        metrics = compute_metrics(ds.y, predict(model, ds.X))
-    else:
-        metrics = best.fold_metrics[int(np.argmin(best.fold_rmse))]
-    return res, search_seconds, metrics, refit_report
+@contextmanager
+def _work_item(failures, dataset, model):
+    """Record an exception of the block as the failure of one work item:
+    one failed item must not abort the others.  An unexpected exception
+    type also gets its traceback."""
+    try:
+        yield
+    except Exception as exc:
+        if not isinstance(exc, (ValueError, OSError)):
+            traceback.print_exc(file=sys.stderr)
+        failures.append((dataset, model, type(exc).__name__, str(exc)))
+
+
+def _jointly(failures, items, joint, alone) -> list:
+    """``joint()``, the results of all work ``items`` ((dataset, model)
+    pairs) at once; if it raises, ``alone(i)`` of each item i in turn, so
+    that a failure stays with its item, whose result is then None."""
+    if not items:
+        return []
+    try:
+        return joint()
+    except Exception:
+        out = [None] * len(items)
+        for i, (dataset, model) in enumerate(items):
+            with _work_item(failures, dataset, model):
+                out[i] = alone(i)
+        return out
+
+
+#: the files bench writes into its --outdir (failures.csv only if an item fails)
+BENCH_OUTPUTS = ("results.csv", "timing.csv", "best_params.csv", "cells.csv", "failures.csv")
 
 
 def cmd_bench(cfg: RunConfig, args) -> int:
-    _check_outputs(args, [("--data", path) for path in args.data], [("--outdir", args.outdir)])
-    if os.path.exists(args.outdir) and not os.path.isdir(args.outdir):
-        raise ConfigError(f"--outdir {args.outdir!r} is not a directory")
+    outputs = [os.path.join(args.outdir, name) for name in BENCH_OUTPUTS]
+    _check_outputs(
+        args, [("--data", path) for path in args.data], [("--outdir", path) for path in outputs], outdir=args.outdir
+    )
     # an empty name is an unknown recipe, so --recipes always names at least one
     names = [name.strip() for name in args.recipes.split(",")]
     with _config_errors():
@@ -371,9 +376,18 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             for epsilon, lam, a in product(grid.epsilon_values, grid.lambda_values, grid.a_values):
                 recipe.build_loss(epsilon, lam, a)
 
-    # one (dataset, model, search result, search seconds, metrics, refit
-    # report) per work item
-    items, failures = [], []
+    # one joint search per dataset: its wall time is split among the
+    # recipes in proportion to their cell-steps
+    def search(ds, group):
+        t0 = time.perf_counter()
+        results = grid_search_recipes(
+            ds, grid, group, seed=cfg["seed"], adam=adam, scaling=cfg["scaling"], selection=cfg["cv.selection"]
+        )
+        wall = time.perf_counter() - t0
+        steps = [sum(r.iterations for cell in res.cells for r in cell.fold_reports) for res in results]
+        return [(res, wall * k / sum(steps)) for res, k in zip(results, steps)]
+
+    searched, failures = [], []  # (dataset, data, recipe, search result, search seconds)
     for path in args.data:
         dataset_name = str(path)
         try:
@@ -381,20 +395,44 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         except (OSError, ValueError) as exc:
             failures.append((dataset_name, "*", type(exc).__name__, str(exc)))
             continue
-        for recipe in recipes:
-            try:
-                items.append((dataset_name, recipe.name, *_bench_one(ds, recipe, grid, cfg, adam)))
-            except Exception as exc:
-                # one failed work item must not abort the others; an
-                # unexpected exception type also gets its traceback
-                if not isinstance(exc, (ValueError, OSError)):
-                    traceback.print_exc(file=sys.stderr)
-                failures.append((dataset_name, recipe.name, type(exc).__name__, str(exc)))
+        found = _jointly(
+            failures, [(dataset_name, r.name) for r in recipes], lambda: search(ds, recipes),
+            lambda i: search(ds, [recipes[i]])[0],
+        )
+        searched += [(dataset_name, ds, recipe, *hit) for recipe, hit in zip(recipes, found) if hit is not None]
+    # then one joint refit of every winning cell on its whole dataset;
+    # reported training time always comes from the refit
+    sets, kernels, cells = [], [], []
+    for i, (_, ds, recipe, res, _) in enumerate(searched):
+        p = res.best.params
+        sets.append((ds.X, ds.y))
+        kernels.append(recipe.build_kernel(p.sigma))
+        cells.append((i, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma, adam.seed))
+    fitted = _jointly(
+        failures, [(d, recipe.name) for d, _, recipe, _, _ in searched],
+        lambda: fit_cells(sets, kernels, cells, adam, scaling=cfg["scaling"]),
+        lambda i: fit_cells([sets[i]], kernels[i], [(0, *cells[i][1:])], adam, scaling=cfg["scaling"])[0],
+    )
+    # one (dataset, model, search result, search seconds, metrics, refit
+    # report) per work item
+    items = []
+    for (dataset_name, ds, recipe, res, secs), refit in zip(searched, fitted):
+        if refit is None:
+            continue
+        with _work_item(failures, dataset_name, recipe.name):
+            model, refit_report = refit
+            if cfg["bench.report"] == "refit":
+                metrics = compute_metrics(ds.y, predict(model, ds.X))
+            else:
+                metrics = res.best.fold_metrics[int(np.argmin(res.best.fold_rmse))]
+            items.append((dataset_name, recipe.name, res, secs, metrics, refit_report))
     items.sort(key=lambda item: item[:2])
+    # failures in the order of the datasets, then of the recipes
+    order = {name: k for k, name in enumerate(["*", *names])}
+    failures.sort(key=lambda failure: (args.data.index(failure[0]), order[failure[1]]))
 
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
-    results_path = os.path.join(outdir, "results.csv")
+    os.makedirs(args.outdir, exist_ok=True)
+    results_path, timing_path, best_path, cells_path, failures_path = outputs
     write_csv(
         results_path,
         ["dataset", "model", "rmse", "mae", "error_pos", "error_neg", "train_seconds"],
@@ -404,7 +442,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         ),
     )
     write_csv(
-        os.path.join(outdir, "timing.csv"),
+        timing_path,
         ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells", "fits"],
         (
             [d, m, f"{rep.wall_time_seconds:.6f}", f"{rep.gram_seconds:.6f}", f"{secs:.6f}",
@@ -413,7 +451,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         ),
     )
     write_csv(
-        os.path.join(outdir, "best_params.csv"),
+        best_path,
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"],
         (
             [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, res.best.stat))]
@@ -425,7 +463,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     # reason ("halved" for a cell successive halving cut)
     folds = range(1, grid.k + 1)
     write_csv(
-        os.path.join(outdir, "cells.csv"),
+        cells_path,
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma",
          *(f"rmse_fold{j}" for j in folds), "stat",
          *(f"iterations_fold{j}" for j in folds), *(f"stop_reason_fold{j}" for j in folds)],
@@ -439,7 +477,6 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     )
     print(f"benchmark rows      : {len(items)} -> {results_path}")
     if failures:
-        failures_path = os.path.join(outdir, "failures.csv")
         write_csv(failures_path, ["dataset", "model", "error_type", "error"], failures)
         print(f"failed work items   : {len(failures)} -> {failures_path}", file=sys.stderr)
         return 1
@@ -465,12 +502,25 @@ def _first_repeat(names):
     return None
 
 
-def _check_outputs(args, inputs, outputs):
-    """Raise ConfigError when an output of a command lies in no existing
-    directory, or is one of its inputs (``--config`` and ``inputs``) or an
-    earlier output, compared by real path as bench compares its datasets:
-    writing it would fail after the work, or destroy that file.  Both lists
-    hold (flag, path) pairs; a None path is a flag not given."""
+def _check_outputs(args, inputs, outputs, outdir=None):
+    """Raise ConfigError when an output file of a command lies in no
+    existing directory, is a directory, or is one of its inputs
+    (``--config`` and ``inputs``) or an earlier output, compared by real
+    path as bench compares its datasets: writing it would fail after the
+    work, or destroy that file.  Both lists hold (flag, path) pairs; a None
+    path is a flag not given.  ``outdir`` is the directory bench makes for
+    its outputs: it must not be a file, and must lie in an existing
+    directory."""
+
+    def check_parent(flag, path):
+        parent = os.path.dirname(os.path.realpath(path))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{flag} {path!r}: {parent!r} is not an existing directory")
+
+    if outdir is not None:
+        if os.path.exists(outdir) and not os.path.isdir(outdir):
+            raise ConfigError(f"--outdir {outdir!r} is not a directory")
+        check_parent("--outdir", outdir)
     seen = {os.path.realpath(p): (flag, p) for flag, p in [("--config", args.config), *inputs] if p is not None}
     for flag, path in outputs:
         if path is None:
@@ -478,8 +528,10 @@ def _check_outputs(args, inputs, outputs):
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(f"{flag} {path!r} is the same file as {seen[real][0]} {seen[real][1]!r}")
-        if not os.path.isdir(os.path.dirname(real)):
-            raise ConfigError(f"{flag} {path!r}: {os.path.dirname(real)!r} is not an existing directory")
+        if os.path.isdir(real):
+            raise ConfigError(f"{flag} {path!r} is a directory")
+        if outdir is None:
+            check_parent(flag, path)
         seen[real] = (flag, path)
 
 

@@ -175,39 +175,41 @@ def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
     ]
 
 
-def _search_group(ds, folds, recipe, cells, members, adam, scaling, seed, states):
-    """Results of the cells ``members``, which share one kernel, by cell,
-    with their fold results; the caller sets each statistic.
+def _search_sigma(ds, folds, recipes, cells, members, kernel, adam, scaling, seed, states):
+    """Train and score, with one kernel, the cells ``members[r]`` of each
+    recipe r; returns each recipe's results by cell, with their fold
+    results (the caller sets each statistic).
 
     Every fold of every cell trains in one :func:`fit_cells` call, which
     stacks folds of equal size while their Gram matrices fit its budget.
-    A (cell, fold) with an entry in ``states`` resumes from it, and every
+    A (cell, fold) with an entry in ``states[r]`` resumes from it, and every
     (cell, fold) leaves its final optimizer state there.  Each fold's
-    held-out kernel rows are computed once for all its cells.
+    held-out kernel rows are computed once for all its cells, in one
+    :func:`predict_cells` call.
     """
-    kernel = recipe.build_kernel(cells[members[0]].sigma)
-    cell_losses = [recipe.build_loss(cells[i].epsilon, cells[i].lam, cells[i].a) for i in members]
+    owners = [(r, i) for r, ids in enumerate(members) for i in ids]
+    cell_losses = [recipes[r].build_loss(cells[r][i].epsilon, cells[r][i].lam, cells[r][i].a) for r, i in owners]
     all_idx = np.arange(ds.n)
     train = [np.setdiff1d(all_idx, test_idx, assume_unique=True) for test_idx in folds]
     specs = [
-        (j, loss, cells[i].C, cells[i].gamma, child_seed(seed, i, j))
+        (j, loss, cells[r][i].C, cells[r][i].gamma, child_seed(seed, i, j))
         for j in range(len(folds))
-        for i, loss in zip(members, cell_losses)
+        for (r, i), loss in zip(owners, cell_losses)
     ]
     fitted = fit_cells(
         [(ds.X[idx], ds.y[idx]) for idx in train], kernel, specs, adam, scaling=scaling,
-        resume=[states.get((i, j)) for j in range(len(folds)) for i in members],
+        resume=[states[r].get((i, j)) for j in range(len(folds)) for r, i in owners],
     )
-    results = {i: CellResult(cells[i], [], [], [], math.nan) for i in members}
+    results = [{i: CellResult(cells[r][i], [], [], [], math.nan) for i in ids} for r, ids in enumerate(members)]
     for j, test_idx in enumerate(folds):
-        fold_fits = fitted[j * len(members) : (j + 1) * len(members)]
+        fold_fits = fitted[j * len(owners) : (j + 1) * len(owners)]
         preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
-        for i, (_, report), pred in zip(members, fold_fits, preds):
+        for (r, i), (_, report), pred in zip(owners, fold_fits, preds):
             metrics = compute_metrics(ds.y[test_idx], pred)
-            states[i, j] = report.state
-            results[i].fold_rmse.append(metrics.rmse)
-            results[i].fold_metrics.append(metrics)
-            results[i].fold_reports.append(replace(report, state=None))
+            states[r][i, j] = report.state
+            results[r][i].fold_rmse.append(metrics.rmse)
+            results[r][i].fold_metrics.append(metrics)
+            results[r][i].fold_reports.append(replace(report, state=None))
     return results
 
 
@@ -264,49 +266,94 @@ def grid_search_cv(
     iterates, so that rounding did not move the selected cell on any input
     of the README's seed sweep, where the last iterate did.  Work items
     run one after another: threads measured slower, because each Adam
-    step's Python work holds the GIL.
+    step's Python work holds the GIL.  This is the one-recipe case of
+    :func:`grid_search_recipes`.
+    """
+    return grid_search_recipes(ds, grid, [recipe], seed, adam, scaling, selection)[0]
+
+
+def grid_search_recipes(
+    ds: Dataset,
+    grid: GridSpec,
+    recipes,
+    seed: int = 0,
+    adam: AdamConfig | None = None,
+    scaling: str = "minmax",
+    selection: str = "best_fold",
+) -> list[GridSearchResult]:
+    """:func:`grid_search_cv` of each of several recipes on one dataset,
+    trained together; returns one result per recipe, bit for bit the
+    result of its own :func:`grid_search_cv`.
+
+    The recipes (distinct loss kinds) share the folds.  Their rungs run in
+    lockstep: each recipe halves on its own ranking, skips the rungs its
+    own rule skips, and keeps its cell indices, so cell i's fold j of
+    every recipe trains with the Adam seed ``child_seed(seed, i, j)``.  At
+    each rung one :func:`fit_cells` call per kernel width trains the cells
+    of every recipe, which share each fold's Gram matrix and, when they
+    start from one step, its optimizer stacks; one :func:`predict_cells`
+    call per fold scores them.  A stack gives each kind's rows the bits of
+    a stack of that kind alone, so every number equals the one-recipe
+    search's.  An error of any recipe, such as a grid with no finite
+    statistic, fails the whole call.
     """
     if selection not in ("best_fold", "mean"):
         raise ValueError(f"selection must be 'best_fold' or 'mean', got {selection!r}")
+    recipes = list(recipes)
+    names = [recipe.name for recipe in recipes]
+    if not recipes or len(set(names)) != len(names):
+        raise ValueError(f"grid_search_recipes needs distinct recipes, got {names}")
     if adam is None:
         adam = AdamConfig()
     folds = kfold_split(ds.n, grid.k, seed)
-    cells = _enumerate_cells(grid, recipe)
-    results, states = [None] * len(cells), {}  # each cell's latest result; each (cell, fold)'s optimizer state
+    cells = [_enumerate_cells(grid, recipe) for recipe in recipes]
+    # each recipe's latest result per cell, its (cell, fold) optimizer
+    # states, and the cells it still trains
+    results = [[None] * len(c) for c in cells]
+    states = [{} for _ in recipes]
+    training = [list(range(len(c))) for c in cells]
 
     def rank(res):
         # a non-finite statistic ranks last
         return res.stat if math.isfinite(res.stat) else math.inf
 
-    training = list(range(len(cells)))
     rungs = [adam.max_iter * r // 10 for r in RUNG_TENTHS]
     for steps in [*(r for r in rungs if 0 < r < adam.max_iter), adam.max_iter]:
-        if steps < adam.max_iter and len(training) <= HALVING_FLOOR:
-            continue
-        groups: dict = {}
-        for i in training:
-            groups.setdefault(cells[i].sigma, []).append(i)
+        final = steps == adam.max_iter
+        active = [r for r in range(len(recipes)) if final or len(training[r]) > HALVING_FLOOR]
+        sigmas: dict = {}  # each kernel width's training cells of every recipe
+        for r in active:
+            for i in training[r]:
+                sigmas.setdefault(cells[r][i].sigma, [[] for _ in recipes])[r].append(i)
         run = replace(adam, max_iter=steps)
-        for members in groups.values():
-            for i, res in _search_group(ds, folds, recipe, cells, members, run, scaling, seed, states).items():
-                res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
-                results[i] = res
-        training = [i for i in training if not all(states[i, j].stopped for j in range(len(folds)))]
-        if steps == adam.max_iter:
-            break
-        # sorted is stable, so ties go to the earlier cell
-        ranked = sorted(training, key=lambda i: rank(results[i]))
-        keep = max(HALVING_FLOOR, -(-len(training) // 2))
-        for i in ranked[keep:]:
-            results[i].fold_reports = [
-                r if r.stop_reason == "early_stop" else replace(r, stop_reason="halved") for r in results[i].fold_reports
-            ]
-        training = sorted(ranked[:keep])
+        for sigma, members in sigmas.items():
+            kernel = recipes[0].build_kernel(sigma)
+            found = _search_sigma(ds, folds, recipes, cells, members, kernel, run, scaling, seed, states)
+            for r, by_cell in enumerate(found):
+                for i, res in by_cell.items():
+                    res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
+                    results[r][i] = res
+        for r in active:
+            training[r] = [i for i in training[r] if not all(states[r][i, j].stopped for j in range(len(folds)))]
+            if final:
+                continue
+            # sorted is stable, so ties go to the earlier cell
+            ranked = sorted(training[r], key=lambda i: rank(results[r][i]))
+            keep = max(HALVING_FLOOR, -(-len(training[r]) // 2))
+            for i in ranked[keep:]:
+                results[r][i].fold_reports = [
+                    f if f.stop_reason == "early_stop" else replace(f, stop_reason="halved")
+                    for f in results[r][i].fold_reports
+                ]
+            training[r] = sorted(ranked[:keep])
 
-    best = min(results, key=rank)
-    if not math.isfinite(best.stat):
-        raise ValueError("no grid cell produced a finite fold RMSE")
-    return GridSearchResult(best=best, cells=results, folds=folds, selection=selection)
+    out = []
+    for res in results:
+        best = min(res, key=rank)
+        if not math.isfinite(best.stat):
+            raise ValueError("no grid cell produced a finite fold RMSE")
+        out.append(GridSearchResult(best=best, cells=res, folds=folds, selection=selection))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -155,33 +156,40 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_cells(
-    sets, kernel: KernelSpec, cells, adam: AdamConfig | None = None, scaling: str = "minmax", resume=None
+    sets, kernel, cells, adam: AdamConfig | None = None, scaling: str = "minmax", resume=None
 ) -> list[tuple[TrainedModel, FitReport]]:
-    """Train cells of one loss kind on one or more training sets with one
-    kernel and one Adam configuration.
+    """Train cells of one or more loss kinds on one or more training sets
+    with one Adam configuration.
 
     ``sets`` holds ``(X, y)`` training sets, such as the folds of a cross
-    validation, and ``cells`` holds ``(set, loss, C, gamma, seed)``: the
-    index of the cell's training set, then its loss, C, learning rate and
-    Adam seed, which replace ``adam``'s (None means the defaults) and are
-    checked as :class:`AdamConfig` checks its own, naming the cell.  Every
-    cell's loss is of one kind.  Returns one (model, report) per cell.
-    ``resume`` optionally gives each cell a ``FitReport.state`` of an
-    earlier call with the same set, loss and C, from which it trains on to
-    ``adam.max_iter`` steps (None starts it fresh; the cells that share a
-    stack must all start fresh or from one step count).  The Grams are
-    built again.
+    validation, and ``kernel`` is one :class:`KernelSpec` for all of them
+    or a sequence of one per set.  ``cells`` holds
+    ``(set, loss, C, gamma, seed)``: the index of the cell's training set,
+    then its loss, C, learning rate and Adam seed, which replace ``adam``'s
+    (None means the defaults) and are checked as :class:`AdamConfig`
+    checks its own, naming the cell.  Returns one (model, report) per
+    cell.  ``resume`` optionally gives each cell a ``FitReport.state`` of
+    an earlier call with the same set, loss and C, from which it trains on
+    to ``adam.max_iter`` steps (None starts it fresh).  The Grams are built
+    again.
 
     Each set is scaled and gets its Gram matrix once.  Cells train together
-    when their sets agree in size (see :func:`_fold_stacks`), in stacks of
-    at most :data:`STACK_ROWS` that take the same number of cells from each
-    set, in cell order.  Only one stack's Grams are held at a time, in one
-    buffer.  Results are bit-identical for the same cells and
-    :data:`STACK_ROWS`.  A cell that trains as the only row of its set in
-    its stack is bit-identical to a :func:`fit` of that cell alone; one
-    that shares its set's Gram products with other rows agrees with it to
-    rounding (see :func:`helssvr.optimizer.train_adam`).  A run resumed to
-    step T is bit-identical to a run to T in the same stack layout.
+    when their sets agree in size (see :func:`_fold_stacks`).  Each loss
+    kind's cells are chunked as if they trained alone: a chunk takes the
+    same number of cells (at most :data:`STACK_ROWS` in all) from each set
+    of a group, in cell order.  Chunks of one group whose cells start from
+    one step count (fresh, or resumed from one step) are packed, in order,
+    into optimizer stacks of at most :data:`STACK_ROWS` rows; the cells of
+    a chunk must all start fresh or from one step count.  Only one group's
+    Grams are held at a time, in one buffer.  Results are bit-identical for
+    the same cells and :data:`STACK_ROWS`, and a kind's cells get the same
+    bits whatever other kinds train in the call, since a stack gives each
+    kind's rows the bits of a stack of that kind alone (see
+    :func:`helssvr.optimizer.train_adam`).  A cell that trains as the only
+    row of its kind and set in its chunk is bit-identical to a :func:`fit`
+    of that cell alone; one that shares its set's Gram products with other
+    rows of its kind agrees with it to rounding.  A run resumed to step T
+    is bit-identical to a run to T in the same stack layout.
 
     A set whose float64 Gram would exceed :data:`STACK_GRAM_BYTES`, and so
     trains in a stack of its own (n >= 363 rows), gets a float32 Gram
@@ -194,12 +202,12 @@ def fit_cells(
     """
     sets = [_training_set(X, y) for X, y in sets]
     adam = AdamConfig() if adam is None else adam
+    kernels_of = [kernel] * len(sets) if isinstance(kernel, KernelSpec) else list(kernel)
+    if len(kernels_of) != len(sets):
+        raise ValueError(f"fit_cells got {len(kernels_of)} kernels for {len(sets)} training sets")
     cells = list(cells)
     if not cells:
         raise ValueError("fit_cells needs at least one cell")
-    kinds = sorted({loss.kind for _, loss, *_ in cells})
-    if len(kinds) > 1:
-        raise ValueError(f"fit_cells trains one loss kind per call, got {kinds}")
     if not all(C > 0 for _, _, C, *_ in cells):
         raise ValueError("C must be > 0")
     for i, (*_, gamma, seed) in enumerate(cells):
@@ -209,12 +217,17 @@ def fit_cells(
     resume = [None] * len(cells) if resume is None else list(resume)
     if len(resume) != len(cells):
         raise ValueError(f"fit_cells got {len(resume)} resume states for {len(cells)} cells")
-    cells_of = [[] for _ in sets]
-    for i, (j, *_) in enumerate(cells):
-        cells_of[j].append(i)
+    cells_of = {}  # each kind's cells of each set, kinds in order of first appearance
+    for i, (j, loss, *_) in enumerate(cells):
+        cells_of.setdefault(loss.kind, [[] for _ in sets])[j].append(i)
+
+    def start(chunk):
+        # the step count the chunk's cells resume from (0 when fresh); a
+        # cell the early-stopping rule ended trains no further
+        return next((resume[i].t for _, i in chunk if resume[i] is not None and not resume[i].stopped), 0)
 
     out = [None] * len(cells)
-    used = [j for j in range(len(sets)) if cells_of[j]]
+    used = [j for j in range(len(sets)) if any(of[j] for of in cells_of.values())]
     for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
         group = [used[g] for g in group]
         n = sets[group[0]][0].shape[0]
@@ -229,14 +242,25 @@ def fit_cells(
             Xs.flags.writeable = False  # shared by every cell's model
             ys[k] = scale_target(state_scaling, y)
             t0 = time.perf_counter()
-            gram_matrix(kernel, Xs, out=gram.values[k])
-            scaled.append((Xs, state_scaling, (time.perf_counter() - t0) / len(cells_of[j])))
+            gram_matrix(kernels_of[j], Xs, out=gram.values[k])
+            per_set = sum(len(of[j]) for of in cells_of.values())
+            scaled.append((Xs, state_scaling, (time.perf_counter() - t0) / per_set))
 
-        # a stack takes the same number of cells from each set, so that its
-        # layout stays uniform across the sets
+        # a chunk takes the same number of cells of its kind from each set,
+        # so that its layout stays uniform across the sets; the chunks that
+        # start from one step are packed into stacks, in order
         per = max(1, STACK_ROWS // len(group))
-        for lo in range(0, max(len(cells_of[j]) for j in group), per):
-            folds, rows = zip(*((k, i) for k, j in enumerate(group) for i in cells_of[j][lo : lo + per]))
+        stacks: dict = {}  # start step -> the (position in group, cell) rows of each stack
+        for of in cells_of.values():
+            of = [of[j] for j in group]
+            for lo in range(0, max(map(len, of)), per):
+                chunk = [(k, i) for k, ids in enumerate(of) for i in ids[lo : lo + per]]
+                packed = stacks.setdefault(start(chunk), [[]])
+                if len(packed[-1]) + len(chunk) > STACK_ROWS:
+                    packed.append([])
+                packed[-1].extend(chunk)
+        for stack_rows in chain.from_iterable(stacks.values()):
+            folds, rows = zip(*stack_rows)
             _, losses, Cs, gammas, seeds = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()
             stack = train_adam(
@@ -248,7 +272,8 @@ def fit_cells(
                 gram_k = GramMatrix(gram.values[k])
                 state.alpha.flags.writeable = False
                 model = TrainedModel(
-                    alpha=state.alpha, X_train=Xs, kernel=kernel, loss=loss, C=float(C), scaling=state_scaling
+                    alpha=state.alpha, X_train=Xs, kernel=kernels_of[group[k]], loss=loss, C=float(C),
+                    scaling=state_scaling,
                 )
                 report = FitReport(
                     final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),

@@ -10,10 +10,11 @@ where K is the training Gram matrix and L any loss from
 without replacement; the quadratic term's gradient K alpha is computed
 exactly every step, while the loss-sum gradient is restricted to the
 batch rows.  One call can train several cells (C, loss and Adam settings),
-on one training set or on several of equal size.  A cell alone in its
-training set computes exactly what a run of its own does; cells that share
-a set share its Gram products, which agree with a run of their own to
-rounding (see :func:`train_adam`).
+of one loss kind or several, on one training set or on several of equal
+size.  A cell alone among its kind's cells in its training set computes
+exactly what a run of its own does; cells of one kind that share a set
+share its Gram products, which agree with a run of their own to rounding
+(see :func:`train_adam`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import copy
 import numbers
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -205,31 +207,39 @@ def gram_products(K, A, out, spans=None, cast=None) -> None:
     """Store K[k] @ A[r] in ``out[r]`` for every row r of every set k.
 
     ``K`` is an (f, n, n) stack of symmetric matrices; ``A`` and ``out``
-    are C-contiguous (m, n) arrays whose rows are grouped by set.
-    ``spans`` lists each set's (k, slice of rows), sets without rows left
-    out; None means one row per set, in set order.  When ``K`` is float32,
-    the first two entries of ``cast`` are C-contiguous float32 (m, n) work
-    arrays: ``A`` is rounded into the first, the products are made in
-    float32 into the second and then widened into ``out``, so that K is
-    never upcast.
+    are C-contiguous (m, n) arrays whose rows come in blocks of one set.
+    ``spans`` lists each block's (k, slice of rows), in row order; a k of
+    None marks a block that covers every set in set order with the same
+    number of rows each.  None means one such block of one row per set.
+    When ``K`` is float32, the first two entries of ``cast`` are
+    C-contiguous float32 (m, n) work arrays: ``A`` is rounded into the
+    first, the products are made in float32 into the second and then
+    widened into ``out``, so that K is never upcast.
 
-    A set of one row runs as the GEMV K_k @ a, bit for bit the product a
-    one-cell run computes.  A set of several rows runs as one GEMM,
+    A block of one row runs as the GEMV K_k @ a, bit for bit the product a
+    one-cell run computes.  A block of several rows runs as one GEMM,
     A_k @ K_k: that equals K_k applied to each row exactly in real
     arithmetic, because K_k is symmetric, but the GEMM sums in another
-    order than the GEMV, so the two differ in the last bits.  The result
-    depends only on the set sizes, not on what else is in ``A``.
+    order than the GEMV, so the two differ in the last bits.  A block that
+    covers every set makes all of its products in one call, the broadcast
+    ``K @ a`` for one row per set and ``A.reshape(f, r, n) @ K`` for r
+    rows: numpy runs these as the same GEMV or GEMM per set, bit for bit.
+    The result depends only on the block sizes, not on what else is in
+    ``A``.
     """
     if cast is not None:
         np.copyto(cast[0], A)
         gram_products(K, cast[0], cast[1], spans)
         np.copyto(out, cast[1])
         return
-    if spans is None:
-        np.matmul(K, A[:, :, None], out=out[:, :, None])
-        return
-    for k, rows in spans:
-        if rows.stop - rows.start == 1:
+    f, n = K.shape[0], K.shape[-1]
+    for k, rows in [(None, slice(0, len(A)))] if spans is None else spans:
+        r = rows.stop - rows.start
+        if k is None and r == f:
+            np.matmul(K, A[rows, :, None], out=out[rows, :, None])
+        elif k is None:
+            np.matmul(A[rows].reshape(f, r // f, n), K, out=out[rows].reshape(f, r // f, n))
+        elif r == 1:
             np.matmul(K[k], A[rows.start], out=out[rows.start])
         else:
             np.matmul(A[rows], K[k], out=out[rows])
@@ -296,20 +306,27 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     residual raises a ValueError that names the step and each affected cell
     (its position in ``C``) and set; the whole stack stops.
 
-    The cells' coefficient, moment and residual vectors are stacked as the
-    rows of (m, N) arrays, grouped by set, so the elementwise work of a
-    step runs once for all of them, in buffers allocated once per call.
-    Each cell keeps its own targets, mini-batch draws, trace and early
-    stop.  K alpha (and, at full batch, K d) runs through
-    :func:`gram_products`: one GEMM per set, or a GEMV for a set of one
-    row; a mini-batch's K_B^T d is one GEMV per row on its gathered batch
-    rows.  So:
+    The cells may be of several loss kinds.  Their coefficient, moment and
+    residual vectors are stacked as the rows of (m, N) arrays, grouped by
+    kind (in order of first appearance) and within a kind by set, each in
+    cell order, so the elementwise work of a step runs once for all of
+    them, the loss derivative once per kind, in buffers allocated once per
+    call.  Each cell keeps its own targets, mini-batch draws, trace and
+    early stop.  K alpha (and, at full batch, K d) runs through
+    :func:`gram_products` per block of one kind and set: one GEMM, or a
+    GEMV for a block of one row, all of a kind's blocks in one call when
+    they cover every set alike; a mini-batch's K_B^T d is one GEMV per row
+    on its gathered batch rows.  So:
 
-    * a cell alone in its set is bit-identical to a one-cell run;
+    * a cell alone among its kind's rows in its set is bit-identical to a
+      one-cell run;
     * a run is bit-identical to itself for the same cells in the same
-      stack layout (cells per set, in the same order);
-    * a cell whose set holds several rows differs from a one-cell run by
-      the rounding of the GEMM, which Adam then carries forward.
+      stack layout (cells per kind and set, in the same order), whatever
+      rows of other kinds share the stack: a stack of several kinds gives
+      each kind's rows the bits of a stack of that kind alone;
+    * a cell whose kind holds several rows in its set differs from a
+      one-cell run by the rounding of the GEMM, which Adam then carries
+      forward.
 
     A float32 ``gram`` is multiplied in float32 and never upcast: each
     product's float64 operand (the coefficient or derivative rows) is
@@ -351,7 +368,10 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
 
     begin = [fresh(c) if start is None else start for c, start in enumerate(resume)]
     out = [start if start.stopped else None for start in begin]
-    live = sorted((c for c in range(rows) if out[c] is None), key=fold.__getitem__)  # the cell of each stack row
+    # the cell of each stack row, by kind (in order of first appearance)
+    # and then by set
+    kinds = {kind: i for i, kind in enumerate(dict.fromkeys(spec.kind for spec in loss))}
+    live = sorted((c for c in range(rows) if out[c] is None), key=lambda c: (kinds[loss[c].kind], fold[c]))
     if not live:
         return AdamStack(out, 0)
     t0 = begin[live[0]].t
@@ -362,34 +382,36 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
 
     s = min(cfg.batch_size, n)
 
-    def blocks(cells):
-        # every per-cell value repeated across its row, as wide as the
-        # arrays it meets: same-shape elementwise operations are numpy's
-        # fastest, and give each row the bits a one-cell run gets
+    def layout(cells):
+        # each row's set; each kind's (set, rows) blocks for gram_products,
+        # one block of set None when its rows cover every set alike, so
+        # that one call makes all of its products (against a matmul per
+        # set, that won 9 of 10 pairs of 35 s cli_bench runs when every
+        # product was a row GEMV: fits_per_ref median 0.2113 against
+        # 0.1997, 2-core VM); each kind's loss stack and rows; and every
+        # per-cell value repeated across its row, as wide as the arrays it
+        # meets: same-shape elementwise operations are numpy's fastest, and
+        # give each row the bits a one-cell run gets
+        spans, stacks, lo = [], [], 0
+        for _, group in groupby(cells, key=lambda c: loss[c].kind):
+            group = list(group)
+            rows = slice(lo, lo + len(group))
+            stacks.append((stack_losses([loss[c] for c in group], s), rows))
+            counts = np.bincount([fold[c] for c in group], minlength=f)
+            if counts.min() == counts.max():
+                spans.append((None, rows))
+            else:
+                ends = lo + np.cumsum(counts)
+                spans.extend((k, slice(int(e - c), int(e))) for k, (c, e) in enumerate(zip(counts, ends)) if c)
+            lo = rows.stop
         return (
-            stack_losses([loss[c] for c in cells], s),
+            np.array([fold[c] for c in cells]), spans, stacks,
             np.repeat(np.array([[C[c]] for c in cells], dtype=float), n, axis=1),
             np.repeat(np.array([[gamma[c]] for c in cells], dtype=float), n, axis=1),
         )
 
-    def layout(cells):
-        # each row's set, and the row span of each set for gram_products:
-        # None when every set holds one row, so that one broadcast matmul
-        # makes all the GEMVs.  The per-set spans alone would serve that
-        # case too, with the same bits; but when every product was a GEMV
-        # per row, the broadcast won 9 of 10 pairs of 35 s cli_bench runs
-        # against per-set matmuls (fits_per_ref median 0.2113 against
-        # 0.1997, 2-core VM).  Sets of several rows take one GEMM per span.
-        fold_of = np.array([fold[c] for c in cells])
-        counts = np.bincount(fold_of, minlength=f)
-        if counts.min() == counts.max() == 1:
-            return fold_of, None
-        ends = np.cumsum(counts)
-        return fold_of, [(k, slice(e - c, e)) for k, (c, e) in enumerate(zip(counts, ends)) if c]
-
     m = len(live)
-    fold_of, spans = layout(live)
-    stack, C_blk, gamma_blk = blocks(live)
+    fold_of, spans, stacks, C_blk, gamma_blk = layout(live)
     # np.stack copies, so the states passed in stay as they were
     state = AdamState(
         alpha=np.stack([begin[c].iterate for c in live]),
@@ -441,11 +463,13 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         return ValueError(f"residual must be finite: step {step}, {cells}")
 
     def derivative(step):
-        # dL/dr of the residual block R, into D
+        # dL/dr of the residual block R, into D, one call per kind
         try:
-            return loss_derivative(stack, R, out=D)
+            for stack, rows in stacks:
+                loss_derivative(stack, R[rows], out=D[rows])
         except ValueError as exc:
             raise non_finite(step, R) from exc
+        return D
 
     for step in range(t0, cfg.max_iter):
         gram_products(K, state.alpha, Kalpha, spans, cast)
@@ -469,7 +493,6 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 break
             if len(keep) < len(live):
                 live = [live[r] for r in keep]
-                fold_of, spans = layout(live)
                 state = AdamState(alpha=state.alpha[keep], m=state.m[keep], v=state.v[keep], t=state.t)
                 avg = avg[keep]
                 Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
@@ -477,7 +500,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 if cast is not None:
                     cast = tuple(w[: len(keep)] for w in cast)
                 R, D = R[: len(keep)], D[: len(keep)]
-                stack, C_blk, gamma_blk = blocks(live)
+                fold_of, spans, stacks, C_blk, gamma_blk = layout(live)
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
             np.subtract(Y, Kalpha, out=R)

@@ -651,6 +651,100 @@ class TestBench:
         assert float(rows[1][2]) >= 0.0
 
 
+class TestJointBench:
+    """A bench trains each dataset's recipes in one joint search and every
+    refit in one joint call, bit for bit one recipe at a time."""
+
+    # the default grid at C = 100: hawkeye's 6 cells halve at step 10 to 4,
+    # which resume from there; least squares and insensitive have 3 cells
+    # each and train from step 0
+    RECIPES = ("hawkeye", "least_squares", "insensitive")
+    FLAGS = ["--target", "y", "--drop", "y_true", "--set", "grid.C=100", "--set", "adam.max_iter=100"]
+
+    def datasets(self, tmp_path):
+        paths = [tmp_path / "t1.csv", tmp_path / "missing.csv", tmp_path / "t2.csv"]
+        write_toy_csv(paths[0], seed=1)
+        write_toy_csv(paths[2], n=45, seed=2)
+        return [str(p) for p in paths]
+
+    def bench(self, tmp_path, name, data, recipes, *flags):
+        outdir = tmp_path / name
+        rc = main(["bench", "--data", *data, "--recipes", ",".join(recipes), "--outdir", str(outdir),
+                   *self.FLAGS, *flags])
+        assert rc == 1  # the missing dataset
+        return outdir
+
+    @staticmethod
+    def outputs(outdir):
+        """The non-timing outputs: results.csv without train_seconds, and
+        timing.csv's cells and fits."""
+        rows = {name: read_rows(outdir / name) for name in ("best_params.csv", "cells.csv", "failures.csv")}
+        rows["results.csv"] = [r[:6] for r in read_rows(outdir / "results.csv")]
+        rows["timing.csv"] = [r[:2] + r[5:] for r in read_rows(outdir / "timing.csv")]
+        return rows
+
+    @pytest.mark.parametrize("flags", [[], ["--set", "adam.batch_size=1000", "--set", "bench.report=refit"]])
+    def test_matches_one_recipe_benches(self, tmp_path, flags):
+        data = self.datasets(tmp_path)
+        joint = self.outputs(self.bench(tmp_path, "joint", data, self.RECIPES, *flags))
+        alone = [self.outputs(self.bench(tmp_path, name, data, [name], *flags)) for name in self.RECIPES]
+        for name in ("best_params.csv", "cells.csv", "results.csv", "timing.csv"):
+            # each file's rows sorted by (dataset, model), cells in grid order
+            merged = sorted((r for out in alone for r in out[name][1:]), key=lambda r: r[:2])
+            assert joint[name] == [alone[0][name][0], *merged]
+        for out in alone:
+            assert joint["failures.csv"] == out["failures.csv"]
+        iterations = {(r[1], *r[14:19]) for r in joint["cells.csv"][1:]}
+        assert ("hawkeye", "10", "10", "10", "10", "10") in iterations
+        assert ("hawkeye", "100", "100", "100", "100", "100") in iterations
+
+    def test_search_seconds_split_by_cell_steps(self, tmp_path, monkeypatch):
+        # a clock that advances 0.5 s per reading: each dataset's joint
+        # search takes 0.5 s, shared by its recipes as their cell-steps
+        import types
+
+        import helssvr.cli
+
+        ticks = iter(range(1000))
+        monkeypatch.setattr(helssvr.cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.5 * next(ticks)))
+        data = self.datasets(tmp_path)
+        outdir = self.bench(tmp_path, "joint", data, self.RECIPES)
+        cells, timing = read_rows(outdir / "cells.csv")[1:], read_rows(outdir / "timing.csv")[1:]
+        for path in (data[0], data[2]):
+            steps = {m: sum(int(t) for r in cells if r[:2] == [path, m] for t in r[14:19]) for m in self.RECIPES}
+            seconds = {r[1]: float(r[4]) for r in timing if r[0] == path}
+            assert sum(seconds.values()) == pytest.approx(0.5, abs=2e-6)
+            for m in self.RECIPES:
+                assert seconds[m] == pytest.approx(0.5 * steps[m] / sum(steps.values()), abs=1e-6)
+
+    def test_failed_refit_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
+        # the joint refit fails, and so does every refit of least_squares
+        # alone: the other refits run alone, with the joint call's results
+        import helssvr.cli
+
+        data = self.datasets(tmp_path)
+        want = self.outputs(self.bench(tmp_path, "joint", data, self.RECIPES))
+        real = helssvr.cli.fit_cells
+
+        def flaky(sets, kernel, cells, *args, **kw):
+            if any(loss.kind == "least_squares" for _, loss, *_ in cells):
+                raise RuntimeError("refit exploded")
+            return real(sets, kernel, cells, *args, **kw)
+
+        monkeypatch.setattr(helssvr.cli, "fit_cells", flaky)
+        got = self.outputs(self.bench(tmp_path, "flaky", data, self.RECIPES))
+        # in the order of the datasets, as a bench one item at a time writes them
+        assert got["failures.csv"] == [
+            want["failures.csv"][0],
+            [data[0], "least_squares", "RuntimeError", "refit exploded"],
+            *want["failures.csv"][1:],
+            [data[2], "least_squares", "RuntimeError", "refit exploded"],
+        ]
+        for name in ("best_params.csv", "cells.csv", "results.csv", "timing.csv"):
+            assert got[name] == [r for r in want[name] if r[1] != "least_squares"]
+        assert "Traceback" in capsys.readouterr().err
+
+
 class TestRank:
     def write_wide_table(self, path):
         with open(path, "w", newline="") as fh:
@@ -839,14 +933,16 @@ class TestBenchIsolatesFailures:
     def test_unexpected_exception_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
         import helssvr.cli
 
-        real = helssvr.cli.grid_search_cv
+        real = helssvr.cli.grid_search_recipes
 
-        def flaky(ds, grid, recipe, **kw):
-            if recipe.name == "least_squares":
+        # a search fails whenever least_squares is among its recipes: the
+        # joint search of every dataset, then least_squares' own search
+        def flaky(ds, grid, recipes, **kw):
+            if any(recipe.name == "least_squares" for recipe in recipes):
                 raise RuntimeError("solver exploded")
-            return real(ds, grid, recipe, **kw)
+            return real(ds, grid, recipes, **kw)
 
-        monkeypatch.setattr(helssvr.cli, "grid_search_cv", flaky)
+        monkeypatch.setattr(helssvr.cli, "grid_search_recipes", flaky)
         d1, d2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         write_toy_csv(d1, seed=1)
         write_toy_csv(d2, seed=2)
@@ -1070,27 +1166,54 @@ class TestUnusableOutputs:
 
     BENCH = ["bench", "--data", "d.csv", "--recipes", "hawkeye", "--outdir"]
 
-    # (argv, flag, the output path named, the path that is not a directory;
-    # None when it is the output path itself)
-    @pytest.mark.parametrize("argv, flag, path, not_dir", [
-        (["train", "--data", "d.csv", "--out", "no/m.json"], "--out", "no/m.json", "no"),
-        (["train", "--data", "d.csv", "--out", "m.json", "--trace-out", "no/t.csv"], "--trace-out", "no/t.csv", "no"),
-        (["predict", "--model", "m.json", "--data", "d.csv", "--out", "no/p.csv"], "--out", "no/p.csv", "no"),
-        (["synth", "--function", "1", "--noise", "gaussian", "--out", "no/s.csv"], "--out", "no/s.csv", "no"),
-        (["rank", "--input", "t.csv", "--out", "no/r"], "--out", "no/r_ranks.csv", "no"),
-        ([*BENCH, "no/b"], "--outdir", "no/b", "no"),
-        ([*BENCH, "f.txt"], "--outdir", "f.txt", None),
-        ([*BENCH, "f.txt/b"], "--outdir", "f.txt/b", "f.txt"),
+    # (argv, the message, {tmp} standing for the real path of the working
+    # directory), in a directory holding the file f.txt and the
+    # directories adir, r_report.txt and b/results.csv
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "d.csv", "--out", "no/m.json"],
+         "--out 'no/m.json': '{tmp}/no' is not an existing directory"),
+        (["train", "--data", "d.csv", "--out", "m.json", "--trace-out", "no/t.csv"],
+         "--trace-out 'no/t.csv': '{tmp}/no' is not an existing directory"),
+        (["predict", "--model", "m.json", "--data", "d.csv", "--out", "no/p.csv"],
+         "--out 'no/p.csv': '{tmp}/no' is not an existing directory"),
+        (["synth", "--function", "1", "--noise", "gaussian", "--out", "no/s.csv"],
+         "--out 'no/s.csv': '{tmp}/no' is not an existing directory"),
+        (["rank", "--input", "t.csv", "--out", "no/r"],
+         "--out 'no/r_ranks.csv': '{tmp}/no' is not an existing directory"),
+        ([*BENCH, "no/b"], "--outdir 'no/b': '{tmp}/no' is not an existing directory"),
+        ([*BENCH, "f.txt"], "--outdir 'f.txt' is not a directory"),
+        ([*BENCH, "f.txt/b"], "--outdir 'f.txt/b': '{tmp}/f.txt' is not an existing directory"),
+        (["train", "--data", "d.csv", "--out", "adir"], "--out 'adir' is a directory"),
+        (["train", "--data", "d.csv", "--out", "m.json", "--trace-out", "adir"], "--trace-out 'adir' is a directory"),
+        (["predict", "--model", "m.json", "--data", "d.csv", "--out", "adir"], "--out 'adir' is a directory"),
+        (["synth", "--function", "1", "--noise", "gaussian", "--out", "adir"], "--out 'adir' is a directory"),
+        (["rank", "--input", "t.csv", "--out", "r"], "--out 'r_report.txt' is a directory"),
+        ([*BENCH, "b"], "--outdir 'b/results.csv' is a directory"),
     ], ids=["train-out", "train-trace-out", "predict-out", "synth-out", "rank-out", "bench-outdir-in-missing",
-            "bench-outdir-is-file", "bench-outdir-under-file"])
-    def test_exit_2_before_reading(self, tmp_path, monkeypatch, capsys, argv, flag, path, not_dir):
+            "bench-outdir-is-file", "bench-outdir-under-file", "train-out-is-dir", "train-trace-out-is-dir",
+            "predict-out-is-dir", "synth-out-is-dir", "rank-out-is-dir", "bench-output-is-dir"])
+    def test_exit_2_before_reading(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.txt").write_text("not a directory\n")
+        for name in ("adir", "r_report.txt", "b/results.csv"):
+            (tmp_path / name).mkdir(parents=True)
         stub_readers(monkeypatch)
         assert main(argv) == 2
-        if not_dir is None:
-            message = f"{flag} {path!r} is not a directory"
-        else:
-            message = f"{flag} {path!r}: {os.path.realpath(tmp_path / not_dir)!r} is not an existing directory"
-        assert f"config error: {message}" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+        assert f"config error: {message.format(tmp=os.path.realpath(tmp_path))}" in capsys.readouterr().err
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "adir", "b", "b/results.csv", "f.txt", "r_report.txt"
+        ]
+
+    def test_bench_input_among_its_outputs(self, tmp_path, monkeypatch, capsys):
+        # an earlier bench's results.csv given as a dataset of a bench into
+        # the same --outdir
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b2").mkdir()
+        results = tmp_path / "b2" / "results.csv"
+        results.write_text("dataset,model,rmse\nd.csv,hawkeye,0.5\n")
+        before = results.read_bytes()
+        stub_readers(monkeypatch)
+        assert main(["bench", "--data", "b2/results.csv", "--recipes", "hawkeye", "--outdir", "b2"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --outdir 'b2/results.csv' is the same file as --data 'b2/results.csv'" in err
+        assert results.read_bytes() == before and sorted(p.name for p in (tmp_path / "b2").iterdir()) == ["results.csv"]

@@ -556,6 +556,89 @@ class TestSuccessiveHalving:
         assert reasons["halved"] and reasons["early_stop"] and max(reasons["early_stop"]) < 150
 
 
+class TestJointSearch:
+    """Several recipes searched together, bit for bit each recipe's own
+    search.  On this grid hawkeye halves 16 cells to 8 and to 4, so it
+    resumes from step 45; insensitive halves 8 to 4 and skips the second
+    rung, resuming from step 15; least squares has 4 cells and trains
+    straight on from step 0."""
+
+    grid = GridSpec(
+        C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), epsilon_values=(0.05, 0.1), a_values=(1.0, 3.0), k=3
+    )
+    recipes = [ModelRecipe(name) for name in ("hawkeye", "least_squares", "insensitive")]
+
+    def search(self, recipes, **kw):
+        from helssvr.evaluation import grid_search_recipes
+
+        adam = fast_adam(**{"batch_size": 32, **kw})
+        return grid_search_recipes(toy_dataset(n=60, seed=8), self.grid, recipes, seed=11, adam=adam, scaling="zscore")
+
+    @staticmethod
+    def summary(res):
+        return [
+            (
+                cell.params,
+                tuple(r.hex() for r in cell.fold_rmse),
+                cell.stat.hex(),
+                tuple(
+                    (r.iterations, r.stop_reason, r.initial_objective.hex(), r.final_objective.hex())
+                    for r in cell.fold_reports
+                ),
+            )
+            for cell in res.cells
+        ]
+
+    @pytest.mark.parametrize("stop", [{}, dict(early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)])
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_each_recipe_matches_its_own_search(self, batch_size, stop):
+        joint = self.search(self.recipes, batch_size=batch_size, **stop)
+        steps = set()
+        for recipe, res in zip(self.recipes, joint, strict=True):
+            (alone,) = self.search([recipe], batch_size=batch_size, **stop)
+            assert self.summary(res) == self.summary(alone)
+            assert res.cells.index(res.best) == alone.cells.index(alone.best)
+            assert [f.tobytes() for f in res.folds] == [f.tobytes() for f in alone.folds]
+            steps |= {r.iterations for cell in res.cells for r in cell.fold_reports}
+        assert {15, 45, 150} <= steps
+
+    def test_one_fit_and_predict_call_per_sigma_and_rung(self, monkeypatch):
+        # rung 15: hawkeye and insensitive; rung 45: hawkeye; the end: all
+        # three; each rung one fit_cells call per sigma its cells train
+        # at, and one predict_cells call per fold of each
+        import helssvr.evaluation
+
+        calls = {"fit": [], "predict": 0}
+        fit_cells, predict_cells = helssvr.evaluation.fit_cells, helssvr.evaluation.predict_cells
+
+        def fit_spy(sets, kernel, cells, adam, **kw):
+            calls["fit"].append((adam.max_iter, kernel.sigma, {loss.kind for _, loss, *_ in cells}))
+            return fit_cells(sets, kernel, cells, adam, **kw)
+
+        def predict_spy(models, X):
+            calls["predict"] += 1
+            return predict_cells(models, X)
+
+        monkeypatch.setattr(helssvr.evaluation, "fit_cells", fit_spy)
+        monkeypatch.setattr(helssvr.evaluation, "predict_cells", predict_spy)
+        self.search(self.recipes)
+        rungs = {}
+        for steps, sigma, kinds in calls["fit"]:
+            assert sigma not in rungs.setdefault(steps, {})
+            rungs[steps][sigma] = kinds
+        assert list(rungs) == [15, 45, 150]
+        assert [set().union(*by_sigma.values()) for by_sigma in rungs.values()] == [
+            {"hawkeye", "insensitive"}, {"hawkeye"}, {"hawkeye", "insensitive", "least_squares"}
+        ]
+        assert calls["predict"] == 3 * len(calls["fit"])
+
+    def test_recipes_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct recipes, got \\['hawkeye', 'hawkeye'\\]"):
+            self.search([ModelRecipe("hawkeye")] * 2)
+        with pytest.raises(ValueError, match="distinct recipes, got \\[\\]"):
+            self.search([])
+
+
 # grid_search_cv(toy_dataset(n=31, seed=3), C 1 and 100, sigma 0.3 and 1, k=3,
 # seed 7, zscore, 60 steps, early stop at tol 2e-2 / patience 3), recorded
 # with each set's Gram products as one GEMM over its rows and the default

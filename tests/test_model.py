@@ -9,6 +9,7 @@ from helssvr.losses import LossSpec, loss_value
 from helssvr.model import (
     TrainedModel,
     fit,
+    fit_cells,
     load_model,
     model_from_json,
     model_to_json,
@@ -335,18 +336,6 @@ class TestFitCells:
         with pytest.raises(ValueError, match="C must be > 0"):
             fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
 
-    def test_mixed_loss_kinds_raise_before_any_gram(self, monkeypatch):
-        import helssvr.model
-        from helssvr.model import fit_cells
-
-        def no_gram(*args, **kwargs):
-            raise AssertionError("a Gram matrix was built")
-
-        monkeypatch.setattr(helssvr.model, "gram_matrix", no_gram)
-        cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, LossSpec("least_squares"), 1.0, 0.01, 0)]
-        with pytest.raises(ValueError, match=r"one loss kind per call, got \['hawkeye', 'least_squares'\]"):
-            fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
-
     @pytest.mark.parametrize("gamma, seed, message", BAD_RATE_OR_SEED)
     def test_every_rate_and_seed_validated_before_any_gram(self, monkeypatch, gamma, seed, message):
         import re
@@ -494,6 +483,145 @@ class TestFitCellsAcrossSets:
 
         with pytest.raises(ValueError, match=r"set indices must lie in \[0, 1\)"):
             fit_cells([(np.eye(3), np.ones(3))], rbf(), [(1, hawkeye(), 1.0, 0.01, 0)])
+
+
+def assert_same_fits(got, want):
+    """Cells of two :func:`fit_cells` calls, bit for bit."""
+    for (model, report), (want_model, want_report) in zip(got, want, strict=True):
+        assert model.alpha.tobytes() == want_model.alpha.tobytes()
+        assert model.X_train.tobytes() == want_model.X_train.tobytes()
+        assert (model.kernel, model.loss, model.C) == (want_model.kernel, want_model.loss, want_model.C)
+        assert report.final_objective == want_report.final_objective
+        assert report.initial_objective == want_report.initial_objective
+        assert (report.iterations, report.stop_reason) == (want_report.iterations, want_report.stop_reason)
+        assert report.trace == want_report.trace
+
+
+class TestFitCellsMixedKinds:
+    """Cells of several loss kinds in one :func:`fit_cells` call, each set
+    with its own kernel: each kind's cells bit for bit a call of that kind
+    alone."""
+
+    kernels = [rbf(0.8), rbf(0.5), KernelSpec("linear"), rbf(1.2)]
+
+    @staticmethod
+    def cells(sets):
+        # per set, kinds interleaved: two hawkeye cells, one least squares
+        # and one huber, and a second huber in the middle set
+        out = []
+        for j in range(len(sets)):
+            out += [
+                (j, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 10 * j),
+                (j, LossSpec("least_squares"), 1.0, 1e-2, 10 * j + 1),
+                (j, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3, 10 * j + 2),
+                (j, LossSpec("huber", theta=0.3), 10.0, 1e-2, 10 * j + 3),
+            ]
+        return out + [(len(sets) // 2, LossSpec("huber", theta=0.5), 1.0, 1e-3, 99)]
+
+    @staticmethod
+    def by_kind(cells):
+        kinds = {}
+        for i, (_, loss, *_) in enumerate(cells):
+            kinds.setdefault(loss.kind, []).append(i)
+        return kinds.values()
+
+    def check(self, sets, kernels, cells, adam, resume=None):
+        mixed = fit_cells(sets, kernels, cells, adam, scaling="zscore", resume=resume)
+        for rows in self.by_kind(cells):
+            alone = fit_cells(
+                sets, kernels, [cells[i] for i in rows], adam, scaling="zscore",
+                resume=None if resume is None else [resume[i] for i in rows],
+            )
+            assert_same_fits([mixed[i] for i in rows], alone)
+        return mixed
+
+    @pytest.mark.parametrize("batch_size", [5, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 32])
+    def test_mixed_kinds_match_one_kind_calls(self, monkeypatch, rows, batch_size):
+        import helssvr.model
+
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
+        sets = TestFitCellsAcrossSets().sets()
+        adam = AdamConfig(
+            max_iter=60, batch_size=batch_size, collect_trace=True,
+            early_stop=True, early_stop_tol=3e-1, early_stop_patience=3,
+        )
+        mixed = self.check(sets, self.kernels, self.cells(sets), adam)
+        assert len({report.iterations for _, report in mixed}) > 3  # early stops at several steps
+
+    def test_float32_gram(self):
+        # 363 rows: a float32 Gram in a stack of its own
+        rng = np.random.default_rng(80)
+        X = rng.uniform(-1, 1, (363, 2))
+        sets = [(X, np.cos(2 * X[:, 0]) + 0.1 * rng.normal(size=363))]
+        for batch_size in (32, 1000):
+            self.check(sets, rbf(0.5), self.cells(sets), AdamConfig(max_iter=15, batch_size=batch_size))
+
+    @pytest.mark.parametrize("batch_size", [5, 1000])
+    def test_resume_to_a_rung(self, monkeypatch, batch_size):
+        # the hawkeye cells resume from step 17 while the other kinds start
+        # fresh, as a search's halving and non-halving recipes do: the two
+        # start steps train in separate stacks of each set group
+        import helssvr.model
+
+        sets = TestFitCellsAcrossSets().sets()
+        cells = self.cells(sets)
+        adam = AdamConfig(max_iter=60, batch_size=batch_size)
+        he = [i for i, (_, loss, *_) in enumerate(cells) if loss.kind == "hawkeye"]
+        part = fit_cells(sets, self.kernels, [cells[i] for i in he], replace(adam, max_iter=17), scaling="zscore")
+        resume = [None] * len(cells)
+        for i, (_, report) in zip(he, part):
+            resume[i] = report.state
+        starts = []
+        real = helssvr.model.train_adam
+
+        def spy(gram, y, C, loss, cfg, **kw):
+            starts.append(sorted({0 if state is None else state.t for state in kw["resume"]}))
+            return real(gram, y, C, loss, cfg, **kw)
+
+        monkeypatch.setattr(helssvr.model, "train_adam", spy)
+        resumed = self.check(sets, self.kernels, cells, adam, resume=resume)
+        whole = fit_cells(sets, self.kernels, [cells[i] for i in he], adam, scaling="zscore")
+        assert_same_fits([resumed[i] for i in he], whole)
+        # two set groups (21 and 20 rows), each with a stack per start step
+        assert sorted(starts[:4]) == [[0], [0], [17], [17]]
+
+    def test_one_stack_per_group_and_start(self, monkeypatch):
+        # every kind's cells of a set group share one train_adam call while
+        # they fit in STACK_ROWS rows
+        import helssvr.model
+
+        calls = []
+        real = helssvr.model.train_adam
+
+        def spy(gram, y, C, loss, cfg, **kw):
+            calls.append(sorted({spec.kind for spec in loss}))
+            return real(gram, y, C, loss, cfg, **kw)
+
+        monkeypatch.setattr(helssvr.model, "train_adam", spy)
+        sets = TestFitCellsAcrossSets().sets()
+        fit_cells(sets, self.kernels, self.cells(sets), AdamConfig(max_iter=5))
+        assert calls == [["hawkeye", "huber", "least_squares"]] * 2
+
+    def test_kernel_per_set_matches_fit_per_set(self):
+        # one cell per set, each the only row of its kind and set: a fit
+        # of its own, bit for bit
+        sets = TestFitCellsAcrossSets().sets()
+        adam = AdamConfig(max_iter=40, batch_size=5)
+        cells = [
+            (0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 1), (1, LossSpec("least_squares"), 1.0, 1e-2, 2),
+            (2, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3, 3), (3, LossSpec("least_squares"), 10.0, 1e-3, 4),
+        ]
+        fitted = fit_cells(sets, self.kernels, cells, adam, scaling="zscore")
+        want = [
+            fit(*sets[j], self.kernels[j], loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
+            for j, loss, C, gamma, seed in cells
+        ]
+        assert_same_fits(fitted, want)
+
+    def test_kernel_count_checked(self):
+        with pytest.raises(ValueError, match="fit_cells got 2 kernels for 4 training sets"):
+            fit_cells(TestFitCellsAcrossSets().sets(), self.kernels[:2], [(0, hawkeye(), 1.0, 0.01, 0)])
 
 
 class TestPredictCells:
