@@ -561,7 +561,8 @@ class TestJointSearch:
     search.  On this grid hawkeye halves 16 cells to 8 and to 4, so it
     resumes from step 45; insensitive halves 8 to 4 and skips the second
     rung, resuming from step 15; least squares has 4 cells and trains
-    straight on from step 0."""
+    straight on from step 0.  The 61 rows give training sets of 40 and 41
+    rows, which train in separate stacks."""
 
     grid = GridSpec(
         C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), epsilon_values=(0.05, 0.1), a_values=(1.0, 3.0), k=3
@@ -572,7 +573,7 @@ class TestJointSearch:
         from helssvr.evaluation import grid_search_recipes
 
         adam = fast_adam(**{"batch_size": 32, **kw})
-        return grid_search_recipes(toy_dataset(n=60, seed=8), self.grid, recipes, seed=11, adam=adam, scaling="zscore")
+        return grid_search_recipes(toy_dataset(n=61, seed=8), self.grid, recipes, seed=11, adam=adam, scaling="zscore")
 
     @staticmethod
     def summary(res):
