@@ -333,20 +333,16 @@ def _work_item(failures, dataset, model):
         failures.append((dataset, model, type(exc).__name__, str(exc)))
 
 
-def _jointly(failures, items, joint, alone) -> list:
-    """``joint()``, the results of all work ``items`` ((dataset, model)
-    pairs) at once; if it raises, ``alone(i)`` of each item i in turn, so
-    that a failure stays with its item, whose result is then None."""
-    if not items:
-        return []
+def _jointly(call, what):
+    """``call()``, the joint work of several work items, or None after one
+    line on stderr that names its error; the caller then does the work of
+    each item alone, so that a failure stays with its own item."""
     try:
-        return joint()
-    except Exception:
-        out = [None] * len(items)
-        for i, (dataset, model) in enumerate(items):
-            with _work_item(failures, dataset, model):
-                out[i] = alone(i)
-        return out
+        return call()
+    except Exception as exc:
+        message = f"joint {what} failed ({type(exc).__name__}: {exc}); running its work items one at a time"
+        print(message, file=sys.stderr)
+        return None
 
 
 #: the files bench writes into its --outdir (failures.csv only if an item fails)
@@ -376,8 +372,8 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             for epsilon, lam, a in product(grid.epsilon_values, grid.lambda_values, grid.a_values):
                 recipe.build_loss(epsilon, lam, a)
 
-    # one joint search per dataset: its wall time is split among the
-    # recipes in proportion to their cell-steps
+    # one joint search per dataset: its wall time is apportioned to the
+    # recipes in proportion to their cell-steps, not measured per recipe
     def search(ds, group):
         t0 = time.perf_counter()
         results = grid_search_recipes(
@@ -387,6 +383,19 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         steps = [sum(r.iterations for cell in res.cells for r in cell.fold_reports) for res in results]
         return [(res, wall * k / sum(steps)) for res, k in zip(results, steps)]
 
+    # then one joint refit per recipe, of its winning cell on each whole
+    # dataset: every recipe's refits stack alike, so that the training
+    # times, a stack's wall time split evenly among its rows, compare
+    # across recipes
+    def refit(group):
+        sets, kernels, cells = [], [], []
+        for k, (_, ds, recipe, res, _) in enumerate(group):
+            p = res.best.params
+            sets.append((ds.X, ds.y))
+            kernels.append(recipe.build_kernel(p.sigma))
+            cells.append((k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma, adam.seed))
+        return fit_cells(sets, kernels, cells, adam, scaling=cfg["scaling"])
+
     searched, failures = [], []  # (dataset, data, recipe, search result, search seconds)
     for path in args.data:
         dataset_name = str(path)
@@ -395,37 +404,25 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         except (OSError, ValueError) as exc:
             failures.append((dataset_name, "*", type(exc).__name__, str(exc)))
             continue
-        found = _jointly(
-            failures, [(dataset_name, r.name) for r in recipes], lambda: search(ds, recipes),
-            lambda i: search(ds, [recipes[i]])[0],
-        )
-        searched += [(dataset_name, ds, recipe, *hit) for recipe, hit in zip(recipes, found) if hit is not None]
-    # then one joint refit of every winning cell on its whole dataset;
-    # reported training time always comes from the refit
-    sets, kernels, cells = [], [], []
-    for i, (_, ds, recipe, res, _) in enumerate(searched):
-        p = res.best.params
-        sets.append((ds.X, ds.y))
-        kernels.append(recipe.build_kernel(p.sigma))
-        cells.append((i, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma, adam.seed))
-    fitted = _jointly(
-        failures, [(d, recipe.name) for d, _, recipe, _, _ in searched],
-        lambda: fit_cells(sets, kernels, cells, adam, scaling=cfg["scaling"]),
-        lambda i: fit_cells([sets[i]], kernels[i], [(0, *cells[i][1:])], adam, scaling=cfg["scaling"])[0],
-    )
+        found = _jointly(lambda: search(ds, recipes), f"search of {dataset_name}") if len(recipes) > 1 else None
+        for i, recipe in enumerate(recipes):
+            with _work_item(failures, dataset_name, recipe.name):
+                res, secs = search(ds, [recipe])[0] if found is None else found[i]
+                searched.append((dataset_name, ds, recipe, res, secs))
     # one (dataset, model, search result, search seconds, metrics, refit
     # report) per work item
     items = []
-    for (dataset_name, ds, recipe, res, secs), refit in zip(searched, fitted):
-        if refit is None:
-            continue
-        with _work_item(failures, dataset_name, recipe.name):
-            model, refit_report = refit
-            if cfg["bench.report"] == "refit":
-                metrics = compute_metrics(ds.y, predict(model, ds.X))
-            else:
-                metrics = res.best.fold_metrics[int(np.argmin(res.best.fold_rmse))]
-            items.append((dataset_name, recipe.name, res, secs, metrics, refit_report))
+    for recipe in recipes:
+        mine = [item for item in searched if item[2] is recipe]
+        fitted = _jointly(lambda: refit(mine), f"refit of {recipe.name}") if len(mine) > 1 else None
+        for k, (dataset_name, ds, _, res, secs) in enumerate(mine):
+            with _work_item(failures, dataset_name, recipe.name):
+                model, refit_report = refit([mine[k]])[0] if fitted is None else fitted[k]
+                if cfg["bench.report"] == "refit":
+                    metrics = compute_metrics(ds.y, predict(model, ds.X))
+                else:
+                    metrics = res.best.fold_metrics[int(np.argmin(res.best.fold_rmse))]
+                items.append((dataset_name, recipe.name, res, secs, metrics, refit_report))
     items.sort(key=lambda item: item[:2])
     # failures in the order of the datasets, then of the recipes
     order = {name: k for k, name in enumerate(["*", *names])}

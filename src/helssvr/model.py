@@ -179,12 +179,13 @@ def fit_cells(
     same number of cells (at most :data:`STACK_ROWS` in all) from each set
     of a group, in cell order.  Chunks of one group whose cells start from
     one step count (fresh, or resumed from one step) are packed, in order,
-    into optimizer stacks of at most :data:`STACK_ROWS` rows; the cells of
-    a chunk must all start fresh or from one step count.  Only one group's
-    Grams are held at a time, in one buffer.  Results are bit-identical for
-    the same cells and :data:`STACK_ROWS`, and a kind's cells get the same
-    bits whatever other kinds train in the call, since a stack gives each
-    kind's rows the bits of a stack of that kind alone (see
+    into optimizer stacks of at most :data:`STACK_ROWS` rows and at most
+    one chunk of each kind; the cells of a chunk must all start fresh or
+    from one step count.  Only one group's Grams are held at a time, in
+    one buffer.  Results are bit-identical for the same cells and
+    :data:`STACK_ROWS`, and a kind's cells get the same bits whatever other
+    kinds train in the call, since a stack gives each kind's rows the bits
+    of a stack of that kind alone (see
     :func:`helssvr.optimizer.train_adam`).  A cell that trains as the only
     row of its kind and set in its chunk is bit-identical to a :func:`fit`
     of that cell alone; one that shares its set's Gram products with other
@@ -248,18 +249,21 @@ def fit_cells(
 
         # a chunk takes the same number of cells of its kind from each set,
         # so that its layout stays uniform across the sets; the chunks that
-        # start from one step are packed into stacks, in order
+        # start from one step are packed into stacks, in order, one chunk
+        # of a kind per stack: two would share the kind's (kind, set)
+        # blocks, and so change their products
         per = max(1, STACK_ROWS // len(group))
-        stacks: dict = {}  # start step -> the (position in group, cell) rows of each stack
-        for of in cells_of.values():
+        stacks: dict = {}  # start step -> the kinds and (position in group, cell) rows of each stack
+        for kind, of in cells_of.items():
             of = [of[j] for j in group]
             for lo in range(0, max(map(len, of)), per):
                 chunk = [(k, i) for k, ids in enumerate(of) for i in ids[lo : lo + per]]
-                packed = stacks.setdefault(start(chunk), [[]])
-                if len(packed[-1]) + len(chunk) > STACK_ROWS:
-                    packed.append([])
-                packed[-1].extend(chunk)
-        for stack_rows in chain.from_iterable(stacks.values()):
+                packed = stacks.setdefault(start(chunk), [(set(), [])])
+                if kind in packed[-1][0] or len(packed[-1][1]) + len(chunk) > STACK_ROWS:
+                    packed.append((set(), []))
+                packed[-1][0].add(kind)
+                packed[-1][1].extend(chunk)
+        for _, stack_rows in chain.from_iterable(stacks.values()):
             folds, rows = zip(*stack_rows)
             _, losses, Cs, gammas, seeds = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()

@@ -209,37 +209,30 @@ def gram_products(K, A, out, spans=None, cast=None) -> None:
     ``K`` is an (f, n, n) stack of symmetric matrices; ``A`` and ``out``
     are C-contiguous (m, n) arrays whose rows come in blocks of one set.
     ``spans`` lists each block's (k, slice of rows), in row order; a k of
-    None marks a block that covers every set in set order with the same
-    number of rows each.  None means one such block of one row per set.
-    When ``K`` is float32, the first two entries of ``cast`` are
-    C-contiguous float32 (m, n) work arrays: ``A`` is rounded into the
-    first, the products are made in float32 into the second and then
-    widened into ``out``, so that K is never upcast.
+    None marks a block of one row per set, in set order.  None means one
+    such block over all of ``A``.  When ``K`` is float32, the first two
+    entries of ``cast`` are C-contiguous float32 (m, n) work arrays: ``A``
+    is rounded into the first, the products are made in float32 into the
+    second and then widened into ``out``, so that K is never upcast.
 
     A block of one row runs as the GEMV K_k @ a, bit for bit the product a
     one-cell run computes.  A block of several rows runs as one GEMM,
     A_k @ K_k: that equals K_k applied to each row exactly in real
     arithmetic, because K_k is symmetric, but the GEMM sums in another
-    order than the GEMV, so the two differ in the last bits.  A block that
-    covers every set makes all of its products in one call, the broadcast
-    ``K @ a`` for one row per set and ``A.reshape(f, r, n) @ K`` for r
-    rows: numpy runs these as the same GEMV or GEMM per set, bit for bit.
-    The result depends only on the block sizes, not on what else is in
-    ``A``.
+    order than the GEMV, so the two differ in the last bits.  A block of
+    one row per set makes all of its GEMVs in one broadcast ``K @ a``,
+    which numpy runs as the same GEMV per set, bit for bit.  The result
+    depends only on the block sizes, not on what else is in ``A``.
     """
     if cast is not None:
         np.copyto(cast[0], A)
         gram_products(K, cast[0], cast[1], spans)
         np.copyto(out, cast[1])
         return
-    f, n = K.shape[0], K.shape[-1]
     for k, rows in [(None, slice(0, len(A)))] if spans is None else spans:
-        r = rows.stop - rows.start
-        if k is None and r == f:
+        if k is None:
             np.matmul(K, A[rows, :, None], out=out[rows, :, None])
-        elif k is None:
-            np.matmul(A[rows].reshape(f, r // f, n), K, out=out[rows].reshape(f, r // f, n))
-        elif r == 1:
+        elif rows.stop - rows.start == 1:
             np.matmul(K[k], A[rows.start], out=out[rows.start])
         else:
             np.matmul(A[rows], K[k], out=out[rows])
@@ -314,9 +307,9 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     call.  Each cell keeps its own targets, mini-batch draws, trace and
     early stop.  K alpha (and, at full batch, K d) runs through
     :func:`gram_products` per block of one kind and set: one GEMM, or a
-    GEMV for a block of one row, all of a kind's blocks in one call when
-    they cover every set alike; a mini-batch's K_B^T d is one GEMV per row
-    on its gathered batch rows.  So:
+    GEMV for a block of one row, all of a kind's GEMVs in one call when it
+    holds one row per set; a mini-batch's K_B^T d is one GEMV per row on
+    its gathered batch rows.  So:
 
     * a cell alone among its kind's rows in its set is bit-identical to a
       one-cell run;
@@ -384,8 +377,8 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
 
     def layout(cells):
         # each row's set; each kind's (set, rows) blocks for gram_products,
-        # one block of set None when its rows cover every set alike, so
-        # that one call makes all of its products (against a matmul per
+        # one block of set None when the kind holds one row per set, so
+        # that one broadcast makes all of its GEMVs (against a matmul per
         # set, that won 9 of 10 pairs of 35 s cli_bench runs when every
         # product was a row GEMV: fits_per_ref median 0.2113 against
         # 0.1997, 2-core VM); each kind's loss stack and rows; and every
@@ -398,7 +391,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             rows = slice(lo, lo + len(group))
             stacks.append((stack_losses([loss[c] for c in group], s), rows))
             counts = np.bincount([fold[c] for c in group], minlength=f)
-            if counts.min() == counts.max():
+            if counts.min() == counts.max() == 1:
                 spans.append((None, rows))
             else:
                 ends = lo + np.cumsum(counts)

@@ -652,8 +652,8 @@ class TestBench:
 
 
 class TestJointBench:
-    """A bench trains each dataset's recipes in one joint search and every
-    refit in one joint call, bit for bit one recipe at a time."""
+    """A bench trains each dataset's recipes in one joint search and each
+    recipe's refits in one joint call, bit for bit one recipe at a time."""
 
     # the default grid at C = 100: hawkeye's 6 cells halve at step 10 to 4,
     # which resume from there; least squares and insensitive have 3 cells
@@ -684,9 +684,10 @@ class TestJointBench:
         return rows
 
     @pytest.mark.parametrize("flags", [[], ["--set", "adam.batch_size=1000", "--set", "bench.report=refit"]])
-    def test_matches_one_recipe_benches(self, tmp_path, flags):
+    def test_matches_one_recipe_benches(self, tmp_path, capsys, flags):
         data = self.datasets(tmp_path)
         joint = self.outputs(self.bench(tmp_path, "joint", data, self.RECIPES, *flags))
+        assert "one at a time" not in capsys.readouterr().err  # the joint calls ran, and did not fall back
         alone = [self.outputs(self.bench(tmp_path, name, data, [name], *flags)) for name in self.RECIPES]
         for name in ("best_params.csv", "cells.csv", "results.csv", "timing.csv"):
             # each file's rows sorted by (dataset, model), cells in grid order
@@ -718,8 +719,8 @@ class TestJointBench:
                 assert seconds[m] == pytest.approx(0.5 * steps[m] / sum(steps.values()), abs=1e-6)
 
     def test_failed_refit_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
-        # the joint refit fails, and so does every refit of least_squares
-        # alone: the other refits run alone, with the joint call's results
+        # least_squares' joint refit fails, and so does each of its refits
+        # alone; the other recipes' joint refits run
         import helssvr.cli
 
         data = self.datasets(tmp_path)
@@ -742,7 +743,10 @@ class TestJointBench:
         ]
         for name in ("best_params.csv", "cells.csv", "results.csv", "timing.csv"):
             assert got[name] == [r for r in want[name] if r[1] != "least_squares"]
-        assert "Traceback" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.count("joint refit") == 1
+        assert "joint refit of least_squares failed (RuntimeError: refit exploded); running its work items" in err
 
 
 class TestRank:
@@ -958,7 +962,10 @@ class TestBenchIsolatesFailures:
             [str(d1), "least_squares", "RuntimeError", "solver exploded"],
             [str(d2), "least_squares", "RuntimeError", "solver exploded"],
         ]
-        assert "Traceback" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        for path in (d1, d2):
+            assert f"joint search of {path} failed (RuntimeError: solver exploded); running its work items" in err
 
 
 class TestPredictNonFinite:

@@ -623,6 +623,27 @@ class TestFitCellsMixedKinds:
         with pytest.raises(ValueError, match="fit_cells got 2 kernels for 4 training sets"):
             fit_cells(TestFitCellsAcrossSets().sets(), self.kernels[:2], [(0, hawkeye(), 1.0, 0.01, 0)])
 
+    @pytest.mark.parametrize("first", [[], [(0, LossSpec("least_squares"), 1.0, 1e-2, 9)]])
+    def test_one_chunk_of_a_kind_per_stack(self, monkeypatch, first):
+        # at 3 rows a stack, hawkeye's 2 + 1 cells on two sets make a chunk
+        # of one cell per set and one of set 0's second cell; the two
+        # chunks never share a stack, whatever kind comes first, so each
+        # hawkeye cell stays the only row of its kind and set: a fit of
+        # its own, bit for bit
+        import helssvr.model
+
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", 3)
+        rng = np.random.default_rng(81)
+        sets = [(X, np.sin(3 * X[:, 0])) for X in rng.uniform(-1, 1, (2, 21, 2))]
+        he = [(0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 1), (1, hawkeye(), 1.0, 1e-2, 2), (0, hawkeye(), 100.0, 1e-3, 3)]
+        adam = AdamConfig(max_iter=30, batch_size=8)
+        fitted = fit_cells(sets, self.kernels[0], [*first, *he], adam, scaling="zscore")
+        want = [
+            fit(*sets[j], self.kernels[0], loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
+            for j, loss, C, gamma, seed in he
+        ]
+        assert_same_fits(fitted[len(first):], want)
+
 
 class TestPredictCells:
     def test_matches_predict_of_each_model(self):
