@@ -19,7 +19,7 @@ import os
 import sys
 import time
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import product
 
 import numpy as np
@@ -477,6 +477,9 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         write_csv(failures_path, ["dataset", "model", "error_type", "error"], failures)
         print(f"failed work items   : {len(failures)} -> {failures_path}", file=sys.stderr)
         return 1
+    # an earlier run's failures would read as this run's
+    with suppress(FileNotFoundError):
+        os.remove(failures_path)
     return 0
 
 

@@ -175,44 +175,6 @@ def _enumerate_cells(grid: GridSpec, recipe: ModelRecipe) -> list[CellParams]:
     ]
 
 
-def _search_sigma(ds, folds, recipes, cells, members, kernel, adam, scaling, seed, states):
-    """Train and score, with one kernel, the cells ``members[r]`` of each
-    recipe r; returns each recipe's results by cell, with their fold
-    results (the caller sets each statistic).
-
-    Every fold of every cell trains in one :func:`fit_cells` call, which
-    stacks folds of equal size while their Gram matrices fit its budget.
-    A (cell, fold) with an entry in ``states[r]`` resumes from it, and every
-    (cell, fold) leaves its final optimizer state there.  Each fold's
-    held-out kernel rows are computed once for all its cells, in one
-    :func:`predict_cells` call.
-    """
-    owners = [(r, i) for r, ids in enumerate(members) for i in ids]
-    cell_losses = [recipes[r].build_loss(cells[r][i].epsilon, cells[r][i].lam, cells[r][i].a) for r, i in owners]
-    all_idx = np.arange(ds.n)
-    train = [np.setdiff1d(all_idx, test_idx, assume_unique=True) for test_idx in folds]
-    specs = [
-        (j, loss, cells[r][i].C, cells[r][i].gamma, child_seed(seed, i, j))
-        for j in range(len(folds))
-        for (r, i), loss in zip(owners, cell_losses)
-    ]
-    fitted = fit_cells(
-        [(ds.X[idx], ds.y[idx]) for idx in train], kernel, specs, adam, scaling=scaling,
-        resume=[states[r].get((i, j)) for j in range(len(folds)) for r, i in owners],
-    )
-    results = [{i: CellResult(cells[r][i], [], [], [], math.nan) for i in ids} for r, ids in enumerate(members)]
-    for j, test_idx in enumerate(folds):
-        fold_fits = fitted[j * len(owners) : (j + 1) * len(owners)]
-        preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
-        for (r, i), (_, report), pred in zip(owners, fold_fits, preds):
-            metrics = compute_metrics(ds.y[test_idx], pred)
-            states[r][i, j] = report.state
-            results[r][i].fold_rmse.append(metrics.rmse)
-            results[r][i].fold_metrics.append(metrics)
-            results[r][i].fold_reports.append(replace(report, state=None))
-    return results
-
-
 #: successive halving's rungs, in tenths of ``max_iter`` (100 and 300 of
 #: the default 1000 steps); see :func:`grid_search_cv`
 RUNG_TENTHS = (1, 3)
@@ -255,16 +217,17 @@ def grid_search_cv(
     (C, sigma, epsilon, lambda, a, gamma) order.
 
     Cells that share a kernel width form one work item per rung: all their
-    folds train in one :func:`fit_cells` call, each fold's Gram matrix
-    built once and folds of equal size stacked within its budget.  Cell
-    i's fold j trains with the Adam seed ``child_seed(seed, i, j)``.  Its
-    numbers are bit-identical from run to run for the same grid and
-    ``model.STACK_ROWS``.  A cell that trains all the way with the same
-    stack layout at every rung is bit-identical to an exhaustive search's,
-    and every cell agrees with a standalone :func:`fit` of its steps with
-    that seed to rounding.  The returned coefficients average the Adam
-    iterates, so that rounding did not move the selected cell on any input
-    of the README's seed sweep, where the last iterate did.  Work items
+    folds train in one :func:`fit_cells` call, from one step, each fold's
+    Gram matrix built once and folds of equal size stacked within its
+    budget.  Cell i's fold j trains with the Adam seed
+    ``child_seed(seed, i, j)``.  Its numbers are bit-identical from run to
+    run for the same grid and ``model.STACK_ROWS``.  A cell that trains all
+    the way with the same stack layout at every rung is bit-identical to an
+    exhaustive search's, and every cell agrees with a standalone
+    :func:`fit` of its steps with that seed to rounding.  The returned
+    coefficients average the Adam iterates, so that rounding did not move
+    the selected cell on any input of the README's seed sweep, where the
+    last iterate did.  Work items
     run one after another: threads measured slower, because each Adam
     step's Python work holds the GIL.  This is the one-recipe case of
     :func:`grid_search_recipes`.
@@ -285,17 +248,23 @@ def grid_search_recipes(
     trained together; returns one result per recipe, bit for bit the
     result of its own :func:`grid_search_cv`.
 
-    The recipes (distinct loss kinds) share the folds.  Their rungs run in
-    lockstep: each recipe halves on its own ranking, skips the rungs its
-    own rule skips, and keeps its cell indices, so cell i's fold j of
-    every recipe trains with the Adam seed ``child_seed(seed, i, j)``.  At
-    each rung one :func:`fit_cells` call per kernel width trains the cells
-    of every recipe, which share each fold's Gram matrix and, when they
-    start from one step, its optimizer stacks; one :func:`predict_cells`
-    call per fold scores them.  A stack gives each kind's rows the bits of
-    a stack of that kind alone, so every number equals the one-recipe
-    search's.  An error of any recipe, such as a grid with no finite
-    statistic, fails the whole call.
+    The recipes (distinct loss kinds) share the folds and the rungs.  A
+    rung runs when some recipe has more than :data:`HALVING_FLOOR` cells
+    still training; every recipe then trains its cells to it and is scored
+    there.  Only the recipes above the floor drop their stopped cells and
+    halve, each on its own ranking; a recipe at the floor keeps every
+    cell, so that its stacks hold the cells its own search trains straight
+    on.  Each recipe keeps its cell indices, so cell i's fold j of every
+    recipe trains with the Adam seed ``child_seed(seed, i, j)``.  At each
+    rung one :func:`fit_cells` call per kernel width trains the cells of
+    every recipe, all from one step, in shared optimizer stacks on each
+    fold's Gram matrix; one :func:`predict_cells` call per fold scores
+    them.  A run to a rung resumed to step T is bit-identical to a run to T
+    in the same stack layout, and a stack gives each kind's rows the bits
+    of a stack of that kind alone, so every number equals the one-recipe
+    search's.  The k training sets are built once per call.  An error of
+    any recipe, such as a grid with no finite statistic, fails the whole
+    call.
     """
     if selection not in ("best_fold", "mean"):
         raise ValueError(f"selection must be 'best_fold' or 'mean', got {selection!r}")
@@ -306,6 +275,9 @@ def grid_search_recipes(
     if adam is None:
         adam = AdamConfig()
     folds = kfold_split(ds.n, grid.k, seed)
+    # the k training sets, which every rung and kernel width trains on
+    all_idx = np.arange(ds.n)
+    sets = [(ds.X[idx], ds.y[idx]) for idx in (np.setdiff1d(all_idx, t, assume_unique=True) for t in folds)]
     cells = [_enumerate_cells(grid, recipe) for recipe in recipes]
     # each recipe's latest result per cell, its (cell, fold) optimizer
     # states, and the cells it still trains
@@ -320,26 +292,48 @@ def grid_search_recipes(
     rungs = [adam.max_iter * r // 10 for r in RUNG_TENTHS]
     for steps in [*(r for r in rungs if 0 < r < adam.max_iter), adam.max_iter]:
         final = steps == adam.max_iter
-        active = [r for r in range(len(recipes)) if final or len(training[r]) > HALVING_FLOOR]
-        sigmas: dict = {}  # each kernel width's training cells of every recipe
-        for r in active:
-            for i in training[r]:
-                sigmas.setdefault(cells[r][i].sigma, [[] for _ in recipes])[r].append(i)
+        if not final and all(len(ids) <= HALVING_FLOOR for ids in training):
+            continue
+        sigmas: dict = {}  # each kernel width's (recipe, cell) pairs that train
+        for r, ids in enumerate(training):
+            for i in ids:
+                sigmas.setdefault(cells[r][i].sigma, []).append((r, i))
         run = replace(adam, max_iter=steps)
-        for sigma, members in sigmas.items():
-            kernel = recipes[0].build_kernel(sigma)
-            found = _search_sigma(ds, folds, recipes, cells, members, kernel, run, scaling, seed, states)
-            for r, by_cell in enumerate(found):
-                for i, res in by_cell.items():
-                    res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
-                    results[r][i] = res
-        for r in active:
-            training[r] = [i for i in training[r] if not all(states[r][i, j].stopped for j in range(len(folds)))]
-            if final:
+        for sigma, owners in sigmas.items():
+            # every fold of every cell in one fit_cells call, each fold's
+            # held-out kernel rows once for all its cells
+            params = [cells[r][i] for r, i in owners]
+            cell_losses = [recipes[r].build_loss(p.epsilon, p.lam, p.a) for (r, _), p in zip(owners, params)]
+            specs = [
+                (j, loss, p.C, p.gamma, child_seed(seed, i, j))
+                for j in range(len(folds))
+                for (_, i), loss, p in zip(owners, cell_losses, params)
+            ]
+            resume = [states[r].get((i, j)) for j in range(len(folds)) for r, i in owners]
+            fitted = fit_cells(sets, recipes[0].build_kernel(sigma), specs, run, scaling=scaling, resume=resume)
+            found = [CellResult(p, [], [], [], math.nan) for p in params]
+            for j, test_idx in enumerate(folds):
+                fold_fits = fitted[j * len(owners) : (j + 1) * len(owners)]
+                preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
+                for (r, i), res, (_, report), pred in zip(owners, found, fold_fits, preds):
+                    metrics = compute_metrics(ds.y[test_idx], pred)
+                    states[r][i, j] = report.state
+                    res.fold_rmse.append(metrics.rmse)
+                    res.fold_metrics.append(metrics)
+                    res.fold_reports.append(replace(report, state=None))
+            for (r, i), res in zip(owners, found):
+                res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
+                results[r][i] = res
+        for r, ids in enumerate(training):
+            # a recipe at the floor keeps every cell, even one whose folds
+            # all stopped early, so that its stacks hold the cells a search
+            # of it alone trains straight on
+            if final or len(ids) <= HALVING_FLOOR:
                 continue
+            ids = [i for i in ids if not all(states[r][i, j].stopped for j in range(len(folds)))]
             # sorted is stable, so ties go to the earlier cell
-            ranked = sorted(training[r], key=lambda i: rank(results[r][i]))
-            keep = max(HALVING_FLOOR, -(-len(training[r]) // 2))
+            ranked = sorted(ids, key=lambda i: rank(results[r][i]))
+            keep = max(HALVING_FLOOR, -(-len(ids) // 2))
             for i in ranked[keep:]:
                 results[r][i].fold_reports = [
                     f if f.stop_reason == "early_stop" else replace(f, stop_reason="halved")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -177,12 +176,13 @@ def fit_cells(
     when their sets agree in size (see :func:`_fold_stacks`).  Each loss
     kind's cells are chunked as if they trained alone: a chunk takes the
     same number of cells (at most :data:`STACK_ROWS` in all) from each set
-    of a group, in cell order.  Chunks of one group whose cells start from
-    one step count (fresh, or resumed from one step) are packed, in order,
+    of a group, in cell order.  A group's chunks are packed, in order,
     into optimizer stacks of at most :data:`STACK_ROWS` rows and at most
-    one chunk of each kind; the cells of a chunk must all start fresh or
-    from one step count.  Only one group's Grams are held at a time, in
-    one buffer.  Results are bit-identical for the same cells and
+    one chunk of each kind.  The cells of a stack that still train must
+    all start fresh or all resume from one step count (a state the
+    early-stopping rule ended trains no further); :func:`train_adam`
+    raises otherwise.  Only one group's Grams are held at a time, in one
+    buffer.  Results are bit-identical for the same cells and
     :data:`STACK_ROWS`, and a kind's cells get the same bits whatever other
     kinds train in the call, since a stack gives each kind's rows the bits
     of a stack of that kind alone (see
@@ -222,11 +222,6 @@ def fit_cells(
     for i, (j, loss, *_) in enumerate(cells):
         cells_of.setdefault(loss.kind, [[] for _ in sets])[j].append(i)
 
-    def start(chunk):
-        # the step count the chunk's cells resume from (0 when fresh); a
-        # cell the early-stopping rule ended trains no further
-        return next((resume[i].t for _, i in chunk if resume[i] is not None and not resume[i].stopped), 0)
-
     out = [None] * len(cells)
     used = [j for j in range(len(sets)) if any(of[j] for of in cells_of.values())]
     for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
@@ -248,22 +243,21 @@ def fit_cells(
             scaled.append((Xs, state_scaling, (time.perf_counter() - t0) / per_set))
 
         # a chunk takes the same number of cells of its kind from each set,
-        # so that its layout stays uniform across the sets; the chunks that
-        # start from one step are packed into stacks, in order, one chunk
-        # of a kind per stack: two would share the kind's (kind, set)
-        # blocks, and so change their products
+        # so that its layout stays uniform across the sets; the chunks are
+        # packed into stacks, in order, one chunk of a kind per stack: two
+        # would share the kind's (kind, set) blocks, and so change their
+        # products
         per = max(1, STACK_ROWS // len(group))
-        stacks: dict = {}  # start step -> the kinds and (position in group, cell) rows of each stack
+        stacks = [(set(), [])]  # the kinds and (position in group, cell) rows of each stack
         for kind, of in cells_of.items():
             of = [of[j] for j in group]
             for lo in range(0, max(map(len, of)), per):
                 chunk = [(k, i) for k, ids in enumerate(of) for i in ids[lo : lo + per]]
-                packed = stacks.setdefault(start(chunk), [(set(), [])])
-                if kind in packed[-1][0] or len(packed[-1][1]) + len(chunk) > STACK_ROWS:
-                    packed.append((set(), []))
-                packed[-1][0].add(kind)
-                packed[-1][1].extend(chunk)
-        for _, stack_rows in chain.from_iterable(stacks.values()):
+                if kind in stacks[-1][0] or len(stacks[-1][1]) + len(chunk) > STACK_ROWS:
+                    stacks.append((set(), []))
+                stacks[-1][0].add(kind)
+                stacks[-1][1].extend(chunk)
+        for _, stack_rows in stacks:
             folds, rows = zip(*stack_rows)
             _, losses, Cs, gammas, seeds = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()

@@ -66,6 +66,13 @@ class TestConfigPrecedence:
         assert cfg["adam.gamma"] == 0.001
         assert cfg["seed"] == 5
 
+    def test_file_skips_blank_and_comment_lines(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("# a run\n\n   \nseed = 5\n  # gamma left at its default\n")
+        cfg = assemble_config(self.parse_train_args({"config": str(f)}))
+        assert cfg["seed"] == 5
+        assert cfg["adam.gamma"] == 0.01
+
     def test_set_overrides_file(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("adam.gamma = 0.001\n")
@@ -509,6 +516,16 @@ class TestBench:
         assert len(read_rows(outdir / "results.csv")) == 2  # good dataset still processed
         assert (outdir / "failures.csv").exists()
 
+    def test_run_without_failures_removes_stale_failures(self, tmp_path):
+        good = tmp_path / "good.csv"
+        write_toy_csv(good)
+        outdir = tmp_path / "bench"
+        flags = ["--target", "y", "--recipes", "hawkeye", "--outdir", str(outdir), *fast_flags()]
+        assert main(["bench", "--data", str(good), str(tmp_path / "missing.csv"), *flags]) == 1
+        assert (outdir / "failures.csv").exists()
+        assert main(["bench", "--data", str(good), *flags]) == 0
+        assert not (outdir / "failures.csv").exists()
+
     def test_result_files_share_sorted_items(self, tmp_path):
         # datasets and recipes given out of order, with a missing file between
         d1, d2, missing = tmp_path / "t1.csv", tmp_path / "t2.csv", tmp_path / "missing.csv"
@@ -895,6 +912,14 @@ class TestRank:
         assert f"{inp}:1: second column for model 'a'" in capsys.readouterr().err
         assert not (tmp_path / "r_ranks.csv").exists()
 
+    def test_wide_format_without_model_columns_exit_3(self, tmp_path, capsys):
+        inp = tmp_path / "t.csv"
+        inp.write_text("dataset\nd1\nd2\n")
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"{inp}: wide rank table needs model columns" in capsys.readouterr().err
+        assert not (tmp_path / "r_ranks.csv").exists()
+
     def test_wide_format_duplicate_dataset_exit_3(self, tmp_path, capsys):
         inp = tmp_path / "t.csv"
         inp.write_text("dataset,a,b\nd1,0.2,0.3\nd2,0.1,0.4\nd1,0.5,0.6\n")
@@ -933,6 +958,24 @@ class TestBenchIsolatesFailures:
         assert len(failures) == 1 and failures[0][:3] == [str(large), "hawkeye", "ValueError"]
         assert "f=1 matrices of N=60 rows needs 28,864 bytes" in failures[0][3]
         assert "GRAM_MAX_BYTES = 20,000" in failures[0][3]
+
+    def test_search_without_a_finite_cell_fails_its_work_items(self, tmp_path):
+        # a learning rate of 1e300 makes every fold RMSE non-finite; the
+        # objective overflows on the way
+        data = tmp_path / "f1.csv"
+        assert main(["synth", "--function", "1", "--noise", "gaussian", "--n", "40", "--seed", "1",
+                     "--out", str(data)]) == 0
+        outdir = tmp_path / "bench"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["bench", "--data", str(data), "--target", "y", "--drop", "y_true",
+                       "--recipes", "least_squares,hawkeye", "--outdir", str(outdir),
+                       "--set", "grid.gamma=1e300", "--set", "adam.max_iter=1", "--set", "grid.k=2"])
+        assert rc == 1
+        assert read_rows(outdir / "results.csv")[1:] == []
+        assert read_rows(outdir / "failures.csv")[1:] == [
+            [str(data), model, "ValueError", "no grid cell produced a finite fold RMSE"]
+            for model in ("least_squares", "hawkeye")
+        ]
 
     def test_unexpected_exception_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
         import helssvr.cli

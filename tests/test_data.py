@@ -87,6 +87,19 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="target"):
             load_csv(p, has_header=True, target_column="z")
 
+    @pytest.mark.parametrize("text, options, message", [
+        ("", {}, "no rows"),
+        ("1,2\n3,4\n", dict(has_header=False, target_column="y"), "target column given by name but the file has no"),
+        ("a,y\n1,2\n", dict(target_column=2), "target column index 2 out of range for width 2"),
+        ("a,y\n1,2\n", dict(target_column="y", drop_columns=("a",)), "no feature columns left"),
+        ("a,y\n1,2\nnan,3\n", {}, "non-finite values in data"),
+    ], ids=["empty", "name-without-header", "index-out-of-range", "no-features", "nan-cell"])
+    def test_unusable_file_rejected(self, tmp_path, text, options, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(p, **options)
+
     def test_dropped_column_is_not_parsed(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("id,x,y\na,0.1,1.0\nb,0.2,oops\nc,0.3,3.0\n")
@@ -188,6 +201,15 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(function_id=0, noise="gaussian")
 
+    @pytest.mark.parametrize("options, message", [
+        (dict(noise="cauchy"), "noise must be one of"),
+        (dict(n_samples=0), "n_samples must be >= 1"),
+        (dict(sampling="random"), "sampling must be 'uniform' or 'grid', got 'random'"),
+    ])
+    def test_bad_spec(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**{"function_id": 1, "noise": "gaussian", **options})
+
     def test_domains_respected(self):
         for fid, (lo, hi) in ((1, (0, 2 * np.pi)), (2, (-4, 4))):
             ds, _ = generate_synthetic(SyntheticSpec(fid, "gaussian", n_samples=500, seed=3))
@@ -283,6 +305,11 @@ class TestScaling:
         with pytest.raises(ValueError):
             scale_fit(np.eye(2), np.zeros(2), "standard")
 
+    def test_feature_count_mismatch(self):
+        state = scale_fit(np.eye(2), np.zeros(2), "minmax")
+        with pytest.raises(ValueError, match="feature count 3 does not match fitted scaler \\(2\\)"):
+            scale_features(state, np.zeros((1, 3)))
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -308,3 +335,7 @@ class TestDatasetValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Dataset(X=np.array([[np.nan]]), y=np.zeros(1))
+
+    def test_one_dimensional_X_rejected(self):
+        with pytest.raises(ValueError, match="X must be 2-d"):
+            Dataset(X=np.zeros(3), y=np.zeros(3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helssvr.data import Dataset
+from helssvr.data import Dataset, SyntheticSpec, generate_synthetic
 from helssvr.evaluation import (
     NEMENYI_Q_ALPHA_05,
     GridSpec,
@@ -168,6 +168,15 @@ class TestRankStatistics:
     def test_cd_hand_case(self):
         assert nemenyi_cd(1.0, p=2, D=1) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: friedman_chi2([1.0], D=3), "need at least two models"),
+        (lambda: friedman_chi2([1.0, 2.0], D=0), "need at least one dataset"),
+        (lambda: nemenyi_cd(0.0, p=2, D=1), "q_alpha must be > 0"),
+    ], ids=["one-model", "no-dataset", "zero-q"])
+    def test_domain_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_q_table_entry(self):
         assert NEMENYI_Q_ALPHA_05[4] == 2.569
 
@@ -277,6 +286,15 @@ class TestRankModels:
         with pytest.raises(ValueError, match="q_alpha"):
             rank_models(table)
 
+    @pytest.mark.parametrize("table, tie, message", [
+        ([0.1, 0.2], "competition", "rank table must be 2-d"),
+        ([[0.1], [0.2]], "competition", "need at least two models to rank"),
+        ([[0.1, 0.2]], "dense", "tie must be 'competition' or 'fractional', got 'dense'"),
+    ], ids=["1-d", "one-model", "unknown-tie"])
+    def test_bad_arguments_rejected(self, table, tie, message):
+        with pytest.raises(ValueError, match=message):
+            rank_models(np.array(table), tie=tie)
+
     @pytest.mark.parametrize("decimals", [-1, -4])
     def test_negative_decimals_rejected(self, decimals):
         with pytest.raises(ValueError, match="rank_decimals must be >= 0"):
@@ -306,6 +324,15 @@ def fast_adam(**kw):
 
 
 class TestGridSearch:
+    def test_no_finite_cell_raises(self):
+        # a learning rate of 1e300 sends every fold's coefficients to
+        # infinity in one step; the objective overflows on the way
+        ds, _ = generate_synthetic(SyntheticSpec(function_id=1, noise="gaussian", n_samples=40, seed=1))
+        grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.5,), gamma_values=(1e300,), k=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="no grid cell produced a finite fold RMSE"):
+                grid_search_cv(ds, grid, recipe_from_name("hawkeye"), adam=fast_adam(max_iter=1))
+
     def test_single_cell_returns_it(self):
         ds = toy_dataset()
         grid = GridSpec(C_values=(10.0,), sigma_values=(0.5,), k=3)
@@ -405,6 +432,14 @@ class TestGridSearch:
                 assert (getattr(cell, p) is not None) == (p in axes)
             loss = recipe.build_loss(cell.epsilon, cell.lam, cell.a)
             assert loss.params() == {**fixed, **{p: getattr(cell, p) for p in axes}}
+
+    @pytest.mark.parametrize("options, message", [
+        (dict(epsilon_values=()), "grid epsilon_values must be non-empty"),
+        (dict(k=1), "grid k must be >= 2"),
+    ], ids=["empty-axis", "one-fold"])
+    def test_bad_grid_rejected(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(**{"C_values": (1.0,), "sigma_values": (0.5,), **options})
 
     def test_fold_infeasible(self):
         ds = toy_dataset(n=4)
@@ -558,11 +593,12 @@ class TestSuccessiveHalving:
 
 class TestJointSearch:
     """Several recipes searched together, bit for bit each recipe's own
-    search.  On this grid hawkeye halves 16 cells to 8 and to 4, so it
-    resumes from step 45; insensitive halves 8 to 4 and skips the second
-    rung, resuming from step 15; least squares has 4 cells and trains
-    straight on from step 0.  The 61 rows give training sets of 40 and 41
-    rows, which train in separate stacks."""
+    search.  On this grid hawkeye halves 16 cells to 8 and to 4 at steps
+    15 and 45; insensitive halves 8 to 4 at step 15; least squares has 4
+    cells and never halves.  Searched alone, insensitive skips the second
+    rung and least squares both; searched together, every recipe trains
+    to both.  The 61 rows give training sets of 40 and 41 rows, which
+    train in separate stacks."""
 
     grid = GridSpec(
         C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), epsilon_values=(0.05, 0.1), a_values=(1.0, 3.0), k=3
@@ -604,9 +640,10 @@ class TestJointSearch:
         assert {15, 45, 150} <= steps
 
     def test_one_fit_and_predict_call_per_sigma_and_rung(self, monkeypatch):
-        # rung 15: hawkeye and insensitive; rung 45: hawkeye; the end: all
-        # three; each rung one fit_cells call per sigma its cells train
-        # at, and one predict_cells call per fold of each
+        # all three recipes train to rung 15, to rung 45 and to the end,
+        # though only hawkeye and insensitive halve; each rung one
+        # fit_cells call per sigma its cells train at, and one
+        # predict_cells call per fold of each
         import helssvr.evaluation
 
         calls = {"fit": [], "predict": 0}
@@ -629,9 +666,61 @@ class TestJointSearch:
             rungs[steps][sigma] = kinds
         assert list(rungs) == [15, 45, 150]
         assert [set().union(*by_sigma.values()) for by_sigma in rungs.values()] == [
-            {"hawkeye", "insensitive"}, {"hawkeye"}, {"hawkeye", "insensitive", "least_squares"}
-        ]
+            {"hawkeye", "insensitive", "least_squares"}
+        ] * 3
         assert calls["predict"] == 3 * len(calls["fit"])
+
+    @pytest.mark.parametrize("stop", [{}, dict(early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)])
+    def test_recipe_at_the_floor_trains_to_the_rung(self, monkeypatch, stop):
+        # hawkeye's 8 cells halve to 4 at step 15, so only that rung runs;
+        # least squares' 4 cells train to it beside them and resume from it,
+        # and every train_adam call's cells start from one step
+        import helssvr.model
+        from helssvr.evaluation import grid_search_recipes
+
+        grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), epsilon_values=(0.05, 0.1), k=3)
+        recipes = [ModelRecipe("hawkeye"), ModelRecipe("least_squares")]
+        adam = fast_adam(batch_size=32, **stop)
+        ds = toy_dataset(n=61, seed=8)
+        calls = []
+        real = helssvr.model.train_adam
+
+        def spy(gram, y, C, loss, cfg, **kw):
+            starts = {0 if s is None else s.t for s in kw["resume"] if s is None or not s.stopped}
+            calls.append(({spec.kind for spec in loss}, cfg.max_iter, starts))
+            return real(gram, y, C, loss, cfg, **kw)
+
+        monkeypatch.setattr(helssvr.model, "train_adam", spy)
+        joint = grid_search_recipes(ds, grid, recipes, seed=11, adam=adam, scaling="zscore")
+        assert all(len(starts) <= 1 for *_, starts in calls)
+        assert {(max_iter, *starts) for kinds, max_iter, starts in calls if "least_squares" in kinds} >= {
+            (15, 0), (150, 15)
+        }
+        for recipe, res in zip(recipes, joint, strict=True):
+            (alone,) = grid_search_recipes(ds, grid, [recipe], seed=11, adam=adam, scaling="zscore")
+            assert self.summary(res) == self.summary(alone)
+            assert res.cells.index(res.best) == alone.cells.index(alone.best)
+
+    def test_recipe_at_the_floor_keeps_its_stopped_cells(self):
+        # 10 folds of 90 training rows share a stack, so a chunk takes 3
+        # cells of a kind per set, and least squares' 4 cells of the one
+        # sigma make chunks of cells 0-2 and 3.  Two of them stop early on
+        # every fold before the rung at step 10 that hawkeye's 8 cells run;
+        # the search trains them on beside cell 3, which then stays in a
+        # chunk of its own, as in a search of least squares alone
+        from helssvr.evaluation import grid_search_recipes
+
+        X = np.random.default_rng(3).uniform(-1, 1, (100, 2))
+        ds = Dataset(X=X, y=np.sin(3 * X[:, 0]) + 0.1 * np.random.default_rng(4).normal(size=100), name="ten")
+        grid = GridSpec(C_values=(1e-3, 1e-2, 1.0, 100.0), sigma_values=(0.5,), epsilon_values=(0.05, 0.1), k=10)
+        recipes = [ModelRecipe("hawkeye"), ModelRecipe("least_squares")]
+        adam = AdamConfig(max_iter=100, batch_size=1000, early_stop=True, early_stop_tol=3e-2, early_stop_patience=3)
+        joint = grid_search_recipes(ds, grid, recipes, seed=1, adam=adam, scaling="zscore")
+        steps = [max(r.iterations for r in cell.fold_reports) for cell in joint[1].cells]
+        assert sum(s < 10 for s in steps) == 2 and steps[3] > 10
+        for recipe, res in zip(recipes, joint, strict=True):
+            (alone,) = grid_search_recipes(ds, grid, [recipe], seed=1, adam=adam, scaling="zscore")
+            assert self.summary(res) == self.summary(alone)
 
     def test_recipes_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct recipes, got \\['hawkeye', 'hawkeye'\\]"):

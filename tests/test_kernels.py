@@ -63,6 +63,10 @@ class TestGram:
         with pytest.raises(ValueError):
             gram_matrix(KernelSpec("rbf", sigma=1.0), np.zeros((0, 3)))
 
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2-d sample matrix, got ndim=3"):
+            gram_matrix(KernelSpec("rbf", sigma=1.0), np.zeros((2, 2, 2)))
+
     def test_symmetry_and_range_randomized(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

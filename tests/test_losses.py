@@ -216,6 +216,15 @@ class TestConstruction:
             LossSpec(**kwargs)
         assert str(exc.value) == message
 
+    def test_required_params_of_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown loss kind 'nope'"):
+            losses.required_params("nope")
+
+    def test_stack_of_mixed_kinds_rejected(self):
+        specs = [LossSpec("least_squares"), LossSpec("huber", theta=1.0)]
+        with pytest.raises(ValueError, match=r"specs of exactly one kind, got \['huber', 'least_squares'\]"):
+            losses.stack_losses(specs, 3)
+
     def test_boundaries_accepted(self):
         # each non-strict bound admits its own value
         LossSpec("insensitive", epsilon=0.0)

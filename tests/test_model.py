@@ -484,6 +484,12 @@ class TestFitCellsAcrossSets:
         with pytest.raises(ValueError, match=r"set indices must lie in \[0, 1\)"):
             fit_cells([(np.eye(3), np.ones(3))], rbf(), [(1, hawkeye(), 1.0, 0.01, 0)])
 
+    def test_no_cells_rejected(self):
+        from helssvr.model import fit_cells
+
+        with pytest.raises(ValueError, match="fit_cells needs at least one cell"):
+            fit_cells([(np.eye(3), np.ones(3))], rbf(), [])
+
 
 def assert_same_fits(got, want):
     """Cells of two :func:`fit_cells` calls, bit for bit."""
@@ -559,34 +565,27 @@ class TestFitCellsMixedKinds:
 
     @pytest.mark.parametrize("batch_size", [5, 1000])
     def test_resume_to_a_rung(self, monkeypatch, batch_size):
-        # the hawkeye cells resume from step 17 while the other kinds start
-        # fresh, as a search's halving and non-halving recipes do: the two
-        # start steps train in separate stacks of each set group
-        import helssvr.model
+        # every kind trained to step 17 and resumed to 60, as a search's
+        # recipes train to a rung and on, is bit for bit one 60-step call;
+        # hawkeye resumed from 17 beside fresh cells of the other kinds
+        # shares their stacks, and the trainer refuses it before any step
+        import helssvr.optimizer
 
         sets = TestFitCellsAcrossSets().sets()
         cells = self.cells(sets)
         adam = AdamConfig(max_iter=60, batch_size=batch_size)
-        he = [i for i, (_, loss, *_) in enumerate(cells) if loss.kind == "hawkeye"]
-        part = fit_cells(sets, self.kernels, [cells[i] for i in he], replace(adam, max_iter=17), scaling="zscore")
-        resume = [None] * len(cells)
-        for i, (_, report) in zip(he, part):
-            resume[i] = report.state
-        starts = []
-        real = helssvr.model.train_adam
+        part = fit_cells(sets, self.kernels, cells, replace(adam, max_iter=17), scaling="zscore")
+        resumed = self.check(sets, self.kernels, cells, adam, resume=[report.state for _, report in part])
+        assert_same_fits(resumed, fit_cells(sets, self.kernels, cells, adam, scaling="zscore"))
+        steps = []
+        real = helssvr.optimizer.adam_step
+        monkeypatch.setattr(helssvr.optimizer, "adam_step", lambda *a, **kw: steps.append(1) or real(*a, **kw))
+        mixed = [report.state if loss.kind == "hawkeye" else None for (_, loss, *_), (_, report) in zip(cells, part)]
+        with pytest.raises(ValueError, match="resumed cells must share one step count"):
+            fit_cells(sets, self.kernels, cells, adam, scaling="zscore", resume=mixed)
+        assert steps == []
 
-        def spy(gram, y, C, loss, cfg, **kw):
-            starts.append(sorted({0 if state is None else state.t for state in kw["resume"]}))
-            return real(gram, y, C, loss, cfg, **kw)
-
-        monkeypatch.setattr(helssvr.model, "train_adam", spy)
-        resumed = self.check(sets, self.kernels, cells, adam, resume=resume)
-        whole = fit_cells(sets, self.kernels, [cells[i] for i in he], adam, scaling="zscore")
-        assert_same_fits([resumed[i] for i in he], whole)
-        # two set groups (21 and 20 rows), each with a stack per start step
-        assert sorted(starts[:4]) == [[0], [0], [17], [17]]
-
-    def test_one_stack_per_group_and_start(self, monkeypatch):
+    def test_one_stack_per_group(self, monkeypatch):
         # every kind's cells of a set group share one train_adam call while
         # they fit in STACK_ROWS rows
         import helssvr.model
@@ -828,6 +827,12 @@ class TestLoadValidation:
         doc = self.saved_doc()
         edit(doc)
         with pytest.raises(ValueError, match=message):
+            self.load(tmp_path, doc)
+
+    def test_ragged_array_named(self, tmp_path):
+        doc = self.saved_doc()
+        doc["x_train"][0].pop()
+        with pytest.raises(ValueError, match="model field 'x_train' is not a numeric array"):
             self.load(tmp_path, doc)
 
     def test_integer_entries_load(self, tmp_path):

@@ -293,6 +293,8 @@ class TestTrainAdam:
         gram = gram_matrix(KernelSpec("linear"), np.eye(2))
         with pytest.raises(ValueError):
             train_adam(gram, np.zeros(3), 1.0, LossSpec("least_squares"), AdamConfig())
+        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+            train_adam(GramMatrix(np.empty((0, 0))), np.zeros(0), 1.0, LossSpec("least_squares"), AdamConfig())
 
     def test_iteration_counter(self):
         gram, y, C, loss, _ = small_instance(33, n=4)
@@ -880,6 +882,16 @@ class TestResume:
         assert resumed.t < sum(state.t for state in resumed.states)
         # every row arrives stopped or at max_iter: no step runs
         assert self.train(cfg, 57, resume=resumed.states).t == 0
+
+    def test_stack_of_stopped_cells_returns_them(self):
+        # at a tolerance no step can miss, every row stops after patience
+        # steps; resumed, the stack runs no step and returns each state
+        cfg = AdamConfig(batch_size=6, early_stop=True, early_stop_tol=1e300, early_stop_patience=3)
+        part = self.train(cfg, 13)
+        assert all(state.stopped for state in part.states)
+        resumed = self.train(cfg, 57, resume=part.states)
+        assert resumed.t == 0
+        assert all(got is given for got, given in zip(resumed.states, part.states))
 
     def test_resumed_cells_must_share_a_step_count(self):
         gram, Ys, _ = fold_stack()
