@@ -15,7 +15,8 @@ above.  Gram builds and prediction both evaluate kernel rows a block of
 :func:`block_rows` points at a time through :func:`kernel_row`; each row of a block is
 bit-identical to the row of its point alone, so a Gram row, a prediction's
 kernel row and :func:`kernel_row` of one point agree bitwise, and the
-matrix is exactly symmetric.
+matrix is exactly symmetric.  An RBF row sums its squared distances one
+feature at a time, so its bits rest on elementwise operations only.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ def _physical_memory() -> int:
 #: allocated instead of failing in the allocator or swapping
 GRAM_MAX_BYTES = _physical_memory()
 
-#: most bytes of the largest temporary one block of kernel rows makes (an
-#: RBF block's (b, n, d) differences), so that a block stays in the per-core
-#: L2 cache.  Per-point rows cost a Python call each: a 20,000-row predict
-#: against 2000 training rows (d = 1) took a median 0.45 s that way and
-#: 0.22 s in blocks of this size (10 runs each, 2-core Xeon VM).
+#: most bytes of one block of kernel rows' (b, n) arrays together: its
+#: rows and, with more than one feature, an RBF block's scratch, so that a
+#: block stays in the per-core L2 cache.  Blocks of 1 MiB ran a 2000-row
+#: fit plus a 40,000-row predict 2% faster but raised its peak RSS from
+#: 73.7 to 75.6 MB.
 BLOCK_BYTES = 1 << 18
 
 
@@ -106,9 +107,10 @@ def _as_matrix(X) -> np.ndarray:
 
 def block_rows(n: int, d: int) -> int:
     """Points per block of :func:`kernel_row` against n training rows of d
-    features: as many as keep the block's temporaries within
-    :data:`BLOCK_BYTES`, and at least one."""
-    return max(1, BLOCK_BYTES // (8 * n * d))
+    features: as many as keep the block's (b, n) arrays, its rows and, for
+    d > 1, the RBF kernel's scratch, within :data:`BLOCK_BYTES` together,
+    and at least one."""
+    return max(1, BLOCK_BYTES // (8 * n * (2 if d > 1 else 1)))
 
 
 def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
@@ -118,17 +120,22 @@ def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
     One point gives an (n,) row, a block a (b, n) array of rows; either is
     written into ``out`` when given, an array of that shape.  Each row of a
     block is bit-identical to the row of its point alone: the RBF kernel
-    makes the same elementwise operations and per-row sums, and the linear
-    kernel keeps one matrix-vector product per point (a matrix product
-    would sum in another order).
+    makes only elementwise operations, summing the squared differences of
+    one feature at a time, and the linear kernel keeps one matrix-vector
+    product per point (a matrix product would sum in another order).
+    Raises ValueError for ``x`` of more than two dimensions or no features.
     """
     X = _as_matrix(X)
     x = np.asarray(x, dtype=float)
+    if x.ndim > 2:
+        raise ValueError(f"expected one point or a 2-d block of points, got ndim={x.ndim}")
     Q = x if x.ndim == 2 else x.reshape(1, -1)
     if Q.shape[1] != X.shape[1]:
         raise ValueError(
             f"dimension mismatch: point has {Q.shape[1]} features, matrix has {X.shape[1]}"
         )
+    if X.shape[1] == 0:
+        raise ValueError("kernel rows need at least one feature")
     shape = (Q.shape[0], X.shape[0]) if x.ndim == 2 else (X.shape[0],)
     if out is None:
         out = np.empty(shape)
@@ -139,8 +146,13 @@ def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
         for q, row in zip(Q, rows):
             np.matmul(X, q, out=row)
         return out
-    diff = X[None] - Q[:, None]
-    np.einsum("bij,bij->bi", diff, diff, out=rows)
+    np.subtract(X[:, 0], Q[:, :1], out=rows)
+    np.square(rows, out=rows)
+    scratch = np.empty_like(rows) if X.shape[1] > 1 else None
+    for j in range(1, X.shape[1]):
+        np.subtract(X[:, j], Q[:, j : j + 1], out=scratch)
+        np.square(scratch, out=scratch)
+        rows += scratch
     rows /= -(spec.sigma * spec.sigma)
     rows[rows < _LOG_TINY] = -np.inf
     np.exp(rows, out=rows)

@@ -149,6 +149,8 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
+    if X.shape[1] == 0:
+        raise ValueError("cannot fit on samples with no features")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data contains non-finite values")
     return X, y
@@ -314,10 +316,11 @@ def predict_cells(models, X_new) -> list[np.ndarray]:
     and their kernel.  Each new sample's kernel row is computed once, in
     blocks of :func:`helssvr.kernels.block_rows` samples that reuse one
     buffer; each block is scaled as it is evaluated, so the queries are
-    never copied as a whole.  Each raw prediction is that row's dot
-    product with one model's coefficients, so every model's predictions
-    are bit-identical to :func:`predict` of it alone.  Predictions are in
-    original target units.
+    never copied as a whole.  Each model's raw predictions of a block are
+    one ``np.vecdot`` of the block's rows with its coefficients, which runs
+    the same dot loop as ``row @ alpha`` on each row, so every model's
+    predictions are bit-identical to :func:`predict` of it alone.
+    Predictions are in original target units.
     """
     models = list(models)
     if not models:
@@ -328,13 +331,15 @@ def predict_cells(models, X_new) -> list[np.ndarray]:
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim == 1:
         X_new = X_new.reshape(-1, 1)
+    if X_new.ndim != 2:
+        raise ValueError(f"expected a 2-d sample matrix, got ndim={X_new.ndim}")
     if X_new.shape[1] != first.X_train.shape[1]:
         raise ValueError(
             f"feature count {X_new.shape[1]} does not match training data ({first.X_train.shape[1]})"
         )
     if not np.isfinite(X_new).all():
         row, col = np.argwhere(~np.isfinite(X_new))[0]
-        raise ValueError(f"features must be finite: row {row}, column {col} is {X_new[row, col]!r}")
+        raise ValueError(f"features must be finite: row {row}, column {col} is {float(X_new[row, col])}")
     step = block_rows(*first.X_train.shape)
     block = np.empty((min(step, X_new.shape[0]), first.X_train.shape[0]))
     raw = np.empty((len(models), X_new.shape[0]))
@@ -343,9 +348,8 @@ def predict_cells(models, X_new) -> list[np.ndarray]:
         if first.scaling.mode != "none":
             queries = scale_features(first.scaling, queries)
         rows = kernel_row(first.kernel, queries, first.X_train, out=block[: queries.shape[0]])
-        for i, row in enumerate(rows, lo):
-            for c, model in enumerate(models):
-                raw[c, i] = row @ model.alpha
+        for c, model in enumerate(models):
+            np.vecdot(rows, model.alpha, out=raw[c, lo : lo + step])
     return [inverse_target(first.scaling, r) for r in raw]
 
 

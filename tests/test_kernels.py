@@ -26,6 +26,12 @@ class TestKernelEval:
             kernel_row(spec, [1.0, 2.0], np.array([[1.0, 2.0, 3.0]]))
         with pytest.raises(ValueError):
             kernel_row(spec, [1.0, 2.0, 3.0], np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="2-d block of points, got ndim=3"):
+            kernel_row(spec, np.ones((2, 1, 1)), np.ones((4, 1)))
+        with pytest.raises(ValueError, match="at least one feature"):
+            kernel_row(spec, np.empty((2, 0)), np.empty((4, 0)))
+        with pytest.raises(ValueError, match="at least one feature"):
+            gram_matrix(spec, np.empty((4, 0)))
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -109,14 +115,44 @@ class TestGram:
 
 
 def per_point_row(spec, x, X):
-    """One kernel row, written out as the per-point loop computed it before
-    rows were evaluated in blocks: the reference for every blocked row."""
+    """One kernel row of one point, its squared distances summed feature by
+    feature in column order: the reference for every blocked row."""
     if spec.kind == "linear":
         return X @ x
+    diff = X - x
+    dist2 = diff[:, 0] * diff[:, 0]
+    for j in range(1, X.shape[1]):
+        dist2 = dist2 + diff[:, j] * diff[:, j]
+    arg = -dist2 / (spec.sigma * spec.sigma)
+    arg[arg < np.log(np.finfo(float).tiny)] = -np.inf
+    return np.exp(arg)
+
+
+def einsum_row(spec, x, X):
+    """One RBF kernel row with its squared distances summed by einsum, as
+    kernel rows were computed before they summed one feature at a time."""
     diff = X - x
     arg = -np.einsum("ij,ij->i", diff, diff) / (spec.sigma * spec.sigma)
     arg[arg < np.log(np.finfo(float).tiny)] = -np.inf
     return np.exp(arg)
+
+
+class TestPerFeatureSums:
+    """Summing feature by feature gives einsum's bits on data of one or two
+    features, which every benchmark and golden file uses, and agrees with
+    it to rounding on wider data."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_oracle_against_einsum_rows(self, d):
+        spec = KernelSpec("rbf", sigma=0.7)
+        rng = np.random.default_rng(20 + d)
+        X, Q = rng.normal(size=(40, d)), rng.normal(size=(6, d))
+        for q in Q:
+            got, old = per_point_row(spec, q, X), einsum_row(spec, q, X)
+            if d <= 2:
+                assert got.tobytes() == old.tobytes()
+            else:
+                np.testing.assert_allclose(got, old, rtol=1e-12, atol=0)
 
 
 class TestBlockedRows:
@@ -129,7 +165,8 @@ class TestBlockedRows:
     def blocks_of(monkeypatch, rows, n, d):
         import helssvr.kernels
 
-        monkeypatch.setattr(helssvr.kernels, "BLOCK_BYTES", rows * 8 * n * d)
+        # one (b, n) array of rows, and a second of scratch when d > 1
+        monkeypatch.setattr(helssvr.kernels, "BLOCK_BYTES", rows * 8 * n * (2 if d > 1 else 1))
         assert helssvr.kernels.block_rows(n, d) == rows
 
     @pytest.mark.parametrize("d", [1, 3, 7])

@@ -109,6 +109,8 @@ class TestFit:
             fit(np.zeros((0, 1)), np.zeros(0), rbf(), hawkeye(), C=1.0)
         with pytest.raises(ValueError):
             fit(np.array([[np.inf]]), np.zeros(1), rbf(), hawkeye(), C=1.0)
+        with pytest.raises(ValueError, match="no features"):
+            fit(np.empty((4, 0)), np.zeros(4), rbf(), hawkeye(), C=1.0)
         with pytest.raises(ValueError):
             fit(np.zeros((2, 1)), np.zeros(2), rbf(), hawkeye(), C=0.0)
 
@@ -198,6 +200,13 @@ class TestPredict:
         model = TrainedModel(np.ones(1), np.ones((1, 2)), rbf(), hawkeye(), 1.0, ScalingState(mode="none"))
         with pytest.raises(ValueError):
             predict(model, np.ones((3, 5)))
+
+    def test_queries_of_more_than_two_dimensions_rejected(self):
+        from helssvr.data import ScalingState
+
+        model = TrainedModel(np.ones(1), np.ones((1, 1)), rbf(), hawkeye(), 1.0, ScalingState(mode="none"))
+        with pytest.raises(ValueError, match="2-d sample matrix, got ndim=3"):
+            predict(model, np.ones((2, 1, 1)))
 
 
 class TestObjectiveValue:
@@ -672,7 +681,7 @@ class TestPredictCells:
         models = [TrainedModel(rng.normal(size=9), X, spec, hawkeye(), 1.0, scaling) for _ in range(2)]
         # 3 queries per block: 8 queries make blocks of 3, 3 and 2, each
         # scaled on its own; the expected rows scale all queries at once
-        monkeypatch.setattr(helssvr.kernels, "BLOCK_BYTES", 3 * 8 * 9 * 3)
+        monkeypatch.setattr(helssvr.kernels, "BLOCK_BYTES", 3 * 8 * 9 * 2)
         for Q in (rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, (1, 3))):
             got = predict_cells(models, Q)
             for model, pred in zip(models, got):
@@ -707,9 +716,10 @@ class TestPredictCells:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the raw and the unscaled predictions, and the block's (b, n, d)
-        # differences and (b, n) rows; no copy of the queries (Q.nbytes is
-        # larger than the whole bound)
+        # the raw and the unscaled predictions, the block's (b, n) rows and
+        # scratch (within BLOCK_BYTES together) and numpy's buffers for
+        # broadcast operands; no copy of the queries (Q.nbytes is larger
+        # than the whole bound)
         assert Q.nbytes > 2 * pred.nbytes + 2 * BLOCK_BYTES
         assert peak <= 2 * pred.nbytes + 2 * BLOCK_BYTES
 
@@ -733,7 +743,7 @@ class TestPredictRejectsNonFinite:
         model = TrainedModel(np.ones(2), np.zeros((2, 2)), rbf(), hawkeye(), 1.0, ScalingState(mode="none"))
         Q = np.zeros((3, 2))
         Q[2, 1] = bad
-        with pytest.raises(ValueError, match="row 2, column 1"):
+        with pytest.raises(ValueError, match=f"row 2, column 1 is {bad}$"):
             predict(model, Q)
 
 
