@@ -29,17 +29,6 @@ BOUNDED_LEAST_SQUARES = "bounded_least_squares"
 
 
 @dataclass(frozen=True)
-class LossCharacteristics:
-    """Static trait record for a loss kind."""
-
-    robust: bool
-    insensitive_zone: bool
-    bounded: bool
-    convex: bool
-    smooth: bool
-
-
-@dataclass(frozen=True)
 class LossSpec:
     """A loss kind plus its hyperparameters.
 
@@ -285,54 +274,39 @@ class _Kind:
 
     params: tuple[str, ...]
     rules: tuple[tuple[str, float | str, bool], ...]
-    traits: LossCharacteristics
     value: Callable
     deriv: Callable | None
 
 
 _EPS_GE_0, _THETA_GE_0, _THETA_GE_EPS = ("epsilon", 0, False), ("theta", 0, False), ("theta", "epsilon", False)
 
-# The trait matrix is declared metadata; the numeric probes live in the test
-# suite (boundedness, zone width, smoothness where measurable).  canal is the
-# ramp-insensitive loss under a second name: both are min(theta - eps,
-# max(0, |r| - eps)).
+# canal is the ramp-insensitive loss under a second name: both are
+# min(theta - eps, max(0, |r| - eps)).
 _KINDS = {
     HAWKEYE: _Kind(
         ("epsilon", "a", "lam"), (("epsilon", 0, True), ("a", 0, True), ("lam", 0, True)),
-        LossCharacteristics(True, True, True, False, True), _hawkeye_value, None),
-    LEAST_SQUARES: _Kind(
-        (), (),
-        LossCharacteristics(False, False, False, True, True), _least_squares_value, _least_squares_deriv),
-    ABSOLUTE: _Kind(
-        (), (),
-        LossCharacteristics(False, False, False, True, False), _absolute_value, _absolute_deriv),
-    HUBER: _Kind(
-        ("theta",), (_THETA_GE_0,),
-        LossCharacteristics(False, False, False, True, True), _huber_value, _huber_deriv),
-    INSENSITIVE: _Kind(
-        ("epsilon",), (_EPS_GE_0,),
-        LossCharacteristics(False, True, False, True, False), _insensitive_value, _insensitive_deriv),
+        _hawkeye_value, None),
+    LEAST_SQUARES: _Kind((), (), _least_squares_value, _least_squares_deriv),
+    ABSOLUTE: _Kind((), (), _absolute_value, _absolute_deriv),
+    HUBER: _Kind(("theta",), (_THETA_GE_0,), _huber_value, _huber_deriv),
+    INSENSITIVE: _Kind(("epsilon",), (_EPS_GE_0,), _insensitive_value, _insensitive_deriv),
     RAMP_INSENSITIVE: _Kind(
         ("epsilon", "theta"), (_EPS_GE_0, _THETA_GE_EPS),
-        LossCharacteristics(True, True, True, False, False), _ramp_insensitive_value, _ramp_insensitive_deriv),
+        _ramp_insensitive_value, _ramp_insensitive_deriv),
     NONCONVEX_LEAST_SQUARES: _Kind(
         ("theta",), (_THETA_GE_0,),
-        LossCharacteristics(True, False, True, False, False),
         _nonconvex_least_squares_value, _nonconvex_least_squares_deriv),
     RAMP_INSENSITIVE_LEAST_SQUARES: _Kind(
         ("epsilon", "theta"), (_EPS_GE_0, _THETA_GE_EPS),
-        LossCharacteristics(True, True, True, False, False),
         _ramp_insensitive_least_squares_value, _ramp_insensitive_least_squares_deriv),
     QUADRATIC_NONCONVEX_INSENSITIVE: _Kind(
         ("epsilon", "t", "theta"), (_EPS_GE_0, ("t", "epsilon", False), _THETA_GE_0),
-        LossCharacteristics(True, True, True, False, False),
         _quadratic_nonconvex_insensitive_value, _quadratic_nonconvex_insensitive_deriv),
     CANAL: _Kind(
         ("epsilon", "theta"), (_EPS_GE_0, _THETA_GE_EPS),
-        LossCharacteristics(True, True, True, False, False), _ramp_insensitive_value, _ramp_insensitive_deriv),
+        _ramp_insensitive_value, _ramp_insensitive_deriv),
     BOUNDED_LEAST_SQUARES: _Kind(
         ("t", "theta"), (("t", 0, True), _THETA_GE_0),
-        LossCharacteristics(True, False, True, False, True),
         _bounded_least_squares_value, _bounded_least_squares_deriv),
 }
 
@@ -369,8 +343,11 @@ def loss_derivative(spec: LossSpec, r, out=None):
     bit-identical to the allocating call.  The hawkeye kind then allocates
     one scratch block of r's shape and nothing else; the other kinds write
     only their final product into ``out``.
+
+    A stack's residual block is not checked for finiteness: the trainer,
+    which builds the stacks, checks it once per step for all of its kinds.
     """
-    arr = _check_residual(r)
+    arr = np.asarray(r, dtype=float) if isinstance(spec, LossStack) else _check_residual(r)
     if out is not None and np.may_share_memory(out, arr):
         raise ValueError("loss_derivative's out must not overlap the residual")
     res = np.empty_like(arr) if out is None else out
@@ -379,8 +356,3 @@ def loss_derivative(spec: LossSpec, r, out=None):
     else:
         np.multiply(np.sign(arr), _KINDS[spec.kind].deriv(spec, np.abs(arr)), out=res)
     return float(res) if out is None and np.ndim(r) == 0 else res
-
-
-def characteristics(spec: LossSpec) -> LossCharacteristics:
-    """Trait record (robust / insensitive zone / bounded / convex / smooth)."""
-    return _KINDS[spec.kind].traits

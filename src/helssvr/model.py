@@ -83,35 +83,10 @@ STACK_ROWS = 32
 #: equal size share a stack while their Grams (8 n^2 bytes each) total at
 #: most this; a larger Gram trains in a stack of its own.  Stacking saves
 #: per-step Python work, but each step reads every Gram of the stack, and
-#: once they spill from the per-core L2 cache (2 MiB) the reads cost more
-#: than the saving.  Five folds of two HawkEye cells, 1000 steps, time with
-#: one fold per stack -> all five in one stack (2-core Xeon VM, OpenBLAS
-#: 0.3.31 on one thread, min-max of 3 runs):
-#:
-#:   ====================  ===========  ==========================  =====
-#:   fold rows, batch      Grams        one per stack -> stacked    ratio
-#:   ====================  ===========  ==========================  =====
-#:   120, 32               576,000 B    0.29-0.31 s -> 0.12-0.17 s  0.47
-#:   160, 32 (cli_bench)   1,024,000 B  0.34-0.35 s -> 0.20-0.20 s  0.58
-#:   160, full             1,024,000 B  0.29-0.29 s -> 0.15-0.19 s  0.56
-#:   200, 32               1,600,000 B  0.32-0.32 s -> 0.22-0.23 s  0.71
-#:   200, full             1,600,000 B  0.27-0.28 s -> 0.21-0.24 s  0.79
-#:   240, 32               2,304,000 B  0.36-0.47 s -> 0.36-0.48 s  0.85
-#:   240, full             2,304,000 B  0.36-0.39 s -> 0.37-0.40 s  1.05
-#:   280, 32               3,136,000 B  0.36-0.43 s -> 0.40-0.45 s  1.14
-#:   320, full (grid_cv)   4,096,000 B  0.43-0.44 s -> 0.56-0.57 s  1.30
-#:   ====================  ===========  ==========================  =====
-#:
-#: The two benchmark rows were timed with each fold's two rows as one GEMM
-#: per fold (:func:`helssvr.optimizer.gram_products`); two more rounds gave
-#: ratios of 0.56-0.59 and 1.26-1.41.  The other rows were timed with one
-#: GEMV per row.
-#:
-#: The crossover lies between 1.6 and 2.3 MB.  Any budget from 1,024,000 B
-#: to 4,096,000 B splits the benchmark's shapes alike (160-row folds
-#: stacked, 320-row folds apart); 1 MiB is the conservative choice, on
-#: the side where stacking won every measurement.  With the GEMM the two
-#: benchmark shapes stay on their sides, so the budget is unchanged.
+#: once they spill from the per-core L2 cache the reads cost more than the
+#: saving: five stacked folds ran faster up to 1.6 MB of Grams and slower
+#: from 2.3 MB on (2-core VM, one OpenBLAS thread).  1 MiB stacks
+#: cli_bench's 160-row folds and keeps grid_cv's 320-row folds apart.
 #:
 #: The budget also sets the Gram's dtype: a set whose float64 Gram exceeds
 #: it (n >= 363 rows) trains alone, on a float32 Gram (see

@@ -129,30 +129,9 @@ def objective_value(alpha, gram: GramMatrix, y, C: float, loss: LossSpec) -> flo
     alpha = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
     K = gram.values
-    Kalpha = (K @ alpha.astype(K.dtype, copy=False)).astype(float, copy=False)
+    Kalpha = np.matmul(K, alpha, out=np.empty_like(alpha), dtype=K.dtype)
     xi = y - Kalpha
     return float(0.5 * alpha @ Kalpha + C * np.sum(loss_value(loss, xi)))
-
-
-def objective_gradient(alpha, gram: GramMatrix, y, C: float, loss: LossSpec, batch) -> np.ndarray:
-    """Gradient of H restricted to a mini-batch of loss terms.
-
-    Returns K alpha + C * sum over the batch of the loss-term gradients,
-    each of which is -dL/dxi_i times row i of K.  With the full index set
-    as the batch this is the exact gradient of H.  The products with K are
-    computed in the Gram's dtype, everything else in float64.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    K = gram.values
-    batch = np.asarray(batch, dtype=int)
-    if batch.size and (batch.min() < 0 or batch.max() >= gram.n):
-        raise ValueError("batch index out of range")
-    Kalpha = (K @ alpha.astype(K.dtype, copy=False)).astype(float, copy=False)
-    xi = y[batch] - Kalpha[batch]
-    d = loss_derivative(loss, xi)
-    Kd = (K[batch].T @ d.astype(K.dtype, copy=False)).astype(float, copy=False)
-    return Kalpha - C * Kd
 
 
 def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> AdamState:
@@ -203,17 +182,16 @@ def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> 
     return state
 
 
-def gram_products(K, A, out, spans=None, cast=None) -> None:
+def gram_products(K, A, out, spans=None) -> None:
     """Store K[k] @ A[r] in ``out[r]`` for every row r of every set k.
 
     ``K`` is an (f, n, n) stack of symmetric matrices; ``A`` and ``out``
     are C-contiguous (m, n) arrays whose rows come in blocks of one set.
     ``spans`` lists each block's (k, slice of rows), in row order; a k of
     None marks a block of one row per set, in set order.  None means one
-    such block over all of ``A``.  When ``K`` is float32, the first two
-    entries of ``cast`` are C-contiguous float32 (m, n) work arrays: ``A``
-    is rounded into the first, the products are made in float32 into the
-    second and then widened into ``out``, so that K is never upcast.
+    such block over all of ``A``.  Every product is made in K's dtype:
+    with a float32 K, numpy rounds A's rows to float32 and widens the
+    products into ``out``, and K is never upcast.
 
     A block of one row runs as the GEMV K_k @ a, bit for bit the product a
     one-cell run computes.  A block of several rows runs as one GEMM,
@@ -224,18 +202,13 @@ def gram_products(K, A, out, spans=None, cast=None) -> None:
     which numpy runs as the same GEMV per set, bit for bit.  The result
     depends only on the block sizes, not on what else is in ``A``.
     """
-    if cast is not None:
-        np.copyto(cast[0], A)
-        gram_products(K, cast[0], cast[1], spans)
-        np.copyto(out, cast[1])
-        return
     for k, rows in [(None, slice(0, len(A)))] if spans is None else spans:
         if k is None:
-            np.matmul(K, A[rows, :, None], out=out[rows, :, None])
+            np.matmul(K, A[rows, :, None], out=out[rows, :, None], dtype=K.dtype)
         elif rows.stop - rows.start == 1:
-            np.matmul(K[k], A[rows.start], out=out[rows.start])
+            np.matmul(K[k], A[rows.start], out=out[rows.start], dtype=K.dtype)
         else:
-            np.matmul(A[rows], K[k], out=out[rows])
+            np.matmul(A[rows], K[k], out=out[rows], dtype=K.dtype)
 
 
 @dataclass
@@ -297,7 +270,9 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     holds an (f, N, N) stack of their Gram matrices, ``y`` the (f, N)
     targets and ``fold`` each cell's set (all 0 by default).  A non-finite
     residual raises a ValueError that names the step and each affected cell
-    (its position in ``C``) and set; the whole stack stops.
+    (its position in ``C``) and set; the whole stack stops.  The residual
+    block is checked once per step, before the loss derivative, and with
+    tracking once more before the objectives.
 
     The cells may be of several loss kinds.  Their coefficient, moment and
     residual vectors are stacked as the rows of (m, N) arrays, grouped by
@@ -321,13 +296,12 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
       one-cell run by the rounding of the GEMM, which Adam then carries
       forward.
 
-    A float32 ``gram`` is multiplied in float32 and never upcast: each
-    product's float64 operand (the coefficient or derivative rows) is
-    rounded into a float32 buffer, and the float32 product widened into
-    the float64 one, through buffers allocated once per call.  The
-    coefficients, moments, average, residuals, derivatives and objectives
-    stay float64, and the three points above hold for the float32
-    products.
+    Every product is made in the Gram's dtype.  A float32 ``gram`` is
+    never upcast: numpy rounds each product's float64 operand (the
+    coefficient or derivative rows) to float32 and widens the float32
+    product into the float64 result.  The coefficients, moments, average,
+    residuals, derivatives and objectives stay float64, and the three
+    points above hold for the float32 products.
     """
     if isinstance(loss, LossSpec):
         return train_adam(gram, y, [C], [loss], cfg, resume=None if resume is None else [resume]).states[0]
@@ -379,12 +353,10 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         # each row's set; each kind's (set, rows) blocks for gram_products,
         # one block of set None when the kind holds one row per set, so
         # that one broadcast makes all of its GEMVs (against a matmul per
-        # set, that won 9 of 10 pairs of 35 s cli_bench runs when every
-        # product was a row GEMV: fits_per_ref median 0.2113 against
-        # 0.1997, 2-core VM); each kind's loss stack and rows; and every
-        # per-cell value repeated across its row, as wide as the arrays it
-        # meets: same-shape elementwise operations are numpy's fastest, and
-        # give each row the bits a one-cell run gets
+        # set, it won 9 of 10 pairs of cli_bench runs); each kind's loss
+        # stack and rows; and every per-cell value repeated across its row,
+        # as wide as the arrays it meets: same-shape elementwise operations
+        # are numpy's fastest, and give each row the bits a one-cell run gets
         spans, stacks, lo = [], [], 0
         for _, group in groupby(cells, key=lambda c: loss[c].kind):
             group = list(group)
@@ -414,13 +386,6 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     )
     avg = np.stack([begin[c].avg for c in live])
     work = (np.empty((m, n)), np.empty((m, n)))  # adam_step's in-place buffers
-    # with a float32 Gram the products run in float32: the coefficient or
-    # full-batch derivative rows are rounded into the first buffer, the
-    # mini-batch derivative into the third, and each product is made in
-    # the second and widened from it
-    cast = None
-    if K.dtype != np.float64:
-        cast = (np.empty((m, n), K.dtype), np.empty((m, n), K.dtype), np.empty((m, s), K.dtype))
     Y = Ys[fold_of]
     Kalpha, Kd = np.empty((m, n)), np.empty((m, n))
     R, D = np.empty((m, s)), np.empty((m, s))  # the residual and its derivative
@@ -448,31 +413,30 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             k = fold[c]
             traces[c].append(objective_value(alpha, GramMatrix(K[k]), Ys[k], C[c], loss[c]))
 
-    def non_finite(step, resid):
-        # the error for stack rows with a non-finite residual, naming each
-        # row's cell and set; the whole stack aborts
-        bad = sorted(live[r] for r in np.flatnonzero(~np.isfinite(resid).all(axis=1)))
-        cells = ", ".join(f"cell {c} (fold {fold[c]})" for c in bad)
-        return ValueError(f"residual must be finite: step {step}, {cells}")
+    def check_finite(step, resid):
+        # a non-finite residual aborts the whole stack; the error names
+        # the cell and set of each row that holds one
+        if not np.isfinite(resid).all():
+            bad = sorted(live[r] for r in np.flatnonzero(~np.isfinite(resid).all(axis=1)))
+            cells = ", ".join(f"cell {c} (fold {fold[c]})" for c in bad)
+            raise ValueError(f"residual must be finite: step {step}, {cells}")
 
     def derivative(step):
-        # dL/dr of the residual block R, into D, one call per kind
-        try:
-            for stack, rows in stacks:
-                loss_derivative(stack, R[rows], out=D[rows])
-        except ValueError as exc:
-            raise non_finite(step, R) from exc
+        # dL/dr of the residual block R, into D, one call per kind; the
+        # loss stacks skip the check made here once for the block
+        check_finite(step, R)
+        for stack, rows in stacks:
+            loss_derivative(stack, R[rows], out=D[rows])
         return D
 
     for step in range(t0, cfg.max_iter):
-        gram_products(K, state.alpha, Kalpha, spans, cast)
+        gram_products(K, state.alpha, Kalpha, spans)
         if track:
+            resid = Y - Kalpha
+            check_finite(step, resid)
             keep = []
             for r, c in enumerate(live):
-                try:
-                    h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], Y[r] - Kalpha[r])))
-                except ValueError as exc:
-                    raise non_finite(step, Y - Kalpha) from exc
+                h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], resid[r])))
                 if cfg.collect_trace:
                     traces[c].append(h)
                 if cfg.early_stop and prev_h[c] is not None:
@@ -490,14 +454,12 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 avg = avg[keep]
                 Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
                 Kd, work, row_of = Kd[: len(keep)], tuple(w[: len(keep)] for w in work), row_of[: len(keep)]
-                if cast is not None:
-                    cast = tuple(w[: len(keep)] for w in cast)
                 R, D = R[: len(keep)], D[: len(keep)]
                 fold_of, spans, stacks, C_blk, gamma_blk = layout(live)
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
             np.subtract(Y, Kalpha, out=R)
-            gram_products(K, derivative(step), Kd, spans, cast)
+            gram_products(K, derivative(step), Kd, spans)
         else:
             if step % n == 0 or step == t0:
                 # the batches up to the next multiple of n steps (or the
@@ -511,15 +473,10 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 block.sort(axis=2)
             batch = block[:, step - drawn_at]
             np.subtract(Y[row_of, batch], Kalpha[row_of, batch], out=R)
-            d, product = derivative(step), Kd
-            if cast is not None:
-                np.copyto(cast[2], d)
-                d, product = cast[2], cast[1]
+            d = derivative(step)[:, :, None]
             # the gathered batch rows are a temporary, freed before the
             # next step gathers its own
-            np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=product[:, :, None])
-            if cast is not None:
-                np.copyto(Kd, product)
+            np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d, out=Kd[:, :, None], dtype=K.dtype)
         # the gradient K alpha - C * K d, in place in Kd
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)

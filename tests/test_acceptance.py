@@ -24,8 +24,9 @@ from helssvr.evaluation import (
 from helssvr.kernels import KernelSpec, gram_matrix
 from helssvr.losses import LossSpec, loss_derivative, loss_value
 from helssvr.model import fit, predict
-from helssvr.optimizer import AdamConfig, AdamState, adam_step, objective_gradient, objective_value
+from helssvr.optimizer import AdamConfig, AdamState, adam_step, objective_value
 from helssvr.seeding import make_rng, sample_without_replacement
+from test_optimizer import objective_gradient
 
 RMSE_TABLE = np.array(
     [

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from helssvr import losses
-from helssvr.losses import LossSpec, characteristics, loss_derivative, loss_value
+from helssvr.losses import LossSpec, loss_derivative, loss_value
 
 
 def hawkeye(eps=0.5, a=1.0, lam=1.0):
@@ -234,7 +236,48 @@ class TestConstruction:
         LossSpec("bounded_least_squares", t=1e-300, theta=0.0)
 
 
+class LossCharacteristics(NamedTuple):
+    """One loss kind's traits, a row of the README's "Loss traits" table."""
+
+    robust: bool
+    insensitive_zone: bool
+    bounded: bool
+    convex: bool
+    smooth: bool
+
+
+# The abstract's claim: HawkEye alone is bounded, smooth and insensitive.
+# The numeric probes below check each flag where it can be measured.
+TRAITS = {
+    "hawkeye": LossCharacteristics(True, True, True, False, True),
+    "least_squares": LossCharacteristics(False, False, False, True, True),
+    "absolute": LossCharacteristics(False, False, False, True, False),
+    "huber": LossCharacteristics(False, False, False, True, True),
+    "insensitive": LossCharacteristics(False, True, False, True, False),
+    "ramp_insensitive": LossCharacteristics(True, True, True, False, False),
+    "nonconvex_least_squares": LossCharacteristics(True, False, True, False, False),
+    "ramp_insensitive_least_squares": LossCharacteristics(True, True, True, False, False),
+    "quadratic_nonconvex_insensitive": LossCharacteristics(True, True, True, False, False),
+    "canal": LossCharacteristics(True, True, True, False, False),
+    "bounded_least_squares": LossCharacteristics(True, False, True, False, True),
+}
+
+
+def characteristics(spec):
+    return TRAITS[spec.kind]
+
+
 class TestCharacteristics:
+    def test_readme_table_is_the_trait_matrix(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        lines = readme.split("\n## Loss traits\n", 1)[1].split("\n## ", 1)[0].splitlines()
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines if line.startswith("|")]
+        assert rows[0] == ["loss", "robust", "insensitive zone", "bounded", "convex", "smooth"]
+        flags = {"yes": True, "no": False}
+        table = {row[0].strip("`"): LossCharacteristics(*(flags[cell] for cell in row[1:])) for row in rows[2:]}
+        assert list(table) == list(losses.LOSS_KINDS)
+        assert table == TRAITS
+
     def test_hawkeye_row(self):
         c = characteristics(hawkeye())
         assert (c.robust, c.insensitive_zone, c.bounded, c.convex, c.smooth) == (
@@ -270,9 +313,7 @@ class TestCharacteristics:
 
     def test_every_kind_has_a_row(self):
         specs = _one_spec_per_kind()
-        assert {s.kind for s in specs} == set(losses.LOSS_KINDS)
-        for s in specs:
-            assert characteristics(s) is not None
+        assert {s.kind for s in specs} == set(losses.LOSS_KINDS) == set(TRAITS)
 
 
 def _one_spec_per_kind():

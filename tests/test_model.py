@@ -19,7 +19,7 @@ from helssvr.model import (
 )
 from helssvr.optimizer import AdamConfig
 from test_kernels import per_point_row
-from test_optimizer import BAD_RATE_OR_SEED
+from test_optimizer import BAD_RATE_OR_SEED, objective_gradient
 
 
 # Stated tolerance of a short run (up to 200 Adam steps) between stack
@@ -118,8 +118,6 @@ class TestFit:
         # the identical pipeline with the quadratic loss trains a kernel
         # ridge style fit whose full-batch gradient agrees with finite
         # differences (sanity anchor for the loss-swap contract)
-        from helssvr.optimizer import objective_gradient
-
         rng = np.random.default_rng(11)
         X = rng.uniform(0, 1, size=(6, 1))
         y = rng.uniform(-1, 1, size=6)
@@ -876,6 +874,17 @@ class TestExports:
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert missing == []
 
+    def test_test_oracles_are_not_exported(self):
+        # the gradient oracle and the loss trait matrix serve only the
+        # tests, which hold them
+        import helssvr
+        from helssvr import losses, optimizer
+
+        assert {"objective_gradient", "characteristics", "LossCharacteristics"}.isdisjoint(helssvr.__all__)
+        assert not hasattr(optimizer, "objective_gradient")
+        assert not hasattr(losses, "characteristics") and not hasattr(losses, "LossCharacteristics")
+
+
 class TestTrainedModelImmutable:
     def check_immutable(self, model):
         from dataclasses import FrozenInstanceError
@@ -1048,14 +1057,20 @@ class TestGoldenModelFile:
         model, _ = fit(ds.X, ds.y, rbf(0.5), hawkeye(0.05, 3.0, 1.0), C=100.0, adam=adam, scaling="zscore")
         assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest
 
-    def test_float32_gram_fit_model_file(self):
+    @pytest.mark.parametrize(
+        "batch_size, digest",
+        [
+            (32, "ccd1b32dba977dd608608a07fac6375f7738b2909fea40a68f1ce59231e46349"),
+            (1000, "06aee27c9a204f4ea3732ab9bb06e18f9074ce2e3e215443f3f19b696e011cfa"),
+        ],
+    )
+    def test_float32_gram_fit_model_file(self, batch_size, digest):
         # 400 rows, above the float32 gate: pins the float32 products of a
-        # full-batch fit, sgemv where the digests above pin dgemv; like
-        # them, it holds for one BLAS build
+        # mini-batch and a full-batch fit, sgemv where the digests above
+        # pin dgemv; like them, it holds for one BLAS build
         import hashlib
 
         ds, _ = generate_synthetic(SyntheticSpec(2, "gaussian", n_samples=400, seed=9))
-        adam = AdamConfig(max_iter=300, batch_size=1000, seed=3)
+        adam = AdamConfig(max_iter=300, batch_size=batch_size, seed=3)
         model, _ = fit(ds.X, ds.y, rbf(0.5), hawkeye(0.05, 3.0, 1.0), C=100.0, adam=adam, scaling="zscore")
-        digest = "06aee27c9a204f4ea3732ab9bb06e18f9074ce2e3e215443f3f19b696e011cfa"
         assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest

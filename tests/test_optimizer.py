@@ -12,7 +12,6 @@ from helssvr.optimizer import (
     AdamState,
     adam_step,
     gram_products,
-    objective_gradient,
     objective_value,
     train_adam,
 )
@@ -183,7 +182,26 @@ def fd_gradient(alpha, gram, y, C, loss, h=1e-6):
     return g
 
 
+def objective_gradient(alpha, gram, y, C, loss, batch):
+    """Gradient of H restricted to a mini-batch of loss terms, the oracle
+    the trainer's gradients are checked against.
+
+    Returns K alpha + C * sum over the batch of the loss-term gradients,
+    each of which is -dL/dxi_i times row i of K.  With the full index set
+    as the batch this is the exact gradient of H.
+    """
+    K = gram.values
+    batch = np.asarray(batch, dtype=int)
+    if batch.size and (batch.min() < 0 or batch.max() >= gram.n):
+        raise ValueError("batch index out of range")
+    Kalpha = K @ alpha
+    d = loss_derivative(loss, y[batch] - Kalpha[batch])
+    return Kalpha - C * (K[batch].T @ d)
+
+
 class TestObjectiveGradient:
+    """The gradient oracle against the objective and finite differences."""
+
     def test_zero_alpha_zero_targets(self):
         gram = gram_matrix(KernelSpec("rbf", sigma=1.0), np.eye(3))
         loss = LossSpec("hawkeye", epsilon=0.1, a=1.0, lam=1.0)
@@ -631,24 +649,54 @@ class TestCrossFoldStack:
     def test_float32_grams(self, batch_size):
         # the two tests above on float32 Grams: every product is the
         # oracle's float32 one, GEMVs, GEMMs and mini-batch gathers alike,
-        # and the trainer's float32 work buffers shrink with the stack
+        # also as rows leave the stack
         self.test_rows_stopping_early_in_different_folds(batch_size, np.float32)
         self.test_unequal_rows_per_fold(batch_size, np.float32)
 
+    @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("trace", [False, True])
     @pytest.mark.parametrize("batch_size", [6, 1000])
-    def test_non_finite_residual_names_step_cell_and_set(self, batch_size, trace):
+    def test_non_finite_residual_names_step_cell_and_set(self, batch_size, trace, mixed):
         # cell 1, the second listed but the last stack row (fold 2), has a
         # learning rate that overflows its coefficients: the stack aborts
         # as a whole, naming that cell and its set, whether the objective
-        # trace or the derivative meets the residual first
+        # trace or the derivative meets the residual first; mixed, cell 1
+        # is a least-squares row behind hawkeye's in a stack of both kinds
         gram, Ys, _ = fold_stack()
         cfg = AdamConfig(max_iter=50, batch_size=batch_size, collect_trace=trace)
+        losses, fold = [self.loss] * 3, [0, 2, 1]
+        if mixed:
+            losses, fold = [self.loss, LossSpec("least_squares")] * 2, [0, 2, 1, 0]
+        gamma = [1e-2, 1e300] + [1e-2] * (len(losses) - 2)
         with pytest.raises(ValueError) as info:
             with np.errstate(over="ignore", invalid="ignore"):
-                train_adam(gram, Ys, [1.0] * 3, [self.loss] * 3, cfg, gamma=[1e-2, 1e300, 1e-2], fold=[0, 2, 1])
+                train_adam(gram, Ys, [1.0] * len(losses), losses, cfg, gamma=gamma, fold=fold)
         assert re.fullmatch(r"residual must be finite: step [1-9]\d*, cell 1 \(fold 2\)", str(info.value))
-        assert str(info.value.__cause__) == "residual must be finite"
+        assert info.value.__cause__ is None
+
+    def test_trainer_checks_the_residual_block_not_its_loss_calls(self, monkeypatch):
+        # the trainer checks each step's residual block once itself, so an
+        # untracked run never reaches the losses' own check; the public
+        # loss functions keep it
+        from helssvr import losses
+
+        calls, check = [], losses._check_residual
+
+        def spy(r):
+            calls.append(1)
+            return check(r)
+
+        monkeypatch.setattr(losses, "_check_residual", spy)
+        gram, Ys, _ = fold_stack()
+        mixed = [self.loss, LossSpec("least_squares")] * 2
+        for batch_size in (6, 1000):
+            train_adam(gram, Ys, [1.0] * 4, mixed, AdamConfig(max_iter=20, batch_size=batch_size), fold=[0, 2, 1, 0])
+        assert calls == []
+        for spec in mixed[:2]:
+            for public in (loss_value, loss_derivative):
+                with pytest.raises(ValueError, match=r"^residual must be finite$"):
+                    public(spec, np.array([0.5, np.nan]))
+        assert len(calls) == 4
 
     def test_fold_checked(self):
         gram, Ys, _ = fold_stack()
