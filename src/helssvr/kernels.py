@@ -1,4 +1,4 @@
-"""Kernel functions and dense Gram-matrix construction.
+"""Kernel functions, dense Gram matrices and low-rank Gram factors.
 
 The RBF kernel uses the exp(-||x - z||^2 / sigma^2) parameterization.
 RBF values below the smallest normal double (about 2.2e-308) are flushed to
@@ -7,16 +7,23 @@ much slower, and a term that small cannot move a sum of normal-sized terms.
 The flush acts on the exponent (arguments below log(2.2e-308) become -inf),
 which also spares exp() its slow underflow path.
 Gram matrices are stored dense and row-major, in float64 (8 * N^2 bytes) or
-in float32 (4 * N^2 bytes; :func:`helssvr.model.fit_cells` picks float32 for
-a Gram too large to share an optimizer stack).  A float32 Gram is filled
-from the float64 kernel rows, with entries below the smallest normal float32
-(about 1.2e-38) flushed to zero before rounding, for the same reason as
-above.  Gram builds and prediction both evaluate kernel rows a block of
-:func:`block_rows` points at a time through :func:`kernel_row`; each row of a block is
-bit-identical to the row of its point alone, so a Gram row, a prediction's
-kernel row and :func:`kernel_row` of one point agree bitwise, and the
-matrix is exactly symmetric.  An RBF row sums its squared distances one
-feature at a time, so its bits rest on elementwise operations only.
+in float32 (4 * N^2 bytes).  A float32 Gram is filled from the float64
+kernel rows, with entries below the smallest normal float32 (about
+1.2e-38) flushed to zero before rounding, for the same reason as above.
+:func:`gram_factor` instead builds a greedy pivoted-Cholesky factor
+K ~= L L^T (Fine & Scheinberg 2001), float64 and N x r, from the kernel
+rows of its pivots; it gives up once r reaches N/4, where its 2 N r
+eight-byte reads per product no longer beat a float32 Gram's N^2
+four-byte ones.
+:func:`helssvr.model.fit_cells` trains a set too large to share an
+optimizer stack on its factor, and on a float32 Gram where the factor
+gives up.  Gram builds, factor columns and prediction all evaluate kernel
+rows through :func:`kernel_row`, a block of :func:`block_rows` points at a
+time; each row of a block is bit-identical to the row of its point alone,
+so a Gram row, a prediction's kernel row and :func:`kernel_row` of one
+point agree bitwise, and the matrix is exactly symmetric.  An RBF row sums
+its squared distances one feature at a time, so its bits rest on
+elementwise operations only.
 """
 
 from __future__ import annotations
@@ -53,10 +60,16 @@ def _physical_memory() -> int:
     return pages * page_size if pages > 0 and page_size > 0 else sys.maxsize
 
 
-#: most bytes one :func:`gram_buffer` may allocate: the machine's physical
-#: memory, so a request that could never fit raises before anything is
-#: allocated instead of failing in the allocator or swapping
+#: most bytes one :func:`gram_buffer` may allocate, and one
+#: :func:`gram_factor` may hold: the machine's physical memory, so a request
+#: that could never fit raises (or gives up) before anything is allocated
+#: instead of failing in the allocator or swapping
 GRAM_MAX_BYTES = _physical_memory()
+
+#: a :func:`gram_factor` is complete once its residual diagonal, which
+#: bounds the trace of K - L L^T, sums to at most this share of K's trace
+#: (N for the RBF kernel)
+FACTOR_TOL = 1e-12
 
 #: most bytes of one block of kernel rows' (b, n) arrays together: its
 #: rows and, with more than one feature, an RBF block's scratch, so that a
@@ -94,6 +107,20 @@ class GramMatrix:
     def n(self) -> int:
         """Training rows N."""
         return self.values.shape[-1]
+
+
+@dataclass(frozen=True)
+class GramFactor:
+    """Low-rank factor of one training set's N x N Gram matrix:
+    K ~= Lt.T @ Lt, with ``Lt`` the (r, N) transpose of the pivoted-Cholesky
+    factor L (see :func:`gram_factor`)."""
+
+    Lt: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """Training rows N."""
+        return self.Lt.shape[1]
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -221,3 +248,46 @@ def gram_matrix(spec: KernelSpec, X, out=None) -> GramMatrix:
             rows[np.abs(rows) < _TINY32] = 0.0
             target[...] = rows
     return GramMatrix(values)
+
+
+def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
+    """Greedy pivoted-Cholesky factor of the Gram matrix of the rows of
+    ``X``, or None once its rank reaches N/4.
+
+    Each step pivots on the row of largest residual diagonal (the first
+    on a tie), takes that row's :func:`kernel_row`, removes the earlier
+    columns' part and divides by the square root of its residual diagonal.
+    The factor is complete once the residual diagonal sums to at most
+    :data:`FACTOR_TOL` times the trace of K (Harbrecht, Peters & Schneider
+    2012 bound the error by that sum).  An RBF diagonal is all ones; a
+    linear one is ||x||^2, and its factor has at most d columns.  The
+    columns are held in a buffer that doubles as it fills, up to
+    :data:`GRAM_MAX_BYTES`; a factor that needs more gives up too, before
+    allocating it.  Deterministic: the same inputs give the same bits.
+    """
+    X = _as_matrix(X)
+    n = X.shape[0]
+    if n == 0:
+        raise ValueError("gram factor of an empty sample set")
+    resid = np.ones(n) if spec.kind == RBF else np.einsum("ij,ij->i", X, X)
+    stop = FACTOR_TOL * resid.sum()
+    Lt, r = np.empty((0, n)), 0
+    while resid.sum() > stop:
+        if 4 * r >= n:
+            return None
+        if r == len(Lt):
+            columns = min(max(2 * r, 16), -(-n // 4), GRAM_MAX_BYTES // (8 * n))
+            if columns == r:
+                return None
+            grown = np.empty((columns, n))
+            grown[:r] = Lt
+            Lt = grown
+        p = int(np.argmax(resid))
+        col = kernel_row(spec, X[p], X, out=Lt[r])
+        col -= Lt[:r, p] @ Lt[:r]
+        col /= np.sqrt(resid[p])
+        resid -= col * col
+        resid[p] = 0.0
+        np.maximum(resid, 0.0, out=resid)
+        r += 1
+    return GramFactor(Lt[:r])

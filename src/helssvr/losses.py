@@ -320,13 +320,15 @@ def required_params(kind: str) -> tuple[str, ...]:
     return _KINDS[kind].params
 
 
-def loss_value(spec: LossSpec, r):
+def loss_value(spec: LossSpec, r, *, check=True):
     """Loss at residual ``r`` (scalar or array, finite).
 
     The hawkeye value is exactly zero for ``|r| < epsilon``, grows smoothly
-    outside the band, and never exceeds ``lam``.
+    outside the band, and never exceeds ``lam``.  ``check=False`` skips the
+    finiteness check, for the trainer, which has checked the whole residual
+    block already; the values are the same bits.
     """
-    arr = _check_residual(r)
+    arr = _check_residual(r) if check else np.asarray(r, dtype=float)
     out = _KINDS[spec.kind].value(spec, np.abs(arr))
     return float(out) if np.ndim(r) == 0 else out
 

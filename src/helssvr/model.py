@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
-from .kernels import GramMatrix, KernelSpec, block_rows, gram_buffer, gram_matrix, kernel_row
+from .kernels import GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
 from .losses import LossSpec
 from .optimizer import AdamConfig, AdamState, check_rate_and_seed, objective_value, train_adam
 
@@ -88,8 +88,9 @@ STACK_ROWS = 32
 #: from 2.3 MB on (2-core VM, one OpenBLAS thread).  1 MiB stacks
 #: cli_bench's 160-row folds and keeps grid_cv's 320-row folds apart.
 #:
-#: The budget also sets the Gram's dtype: a set whose float64 Gram exceeds
-#: it (n >= 363 rows) trains alone, on a float32 Gram (see
+#: The budget also sets the Gram's form: a set whose float64 Gram exceeds
+#: it (n >= 363 rows) trains alone, on a pivoted-Cholesky factor of its
+#: Gram or, where the factor's rank reaches n/4, on a float32 Gram (see
 #: :func:`fit_cells`).  Changing the budget therefore changes the numbers
 #: of every fit whose size lies between the old and the new gate.
 STACK_GRAM_BYTES = 1 << 20
@@ -170,13 +171,19 @@ def fit_cells(
     is bit-identical to a run to T in the same stack layout.
 
     A set whose float64 Gram would exceed :data:`STACK_GRAM_BYTES`, and so
-    trains in a stack of its own (n >= 363 rows), gets a float32 Gram
-    instead: the trainer's Gram products, which bound such fits by memory
-    bandwidth, then read half the bytes.  Its coefficients, moments,
-    residuals and reports stay float64, and so do the models, but they
-    differ from a float64 Gram's by float32's rounding of the Gram and of
-    its products, which Adam carries forward.  Every smaller set keeps a
-    float64 Gram and the same operations as before.
+    trains in a stack of its own (n >= 363 rows), trains on a float64
+    pivoted-Cholesky factor K ~= L L^T of rank r instead
+    (:func:`helssvr.kernels.gram_factor`): each Gram product, which bounds
+    such fits by memory bandwidth, reads 2 n r doubles instead of n^2
+    entries.  Its models differ from a dense float64 fit's by the factor's
+    error, which its tolerance bounds, carried forward by Adam.  Where the
+    rank reaches n/4 the factor would save nothing, and the set gets a
+    float32 Gram: its products read half a float64 Gram's bytes, and its
+    models differ from a float64 fit's by float32's rounding of the Gram
+    and of its products.  Either way the coefficients, moments, residuals
+    and reports stay float64.  Every smaller set keeps a float64 Gram and
+    the same operations as before.  Prediction always uses exact kernel
+    rows against every training row.
     """
     sets = [_training_set(X, y) for X, y in sets]
     adam = AdamConfig() if adam is None else adam
@@ -204,8 +211,10 @@ def fit_cells(
     for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
         group = [used[g] for g in group]
         n = sets[group[0]][0].shape[0]
-        # a Gram too large to share a stack is stored in float32
-        gram = GramMatrix(gram_buffer(len(group), n, np.float32 if 8 * n * n > STACK_GRAM_BYTES else np.float64))
+        # a set too large to share a stack trains alone, on a factor of its
+        # Gram or else a float32 Gram
+        alone = 8 * n * n > STACK_GRAM_BYTES
+        gram = None if alone else GramMatrix(gram_buffer(len(group), n))
         ys = np.empty((len(group), n))
         scaled = []  # (scaled X, scaling, Gram seconds per cell) of each set
         for k, j in enumerate(group):
@@ -215,7 +224,10 @@ def fit_cells(
             Xs.flags.writeable = False  # shared by every cell's model
             ys[k] = scale_target(state_scaling, y)
             t0 = time.perf_counter()
-            gram_matrix(kernels_of[j], Xs, out=gram.values[k])
+            if not alone:
+                gram_matrix(kernels_of[j], Xs, out=gram.values[k])
+            elif (gram := gram_factor(kernels_of[j], Xs)) is None:
+                gram = gram_matrix(kernels_of[j], Xs, out=gram_buffer(1, n, np.float32)[0])
             per_set = sum(len(of[j]) for of in cells_of.values())
             scaled.append((Xs, state_scaling, (time.perf_counter() - t0) / per_set))
 
@@ -239,12 +251,13 @@ def fit_cells(
             _, losses, Cs, gammas, seeds = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()
             stack = train_adam(
-                gram, ys, Cs, losses, adam, gamma=gammas, seed=seeds, fold=folds, resume=[resume[i] for i in rows]
+                gram, ys[0] if alone else ys, Cs, losses, adam,
+                gamma=gammas, seed=seeds, fold=folds, resume=[resume[i] for i in rows],
             )
             wall = (time.perf_counter() - t1) / len(rows)
             for k, i, loss, C, state in zip(folds, rows, losses, Cs, stack.states):
                 Xs, state_scaling, gram_seconds = scaled[k]
-                gram_k = GramMatrix(gram.values[k])
+                gram_k = gram if alone else GramMatrix(gram.values[k])
                 state.alpha.flags.writeable = False
                 model = TrainedModel(
                     alpha=state.alpha, X_train=Xs, kernel=kernels_of[group[k]], loss=loss, C=float(C),

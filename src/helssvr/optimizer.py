@@ -5,7 +5,8 @@ The trainer minimizes, over the coefficient vector alpha,
     H(alpha) = 1/2 * alpha^T K alpha + C * sum_i L(xi_i),
     xi_i = y_i - (K alpha)_i,
 
-where K is the training Gram matrix and L any loss from
+where K is the training Gram matrix, dense or a low-rank factor
+K ~= L L^T (:class:`~helssvr.kernels.GramFactor`), and L any loss from
 :mod:`helssvr.losses`.  Each iteration draws a fresh uniform mini-batch
 without replacement; the quadratic term's gradient K alpha is computed
 exactly every step, while the loss-sum gradient is restricted to the
@@ -22,11 +23,12 @@ from __future__ import annotations
 import copy
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 
 import numpy as np
 
-from .kernels import GramMatrix
+from .kernels import GramFactor, GramMatrix
 from .losses import LossSpec, loss_derivative, loss_value, stack_losses
 from .seeding import make_rng, sample_without_replacement
 
@@ -121,15 +123,20 @@ class AdamState:
     stopped: bool = False
 
 
-def objective_value(alpha, gram: GramMatrix, y, C: float, loss: LossSpec) -> float:
+def objective_value(alpha, gram: GramMatrix | GramFactor, y, C: float, loss: LossSpec) -> float:
     """H(alpha) = 1/2 alpha^T K alpha + C * sum of losses at the residuals.
 
-    K alpha is computed in the Gram's dtype, everything else in float64.
+    K alpha is computed in a dense Gram's dtype, or as L (L^T alpha) from a
+    factor, by the products :func:`train_adam` makes for one row;
+    everything else in float64.
     """
     alpha = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
-    K = gram.values
-    Kalpha = np.matmul(K, alpha, out=np.empty_like(alpha), dtype=K.dtype)
+    if isinstance(gram, GramFactor):
+        Kalpha = np.matmul(np.matmul(gram.Lt, alpha), gram.Lt)
+    else:
+        K = gram.values
+        Kalpha = np.matmul(K, alpha, out=np.empty_like(alpha), dtype=K.dtype)
     xi = y - Kalpha
     return float(0.5 * alpha @ Kalpha + C * np.sum(loss_value(loss, xi)))
 
@@ -211,6 +218,23 @@ def gram_products(K, A, out, spans=None) -> None:
             np.matmul(A[rows], K[k], out=out[rows], dtype=K.dtype)
 
 
+def factor_products(Lt, A, out, spans) -> None:
+    """:func:`gram_products` for one set's Gram factor K ~= Lt.T @ Lt: store
+    L (L^T A[r]) in ``out[r]``, in float64.
+
+    ``Lt`` is a :class:`~helssvr.kernels.GramFactor`'s (r, n) array, and
+    ``spans`` lists blocks of rows as for :func:`gram_products`, every one
+    of the factor's set.  A block of one row runs as two GEMVs, a block of
+    several rows as two GEMMs, which differ from the GEMVs in the last bits
+    only, as a dense Gram's do.
+    """
+    for _, rows in spans:
+        if rows.stop - rows.start == 1:
+            np.matmul(np.matmul(Lt, A[rows.start]), Lt, out=out[rows.start])
+        else:
+            np.matmul(np.matmul(A[rows], Lt.T), Lt, out=out[rows])
+
+
 @dataclass
 class AdamStack:
     """Final states of the cells one stacked :func:`train_adam` call trained.
@@ -225,7 +249,9 @@ class AdamStack:
     t: int
 
 
-def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None, resume=None):
+def train_adam(
+    gram: GramMatrix | GramFactor, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None, resume=None
+):
     """Run Adam iterations up to step ``cfg.max_iter`` and return the final
     state, whose coefficients are the moving average of the iterates.
 
@@ -302,6 +328,14 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     product into the float64 result.  The coefficients, moments, average,
     residuals, derivatives and objectives stay float64, and the three
     points above hold for the float32 products.
+
+    ``gram`` may instead be one set's :class:`~helssvr.kernels.GramFactor`
+    K ~= L L^T, with ``y`` of shape (N,).  Every product is then float64:
+    :func:`factor_products` makes L (L^T a) as two GEMVs for a block of
+    one row and two GEMMs for several, and a mini-batch's K_B^T d is
+    L (L_B^T d), two GEMVs per row on its gathered rows of L.  The three
+    points above hold for these products too.  The product form is chosen
+    once per call, so a dense Gram runs the same operations as without it.
     """
     if isinstance(loss, LossSpec):
         return train_adam(gram, y, [C], [loss], cfg, resume=None if resume is None else [resume]).states[0]
@@ -309,10 +343,31 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     y = np.asarray(y, dtype=float)
-    if y.shape != gram.values.shape[:-1]:
-        raise ValueError(f"target vector has shape {y.shape}, expected {gram.values.shape[:-1]}")
-    K, Ys = gram.values.reshape(-1, n, n), y.reshape(-1, n)
-    f = K.shape[0]
+    factor = isinstance(gram, GramFactor)
+    sets_shape = (n,) if factor else gram.values.shape[:-1]
+    if y.shape != sets_shape:
+        raise ValueError(f"target vector has shape {y.shape}, expected {sets_shape}")
+    Ys = y.reshape(-1, n)
+    f = len(Ys)
+    # the Gram products, chosen once: K alpha (and, at full batch, K d) per
+    # block of rows, and a mini-batch's K_B^T d per row, whose gathered
+    # batch rows are a temporary, freed before the next step gathers its own
+    if factor:
+        Lt = gram.Lt
+        products, set_gram = partial(factor_products, Lt), lambda k: gram
+
+        def batch_products(batch, D, out):
+            # K_B^T d = L (L_B^T d): two GEMVs per row on its gathered rows of L
+            np.matmul(np.matmul(D[:, None, :], Lt.T[batch]), Lt, out=out[:, None, :])
+
+    else:
+        K = gram.values.reshape(-1, n, n)
+        products, set_gram = partial(gram_products, K), lambda k: GramMatrix(K[k])
+
+        def batch_products(batch, D, out):
+            KB = K[fold_of[:, None], batch]
+            np.matmul(KB.transpose(0, 2, 1), D[:, :, None], out=out[:, :, None], dtype=K.dtype)
+
     C, loss = list(C), list(loss)
     rows = len(C)
     gamma = [cfg.gamma] * rows if gamma is None else list(gamma)
@@ -411,7 +466,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
             if len(traces[c]) > state.t:
                 traces[c].pop()
             k = fold[c]
-            traces[c].append(objective_value(alpha, GramMatrix(K[k]), Ys[k], C[c], loss[c]))
+            traces[c].append(objective_value(alpha, set_gram(k), Ys[k], C[c], loss[c]))
 
     def check_finite(step, resid):
         # a non-finite residual aborts the whole stack; the error names
@@ -430,13 +485,13 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         return D
 
     for step in range(t0, cfg.max_iter):
-        gram_products(K, state.alpha, Kalpha, spans)
+        products(state.alpha, Kalpha, spans)
         if track:
             resid = Y - Kalpha
             check_finite(step, resid)
             keep = []
             for r, c in enumerate(live):
-                h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], resid[r])))
+                h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], resid[r], check=False)))
                 if cfg.collect_trace:
                     traces[c].append(h)
                 if cfg.early_stop and prev_h[c] is not None:
@@ -459,7 +514,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
             np.subtract(Y, Kalpha, out=R)
-            gram_products(K, derivative(step), Kd, spans)
+            products(derivative(step), Kd, spans)
         else:
             if step % n == 0 or step == t0:
                 # the batches up to the next multiple of n steps (or the
@@ -473,10 +528,7 @@ def train_adam(gram: GramMatrix, y, C, loss, cfg: AdamConfig, gamma=None, seed=N
                 block.sort(axis=2)
             batch = block[:, step - drawn_at]
             np.subtract(Y[row_of, batch], Kalpha[row_of, batch], out=R)
-            d = derivative(step)[:, :, None]
-            # the gathered batch rows are a temporary, freed before the
-            # next step gathers its own
-            np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d, out=Kd[:, :, None], dtype=K.dtype)
+            batch_products(batch, derivative(step), Kd)
         # the gradient K alpha - C * K d, in place in Kd
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)

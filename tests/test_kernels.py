@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helssvr.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_row
+from helssvr.kernels import FACTOR_TOL, GramMatrix, KernelSpec, gram_factor, gram_matrix, kernel_row
 
 
 class TestKernelEval:
@@ -301,6 +301,51 @@ class TestGramBuffer:
             gram_matrix(spec, X, out=values[:, :8, :8][0])
 
 
+class TestGramFactor:
+    """The pivoted-Cholesky factor K ~= Lt.T @ Lt: complete to its tolerance,
+    at most d columns for a linear kernel, and None once its rank reaches
+    n/4."""
+
+    @pytest.mark.parametrize("sigma, rank", [(0.5, 13), (2.0, 7)])
+    def test_wide_rbf_kernel_on_one_feature(self, sigma, rank):
+        X = np.linspace(0.0, 1.0, 363).reshape(-1, 1)
+        K = gram_matrix(KernelSpec("rbf", sigma=sigma), X).values
+        factor = gram_factor(KernelSpec("rbf", sigma=sigma), X)
+        assert factor.Lt.shape == (rank, 363) and factor.n == 363
+        resid = K - factor.Lt.T @ factor.Lt
+        # the residual is positive semidefinite up to rounding, so its
+        # trace bounds every entry's magnitude, and the trace was stopped
+        # at FACTOR_TOL * n
+        assert np.trace(resid) <= FACTOR_TOL * 363 + 1e-13
+        assert np.abs(resid).max() <= 1e-11
+
+    def test_factor_repeats_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1, 1, size=(400, 2))
+        spec = KernelSpec("rbf", sigma=2.0)
+        first, second = gram_factor(spec, X), gram_factor(spec, X)
+        assert first.Lt.shape[0] < 100
+        assert first.Lt.tobytes() == second.Lt.tobytes()
+
+    def test_linear_kernel_has_at_most_d_columns(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(50, 3))
+        factor = gram_factor(KernelSpec("linear"), X)
+        assert factor.Lt.shape == (3, 50)
+        assert np.allclose(factor.Lt.T @ factor.Lt, X @ X.T, rtol=0, atol=1e-12)
+        assert gram_factor(KernelSpec("linear"), np.zeros((8, 2))).Lt.shape == (0, 8)
+
+    @pytest.mark.parametrize("n", [8, 9, 363])
+    def test_gives_up_once_the_rank_reaches_a_quarter_of_n(self, n):
+        # a kernel so narrow that K is the identity: rank n
+        X = np.arange(n, dtype=float).reshape(-1, 1)
+        assert gram_factor(KernelSpec("rbf", sigma=1e-3), X) is None
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty sample set"):
+            gram_factor(KernelSpec("rbf", sigma=1.0), np.zeros((0, 1)))
+
+
 class TestGramBudget:
     """The memory check runs before anything is allocated."""
 
@@ -331,7 +376,8 @@ class TestGramBudget:
     def test_budget_between_the_float32_and_float64_buffers(self, monkeypatch):
         # 4-byte entries: a budget admits a float32 Gram of sqrt(2) times
         # the rows of the largest float64 one (400 against 283 rows here),
-        # and a fit of 400 rows, whose Gram is float32, trains under it
+        # and a fit of 400 rows whose Gram is float32 (a narrow kernel, so
+        # the factor gives up) trains under it
         import helssvr.kernels
         from helssvr.kernels import gram_buffer, gram_buffer_bytes
         from helssvr.losses import LossSpec
@@ -346,9 +392,48 @@ class TestGramBudget:
             with pytest.raises(ValueError, match=f"f=1 matrices of N={n} rows needs {size} bytes"):
                 gram_buffer(1, n, dtype)
         X = np.linspace(0.0, 1.0, 400).reshape(-1, 1)
-        model, _ = fit(X, np.sin(3 * X[:, 0]), KernelSpec("rbf", sigma=0.5), LossSpec("least_squares"), C=1.0,
+        model, _ = fit(X, np.sin(3 * X[:, 0]), KernelSpec("rbf", sigma=0.005), LossSpec("least_squares"), C=1.0,
                        adam=AdamConfig(max_iter=2))
         assert model.alpha.shape == (400,)
+
+    def test_budget_between_the_factor_and_the_float32_gram(self, monkeypatch):
+        # 2000 1-D rows: under a 2 MB budget a wide kernel's factor (rank
+        # 13, in a 16-column buffer of 256,000 bytes) trains, where the
+        # float32 Gram of 16 MB could not be allocated; a narrow kernel's
+        # factor outgrows the budget's 125 columns, gives up, and the
+        # float32 Gram raises the budget's error before it is allocated:
+        # the most held at once is the 125-column buffer and the 64-column
+        # one it replaced
+        import tracemalloc
+
+        import helssvr.kernels
+        from helssvr.kernels import gram_buffer_bytes
+        from helssvr.losses import LossSpec
+        from helssvr.model import fit
+        from helssvr.optimizer import AdamConfig
+
+        n, budget = 2000, 2_000_000
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", budget)
+        X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+        y = np.sin(3 * X[:, 0])
+
+        def train(sigma):
+            return fit(X, y, KernelSpec("rbf", sigma=sigma), LossSpec("least_squares"), C=1.0,
+                       adam=AdamConfig(max_iter=2))
+
+        assert helssvr.kernels.gram_factor(KernelSpec("rbf", sigma=0.5), X).Lt.shape == (13, n)
+        model, _ = train(0.5)
+        assert model.alpha.shape == (n,)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"f=1 matrices of N={n} rows needs 16,000,064 bytes, "
+                                                 f"more than kernels.GRAM_MAX_BYTES = 2,000,000"):
+                train(0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram_buffer_bytes(1, n, np.float32) == 16_000_064
+        assert peak <= (125 + 64) * 8 * n + 200_000
 
     def test_default_budget_admits_the_benchmark_gram(self):
         from helssvr.kernels import GRAM_MAX_BYTES

@@ -562,13 +562,29 @@ class TestFitCellsMixedKinds:
         mixed = self.check(sets, self.kernels, self.cells(sets), adam)
         assert len({report.iterations for _, report in mixed}) > 3  # early stops at several steps
 
-    def test_float32_gram(self):
-        # 363 rows: a float32 Gram in a stack of its own
+    @staticmethod
+    def large_set():
         rng = np.random.default_rng(80)
         X = rng.uniform(-1, 1, (363, 2))
-        sets = [(X, np.cos(2 * X[:, 0]) + 0.1 * rng.normal(size=363))]
+        return [(X, np.cos(2 * X[:, 0]) + 0.1 * rng.normal(size=363))]
+
+    def test_float32_gram(self):
+        # 363 rows: a stack of its own; at sigma 0.5 the factor's rank
+        # reaches 363 / 4, and the set trains on a float32 Gram
+        sets = self.large_set()
         for batch_size in (32, 1000):
             self.check(sets, rbf(0.5), self.cells(sets), AdamConfig(max_iter=15, batch_size=batch_size))
+
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_gram_factor(self, batch_size):
+        # at sigma 3 the set trains on a rank-63 factor; a run resumed from
+        # step 7 is bit for bit one 15-step call, the factor being built
+        # again, bit for bit, by the resuming call
+        sets = self.large_set()
+        cells, adam = self.cells(sets), AdamConfig(max_iter=15, batch_size=batch_size)
+        part = fit_cells(sets, rbf(3.0), cells, replace(adam, max_iter=7), scaling="zscore")
+        whole = self.check(sets, rbf(3.0), cells, adam)
+        assert_same_fits(self.check(sets, rbf(3.0), cells, adam, resume=[report.state for _, report in part]), whole)
 
     @pytest.mark.parametrize("batch_size", [5, 1000])
     def test_resume_to_a_rung(self, monkeypatch, batch_size):
@@ -957,31 +973,36 @@ class TestAveragedFit:
 
 class TestFloat32Gram:
     """A training set whose float64 Gram exceeds STACK_GRAM_BYTES, and so
-    trains in a stack of its own, gets a float32 Gram; every smaller one
-    keeps float64."""
+    trains in a stack of its own, trains on a factor of its Gram, or on a
+    float32 Gram where the factor's rank reaches n/4; every smaller one
+    keeps a float64 Gram."""
 
     @staticmethod
-    def gram_dtype(monkeypatch, n):
+    def gram_form(monkeypatch, n, sigma=0.5):
         import helssvr.model
+        from helssvr.kernels import GramFactor
 
         seen, train = [], helssvr.model.train_adam
 
         def spy(gram, *args, **kwargs):
-            seen.append(gram.values.dtype)
+            seen.append(("factor", gram.Lt.shape) if isinstance(gram, GramFactor) else gram.values.dtype)
             return train(gram, *args, **kwargs)
 
         monkeypatch.setattr(helssvr.model, "train_adam", spy)
         X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
-        fit(X, np.sin(3 * X[:, 0]), rbf(0.5), hawkeye(), C=1.0, adam=AdamConfig(max_iter=1))
+        fit(X, np.sin(3 * X[:, 0]), rbf(sigma), hawkeye(), C=1.0, adam=AdamConfig(max_iter=1))
         monkeypatch.setattr(helssvr.model, "train_adam", train)
         return seen
 
-    def test_gate_at_363_rows(self, monkeypatch):
+    def test_three_paths_at_the_363_row_gate(self, monkeypatch):
         from helssvr.model import STACK_GRAM_BYTES
 
         assert 8 * 362**2 <= STACK_GRAM_BYTES < 8 * 363**2
-        assert self.gram_dtype(monkeypatch, 362) == [np.float64]
-        assert self.gram_dtype(monkeypatch, 363) == [np.float32]
+        assert self.gram_form(monkeypatch, 362) == [np.float64]
+        # a wide kernel on 1-D data: rank 13, far below 363 / 4
+        assert self.gram_form(monkeypatch, 363) == [("factor", (13, 363))]
+        # a narrow one: the rank reaches 363 / 4, and the float32 Gram trains
+        assert self.gram_form(monkeypatch, 363, sigma=0.005) == [np.float32]
 
     def test_predictions_match_a_float64_reference(self):
         # the same 400-row fit trained on a float64 Gram (gram_matrix +
@@ -1057,20 +1078,39 @@ class TestGoldenModelFile:
         model, _ = fit(ds.X, ds.y, rbf(0.5), hawkeye(0.05, 3.0, 1.0), C=100.0, adam=adam, scaling="zscore")
         assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "batch_size, digest",
-        [
-            (32, "ccd1b32dba977dd608608a07fac6375f7738b2909fea40a68f1ce59231e46349"),
-            (1000, "06aee27c9a204f4ea3732ab9bb06e18f9074ce2e3e215443f3f19b696e011cfa"),
-        ],
-    )
-    def test_float32_gram_fit_model_file(self, batch_size, digest):
-        # 400 rows, above the float32 gate: pins the float32 products of a
-        # mini-batch and a full-batch fit, sgemv where the digests above
-        # pin dgemv; like them, it holds for one BLAS build
+    @staticmethod
+    def large_fit_digest(batch_size, sigma):
         import hashlib
 
         ds, _ = generate_synthetic(SyntheticSpec(2, "gaussian", n_samples=400, seed=9))
         adam = AdamConfig(max_iter=300, batch_size=batch_size, seed=3)
-        model, _ = fit(ds.X, ds.y, rbf(0.5), hawkeye(0.05, 3.0, 1.0), C=100.0, adam=adam, scaling="zscore")
-        assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest
+        model, _ = fit(ds.X, ds.y, rbf(sigma), hawkeye(0.05, 3.0, 1.0), C=100.0, adam=adam, scaling="zscore")
+        return hashlib.sha256(model_to_json(model).encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "batch_size, digest",
+        [
+            (32, "4b7da3083d53dc025ce7dc107090037f7de210273fcb93a30bc4a48c09952cba"),
+            (1000, "61588292fa57d90d0bcf6158f4abada338a44d615e404afe3adde2e63964fbe2"),
+        ],
+    )
+    def test_factor_fit_model_file(self, batch_size, digest):
+        # 400 rows, above the gate, sigma 0.5: a rank-29 factor; pins its
+        # GEMV pairs at mini-batch and full batch.  Re-recorded on purpose
+        # when such fits moved from a float32 Gram to the factor
+        assert self.large_fit_digest(batch_size, 0.5) == digest
+
+    @pytest.mark.parametrize(
+        "batch_size, digest",
+        [
+            (32, "6565aed726b9f7f3918a84ab5dd401f6763f7bb1dd4200dbb96276b1904d9306"),
+            (1000, "8f62019b55d065e60166f9520be3778bf93df93cb83e0ea074ce229f40b8d1e0"),
+        ],
+    )
+    def test_float32_fallback_fit_model_file(self, batch_size, digest):
+        # sigma 0.05: the factor's rank reaches 400 / 4 (its full rank is
+        # 230), and the set trains on a float32 Gram, sgemv where the
+        # digests above pin dgemv; recorded before the factor existed, so
+        # they show the fallback is that float32 path bit for bit; like
+        # them, they hold for one BLAS build
+        assert self.large_fit_digest(batch_size, 0.05) == digest

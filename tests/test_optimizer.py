@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helssvr.kernels import GramMatrix, KernelSpec, gram_matrix
+from helssvr.kernels import FACTOR_TOL, GramMatrix, KernelSpec, gram_factor, gram_matrix
 from helssvr.losses import LossSpec, loss_derivative, loss_value
 from helssvr.optimizer import (
     EMA_WEIGHT,
     AdamConfig,
     AdamState,
     adam_step,
+    factor_products,
     gram_products,
     objective_value,
     train_adam,
@@ -675,9 +676,10 @@ class TestCrossFoldStack:
         assert info.value.__cause__ is None
 
     def test_trainer_checks_the_residual_block_not_its_loss_calls(self, monkeypatch):
-        # the trainer checks each step's residual block once itself, so an
-        # untracked run never reaches the losses' own check; the public
-        # loss functions keep it
+        # the trainer checks each step's residual block once itself, so a
+        # run, untracked or early-stopping, never reaches the losses' own
+        # check; a traced run checks only each row's final objective, of
+        # the averaged coefficients; the public loss functions keep it
         from helssvr import losses
 
         calls, check = [], losses._check_residual
@@ -690,8 +692,14 @@ class TestCrossFoldStack:
         gram, Ys, _ = fold_stack()
         mixed = [self.loss, LossSpec("least_squares")] * 2
         for batch_size in (6, 1000):
-            train_adam(gram, Ys, [1.0] * 4, mixed, AdamConfig(max_iter=20, batch_size=batch_size), fold=[0, 2, 1, 0])
-        assert calls == []
+            for tracking in ({}, {"early_stop": True, "early_stop_tol": 1e-2, "early_stop_patience": 3}):
+                cfg = AdamConfig(max_iter=20, batch_size=batch_size, **tracking)
+                train_adam(gram, Ys, [1.0] * 4, mixed, cfg, fold=[0, 2, 1, 0])
+            assert calls == []
+            cfg = AdamConfig(max_iter=20, batch_size=batch_size, collect_trace=True)
+            train_adam(gram, Ys, [1.0] * 4, mixed, cfg, fold=[0, 2, 1, 0])
+            assert len(calls) == 4
+            calls.clear()
         for spec in mixed[:2]:
             for public in (loss_value, loss_derivative):
                 with pytest.raises(ValueError, match=r"^residual must be finite$"):
@@ -854,6 +862,76 @@ class TestBatchedProductsAreRowGemvs:
         np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=got[:, :, None])
         for r, k in enumerate(fold_of):
             assert got[r].tobytes() == np.matmul(K[k][batch[r]].T, d[r]).tobytes()
+
+
+class TestFactorTraining:
+    """Training on a Gram factor K ~= Lt.T @ Lt: float64 products L (L^T a),
+    with the dense trainer's three stacking promises, and within the
+    factor's error of the dense float64 Gram."""
+
+    he = (LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0), LossSpec("hawkeye", epsilon=0.1, a=3.0, lam=0.5))
+
+    @staticmethod
+    def instance(n=60):
+        rng = np.random.default_rng(70)
+        X = rng.uniform(-1, 1, size=(n, 1))
+        y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n)
+        spec = KernelSpec("rbf", sigma=1.0)
+        return gram_factor(spec, X), gram_matrix(spec, X), y
+
+    def test_products_are_gemv_pairs_and_gemms(self):
+        factor, _, _ = self.instance()
+        Lt = factor.Lt
+        assert 0 < Lt.shape[0] < 15
+        A = np.random.default_rng(71).normal(size=(4, 60))
+        got = np.empty_like(A)
+        factor_products(Lt, A, got, spans=[(0, slice(0, 3)), (None, slice(3, 4))])
+        assert got[:3].tobytes() == np.matmul(np.matmul(A[:3], Lt.T), Lt).tobytes()
+        assert got[3].tobytes() == np.matmul(np.matmul(Lt, A[3]), Lt).tobytes()
+        for r in range(3):
+            assert np.allclose(got[r], np.matmul(np.matmul(Lt, A[r]), Lt), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("batch_size", [5, 1000])
+    def test_stacked_rows_keep_the_dense_promises(self, batch_size):
+        # three hawkeye rows share their GEMMs; the least-squares row is
+        # alone of its kind, so it keeps the GEMV pairs of a one-cell run
+        factor, _, y = self.instance()
+        losses = [self.he[0], LossSpec("least_squares"), self.he[1], self.he[0]]
+        Cs, gammas, seeds = [1.0, 10.0, 100.0, 10.0], [1e-2, 1e-2, 1e-3, 1e-2], [4, 5, 6, 7]
+        cfg = AdamConfig(
+            max_iter=150, batch_size=batch_size, collect_trace=True,
+            early_stop=True, early_stop_tol=1e-1, early_stop_patience=3,
+        )
+        stack = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
+        again = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
+        TestResume.assert_same_states(stack.states, again.states)
+        for c, got in enumerate(stack.states):
+            alone = train_adam(factor, y, Cs[c], losses[c], replace(cfg, gamma=gammas[c], seed=seeds[c]))
+            if losses[c].kind == "least_squares":
+                TestResume.assert_same_states([got], [alone])
+            else:
+                assert_close_runs(got, alone)
+            assert got.trace[-1] == objective_value(got.alpha, factor, y, Cs[c], losses[c])
+        assert len({state.t for state in stack.states}) > 1
+
+    @pytest.mark.parametrize("batch_size", [5, 1000])
+    def test_within_the_factor_error_of_the_dense_gram(self, batch_size):
+        # the factor is within its tolerance of K; over 150 steps the runs
+        # stay within 1e-9 of the dense run's largest coefficient
+        factor, gram, y = self.instance()
+        assert np.abs(factor.Lt.T @ factor.Lt - gram.values).max() <= FACTOR_TOL * 60
+        cfg = AdamConfig(max_iter=150, batch_size=batch_size, seed=3, collect_trace=True)
+        got, want = train_adam(factor, y, 10.0, self.he[0], cfg), train_adam(gram, y, 10.0, self.he[0], cfg)
+        assert not np.array_equal(got.alpha, want.alpha)
+        assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-9 * np.max(np.abs(want.alpha))
+        assert np.allclose(got.trace, want.trace, rtol=1e-9, atol=0)
+
+    def test_targets_and_folds_checked(self):
+        factor, _, y = self.instance()
+        with pytest.raises(ValueError, match=r"expected \(60,\)"):
+            train_adam(factor, y[None], [1.0], [self.he[0]], AdamConfig(max_iter=5))
+        with pytest.raises(ValueError, match=r"fold indices must lie in \[0, 1\)"):
+            train_adam(factor, y, [1.0], [self.he[0]], AdamConfig(max_iter=5), fold=[1])
 
 
 class TestResume:
