@@ -16,12 +16,13 @@ rows of its pivots; it gives up once r reaches N/4, where its 2 N r
 eight-byte reads per product no longer beat a float32 Gram's N^2
 four-byte ones.
 :func:`helssvr.model.fit_cells` trains a set too large to share an
-optimizer stack on its factor, and on a float32 Gram where the factor
-gives up.  Gram builds, factor columns and prediction all evaluate kernel
-rows through :func:`kernel_row`, a block of :func:`block_rows` points at a
-time; each row of a block is bit-identical to the row of its point alone,
-so a Gram row, a prediction's kernel row and :func:`kernel_row` of one
-point agree bitwise, and the matrix is exactly symmetric.  An RBF row sums
+optimizer stack on its factor, whose pivot rows become its models'
+centers, and on a float32 Gram where the factor gives up.  Gram builds,
+factor columns and prediction all evaluate kernel rows through
+:func:`kernel_row`, a block of :func:`block_rows` points at a time; each
+row of a block is bit-identical to the row of its point alone, so a Gram
+row, a prediction's kernel row and :func:`kernel_row` of one point agree
+bitwise, and the matrix is exactly symmetric.  An RBF row sums
 its squared distances one feature at a time, so its bits rest on
 elementwise operations only.
 """
@@ -113,9 +114,14 @@ class GramMatrix:
 class GramFactor:
     """Low-rank factor of one training set's N x N Gram matrix:
     K ~= Lt.T @ Lt, with ``Lt`` the (r, N) transpose of the pivoted-Cholesky
-    factor L (see :func:`gram_factor`)."""
+    factor L and ``pivots`` the (r,) rows it pivoted on, in order (see
+    :func:`gram_factor`).  ``Lt[:, pivots]`` is upper triangular with a
+    positive diagonal but for rounding (an entry below the diagonal, times
+    its row's diagonal entry, is a rounding residue of K's scale), and the
+    pivot rows are exact to rounding: ``K[pivots] ~= Lt[:, pivots].T @ Lt``."""
 
     Lt: np.ndarray
+    pivots: np.ndarray
 
     @property
     def n(self) -> int:
@@ -271,7 +277,7 @@ def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
         raise ValueError("gram factor of an empty sample set")
     resid = np.ones(n) if spec.kind == RBF else np.einsum("ij,ij->i", X, X)
     stop = FACTOR_TOL * resid.sum()
-    Lt, r = np.empty((0, n)), 0
+    Lt, r, pivots = np.empty((0, n)), 0, np.empty(n, np.intp)
     while resid.sum() > stop:
         if 4 * r >= n:
             return None
@@ -282,7 +288,7 @@ def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
             grown = np.empty((columns, n))
             grown[:r] = Lt
             Lt = grown
-        p = int(np.argmax(resid))
+        p = pivots[r] = np.argmax(resid)
         col = kernel_row(spec, X[p], X, out=Lt[r])
         col -= Lt[:r, p] @ Lt[:r]
         col /= np.sqrt(resid[p])
@@ -290,4 +296,4 @@ def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
         resid[p] = 0.0
         np.maximum(resid, 0.0, out=resid)
         r += 1
-    return GramFactor(Lt[:r])
+    return GramFactor(Lt[:r], pivots[:r])

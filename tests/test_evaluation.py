@@ -722,6 +722,41 @@ class TestJointSearch:
             (alone,) = grid_search_recipes(ds, grid, [recipe], seed=1, adam=adam, scaling="zscore")
             assert self.summary(res) == self.summary(alone)
 
+    def test_factor_folds_share_their_centers_across_stacks(self, monkeypatch):
+        # 726 rows in 2 folds: training sets of 363 rows, each trained
+        # alone on a factor of its Gram; at the first rung the 35 cells
+        # of the one sigma (20 hawkeye, 5 least squares, 10 insensitive)
+        # take two optimizer stacks a fold, and every model of a fold keeps
+        # the one array of its pivot rows, which predict_cells requires
+        import helssvr.evaluation
+        import helssvr.model
+        from helssvr.evaluation import grid_search_recipes
+
+        stacks, scored = [], []
+        train, predict_cells = helssvr.model.train_adam, helssvr.evaluation.predict_cells
+
+        def train_spy(gram, y, C, *args, **kw):
+            stacks.append((type(gram).__name__, len(C)))
+            return train(gram, y, C, *args, **kw)
+
+        def predict_spy(models, X):
+            scored.append(models)
+            return predict_cells(models, X)
+
+        monkeypatch.setattr(helssvr.model, "train_adam", train_spy)
+        monkeypatch.setattr(helssvr.evaluation, "predict_cells", predict_spy)
+        grid = GridSpec(
+            C_values=(1.0, 10.0, 100.0, 1e3, 1e4), sigma_values=(1.0,), epsilon_values=(0.05, 0.1), a_values=(1.0, 3.0),
+            k=2,
+        )
+        adam = fast_adam(max_iter=20, batch_size=32)
+        grid_search_recipes(toy_dataset(n=726, seed=8), grid, self.recipes, seed=11, adam=adam, scaling="zscore")
+        assert stacks[:4] == [("GramFactor", 25), ("GramFactor", 10)] * 2
+        assert [len(models) for models in scored[:2]] == [35, 35]
+        for models in scored:
+            assert all(model.X_train is models[0].X_train for model in models)
+            assert models[0].X_train.shape[0] < 363 and not models[0].X_train.flags.writeable
+
     def test_recipes_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct recipes, got \\['hawkeye', 'hawkeye'\\]"):
             self.search([ModelRecipe("hawkeye")] * 2)

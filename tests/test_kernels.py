@@ -333,7 +333,33 @@ class TestGramFactor:
         factor = gram_factor(KernelSpec("linear"), X)
         assert factor.Lt.shape == (3, 50)
         assert np.allclose(factor.Lt.T @ factor.Lt, X @ X.T, rtol=0, atol=1e-12)
-        assert gram_factor(KernelSpec("linear"), np.zeros((8, 2))).Lt.shape == (0, 8)
+        empty = gram_factor(KernelSpec("linear"), np.zeros((8, 2)))
+        assert empty.Lt.shape == (0, 8) and empty.pivots.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "spec, X",
+        [
+            (KernelSpec("rbf", sigma=0.5), np.linspace(0.0, 1.0, 363).reshape(-1, 1)),
+            (KernelSpec("rbf", sigma=2.0), np.random.default_rng(5).uniform(-1, 1, size=(400, 2))),
+            (KernelSpec("linear"), np.random.default_rng(6).normal(size=(50, 3))),
+        ],
+    )
+    def test_pivot_columns_are_triangular_and_pivot_rows_exact(self, spec, X):
+        # the pivots are distinct rows; Lt[:, pivots] is upper triangular
+        # with a positive diagonal, but for rounding: an entry below the
+        # diagonal is a rounding residue of K's scale divided by its row's
+        # diagonal entry, which can be as small as the square root of the
+        # stopping tolerance; and each pivot row of K is its row of
+        # Lt.T @ Lt to rounding
+        factor = gram_factor(spec, X)
+        K = gram_matrix(spec, X).values
+        r, eps = factor.Lt.shape[0], 8 * np.finfo(float).eps * K.diagonal().max()
+        assert factor.pivots.shape == (r,) and factor.pivots.dtype == np.intp
+        assert len(set(factor.pivots.tolist())) == r
+        LPP = factor.Lt[:, factor.pivots]
+        assert np.all(LPP.diagonal() > 0)
+        assert np.all(np.abs(np.tril(LPP, -1)) * LPP.diagonal()[:, None] <= eps)
+        assert np.abs(K[factor.pivots] - LPP.T @ factor.Lt).max() <= eps
 
     @pytest.mark.parametrize("n", [8, 9, 363])
     def test_gives_up_once_the_rank_reaches_a_quarter_of_n(self, n):
@@ -398,12 +424,12 @@ class TestGramBudget:
 
     def test_budget_between_the_factor_and_the_float32_gram(self, monkeypatch):
         # 2000 1-D rows: under a 2 MB budget a wide kernel's factor (rank
-        # 13, in a 16-column buffer of 256,000 bytes) trains, where the
-        # float32 Gram of 16 MB could not be allocated; a narrow kernel's
-        # factor outgrows the budget's 125 columns, gives up, and the
-        # float32 Gram raises the budget's error before it is allocated:
-        # the most held at once is the 125-column buffer and the 64-column
-        # one it replaced
+        # 13, in a 16-column buffer of 256,000 bytes) trains, and its model
+        # keeps the 13 pivot rows, where the float32 Gram of 16 MB could
+        # not be allocated; a narrow kernel's factor outgrows the budget's
+        # 125 columns, gives up, and the float32 Gram raises the budget's
+        # error before it is allocated: the most held at once is the
+        # 125-column buffer and the 64-column one it replaced
         import tracemalloc
 
         import helssvr.kernels
@@ -423,7 +449,7 @@ class TestGramBudget:
 
         assert helssvr.kernels.gram_factor(KernelSpec("rbf", sigma=0.5), X).Lt.shape == (13, n)
         model, _ = train(0.5)
-        assert model.alpha.shape == (n,)
+        assert model.alpha.shape == (13,)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"f=1 matrices of N={n} rows needs 16,000,064 bytes, "

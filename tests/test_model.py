@@ -1006,21 +1006,23 @@ class TestFloat32Gram:
 
     def test_predictions_match_a_float64_reference(self):
         # the same 400-row fit trained on a float64 Gram (gram_matrix +
-        # train_adam).  Stated tolerance: 1e-6 of the target range.  Over
-        # 300 mini-batch steps with sigma <= 0.5 (functions 1 and 4, seeds
-        # 1-2, C from 1 to 1e4) the largest difference measured was 3e-8.
-        # Wider kernels and longer full-batch runs move further: they are
-        # worse conditioned, and Adam carries float32's rounding of K alpha
-        # forward as it carries any perturbation of the Gram.
-        from helssvr.data import scale_target
+        # train_adam) and expanded over every training row.  Stated
+        # tolerance: 1e-6 of the target range.  Over 300 mini-batch steps
+        # with sigma 0.5 (functions 1 and 4, seeds 1-2, C from 1 to 1e4)
+        # the factor-trained pivot model's largest difference measured was
+        # 3.8e-13.  Wider kernels and longer full-batch runs move further:
+        # they are worse conditioned, and Adam carries the factor's error
+        # in K alpha forward as it carries any perturbation of the Gram.
+        from helssvr.data import scale_features, scale_target
         from helssvr.optimizer import train_adam
 
         ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=500, seed=2))
         X, y = ds.X[:400], ds.y[:400]
         loss, adam = hawkeye(0.05, 3.0, 1.0), AdamConfig(max_iter=300, batch_size=32, seed=3)
         model, _ = fit(X, y, rbf(0.5), loss, C=100.0, adam=adam, scaling="zscore")
-        want = train_adam(gram_matrix(rbf(0.5), model.X_train), scale_target(model.scaling, y), 100.0, loss, adam)
-        got, ref = predict(model, ds.X[400:]), predict(replace(model, alpha=want.alpha), ds.X[400:])
+        Xs = scale_features(model.scaling, X)
+        want = train_adam(gram_matrix(rbf(0.5), Xs), scale_target(model.scaling, y), 100.0, loss, adam)
+        got, ref = predict(model, ds.X[400:]), predict(replace(model, X_train=Xs, alpha=want.alpha), ds.X[400:])
         assert not np.array_equal(got, ref)
         assert np.max(np.abs(got - ref)) <= 1e-6 * np.ptp(y)
 
@@ -1051,6 +1053,72 @@ class TestFloat32Gram:
             finally:
                 tracemalloc.stop()
             assert peak < gram.values.nbytes, name
+
+
+class TestPivotModel:
+    """A factor-trained model is its kernel expansion over the factor's
+    pivot rows, with beta = L_PP^-T (L^T alpha)."""
+
+    @staticmethod
+    def factor_fit(function, n, sigma, C, batch_size):
+        from helssvr.data import scale_features
+
+        ds, _ = generate_synthetic(SyntheticSpec(function, "gaussian", n_samples=n, seed=3101))
+        adam = AdamConfig(max_iter=300, batch_size=batch_size, seed=0)
+        model, report = fit(ds.X, ds.y, rbf(sigma), hawkeye(0.05, 3.0, 1.0), C=C, adam=adam, scaling="zscore")
+        return ds, model, report, scale_features(model.scaling, ds.X)
+
+    @pytest.mark.parametrize(
+        "function, n, sigma, C, batch_size",
+        [(4, 2000, 0.3, 100.0, 2000), (1, 400, 0.5, 1e4, 32), (2, 400, 2.0, 1e4, 400)],
+    )
+    def test_expansion_over_the_pivot_rows(self, function, n, sigma, C, batch_size):
+        # at the training rows it gives the fitted values L (L^T alpha)
+        # that training minimized, and elsewhere it stays close to the
+        # expansion over every training row: inside the data's range, and
+        # up to one range beyond it, where beta's error is carried further
+        from helssvr.data import inverse_target
+        from helssvr.kernels import gram_factor
+
+        ds, model, report, Xs = self.factor_fit(function, n, sigma, C, batch_size)
+        factor = gram_factor(rbf(sigma), Xs)
+        rank = len(factor.pivots)
+        assert 0 < rank < n and model.X_train.shape == (rank, 1)
+        assert model.X_train.tobytes() == Xs[factor.pivots].tobytes()
+        assert report.state.alpha.shape == (n,)
+        span = np.ptp(ds.y)
+        fitted = inverse_target(model.scaling, factor.Lt.T @ (factor.Lt @ report.state.alpha))
+        assert np.abs(predict(model, ds.X) - fitted).max() <= 1e-12 * span
+        full = replace(model, X_train=Xs, alpha=report.state.alpha)
+        lo, hi = ds.X.min(), ds.X.max()
+        inside = np.random.default_rng(1).uniform(lo, hi, (2000, 1))
+        assert np.abs(predict(model, inside) - predict(full, inside)).max() <= 1e-10 * span
+        beyond = np.linspace(2 * lo - hi, 2 * hi - lo, 2001).reshape(-1, 1)
+        assert np.abs(predict(model, beyond) - predict(full, beyond)).max() <= 1e-6 * span
+
+    def test_rank_zero_factor_keeps_every_row(self, monkeypatch, tmp_path):
+        # all-zero rows under the linear kernel: a rank-0 factor, whose
+        # model keeps the expansion over every training row (zero centers
+        # would leave predict no kernel rows and the file an empty x_train)
+        import helssvr.model
+
+        ranks, real = [], helssvr.model.gram_factor
+
+        def spy(spec, X):
+            factor = real(spec, X)
+            ranks.append(len(factor.pivots))
+            return factor
+
+        monkeypatch.setattr(helssvr.model, "gram_factor", spy)
+        y = np.random.default_rng(2).normal(size=363)
+        model, report = fit(np.zeros((363, 2)), y, KernelSpec("linear"), LossSpec("least_squares"), C=1.0,
+                            adam=AdamConfig(max_iter=5), scaling="none")
+        assert ranks == [0]
+        assert model.X_train.shape == (363, 2) and model.alpha.tobytes() == report.state.alpha.tobytes()
+        queries = np.random.default_rng(3).normal(size=(7, 2))
+        assert np.array_equal(predict(model, queries), np.zeros(7))
+        save_model(model, tmp_path / "m.json")
+        assert predict(load_model(tmp_path / "m.json"), queries).tobytes() == predict(model, queries).tobytes()
 
 
 class TestGoldenModelFile:
@@ -1090,14 +1158,16 @@ class TestGoldenModelFile:
     @pytest.mark.parametrize(
         "batch_size, digest",
         [
-            (32, "4b7da3083d53dc025ce7dc107090037f7de210273fcb93a30bc4a48c09952cba"),
-            (1000, "61588292fa57d90d0bcf6158f4abada338a44d615e404afe3adde2e63964fbe2"),
+            (32, "b28fd1b4e3d7287c8b750d8d6f665fc730302db3be342e1b7039af6a748dee27"),
+            (1000, "e06dc4fb966410ede5f4e5b680665d88fbc72c8eef65797b3bfb8c4e6f299182"),
         ],
     )
     def test_factor_fit_model_file(self, batch_size, digest):
         # 400 rows, above the gate, sigma 0.5: a rank-29 factor; pins its
-        # GEMV pairs at mini-batch and full batch.  Re-recorded on purpose
-        # when such fits moved from a float32 Gram to the factor
+        # GEMV pairs at mini-batch and full batch, and the file's expansion
+        # over the 29 pivot rows.  Re-recorded on purpose when such fits
+        # moved from a float32 Gram to the factor, and again when their
+        # models moved to the pivot rows (the training bits did not move)
         assert self.large_fit_digest(batch_size, 0.5) == digest
 
     @pytest.mark.parametrize(
