@@ -15,7 +15,12 @@ Two tables:
   500 rows of which 400 train, seeds 100-109, 200-209 and 500) with its
   search: the 18-cell grid, 5 folds, full batch, zscore, fold mean.
 * ``bench``: the same inputs with ``helssvr bench``'s defaults: the same
-  18-cell grid at mini-batch 32, min-max scaling, best fold.
+  18-cell grid at mini-batch 32, min-max scaling, best fold.  Its refit
+  RMSE is the kind of error ``helssvr bench`` writes to ``results.csv``:
+  the winning cell refitted on the searched rows and scored on held-out
+  rows that neither the search nor the refit saw (bench too holds out 1/5
+  of the rows at its default ``grid.k=5``), though here against the
+  noise-free targets and bench against the noisy ones.
 
 The last line counts the inputs where both searches selected the same cell.
 """

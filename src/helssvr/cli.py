@@ -25,8 +25,10 @@ from itertools import product
 import numpy as np
 
 from .data import (
+    Dataset,
     SyntheticSpec,
     generate_synthetic,
+    kfold_split,
     load_csv,
     load_features,
     write_csv,
@@ -44,6 +46,7 @@ from .kernels import KernelSpec
 from .losses import LOSS_KINDS, LossSpec, required_params
 from .model import fit, fit_cells, load_model, predict, save_model
 from .optimizer import AdamConfig
+from .seeding import child_seed
 
 
 class ConfigError(Exception):
@@ -137,7 +140,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "grid.gamma": ((0.01,), _parse_float_list, "bench"),
     "grid.k": (5, int, "bench"),
     "cv.selection": ("best_fold", _parse_choice("best_fold", "mean"), "bench"),
-    "bench.report": ("best_fold", _parse_choice("best_fold", "refit"), "bench"),
     "rank.tie": ("competition", _parse_choice("competition", "fractional"), "rank"),
     "rank.q_alpha": (None, _optional(_parse_positive), "rank"),
     "rank.critical_f": (None, _optional(_parse_positive), "rank"),
@@ -345,6 +347,18 @@ def _jointly(call, what):
         return None
 
 
+def _hold_out(ds: Dataset, k: int, seed: int) -> tuple[Dataset, Dataset]:
+    """``ds`` split into the rows bench searches and refits on and the rows
+    that score the refit: the first of ``k`` :func:`kfold_split` folds, on a
+    seed stream apart from the search's folds, the same for every recipe."""
+    held = -(-ds.n // k)  # kfold_split's first fold is one of the larger ones
+    if ds.n - held < k:
+        raise ValueError(f"{ds.n} rows are too few for grid.k={k}: holding out {held} rows to score the refit"
+                         f" leaves {ds.n - held}, fewer than the search's {k} folds")
+    test = kfold_split(ds.n, k, child_seed(seed, 0x7E57))[0]
+    return Dataset(np.delete(ds.X, test, axis=0), np.delete(ds.y, test)), Dataset(ds.X[test], ds.y[test])
+
+
 #: the files bench writes into its --outdir (failures.csv only if an item fails)
 BENCH_OUTPUTS = ("results.csv", "timing.csv", "best_params.csv", "cells.csv", "failures.csv")
 
@@ -383,24 +397,24 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         steps = [sum(r.iterations for cell in res.cells for r in cell.fold_reports) for res in results]
         return [(res, wall * k / sum(steps)) for res, k in zip(results, steps)]
 
-    # then one joint refit per recipe, of its winning cell on each whole
-    # dataset: every recipe's refits stack alike, so that the training
-    # times, a stack's wall time split evenly among its rows, compare
-    # across recipes
+    # then one joint refit per recipe, of its winning cells on the searched
+    # rows: every recipe's refits stack alike, so that the training times (a
+    # stack's wall time split evenly among its rows) compare across recipes
     def refit(group):
         sets, kernels, cells = [], [], []
-        for k, (_, ds, recipe, res, _) in enumerate(group):
+        for k, (_, ds, _, recipe, res, _) in enumerate(group):
             p = res.best.params
             sets.append((ds.X, ds.y))
             kernels.append(recipe.build_kernel(p.sigma))
             cells.append((k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma, adam.seed))
         return fit_cells(sets, kernels, cells, adam, scaling=cfg["scaling"])
 
-    searched, failures = [], []  # (dataset, data, recipe, search result, search seconds)
+    searched, failures = [], []  # (dataset, searched rows, held-out rows, recipe, search result, seconds)
     for path in args.data:
         dataset_name = str(path)
         try:
             ds, _ = load_csv(**_csv_options(args, path))
+            ds, test = _hold_out(ds, grid.k, cfg["seed"])
         except (OSError, ValueError) as exc:
             failures.append((dataset_name, "*", type(exc).__name__, str(exc)))
             continue
@@ -408,20 +422,16 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         for i, recipe in enumerate(recipes):
             with _work_item(failures, dataset_name, recipe.name):
                 res, secs = search(ds, [recipe])[0] if found is None else found[i]
-                searched.append((dataset_name, ds, recipe, res, secs))
-    # one (dataset, model, search result, search seconds, metrics, refit
-    # report) per work item
+                searched.append((dataset_name, ds, test, recipe, res, secs))
+    # one (dataset, model, search result, search seconds, held-out metrics, refit report) per work item
     items = []
     for recipe in recipes:
-        mine = [item for item in searched if item[2] is recipe]
+        mine = [item for item in searched if item[3] is recipe]
         fitted = _jointly(lambda: refit(mine), f"refit of {recipe.name}") if len(mine) > 1 else None
-        for k, (dataset_name, ds, _, res, secs) in enumerate(mine):
+        for k, (dataset_name, _, test, _, res, secs) in enumerate(mine):
             with _work_item(failures, dataset_name, recipe.name):
                 model, refit_report = refit([mine[k]])[0] if fitted is None else fitted[k]
-                if cfg["bench.report"] == "refit":
-                    metrics = compute_metrics(ds.y, predict(model, ds.X))
-                else:
-                    metrics = res.best.fold_metrics[int(np.argmin(res.best.fold_rmse))]
+                metrics = compute_metrics(test.y, predict(model, test.X))
                 items.append((dataset_name, recipe.name, res, secs, metrics, refit_report))
     items.sort(key=lambda item: item[:2])
     # failures in the order of the datasets, then of the recipes

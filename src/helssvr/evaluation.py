@@ -144,7 +144,6 @@ class CellParams:
 class CellResult:
     params: CellParams
     fold_rmse: list[float]
-    fold_metrics: list[MetricsReport]
     fold_reports: list[FitReport]
     stat: float
 
@@ -154,7 +153,6 @@ class GridSearchResult:
     best: CellResult
     cells: list[CellResult]
     folds: list[np.ndarray]
-    selection: str
 
     @property
     def best_params(self) -> CellParams:
@@ -224,13 +222,9 @@ def grid_search_cv(
     run for the same grid and ``model.STACK_ROWS``.  A cell that trains all
     the way with the same stack layout at every rung is bit-identical to an
     exhaustive search's, and every cell agrees with a standalone
-    :func:`fit` of its steps with that seed to rounding.  The returned
-    coefficients average the Adam iterates, so that rounding did not move
-    the selected cell on any input of the README's seed sweep, where the
-    last iterate did.  Work items
-    run one after another: threads measured slower, because each Adam
-    step's Python work holds the GIL.  This is the one-recipe case of
-    :func:`grid_search_recipes`.
+    :func:`fit` of its steps with that seed to rounding.  Work items run one
+    after another, since each Adam step's Python work holds the GIL.  This
+    is the one-recipe case of :func:`grid_search_recipes`.
     """
     return grid_search_recipes(ds, grid, [recipe], seed, adam, scaling, selection)[0]
 
@@ -272,8 +266,7 @@ def grid_search_recipes(
     names = [recipe.name for recipe in recipes]
     if not recipes or len(set(names)) != len(names):
         raise ValueError(f"grid_search_recipes needs distinct recipes, got {names}")
-    if adam is None:
-        adam = AdamConfig()
+    adam = AdamConfig() if adam is None else adam
     folds = kfold_split(ds.n, grid.k, seed)
     # the k training sets, which every rung and kernel width trains on
     all_idx = np.arange(ds.n)
@@ -311,15 +304,13 @@ def grid_search_recipes(
             ]
             resume = [states[r].get((i, j)) for j in range(len(folds)) for r, i in owners]
             fitted = fit_cells(sets, recipes[0].build_kernel(sigma), specs, run, scaling=scaling, resume=resume)
-            found = [CellResult(p, [], [], [], math.nan) for p in params]
+            found = [CellResult(p, [], [], math.nan) for p in params]
             for j, test_idx in enumerate(folds):
                 fold_fits = fitted[j * len(owners) : (j + 1) * len(owners)]
                 preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
                 for (r, i), res, (_, report), pred in zip(owners, found, fold_fits, preds):
-                    metrics = compute_metrics(ds.y[test_idx], pred)
                     states[r][i, j] = report.state
-                    res.fold_rmse.append(metrics.rmse)
-                    res.fold_metrics.append(metrics)
+                    res.fold_rmse.append(compute_metrics(ds.y[test_idx], pred).rmse)
                     res.fold_reports.append(replace(report, state=None))
             for (r, i), res in zip(owners, found):
                 res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
@@ -346,7 +337,7 @@ def grid_search_recipes(
         best = min(res, key=rank)
         if not math.isfinite(best.stat):
             raise ValueError("no grid cell produced a finite fold RMSE")
-        out.append(GridSearchResult(best=best, cells=res, folds=folds, selection=selection))
+        out.append(GridSearchResult(best=best, cells=res, folds=folds))
     return out
 
 

@@ -267,9 +267,9 @@ def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
     :data:`FACTOR_TOL` times the trace of K (Harbrecht, Peters & Schneider
     2012 bound the error by that sum).  An RBF diagonal is all ones; a
     linear one is ||x||^2, and its factor has at most d columns.  The
-    columns are held in a buffer that doubles as it fills, up to
-    :data:`GRAM_MAX_BYTES`; a factor that needs more gives up too, before
-    allocating it.  Deterministic: the same inputs give the same bits.
+    columns are held in a buffer that doubles as it fills, up to ceil(N/4)
+    columns and :data:`GRAM_MAX_BYTES`; a factor that needs more gives up,
+    before allocating it.  Deterministic: the same inputs give the same bits.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -279,8 +279,6 @@ def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
     stop = FACTOR_TOL * resid.sum()
     Lt, r, pivots = np.empty((0, n)), 0, np.empty(n, np.intp)
     while resid.sum() > stop:
-        if 4 * r >= n:
-            return None
         if r == len(Lt):
             columns = min(max(2 * r, 16), -(-n // 4), GRAM_MAX_BYTES // (8 * n))
             if columns == r:

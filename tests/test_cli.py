@@ -655,18 +655,6 @@ class TestBench:
         )
         assert read_rows(outdir / "timing.csv")[1][5:] == ["6", "18"]
 
-    def test_refit_report_mode(self, tmp_path):
-        data = tmp_path / "toy.csv"
-        write_toy_csv(data)
-        outdir = tmp_path / "bench"
-        rc = main(["bench", "--data", str(data), "--target", "y", "--recipes", "hawkeye",
-                   "--outdir", str(outdir), "--set", "bench.report=refit",
-                   "--set", "cv.selection=mean", *fast_flags()])
-        assert rc == 0
-        rows = read_rows(outdir / "results.csv")
-        assert len(rows) == 2
-        assert float(rows[1][2]) >= 0.0
-
 
 class TestJointBench:
     """A bench trains each dataset's recipes in one joint search and each
@@ -700,7 +688,7 @@ class TestJointBench:
         rows["timing.csv"] = [r[:2] + r[5:] for r in read_rows(outdir / "timing.csv")]
         return rows
 
-    @pytest.mark.parametrize("flags", [[], ["--set", "adam.batch_size=1000", "--set", "bench.report=refit"]])
+    @pytest.mark.parametrize("flags", [[], ["--set", "adam.batch_size=1000"]])
     def test_matches_one_recipe_benches(self, tmp_path, capsys, flags):
         data = self.datasets(tmp_path)
         joint = self.outputs(self.bench(tmp_path, "joint", data, self.RECIPES, *flags))
@@ -764,6 +752,116 @@ class TestJointBench:
         assert "Traceback" in err
         assert err.count("joint refit") == 1
         assert "joint refit of least_squares failed (RuntimeError: refit exploded); running its work items" in err
+
+
+class TestBenchScoresHeldOutRows:
+    """bench holds out 1/grid.k of each dataset's rows, searches and refits
+    on the rest, and writes the refit's metrics on the held-out rows."""
+
+    RECIPES = ("hawkeye", "least_squares")
+    FLAGS = ["--target", "y", "--drop", "y_true", *fast_flags()]  # grid.k=3
+
+    def bench(self, tmp_path, monkeypatch):
+        """Run a bench of two datasets (40 and 45 rows) with spies on the
+        search, the refit and the scoring predict; returns the datasets as
+        bench loads them, the output directory and what each spy saw."""
+        import helssvr.cli
+        from helssvr.data import load_csv
+
+        paths = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
+        write_toy_csv(paths[0], seed=1)
+        write_toy_csv(paths[1], n=45, seed=2)
+        seen = {"search": [], "fit": [], "predict": []}
+        real_search, real_fit, real_predict = (
+            helssvr.cli.grid_search_recipes, helssvr.cli.fit_cells, helssvr.cli.predict)
+
+        def search(ds, *args, **kw):
+            seen["search"].append(ds)
+            return real_search(ds, *args, **kw)
+
+        def fit_cells(sets, *args, **kw):
+            seen["fit"].extend(X for X, _ in sets)
+            return real_fit(sets, *args, **kw)
+
+        def predict(model, X):
+            seen["predict"].append((model.loss.kind, X))
+            return real_predict(model, X)
+
+        monkeypatch.setattr(helssvr.cli, "grid_search_recipes", search)
+        monkeypatch.setattr(helssvr.cli, "fit_cells", fit_cells)
+        monkeypatch.setattr(helssvr.cli, "predict", predict)
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", *map(str, paths), "--recipes", ",".join(self.RECIPES),
+                   "--outdir", str(outdir), *self.FLAGS])
+        assert rc == 0
+        loaded = [load_csv(p, target_column="y", drop_columns=("y_true",))[0] for p in paths]
+        return paths, loaded, outdir, seen
+
+    @staticmethod
+    def rows(X):
+        return {tuple(row) for row in X}
+
+    def test_search_and_refit_never_see_held_out_rows(self, tmp_path, monkeypatch):
+        paths, loaded, _, seen = self.bench(tmp_path, monkeypatch)
+        # one joint search per dataset, one joint refit per recipe
+        assert len(seen["search"]) == 2 and len(seen["fit"]) == 4
+        held_out = set().union(*(self.rows(X) for _, X in seen["predict"]))
+        assert held_out
+        for ds, searched in zip(loaded, seen["search"]):
+            mine = self.rows(ds.X)
+            held = mine - self.rows(searched.X)
+            assert self.rows(searched.X) <= mine
+            assert len(held) == -(-ds.n // 3)  # the first of grid.k=3 folds
+            assert held <= held_out
+        for X in [*(ds.X for ds in seen["search"]), *seen["fit"]]:
+            assert not self.rows(X) & held_out
+        # every refit trains on the rows its search saw
+        assert {frozenset(self.rows(X)) for X in seen["fit"]} == {
+            frozenset(self.rows(ds.X)) for ds in seen["search"]
+        }
+
+    def test_every_recipe_scored_on_the_same_rows(self, tmp_path, monkeypatch):
+        _, loaded, _, seen = self.bench(tmp_path, monkeypatch)
+        assert len(seen["predict"]) == 4
+        for ds in loaded:
+            mine = [(kind, X) for kind, X in seen["predict"] if self.rows(X) <= self.rows(ds.X)]
+            assert sorted(kind for kind, _ in mine) == sorted(self.RECIPES)
+            assert mine[0][1].tobytes() == mine[1][1].tobytes()
+
+    def test_results_are_a_library_refit_scored_on_held_out_rows(self, tmp_path, monkeypatch):
+        from helssvr import AdamConfig, ModelRecipe, compute_metrics, fit, predict
+
+        paths, loaded, outdir, seen = self.bench(tmp_path, monkeypatch)
+        best = {tuple(r[:2]): r[2:8] for r in read_rows(outdir / "best_params.csv")[1:]}
+        results = read_rows(outdir / "results.csv")[1:]
+        assert len(results) == 4
+        for dataset, model, *metrics, _ in results:
+            k = [str(p) for p in paths].index(dataset)
+            ds, train = loaded[k], seen["search"][k]
+            test = np.array([row not in self.rows(train.X) for row in map(tuple, ds.X)])
+            C, sigma, epsilon, lam, a, gamma = (float(v) if v else None for v in best[dataset, model])
+            recipe = ModelRecipe(model)
+            fitted, _ = fit(train.X, train.y, recipe.build_kernel(sigma), recipe.build_loss(epsilon, lam, a), C,
+                            adam=AdamConfig(gamma=gamma, max_iter=150, seed=0), scaling="minmax")
+            want = compute_metrics(ds.y[test], predict(fitted, ds.X[test]))
+            assert metrics == ["" if v is None else repr(v)
+                               for v in (want.rmse, want.mae, want.error_pos, want.error_neg)]
+
+    def test_too_few_rows_fail_only_their_dataset(self, tmp_path):
+        # 4 rows at grid.k=3: holding out 2 leaves 2, too few for 3 folds
+        tiny, good = tmp_path / "tiny.csv", tmp_path / "good.csv"
+        write_toy_csv(tiny, n=4)
+        write_toy_csv(good)
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", str(tiny), str(good), "--recipes", ",".join(self.RECIPES),
+                   "--outdir", str(outdir), *self.FLAGS])
+        assert rc == 1
+        assert [r[:2] for r in read_rows(outdir / "results.csv")[1:]] == [[str(good), m] for m in self.RECIPES]
+        assert read_rows(outdir / "failures.csv")[1:] == [[
+            str(tiny), "*", "ValueError",
+            "4 rows are too few for grid.k=3: holding out 2 rows to score the refit"
+            " leaves 2, fewer than the search's 3 folds",
+        ]]
 
 
 class TestRank:
@@ -943,12 +1041,13 @@ class TestBenchIsolatesFailures:
         import helssvr.kernels
 
         # 40 rows: every Gram buffer of the search and the refit fits in
-        # 20,000 bytes; 60 rows: the search's 40-row folds train one per
-        # stack (12,864 bytes each), and the 60-row refit needs 28,864
+        # 20,000 bytes; 90 rows, of which 30 are held out: the search's
+        # 40-row folds train one per stack (12,864 bytes each), and the
+        # 60-row refit needs 28,864
         monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", 20_000)
         small, large = tmp_path / "small.csv", tmp_path / "large.csv"
         write_toy_csv(small, n=40, seed=1)
-        write_toy_csv(large, n=60, seed=2)
+        write_toy_csv(large, n=90, seed=2)
         outdir = tmp_path / "bench"
         rc = main(["bench", "--data", str(small), str(large), "--target", "y",
                    "--recipes", "hawkeye", "--outdir", str(outdir), *fast_flags()])
@@ -1175,7 +1274,7 @@ class TestFlagsPerCommand:
 
     # the keys each command reads, stated apart from CONFIG_SCHEMA
     READS = {
-        "train": lambda key: not key.startswith(("grid.", "cv.", "bench.", "rank.")),
+        "train": lambda key: not key.startswith(("grid.", "cv.", "rank.")),
         "predict": lambda key: False,
         "synth": lambda key: key == "seed",
         "bench": lambda key: key not in ("C", "adam.gamma") and not key.startswith(("loss.", "kernel.", "rank.")),
@@ -1208,6 +1307,23 @@ class TestFlagsPerCommand:
         else:
             assert main([*self.ARGV[command], *flags]) == 2
             assert f"config error: {key} is not read by {command}" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_report_key_is_unknown(self, tmp_path, monkeypatch, capsys, command, via):
+        # bench scores its held-out refit with no choice of report, so the
+        # old bench.report key is unknown to every command
+        flags = ["--set", "bench.report=refit"]
+        if via == "--config":
+            (tmp_path / "run.cfg").write_text("bench.report = refit\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        stub_readers(monkeypatch)
+        assert main([*self.ARGV[command], *flags]) == 2
+        assert "unknown config key 'bench.report'" in capsys.readouterr().err
         assert list(work.iterdir()) == []
 
 
