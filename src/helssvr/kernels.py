@@ -15,16 +15,17 @@ K ~= L L^T (Fine & Scheinberg 2001), float64 and N x r, from the kernel
 rows of its pivots; it gives up once r reaches N/4, where its 2 N r
 eight-byte reads per product no longer beat a float32 Gram's N^2
 four-byte ones.
-:func:`helssvr.model.fit_cells` trains a set too large to share an
-optimizer stack on its factor, whose pivot rows become its models'
-centers, and on a float32 Gram where the factor gives up.  Gram builds,
-factor columns and prediction all evaluate kernel rows through
-:func:`kernel_row`, a block of :func:`block_rows` points at a time; each
-row of a block is bit-identical to the row of its point alone, so a Gram
-row, a prediction's kernel row and :func:`kernel_row` of one point agree
-bitwise, and the matrix is exactly symmetric.  An RBF row sums
-its squared distances one feature at a time, so its bits rest on
-elementwise operations only.
+:func:`helssvr.model.fit_cells` trains a set whose float64 Gram would
+take an optimizer stack of its own (from 257 rows) on its factor, in
+stacks shared with the factors of sets of its size, and makes the pivot
+rows its models' centers; where the factor gives up, the set trains alone
+on a float32 Gram.  Gram builds, factor columns and prediction all
+evaluate kernel rows through :func:`kernel_row`, a block of
+:func:`block_rows` points at a time; each row of a block is bit-identical
+to the row of its point alone, so a Gram row, a prediction's kernel row
+and :func:`kernel_row` of one point agree bitwise, and the matrix is
+exactly symmetric.  An RBF row sums its squared distances one feature at
+a time, so its bits rest on elementwise operations only.
 """
 
 from __future__ import annotations
@@ -127,6 +128,16 @@ class GramFactor:
     def n(self) -> int:
         """Training rows N."""
         return self.Lt.shape[1]
+
+
+class GramFactors(tuple):
+    """The :class:`GramFactor` of each of f training sets of N rows, in set
+    order; their ranks may differ."""
+
+    @property
+    def n(self) -> int:
+        """Training rows N."""
+        return self[0].n
 
 
 def _as_matrix(X) -> np.ndarray:

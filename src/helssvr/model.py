@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
-from .kernels import GramFactor, GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
+from .kernels import GramFactors, GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
 from .losses import LossSpec
 from .optimizer import AdamConfig, AdamState, check_rate_and_seed, objective_value, train_adam
 
@@ -83,40 +83,59 @@ class FitReport:
 #: working arrays of :func:`train_adam`
 STACK_ROWS = 32
 
-#: most bytes of Gram matrices one optimizer stack holds.  Training sets of
-#: equal size share a stack while their Grams (8 n^2 bytes each) total at
-#: most this; a larger Gram trains in a stack of its own.  Stacking saves
+#: most bytes of Grams one optimizer stack holds.  Training sets of equal
+#: size share a stack while their Grams (8 n^2 bytes each for a float64
+#: Gram, 8 n r for a factor of rank r) total at most this.  Stacking saves
 #: per-step Python work, but each step reads every Gram of the stack, and
 #: once they spill from the per-core L2 cache the reads cost more than the
 #: saving: five stacked folds ran faster up to 1.6 MB of Grams and slower
 #: from 2.3 MB on (2-core VM, one OpenBLAS thread).  1 MiB stacks
-#: cli_bench's 160-row folds and keeps grid_cv's 320-row folds apart.
+#: cli_bench's 160-row folds.
 #:
-#: The budget also sets the Gram's form: a set whose float64 Gram exceeds
-#: it (n >= 363 rows) trains alone, on a pivoted-Cholesky factor of its
-#: Gram or, where the factor's rank reaches n/4, on a float32 Gram (see
-#: :func:`fit_cells`).  Changing the budget therefore changes the numbers
-#: of every fit whose size lies between the old and the new gate.
+#: The budget also sets the Gram's form: a set two of whose float64 Grams
+#: exceed it (n >= 257 rows) would train alone, and trains on a
+#: pivoted-Cholesky factor of its Gram instead, or, where the factor's
+#: rank reaches n/4, alone on a float32 Gram (see :func:`fit_cells`).
+#: Changing the budget therefore changes the numbers of every fit whose
+#: size lies between the old and the new gate.
 STACK_GRAM_BYTES = 1 << 20
 
 
-def _fold_stacks(sizes) -> list[list[int]]:
+def _trains_alone(n: int) -> bool:
+    """Whether two float64 Grams of n rows exceed :data:`STACK_GRAM_BYTES`,
+    so that :func:`_fold_stacks` gives each set of n rows with a dense Gram
+    a stack of its own."""
+    return 2 * 8 * n * n > STACK_GRAM_BYTES
+
+
+def _fold_stacks(sizes, factor_bytes=None) -> list[list[int]]:
     """The training sets, by index, whose cells share each optimizer stack.
 
-    ``sizes`` gives each set's row count.  Only sets of equal size share a
-    stack, in index order, as many as :data:`STACK_GRAM_BYTES`,
-    :data:`STACK_ROWS` and a Gram buffer within
-    :data:`helssvr.kernels.GRAM_MAX_BYTES` allow (at least one).
+    ``sizes`` gives each set's row count, and ``factor_bytes`` the bytes
+    of each set's Gram factor, or None for a set with a float64 Gram (8 n^2
+    bytes; None for all by default).  Only sets of equal size and Gram form
+    share a stack, in index order, as many as :data:`STACK_GRAM_BYTES` and
+    :data:`STACK_ROWS` allow (at least one); float64 Grams also need a Gram
+    buffer within :data:`helssvr.kernels.GRAM_MAX_BYTES`.
     """
-    by_size: dict = {}
-    for j, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(j)
+    factor_bytes = [None] * len(sizes) if factor_bytes is None else factor_bytes
+    by_form: dict = {}
+    for j, (n, size) in enumerate(zip(sizes, factor_bytes)):
+        by_form.setdefault((n, size is None), []).append(j)
     stacks = []
-    for n, sets in by_size.items():
-        per = max(1, min(STACK_GRAM_BYTES // (8 * n * n), STACK_ROWS))
-        while per > 1 and kernels.gram_buffer_bytes(per, n) > kernels.GRAM_MAX_BYTES:
+    for (n, dense), sets in by_form.items():
+        per = STACK_ROWS
+        while dense and per > 1 and kernels.gram_buffer_bytes(per, n) > kernels.GRAM_MAX_BYTES:
             per -= 1
-        stacks.extend(sets[k : k + per] for k in range(0, len(sets), per))
+        stacks.append([])
+        held = 0
+        for j in sets:
+            size = 8 * n * n if dense else factor_bytes[j]
+            if stacks[-1] and (held + size > STACK_GRAM_BYTES or len(stacks[-1]) == per):
+                stacks.append([])
+                held = 0
+            stacks[-1].append(j)
+            held += size
     return stacks
 
 
@@ -154,8 +173,9 @@ def fit_cells(
     to ``adam.max_iter`` steps (None starts it fresh).  The Grams are built
     again.
 
-    Each set is scaled and gets its Gram matrix once.  Cells train together
-    when their sets agree in size (see :func:`_fold_stacks`).  Each loss
+    Each set is scaled and gets its Gram matrix or factor once.  Cells
+    train together when their sets agree in size and Gram form (see
+    :func:`_fold_stacks`).  Each loss
     kind's cells are chunked as if they trained alone: a chunk takes the
     same number of cells (at most :data:`STACK_ROWS` in all) from each set
     of a group, in cell order.  A group's chunks are packed, in order,
@@ -163,30 +183,33 @@ def fit_cells(
     one chunk of each kind.  The cells of a stack that still train must
     all start fresh or all resume from one step count (a state the
     early-stopping rule ended trains no further); :func:`train_adam`
-    raises otherwise.  Only one group's Grams are held at a time, in one
-    buffer.  Results are bit-identical for the same cells and
-    :data:`STACK_ROWS`, and a kind's cells get the same bits whatever other
-    kinds train in the call, since a stack gives each kind's rows the bits
-    of a stack of that kind alone (see
+    raises otherwise.  Every set's factor is built first, since the
+    factors' bytes decide the stacks; only one group's dense Grams are
+    held at a time, in one buffer.  Results are bit-identical for the same
+    cells and :data:`STACK_ROWS`, and a kind's cells get the same bits
+    whatever other kinds train in the call, since a stack gives each kind's
+    rows the bits of a stack of that kind alone (see
     :func:`helssvr.optimizer.train_adam`).  A cell that trains as the only
     row of its kind and set in its chunk is bit-identical to a :func:`fit`
     of that cell alone; one that shares its set's Gram products with other
     rows of its kind agrees with it to rounding.  A run resumed to step T
     is bit-identical to a run to T in the same stack layout.
 
-    A set whose float64 Gram would exceed :data:`STACK_GRAM_BYTES`, and so
-    trains in a stack of its own (n >= 363 rows), trains on a float64
-    pivoted-Cholesky factor K ~= L L^T of rank r instead
-    (:func:`helssvr.kernels.gram_factor`): each Gram product, which bounds
-    such fits by memory bandwidth, reads 2 n r doubles instead of n^2
-    entries.  Its models differ from a dense float64 fit's by the factor's
-    error, which its tolerance bounds, carried forward by Adam.  Where the
-    rank reaches n/4 the factor would save nothing, and the set gets a
-    float32 Gram: its products read half a float64 Gram's bytes, and its
-    models differ from a float64 fit's by float32's rounding of the Gram
-    and of its products.  Either way the coefficients, moments, residuals
-    and reports stay float64.  Every smaller set keeps a float64 Gram and
-    the same operations as before.
+    A set two of whose float64 Grams would exceed :data:`STACK_GRAM_BYTES`,
+    so that its Gram would train in a stack of its own (n >= 257 rows),
+    trains on a float64 pivoted-Cholesky factor K ~= L L^T of rank r
+    instead (:func:`helssvr.kernels.gram_factor`): each Gram product, which
+    bounds such fits by memory bandwidth, reads 2 n r doubles instead of
+    n^2 entries.  The factors of sets of one size share stacks while their
+    8 n r bytes fit the budget, each set's rows making their products on
+    their own factor, so the bits above hold for them too.  Its models
+    differ from a dense float64 fit's by the factor's error, which its
+    tolerance bounds, carried forward by Adam.  Where the rank reaches n/4
+    the factor would save nothing, and the set trains alone on a float32
+    Gram: its products read half a float64 Gram's bytes, and its models
+    differ from a float64 fit's by float32's rounding of the Gram and of
+    its products.  Either way the coefficients, moments, residuals and
+    reports stay float64.  Every smaller set keeps a float64 Gram.
 
     A factor-trained model is its kernel expansion over the factor's r
     pivot rows P, one read-only ``X_train`` that every model of the set
@@ -222,31 +245,39 @@ def fit_cells(
 
     out = [None] * len(cells)
     used = [j for j in range(len(sets)) if any(of[j] for of in cells_of.values())]
-    for group in _fold_stacks([sets[j][0].shape[0] for j in used]):
+    # each set scaled once, and given its Gram factor where its float64
+    # Gram would train alone
+    scaled, factors, seconds = {}, {}, {}
+    for j in used:
+        X, y = sets[j]
+        state_scaling = scale_fit(X, y, scaling)
+        scaled[j] = (scale_features(state_scaling, X), state_scaling, scale_target(state_scaling, y))
+        t0 = time.perf_counter()
+        if _trains_alone(len(y)) and (factor := gram_factor(kernels_of[j], scaled[j][0])) is not None:
+            factors[j] = factor
+        seconds[j] = time.perf_counter() - t0
+    factor_bytes = [factors[j].Lt.nbytes if j in factors else None for j in used]
+    for group in _fold_stacks([len(scaled[j][2]) for j in used], factor_bytes):
         group = [used[g] for g in group]
-        n = sets[group[0]][0].shape[0]
-        # a set too large to share a stack trains alone, on a factor of its
-        # Gram or else a float32 Gram
-        alone = 8 * n * n > STACK_GRAM_BYTES
-        gram = None if alone else GramMatrix(gram_buffer(len(group), n))
-        ys = np.empty((len(group), n))
-        scaled = []  # (scaled centers, scaling, Gram seconds per cell) of each set
-        for k, j in enumerate(group):
-            X, y = sets[j]
-            state_scaling = scale_fit(X, y, scaling)
-            Xs = scale_features(state_scaling, X)
-            ys[k] = scale_target(state_scaling, y)
-            t0 = time.perf_counter()
-            if not alone:
-                gram_matrix(kernels_of[j], Xs, out=gram.values[k])
-            elif (gram := gram_factor(kernels_of[j], Xs)) is None:
-                gram = gram_matrix(kernels_of[j], Xs, out=gram_buffer(1, n, np.float32)[0])
-            per_set = sum(len(of[j]) for of in cells_of.values())
-            gram_seconds = (time.perf_counter() - t0) / per_set
-            if isinstance(gram, GramFactor) and gram.pivots.size:
-                Xs = Xs[gram.pivots]  # the centers of the models' expansion
+        n = len(scaled[group[0]][2])
+        if group[0] in factors:
+            gram = GramFactors(factors[j] for j in group)
+        else:
+            # a float64 Gram per set, or float32 for a set that trains alone
+            gram = GramMatrix(gram_buffer(len(group), n, np.float32 if _trains_alone(n) else np.float64))
+            for k, j in enumerate(group):
+                t0 = time.perf_counter()
+                gram_matrix(kernels_of[j], scaled[j][0], out=gram.values[k])
+                seconds[j] += time.perf_counter() - t0
+        ys = np.stack([scaled[j][2] for j in group])
+        centers = []  # (scaled centers, scaling, Gram seconds per cell) of each set
+        for j in group:
+            Xs, state_scaling, _ = scaled[j]
+            if j in factors and factors[j].pivots.size:
+                Xs = Xs[factors[j].pivots]  # the centers of the models' expansion
             Xs.flags.writeable = False  # shared by every cell's model
-            scaled.append((Xs, state_scaling, gram_seconds))
+            per_set = sum(len(of[j]) for of in cells_of.values())
+            centers.append((Xs, state_scaling, seconds[j] / per_set))
 
         # a chunk takes the same number of cells of its kind from each set,
         # so that its layout stays uniform across the sets; the chunks are
@@ -268,16 +299,15 @@ def fit_cells(
             _, losses, Cs, gammas, seeds = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()
             stack = train_adam(
-                gram, ys[0] if alone else ys, Cs, losses, adam,
-                gamma=gammas, seed=seeds, fold=folds, resume=[resume[i] for i in rows],
+                gram, ys, Cs, losses, adam, gamma=gammas, seed=seeds, fold=folds, resume=[resume[i] for i in rows],
             )
             wall = (time.perf_counter() - t1) / len(rows)
             for k, i, loss, C, state in zip(folds, rows, losses, Cs, stack.states):
-                Xs, state_scaling, gram_seconds = scaled[k]
-                gram_k = gram if alone else GramMatrix(gram.values[k])
+                Xs, state_scaling, gram_seconds = centers[k]
+                gram_k = gram[k] if isinstance(gram, GramFactors) else GramMatrix(gram.values[k])
                 alpha = state.alpha
                 if Xs.shape[0] < n:  # a factor's pivot rows: beta = L_PP^-T (L^T alpha)
-                    alpha = np.linalg.solve(gram.Lt[:, gram.pivots], gram.Lt @ alpha)
+                    alpha = np.linalg.solve(gram_k.Lt[:, gram_k.pivots], gram_k.Lt @ alpha)
                 state.alpha.flags.writeable = alpha.flags.writeable = False
                 model = TrainedModel(
                     alpha=alpha, X_train=Xs, kernel=kernels_of[group[k]], loss=loss, C=float(C),

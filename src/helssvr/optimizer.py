@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -219,20 +220,27 @@ def gram_products(K, A, out, spans=None) -> None:
 
 
 def factor_products(Lt, A, out, spans) -> None:
-    """:func:`gram_products` for one set's Gram factor K ~= Lt.T @ Lt: store
-    L (L^T A[r]) in ``out[r]``, in float64.
+    """:func:`gram_products` for Gram factors K_k ~= Lt_k.T @ Lt_k: store
+    L_k (L_k^T A[r]) in ``out[r]`` for every row r of every set k, in
+    float64.
 
-    ``Lt`` is a :class:`~helssvr.kernels.GramFactor`'s (r, n) array, and
-    ``spans`` lists blocks of rows as for :func:`gram_products`, every one
-    of the factor's set.  A block of one row runs as two GEMVs, a block of
-    several rows as two GEMMs, which differ from the GEMVs in the last bits
-    only, as a dense Gram's do.
+    ``Lt`` is one set's (r, n) :class:`~helssvr.kernels.GramFactor` array,
+    or a sequence of one per set, whose ranks r may differ.  ``spans``
+    lists blocks of rows as for :func:`gram_products`; a block of one row
+    per set is made row by row, each on its set's factor.  A block of one
+    row runs as two GEMVs, a block of several rows as two GEMMs, which
+    differ from the GEMVs in the last bits only, as a dense Gram's do.
     """
-    for _, rows in spans:
-        if rows.stop - rows.start == 1:
-            np.matmul(np.matmul(Lt, A[rows.start]), Lt, out=out[rows.start])
-        else:
-            np.matmul(np.matmul(A[rows], Lt.T), Lt, out=out[rows])
+    Lts = [Lt] if isinstance(Lt, np.ndarray) else Lt
+    for k, rows in spans:
+        if k is not None and rows.stop - rows.start > 1:
+            np.matmul(np.matmul(A[rows], Lts[k].T), Lts[k], out=out[rows])
+            continue
+        # a GEMV pair per row: set k's one row, or set i's row i of a block
+        # of one row per set
+        for i, r in enumerate(range(rows.start, rows.stop)):
+            L = Lts[i if k is None else k]
+            np.matmul(np.matmul(L, A[r]), L, out=out[r])
 
 
 @dataclass
@@ -250,7 +258,8 @@ class AdamStack:
 
 
 def train_adam(
-    gram: GramMatrix | GramFactor, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None, resume=None
+    gram: GramMatrix | GramFactor | Sequence[GramFactor], y, C, loss, cfg: AdamConfig,
+    gamma=None, seed=None, fold=None, resume=None,
 ):
     """Run Adam iterations up to step ``cfg.max_iter`` and return the final
     state, whose coefficients are the moving average of the iterates.
@@ -329,22 +338,31 @@ def train_adam(
     residuals, derivatives and objectives stay float64, and the three
     points above hold for the float32 products.
 
-    ``gram`` may instead be one set's :class:`~helssvr.kernels.GramFactor`
-    K ~= L L^T, with ``y`` of shape (N,).  Every product is then float64:
-    :func:`factor_products` makes L (L^T a) as two GEMVs for a block of
-    one row and two GEMMs for several, and a mini-batch's K_B^T d is
-    L (L_B^T d), two GEMVs per row on its gathered rows of L.  The three
-    points above hold for these products too.  The product form is chosen
-    once per call, so a dense Gram runs the same operations as without it.
+    ``gram`` may instead be a sequence of f :class:`~helssvr.kernels.GramFactor`
+    K_k ~= L_k L_k^T, one per set of N rows, whose ranks may differ, with
+    ``y`` of shape (f, N); one set's factor alone takes ``y`` of shape
+    (N,).  Every product is then float64 and made on its row's own
+    factor: :func:`factor_products` makes L_k (L_k^T a) as two GEMVs for a
+    block of one row and two GEMMs for several, and a mini-batch's K_B^T d
+    is L_k (L_k,B^T d), two GEMVs per row on its gathered rows of L_k.  A
+    block gets the products it gets in a stack on its factor alone, so the
+    three points above hold for these products too.  The product form is
+    chosen once per call, so a dense Gram runs the same operations as
+    without it.
     """
     if isinstance(loss, LossSpec):
         return train_adam(gram, y, [C], [loss], cfg, resume=None if resume is None else [resume]).states[0]
-    n = gram.n
+    if isinstance(gram, GramMatrix):
+        factors, n, sets_shape = None, gram.n, gram.values.shape[:-1]
+    else:
+        factors = [gram] if isinstance(gram, GramFactor) else list(gram)
+        n = factors[0].n if factors else 0
+        if any(g.n != n for g in factors):
+            raise ValueError(f"Gram factors of {sorted({g.n for g in factors})} rows: sets must be of one size")
+        sets_shape = (n,) if isinstance(gram, GramFactor) else (len(factors), n)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     y = np.asarray(y, dtype=float)
-    factor = isinstance(gram, GramFactor)
-    sets_shape = (n,) if factor else gram.values.shape[:-1]
     if y.shape != sets_shape:
         raise ValueError(f"target vector has shape {y.shape}, expected {sets_shape}")
     Ys = y.reshape(-1, n)
@@ -352,13 +370,20 @@ def train_adam(
     # the Gram products, chosen once: K alpha (and, at full batch, K d) per
     # block of rows, and a mini-batch's K_B^T d per row, whose gathered
     # batch rows are a temporary, freed before the next step gathers its own
-    if factor:
-        Lt = gram.Lt
-        products, set_gram = partial(factor_products, Lt), lambda k: gram
+    if factors is not None:
+        Lts = [factor.Lt for factor in factors]
+        products, set_gram = partial(factor_products, Lts), factors.__getitem__
 
         def batch_products(batch, D, out):
-            # K_B^T d = L (L_B^T d): two GEMVs per row on its gathered rows of L
-            np.matmul(np.matmul(D[:, None, :], Lt.T[batch]), Lt, out=out[:, None, :])
+            # K_B^T d = L (L_B^T d): two GEMVs per row on its gathered rows
+            # of its set's L, one call per block of one set, and per row of
+            # a block of one row per set
+            for k, rows in spans:
+                if k is not None:
+                    np.matmul(np.matmul(D[rows, None, :], Lts[k].T[batch[rows]]), Lts[k], out=out[rows, None, :])
+                    continue
+                for i, r in enumerate(range(rows.start, rows.stop)):
+                    np.matmul(np.matmul(D[r], Lts[i].T[batch[r]]), Lts[i], out=out[r])
 
     else:
         K = gram.values.reshape(-1, n, n)

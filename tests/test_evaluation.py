@@ -723,11 +723,13 @@ class TestJointSearch:
             assert self.summary(res) == self.summary(alone)
 
     def test_factor_folds_share_their_centers_across_stacks(self, monkeypatch):
-        # 726 rows in 2 folds: training sets of 363 rows, each trained
-        # alone on a factor of its Gram; at the first rung the 35 cells
-        # of the one sigma (20 hawkeye, 5 least squares, 10 insensitive)
-        # take two optimizer stacks a fold, and every model of a fold keeps
-        # the one array of its pivot rows, which predict_cells requires
+        # 726 rows in 2 folds: training sets of 363 rows, each trained on
+        # a factor of its Gram, and the two factors share every optimizer
+        # stack; at the first rung the 35 cells a fold of the one sigma
+        # (20 hawkeye, 5 least squares, 10 insensitive) take three stacks,
+        # each chunk 16 cells of a kind a fold at most, and every model of
+        # a fold keeps the one array of its pivot rows, which predict_cells
+        # requires
         import helssvr.evaluation
         import helssvr.model
         from helssvr.evaluation import grid_search_recipes
@@ -736,7 +738,7 @@ class TestJointSearch:
         train, predict_cells = helssvr.model.train_adam, helssvr.evaluation.predict_cells
 
         def train_spy(gram, y, C, *args, **kw):
-            stacks.append((type(gram).__name__, len(C)))
+            stacks.append((type(gram).__name__, len(gram), len(C)))
             return train(gram, y, C, *args, **kw)
 
         def predict_spy(models, X):
@@ -751,7 +753,7 @@ class TestJointSearch:
         )
         adam = fast_adam(max_iter=20, batch_size=32)
         grid_search_recipes(toy_dataset(n=726, seed=8), grid, self.recipes, seed=11, adam=adam, scaling="zscore")
-        assert stacks[:4] == [("GramFactor", 25), ("GramFactor", 10)] * 2
+        assert stacks[:3] == [("GramFactors", 2, 32), ("GramFactors", 2, 18), ("GramFactors", 2, 20)]
         assert [len(models) for models in scored[:2]] == [35, 35]
         for models in scored:
             assert all(model.X_train is models[0].X_train for model in models)

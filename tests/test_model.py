@@ -370,6 +370,16 @@ class TestFoldStacks:
         assert _fold_stacks([320] * 5) == [[0], [1], [2], [3], [4]]
         assert _fold_stacks([2000]) == [[0]]
 
+    def test_factor_bytes_count_against_the_budget(self):
+        # factors of one size stack by their own bytes, in index order, and
+        # never with float64 Grams, even of their size
+        from helssvr.model import STACK_GRAM_BYTES, _fold_stacks
+
+        third = STACK_GRAM_BYTES // 3
+        assert _fold_stacks([300] * 4, [third, third, 2 * third, 1000]) == [[0, 1], [2, 3]]
+        assert _fold_stacks([300] * 3, [None, 1000, 1000]) == [[0], [1, 2]]
+        assert _fold_stacks([300] * 2, [STACK_GRAM_BYTES + 1] * 2) == [[0], [1]]
+
     def test_unequal_sizes_never_share(self):
         from helssvr.model import _fold_stacks
 
@@ -665,6 +675,95 @@ class TestFitCellsMixedKinds:
             for j, loss, C, gamma, seed in he
         ]
         assert_same_fits(fitted[len(first):], want)
+
+
+class TestFactorStacks:
+    """Sets of one size trained on their Gram factors share optimizer
+    stacks, and each cell keeps the bits it gets on its set's factor alone."""
+
+    @staticmethod
+    def sets(n=300, count=3):
+        rng = np.random.default_rng(90)
+        out = []
+        for _ in range(count):
+            X = rng.uniform(-1, 1, (n, 1))
+            out.append((X, np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n)))
+        return out
+
+    @staticmethod
+    def spy_forms(monkeypatch):
+        # the Gram form of each train_adam call: its factors' ranks, or the
+        # dtype and count of its dense Grams
+        import helssvr.model
+        from helssvr.kernels import GramFactors
+
+        forms, train = [], helssvr.model.train_adam
+
+        def spy(gram, *args, **kwargs):
+            if isinstance(gram, GramFactors):
+                forms.append([factor.Lt.shape[0] for factor in gram])
+            else:
+                forms.append((gram.values.dtype, len(gram.values)))
+            return train(gram, *args, **kwargs)
+
+        monkeypatch.setattr(helssvr.model, "train_adam", spy)
+        return forms
+
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_cells_keep_the_bits_of_their_set_alone(self, monkeypatch, batch_size):
+        # three 300-row sets whose factors' ranks differ train in one stack:
+        # each set's blocks of one row (least squares, one row per set),
+        # of two rows (hawkeye) and, in the middle set, of two huber rows,
+        # each on its set's factor, as a call of that set alone makes them
+        forms = self.spy_forms(monkeypatch)
+        sets, kernels = self.sets(), [rbf(3.0), rbf(1.0), rbf(0.5)]
+        cells = TestFitCellsMixedKinds.cells(sets)
+        adam = AdamConfig(
+            max_iter=40, batch_size=batch_size, collect_trace=True,
+            early_stop=True, early_stop_tol=3.0, early_stop_patience=3,
+        )
+        joint = fit_cells(sets, kernels, cells, adam, scaling="zscore")
+        (ranks,) = forms
+        assert len(ranks) == 3 and len(set(ranks)) == 3 and max(ranks) < 300 // 4
+        for j, (X, y) in enumerate(sets):
+            rows = [i for i, cell in enumerate(cells) if cell[0] == j]
+            alone = fit_cells([(X, y)], [kernels[j]], [(0, *cells[i][1:]) for i in rows], adam, scaling="zscore")
+            assert_same_fits([joint[i] for i in rows], alone)
+        assert len({report.iterations for _, report in joint}) > 3  # early stops at several steps
+
+    def test_a_set_whose_factor_gives_up_trains_alone(self, monkeypatch):
+        # two wide kernels and a narrow one on three sets of one size: the
+        # narrow set's factor gives up, so it trains alone on a float32
+        # Gram, and the other two share a factor stack.  On a clock that
+        # only the builds advance, each set's gram_seconds is its own
+        # build, the failed factor's included, split among its cells
+        import types
+
+        import helssvr.model
+
+        forms = self.spy_forms(monkeypatch)
+        now, cost = [0.0], {3.0: 1.0, 0.005: 4.0, 1.0: 2.0}
+        factor, matrix = helssvr.model.gram_factor, helssvr.model.gram_matrix
+
+        def factor_spy(spec, X):
+            now[0] += cost[spec.sigma]
+            return factor(spec, X)
+
+        def matrix_spy(spec, X, out=None):
+            now[0] += 8.0
+            return matrix(spec, X, out=out)
+
+        monkeypatch.setattr(helssvr.model, "gram_factor", factor_spy)
+        monkeypatch.setattr(helssvr.model, "gram_matrix", matrix_spy)
+        monkeypatch.setattr(helssvr.model, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        sets, kernels = self.sets(), [rbf(3.0), rbf(0.005), rbf(1.0)]
+        # one, two and four cells on sets 0, 1 and 2
+        cells = [(j, hawkeye(), 10.0, 0.01, c) for j, count in enumerate((1, 2, 4)) for c in range(count)]
+        fitted = fit_cells(sets, kernels, cells, AdamConfig(max_iter=3), scaling="zscore")
+        factor_stack, float32 = sorted(forms, key=lambda form: isinstance(form, tuple))
+        assert len(factor_stack) == 2 and float32 == (np.float32, 1)
+        seconds = {j: {report.gram_seconds for (i, *_), (_, report) in zip(cells, fitted) if i == j} for j in range(3)}
+        assert seconds == {0: {1.0}, 1: {(4.0 + 8.0) / 2}, 2: {2.0 / 4}}
 
 
 class TestPredictCells:
@@ -972,37 +1071,62 @@ class TestAveragedFit:
 
 
 class TestFloat32Gram:
-    """A training set whose float64 Gram exceeds STACK_GRAM_BYTES, and so
-    trains in a stack of its own, trains on a factor of its Gram, or on a
-    float32 Gram where the factor's rank reaches n/4; every smaller one
-    keeps a float64 Gram."""
+    """A training set two of whose float64 Grams exceed STACK_GRAM_BYTES, so
+    that its Gram would train in a stack of its own, trains on a factor of
+    its Gram, sharing stacks with the factors of other sets of its size, or
+    alone on a float32 Gram where the factor's rank reaches n/4; every
+    smaller one keeps a float64 Gram."""
 
     @staticmethod
-    def gram_form(monkeypatch, n, sigma=0.5):
+    def gram_forms(monkeypatch, n, sigma=0.5):
+        # the Gram form of each train_adam call that trains two sets of n rows
         import helssvr.model
-        from helssvr.kernels import GramFactor
+        from helssvr.kernels import GramFactors
 
         seen, train = [], helssvr.model.train_adam
 
         def spy(gram, *args, **kwargs):
-            seen.append(("factor", gram.Lt.shape) if isinstance(gram, GramFactor) else gram.values.dtype)
+            if isinstance(gram, GramFactors):
+                seen.append([("factor", factor.Lt.shape) for factor in gram])
+            else:
+                seen.append((gram.values.dtype, len(gram.values)))
             return train(gram, *args, **kwargs)
 
         monkeypatch.setattr(helssvr.model, "train_adam", spy)
         X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
-        fit(X, np.sin(3 * X[:, 0]), rbf(sigma), hawkeye(), C=1.0, adam=AdamConfig(max_iter=1))
+        sets = [(X, np.sin(3 * X[:, 0])), (X, np.cos(3 * X[:, 0]))]
+        fit_cells(sets, rbf(sigma), [(j, hawkeye(), 1.0, 0.01, 0) for j in (0, 1)], AdamConfig(max_iter=1))
         monkeypatch.setattr(helssvr.model, "train_adam", train)
         return seen
 
-    def test_three_paths_at_the_363_row_gate(self, monkeypatch):
+    def test_three_paths_at_the_257_row_gate(self, monkeypatch):
         from helssvr.model import STACK_GRAM_BYTES
 
-        assert 8 * 362**2 <= STACK_GRAM_BYTES < 8 * 363**2
-        assert self.gram_form(monkeypatch, 362) == [np.float64]
-        # a wide kernel on 1-D data: rank 13, far below 363 / 4
-        assert self.gram_form(monkeypatch, 363) == [("factor", (13, 363))]
-        # a narrow one: the rank reaches 363 / 4, and the float32 Gram trains
-        assert self.gram_form(monkeypatch, 363, sigma=0.005) == [np.float32]
+        assert 2 * 8 * 256**2 <= STACK_GRAM_BYTES < 2 * 8 * 257**2
+        # the two float64 Grams share a stack
+        assert self.gram_forms(monkeypatch, 256) == [(np.float64, 2)]
+        # a wide kernel on 1-D data: rank 13, far below 257 / 4, and the
+        # two factors share a stack
+        assert self.gram_forms(monkeypatch, 257) == [[("factor", (13, 257))] * 2]
+        # a narrow one: the rank reaches 257 / 4, and each set trains alone
+        # on a float32 Gram
+        assert self.gram_forms(monkeypatch, 257, sigma=0.005) == [(np.float32, 1)] * 2
+
+    def test_factor_gate_is_the_one_set_per_stack_rule(self, monkeypatch):
+        # a set tries the factor exactly where _fold_stacks gives its
+        # float64 Gram a stack of its own, so that no size trains alone on
+        # a dense Gram without trying the factor first
+        import helssvr.model
+        from helssvr.model import _fold_stacks
+
+        tried = []
+        monkeypatch.setattr(helssvr.model, "gram_factor", lambda spec, X: tried.append(len(X)))
+        sizes = range(200, 401)
+        for n in sizes:
+            X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+            fit(X, X[:, 0], rbf(), hawkeye(), C=1.0, adam=AdamConfig(max_iter=1))
+        assert tried == [n for n in sizes if _fold_stacks([n, n]) == [[0], [1]]]
+        assert tried[0] == 257
 
     def test_predictions_match_a_float64_reference(self):
         # the same 400-row fit trained on a float64 Gram (gram_matrix +

@@ -926,6 +926,12 @@ class TestFactorTraining:
         assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-9 * np.max(np.abs(want.alpha))
         assert np.allclose(got.trace, want.trace, rtol=1e-9, atol=0)
 
+    def test_factors_of_one_size_checked(self):
+        factor, _, y = self.instance()
+        small, _, _ = self.instance(n=50)
+        with pytest.raises(ValueError, match=r"Gram factors of \[50, 60\] rows: sets must be of one size"):
+            train_adam([factor, small], np.stack([y, y]), [1.0], [self.he[0]], AdamConfig(max_iter=5))
+
     def test_targets_and_folds_checked(self):
         factor, _, y = self.instance()
         with pytest.raises(ValueError, match=r"expected \(60,\)"):
