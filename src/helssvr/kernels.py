@@ -1,31 +1,47 @@
-"""Kernel functions, dense Gram matrices and low-rank Gram factors.
+"""Kernel functions and the three forms of a training Gram.
 
 The RBF kernel uses the exp(-||x - z||^2 / sigma^2) parameterization.
 RBF values below the smallest normal double (about 2.2e-308) are flushed to
 zero: subnormal operands make every later floating-point operation on them
 much slower, and a term that small cannot move a sum of normal-sized terms.
 The flush acts on the exponent (arguments below log(2.2e-308) become -inf),
-which also spares exp() its slow underflow path.
-Gram matrices are stored dense and row-major, in float64 (8 * N^2 bytes) or
-in float32 (4 * N^2 bytes).  A float32 Gram is filled from the float64
-kernel rows, with entries below the smallest normal float32 (about
-1.2e-38) flushed to zero before rounding, for the same reason as above.
-:func:`gram_factor` instead builds a greedy pivoted-Cholesky factor
-K ~= L L^T (Fine & Scheinberg 2001), float64 and N x r, from the kernel
-rows of its pivots; it gives up once r reaches N/4, where its 2 N r
-eight-byte reads per product no longer beat a float32 Gram's N^2
-four-byte ones.
-:func:`helssvr.model.fit_cells` trains a set whose float64 Gram would
-take an optimizer stack of its own (from 257 rows) on its factor, in
-stacks shared with the factors of sets of its size, and makes the pivot
-rows its models' centers; where the factor gives up, the set trains alone
-on a float32 Gram.  Gram builds, factor columns and prediction all
-evaluate kernel rows through :func:`kernel_row`, a block of
-:func:`block_rows` points at a time; each row of a block is bit-identical
-to the row of its point alone, so a Gram row, a prediction's kernel row
-and :func:`kernel_row` of one point agree bitwise, and the matrix is
-exactly symmetric.  An RBF row sums its squared distances one feature at
-a time, so its bits rest on elementwise operations only.
+which also spares exp() its slow underflow path.  Gram builds, factor
+columns and prediction all evaluate kernel rows through :func:`kernel_row`,
+a block of :func:`block_rows` points at a time; each row of a block is
+bit-identical to the row of its point alone, so a Gram row, a prediction's
+kernel row and :func:`kernel_row` of one point agree bitwise, and the
+matrix is exactly symmetric.  An RBF row sums its squared distances one
+feature at a time, so its bits rest on elementwise operations only.
+
+:func:`helssvr.model.fit_cells` gives each training set of N rows one Gram
+form, once, and trains sets of one size and form in shared optimizer
+stacks while their Grams' bytes fit the stack budget
+(:data:`helssvr.model.STACK_GRAM_BYTES`, 1 MiB):
+
+* below 257 rows, where two float64 Grams fit the budget, a float64
+  :class:`GramMatrix`, dense and row-major, 8 N^2 bytes;
+* from 257 rows, a greedy pivoted-Cholesky factor K ~= L L^T
+  (:func:`gram_factor`; Fine & Scheinberg 2001), float64 and N x r, held
+  in :class:`GramFactors`, 8 N r bytes: a product reads 2 N r doubles
+  instead of N^2 entries;
+* where the factor's rank reaches N/4, and its reads no longer beat a
+  float32 Gram's, a float32 :class:`GramMatrix`, 4 N^2 bytes, filled from
+  the float64 kernel rows with entries below the smallest normal float32
+  (about 1.2e-38) flushed to zero before rounding, for the reason above.
+
+Both classes make the products :func:`helssvr.optimizer.train_adam` needs
+through the same methods, so the trainer never asks which form it holds:
+``products`` makes K a for every row a of a stack, per span of rows of
+one set; ``batch_products`` makes a mini-batch's K_B^T d per row, on its
+gathered batch rows; ``one_set`` is one set's Gram in its form, on which
+:func:`helssvr.optimizer.objective_value` makes K alpha as the one-row
+product.  A span of one row runs as a GEMV (for a factor the GEMV pair
+L (L^T a)), the product a one-cell run makes; a span of several rows as
+one GEMM (pair), which sums in another order and so differs in the last
+bits; a span of one row per set as each set's GEMV, bit for bit.  A dense
+Gram makes every product in its own dtype: numpy rounds the float64
+operand to float32 and widens the product into the float64 result, and a
+float32 Gram is never upcast.  A factor's products are float64.
 """
 
 from __future__ import annotations
@@ -46,10 +62,11 @@ _LOG_TINY = np.log(np.finfo(float).tiny)
 #: float32 entries of smaller magnitude than this would be subnormal
 _TINY32 = np.finfo(np.float32).tiny
 
-#: byte alignment of a Gram matrix's buffer.  numpy aligns to 16 bytes, and
-#: OpenBLAS's matrix-vector product over an n=320 Gram whose address is not
-#: a multiple of 32 took about 25% longer, so training speed depended on
-#: where the allocator happened to place the Gram.
+#: byte alignment of a Gram matrix's buffer and of a Gram factor's.  numpy
+#: aligns to 16 bytes, and OpenBLAS's matrix-vector product over an n=320
+#: Gram whose address is not a multiple of 32 took about 25% longer, so
+#: training speed depended on where the allocator happened to place the
+#: Gram; a 2000-row fit on a factor 32 bytes off took about 10% longer.
 _GRAM_ALIGN = 64
 
 
@@ -101,7 +118,8 @@ class KernelSpec:
 @dataclass(frozen=True)
 class GramMatrix:
     """Dense N x N matrix of pairwise kernel values, or a (f, N, N) stack
-    of f such matrices, one per training set of N rows."""
+    of f such matrices, one per training set of N rows, in float64 or
+    float32."""
 
     values: np.ndarray
 
@@ -109,6 +127,46 @@ class GramMatrix:
     def n(self) -> int:
         """Training rows N."""
         return self.values.shape[-1]
+
+    @property
+    def target_shape(self) -> tuple[int, ...]:
+        """Shape of the targets it trains on: (N,) for one matrix, (f, N)
+        for a stack."""
+        return self.values.shape[:-1]
+
+    def one_set(self, k: int) -> GramMatrix:
+        """Set k's matrix alone."""
+        return GramMatrix(self.values.reshape(-1, self.n, self.n)[k])
+
+    def products(self, A, out, spans) -> None:
+        """Store K_k @ A[r] in ``out[r]`` for every row r of every set k.
+
+        ``A`` and ``out`` are C-contiguous (m, N) arrays whose rows come in
+        blocks of one set; ``spans`` lists each block's (k, slice of rows),
+        in row order, a k of None marking a block of one row per set, in
+        set order.  A block of several rows runs as one GEMM, A_k @ K_k,
+        which equals K_k applied to each row because K_k is symmetric; a
+        block of one row per set as one broadcast ``K @ a``, which numpy
+        runs as the GEMV of each set (see the module docstring).  The
+        result depends only on the block sizes, not on what else is in
+        ``A``.
+        """
+        K = self.values.reshape(-1, self.n, self.n)
+        for k, rows in spans:
+            if k is None:
+                np.matmul(K, A[rows, :, None], out=out[rows, :, None], dtype=K.dtype)
+            elif rows.stop - rows.start == 1:
+                np.matmul(K[k], A[rows.start], out=out[rows.start], dtype=K.dtype)
+            else:
+                np.matmul(A[rows], K[k], out=out[rows], dtype=K.dtype)
+
+    def batch_products(self, batch, D, out, spans, sets) -> None:
+        """Store K_k[batch[r]].T @ D[r] in ``out[r]`` for every row r, with
+        k = ``sets[r]``: one GEMV per row on its gathered batch rows, the
+        gather a temporary.  ``spans`` is as for :meth:`products`."""
+        K = self.values.reshape(-1, self.n, self.n)
+        KB = K[sets[:, None], batch]
+        np.matmul(KB.transpose(0, 2, 1), D[:, :, None], out=out[:, :, None], dtype=K.dtype)
 
 
 @dataclass(frozen=True)
@@ -132,12 +190,51 @@ class GramFactor:
 
 class GramFactors(tuple):
     """The :class:`GramFactor` of each of f training sets of N rows, in set
-    order; their ranks may differ."""
+    order; their ranks may differ.  Raises ValueError for sets of several
+    sizes."""
+
+    def __new__(cls, factors=()):
+        self = super().__new__(cls, factors)
+        if len(sizes := {factor.n for factor in self}) > 1:
+            raise ValueError(f"Gram factors of {sorted(sizes)} rows: sets must be of one size")
+        return self
 
     @property
     def n(self) -> int:
-        """Training rows N."""
-        return self[0].n
+        """Training rows N (0 for no sets)."""
+        return self[0].n if self else 0
+
+    @property
+    def target_shape(self) -> tuple[int, int]:
+        """Shape of the targets it trains on: (f, N)."""
+        return (len(self), self.n)
+
+    def one_set(self, k: int) -> GramFactors:
+        """Set k's factor alone."""
+        return GramFactors((self[k],))
+
+    def products(self, A, out, spans) -> None:
+        """:meth:`GramMatrix.products` on the factors: store
+        L_k (L_k^T A[r]) in ``out[r]``, each row on its own set's factor."""
+        for k, rows in spans:
+            if k is not None and rows.stop - rows.start > 1:
+                np.matmul(np.matmul(A[rows], self[k].Lt.T), self[k].Lt, out=out[rows])
+                continue
+            for i, r in enumerate(range(rows.start, rows.stop)):
+                Lt = self[i if k is None else k].Lt
+                np.matmul(np.matmul(Lt, A[r]), Lt, out=out[r])
+
+    def batch_products(self, batch, D, out, spans, sets) -> None:
+        """:meth:`GramMatrix.batch_products` on the factors: store
+        L_k (L_k[batch[r]]^T D[r]) in ``out[r]``, two GEMVs per row on its
+        gathered rows of its set's L, in one call per block of one set and
+        one per row of a block of one row per set."""
+        for k, rows in spans:
+            if k is not None:
+                np.matmul(np.matmul(D[rows, None, :], self[k].Lt.T[batch[rows]]), self[k].Lt, out=out[rows, None, :])
+                continue
+            for i, r in enumerate(range(rows.start, rows.stop)):
+                np.matmul(np.matmul(D[r], self[i].Lt.T[batch[r]]), self[i].Lt, out=out[r])
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -203,6 +300,14 @@ def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
     return out
 
 
+def _aligned(size: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialized 1-d array of ``size`` items of ``dtype`` that starts
+    on a :data:`_GRAM_ALIGN`-byte boundary."""
+    buf = np.empty(size + _GRAM_ALIGN // np.dtype(dtype).itemsize, dtype)
+    skip = (-buf.ctypes.data % _GRAM_ALIGN) // buf.itemsize
+    return buf[skip : skip + size]
+
+
 def _gram_stride(n: int, itemsize: int) -> int:
     """Elements from one matrix of a :func:`gram_buffer` to the next: n * n
     rounded up to whole alignments."""
@@ -224,17 +329,14 @@ def gram_buffer(f: int, n: int, dtype=np.float64) -> np.ndarray:
     Raises ValueError, before allocating, when the buffer would take more
     than :data:`GRAM_MAX_BYTES`.
     """
-    itemsize = np.dtype(dtype).itemsize
-    align, stride = _GRAM_ALIGN // itemsize, _gram_stride(n, itemsize)
+    stride = _gram_stride(n, np.dtype(dtype).itemsize)
     size = gram_buffer_bytes(f, n, dtype)
     if size > GRAM_MAX_BYTES:
         raise ValueError(
             f"a Gram buffer of f={f} matrices of N={n} rows needs {size:,} bytes, "
             f"more than kernels.GRAM_MAX_BYTES = {GRAM_MAX_BYTES:,}"
         )
-    buf = np.empty(f * stride + align, dtype)
-    skip = (-buf.ctypes.data % _GRAM_ALIGN) // itemsize
-    return buf[skip : skip + f * stride].reshape(f, stride)[:, : n * n].reshape(f, n, n)
+    return _aligned(f * stride, dtype).reshape(f, stride)[:, : n * n].reshape(f, n, n)
 
 
 def gram_matrix(spec: KernelSpec, X, out=None) -> GramMatrix:
@@ -294,7 +396,7 @@ def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
             columns = min(max(2 * r, 16), -(-n // 4), GRAM_MAX_BYTES // (8 * n))
             if columns == r:
                 return None
-            grown = np.empty((columns, n))
+            grown = _aligned(columns * n).reshape(columns, n)
             grown[:r] = Lt
             Lt = grown
         p = pivots[r] = np.argmax(resid)

@@ -83,59 +83,55 @@ class FitReport:
 #: working arrays of :func:`train_adam`
 STACK_ROWS = 32
 
-#: most bytes of Grams one optimizer stack holds.  Training sets of equal
-#: size share a stack while their Grams (8 n^2 bytes each for a float64
-#: Gram, 8 n r for a factor of rank r) total at most this.  Stacking saves
-#: per-step Python work, but each step reads every Gram of the stack, and
-#: once they spill from the per-core L2 cache the reads cost more than the
-#: saving: five stacked folds ran faster up to 1.6 MB of Grams and slower
-#: from 2.3 MB on (2-core VM, one OpenBLAS thread).  1 MiB stacks
-#: cli_bench's 160-row folds.
+#: most bytes of Grams one optimizer stack holds.  Training sets of one
+#: size and Gram form share a stack while their Grams (see
+#: :mod:`helssvr.kernels`) total at most this.  Stacking saves per-step
+#: Python work, but each step reads every Gram of the stack, and once they
+#: spill from the per-core L2 cache the reads cost more than the saving:
+#: five stacked folds ran slower from 2.3 MB on (2-core VM, one OpenBLAS
+#: thread).
 #:
 #: The budget also sets the Gram's form: a set two of whose float64 Grams
-#: exceed it (n >= 257 rows) would train alone, and trains on a
-#: pivoted-Cholesky factor of its Gram instead, or, where the factor's
-#: rank reaches n/4, alone on a float32 Gram (see :func:`fit_cells`).
-#: Changing the budget therefore changes the numbers of every fit whose
-#: size lies between the old and the new gate.
+#: exceed it (n >= 257 rows) trains on a pivoted-Cholesky factor of its
+#: Gram, or on a float32 Gram where the factor's rank reaches n/4 (see
+#: :func:`fit_cells`).  Changing the budget therefore changes the numbers
+#: of every fit whose size lies between the old and the new gate.
 STACK_GRAM_BYTES = 1 << 20
 
 
-def _trains_alone(n: int) -> bool:
-    """Whether two float64 Grams of n rows exceed :data:`STACK_GRAM_BYTES`,
-    so that :func:`_fold_stacks` gives each set of n rows with a dense Gram
-    a stack of its own."""
+def _tries_factor(n: int) -> bool:
+    """Whether a set of n rows tries a Gram factor: where two of its
+    float64 Grams exceed :data:`STACK_GRAM_BYTES`, so that
+    :func:`_fold_stacks` would give each such Gram a stack of its own."""
     return 2 * 8 * n * n > STACK_GRAM_BYTES
 
 
-def _fold_stacks(sizes, factor_bytes=None) -> list[list[int]]:
+def _fold_stacks(forms, nbytes) -> list[list[int]]:
     """The training sets, by index, whose cells share each optimizer stack.
 
-    ``sizes`` gives each set's row count, and ``factor_bytes`` the bytes
-    of each set's Gram factor, or None for a set with a float64 Gram (8 n^2
-    bytes; None for all by default).  Only sets of equal size and Gram form
-    share a stack, in index order, as many as :data:`STACK_GRAM_BYTES` and
-    :data:`STACK_ROWS` allow (at least one); float64 Grams also need a Gram
-    buffer within :data:`helssvr.kernels.GRAM_MAX_BYTES`.
+    ``forms`` gives each set's (rows, Gram dtype), the dtype None for a
+    Gram factor, and ``nbytes`` the bytes of its Gram.  Only sets of one
+    form share a stack, in index order, while their Grams total at most
+    :data:`STACK_GRAM_BYTES` and they number at most :data:`STACK_ROWS`
+    (at least one); a stack of dense Grams also needs a Gram buffer within
+    :data:`helssvr.kernels.GRAM_MAX_BYTES`.
     """
-    factor_bytes = [None] * len(sizes) if factor_bytes is None else factor_bytes
     by_form: dict = {}
-    for j, (n, size) in enumerate(zip(sizes, factor_bytes)):
-        by_form.setdefault((n, size is None), []).append(j)
+    for j, form in enumerate(forms):
+        by_form.setdefault(form, []).append(j)
     stacks = []
-    for (n, dense), sets in by_form.items():
+    for (n, dtype), sets in by_form.items():
         per = STACK_ROWS
-        while dense and per > 1 and kernels.gram_buffer_bytes(per, n) > kernels.GRAM_MAX_BYTES:
+        while dtype is not None and per > 1 and kernels.gram_buffer_bytes(per, n, dtype) > kernels.GRAM_MAX_BYTES:
             per -= 1
         stacks.append([])
         held = 0
         for j in sets:
-            size = 8 * n * n if dense else factor_bytes[j]
-            if stacks[-1] and (held + size > STACK_GRAM_BYTES or len(stacks[-1]) == per):
+            if stacks[-1] and (held + nbytes[j] > STACK_GRAM_BYTES or len(stacks[-1]) == per):
                 stacks.append([])
                 held = 0
             stacks[-1].append(j)
-            held += size
+            held += nbytes[j]
     return stacks
 
 
@@ -173,52 +169,42 @@ def fit_cells(
     to ``adam.max_iter`` steps (None starts it fresh).  The Grams are built
     again.
 
-    Each set is scaled and gets its Gram matrix or factor once.  Cells
-    train together when their sets agree in size and Gram form (see
-    :func:`_fold_stacks`).  Each loss
-    kind's cells are chunked as if they trained alone: a chunk takes the
-    same number of cells (at most :data:`STACK_ROWS` in all) from each set
-    of a group, in cell order.  A group's chunks are packed, in order,
-    into optimizer stacks of at most :data:`STACK_ROWS` rows and at most
-    one chunk of each kind.  The cells of a stack that still train must
-    all start fresh or all resume from one step count (a state the
-    early-stopping rule ended trains no further); :func:`train_adam`
-    raises otherwise.  Every set's factor is built first, since the
-    factors' bytes decide the stacks; only one group's dense Grams are
-    held at a time, in one buffer.  Results are bit-identical for the same
-    cells and :data:`STACK_ROWS`, and a kind's cells get the same bits
+    Each set is scaled and gets its Gram form once: a float64 Gram below 257
+    rows, where two of them fit :data:`STACK_GRAM_BYTES`; from there a
+    pivoted-Cholesky factor, or a float32 Gram where the factor's rank
+    reaches n/4 (see :mod:`helssvr.kernels`).  Cells train together when
+    their sets agree in size and Gram form, while the Grams' bytes fit the
+    budget (see :func:`_fold_stacks`).  Each loss kind's cells are chunked
+    as if they trained alone: a chunk takes the same number of cells (at
+    most :data:`STACK_ROWS` in all) from each set of a group, in cell order.
+    A group's chunks are packed, in order, into optimizer stacks of at most
+    :data:`STACK_ROWS` rows and at most one chunk of each kind.  The cells
+    of a stack that still train must all start fresh or all resume from one
+    step count (a state the early-stopping rule ended trains no further);
+    :func:`train_adam` raises otherwise.  Every set's factor is built first,
+    since the factors' bytes decide the stacks; only one group's dense Grams
+    are held at a time, in one buffer.  Results are bit-identical for the
+    same cells and :data:`STACK_ROWS`, and a kind's cells get the same bits
     whatever other kinds train in the call, since a stack gives each kind's
     rows the bits of a stack of that kind alone (see
     :func:`helssvr.optimizer.train_adam`).  A cell that trains as the only
     row of its kind and set in its chunk is bit-identical to a :func:`fit`
     of that cell alone; one that shares its set's Gram products with other
-    rows of its kind agrees with it to rounding.  A run resumed to step T
-    is bit-identical to a run to T in the same stack layout.
+    rows of its kind agrees with it to rounding.  A run resumed to step T is
+    bit-identical to a run to T in the same stack layout.
 
-    A set two of whose float64 Grams would exceed :data:`STACK_GRAM_BYTES`,
-    so that its Gram would train in a stack of its own (n >= 257 rows),
-    trains on a float64 pivoted-Cholesky factor K ~= L L^T of rank r
-    instead (:func:`helssvr.kernels.gram_factor`): each Gram product, which
-    bounds such fits by memory bandwidth, reads 2 n r doubles instead of
-    n^2 entries.  The factors of sets of one size share stacks while their
-    8 n r bytes fit the budget, each set's rows making their products on
-    their own factor, so the bits above hold for them too.  Its models
-    differ from a dense float64 fit's by the factor's error, which its
-    tolerance bounds, carried forward by Adam.  Where the rank reaches n/4
-    the factor would save nothing, and the set trains alone on a float32
-    Gram: its products read half a float64 Gram's bytes, and its models
-    differ from a float64 fit's by float32's rounding of the Gram and of
-    its products.  Either way the coefficients, moments, residuals and
-    reports stay float64.  Every smaller set keeps a float64 Gram.
+    A factor-trained set's models differ from a float64 fit's by the
+    factor's error, which its tolerance bounds, and a float32-trained
+    set's by float32's rounding of the Gram and of its products, each
+    carried forward by Adam; either way the coefficients, moments,
+    residuals and reports stay float64.
 
     A factor-trained model is its kernel expansion over the factor's r
     pivot rows P, one read-only ``X_train`` that every model of the set
     shares, with coefficients L_PP^-T (L^T alpha) (one solve per cell):
     K's pivot rows are exact, so at the training rows it gives L (L^T alpha),
     the fitted values training minimized, and prediction reads r kernel
-    values per query instead of n.  Against the expansion over every
-    training row it moved at most 3.2e-12 of the target range inside the
-    data's range and 3.5e-7 one range beyond it.  A rank-0 factor keeps
+    values per query instead of n.  A rank-0 factor keeps
     that full expansion.  The reports' ``state.alpha`` and objectives keep
     the n training coefficients, from which a cell resumes.
     """
@@ -245,26 +231,28 @@ def fit_cells(
 
     out = [None] * len(cells)
     used = [j for j in range(len(sets)) if any(of[j] for of in cells_of.values())]
-    # each set scaled once, and given its Gram factor where its float64
-    # Gram would train alone
-    scaled, factors, seconds = {}, {}, {}
+    # each set scaled once, and given its Gram form: (rows, dtype), the
+    # dtype None for a factor, and the Gram's bytes
+    scaled, factors, seconds, forms, nbytes = {}, {}, {}, [], []
     for j in used:
         X, y = sets[j]
+        n = len(y)
         state_scaling = scale_fit(X, y, scaling)
         scaled[j] = (scale_features(state_scaling, X), state_scaling, scale_target(state_scaling, y))
         t0 = time.perf_counter()
-        if _trains_alone(len(y)) and (factor := gram_factor(kernels_of[j], scaled[j][0])) is not None:
+        if _tries_factor(n) and (factor := gram_factor(kernels_of[j], scaled[j][0])) is not None:
             factors[j] = factor
         seconds[j] = time.perf_counter() - t0
-    factor_bytes = [factors[j].Lt.nbytes if j in factors else None for j in used]
-    for group in _fold_stacks([len(scaled[j][2]) for j in used], factor_bytes):
+        dtype = None if j in factors else np.dtype(np.float32 if _tries_factor(n) else np.float64)
+        forms.append((n, dtype))
+        nbytes.append(factors[j].Lt.nbytes if dtype is None else dtype.itemsize * n * n)
+    for group in _fold_stacks(forms, nbytes):
+        n, dtype = forms[group[0]]
         group = [used[g] for g in group]
-        n = len(scaled[group[0]][2])
-        if group[0] in factors:
+        if dtype is None:
             gram = GramFactors(factors[j] for j in group)
         else:
-            # a float64 Gram per set, or float32 for a set that trains alone
-            gram = GramMatrix(gram_buffer(len(group), n, np.float32 if _trains_alone(n) else np.float64))
+            gram = GramMatrix(gram_buffer(len(group), n, dtype))
             for k, j in enumerate(group):
                 t0 = time.perf_counter()
                 gram_matrix(kernels_of[j], scaled[j][0], out=gram.values[k])
@@ -304,10 +292,11 @@ def fit_cells(
             wall = (time.perf_counter() - t1) / len(rows)
             for k, i, loss, C, state in zip(folds, rows, losses, Cs, stack.states):
                 Xs, state_scaling, gram_seconds = centers[k]
-                gram_k = gram[k] if isinstance(gram, GramFactors) else GramMatrix(gram.values[k])
+                gram_k = gram.one_set(k)
                 alpha = state.alpha
                 if Xs.shape[0] < n:  # a factor's pivot rows: beta = L_PP^-T (L^T alpha)
-                    alpha = np.linalg.solve(gram_k.Lt[:, gram_k.pivots], gram_k.Lt @ alpha)
+                    factor = factors[group[k]]
+                    alpha = np.linalg.solve(factor.Lt[:, factor.pivots], factor.Lt @ alpha)
                 state.alpha.flags.writeable = alpha.flags.writeable = False
                 model = TrainedModel(
                     alpha=alpha, X_train=Xs, kernel=kernels_of[group[k]], loss=loss, C=float(C),

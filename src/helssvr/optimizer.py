@@ -5,31 +5,27 @@ The trainer minimizes, over the coefficient vector alpha,
     H(alpha) = 1/2 * alpha^T K alpha + C * sum_i L(xi_i),
     xi_i = y_i - (K alpha)_i,
 
-where K is the training Gram matrix, dense or a low-rank factor
-K ~= L L^T (:class:`~helssvr.kernels.GramFactor`), and L any loss from
-:mod:`helssvr.losses`.  Each iteration draws a fresh uniform mini-batch
-without replacement; the quadratic term's gradient K alpha is computed
-exactly every step, while the loss-sum gradient is restricted to the
-batch rows.  One call can train several cells (C, loss and Adam settings),
-of one loss kind or several, on one training set or on several of equal
-size.  A cell alone among its kind's cells in its training set computes
-exactly what a run of its own does; cells of one kind that share a set
-share its Gram products, which agree with a run of their own to rounding
-(see :func:`train_adam`).
+where K is the training Gram matrix, in any of the forms of
+:mod:`helssvr.kernels`, and L any loss from :mod:`helssvr.losses`.  Each
+iteration draws a fresh uniform mini-batch without replacement; the
+quadratic term's gradient K alpha is computed exactly every step, while the
+loss-sum gradient is restricted to the batch rows.  One call can train
+several cells (C, loss and Adam settings), of one loss kind or several, on
+one training set or on several of equal size.  A cell alone among its kind's
+cells in its training set computes exactly what a run of its own does; cells
+of one kind that share a set share its Gram products, which agree with a run
+of their own to rounding (see :func:`train_adam`).
 """
 
 from __future__ import annotations
 
 import copy
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby
 
 import numpy as np
 
-from .kernels import GramFactor, GramMatrix
 from .losses import LossSpec, loss_derivative, loss_value, stack_losses
 from .seeding import make_rng, sample_without_replacement
 
@@ -124,22 +120,25 @@ class AdamState:
     stopped: bool = False
 
 
-def objective_value(alpha, gram: GramMatrix | GramFactor, y, C: float, loss: LossSpec) -> float:
+def _objective(alpha, Kalpha, resid, C, loss, check=True) -> float:
+    """H from K alpha and the residual y - K alpha, in float64."""
+    return float(0.5 * alpha @ Kalpha + C * np.sum(loss_value(loss, resid, check=check)))
+
+
+def objective_value(alpha, gram, y, C: float, loss: LossSpec) -> float:
     """H(alpha) = 1/2 alpha^T K alpha + C * sum of losses at the residuals.
 
-    K alpha is computed in a dense Gram's dtype, or as L (L^T alpha) from a
-    factor, by the products :func:`train_adam` makes for one row;
-    everything else in float64.
+    ``gram`` is one training set's Gram, in any form of
+    :mod:`helssvr.kernels`, which makes K alpha as :func:`train_adam` makes
+    it for one row; everything else is float64.  Raises ValueError for a
+    Gram of several sets or of another size than ``alpha``.
     """
     alpha = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if isinstance(gram, GramFactor):
-        Kalpha = np.matmul(np.matmul(gram.Lt, alpha), gram.Lt)
-    else:
-        K = gram.values
-        Kalpha = np.matmul(K, alpha, out=np.empty_like(alpha), dtype=K.dtype)
-    xi = y - Kalpha
-    return float(0.5 * alpha @ Kalpha + C * np.sum(loss_value(loss, xi)))
+    if gram.target_shape not in ((len(alpha),), (1, len(alpha))):
+        raise ValueError(f"objective_value takes one set's Gram of {len(alpha)} rows, got one for targets {gram.target_shape}")
+    Kalpha = np.empty((1, len(alpha)))
+    gram.products(alpha[None], Kalpha, [(0, slice(0, 1))])
+    return _objective(alpha, Kalpha[0], np.asarray(y, dtype=float) - Kalpha[0], C, loss)
 
 
 def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> AdamState:
@@ -190,59 +189,6 @@ def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> 
     return state
 
 
-def gram_products(K, A, out, spans=None) -> None:
-    """Store K[k] @ A[r] in ``out[r]`` for every row r of every set k.
-
-    ``K`` is an (f, n, n) stack of symmetric matrices; ``A`` and ``out``
-    are C-contiguous (m, n) arrays whose rows come in blocks of one set.
-    ``spans`` lists each block's (k, slice of rows), in row order; a k of
-    None marks a block of one row per set, in set order.  None means one
-    such block over all of ``A``.  Every product is made in K's dtype:
-    with a float32 K, numpy rounds A's rows to float32 and widens the
-    products into ``out``, and K is never upcast.
-
-    A block of one row runs as the GEMV K_k @ a, bit for bit the product a
-    one-cell run computes.  A block of several rows runs as one GEMM,
-    A_k @ K_k: that equals K_k applied to each row exactly in real
-    arithmetic, because K_k is symmetric, but the GEMM sums in another
-    order than the GEMV, so the two differ in the last bits.  A block of
-    one row per set makes all of its GEMVs in one broadcast ``K @ a``,
-    which numpy runs as the same GEMV per set, bit for bit.  The result
-    depends only on the block sizes, not on what else is in ``A``.
-    """
-    for k, rows in [(None, slice(0, len(A)))] if spans is None else spans:
-        if k is None:
-            np.matmul(K, A[rows, :, None], out=out[rows, :, None], dtype=K.dtype)
-        elif rows.stop - rows.start == 1:
-            np.matmul(K[k], A[rows.start], out=out[rows.start], dtype=K.dtype)
-        else:
-            np.matmul(A[rows], K[k], out=out[rows], dtype=K.dtype)
-
-
-def factor_products(Lt, A, out, spans) -> None:
-    """:func:`gram_products` for Gram factors K_k ~= Lt_k.T @ Lt_k: store
-    L_k (L_k^T A[r]) in ``out[r]`` for every row r of every set k, in
-    float64.
-
-    ``Lt`` is one set's (r, n) :class:`~helssvr.kernels.GramFactor` array,
-    or a sequence of one per set, whose ranks r may differ.  ``spans``
-    lists blocks of rows as for :func:`gram_products`; a block of one row
-    per set is made row by row, each on its set's factor.  A block of one
-    row runs as two GEMVs, a block of several rows as two GEMMs, which
-    differ from the GEMVs in the last bits only, as a dense Gram's do.
-    """
-    Lts = [Lt] if isinstance(Lt, np.ndarray) else Lt
-    for k, rows in spans:
-        if k is not None and rows.stop - rows.start > 1:
-            np.matmul(np.matmul(A[rows], Lts[k].T), Lts[k], out=out[rows])
-            continue
-        # a GEMV pair per row: set k's one row, or set i's row i of a block
-        # of one row per set
-        for i, r in enumerate(range(rows.start, rows.stop)):
-            L = Lts[i if k is None else k]
-            np.matmul(np.matmul(L, A[r]), L, out=out[r])
-
-
 @dataclass
 class AdamStack:
     """Final states of the cells one stacked :func:`train_adam` call trained.
@@ -257,10 +203,7 @@ class AdamStack:
     t: int
 
 
-def train_adam(
-    gram: GramMatrix | GramFactor | Sequence[GramFactor], y, C, loss, cfg: AdamConfig,
-    gamma=None, seed=None, fold=None, resume=None,
-):
+def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None, resume=None):
     """Run Adam iterations up to step ``cfg.max_iter`` and return the final
     state, whose coefficients are the moving average of the iterates.
 
@@ -300,10 +243,10 @@ def train_adam(
     cell (a None in ``resume`` starts that cell fresh); ``cfg`` gives every
     other setting.  A cell's learning rate and seed are checked as
     :class:`AdamConfig` checks its own, and an error names the cell.  The
-    call then returns an :class:`AdamStack`.  The cells may belong to
-    different training sets of N rows each: ``gram`` then
-    holds an (f, N, N) stack of their Gram matrices, ``y`` the (f, N)
-    targets and ``fold`` each cell's set (all 0 by default).  A non-finite
+    call then returns an :class:`AdamStack`.  ``gram`` is a Gram in any
+    form of :mod:`helssvr.kernels`, of one training set of N rows with
+    ``y`` of shape (N,), or of f sets of N rows each with ``y`` the (f, N)
+    targets, and ``fold`` each cell's set (all 0 by default).  A non-finite
     residual raises a ValueError that names the step and each affected cell
     (its position in ``C``) and set; the whole stack stops.  The residual
     block is checked once per step, before the loss derivative, and with
@@ -315,11 +258,10 @@ def train_adam(
     cell order, so the elementwise work of a step runs once for all of
     them, the loss derivative once per kind, in buffers allocated once per
     call.  Each cell keeps its own targets, mini-batch draws, trace and
-    early stop.  K alpha (and, at full batch, K d) runs through
-    :func:`gram_products` per block of one kind and set: one GEMM, or a
-    GEMV for a block of one row, all of a kind's GEMVs in one call when it
-    holds one row per set; a mini-batch's K_B^T d is one GEMV per row on
-    its gathered batch rows.  So:
+    early stop.  The Gram makes K alpha (and, at full batch, K d) per
+    block of one kind and set, a block of one row per set when the kind
+    holds one row in each, and a mini-batch's K_B^T d per row on its
+    gathered batch rows (see :mod:`helssvr.kernels`).  So, in every form:
 
     * a cell alone among its kind's rows in its set is bit-identical to a
       one-cell run;
@@ -331,68 +273,19 @@ def train_adam(
       one-cell run by the rounding of the GEMM, which Adam then carries
       forward.
 
-    Every product is made in the Gram's dtype.  A float32 ``gram`` is
-    never upcast: numpy rounds each product's float64 operand (the
-    coefficient or derivative rows) to float32 and widens the float32
-    product into the float64 result.  The coefficients, moments, average,
-    residuals, derivatives and objectives stay float64, and the three
-    points above hold for the float32 products.
-
-    ``gram`` may instead be a sequence of f :class:`~helssvr.kernels.GramFactor`
-    K_k ~= L_k L_k^T, one per set of N rows, whose ranks may differ, with
-    ``y`` of shape (f, N); one set's factor alone takes ``y`` of shape
-    (N,).  Every product is then float64 and made on its row's own
-    factor: :func:`factor_products` makes L_k (L_k^T a) as two GEMVs for a
-    block of one row and two GEMMs for several, and a mini-batch's K_B^T d
-    is L_k (L_k,B^T d), two GEMVs per row on its gathered rows of L_k.  A
-    block gets the products it gets in a stack on its factor alone, so the
-    three points above hold for these products too.  The product form is
-    chosen once per call, so a dense Gram runs the same operations as
-    without it.
+    The coefficients, moments, average, residuals, derivatives and
+    objectives are float64 whatever the Gram's form.
     """
     if isinstance(loss, LossSpec):
         return train_adam(gram, y, [C], [loss], cfg, resume=None if resume is None else [resume]).states[0]
-    if isinstance(gram, GramMatrix):
-        factors, n, sets_shape = None, gram.n, gram.values.shape[:-1]
-    else:
-        factors = [gram] if isinstance(gram, GramFactor) else list(gram)
-        n = factors[0].n if factors else 0
-        if any(g.n != n for g in factors):
-            raise ValueError(f"Gram factors of {sorted({g.n for g in factors})} rows: sets must be of one size")
-        sets_shape = (n,) if isinstance(gram, GramFactor) else (len(factors), n)
+    n = gram.n
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     y = np.asarray(y, dtype=float)
-    if y.shape != sets_shape:
-        raise ValueError(f"target vector has shape {y.shape}, expected {sets_shape}")
+    if y.shape != gram.target_shape:
+        raise ValueError(f"target vector has shape {y.shape}, expected {gram.target_shape}")
     Ys = y.reshape(-1, n)
     f = len(Ys)
-    # the Gram products, chosen once: K alpha (and, at full batch, K d) per
-    # block of rows, and a mini-batch's K_B^T d per row, whose gathered
-    # batch rows are a temporary, freed before the next step gathers its own
-    if factors is not None:
-        Lts = [factor.Lt for factor in factors]
-        products, set_gram = partial(factor_products, Lts), factors.__getitem__
-
-        def batch_products(batch, D, out):
-            # K_B^T d = L (L_B^T d): two GEMVs per row on its gathered rows
-            # of its set's L, one call per block of one set, and per row of
-            # a block of one row per set
-            for k, rows in spans:
-                if k is not None:
-                    np.matmul(np.matmul(D[rows, None, :], Lts[k].T[batch[rows]]), Lts[k], out=out[rows, None, :])
-                    continue
-                for i, r in enumerate(range(rows.start, rows.stop)):
-                    np.matmul(np.matmul(D[r], Lts[i].T[batch[r]]), Lts[i], out=out[r])
-
-    else:
-        K = gram.values.reshape(-1, n, n)
-        products, set_gram = partial(gram_products, K), lambda k: GramMatrix(K[k])
-
-        def batch_products(batch, D, out):
-            KB = K[fold_of[:, None], batch]
-            np.matmul(KB.transpose(0, 2, 1), D[:, :, None], out=out[:, :, None], dtype=K.dtype)
-
     C, loss = list(C), list(loss)
     rows = len(C)
     gamma = [cfg.gamma] * rows if gamma is None else list(gamma)
@@ -430,7 +323,7 @@ def train_adam(
     s = min(cfg.batch_size, n)
 
     def layout(cells):
-        # each row's set; each kind's (set, rows) blocks for gram_products,
+        # each row's set; each kind's (set, rows) blocks of Gram products,
         # one block of set None when the kind holds one row per set, so
         # that one broadcast makes all of its GEMVs (against a matmul per
         # set, it won 9 of 10 pairs of cli_bench runs); each kind's loss
@@ -491,7 +384,7 @@ def train_adam(
             if len(traces[c]) > state.t:
                 traces[c].pop()
             k = fold[c]
-            traces[c].append(objective_value(alpha, set_gram(k), Ys[k], C[c], loss[c]))
+            traces[c].append(objective_value(alpha, gram.one_set(k), Ys[k], C[c], loss[c]))
 
     def check_finite(step, resid):
         # a non-finite residual aborts the whole stack; the error names
@@ -510,13 +403,13 @@ def train_adam(
         return D
 
     for step in range(t0, cfg.max_iter):
-        products(state.alpha, Kalpha, spans)
+        gram.products(state.alpha, Kalpha, spans)
         if track:
             resid = Y - Kalpha
             check_finite(step, resid)
             keep = []
             for r, c in enumerate(live):
-                h = float(0.5 * state.alpha[r] @ Kalpha[r] + C[c] * np.sum(loss_value(loss[c], resid[r], check=False)))
+                h = _objective(state.alpha[r], Kalpha[r], resid[r], C[c], loss[c], check=False)
                 if cfg.collect_trace:
                     traces[c].append(h)
                 if cfg.early_stop and prev_h[c] is not None:
@@ -539,7 +432,7 @@ def train_adam(
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
             np.subtract(Y, Kalpha, out=R)
-            products(derivative(step), Kd, spans)
+            gram.products(derivative(step), Kd, spans)
         else:
             if step % n == 0 or step == t0:
                 # the batches up to the next multiple of n steps (or the
@@ -553,7 +446,7 @@ def train_adam(
                 block.sort(axis=2)
             batch = block[:, step - drawn_at]
             np.subtract(Y[row_of, batch], Kalpha[row_of, batch], out=R)
-            batch_products(batch, derivative(step), Kd)
+            gram.batch_products(batch, derivative(step), Kd, spans, fold_of)
         # the gradient K alpha - C * K d, in place in Kd
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)

@@ -362,35 +362,53 @@ class TestFitCells:
 class TestFoldStacks:
     """Which training sets share an optimizer stack, decided without training."""
 
+    @staticmethod
+    def dense(sizes, dtype=np.float64):
+        # the form and bytes of a set of each size with a dense Gram of dtype
+        dtype = np.dtype(dtype)
+        return [(n, dtype) for n in sizes], [dtype.itemsize * n * n for n in sizes]
+
     def test_budget_stacks_small_folds_and_splits_large_ones(self):
         from helssvr.model import STACK_GRAM_BYTES, _fold_stacks
 
         assert 5 * 8 * 160**2 <= STACK_GRAM_BYTES < 2 * 8 * 320**2
-        assert _fold_stacks([160] * 5) == [[0, 1, 2, 3, 4]]
-        assert _fold_stacks([320] * 5) == [[0], [1], [2], [3], [4]]
-        assert _fold_stacks([2000]) == [[0]]
+        assert _fold_stacks(*self.dense([160] * 5)) == [[0, 1, 2, 3, 4]]
+        assert _fold_stacks(*self.dense([320] * 5)) == [[0], [1], [2], [3], [4]]
+        assert _fold_stacks(*self.dense([2000])) == [[0]]
+
+    def test_float32_grams_stack_by_their_bytes(self):
+        # two float32 Grams of 320 rows fit the budget, three do not, and
+        # they never share a stack with float64 Grams of their size
+        from helssvr.model import STACK_GRAM_BYTES, _fold_stacks
+
+        assert 2 * 4 * 320**2 <= STACK_GRAM_BYTES < 3 * 4 * 320**2
+        assert _fold_stacks(*self.dense([320] * 5, np.float32)) == [[0, 1], [2, 3], [4]]
+        (f32,), (f32_bytes,) = self.dense([300], np.float32)
+        (f64,), _ = self.dense([300])
+        assert _fold_stacks([f64, f32, f64, f32], [f32_bytes] * 4) == [[0, 2], [1, 3]]
 
     def test_factor_bytes_count_against_the_budget(self):
         # factors of one size stack by their own bytes, in index order, and
-        # never with float64 Grams, even of their size
+        # never with dense Grams, even of their size and bytes
         from helssvr.model import STACK_GRAM_BYTES, _fold_stacks
 
         third = STACK_GRAM_BYTES // 3
-        assert _fold_stacks([300] * 4, [third, third, 2 * third, 1000]) == [[0, 1], [2, 3]]
-        assert _fold_stacks([300] * 3, [None, 1000, 1000]) == [[0], [1, 2]]
-        assert _fold_stacks([300] * 2, [STACK_GRAM_BYTES + 1] * 2) == [[0], [1]]
+        assert _fold_stacks([(300, None)] * 4, [third, third, 2 * third, 1000]) == [[0, 1], [2, 3]]
+        (f64,), _ = self.dense([300])
+        assert _fold_stacks([f64, (300, None), (300, None)], [1000] * 3) == [[0], [1, 2]]
+        assert _fold_stacks([(300, None)] * 2, [STACK_GRAM_BYTES + 1] * 2) == [[0], [1]]
 
     def test_unequal_sizes_never_share(self):
         from helssvr.model import _fold_stacks
 
-        assert _fold_stacks([20, 21, 21, 20]) == [[0, 3], [1, 2]]
+        assert _fold_stacks(*self.dense([20, 21, 21, 20])) == [[0, 3], [1, 2]]
 
     def test_stack_rows_caps_the_sets(self, monkeypatch):
         import helssvr.model
         from helssvr.model import _fold_stacks
 
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", 2)
-        assert _fold_stacks([160] * 5) == [[0, 1], [2, 3], [4]]
+        assert _fold_stacks(*self.dense([160] * 5)) == [[0, 1], [2, 3], [4]]
 
     def test_gram_budget_caps_the_sets(self, monkeypatch):
         import helssvr.kernels
@@ -398,11 +416,16 @@ class TestFoldStacks:
         from helssvr.model import _fold_stacks
 
         monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(2, 160))
-        assert _fold_stacks([160] * 5) == [[0, 1], [2, 3], [4]]
+        assert _fold_stacks(*self.dense([160] * 5)) == [[0, 1], [2, 3], [4]]
+        # the buffer is counted in the Grams' dtype: a budget of two
+        # float32 Grams holds one float64 Gram
+        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(2, 160, np.float32))
+        assert _fold_stacks(*self.dense([160] * 5, np.float32)) == [[0, 1], [2, 3], [4]]
+        assert _fold_stacks(*self.dense([160] * 5)) == [[0], [1], [2], [3], [4]]
         # a budget below one Gram still gives each set a stack, whose
         # buffer then raises
         monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(1, 160) - 1)
-        assert _fold_stacks([160] * 5) == [[0], [1], [2], [3], [4]]
+        assert _fold_stacks(*self.dense([160] * 5)) == [[0], [1], [2], [3], [4]]
 
 
 class TestFitCellsAcrossSets:
@@ -766,6 +789,64 @@ class TestFactorStacks:
         assert seconds == {0: {1.0}, 1: {(4.0 + 8.0) / 2}, 2: {2.0 / 4}}
 
 
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_float32_fallbacks_share_a_stack(self, monkeypatch, batch_size):
+        # two 300-row sets under a narrow kernel: both factors give up, and
+        # the two float32 Grams (0.72 MB) share one stack; each cell is the
+        # only row of its kind in its set, so it keeps the bits of its own
+        # fit, the float32 GEMVs of one set per call
+        forms = self.spy_forms(monkeypatch)
+        sets = self.sets(count=2)
+        cells = [
+            (0, hawkeye(), 10.0, 1e-2, 1), (1, LossSpec("least_squares"), 1.0, 1e-2, 2),
+            (1, hawkeye(0.05, 3.0, 1.0), 100.0, 1e-3, 3), (0, LossSpec("least_squares"), 10.0, 1e-3, 4),
+        ]
+        adam = AdamConfig(max_iter=40, batch_size=batch_size, collect_trace=True)
+        joint = fit_cells(sets, rbf(0.005), cells, adam, scaling="zscore")
+        assert forms == [(np.float32, 2)]
+        want = [
+            fit(*sets[j], rbf(0.005), loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
+            for j, loss, C, gamma, seed in cells
+        ]
+        assert forms == [(np.float32, 2)] + [(np.float32, 1)] * 4
+        assert_same_fits(joint, want)
+
+
+class TestOneProductPath:
+    """A report's final objective, its trace's last entry and
+    objective_value on the set's Gram built anew are one number, bit for
+    bit, in every Gram form: the trainer, the report and objective_value
+    make K alpha by the same one-row product."""
+
+    @pytest.mark.parametrize(
+        "n, sigma, form",
+        [(60, 0.5, (np.float64, 2)), (300, 0.005, (np.float32, 2)), (300, 1.0, "factors")],
+    )
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_final_objective_is_objective_value(self, monkeypatch, n, sigma, form, batch_size):
+        from helssvr.data import scale_features, scale_target
+        from helssvr.kernels import GramFactors, gram_buffer, gram_factor
+
+        forms = TestFactorStacks.spy_forms(monkeypatch)
+        sets = TestFactorStacks.sets(n, count=2)
+        cells = [(j, hawkeye(0.05, 3.0, 1.0), 100.0, 1e-2, j) for j in (0, 1)]
+        adam = AdamConfig(max_iter=30, batch_size=batch_size, collect_trace=True)
+        fitted = fit_cells(sets, rbf(sigma), cells, adam, scaling="zscore")
+        (got,) = forms  # one stack of the two sets
+        if form == "factors":
+            assert len(got) == 2
+        else:
+            assert got == form
+        for (X, y), (model, report) in zip(sets, fitted):
+            Xs, ys = scale_features(model.scaling, X), scale_target(model.scaling, y)
+            if form == "factors":
+                gram = GramFactors([gram_factor(rbf(sigma), Xs)])
+            else:
+                gram = gram_matrix(rbf(sigma), Xs, out=gram_buffer(1, n, form[0])[0])
+            want = objective_value(report.state.alpha, gram, ys, 100.0, model.loss)
+            assert report.final_objective == report.trace[-1] == want
+
+
 class TestPredictCells:
     def test_matches_predict_of_each_model(self):
         from helssvr.model import fit_cells, predict_cells
@@ -1073,9 +1154,9 @@ class TestAveragedFit:
 class TestFloat32Gram:
     """A training set two of whose float64 Grams exceed STACK_GRAM_BYTES, so
     that its Gram would train in a stack of its own, trains on a factor of
-    its Gram, sharing stacks with the factors of other sets of its size, or
-    alone on a float32 Gram where the factor's rank reaches n/4; every
-    smaller one keeps a float64 Gram."""
+    its Gram, or on a float32 Gram where the factor's rank reaches n/4,
+    sharing stacks with the Grams of that form of other sets of its size;
+    every smaller one keeps a float64 Gram."""
 
     @staticmethod
     def gram_forms(monkeypatch, n, sigma=0.5):
@@ -1108,9 +1189,10 @@ class TestFloat32Gram:
         # a wide kernel on 1-D data: rank 13, far below 257 / 4, and the
         # two factors share a stack
         assert self.gram_forms(monkeypatch, 257) == [[("factor", (13, 257))] * 2]
-        # a narrow one: the rank reaches 257 / 4, and each set trains alone
-        # on a float32 Gram
-        assert self.gram_forms(monkeypatch, 257, sigma=0.005) == [(np.float32, 1)] * 2
+        # a narrow one: the rank reaches 257 / 4, and the two sets share a
+        # stack of float32 Grams, whose 4 n^2 bytes fit the budget
+        assert 2 * 4 * 257**2 <= STACK_GRAM_BYTES
+        assert self.gram_forms(monkeypatch, 257, sigma=0.005) == [(np.float32, 2)]
 
     def test_factor_gate_is_the_one_set_per_stack_rule(self, monkeypatch):
         # a set tries the factor exactly where _fold_stacks gives its
@@ -1125,7 +1207,8 @@ class TestFloat32Gram:
         for n in sizes:
             X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
             fit(X, X[:, 0], rbf(), hawkeye(), C=1.0, adam=AdamConfig(max_iter=1))
-        assert tried == [n for n in sizes if _fold_stacks([n, n]) == [[0], [1]]]
+        float64 = np.dtype(np.float64)
+        assert tried == [n for n in sizes if _fold_stacks([(n, float64)] * 2, [8 * n * n] * 2) == [[0], [1]]]
         assert tried[0] == 257
 
     def test_predictions_match_a_float64_reference(self):

@@ -4,15 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helssvr.kernels import FACTOR_TOL, GramMatrix, KernelSpec, gram_factor, gram_matrix
+from helssvr.kernels import FACTOR_TOL, GramFactors, GramMatrix, KernelSpec, gram_factor, gram_matrix
 from helssvr.losses import LossSpec, loss_derivative, loss_value
 from helssvr.optimizer import (
     EMA_WEIGHT,
     AdamConfig,
     AdamState,
     adam_step,
-    factor_products,
-    gram_products,
     objective_value,
     train_adam,
 )
@@ -251,6 +249,18 @@ class TestObjectiveGradient:
             risk += loss_value(loss, xi)
         expected = quad + C * risk
         assert objective_value(alpha, gram, y, C, loss) == pytest.approx(expected, rel=1e-12)
+
+    def test_objective_value_takes_one_set(self):
+        # a stack of several sets, of a dense Gram or of factors, would
+        # give set 0's objective; it raises, as does a Gram of another size
+        gram, Ys, grams = fold_stack()
+        factors = GramFactors(gram_factor(KernelSpec("rbf", sigma=1.0), X) for X in np.ones((2, 20, 1)))
+        for stack in (gram, factors):
+            with pytest.raises(ValueError, match=r"one set's Gram of 20 rows, got one for targets \((3|2), 20\)"):
+                objective_value(np.zeros(20), stack, Ys[0], 1.0, LossSpec("least_squares"))
+        with pytest.raises(ValueError, match=r"one set's Gram of 19 rows, got one for targets \(20,\)"):
+            objective_value(np.zeros(19), grams[0], Ys[0][:19], 1.0, LossSpec("least_squares"))
+        assert objective_value(np.zeros(20), factors.one_set(1), Ys[0], 1.0, LossSpec("least_squares")) > 0
 
 
 class TestTrainAdam:
@@ -814,13 +824,13 @@ class TestBatchedProductsAreRowGemvs:
     def test_one_row_sets_equal_row_gemvs(self, n):
         K, A, fold_of = self.operands(n, rows_per_fold=1)
         got = np.empty_like(A)
-        gram_products(K, A, got)
+        GramMatrix(K).products(A, got, [(None, slice(0, len(A)))])
         for r, k in enumerate(fold_of):
             assert got[r].tobytes() == np.matmul(K[k], A[r]).tobytes()
         # a lone row beside a set of several rows
         K, A, _ = self.operands(n, rows_per_fold=2)
         got = np.empty_like(A[:4])
-        gram_products(K, A[:4], got, spans=[(0, slice(0, 3)), (2, slice(3, 4))])
+        GramMatrix(K).products(A[:4], got, [(0, slice(0, 3)), (2, slice(3, 4))])
         assert got[3].tobytes() == np.matmul(K[2], A[3]).tobytes()
 
     @pytest.mark.parametrize("n", [80, 160, 333])
@@ -831,7 +841,7 @@ class TestBatchedProductsAreRowGemvs:
             [(0, slice(0, 3)), (1, slice(3, 5)), (2, slice(5, 12))],  # sets of unequal size
         ):
             got = np.empty_like(A)
-            gram_products(K, A, got, spans=spans)
+            GramMatrix(K).products(A, got, spans)
             for k, rows in spans:
                 # a set's GEMM rows do not depend on the other sets' rows
                 assert got[rows].tobytes() == np.matmul(A[rows], K[k]).tobytes()
@@ -847,7 +857,7 @@ class TestBatchedProductsAreRowGemvs:
         K, A, _ = self.operands(n, rows_per_fold=2)
         K, A = K.astype(dtype), A.astype(dtype)
         got = np.empty_like(A)
-        gram_products(K, A, got, spans=[(None, slice(0, 3)), (1, slice(3, 6))])
+        GramMatrix(K).products(A, got, [(None, slice(0, 3)), (1, slice(3, 6))])
         for k in range(3):
             assert got[k].tobytes() == np.matmul(K[k], A[k]).tobytes()
         assert got[3:6].tobytes() == np.matmul(A[3:6], K[1]).tobytes()
@@ -859,7 +869,8 @@ class TestBatchedProductsAreRowGemvs:
         batch = np.sort(np.stack([rng.choice(n, 32, replace=False) for _ in fold_of]), axis=1)
         d = rng.normal(size=(len(fold_of), 32))
         got = np.empty_like(A)
-        np.matmul(K[fold_of[:, None], batch].transpose(0, 2, 1), d[:, :, None], out=got[:, :, None])
+        spans = [(k, slice(2 * k, 2 * k + 2)) for k in range(3)]
+        GramMatrix(K).batch_products(batch, d, got, spans, fold_of)
         for r, k in enumerate(fold_of):
             assert got[r].tobytes() == np.matmul(K[k][batch[r]].T, d[r]).tobytes()
 
@@ -873,19 +884,21 @@ class TestFactorTraining:
 
     @staticmethod
     def instance(n=60):
+        # one set's factor, its dense Gram and its targets, of shape (1, n)
+        # as a stack of one factor takes them
         rng = np.random.default_rng(70)
         X = rng.uniform(-1, 1, size=(n, 1))
         y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n)
         spec = KernelSpec("rbf", sigma=1.0)
-        return gram_factor(spec, X), gram_matrix(spec, X), y
+        return GramFactors([gram_factor(spec, X)]), gram_matrix(spec, X), y[None]
 
     def test_products_are_gemv_pairs_and_gemms(self):
         factor, _, _ = self.instance()
-        Lt = factor.Lt
+        Lt = factor[0].Lt
         assert 0 < Lt.shape[0] < 15
         A = np.random.default_rng(71).normal(size=(4, 60))
         got = np.empty_like(A)
-        factor_products(Lt, A, got, spans=[(0, slice(0, 3)), (None, slice(3, 4))])
+        factor.products(A, got, [(0, slice(0, 3)), (None, slice(3, 4))])
         assert got[:3].tobytes() == np.matmul(np.matmul(A[:3], Lt.T), Lt).tobytes()
         assert got[3].tobytes() == np.matmul(np.matmul(Lt, A[3]), Lt).tobytes()
         for r in range(3):
@@ -911,7 +924,7 @@ class TestFactorTraining:
                 TestResume.assert_same_states([got], [alone])
             else:
                 assert_close_runs(got, alone)
-            assert got.trace[-1] == objective_value(got.alpha, factor, y, Cs[c], losses[c])
+            assert got.trace[-1] == objective_value(got.alpha, factor, y[0], Cs[c], losses[c])
         assert len({state.t for state in stack.states}) > 1
 
     @pytest.mark.parametrize("batch_size", [5, 1000])
@@ -919,23 +932,23 @@ class TestFactorTraining:
         # the factor is within its tolerance of K; over 150 steps the runs
         # stay within 1e-9 of the dense run's largest coefficient
         factor, gram, y = self.instance()
-        assert np.abs(factor.Lt.T @ factor.Lt - gram.values).max() <= FACTOR_TOL * 60
+        assert np.abs(factor[0].Lt.T @ factor[0].Lt - gram.values).max() <= FACTOR_TOL * 60
         cfg = AdamConfig(max_iter=150, batch_size=batch_size, seed=3, collect_trace=True)
-        got, want = train_adam(factor, y, 10.0, self.he[0], cfg), train_adam(gram, y, 10.0, self.he[0], cfg)
+        got, want = train_adam(factor, y, 10.0, self.he[0], cfg), train_adam(gram, y[0], 10.0, self.he[0], cfg)
         assert not np.array_equal(got.alpha, want.alpha)
         assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-9 * np.max(np.abs(want.alpha))
         assert np.allclose(got.trace, want.trace, rtol=1e-9, atol=0)
 
     def test_factors_of_one_size_checked(self):
-        factor, _, y = self.instance()
-        small, _, _ = self.instance(n=50)
+        (factor,), _, _ = self.instance()
+        (small,), _, _ = self.instance(n=50)
         with pytest.raises(ValueError, match=r"Gram factors of \[50, 60\] rows: sets must be of one size"):
-            train_adam([factor, small], np.stack([y, y]), [1.0], [self.he[0]], AdamConfig(max_iter=5))
+            GramFactors([factor, small])
 
     def test_targets_and_folds_checked(self):
         factor, _, y = self.instance()
-        with pytest.raises(ValueError, match=r"expected \(60,\)"):
-            train_adam(factor, y[None], [1.0], [self.he[0]], AdamConfig(max_iter=5))
+        with pytest.raises(ValueError, match=r"expected \(1, 60\)"):
+            train_adam(factor, y[0], [1.0], [self.he[0]], AdamConfig(max_iter=5))
         with pytest.raises(ValueError, match=r"fold indices must lie in \[0, 1\)"):
             train_adam(factor, y, [1.0], [self.he[0]], AdamConfig(max_iter=5), fold=[1])
 
