@@ -62,15 +62,6 @@ def _config_errors(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     vals = tuple(float(v) for v in str(text).split(",") if v.strip())
     if not vals:
@@ -129,9 +120,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "adam.delta": (1e-8, float, "train bench"),
     "adam.batch_size": (32, int, "train bench"),
     "adam.max_iter": (1000, int, "train bench"),
-    "adam.early_stop": (False, _parse_bool, "train bench"),
-    "adam.early_stop_tol": (1e-10, float, "train bench"),
-    "adam.early_stop_patience": (20, int, "train bench"),
     "grid.C": ((1.0, 100.0, 10000.0), _parse_float_list, "bench"),
     "grid.sigma": ((0.1, 1.0, 10.0), _parse_float_list, "bench"),
     "grid.epsilon": ((0.05,), _parse_float_list, "bench"),

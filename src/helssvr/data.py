@@ -13,6 +13,7 @@ alongside the noisy ones.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,8 +241,8 @@ class SyntheticSpec:
             raise ValueError(f"function_id must be 1..5, got {self.function_id}")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 1:
+            raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         if self.sampling not in ("uniform", "grid"):
             raise ValueError(f"sampling must be 'uniform' or 'grid', got {self.sampling!r}")
 

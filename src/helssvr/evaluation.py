@@ -12,6 +12,7 @@ post-hoc threshold for pairwise verdicts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -95,8 +96,8 @@ class GridSpec:
                 math.isfinite(v) and v > 0 for v in vals
             ):
                 raise ValueError(f"grid {name} must be finite and > 0, got {vals}")
-        if self.k < 2:
-            raise ValueError("grid k must be >= 2")
+        if not isinstance(self.k, numbers.Integral) or self.k < 2:
+            raise ValueError(f"grid k must be an integer >= 2, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,7 @@ def grid_search_cv(
     go to the earlier cell) resume, from their optimizer states, to the
     next rung or to ``max_iter``.  A cut cell keeps its rung statistic and
     fold results; its folds report ``stop_reason="halved"`` with the rung
-    step as ``iterations``.  A cell counts as training while one of its
-    folds has not stopped early.  A search over at most
+    step as ``iterations``.  A search over at most
     :data:`HALVING_FLOOR` cells, or whose cells still training number at
     most that many at a rung, trains them straight on.  The best cell is
     the lowest statistic over all cells, cut or not (Hyperband's return
@@ -245,18 +245,17 @@ def grid_search_recipes(
     The recipes (distinct loss kinds) share the folds and the rungs.  A
     rung runs when some recipe has more than :data:`HALVING_FLOOR` cells
     still training; every recipe then trains its cells to it and is scored
-    there.  Only the recipes above the floor drop their stopped cells and
-    halve, each on its own ranking; a recipe at the floor keeps every
-    cell, so that its stacks hold the cells its own search trains straight
-    on.  Each recipe keeps its cell indices, so cell i's fold j of every
-    recipe trains with the Adam seed ``child_seed(seed, i, j)``.  At each
-    rung one :func:`fit_cells` call per kernel width trains the cells of
-    every recipe, all from one step, in shared optimizer stacks on each
-    fold's Gram matrix; one :func:`predict_cells` call per fold scores
-    them.  A run to a rung resumed to step T is bit-identical to a run to T
-    in the same stack layout, and a stack gives each kind's rows the bits
-    of a stack of that kind alone, so every number equals the one-recipe
-    search's.  The k training sets are built once per call.  An error of
+    there.  Only the recipes above the floor halve, each on its own
+    ranking; a recipe at the floor keeps every cell, as its own search
+    trains them straight on.  Each recipe keeps its cell indices, so cell
+    i's fold j of every recipe trains with the Adam seed
+    ``child_seed(seed, i, j)``.  At each rung one :func:`fit_cells` call
+    per kernel width trains the cells of every recipe, all from one step,
+    in shared optimizer stacks on each fold's Gram matrix; one
+    :func:`predict_cells` call per fold scores them.  A run to a rung
+    resumed to step T is bit-identical to a run to T in the same stack
+    layout, and a stack gives each kind's rows the bits of a stack of that
+    kind alone, so every number equals the one-recipe search's.  The k training sets are built once per call.  An error of
     any recipe, such as a grid with no finite statistic, fails the whole
     call.
     """
@@ -315,21 +314,15 @@ def grid_search_recipes(
             for (r, i), res in zip(owners, found):
                 res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
                 results[r][i] = res
+        if final:
+            break
         for r, ids in enumerate(training):
-            # a recipe at the floor keeps every cell, even one whose folds
-            # all stopped early, so that its stacks hold the cells a search
-            # of it alone trains straight on
-            if final or len(ids) <= HALVING_FLOOR:
-                continue
-            ids = [i for i in ids if not all(states[r][i, j].stopped for j in range(len(folds)))]
-            # sorted is stable, so ties go to the earlier cell
+            # sorted is stable, so ties go to the earlier cell; a recipe at
+            # the floor keeps every cell
             ranked = sorted(ids, key=lambda i: rank(results[r][i]))
             keep = max(HALVING_FLOOR, -(-len(ids) // 2))
             for i in ranked[keep:]:
-                results[r][i].fold_reports = [
-                    f if f.stop_reason == "early_stop" else replace(f, stop_reason="halved")
-                    for f in results[r][i].fold_reports
-                ]
+                results[r][i].fold_reports = [replace(f, stop_reason="halved") for f in results[r][i].fold_reports]
             training[r] = sorted(ranked[:keep])
 
     out = []

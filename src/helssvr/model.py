@@ -57,10 +57,9 @@ class FitReport:
     ``final_objective`` is H of the returned coefficients, the averaged
     iterate (see :func:`~helssvr.optimizer.train_adam`).
     ``stop_reason`` is ``"max_iter"`` when all ``AdamConfig.max_iter`` steps
-    ran, or ``"early_stop"`` when the early-stopping rule ended the run
-    after ``iterations`` steps.  In a grid search a fold of a cell that
-    successive halving cut reports ``"halved"``, with the step of the cut
-    as ``iterations`` (see :func:`helssvr.evaluation.grid_search_cv`).
+    ran.  In a grid search a fold of a cell that successive halving cut
+    reports ``"halved"``, with the step of the cut as ``iterations`` (see
+    :func:`helssvr.evaluation.grid_search_cv`).
     When cells train together (:func:`fit_cells`), the Gram build and each
     optimizer stack's run are timed once and split evenly among the cells
     that share them; a resumed cell's times are those of the call that
@@ -161,13 +160,13 @@ def fit_cells(
     validation, and ``kernel`` is one :class:`KernelSpec` for all of them
     or a sequence of one per set.  ``cells`` holds
     ``(set, loss, C, gamma, seed)``: the index of the cell's training set,
-    then its loss, C, learning rate and Adam seed, which replace ``adam``'s
-    (None means the defaults) and are checked as :class:`AdamConfig`
-    checks its own, naming the cell.  Returns one (model, report) per
-    cell.  ``resume`` optionally gives each cell a ``FitReport.state`` of
-    an earlier call with the same set, loss and C, from which it trains on
-    to ``adam.max_iter`` steps (None starts it fresh).  The Grams are built
-    again.
+    then its loss, C (finite, > 0), learning rate and Adam seed, which
+    replace ``adam``'s (None means the defaults) and are checked as
+    :class:`AdamConfig` checks its own, naming the cell.  Returns one
+    (model, report) per cell.  ``resume`` optionally gives each cell a
+    ``FitReport.state`` of an earlier call with the same set, loss and C,
+    from which it trains on to ``adam.max_iter`` steps (None starts it
+    fresh).  The Grams are built again.
 
     Each set is scaled and gets its Gram form once: a float64 Gram below 257
     rows, where two of them fit :data:`STACK_GRAM_BYTES`; from there a
@@ -179,8 +178,7 @@ def fit_cells(
     most :data:`STACK_ROWS` in all) from each set of a group, in cell order.
     A group's chunks are packed, in order, into optimizer stacks of at most
     :data:`STACK_ROWS` rows and at most one chunk of each kind.  The cells
-    of a stack that still train must all start fresh or all resume from one
-    step count (a state the early-stopping rule ended trains no further);
+    of a stack must all start fresh or all resume from one step count;
     :func:`train_adam` raises otherwise.  Every set's factor is built first,
     since the factors' bytes decide the stacks; only one group's dense Grams
     are held at a time, in one buffer.  Results are bit-identical for the
@@ -216,8 +214,8 @@ def fit_cells(
     cells = list(cells)
     if not cells:
         raise ValueError("fit_cells needs at least one cell")
-    if not all(C > 0 for _, _, C, *_ in cells):
-        raise ValueError("C must be > 0")
+    if not all(0 < C < np.inf for _, _, C, *_ in cells):
+        raise ValueError("C must be finite and > 0")
     for i, (*_, gamma, seed) in enumerate(cells):
         check_rate_and_seed(gamma, seed, f": cell {i}")
     if not all(0 <= j < len(sets) for j, *_ in cells):
@@ -306,7 +304,7 @@ def fit_cells(
                     final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
                     initial_objective=objective_value(np.full(n, float(adam.alpha0)), gram_k, ys[k], C, loss),
                     iterations=state.t,
-                    stop_reason="early_stop" if state.stopped else "max_iter",
+                    stop_reason="max_iter",
                     wall_time_seconds=wall,
                     gram_seconds=gram_seconds,
                     trace=state.trace,

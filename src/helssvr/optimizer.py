@@ -45,7 +45,7 @@ class AdamConfig:
     the usual search set {1e-4, 1e-3, 1e-2}.  The initial scalars must be
     finite, and v0 >= 0.  The coefficients :func:`train_adam` returns are
     the bias-corrected moving average of its iterates (:data:`EMA_WEIGHT`).
-    ``seed`` is an integer >= 0.
+    ``batch_size`` and ``max_iter`` are integers >= 1, ``seed`` one >= 0.
     """
 
     gamma: float = 0.01
@@ -59,9 +59,6 @@ class AdamConfig:
     v0: float = 0.01
     seed: int = 0
     collect_trace: bool = False
-    early_stop: bool = False
-    early_stop_tol: float = 1e-10
-    early_stop_patience: int = 20
 
     def __post_init__(self):
         check_rate_and_seed(self.gamma, self.seed)
@@ -71,14 +68,9 @@ class AdamConfig:
             raise ValueError("adam beta2 must lie in [0, 1)")
         if not 0 < self.delta < np.inf:
             raise ValueError("adam delta must be finite and > 0")
-        if self.batch_size < 1:
-            raise ValueError("adam batch_size must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("adam max_iter must be >= 1")
-        if not 0 < self.early_stop_tol < np.inf:
-            raise ValueError("adam early_stop_tol must be finite and > 0")
-        if self.early_stop_patience < 1:
-            raise ValueError("adam early_stop_patience must be >= 1")
+        for name in ("batch_size", "max_iter"):
+            if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
+                raise ValueError(f"adam {name} must be an integer >= 1")
         if not np.isfinite([self.alpha0, self.m0]).all():
             raise ValueError("adam alpha0 and m0 must be finite")
         if not 0 <= self.v0 < np.inf:
@@ -102,8 +94,7 @@ class AdamState:
     :func:`train_adam` trains m cells together.  A state :func:`train_adam`
     returns also holds what its ``resume`` argument needs to continue the
     cell: the raw iterate (``alpha`` is the averaged one), the average
-    before its bias correction, the cell's generator, its early-stop
-    counters and whether the early-stopping rule ended it.  :func:`adam_step`
+    before its bias correction and the cell's generator.  :func:`adam_step`
     leaves these unset.
     """
 
@@ -115,9 +106,6 @@ class AdamState:
     iterate: np.ndarray | None = None
     avg: np.ndarray | None = None
     rng: np.random.Generator | None = None
-    prev_h: float | None = None
-    flat_run: int = 0
-    stopped: bool = False
 
 
 def _objective(alpha, Kalpha, resid, C, loss, check=True) -> float:
@@ -195,8 +183,7 @@ class AdamStack:
 
     ``t`` is the number of Adam steps this call ran, summed over the cells;
     each step makes two products with the Gram.  A resumed cell adds the
-    steps past its state's ``t`` only, and a cell that arrived stopped
-    adds none.
+    steps past its state's ``t`` only.
     """
 
     states: list[AdamState]
@@ -216,22 +203,18 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
 
     When ``collect_trace`` is set, ``state.trace[t]`` holds H(alpha_t) for
     t = 0..T, except that the last entry is H of the returned coefficients
-    (:func:`objective_value`).  Optional early stopping ends the run once
-    successive objective values of the iterates differ by less than
-    ``early_stop_tol`` for ``early_stop_patience`` consecutive iterations.
-    The state's ``alpha`` is the bias-corrected average avg_t / (1 - w^t),
-    avg_t = w avg_{t-1} + (1 - w) alpha_t (w = :data:`EMA_WEIGHT`,
-    avg_0 = 0), at the step the run ended, not the last iterate, which
+    (:func:`objective_value`).  The state's ``alpha`` is the bias-corrected
+    average avg_t / (1 - w^t), avg_t = w avg_{t-1} + (1 - w) alpha_t
+    (w = :data:`EMA_WEIGHT`, avg_0 = 0), not the last iterate, which
     oscillates at a constant step size.  The correction makes it a weighted
-    mean of alpha_1..alpha_t, so a short or early-stopped run keeps no
-    weight on alpha_0.  The moments are the last iterate's.
+    mean of alpha_1..alpha_t, so a short run keeps no weight on alpha_0.
+    The moments are the last iterate's.
 
     ``resume`` continues earlier runs: a state this function returned,
     given with the cell's settings and set of that run, trains on from its
-    step t to ``cfg.max_iter``, with its own generator, early-stop counters
-    and trace; ``cfg.seed`` and ``seed`` then play no part.  A state the
-    early-stopping rule ended is returned as it is.  The cells resumed in
-    one call must share t.  The states passed in are left as they were.
+    step t to ``cfg.max_iter``, with its own generator and trace;
+    ``cfg.seed`` and ``seed`` then play no part.  The cells resumed in one
+    call must share t.  The states passed in are left as they were.
     A run to step k resumed to step T is bit-identical to a run to T in the
     same stack layout (below): a resumed cell draws the rest of its block
     of batches, and a block of draws is bit for bit the successive draws
@@ -250,18 +233,19 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     residual raises a ValueError that names the step and each affected cell
     (its position in ``C``) and set; the whole stack stops.  The residual
     block is checked once per step, before the loss derivative, and with
-    tracking once more before the objectives.
+    ``collect_trace`` once more before the objectives.
 
     The cells may be of several loss kinds.  Their coefficient, moment and
     residual vectors are stacked as the rows of (m, N) arrays, grouped by
     kind (in order of first appearance) and within a kind by set, each in
     cell order, so the elementwise work of a step runs once for all of
     them, the loss derivative once per kind, in buffers allocated once per
-    call.  Each cell keeps its own targets, mini-batch draws, trace and
-    early stop.  The Gram makes K alpha (and, at full batch, K d) per
-    block of one kind and set, a block of one row per set when the kind
-    holds one row in each, and a mini-batch's K_B^T d per row on its
-    gathered batch rows (see :mod:`helssvr.kernels`).  So, in every form:
+    call.  Each cell keeps its own targets, mini-batch draws and trace, and
+    its row from its start step to ``cfg.max_iter``.  The Gram makes
+    K alpha (and, at full batch, K d) per block of one kind and set, a block
+    of one row per set when the kind holds one row in each, and a
+    mini-batch's K_B^T d per row on its gathered batch rows (see
+    :mod:`helssvr.kernels`).  So, in every form:
 
     * a cell alone among its kind's rows in its set is bit-identical to a
       one-cell run;
@@ -287,16 +271,16 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     Ys = y.reshape(-1, n)
     f = len(Ys)
     C, loss = list(C), list(loss)
-    rows = len(C)
-    gamma = [cfg.gamma] * rows if gamma is None else list(gamma)
-    seed = [cfg.seed] * rows if seed is None else list(seed)
-    fold = [0] * rows if fold is None else [int(k) for k in fold]
-    resume = [None] * rows if resume is None else list(resume)
-    if not rows == len(loss) == len(gamma) == len(seed) == len(fold) == len(resume) > 0:
+    m = len(C)
+    gamma = [cfg.gamma] * m if gamma is None else list(gamma)
+    seed = [cfg.seed] * m if seed is None else list(seed)
+    fold = [0] * m if fold is None else [int(k) for k in fold]
+    resume = [None] * m if resume is None else list(resume)
+    if not m == len(loss) == len(gamma) == len(seed) == len(fold) == len(resume) > 0:
         raise ValueError("C, loss, gamma, seed, fold and resume must give the same non-zero number of cells")
     if not all(0 <= k < f for k in fold):
         raise ValueError(f"fold indices must lie in [0, {f})")
-    for c in range(rows):
+    for c in range(m):
         check_rate_and_seed(gamma[c], seed[c], f": cell {c}")
 
     def fresh(c):
@@ -307,90 +291,63 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
         )
 
     begin = [fresh(c) if start is None else start for c, start in enumerate(resume)]
-    out = [start if start.stopped else None for start in begin]
-    # the cell of each stack row, by kind (in order of first appearance)
-    # and then by set
-    kinds = {kind: i for i, kind in enumerate(dict.fromkeys(spec.kind for spec in loss))}
-    live = sorted((c for c in range(rows) if out[c] is None), key=lambda c: (kinds[loss[c].kind], fold[c]))
-    if not live:
-        return AdamStack(out, 0)
-    t0 = begin[live[0]].t
-    if any(begin[c].t != t0 for c in live) or t0 > cfg.max_iter:
+    t0 = begin[0].t
+    if any(start.t != t0 for start in begin) or t0 > cfg.max_iter:
         raise ValueError(f"resumed cells must share one step count, at most max_iter ({cfg.max_iter})")
-    if cfg.collect_trace and any(begin[c].trace is None for c in live):
+    if cfg.collect_trace and any(start.trace is None for start in begin):
         raise ValueError("cannot trace a cell resumed from a run without a trace")
 
     s = min(cfg.batch_size, n)
+    # the cell of each stack row, by kind (in order of first appearance)
+    # and then by set
+    kinds = {kind: i for i, kind in enumerate(dict.fromkeys(spec.kind for spec in loss))}
+    order = sorted(range(m), key=lambda c: (kinds[loss[c].kind], fold[c]))
+    # each kind's (set, rows) blocks of Gram products, one block of set
+    # None when the kind holds one row per set, so that one broadcast makes
+    # all of its GEMVs (against a matmul per set, it won 9 of 10 pairs of
+    # cli_bench runs), and each kind's loss stack and rows
+    spans, stacks, lo = [], [], 0
+    for _, group in groupby(order, key=lambda c: loss[c].kind):
+        group = list(group)
+        rows = slice(lo, lo + len(group))
+        stacks.append((stack_losses([loss[c] for c in group], s), rows))
+        counts = np.bincount([fold[c] for c in group], minlength=f)
+        if counts.min() == counts.max() == 1:
+            spans.append((None, rows))
+        else:
+            ends = lo + np.cumsum(counts)
+            spans.extend((k, slice(int(e - c), int(e))) for k, (c, e) in enumerate(zip(counts, ends)) if c)
+        lo = rows.stop
+    fold_of = np.array([fold[c] for c in order])
+    # every per-cell value repeated across its row, as wide as the arrays it
+    # meets: same-shape elementwise operations are numpy's fastest, and give
+    # each row the bits a one-cell run gets
+    C_blk = np.repeat(np.array([[C[c]] for c in order], dtype=float), n, axis=1)
+    gamma_blk = np.repeat(np.array([[gamma[c]] for c in order], dtype=float), n, axis=1)
 
-    def layout(cells):
-        # each row's set; each kind's (set, rows) blocks of Gram products,
-        # one block of set None when the kind holds one row per set, so
-        # that one broadcast makes all of its GEMVs (against a matmul per
-        # set, it won 9 of 10 pairs of cli_bench runs); each kind's loss
-        # stack and rows; and every per-cell value repeated across its row,
-        # as wide as the arrays it meets: same-shape elementwise operations
-        # are numpy's fastest, and give each row the bits a one-cell run gets
-        spans, stacks, lo = [], [], 0
-        for _, group in groupby(cells, key=lambda c: loss[c].kind):
-            group = list(group)
-            rows = slice(lo, lo + len(group))
-            stacks.append((stack_losses([loss[c] for c in group], s), rows))
-            counts = np.bincount([fold[c] for c in group], minlength=f)
-            if counts.min() == counts.max() == 1:
-                spans.append((None, rows))
-            else:
-                ends = lo + np.cumsum(counts)
-                spans.extend((k, slice(int(e - c), int(e))) for k, (c, e) in enumerate(zip(counts, ends)) if c)
-            lo = rows.stop
-        return (
-            np.array([fold[c] for c in cells]), spans, stacks,
-            np.repeat(np.array([[C[c]] for c in cells], dtype=float), n, axis=1),
-            np.repeat(np.array([[gamma[c]] for c in cells], dtype=float), n, axis=1),
-        )
-
-    m = len(live)
-    fold_of, spans, stacks, C_blk, gamma_blk = layout(live)
     # np.stack copies, so the states passed in stay as they were
     state = AdamState(
-        alpha=np.stack([begin[c].iterate for c in live]),
-        m=np.stack([begin[c].m for c in live]),
-        v=np.stack([begin[c].v for c in live]),
+        alpha=np.stack([begin[c].iterate for c in order]),
+        m=np.stack([begin[c].m for c in order]),
+        v=np.stack([begin[c].v for c in order]),
         t=t0,
     )
-    avg = np.stack([begin[c].avg for c in live])
+    avg = np.stack([begin[c].avg for c in order])
     work = (np.empty((m, n)), np.empty((m, n)))  # adam_step's in-place buffers
     Y = Ys[fold_of]
     Kalpha, Kd = np.empty((m, n)), np.empty((m, n))
     R, D = np.empty((m, s)), np.empty((m, s))  # the residual and its derivative
-    block, row_of = np.empty((m, 0, s), dtype=np.intp), np.arange(m)[:, None]
+    row_of = np.arange(m)[:, None]
     rngs = [start.rng if given is None else copy.deepcopy(start.rng) for start, given in zip(begin, resume)]
     # a trace ends in H of the averaged coefficients, which a resumed
     # cell's next step replaces
-    traces = [start.trace[: start.t] if cfg.collect_trace and out[c] is None else None for c, start in enumerate(begin)]
-    track = cfg.collect_trace or cfg.early_stop
-    prev_h = [start.prev_h for start in begin]
-    flat_run = [start.flat_run for start in begin]
-
-    def finish(r, c, stopped=False):
-        alpha = avg[r] / (1.0 - EMA_WEIGHT**state.t)
-        out[c] = AdamState(
-            alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c],
-            iterate=state.alpha[r].copy(), avg=avg[r].copy(), rng=rngs[c],
-            prev_h=prev_h[c], flat_run=flat_run[c], stopped=stopped,
-        )
-        if cfg.collect_trace:
-            # a row that stops early has traced this step's iterate; the
-            # entry becomes that of the returned coefficients
-            if len(traces[c]) > state.t:
-                traces[c].pop()
-            k = fold[c]
-            traces[c].append(objective_value(alpha, gram.one_set(k), Ys[k], C[c], loss[c]))
+    traces = [start.trace[: start.t] if cfg.collect_trace else None for start in begin]
 
     def check_finite(step, resid):
         # a non-finite residual aborts the whole stack; the error names
         # the cell and set of each row that holds one
         if not np.isfinite(resid).all():
-            bad = sorted(live[r] for r in np.flatnonzero(~np.isfinite(resid).all(axis=1)))
+            bad = sorted(order[r] for r in np.flatnonzero(~np.isfinite(resid).all(axis=1)))
             cells = ", ".join(f"cell {c} (fold {fold[c]})" for c in bad)
             raise ValueError(f"residual must be finite: step {step}, {cells}")
 
@@ -404,31 +361,11 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
 
     for step in range(t0, cfg.max_iter):
         gram.products(state.alpha, Kalpha, spans)
-        if track:
+        if cfg.collect_trace:
             resid = Y - Kalpha
             check_finite(step, resid)
-            keep = []
-            for r, c in enumerate(live):
-                h = _objective(state.alpha[r], Kalpha[r], resid[r], C[c], loss[c], check=False)
-                if cfg.collect_trace:
-                    traces[c].append(h)
-                if cfg.early_stop and prev_h[c] is not None:
-                    flat_run[c] = flat_run[c] + 1 if abs(h - prev_h[c]) < cfg.early_stop_tol else 0
-                    if flat_run[c] >= cfg.early_stop_patience:
-                        finish(r, c, stopped=True)
-                        continue
-                prev_h[c] = h
-                keep.append(r)
-            if not keep:
-                break
-            if len(keep) < len(live):
-                live = [live[r] for r in keep]
-                state = AdamState(alpha=state.alpha[keep], m=state.m[keep], v=state.v[keep], t=state.t)
-                avg = avg[keep]
-                Y, Kalpha, block = Y[keep], Kalpha[keep], block[keep]
-                Kd, work, row_of = Kd[: len(keep)], tuple(w[: len(keep)] for w in work), row_of[: len(keep)]
-                R, D = R[: len(keep)], D[: len(keep)]
-                fold_of, spans, stacks, C_blk, gamma_blk = layout(live)
+            for r, c in enumerate(order):
+                traces[c].append(_objective(state.alpha[r], Kalpha[r], resid[r], C[c], loss[c], check=False))
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
             np.subtract(Y, Kalpha, out=R)
@@ -440,7 +377,7 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
                 # indices, no more than the Gram.  A resumed run draws the
                 # rest of the block it stopped in
                 drawn_at, draws = step, min(n - step % n, cfg.max_iter - step)
-                block = np.stack([sample_without_replacement(rngs[c], n, s, draws=draws) for c in live])
+                block = np.stack([sample_without_replacement(rngs[c], n, s, draws=draws) for c in order])
                 # canonical index order keeps the float summation order
                 # independent of the draw
                 block.sort(axis=2)
@@ -455,7 +392,13 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
         a = np.subtract(state.alpha, avg, out=work[0])
         a *= 1.0 - EMA_WEIGHT
         avg += a
-    else:
-        for r, c in enumerate(live):
-            finish(r, c)
-    return AdamStack(out, sum(end.t - start.t for end, start in zip(out, begin)))
+    out = [None] * m
+    for r, c in enumerate(order):
+        alpha = avg[r] / (1.0 - EMA_WEIGHT**state.t)
+        if cfg.collect_trace:
+            traces[c].append(objective_value(alpha, gram.one_set(fold[c]), Ys[fold[c]], C[c], loss[c]))
+        out[c] = AdamState(
+            alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c],
+            iterate=state.alpha[r].copy(), avg=avg[r].copy(), rng=rngs[c],
+        )
+    return AdamStack(out, m * (state.t - t0))

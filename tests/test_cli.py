@@ -172,25 +172,7 @@ class TestTrain:
         assert "iterations          : 100\n" in printed
         assert "stop reason         : max_iter\n" in printed
 
-    def test_train_prints_early_stop(self, tmp_path, capsys):
-        data = tmp_path / "toy.csv"
-        write_toy_csv(data)
-        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"),
-                   "--set", "adam.max_iter=500", "--set", "adam.batch_size=1000",
-                   "--set", "adam.early_stop=true", "--set", "adam.early_stop_tol=1e-2",
-                   "--set", "adam.early_stop_patience=3"])
-        assert rc == 0
-        printed = capsys.readouterr().out
-        assert "stop reason         : early_stop\n" in printed
-        assert "iterations          : 500\n" not in printed
-
     @pytest.mark.parametrize("pair, message", [
-        ("adam.early_stop_tol=0", "early_stop_tol must be finite and > 0"),
-        ("adam.early_stop_tol=-1e-3", "early_stop_tol must be finite and > 0"),
-        ("adam.early_stop_tol=inf", "early_stop_tol must be finite and > 0"),
-        ("adam.early_stop_tol=nan", "early_stop_tol must be finite and > 0"),
-        ("adam.early_stop_patience=0", "early_stop_patience must be >= 1"),
-        ("adam.early_stop=maybe", "not a boolean"),
         ("adam.gamma=inf", "gamma must be finite and > 0"),
         ("adam.gamma=nan", "gamma must be finite and > 0"),
         ("adam.delta=inf", "delta must be finite and > 0"),
@@ -199,12 +181,17 @@ class TestTrain:
         ("grid.C=,", "bad value for 'grid.C' (from --set): empty list"),
         ("scaling=bogus", "bad value for 'scaling' (from --set): must be one of ('none', 'minmax', 'zscore'), got 'bogus'"),
         ("loss.kind=huber", "loss.theta is required for loss.kind=huber"),
+        ("adam.batch_size=0", "adam batch_size must be an integer >= 1"),
+        ("adam.batch_size=2.5", "bad value for 'adam.batch_size' (from --set): invalid literal for int()"),
+        ("adam.max_iter=0", "adam max_iter must be an integer >= 1"),
+        ("adam.max_iter=5.5", "bad value for 'adam.max_iter' (from --set): invalid literal for int()"),
+        ("adam.beta1=1", "adam beta1 must lie in [0, 1)"),
+        ("adam.beta2=nan", "adam beta2 must lie in [0, 1)"),
     ])
-    def test_bad_early_stop_setting_exit_2(self, tmp_path, capsys, pair, message):
+    def test_bad_setting_exit_2(self, tmp_path, capsys, pair, message):
         data = tmp_path / "toy.csv"
         write_toy_csv(data)
-        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"),
-                   "--set", "adam.early_stop=true", "--set", pair])
+        rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"), "--set", pair])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
@@ -1314,16 +1301,30 @@ class TestFlagsPerCommand:
     def test_report_key_is_unknown(self, tmp_path, monkeypatch, capsys, command, via):
         # bench scores its held-out refit with no choice of report, so the
         # old bench.report key is unknown to every command
-        flags = ["--set", "bench.report=refit"]
+        self.assert_unknown(tmp_path, monkeypatch, capsys, command, via, "bench.report", "refit")
+
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("key, value", [
+        ("adam.early_stop", "true"), ("adam.early_stop_tol", "1e-2"), ("adam.early_stop_patience", "3"),
+    ])
+    def test_early_stop_keys_are_unknown(self, tmp_path, monkeypatch, capsys, command, via, key, value):
+        # training runs to adam.max_iter, so the keys of the early-stopping
+        # rule are unknown to every command, train and bench included
+        self.assert_unknown(tmp_path, monkeypatch, capsys, command, via, key, value)
+
+    def assert_unknown(self, tmp_path, monkeypatch, capsys, command, via, key, value):
+        # the key exits 2 before any input is read, and nothing is written
+        flags = ["--set", f"{key}={value}"]
         if via == "--config":
-            (tmp_path / "run.cfg").write_text("bench.report = refit\n")
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
             flags = ["--config", str(tmp_path / "run.cfg")]
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
         stub_readers(monkeypatch)
         assert main([*self.ARGV[command], *flags]) == 2
-        assert "unknown config key 'bench.report'" in capsys.readouterr().err
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert list(work.iterdir()) == []
 
 

@@ -203,8 +203,11 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("options, message", [
         (dict(noise="cauchy"), "noise must be one of"),
-        (dict(n_samples=0), "n_samples must be >= 1"),
+        (dict(n_samples=0), "n_samples must be an integer >= 1"),
         (dict(sampling="random"), "sampling must be 'uniform' or 'grid', got 'random'"),
+        (dict(n_samples=2.5), "n_samples must be an integer >= 1, got 2.5"),
+        (dict(n_samples=10.0), "n_samples must be an integer >= 1, got 10.0"),
+        (dict(n_samples="10"), "n_samples must be an integer >= 1, got '10'"),
     ])
     def test_bad_spec(self, options, message):
         with pytest.raises(ValueError, match=message):

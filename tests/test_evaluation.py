@@ -435,8 +435,11 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("options, message", [
         (dict(epsilon_values=()), "grid epsilon_values must be non-empty"),
-        (dict(k=1), "grid k must be >= 2"),
-    ], ids=["empty-axis", "one-fold"])
+        (dict(k=1), "grid k must be an integer >= 2"),
+        (dict(k=2.5), "grid k must be an integer >= 2, got 2.5"),
+        (dict(k=3.0), "grid k must be an integer >= 2, got 3.0"),
+        (dict(k="5"), "grid k must be an integer >= 2, got '5'"),
+    ], ids=["empty-axis", "one-fold", "fractional-k", "whole-float-k", "string-k"])
     def test_bad_grid_rejected(self, options, message):
         with pytest.raises(ValueError, match=message):
             GridSpec(**{"C_values": (1.0,), "sigma_values": (0.5,), **options})
@@ -578,18 +581,6 @@ class TestSuccessiveHalving:
         res = self.search(grid)
         assert {r.stop_reason for cell in res.cells for r in cell.fold_reports} == {"max_iter"}
 
-    def test_early_stopped_folds_keep_their_reason(self):
-        # a loose tolerance stops folds before and between the rungs; their
-        # reports keep early_stop, and the other folds of a cut cell say halved
-        res = self.search(early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)
-        reasons = {}
-        for cell in res.cells:
-            assert math.isfinite(cell.stat)
-            for r in cell.fold_reports:
-                reasons.setdefault(r.stop_reason, set()).add(r.iterations)
-                assert (r.stop_reason == "halved") == (r.iterations in (15, 45) and r.stop_reason != "early_stop")
-        assert reasons["halved"] and reasons["early_stop"] and max(reasons["early_stop"]) < 150
-
 
 class TestJointSearch:
     """Several recipes searched together, bit for bit each recipe's own
@@ -626,13 +617,12 @@ class TestJointSearch:
             for cell in res.cells
         ]
 
-    @pytest.mark.parametrize("stop", [{}, dict(early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)])
     @pytest.mark.parametrize("batch_size", [32, 1000])
-    def test_each_recipe_matches_its_own_search(self, batch_size, stop):
-        joint = self.search(self.recipes, batch_size=batch_size, **stop)
+    def test_each_recipe_matches_its_own_search(self, batch_size):
+        joint = self.search(self.recipes, batch_size=batch_size)
         steps = set()
         for recipe, res in zip(self.recipes, joint, strict=True):
-            (alone,) = self.search([recipe], batch_size=batch_size, **stop)
+            (alone,) = self.search([recipe], batch_size=batch_size)
             assert self.summary(res) == self.summary(alone)
             assert res.cells.index(res.best) == alone.cells.index(alone.best)
             assert [f.tobytes() for f in res.folds] == [f.tobytes() for f in alone.folds]
@@ -670,8 +660,8 @@ class TestJointSearch:
         ] * 3
         assert calls["predict"] == 3 * len(calls["fit"])
 
-    @pytest.mark.parametrize("stop", [{}, dict(early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)])
-    def test_recipe_at_the_floor_trains_to_the_rung(self, monkeypatch, stop):
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_recipe_at_the_floor_trains_to_the_rung(self, monkeypatch, batch_size):
         # hawkeye's 8 cells halve to 4 at step 15, so only that rung runs;
         # least squares' 4 cells train to it beside them and resume from it,
         # and every train_adam call's cells start from one step
@@ -680,13 +670,13 @@ class TestJointSearch:
 
         grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), epsilon_values=(0.05, 0.1), k=3)
         recipes = [ModelRecipe("hawkeye"), ModelRecipe("least_squares")]
-        adam = fast_adam(batch_size=32, **stop)
+        adam = fast_adam(batch_size=batch_size)
         ds = toy_dataset(n=61, seed=8)
         calls = []
         real = helssvr.model.train_adam
 
         def spy(gram, y, C, loss, cfg, **kw):
-            starts = {0 if s is None else s.t for s in kw["resume"] if s is None or not s.stopped}
+            starts = {0 if s is None else s.t for s in kw["resume"]}
             calls.append(({spec.kind for spec in loss}, cfg.max_iter, starts))
             return real(gram, y, C, loss, cfg, **kw)
 
@@ -700,27 +690,6 @@ class TestJointSearch:
             (alone,) = grid_search_recipes(ds, grid, [recipe], seed=11, adam=adam, scaling="zscore")
             assert self.summary(res) == self.summary(alone)
             assert res.cells.index(res.best) == alone.cells.index(alone.best)
-
-    def test_recipe_at_the_floor_keeps_its_stopped_cells(self):
-        # 10 folds of 90 training rows share a stack, so a chunk takes 3
-        # cells of a kind per set, and least squares' 4 cells of the one
-        # sigma make chunks of cells 0-2 and 3.  Two of them stop early on
-        # every fold before the rung at step 10 that hawkeye's 8 cells run;
-        # the search trains them on beside cell 3, which then stays in a
-        # chunk of its own, as in a search of least squares alone
-        from helssvr.evaluation import grid_search_recipes
-
-        X = np.random.default_rng(3).uniform(-1, 1, (100, 2))
-        ds = Dataset(X=X, y=np.sin(3 * X[:, 0]) + 0.1 * np.random.default_rng(4).normal(size=100), name="ten")
-        grid = GridSpec(C_values=(1e-3, 1e-2, 1.0, 100.0), sigma_values=(0.5,), epsilon_values=(0.05, 0.1), k=10)
-        recipes = [ModelRecipe("hawkeye"), ModelRecipe("least_squares")]
-        adam = AdamConfig(max_iter=100, batch_size=1000, early_stop=True, early_stop_tol=3e-2, early_stop_patience=3)
-        joint = grid_search_recipes(ds, grid, recipes, seed=1, adam=adam, scaling="zscore")
-        steps = [max(r.iterations for r in cell.fold_reports) for cell in joint[1].cells]
-        assert sum(s < 10 for s in steps) == 2 and steps[3] > 10
-        for recipe, res in zip(recipes, joint, strict=True):
-            (alone,) = grid_search_recipes(ds, grid, [recipe], seed=1, adam=adam, scaling="zscore")
-            assert self.summary(res) == self.summary(alone)
 
     def test_factor_folds_share_their_centers_across_stacks(self, monkeypatch):
         # 726 rows in 2 folds: training sets of 363 rows, each trained on
@@ -767,25 +736,24 @@ class TestJointSearch:
 
 
 # grid_search_cv(toy_dataset(n=31, seed=3), C 1 and 100, sigma 0.3 and 1, k=3,
-# seed 7, zscore, 60 steps, early stop at tol 2e-2 / patience 3), recorded
-# with each set's Gram products as one GEMM over its rows and the default
-# STACK_ROWS: per cell, the fold RMSEs, initial and final objectives (as
-# float.hex) and iteration counts.  The folds hold 11, 10 and 10 rows, so
-# the training sets are 20, 21 and 21 rows.  This pins the results of one
-# fixed stack layout bit for bit.
+# seed 7, zscore, 60 steps), recorded with each set's Gram products as one
+# GEMM over its rows and the default STACK_ROWS: per cell, the fold RMSEs,
+# initial and final objectives (as float.hex) and iteration counts.  The
+# folds hold 11, 10 and 10 rows, so the training sets are 20, 21 and 21
+# rows.  This pins the results of one fixed stack layout bit for bit.
 GOLDEN_SEARCH = {
     8: [
         (
-            ('0x1.1e9a2e2469ef7p-1', '0x1.2236a3359feacp-1', '0x1.6b6b91b3e9279p-1'),
+            ('0x1.0a5739f8cda46p-1', '0x1.12e5228c0f288p-1', '0x1.557a7bec22fa8p-1'),
             ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
-            ('0x1.9ab2ce2e8d547p+1', '0x1.ae51bd0aa8b16p+1', '0x1.c893dfd9d99aep+1'),
-            (41, 39, 39),
+            ('0x1.766871a1686a5p+1', '0x1.840beaaa508b6p+1', '0x1.a38f5f922acf8p+1'),
+            (60, 60, 60),
         ),
         (
-            ('0x1.e4bbd61db8f2cp-2', '0x1.b9142a09d8895p-2', '0x1.3423b9d1399a8p-1'),
+            ('0x1.96f9af9be8896p-2', '0x1.76be10032e1f8p-2', '0x1.1607b9e18cc9cp-1'),
             ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
-            ('0x1.5d1c16530d74cp+1', '0x1.49f1a721a126cp+1', '0x1.5b5c19cca9ddep+1'),
-            (30, 30, 30),
+            ('0x1.26ed63a4ab5dep+1', '0x1.0b3bbda8ec22dp+1', '0x1.316c10632729bp+1'),
+            (60, 60, 60),
         ),
         (
             ('0x1.0c9d04295a276p-2', '0x1.6fc719a1c218fp-2', '0x1.988aafd2c80fbp-2'),
@@ -794,24 +762,24 @@ GOLDEN_SEARCH = {
             (60, 60, 60),
         ),
         (
-            ('0x1.48cc1d83d254dp-3', '0x1.38c31e61e4a34p-3', '0x1.4be556f9e7f88p-2'),
+            ('0x1.48cc1d83d254dp-3', '0x1.38c31e61e4a34p-3', '0x1.4be556f9e7f87p-2'),
             ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
-            ('0x1.e117d353450bbp+5', '0x1.61a0946149945p+4', '0x1.34e5a6dd18801p+6'),
+            ('0x1.e117d353450bdp+5', '0x1.61a0946149945p+4', '0x1.34e5a6dd18800p+6'),
             (60, 60, 60),
         ),
     ],
     1000: [
         (
-            ('0x1.f95558207ff0fp-2', '0x1.0b7cd017e13d2p-1', '0x1.47006b4a0139dp-1'),
+            ('0x1.8777c74d21055p-2', '0x1.c74f71fda7cbfp-2', '0x1.07aa08028bc9ap-1'),
             ('0x1.1141716d76fa7p+2', '0x1.2959c917d38d7p+2', '0x1.2211f474cbcc3p+2'),
-            ('0x1.6097aa25087b8p+1', '0x1.6a81d4e0e912fp+1', '0x1.87d71fe3e99efp+1'),
-            (33, 32, 32),
+            ('0x1.1e40bdecebc8ep+1', '0x1.2411f74eed551p+1', '0x1.4933ddde4166ap+1'),
+            (60, 60, 60),
         ),
         (
-            ('0x1.98e1dabc8c3b6p-2', '0x1.7180f6169a831p-2', '0x1.207aa21d20835p-1'),
+            ('0x1.f776d81e6a571p-3', '0x1.da4da6b298d2ap-3', '0x1.a0b1445027f10p-2'),
             ('0x1.101e8bdfe51b8p+2', '0x1.295f7802a1655p+2', '0x1.223851d6511f1p+2'),
-            ('0x1.2d7a6e22eb5f6p+1', '0x1.110300823d470p+1', '0x1.3c4ceff7882f3p+1'),
-            (23, 22, 20),
+            ('0x1.c02c7e11c4958p+0', '0x1.824043c1ad016p+0', '0x1.dfddac453763bp+0'),
+            (60, 60, 60),
         ),
         (
             ('0x1.cf7f115f13864p-3', '0x1.535c2ac5e8e86p-2', '0x1.68b3cd6989c3fp-2'),
@@ -820,14 +788,13 @@ GOLDEN_SEARCH = {
             (60, 60, 60),
         ),
         (
-            ('0x1.22bb056655624p-3', '0x1.1cf7d6bc4f8ebp-3', '0x1.284619d3ae52dp-2'),
+            ('0x1.22bb056655625p-3', '0x1.1cf7d6bc4f8ecp-3', '0x1.284619d3ae52dp-2'),
             ('0x1.a856171009a11p+8', '0x1.cfb0c2af860c5p+8', '0x1.c488aed756dfep+8'),
-            ('0x1.7787ed1b200a9p+5', '0x1.0387bedc1ca80p+4', '0x1.dde0dcb0477ecp+5'),
+            ('0x1.7787ed1b200aap+5', '0x1.0387bedc1ca80p+4', '0x1.dde0dcb0477f2p+5'),
             (60, 60, 60),
         ),
     ],
 }
-
 
 
 class TestGoldenSearch:
@@ -850,7 +817,7 @@ class TestGoldenSearch:
     @staticmethod
     def search(batch_size):
         grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), k=3)
-        adam = fast_adam(max_iter=60, batch_size=batch_size, early_stop=True, early_stop_tol=2e-2, early_stop_patience=3)
+        adam = fast_adam(max_iter=60, batch_size=batch_size)
         res = grid_search_cv(toy_dataset(n=31, seed=3), grid, recipe_from_name("hawkeye"), seed=7, adam=adam, scaling="zscore")
         return [
             (
@@ -864,15 +831,13 @@ class TestGoldenSearch:
 
 
 # grid_search_cv(toy_dataset(n=31, seed=3), C 1 and 100, sigma 0.3 and 1, a 1
-# and 3, k=3, seed 7, zscore, 60 steps), keyed by (batch size, early-stop
-# tolerance at patience 3, or None for no early stop): per cell, the fold
-# RMSEs and statistic (as float.hex), each fold's iterations and stop reason.
-# The 8 cells reach the first rung at step 6, which keeps 4; those train
-# straight on to 60, since 4 do not halve again.  With early stopping, folds
-# stop before the rung (a cut cell's other folds say halved) and after it.
-# Like GOLDEN_SEARCH this pins one fixed stack layout bit for bit.
+# and 3, k=3, seed 7, zscore, 60 steps), keyed by batch size: per cell, the
+# fold RMSEs and statistic (as float.hex), each fold's iterations and stop
+# reason.  The 8 cells reach the first rung at step 6, which keeps 4; those
+# train straight on to 60, since 4 do not halve again.  Like GOLDEN_SEARCH
+# this pins one fixed stack layout bit for bit.
 GOLDEN_HALVING = {
-    (8, None): [
+    8: [
         (
             ('0x1.578ee43898938p-1', '0x1.496177dd83f1cp-1', '0x1.962a9fbb41e37p-1'),
             '0x1.496177dd83f1cp-1',
@@ -922,7 +887,7 @@ GOLDEN_HALVING = {
             ('max_iter', 'max_iter', 'max_iter'),
         ),
     ],
-    (1000, None): [
+    1000: [
         (
             ('0x1.4f8bf6cb0562fp-1', '0x1.44122281e06d9p-1', '0x1.8f437752e506dp-1'),
             '0x1.44122281e06d9p-1',
@@ -972,66 +937,14 @@ GOLDEN_HALVING = {
             ('max_iter', 'max_iter', 'max_iter'),
         ),
     ],
-    (8, 0.05): [
-        (
-            ('0x1.5afb6a5288af5p-1', '0x1.496177dd83f1cp-1', '0x1.99028e02af541p-1'),
-            '0x1.496177dd83f1cp-1',
-            (3, 6, 3),
-            ('early_stop', 'halved', 'early_stop'),
-        ),
-        (
-            ('0x1.563482ad8618fp-1', '0x1.49e5da9a7e51dp-1', '0x1.9604b44edafe1p-1'),
-            '0x1.49e5da9a7e51dp-1',
-            (6, 6, 6),
-            ('halved', 'halved', 'halved'),
-        ),
-        (
-            ('0x1.4c10c11d6646fp-1', '0x1.3adf2d4fd7595p-1', '0x1.883ed5ce136fdp-1'),
-            '0x1.3adf2d4fd7595p-1',
-            (6, 6, 6),
-            ('halved', 'halved', 'halved'),
-        ),
-        (
-            ('0x1.45989b8114930p-2', '0x1.61d9ca9e729a0p-2', '0x1.10c52359f224cp-1'),
-            '0x1.45989b8114930p-2',
-            (45, 30, 35),
-            ('early_stop', 'early_stop', 'early_stop'),
-        ),
-        (
-            ('0x1.0e2e6ff4c2eccp-2', '0x1.7adbe391143d5p-2', '0x1.9c7ac421f2ed4p-2'),
-            '0x1.0e2e6ff4c2eccp-2',
-            (60, 60, 60),
-            ('max_iter', 'max_iter', 'max_iter'),
-        ),
-        (
-            ('0x1.42b1618cf8d09p-1', '0x1.3ad398d9d7ee2p-1', '0x1.821fb129563fep-1'),
-            '0x1.3ad398d9d7ee2p-1',
-            (6, 6, 6),
-            ('halved', 'halved', 'halved'),
-        ),
-        (
-            ('0x1.565d80729d563p-3', '0x1.300b074aa8512p-3', '0x1.4f996179efc5dp-2'),
-            '0x1.300b074aa8512p-3',
-            (60, 60, 60),
-            ('max_iter', 'max_iter', 'max_iter'),
-        ),
-        (
-            ('0x1.3155b33063561p-3', '0x1.27cfc344c8c50p-3', '0x1.45c96c0205f33p-2'),
-            '0x1.27cfc344c8c50p-3',
-            (60, 60, 60),
-            ('max_iter', 'max_iter', 'max_iter'),
-        ),
-    ],
 }
 
 
 class TestGoldenHalvingSearch:
-    @pytest.mark.parametrize("case", list(GOLDEN_HALVING))
-    def test_search_matches_recorded_values(self, case):
-        batch_size, tol = case
-        stop = {} if tol is None else dict(early_stop=True, early_stop_tol=tol, early_stop_patience=3)
+    @pytest.mark.parametrize("batch_size", list(GOLDEN_HALVING))
+    def test_search_matches_recorded_values(self, batch_size):
         grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.3, 1.0), a_values=(1.0, 3.0), k=3)
-        adam = fast_adam(max_iter=60, batch_size=batch_size, **stop)
+        adam = fast_adam(max_iter=60, batch_size=batch_size)
         res = grid_search_cv(toy_dataset(n=31, seed=3), grid, recipe_from_name("hawkeye"), seed=7, adam=adam, scaling="zscore")
         got = [
             (
@@ -1042,7 +955,7 @@ class TestGoldenHalvingSearch:
             )
             for cell in res.cells
         ]
-        assert got == GOLDEN_HALVING[case]
+        assert got == GOLDEN_HALVING[batch_size]
         assert res.best is res.cells[7]
 
 

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -127,11 +127,6 @@ class TestConfigValidation:
             dict(delta=0.0),
             dict(batch_size=0),
             dict(max_iter=0),
-            dict(early_stop_tol=0.0),
-            dict(early_stop_tol=-1e-3),
-            dict(early_stop_tol=float("inf")),
-            dict(early_stop_tol=float("nan")),
-            dict(early_stop_patience=0),
             dict(gamma=float("inf")),
             dict(gamma=float("nan")),
             dict(delta=float("inf")),
@@ -147,6 +142,15 @@ class TestConfigValidation:
     )
     def test_bad_configs(self, kw):
         with pytest.raises(ValueError):
+            AdamConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(batch_size=2.5), dict(max_iter=5.5), dict(batch_size=32.0), dict(max_iter=100.0),
+        dict(batch_size=float("nan")), dict(max_iter=float("inf")), dict(batch_size="32"),
+    ])
+    def test_counts_must_be_integers(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"^adam {name} must be an integer >= 1$"):
             AdamConfig(**kw)
 
     def test_defaults(self):
@@ -305,19 +309,6 @@ class TestTrainAdam:
         assert len(state.trace) == 51
         assert state.trace[-1] == objective_value(state.alpha, gram, y, C, loss)
 
-    def test_early_stop(self):
-        gram, y, C, loss, _ = small_instance(31, n=5)
-        cfg = AdamConfig(
-            max_iter=5000,
-            seed=3,
-            gamma=1e-9,  # tiny steps flatten the objective immediately
-            early_stop=True,
-            early_stop_tol=1e-6,
-            early_stop_patience=20,
-        )
-        state = train_adam(gram, y, C, loss, cfg)
-        assert state.t < 5000
-
     def test_empty_dataset_rejected(self):
         gram = gram_matrix(KernelSpec("linear"), np.eye(2))
         with pytest.raises(ValueError):
@@ -355,7 +346,7 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
     fixed stack layout.
 
     Each step's Gram products run with the matmul shapes the trainer uses:
-    over the live rows of each loss kind in each set, a GEMV K_k @ a when
+    over the rows of each loss kind in each set, a GEMV K_k @ a when
     the block holds one row and one GEMM A_k @ K_k when it holds several,
     and a GEMV on a row's gathered batch rows for a mini-batch.  Everything else
     runs per row as in a one-cell run, with one sampler draw per step.
@@ -369,13 +360,12 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
     avgs = [np.zeros(n) for _ in Cs]
     rngs = [make_rng(seed) for seed in seeds]
     traces = [[] for _ in Cs]
-    prev_h, flat_run = [None] * len(Cs), [0] * len(Cs)
-    live = sorted(range(len(Cs)), key=fold.__getitem__)
+    cells = sorted(range(len(Cs)), key=fold.__getitem__)
 
     def products(vectors):
         out = {}
-        for kind, k in sorted({(losses[c].kind, fold[c]) for c in live}):
-            rows = [c for c in live if (losses[c].kind, fold[c]) == (kind, k)]
+        for kind, k in sorted({(losses[c].kind, fold[c]) for c in cells}):
+            rows = [c for c in cells if (losses[c].kind, fold[c]) == (kind, k)]
             if len(rows) == 1:
                 out[rows[0]] = (K[k] @ vectors[rows[0]].astype(K.dtype)).astype(float)
             else:
@@ -383,27 +373,20 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
         return out
 
     for step in range(cfg.max_iter):
-        Kalpha = products({c: states[c].alpha for c in live})
-        for c in list(live):
-            h = float(0.5 * states[c].alpha @ Kalpha[c] + Cs[c] * np.sum(loss_value(losses[c], Ys[fold[c]] - Kalpha[c])))
-            traces[c].append(h)
-            if cfg.early_stop and prev_h[c] is not None:
-                flat_run[c] = flat_run[c] + 1 if abs(h - prev_h[c]) < cfg.early_stop_tol else 0
-                if flat_run[c] >= cfg.early_stop_patience:
-                    live.remove(c)
-                    continue
-            prev_h[c] = h
-        if not live:
-            break
+        Kalpha = products({c: states[c].alpha for c in cells})
+        for c in cells:
+            traces[c].append(
+                float(0.5 * states[c].alpha @ Kalpha[c] + Cs[c] * np.sum(loss_value(losses[c], Ys[fold[c]] - Kalpha[c])))
+            )
         if s == n:
-            Kd = products({c: loss_derivative(losses[c], Ys[fold[c]] - Kalpha[c]) for c in live})
+            Kd = products({c: loss_derivative(losses[c], Ys[fold[c]] - Kalpha[c]) for c in cells})
         else:
             Kd = {}
-            for c in live:
+            for c in cells:
                 batch = np.sort(sample_without_replacement(rngs[c], n, s))
                 d = loss_derivative(losses[c], Ys[fold[c]][batch] - Kalpha[c][batch])
                 Kd[c] = (K[fold[c]][batch].T @ d.astype(K.dtype)).astype(float)
-        for c in live:
+        for c in cells:
             states[c] = adam_step(states[c], Kalpha[c] - Cs[c] * Kd[c], replace(cfg, gamma=gammas[c]))
             avgs[c] = avgs[c] + (1.0 - EMA_WEIGHT) * (states[c].alpha - avgs[c])
     for c, trace in enumerate(traces):
@@ -472,32 +455,24 @@ class TestStackedTraining:
         ]
         gammas = [1e-3, 1e-3, 1e-2, 1e-3]
         seeds = [4, 5, 6, 4]
-        # a loose tolerance stops some cells early, at different steps
-        cfg = AdamConfig(
-            max_iter=200, batch_size=batch_size, collect_trace=True,
-            early_stop=True, early_stop_tol=1e-2, early_stop_patience=4,
-        )
+        cfg = AdamConfig(max_iter=200, batch_size=batch_size, collect_trace=True)
         stack = train_adam(gram, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
-        steps = []
         for C, loss, gamma, seed, got in zip(Cs, losses, gammas, seeds, stack.states):
             alone = train_adam(gram, y, C, loss, replace(cfg, gamma=gamma, seed=seed))
             assert_close_runs(got, alone)
-            steps.append(got.t)
-        assert len(set(steps)) > 1 and max(steps) == cfg.max_iter
-        assert stack.t == sum(steps)
+            assert got.t == 200
+        assert stack.t == 4 * 200
 
     def test_block_draws_match_one_draw_per_step(self):
-        # n=20, batch 8: batches come 20 steps at a time; 75 steps end
-        # inside a block, and early stops drop rows inside blocks
+        # n=20, batch 8: batches come 20 steps at a time, and 75 steps end
+        # inside a block
         gram, y = self.instance(n=20)
         Cs = [1.0, 1.0, 100.0]
         loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
         gammas, seeds = [1e-2, 1e-3, 1e-2], [4, 5, 6]
-        cfg = AdamConfig(max_iter=75, batch_size=8, early_stop=True, early_stop_tol=1e-2, early_stop_patience=3)
+        cfg = AdamConfig(max_iter=75, batch_size=8)
         stack = train_adam(gram, y, Cs, [loss] * 3, cfg, gamma=gammas, seed=seeds)
-        steps = [got.t for got in stack.states]
-        assert max(steps) == 75
-        assert any(t < 75 and t % 20 for t in steps[:-1])
+        assert [got.t for got in stack.states] == [75] * 3
         want = layout_reference(gram.values[None], y[None], Cs, [loss] * 3, cfg, gammas, seeds, [0, 0, 0])
         assert_matches_reference(stack, want)
 
@@ -560,20 +535,24 @@ class TestAveragedIterate:
         with pytest.raises(TypeError):
             AdamConfig(average="ema")
 
+    @pytest.mark.parametrize("name, value", [("early_stop", True), ("early_stop_tol", 1e-2), ("early_stop_patience", 3)])
+    def test_no_early_stop_fields(self, name, value):
+        # every row trains to max_iter: no field stops it early
+        with pytest.raises(TypeError):
+            AdamConfig(**{name: value})
+
+    def test_state_keeps_no_early_stop_record(self):
+        assert not {"prev_h", "flat_run", "stopped"} & {f.name for f in fields(AdamState)}
+
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_rows_match_hand_rolled_ema_of_one_cell_iterates(self, batch_size):
         # one row per fold, so each row's products are the GEMVs of a
-        # one-cell run; the loose tolerance stops rows early, at different
-        # steps
+        # one-cell run
         gram, Ys, grams = fold_stack()
         fold, Cs, gammas, seeds = [0, 1, 2], [1.0, 100.0, 10.0], [1e-2, 1e-2, 1e-3], [4, 5, 6]
-        cfg = AdamConfig(
-            max_iter=40, batch_size=batch_size, collect_trace=True,
-            early_stop=True, early_stop_tol=1e-2, early_stop_patience=3,
-        )
+        cfg = AdamConfig(max_iter=40, batch_size=batch_size, collect_trace=True)
         stack = train_adam(gram, Ys, Cs, [self.loss] * 3, cfg, gamma=gammas, seed=seeds, fold=fold)
-        steps = [got.t for got in stack.states]
-        assert min(steps) < 40 and max(steps) == 40
+        assert [got.t for got in stack.states] == [40] * 3
         want = layout_reference(gram.values, Ys, Cs, [self.loss] * 3, cfg, gammas, seeds, fold)
         assert_matches_reference(stack, want)
         for k, C, gamma, seed, got in zip(fold, Cs, gammas, seeds, stack.states):
@@ -611,40 +590,17 @@ class TestCrossFoldStack:
         for C, k, got in zip(Cs, fold, stack.states):
             assert got.trace[-1] == objective_value(got.alpha, grams[k], Ys[k], C, self.loss)
 
+    @pytest.mark.parametrize("one_gamma", [False, True])
     @pytest.mark.parametrize("batch_size", [6, 1000])
-    def test_rows_stopping_early_in_different_folds(self, batch_size, dtype=np.float64):
+    def test_two_rows_per_fold_out_of_fold_order(self, batch_size, one_gamma, dtype=np.float64):
+        # the rows of each fold are listed apart, at learning rates that
+        # differ or one shared by all
         gram, Ys, grams = fold_stack(dtype=dtype)
-        # two rows per fold, listed out of fold order; a loose tolerance
-        # stops rows early at different steps, which leaves the folds
-        # holding unequal numbers of rows mid-run
-        fold = [2, 0, 1, 0, 2, 1]
-        Cs = [1.0, 1.0, 100.0, 100.0, 10.0, 1.0]
-        gammas = [1e-2, 1e-3, 1e-2, 1e-2, 1e-3, 1e-3]
-        seeds = [4, 5, 6, 7, 8, 9]
-        cfg = AdamConfig(
-            max_iter=80, batch_size=batch_size, collect_trace=True,
-            early_stop=True, early_stop_tol=1e-2, early_stop_patience=3,
-        )
+        fold, Cs, seeds = [2, 0, 1, 0, 2, 1], [1.0, 1.0, 100.0, 100.0, 10.0, 1.0], [4, 5, 6, 7, 8, 9]
+        gammas = [1e-2] * 6 if one_gamma else [1e-2, 1e-3, 1e-2, 1e-2, 1e-3, 1e-3]
+        cfg = AdamConfig(max_iter=80, batch_size=batch_size, collect_trace=True)
         stack = train_adam(gram, Ys, Cs, [self.loss] * 6, cfg, gamma=gammas, seed=seeds, fold=fold)
-        steps = [state.t for state in stack.states]
-        assert len(set(steps)) > 2 and max(steps) == 80 and min(steps) < 80
-        self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
-        assert stack.t == sum(steps)
-
-    @pytest.mark.parametrize("batch_size", [6, 1000])
-    def test_averaged_rows_stopping_early(self, batch_size):
-        # as above, with one learning rate: rows leave the stack, and the
-        # folds' row counts change, with their averages; the oracle builds
-        # each row's average from its iterates, so the traced iterates,
-        # moments and steps are checked bit for bit as well
-        gram, Ys, grams = fold_stack()
-        fold, Cs, gammas, seeds = [2, 0, 1, 0, 2, 1], [1.0, 1.0, 100.0, 100.0, 10.0, 1.0], [1e-2] * 6, [4, 5, 6, 7, 8, 9]
-        cfg = AdamConfig(
-            max_iter=80, batch_size=batch_size, collect_trace=True,
-            early_stop=True, early_stop_tol=1e-2, early_stop_patience=3,
-        )
-        stack = train_adam(gram, Ys, Cs, [self.loss] * 6, cfg, gamma=gammas, seed=seeds, fold=fold)
-        assert len({state.t for state in stack.states}) > 2
+        assert [state.t for state in stack.states] == [80] * 6 and stack.t == 6 * 80
         self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
 
     @pytest.mark.parametrize("batch_size", [6, 1000])
@@ -659,9 +615,8 @@ class TestCrossFoldStack:
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_float32_grams(self, batch_size):
         # the two tests above on float32 Grams: every product is the
-        # oracle's float32 one, GEMVs, GEMMs and mini-batch gathers alike,
-        # also as rows leave the stack
-        self.test_rows_stopping_early_in_different_folds(batch_size, np.float32)
+        # oracle's float32 one, GEMVs, GEMMs and mini-batch gathers alike
+        self.test_two_rows_per_fold_out_of_fold_order(batch_size, False, np.float32)
         self.test_unequal_rows_per_fold(batch_size, np.float32)
 
     @pytest.mark.parametrize("mixed", [False, True])
@@ -686,10 +641,10 @@ class TestCrossFoldStack:
         assert info.value.__cause__ is None
 
     def test_trainer_checks_the_residual_block_not_its_loss_calls(self, monkeypatch):
-        # the trainer checks each step's residual block once itself, so a
-        # run, untracked or early-stopping, never reaches the losses' own
-        # check; a traced run checks only each row's final objective, of
-        # the averaged coefficients; the public loss functions keep it
+        # the trainer checks each step's residual block once itself, so an
+        # untraced run never reaches the losses' own check; a traced run
+        # checks only each row's final objective, of the averaged
+        # coefficients; the public loss functions keep it
         from helssvr import losses
 
         calls, check = [], losses._check_residual
@@ -702,9 +657,7 @@ class TestCrossFoldStack:
         gram, Ys, _ = fold_stack()
         mixed = [self.loss, LossSpec("least_squares")] * 2
         for batch_size in (6, 1000):
-            for tracking in ({}, {"early_stop": True, "early_stop_tol": 1e-2, "early_stop_patience": 3}):
-                cfg = AdamConfig(max_iter=20, batch_size=batch_size, **tracking)
-                train_adam(gram, Ys, [1.0] * 4, mixed, cfg, fold=[0, 2, 1, 0])
+            train_adam(gram, Ys, [1.0] * 4, mixed, AdamConfig(max_iter=20, batch_size=batch_size), fold=[0, 2, 1, 0])
             assert calls == []
             cfg = AdamConfig(max_iter=20, batch_size=batch_size, collect_trace=True)
             train_adam(gram, Ys, [1.0] * 4, mixed, cfg, fold=[0, 2, 1, 0])
@@ -762,17 +715,11 @@ class TestMixedKindStack:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_rows_match_one_kind_stacks_and_the_oracle(self, batch_size, dtype):
-        # a loose tolerance stops rows early at different steps, which
-        # leaves the kinds' folds holding unequal numbers of rows mid-run
-        cfg = AdamConfig(
-            max_iter=80, batch_size=batch_size, collect_trace=True,
-            early_stop=True, early_stop_tol=1e-2, early_stop_patience=3,
-        )
+        cfg = AdamConfig(max_iter=80, batch_size=batch_size, collect_trace=True)
         every = range(len(self.cells))
         mixed = self.train(cfg, every, dtype)
-        steps = [state.t for state in mixed.states]
-        assert len(set(steps)) > 2 and max(steps) == 80 and min(steps) < 80
-        assert mixed.t == sum(steps)
+        assert [state.t for state in mixed.states] == [80] * len(every)
+        assert mixed.t == 80 * len(every)
         for rows in self.by_kind():
             alone = self.train(cfg, rows, dtype)
             TestResume.assert_same_states([mixed.states[c] for c in rows], alone.states)
@@ -789,7 +736,7 @@ class TestMixedKindStack:
         # fresh, as a search's halving and non-halving recipes do; the
         # resumed call differs from the whole run only in its start steps,
         # so it runs the hawkeye rows on their own
-        cfg = AdamConfig(batch_size=batch_size, early_stop_tol=1e-2, early_stop_patience=3, early_stop=True)
+        cfg = AdamConfig(batch_size=batch_size, collect_trace=True)
         he, *rest = self.by_kind()
         part = self.train(replace(cfg, max_iter=13), he).states
         resumed = self.train(replace(cfg, max_iter=57), he, resume=dict(zip(he, part)))
@@ -911,10 +858,7 @@ class TestFactorTraining:
         factor, _, y = self.instance()
         losses = [self.he[0], LossSpec("least_squares"), self.he[1], self.he[0]]
         Cs, gammas, seeds = [1.0, 10.0, 100.0, 10.0], [1e-2, 1e-2, 1e-3, 1e-2], [4, 5, 6, 7]
-        cfg = AdamConfig(
-            max_iter=150, batch_size=batch_size, collect_trace=True,
-            early_stop=True, early_stop_tol=1e-1, early_stop_patience=3,
-        )
+        cfg = AdamConfig(max_iter=150, batch_size=batch_size, collect_trace=True)
         stack = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
         again = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
         TestResume.assert_same_states(stack.states, again.states)
@@ -925,7 +869,7 @@ class TestFactorTraining:
             else:
                 assert_close_runs(got, alone)
             assert got.trace[-1] == objective_value(got.alpha, factor, y[0], Cs[c], losses[c])
-        assert len({state.t for state in stack.states}) > 1
+            assert got.t == 150
 
     @pytest.mark.parametrize("batch_size", [5, 1000])
     def test_within_the_factor_error_of_the_dense_gram(self, batch_size):
@@ -955,8 +899,7 @@ class TestFactorTraining:
 
 class TestResume:
     """A run to step k resumed to step T is bit for bit one run to T in the
-    same stack layout, whether rows stop early before the resume, after
-    it or not at all, and whether the resume falls inside a block of
+    same stack layout, whether or not the resume falls inside a block of
     mini-batch draws."""
 
     loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
@@ -976,26 +919,22 @@ class TestResume:
         for a, b in zip(got, want):
             for name in ("alpha", "m", "v", "iterate", "avg"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-            assert (a.t, a.trace, a.prev_h, a.flat_run, a.stopped) == (b.t, b.trace, b.prev_h, b.flat_run, b.stopped)
+            assert (a.t, a.trace) == (b.t, b.trace)
 
-    @pytest.mark.parametrize("option", ["early_stop", "collect_trace"])
+    @pytest.mark.parametrize("option", ["no_trace", "collect_trace"])
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_resumed_run_is_one_run(self, batch_size, option):
         # 20 training rows: at batch 6 the batches come 20 steps at a time,
-        # so the resume at step 13 falls inside the first block; with early
-        # stopping, one row stops before step 13 and one after it
-        cfg = AdamConfig(batch_size=batch_size, early_stop_tol=1e-2, early_stop_patience=3, **{option: True})
+        # so the resume at step 13 falls inside the first block, and the
+        # one at step 56 inside the third
+        trace = option == "collect_trace"
+        cfg = AdamConfig(batch_size=batch_size, collect_trace=trace)
         whole = self.train(cfg, 57)
-        steps = sorted(state.t for state in whole.states)
-        # with early stopping, also resume one step before a later stop,
-        # while that row's run of flat steps is under way
-        for k in {13, min(t for t in steps if t > 13) - 1}:
+        for k in (13, 56):
             resumed = self.train(cfg, 57, resume=self.train(cfg, k).states)
             self.assert_same_states(resumed.states, whole.states)
-        if option == "early_stop":
-            assert steps[0] < 13 and any(13 < t < 57 for t in steps) and steps[-1] == 57
-        else:
-            assert steps == [57] * 6 and all(len(state.trace) == 58 for state in resumed.states)
+            assert [state.t for state in resumed.states] == [57] * 6
+            assert [None if state.trace is None else len(state.trace) for state in resumed.states] == [58 if trace else None] * 6
 
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_resume_leaves_its_states_unchanged(self, batch_size):
@@ -1016,27 +955,14 @@ class TestResume:
         self.assert_same_states([train_adam(grams[0], Ys[0], 10.0, self.loss, cfg, resume=part)], [whole])
 
     def test_stack_counts_the_steps_this_call_ran(self):
-        # a resumed row adds its steps past step 13 only, a row that
-        # stopped early before the resume adds none
-        cfg = AdamConfig(batch_size=6, early_stop=True, early_stop_tol=1e-2, early_stop_patience=3)
+        # a resumed row adds its steps past step 13 only
+        cfg = AdamConfig(batch_size=6)
         part = self.train(cfg, 13)
-        assert part.t == sum(state.t for state in part.states)
+        assert part.t == 6 * 13
         resumed = self.train(cfg, 57, resume=part.states)
-        assert any(state.stopped for state in part.states) and not all(state.stopped for state in part.states)
-        assert resumed.t == sum(end.t - 13 for end, start in zip(resumed.states, part.states) if not start.stopped)
-        assert resumed.t < sum(state.t for state in resumed.states)
-        # every row arrives stopped or at max_iter: no step runs
+        assert resumed.t == 6 * (57 - 13)
+        # every row arrives at max_iter: no step runs
         assert self.train(cfg, 57, resume=resumed.states).t == 0
-
-    def test_stack_of_stopped_cells_returns_them(self):
-        # at a tolerance no step can miss, every row stops after patience
-        # steps; resumed, the stack runs no step and returns each state
-        cfg = AdamConfig(batch_size=6, early_stop=True, early_stop_tol=1e300, early_stop_patience=3)
-        part = self.train(cfg, 13)
-        assert all(state.stopped for state in part.states)
-        resumed = self.train(cfg, 57, resume=part.states)
-        assert resumed.t == 0
-        assert all(got is given for got, given in zip(resumed.states, part.states))
 
     def test_resumed_cells_must_share_a_step_count(self):
         gram, Ys, _ = fold_stack()
