@@ -115,9 +115,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "kernel.kind": ("rbf", _parse_choice("rbf", "linear"), "train"),
     "kernel.sigma": (1.0, float, "train"),
     "adam.gamma": (0.01, float, "train"),
-    "adam.beta1": (0.9, float, "train bench"),
-    "adam.beta2": (0.999, float, "train bench"),
-    "adam.delta": (1e-8, float, "train bench"),
     "adam.batch_size": (32, int, "train bench"),
     "adam.max_iter": (1000, int, "train bench"),
     "grid.C": ((1.0, 100.0, 10000.0), _parse_float_list, "bench"),

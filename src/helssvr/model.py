@@ -20,11 +20,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import kernels
 from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
 from .kernels import GramFactors, GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
 from .losses import LossSpec
-from .optimizer import AdamConfig, AdamState, check_rate_and_seed, objective_value, train_adam
+from .optimizer import AdamConfig, AdamState, check_cell, objective_value, train_adam
 
 MODEL_FORMAT = "helssvr-model-v1"
 
@@ -51,7 +50,7 @@ class TrainedModel:
 
 @dataclass
 class FitReport:
-    """Training summary: objective values, iterations, why training
+    """Training summary: the final objective, iterations, why training
     stopped, wall times.
 
     ``final_objective`` is H of the returned coefficients, the averaged
@@ -69,7 +68,6 @@ class FitReport:
     """
 
     final_objective: float
-    initial_objective: float
     iterations: int
     stop_reason: str
     wall_time_seconds: float
@@ -112,21 +110,17 @@ def _fold_stacks(forms, nbytes) -> list[list[int]]:
     Gram factor, and ``nbytes`` the bytes of its Gram.  Only sets of one
     form share a stack, in index order, while their Grams total at most
     :data:`STACK_GRAM_BYTES` and they number at most :data:`STACK_ROWS`
-    (at least one); a stack of dense Grams also needs a Gram buffer within
-    :data:`helssvr.kernels.GRAM_MAX_BYTES`.
+    (at least one).
     """
     by_form: dict = {}
     for j, form in enumerate(forms):
         by_form.setdefault(form, []).append(j)
     stacks = []
-    for (n, dtype), sets in by_form.items():
-        per = STACK_ROWS
-        while dtype is not None and per > 1 and kernels.gram_buffer_bytes(per, n, dtype) > kernels.GRAM_MAX_BYTES:
-            per -= 1
+    for sets in by_form.values():
         stacks.append([])
         held = 0
         for j in sets:
-            if stacks[-1] and (held + nbytes[j] > STACK_GRAM_BYTES or len(stacks[-1]) == per):
+            if stacks[-1] and (held + nbytes[j] > STACK_GRAM_BYTES or len(stacks[-1]) == STACK_ROWS):
                 stacks.append([])
                 held = 0
             stacks[-1].append(j)
@@ -160,13 +154,13 @@ def fit_cells(
     validation, and ``kernel`` is one :class:`KernelSpec` for all of them
     or a sequence of one per set.  ``cells`` holds
     ``(set, loss, C, gamma, seed)``: the index of the cell's training set,
-    then its loss, C (finite, > 0), learning rate and Adam seed, which
-    replace ``adam``'s (None means the defaults) and are checked as
-    :class:`AdamConfig` checks its own, naming the cell.  Returns one
-    (model, report) per cell.  ``resume`` optionally gives each cell a
-    ``FitReport.state`` of an earlier call with the same set, loss and C,
-    from which it trains on to ``adam.max_iter`` steps (None starts it
-    fresh).  The Grams are built again.
+    then its loss, C, learning rate and Adam seed, which replace
+    ``adam``'s (None means the defaults) and are checked as
+    :func:`~helssvr.optimizer.train_adam` checks them, naming the cell.
+    Returns one (model, report) per cell.  ``resume`` optionally gives each
+    cell a ``FitReport.state`` of an earlier call with the same set, loss
+    and C, from which it trains on to ``adam.max_iter`` steps (None starts
+    it fresh).  The Grams are built again.
 
     Each set is scaled and gets its Gram form once: a float64 Gram below 257
     rows, where two of them fit :data:`STACK_GRAM_BYTES`; from there a
@@ -214,10 +208,8 @@ def fit_cells(
     cells = list(cells)
     if not cells:
         raise ValueError("fit_cells needs at least one cell")
-    if not all(0 < C < np.inf for _, _, C, *_ in cells):
-        raise ValueError("C must be finite and > 0")
-    for i, (*_, gamma, seed) in enumerate(cells):
-        check_rate_and_seed(gamma, seed, f": cell {i}")
+    for i, (_, _, C, gamma, seed) in enumerate(cells):
+        check_cell(gamma, seed, C, f": cell {i}")
     if not all(0 <= j < len(sets) for j, *_ in cells):
         raise ValueError(f"cell training set indices must lie in [0, {len(sets)})")
     resume = [None] * len(cells) if resume is None else list(resume)
@@ -302,7 +294,6 @@ def fit_cells(
                 )
                 report = FitReport(
                     final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
-                    initial_objective=objective_value(np.full(n, float(adam.alpha0)), gram_k, ys[k], C, loss),
                     iterations=state.t,
                     stop_reason="max_iter",
                     wall_time_seconds=wall,

@@ -35,51 +35,44 @@ from .seeding import make_rng, sample_without_replacement
 EMA_WEIGHT = 0.99
 
 
+#: Adam's fixed settings, the values Kingma & Ba 2015 suggest: the decay
+#: rates of the first and second moment, and the stabilizer added to the
+#: second moment
+BETA1, BETA2, DELTA = 0.9, 0.999, 1e-8
+
+#: the value at which a fresh cell's coefficients and both moment vectors
+#: start
+START = 0.01
+
+
 @dataclass(frozen=True)
 class AdamConfig:
-    """Adam hyperparameters and initial state scalars.
+    """The Adam settings a run may vary; the others are :data:`BETA1`,
+    :data:`BETA2`, :data:`DELTA` and :data:`START`.
 
-    Defaults: beta1=0.9, beta2=0.999, delta=1e-8, batch_size=32,
-    max_iter=1000, and 0.01 for the initial coefficient and both moment
-    vectors.  ``gamma`` is the learning rate; 0.01 is the largest value of
-    the usual search set {1e-4, 1e-3, 1e-2}.  The initial scalars must be
-    finite, and v0 >= 0.  The coefficients :func:`train_adam` returns are
-    the bias-corrected moving average of its iterates (:data:`EMA_WEIGHT`).
-    ``batch_size`` and ``max_iter`` are integers >= 1, ``seed`` one >= 0.
+    ``gamma`` is the learning rate; 0.01 is the largest value of the usual
+    search set {1e-4, 1e-3, 1e-2}.  ``batch_size`` and ``max_iter``
+    (defaults 32 and 1000) are integers >= 1, ``seed`` one >= 0.
     """
 
     gamma: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    delta: float = 1e-8
     batch_size: int = 32
     max_iter: int = 1000
-    alpha0: float = 0.01
-    m0: float = 0.01
-    v0: float = 0.01
     seed: int = 0
     collect_trace: bool = False
 
     def __post_init__(self):
-        check_rate_and_seed(self.gamma, self.seed)
-        if not 0 <= self.beta1 < 1:
-            raise ValueError("adam beta1 must lie in [0, 1)")
-        if not 0 <= self.beta2 < 1:
-            raise ValueError("adam beta2 must lie in [0, 1)")
-        if not 0 < self.delta < np.inf:
-            raise ValueError("adam delta must be finite and > 0")
+        check_cell(self.gamma, self.seed)
         for name in ("batch_size", "max_iter"):
             if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
                 raise ValueError(f"adam {name} must be an integer >= 1")
-        if not np.isfinite([self.alpha0, self.m0]).all():
-            raise ValueError("adam alpha0 and m0 must be finite")
-        if not 0 <= self.v0 < np.inf:
-            raise ValueError("adam v0 must be finite and >= 0")
 
 
-def check_rate_and_seed(gamma, seed, where=""):
-    """Raise :class:`AdamConfig`'s ValueError, ending in ``where``, unless
-    ``gamma`` is finite and > 0 and ``seed`` an integer >= 0."""
+def check_cell(gamma, seed, C=None, where=""):
+    """Raise ValueError, ending in ``where``, unless ``gamma`` is finite and
+    > 0, ``seed`` an integer >= 0 and ``C``, where given, finite and > 0."""
+    if C is not None and not 0 < C < np.inf:
+        raise ValueError(f"C must be finite and > 0{where}")
     if not 0 < gamma < np.inf:
         raise ValueError(f"adam gamma must be finite and > 0{where}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
@@ -129,14 +122,15 @@ def objective_value(alpha, gram, y, C: float, loss: LossSpec) -> float:
     return _objective(alpha, Kalpha[0], np.asarray(y, dtype=float) - Kalpha[0], C, loss)
 
 
-def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> AdamState:
-    """One Adam update; returns the new state with ``t`` incremented.
+def adam_step(state: AdamState, grad, gamma, out=None) -> AdamState:
+    """One Adam update at learning rate ``gamma``; returns the new state
+    with ``t`` incremented.
 
     Bias correction uses the post-increment step counter, and the
-    stabilizer delta sits inside the square root:
-    alpha <- alpha - gamma * m_hat / sqrt(v_hat + delta).
-    ``gamma`` overrides ``cfg.gamma``; an array shaped like the state gives
-    each row of a stacked state its own learning rate.
+    stabilizer :data:`DELTA` sits inside the square root:
+    alpha <- alpha - gamma * m_hat / sqrt(v_hat + delta).  ``gamma`` may
+    be an array shaped like the state, which gives each row of a stacked
+    state its own learning rate.
 
     ``out`` is an optional pair of work arrays shaped like the state.  With
     it the update is made in place, allocating nothing: ``state``'s arrays
@@ -145,7 +139,6 @@ def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> 
     order, so their results agree bit for bit.
     """
     grad = np.asarray(grad, dtype=float)
-    gamma = cfg.gamma if gamma is None else gamma
     if out is None:
         state = AdamState(
             alpha=np.array(state.alpha, dtype=float),
@@ -158,19 +151,19 @@ def adam_step(state: AdamState, grad, cfg: AdamConfig, gamma=None, out=None) -> 
     a, b = out
     state.t += 1
     # m <- beta1 * m + (1 - beta1) * grad
-    np.multiply(grad, 1.0 - cfg.beta1, out=a)
-    state.m *= cfg.beta1
+    np.multiply(grad, 1.0 - BETA1, out=a)
+    state.m *= BETA1
     state.m += a
     # v <- beta2 * v + (1 - beta2) * grad^2
     np.multiply(grad, grad, out=a)
-    a *= 1.0 - cfg.beta2
-    state.v *= cfg.beta2
+    a *= 1.0 - BETA2
+    state.v *= BETA2
     state.v += a
     # alpha <- alpha - gamma * m_hat / sqrt(v_hat + delta)
-    np.divide(state.m, 1.0 - cfg.beta1**state.t, out=a)
+    np.divide(state.m, 1.0 - BETA1**state.t, out=a)
     a *= gamma
-    np.divide(state.v, 1.0 - cfg.beta2**state.t, out=b)
-    b += cfg.delta
+    np.divide(state.v, 1.0 - BETA2**state.t, out=b)
+    b += DELTA
     np.sqrt(b, out=b)
     a /= b
     state.alpha -= a
@@ -192,7 +185,8 @@ class AdamStack:
 
 def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=None, resume=None):
     """Run Adam iterations up to step ``cfg.max_iter`` and return the final
-    state, whose coefficients are the moving average of the iterates.
+    state, whose coefficients are the moving average of the iterates.  A
+    fresh cell's coefficients and moments start at :data:`START`.
 
     A fresh mini-batch of size min(batch_size, N) is drawn uniformly
     without replacement at every iteration.  The batches are drawn up to
@@ -224,8 +218,8 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     values, and optionally ``gamma``, ``seed`` and ``resume`` as sequences
     that replace ``cfg``'s learning rate and seed, and the fresh start, per
     cell (a None in ``resume`` starts that cell fresh); ``cfg`` gives every
-    other setting.  A cell's learning rate and seed are checked as
-    :class:`AdamConfig` checks its own, and an error names the cell.  The
+    other setting.  Each cell's C, learning rate and seed are checked
+    (:func:`check_cell`), and an error names the cell.  The
     call then returns an :class:`AdamStack`.  ``gram`` is a Gram in any
     form of :mod:`helssvr.kernels`, of one training set of N rows with
     ``y`` of shape (N,), or of f sets of N rows each with ``y`` the (f, N)
@@ -281,12 +275,12 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     if not all(0 <= k < f for k in fold):
         raise ValueError(f"fold indices must lie in [0, {f})")
     for c in range(m):
-        check_rate_and_seed(gamma[c], seed[c], f": cell {c}")
+        check_cell(gamma[c], seed[c], C[c], f": cell {c}")
 
     def fresh(c):
-        alpha0 = np.full(n, float(cfg.alpha0))
+        alpha0 = np.full(n, START)
         return AdamState(
-            alpha=alpha0, m=np.full(n, float(cfg.m0)), v=np.full(n, float(cfg.v0)),
+            alpha=alpha0, m=np.full(n, START), v=np.full(n, START),
             trace=[] if cfg.collect_trace else None, iterate=alpha0, avg=np.zeros(n), rng=make_rng(seed[c]),
         )
 
@@ -387,7 +381,7 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
         # the gradient K alpha - C * K d, in place in Kd
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)
-        state = adam_step(state, Kd, cfg, gamma=gamma_blk, out=work)
+        state = adam_step(state, Kd, gamma_blk, out=work)
         # avg += (1 - w) * (alpha - avg), in adam_step's work buffer
         a = np.subtract(state.alpha, avg, out=work[0])
         a *= 1.0 - EMA_WEIGHT

@@ -24,7 +24,7 @@ from helssvr.evaluation import (
 from helssvr.kernels import KernelSpec, gram_matrix
 from helssvr.losses import LossSpec, loss_derivative, loss_value
 from helssvr.model import fit, predict
-from helssvr.optimizer import AdamConfig, AdamState, adam_step, objective_value
+from helssvr.optimizer import BETA1, BETA2, DELTA, START, AdamConfig, AdamState, adam_step, objective_value
 from helssvr.seeding import make_rng, sample_without_replacement
 from test_optimizer import objective_gradient
 
@@ -161,10 +161,11 @@ def test_criterion_3_adam_step_oracle():
     gs = np.array([1.0, -0.5, 2.0])  # constant gradient, three coordinates
     beta1, beta2, gamma, delta = 0.9, 0.999, 0.01, 1e-8
 
-    # hand-scripted two-step trace, plain python floats per coordinate
+    # hand-scripted two-step trace from the trainer's start, plain python
+    # floats per coordinate
     expected = []
     for g in gs:
-        m = v = alpha = 0.0
+        m = v = alpha = 0.01
         coords = []
         for t in (1, 2):
             m = beta1 * m + (1 - beta1) * g
@@ -176,10 +177,10 @@ def test_criterion_3_adam_step_oracle():
         expected.append(coords)
     expected = np.array(expected)  # (coord, step)
 
-    cfg = AdamConfig(gamma=gamma, beta1=beta1, beta2=beta2, delta=delta, alpha0=0.0, m0=0.0, v0=0.0)
-    state = AdamState(alpha=np.zeros(3), m=np.zeros(3), v=np.zeros(3), t=0)
+    ok &= (BETA1, BETA2, DELTA, START) == (beta1, beta2, delta, 0.01)
+    state = AdamState(alpha=np.full(3, START), m=np.full(3, START), v=np.full(3, START), t=0)
     for step in range(2):
-        state = adam_step(state, gs, cfg)
+        state = adam_step(state, gs, gamma)
         rel = np.abs(state.alpha - expected[:, step]) / np.abs(expected[:, step])
         ok &= bool(np.all(rel <= 1e-12))
     report(3, "adam step oracle", started, ok)

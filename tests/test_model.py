@@ -38,7 +38,6 @@ def assert_matches_fit(model, report, alone, alone_report, exact):
     else:
         assert np.max(np.abs(model.alpha - alone.alpha)) <= SHORT_RUN_RTOL * np.max(np.abs(alone.alpha))
         assert report.final_objective == pytest.approx(alone_report.final_objective, rel=SHORT_RUN_RTOL, abs=0)
-    assert report.initial_objective == alone_report.initial_objective
     assert report.iterations == alone_report.iterations
     assert report.stop_reason == alone_report.stop_reason
 
@@ -59,15 +58,18 @@ class TestFit:
             X, y, rbf(), LossSpec("least_squares"), C=100.0,
             adam=AdamConfig(max_iter=3000, seed=0), scaling="none",
         )
-        before = abs(2.0 - 0.01)  # prediction at alpha0 is alpha0 * K(x1,x1)
+        before = abs(2.0 - 0.01)  # prediction at the start is START * K(x1,x1)
         after = abs(2.0 - predict(model, X)[0])
         assert after < before
         assert after < 1e-2
 
-    def test_zero_targets_zero_init_stay_at_optimum(self):
+    def test_zero_targets_zero_init_stay_at_optimum(self, monkeypatch):
+        import helssvr.optimizer
+
+        monkeypatch.setattr(helssvr.optimizer, "START", 0.0)
         X = np.linspace(0, 1, 5).reshape(-1, 1)
         y = np.zeros(5)
-        cfg = AdamConfig(max_iter=50, alpha0=0.0, m0=0.0, v0=0.0, seed=0)
+        cfg = AdamConfig(max_iter=50, seed=0)
         model, report = fit(X, y, rbf(), LossSpec("least_squares"), C=1.0, adam=cfg, scaling="none")
         assert np.array_equal(model.alpha, np.zeros(5))
         assert report.final_objective == 0.0
@@ -82,9 +84,10 @@ class TestFit:
             model, report = fit(
                 X, y, rbf(float(rng.uniform(0.5, 2.0))), loss,
                 C=float(rng.uniform(1.0, 100.0)),
-                adam=AdamConfig(max_iter=300, seed=trial),
+                adam=AdamConfig(max_iter=300, seed=trial, collect_trace=True),
             )
-            assert report.final_objective <= report.initial_objective
+            # the trace starts at H of the initial coefficients
+            assert report.final_objective <= report.trace[0]
 
     def test_hawkeye_risk_bounded_by_lambda(self):
         rng = np.random.default_rng(3)
@@ -154,11 +157,14 @@ class TestPredict:
         )
         assert predict(model, np.array([[0.3, 0.4]]))[0] == 2.0
 
-    def test_zero_alpha_predicts_inverse_scaled_zero(self):
+    def test_zero_alpha_predicts_inverse_scaled_zero(self, monkeypatch):
+        import helssvr.optimizer
+
+        monkeypatch.setattr(helssvr.optimizer, "START", 0.0)
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 1, (10, 2))
         y = rng.uniform(5.0, 6.0, 10)
-        cfg = AdamConfig(max_iter=1, alpha0=0.0, m0=0.0, v0=0.0, gamma=1e-30, seed=0)
+        cfg = AdamConfig(max_iter=1, gamma=1e-30, seed=0)
         model, _ = fit(X, y, rbf(), hawkeye(eps=100.0), C=1e-30, adam=cfg, scaling="minmax")
         assert np.allclose(model.alpha, 0.0)
         pred = predict(model, X)
@@ -336,9 +342,9 @@ class TestFitCells:
     def test_every_C_validated(self):
         from helssvr.model import fit_cells
 
-        for bad in (0.0, np.inf, np.nan):
+        for bad in (-1.0, 0.0, np.inf, np.nan):
             cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, hawkeye(), bad, 0.01, 0)]
-            with pytest.raises(ValueError, match="^C must be finite and > 0$"):
+            with pytest.raises(ValueError, match="^C must be finite and > 0: cell 1$"):
                 fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
 
     @pytest.mark.parametrize("gamma, seed, message", BAD_RATE_OR_SEED)
@@ -408,22 +414,6 @@ class TestFoldStacks:
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", 2)
         assert _fold_stacks(*self.dense([160] * 5)) == [[0, 1], [2, 3], [4]]
 
-    def test_gram_budget_caps_the_sets(self, monkeypatch):
-        import helssvr.kernels
-        from helssvr.kernels import gram_buffer_bytes
-        from helssvr.model import _fold_stacks
-
-        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(2, 160))
-        assert _fold_stacks(*self.dense([160] * 5)) == [[0, 1], [2, 3], [4]]
-        # the buffer is counted in the Grams' dtype: a budget of two
-        # float32 Grams holds one float64 Gram
-        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(2, 160, np.float32))
-        assert _fold_stacks(*self.dense([160] * 5, np.float32)) == [[0, 1], [2, 3], [4]]
-        assert _fold_stacks(*self.dense([160] * 5)) == [[0], [1], [2], [3], [4]]
-        # a budget below one Gram still gives each set a stack, whose
-        # buffer then raises
-        monkeypatch.setattr(helssvr.kernels, "GRAM_MAX_BYTES", gram_buffer_bytes(1, 160) - 1)
-        assert _fold_stacks(*self.dense([160] * 5)) == [[0], [1], [2], [3], [4]]
 
 
 class TestFitCellsAcrossSets:
@@ -533,7 +523,6 @@ def assert_same_fits(got, want):
         assert model.X_train.tobytes() == want_model.X_train.tobytes()
         assert (model.kernel, model.loss, model.C) == (want_model.kernel, want_model.loss, want_model.C)
         assert report.final_objective == want_report.final_objective
-        assert report.initial_objective == want_report.initial_objective
         assert (report.iterations, report.stop_reason) == (want_report.iterations, want_report.stop_reason)
         assert report.trace == want_report.trace
 
@@ -1104,7 +1093,7 @@ class TestTrainedModelImmutable:
 class TestAveragedFit:
     def test_report_describes_returned_coefficients(self):
         from helssvr.data import scale_target
-        from helssvr.optimizer import objective_value
+        from helssvr.optimizer import START, objective_value
 
         rng = np.random.default_rng(14)
         X = rng.uniform(-1, 1, (25, 2))
@@ -1115,10 +1104,11 @@ class TestAveragedFit:
         # final objective and the trace's last entry are H of them, and the
         # first entry is H of the initial coefficients
         gram = gram_matrix(rbf(0.5), model.X_train)
-        h = objective_value(model.alpha, gram, scale_target(model.scaling, y), 100.0, hawkeye())
+        ys = scale_target(model.scaling, y)
+        h = objective_value(model.alpha, gram, ys, 100.0, hawkeye())
         assert report.iterations == 120 and len(report.trace) == 121
         assert report.final_objective == report.trace[-1] == h
-        assert report.initial_objective == report.trace[0]
+        assert report.trace[0] == objective_value(np.full(25, START), gram, ys, 100.0, hawkeye())
 
 
 class TestFloat32Gram:

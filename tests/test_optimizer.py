@@ -7,7 +7,10 @@ import pytest
 from helssvr.kernels import FACTOR_TOL, GramFactors, GramMatrix, KernelSpec, gram_factor, gram_matrix
 from helssvr.losses import LossSpec, loss_derivative, loss_value
 from helssvr.optimizer import (
+    BETA1,
+    BETA2,
     EMA_WEIGHT,
+    START,
     AdamConfig,
     AdamState,
     adam_step,
@@ -38,12 +41,6 @@ def product_bound(K, a):
     return 2 * gamma * (np.abs(K) @ np.abs(a))
 
 
-def zero_cfg(**kw):
-    base = dict(gamma=0.01, beta1=0.9, beta2=0.999, delta=1e-8, alpha0=0.0, m0=0.0, v0=0.0)
-    base.update(kw)
-    return AdamConfig(**base)
-
-
 def zero_state(n):
     return AdamState(alpha=np.zeros(n), m=np.zeros(n), v=np.zeros(n), t=0)
 
@@ -65,23 +62,22 @@ def hand_adam_trace(gs, gamma=0.01, beta1=0.9, beta2=0.999, delta=1e-8):
 class TestAdamStep:
     def test_zero_gradient_keeps_alpha(self):
         state = zero_state(3)
-        new = adam_step(state, np.zeros(3), zero_cfg())
+        new = adam_step(state, np.zeros(3), 0.01)
         assert np.array_equal(new.alpha, state.alpha)
         assert new.t == 1
 
     def test_single_step_against_hand_trace(self):
         (m1, v1, mh1, vh1, a1), _ = hand_adam_trace([1.0, 1.0])
-        new = adam_step(zero_state(1), np.array([1.0]), zero_cfg())
+        new = adam_step(zero_state(1), np.array([1.0]), 0.01)
         assert new.m[0] == m1
         assert new.v[0] == v1
         assert new.alpha[0] == pytest.approx(a1, rel=1e-15)
 
     def test_two_steps_constant_gradient(self):
         trace = hand_adam_trace([1.0, 1.0])
-        cfg = zero_cfg()
         state = zero_state(1)
         for (m, v, _, _, alpha) in trace:
-            state = adam_step(state, np.array([1.0]), cfg)
+            state = adam_step(state, np.array([1.0]), 0.01)
             assert state.m[0] == pytest.approx(m, rel=1e-15)
             assert state.v[0] == pytest.approx(v, rel=1e-15)
             assert state.alpha[0] == pytest.approx(alpha, rel=1e-12)
@@ -89,30 +85,29 @@ class TestAdamStep:
     def test_bias_correction_at_t1(self):
         # with zero moments, the corrected moments equal g and g^2 exactly
         g = np.array([0.37, -2.1])
-        cfg = zero_cfg()
-        state = adam_step(zero_state(2), g, cfg)
-        m_hat = state.m / (1 - cfg.beta1)
-        v_hat = state.v / (1 - cfg.beta2)
+        state = adam_step(zero_state(2), g, 0.01)
+        m_hat = state.m / (1 - BETA1)
+        v_hat = state.v / (1 - BETA2)
         assert m_hat == pytest.approx(g, rel=1e-12)
         assert v_hat == pytest.approx(g * g, rel=1e-12)
 
     def test_update_magnitude_bound(self):
         rng = np.random.default_rng(0)
-        cfg = zero_cfg()
+        gamma = 0.01
         state = zero_state(4)
         prev = state.alpha.copy()
         for t in range(50):
             g = rng.normal(size=4)
-            state = adam_step(state, g, cfg)
+            state = adam_step(state, g, gamma)
             if t >= 5:
-                assert np.all(np.abs(state.alpha - prev) <= cfg.gamma * 2.0)
+                assert np.all(np.abs(state.alpha - prev) <= gamma * 2.0)
             prev = state.alpha.copy()
 
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(1)
         state = zero_state(4)
         for _ in range(30):
-            state = adam_step(state, rng.normal(size=4), zero_cfg())
+            state = adam_step(state, rng.normal(size=4), 0.01)
             assert np.all(state.v >= 0.0)
 
 
@@ -121,23 +116,16 @@ class TestConfigValidation:
         "kw",
         [
             dict(gamma=0.0),
-            dict(beta1=1.0),
-            dict(beta1=-0.1),
-            dict(beta2=1.0),
-            dict(delta=0.0),
             dict(batch_size=0),
             dict(max_iter=0),
             dict(gamma=float("inf")),
             dict(gamma=float("nan")),
-            dict(delta=float("inf")),
-            dict(delta=float("nan")),
-            dict(alpha0=float("nan")),
-            dict(alpha0=float("-inf")),
-            dict(m0=float("inf")),
-            dict(m0=float("nan")),
-            dict(v0=-1.0),
-            dict(v0=float("inf")),
-            dict(v0=float("nan")),
+            dict(gamma=-0.01),
+            dict(gamma=float("-inf")),
+            dict(batch_size=-1),
+            dict(max_iter=-1),
+            dict(seed=-1),
+            dict(seed=1.5),
         ],
     )
     def test_bad_configs(self, kw):
@@ -154,10 +142,22 @@ class TestConfigValidation:
             AdamConfig(**kw)
 
     def test_defaults(self):
+        from helssvr.optimizer import DELTA
+
         cfg = AdamConfig()
-        assert (cfg.beta1, cfg.beta2, cfg.delta) == (0.9, 0.999, 1e-8)
-        assert (cfg.batch_size, cfg.max_iter) == (32, 1000)
-        assert (cfg.alpha0, cfg.m0, cfg.v0) == (0.01, 0.01, 0.01)
+        assert (cfg.gamma, cfg.batch_size, cfg.max_iter, cfg.seed, cfg.collect_trace) == (0.01, 32, 1000, 0, False)
+        assert (BETA1, BETA2, DELTA, START) == (0.9, 0.999, 1e-8, 0.01)
+
+    @pytest.mark.parametrize("name, value", [
+        ("early_stop", True), ("early_stop_tol", 1e-2), ("early_stop_patience", 3),
+        ("beta1", 0.8), ("beta2", 0.99), ("delta", 1e-6), ("alpha0", 0.0), ("m0", 0.0), ("v0", 0.0),
+    ])
+    def test_removed_fields(self, name, value):
+        # every row trains to max_iter, so no field stops it early; Adam's
+        # decay rates, stabilizer and start are module constants
+        with pytest.raises(TypeError):
+            AdamConfig(**{name: value})
+        assert [f.name for f in fields(AdamConfig)] == ["gamma", "batch_size", "max_iter", "seed", "collect_trace"]
 
 
 def small_instance(seed, n=6, loss_kind="hawkeye"):
@@ -289,9 +289,20 @@ class TestTrainAdam:
         loss = LossSpec("least_squares")
         cfg = AdamConfig(max_iter=2000, seed=0)
         state = train_adam(gram, y, 10.0, loss, cfg)
-        h0 = objective_value(np.full(5, cfg.alpha0), gram, y, 10.0, loss)
+        h0 = objective_value(np.full(5, START), gram, y, 10.0, loss)
         hT = objective_value(state.alpha, gram, y, 10.0, loss)
         assert hT <= h0
+
+    @pytest.mark.parametrize("start", [START, 0.0, 0.25])
+    def test_fresh_cell_starts_at_the_start_constant(self, monkeypatch, start):
+        # the trace's first entry is H of the coefficients a fresh cell
+        # starts from, which are read from START when the call is made
+        import helssvr.optimizer
+
+        monkeypatch.setattr(helssvr.optimizer, "START", start)
+        gram, y, C, loss, _ = small_instance(13, n=7)
+        state = train_adam(gram, y, C, loss, AdamConfig(max_iter=3, seed=0, collect_trace=True))
+        assert state.trace[0] == objective_value(np.full(7, start), gram, y, C, loss)
 
     def test_full_batch_degenerates_to_deterministic_descent(self):
         # batch >= N means the sampled index set is all of [0, N) each step
@@ -356,7 +367,7 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
     """
     n = K.shape[-1]
     s = min(cfg.batch_size, n)
-    states = [AdamState(alpha=np.full(n, cfg.alpha0), m=np.full(n, cfg.m0), v=np.full(n, cfg.v0)) for _ in Cs]
+    states = [AdamState(alpha=np.full(n, START), m=np.full(n, START), v=np.full(n, START)) for _ in Cs]
     avgs = [np.zeros(n) for _ in Cs]
     rngs = [make_rng(seed) for seed in seeds]
     traces = [[] for _ in Cs]
@@ -387,7 +398,7 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
                 d = loss_derivative(losses[c], Ys[fold[c]][batch] - Kalpha[c][batch])
                 Kd[c] = (K[fold[c]][batch].T @ d.astype(K.dtype)).astype(float)
         for c in cells:
-            states[c] = adam_step(states[c], Kalpha[c] - Cs[c] * Kd[c], replace(cfg, gamma=gammas[c]))
+            states[c] = adam_step(states[c], Kalpha[c] - Cs[c] * Kd[c], gammas[c])
             avgs[c] = avgs[c] + (1.0 - EMA_WEIGHT) * (states[c].alpha - avgs[c])
     for c, trace in enumerate(traces):
         k = fold[c]
@@ -496,11 +507,21 @@ class TestStackedTraining:
         with pytest.raises(ValueError, match=re.escape(f"{message}: cell 1")):
             train_adam(gram, y, [1.0, 1.0], [loss, loss], AdamConfig(max_iter=5), gamma=[0.01, gamma], seed=[0, seed])
 
+    @pytest.mark.parametrize("C", [-1.0, 0.0, float("nan"), float("inf"), float("-inf")])
+    def test_every_C_checked(self, C):
+        # a C <= 0 would train without error, a non-finite one fail later
+        # as a non-finite residual
+        gram, y = self.instance()
+        loss = LossSpec("least_squares")
+        with pytest.raises(ValueError, match="^C must be finite and > 0: cell 1$"):
+            train_adam(gram, y, [1.0, C], [loss, loss], AdamConfig(max_iter=5))
+        with pytest.raises(ValueError, match="^C must be finite and > 0: cell 0$"):
+            train_adam(gram, y, C, loss, AdamConfig(max_iter=5))
+
 
 class TestAdamStepInPlace:
     def test_out_buffers_match_new_state(self):
         rng = np.random.default_rng(50)
-        cfg = AdamConfig()
         gamma = np.repeat([[1e-2], [1e-3]], 7, axis=1)
         fresh = AdamState(alpha=rng.normal(size=(2, 7)), m=rng.normal(size=(2, 7)), v=rng.uniform(size=(2, 7)))
         inplace = AdamState(alpha=fresh.alpha.copy(), m=fresh.m.copy(), v=fresh.v.copy())
@@ -508,9 +529,9 @@ class TestAdamStepInPlace:
         for _ in range(5):
             grad = rng.normal(size=(2, 7))
             before = fresh.alpha.copy()
-            fresh = adam_step(fresh, grad, cfg, gamma=gamma)
+            fresh = adam_step(fresh, grad, gamma)
             assert not np.array_equal(before, fresh.alpha)
-            returned = adam_step(inplace, grad, cfg, gamma=gamma, out=work)
+            returned = adam_step(inplace, grad, gamma, out=work)
             assert returned is inplace
             for name in ("alpha", "m", "v"):
                 assert getattr(inplace, name).tobytes() == getattr(fresh, name).tobytes()
@@ -519,7 +540,7 @@ class TestAdamStepInPlace:
     def test_without_out_the_input_is_kept(self):
         state = zero_state(3)
         state.alpha[:] = 1.0
-        new = adam_step(state, np.ones(3), zero_cfg())
+        new = adam_step(state, np.ones(3), 0.01)
         assert state.t == 0 and np.all(state.alpha == 1.0) and np.all(state.m == 0.0)
         assert new.t == 1 and not np.shares_memory(new.alpha, state.alpha)
 
@@ -534,12 +555,6 @@ class TestAveragedIterate:
         # no field selects the last iterate
         with pytest.raises(TypeError):
             AdamConfig(average="ema")
-
-    @pytest.mark.parametrize("name, value", [("early_stop", True), ("early_stop_tol", 1e-2), ("early_stop_patience", 3)])
-    def test_no_early_stop_fields(self, name, value):
-        # every row trains to max_iter: no field stops it early
-        with pytest.raises(TypeError):
-            AdamConfig(**{name: value})
 
     def test_state_keeps_no_early_stop_record(self):
         assert not {"prev_h", "flat_run", "stopped"} & {f.name for f in fields(AdamState)}
