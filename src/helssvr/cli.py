@@ -92,6 +92,13 @@ def _optional(parser):
     return parse
 
 
+def _parse_delimiter(text: str) -> str:
+    """A ``--delimiter`` value: one character, as :mod:`csv` requires."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
+
+
 def _parse_choice(*allowed):
     def parse(text):
         if text not in allowed:
@@ -270,12 +277,11 @@ def cmd_train(cfg: RunConfig, args) -> int:
     model, fit_report = fit(ds.X, ds.y, kernel, loss, C=cfg["C"], adam=adam, scaling=cfg["scaling"])
     save_model(model, args.out)
     if args.trace_out is not None:
-        write_csv(args.trace_out, ["iter", "objective"], ((i, repr(h)) for i, h in enumerate(fit_report.trace)))
+        write_csv(args.trace_out, ["iter", "objective"], ((i, repr(h)) for i, h in enumerate(fit_report.state.trace)))
     print(f"model written       : {args.out}")
     print(f"training samples    : {ds.n} (rejected rows: {report.rows_rejected})")
     print(f"final objective     : {fit_report.final_objective:.6g}")
-    print(f"iterations          : {fit_report.iterations}")
-    print(f"stop reason         : {fit_report.stop_reason}")
+    print(f"iterations          : {fit_report.state.t}")
     print(f"fit seconds         : {fit_report.wall_time_seconds:.4f}")
     print(f"gram seconds        : {fit_report.gram_seconds:.4f}")
     return 0
@@ -379,7 +385,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             ds, grid, group, seed=cfg["seed"], adam=adam, scaling=cfg["scaling"], selection=cfg["cv.selection"]
         )
         wall = time.perf_counter() - t0
-        steps = [sum(r.iterations for cell in res.cells for r in cell.fold_reports) for res in results]
+        steps = [sum(cell.iterations * len(cell.fold_rmse) for cell in res.cells) for res in results]
         return [(res, wall * k / sum(steps)) for res, k in zip(results, steps)]
 
     # then one joint refit per recipe, of its winning cells on the searched
@@ -427,18 +433,14 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     results_path, timing_path, best_path, cells_path, failures_path = outputs
     write_csv(
         results_path,
-        ["dataset", "model", "rmse", "mae", "error_pos", "error_neg", "train_seconds"],
-        (
-            [d, m, *map(_fmt, (mt.rmse, mt.mae, mt.error_pos, mt.error_neg)), f"{rep.wall_time_seconds:.6f}"]
-            for d, m, _, _, mt, rep in items
-        ),
+        ["dataset", "model", "rmse", "mae", "error_pos", "error_neg"],
+        ([d, m, *map(_fmt, (mt.rmse, mt.mae, mt.error_pos, mt.error_neg))] for d, m, _, _, mt, _ in items),
     )
     write_csv(
         timing_path,
-        ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells", "fits"],
+        ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells"],
         (
-            [d, m, f"{rep.wall_time_seconds:.6f}", f"{rep.gram_seconds:.6f}", f"{secs:.6f}",
-             len(res.cells), sum(len(c.fold_rmse) for c in res.cells)]
+            [d, m, f"{rep.wall_time_seconds:.6f}", f"{rep.gram_seconds:.6f}", f"{secs:.6f}", len(res.cells)]
             for d, m, res, secs, _, rep in items
         ),
     )
@@ -451,17 +453,15 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             for p in [res.best_params]
         ),
     )
-    # every cell's fold RMSEs, statistic, and each fold's steps and stop
-    # reason ("halved" for a cell successive halving cut)
-    folds = range(1, grid.k + 1)
+    # every cell's fold RMSEs, statistic, steps and stop reason ("halved"
+    # for a cell successive halving cut, at fewer than max_iter steps)
     write_csv(
         cells_path,
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma",
-         *(f"rmse_fold{j}" for j in folds), "stat",
-         *(f"iterations_fold{j}" for j in folds), *(f"stop_reason_fold{j}" for j in folds)],
+         *(f"rmse_fold{j}" for j in range(1, grid.k + 1)), "stat", "iterations", "stop_reason"],
         (
             [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, *cell.fold_rmse, cell.stat)),
-             *(r.iterations for r in cell.fold_reports), *(r.stop_reason for r in cell.fold_reports)]
+             cell.iterations, "halved" if cell.iterations < adam.max_iter else "max_iter"]
             for d, m, res, _, _, _ in items
             for cell in res.cells
             for p in [cell.params]
@@ -581,7 +581,6 @@ def cmd_rank(cfg: RunConfig, args) -> int:
         q_alpha=cfg["rank.q_alpha"],
         rank_decimals=cfg["rank.decimals"],
         model_names=models,
-        dataset_names=datasets,
     )
     rows = [
         [name, *[("" if np.isnan(v) else _fmt(float(v))) for v in row]]
@@ -612,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scaled.add_argument("--scaling", choices=["none", "minmax", "zscore"], help="feature/target scaling")
 
     delimited = argparse.ArgumentParser(add_help=False)
-    delimited.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
+    delimited.add_argument("--delimiter", default=",", type=_parse_delimiter, help="CSV delimiter (default ',')")
     io_csv = argparse.ArgumentParser(add_help=False, parents=[delimited])
     io_csv.add_argument("--no-header", action="store_true", help="CSV has no header row")
     io_csv.add_argument(

@@ -183,14 +183,7 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     if k > n:
         raise ValueError(f"cannot split {n} samples into {k} folds")
     perm = sample_without_replacement(make_rng(seed, 0xF01D), n, n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds
+    return [np.sort(f) for f in np.array_split(perm, k)]
 
 
 # ---------------------------------------------------------------------------

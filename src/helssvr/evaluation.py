@@ -22,7 +22,7 @@ from . import losses
 from .data import Dataset, kfold_split
 from .kernels import KernelSpec
 from .losses import LossSpec
-from .model import FitReport, fit_cells, predict_cells
+from .model import fit_cells, predict_cells
 from .optimizer import AdamConfig
 from .seeding import child_seed
 
@@ -75,7 +75,8 @@ def compute_metrics(y, f) -> MetricsReport:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter value lists plus the fold count."""
+    """Hyperparameter value lists, none of which repeats a value, plus the
+    fold count."""
 
     C_values: tuple[float, ...]
     sigma_values: tuple[float, ...]
@@ -91,6 +92,10 @@ class GridSpec:
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ValueError(f"grid {name} must be non-empty")
+            # a repeated value would train a second, identical cell
+            repeat = next((v for i, v in enumerate(vals) if v in vals[:i]), None)
+            if repeat is not None:
+                raise ValueError(f"grid {name} repeats the value {repeat!r}")
             # the loss axes are checked by the LossSpec each recipe builds
             if name in ("C_values", "sigma_values", "gamma_values") and not all(
                 math.isfinite(v) and v > 0 for v in vals
@@ -143,9 +148,13 @@ class CellParams:
 
 @dataclass
 class CellResult:
+    """A grid cell's held-out RMSE per fold, the Adam steps every fold
+    trained (the rung step for a cell successive halving cut, fewer than
+    ``max_iter``), and its statistic."""
+
     params: CellParams
     fold_rmse: list[float]
-    fold_reports: list[FitReport]
+    iterations: int
     stat: float
 
 
@@ -206,8 +215,7 @@ def grid_search_cv(
     training (rounded up, and never fewer than :data:`HALVING_FLOOR`; ties
     go to the earlier cell) resume, from their optimizer states, to the
     next rung or to ``max_iter``.  A cut cell keeps its rung statistic and
-    fold results; its folds report ``stop_reason="halved"`` with the rung
-    step as ``iterations``.  A search over at most
+    fold RMSEs, with the rung step as ``iterations``.  A search over at most
     :data:`HALVING_FLOOR` cells, or whose cells still training number at
     most that many at a rung, trains them straight on.  The best cell is
     the lowest statistic over all cells, cut or not (Hyperband's return
@@ -303,14 +311,13 @@ def grid_search_recipes(
             ]
             resume = [states[r].get((i, j)) for j in range(len(folds)) for r, i in owners]
             fitted = fit_cells(sets, recipes[0].build_kernel(sigma), specs, run, scaling=scaling, resume=resume)
-            found = [CellResult(p, [], [], math.nan) for p in params]
+            found = [CellResult(p, [], steps, math.nan) for p in params]
             for j, test_idx in enumerate(folds):
                 fold_fits = fitted[j * len(owners) : (j + 1) * len(owners)]
                 preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
                 for (r, i), res, (_, report), pred in zip(owners, found, fold_fits, preds):
                     states[r][i, j] = report.state
                     res.fold_rmse.append(compute_metrics(ds.y[test_idx], pred).rmse)
-                    res.fold_reports.append(replace(report, state=None))
             for (r, i), res in zip(owners, found):
                 res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
                 results[r][i] = res
@@ -320,10 +327,7 @@ def grid_search_recipes(
             # sorted is stable, so ties go to the earlier cell; a recipe at
             # the floor keeps every cell
             ranked = sorted(ids, key=lambda i: rank(results[r][i]))
-            keep = max(HALVING_FLOOR, -(-len(ids) // 2))
-            for i in ranked[keep:]:
-                results[r][i].fold_reports = [replace(f, stop_reason="halved") for f in results[r][i].fold_reports]
-            training[r] = sorted(ranked[:keep])
+            training[r] = sorted(ranked[: max(HALVING_FLOOR, -(-len(ids) // 2))])
 
     out = []
     for res in results:
@@ -422,7 +426,6 @@ class RankAnalysis:
     complete: bool
     tie: str
     model_names: list[str] | None = None
-    dataset_names: list[str] | None = None
 
 
 def rank_models(
@@ -431,7 +434,6 @@ def rank_models(
     q_alpha: float | None = None,
     rank_decimals: int | None = 4,
     model_names: list[str] | None = None,
-    dataset_names: list[str] | None = None,
 ) -> RankAnalysis:
     """Rank models per dataset and run the rank tests on the averages.
 
@@ -503,7 +505,6 @@ def rank_models(
         complete=bool(not np.any(np.isnan(values))),
         tie=tie,
         model_names=model_names,
-        dataset_names=dataset_names,
     )
 
 

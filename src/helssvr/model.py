@@ -50,30 +50,24 @@ class TrainedModel:
 
 @dataclass
 class FitReport:
-    """Training summary: the final objective, iterations, why training
-    stopped, wall times.
+    """Training summary: the final objective, wall times and the
+    optimizer's final state.
 
     ``final_objective`` is H of the returned coefficients, the averaged
-    iterate (see :func:`~helssvr.optimizer.train_adam`).
-    ``stop_reason`` is ``"max_iter"`` when all ``AdamConfig.max_iter`` steps
-    ran.  In a grid search a fold of a cell that successive halving cut
-    reports ``"halved"``, with the step of the cut as ``iterations`` (see
-    :func:`helssvr.evaluation.grid_search_cv`).
+    iterate (see :func:`~helssvr.optimizer.train_adam`).  ``state`` is the
+    optimizer's final state: ``state.t`` is the number of steps trained,
+    ``state.trace`` the objective at every step when ``collect_trace`` is
+    set, and :func:`fit_cells` can resume the cell from it.
     When cells train together (:func:`fit_cells`), the Gram build and each
     optimizer stack's run are timed once and split evenly among the cells
     that share them; a resumed cell's times are those of the call that
-    resumed it.  ``state`` is the optimizer's final state, from which
-    :func:`fit_cells` can resume the cell (None in a grid search's
-    reports).
+    resumed it.
     """
 
     final_objective: float
-    iterations: int
-    stop_reason: str
     wall_time_seconds: float
     gram_seconds: float
-    trace: list[float] | None = None
-    state: AdamState | None = None
+    state: AdamState
 
 
 #: most cells one optimizer stack trains together; bounds the (rows, n)
@@ -157,7 +151,8 @@ def fit_cells(
     then its loss, C, learning rate and Adam seed, which replace
     ``adam``'s (None means the defaults) and are checked as
     :func:`~helssvr.optimizer.train_adam` checks them, naming the cell.
-    Returns one (model, report) per cell.  ``resume`` optionally gives each
+    Returns one (model, report) per cell, trained to ``adam.max_iter``
+    steps (``report.state.t``).  ``resume`` optionally gives each
     cell a ``FitReport.state`` of an earlier call with the same set, loss
     and C, from which it trains on to ``adam.max_iter`` steps (None starts
     it fresh).  The Grams are built again.
@@ -294,11 +289,8 @@ def fit_cells(
                 )
                 report = FitReport(
                     final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
-                    iterations=state.t,
-                    stop_reason="max_iter",
                     wall_time_seconds=wall,
                     gram_seconds=gram_seconds,
-                    trace=state.trace,
                     state=state,
                 )
                 out[i] = (model, report)

@@ -170,7 +170,7 @@ class TestTrain:
         assert out.exists()
         printed = capsys.readouterr().out
         assert "iterations          : 100\n" in printed
-        assert "stop reason         : max_iter\n" in printed
+        assert "stop reason" not in printed  # always max_iter for one fit
 
     @pytest.mark.parametrize("pair, message", [
         ("adam.gamma=inf", "gamma must be finite and > 0"),
@@ -476,10 +476,10 @@ class TestBench:
                    "--outdir", str(outdir), *fast_flags()])
         assert rc == 0
         rows = read_rows(outdir / "results.csv")
-        assert rows[0] == ["dataset", "model", "rmse", "mae", "error_pos", "error_neg", "train_seconds"]
+        # the refit's wall time is written once, as timing.csv's fit_seconds
+        assert rows[0] == ["dataset", "model", "rmse", "mae", "error_pos", "error_neg"]
         assert len(rows) == 2
-        assert float(rows[1][6]) > 0  # wall time is positive
-        assert (outdir / "timing.csv").exists()
+        assert float(read_rows(outdir / "timing.csv")[1][2]) > 0  # wall time is positive
         assert (outdir / "best_params.csv").exists()
 
     def test_recipe_cardinality(self, tmp_path):
@@ -525,28 +525,26 @@ class TestBench:
         timing = read_rows(outdir / "timing.csv")
         best = read_rows(outdir / "best_params.csv")
         cells = read_rows(outdir / "cells.csv")
-        assert timing[0] == ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells", "fits"]
+        assert results[0] == ["dataset", "model", "rmse", "mae", "error_pos", "error_neg"]
+        assert timing[0] == ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells"]
         assert best[0] == ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"]
         assert cells[0] == [
             "dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma",
-            "rmse_fold1", "rmse_fold2", "rmse_fold3", "stat",
-            "iterations_fold1", "iterations_fold2", "iterations_fold3",
-            "stop_reason_fold1", "stop_reason_fold2", "stop_reason_fold3",
+            "rmse_fold1", "rmse_fold2", "rmse_fold3", "stat", "iterations", "stop_reason",
         ]
         items = [(str(d), m) for d in (d1, d2) for m in ("hawkeye", "least_squares")]
         for rows in (results, timing, best):
             assert [tuple(r[:2]) for r in rows[1:]] == items
-        assert [r[6] for r in results[1:]] == [r[2] for r in timing[1:]]
-        # two cells per item (grid.sigma=0.3,1), each with 3 folds; the best
-        # cell's row carries the search's statistic
-        assert [tuple(r[5:]) for r in timing[1:]] == [("2", "6")] * 4
+        # two cells per item (grid.sigma=0.3,1); the best cell's row carries
+        # the search's statistic
+        assert [r[5:] for r in timing[1:]] == [["2"]] * 4
         assert all(float(r[4]) > 0 for r in timing[1:])
         assert [tuple(r[:2]) for r in cells[1:]] == [item for item in items for _ in range(2)]
         for (d, m, *p, cv_rmse), rows in zip(best[1:], (cells[1 + 2 * k : 3 + 2 * k] for k in range(4))):
             assert [p, cv_rmse] in [[r[2:8], r[11]] for r in rows]
         for r in cells[1:]:
             assert float(r[11]) == min(map(float, r[8:11]))
-            assert r[12:] == ["150"] * 3 + ["max_iter"] * 3
+            assert r[12:] == ["150", "max_iter"]
         failures = read_rows(outdir / "failures.csv")
         assert len(failures) == 2
         assert failures[1][:3] == [str(missing), "*", "FileNotFoundError"]
@@ -566,6 +564,13 @@ class TestBench:
         ("grid.C=nan", "grid C_values must be finite and > 0"),
         ("grid.epsilon=-1", "bad grid value: hawkeye loss requires epsilon > 0"),
         ("grid.a=0", "bad grid value: hawkeye loss requires a > 0"),
+        # a repeated value would train two cells with the same parameters
+        ("grid.C=1,1", "grid C_values repeats the value 1.0"),
+        ("grid.sigma=1,0.3,1.0", "grid sigma_values repeats the value 1.0"),
+        ("grid.epsilon=0.1,0.05,0.1", "grid epsilon_values repeats the value 0.1"),
+        ("grid.lambda=2,2", "grid lambda_values repeats the value 2.0"),
+        ("grid.a=1,3,3", "grid a_values repeats the value 3.0"),
+        ("grid.gamma=0.01,1e-2", "grid gamma_values repeats the value 0.01"),
     ])
     def test_bad_grid_value_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, pair, message):
         import helssvr.cli
@@ -636,10 +641,8 @@ class TestBench:
         assert rc == 0
         cells = read_rows(outdir / "cells.csv")[1:]
         assert len(cells) == 6
-        assert sorted(tuple(r[12:]) for r in cells) == (
-            [("15",) * 3 + ("halved",) * 3] * 2 + [("150",) * 3 + ("max_iter",) * 3] * 4
-        )
-        assert read_rows(outdir / "timing.csv")[1][5:] == ["6", "18"]
+        assert sorted(r[12:] for r in cells) == [["15", "halved"]] * 2 + [["150", "max_iter"]] * 4
+        assert read_rows(outdir / "timing.csv")[1][5:] == ["6"]
 
 
 class TestJointBench:
@@ -667,10 +670,10 @@ class TestJointBench:
 
     @staticmethod
     def outputs(outdir):
-        """The non-timing outputs: results.csv without train_seconds, and
-        timing.csv's cells and fits."""
-        rows = {name: read_rows(outdir / name) for name in ("best_params.csv", "cells.csv", "failures.csv")}
-        rows["results.csv"] = [r[:6] for r in read_rows(outdir / "results.csv")]
+        """The non-timing outputs: every file but timing.csv whole, and
+        timing.csv's cells."""
+        names = ("best_params.csv", "cells.csv", "failures.csv", "results.csv")
+        rows = {name: read_rows(outdir / name) for name in names}
         rows["timing.csv"] = [r[:2] + r[5:] for r in read_rows(outdir / "timing.csv")]
         return rows
 
@@ -686,9 +689,9 @@ class TestJointBench:
             assert joint[name] == [alone[0][name][0], *merged]
         for out in alone:
             assert joint["failures.csv"] == out["failures.csv"]
-        iterations = {(r[1], *r[14:19]) for r in joint["cells.csv"][1:]}
-        assert ("hawkeye", "10", "10", "10", "10", "10") in iterations
-        assert ("hawkeye", "100", "100", "100", "100", "100") in iterations
+        iterations = {(r[1], *r[14:]) for r in joint["cells.csv"][1:]}
+        assert ("hawkeye", "10", "halved") in iterations
+        assert ("hawkeye", "100", "max_iter") in iterations
 
     def test_search_seconds_split_by_cell_steps(self, tmp_path, monkeypatch):
         # a clock that advances 0.5 s per reading: each dataset's joint
@@ -703,7 +706,7 @@ class TestJointBench:
         outdir = self.bench(tmp_path, "joint", data, self.RECIPES)
         cells, timing = read_rows(outdir / "cells.csv")[1:], read_rows(outdir / "timing.csv")[1:]
         for path in (data[0], data[2]):
-            steps = {m: sum(int(t) for r in cells if r[:2] == [path, m] for t in r[14:19]) for m in self.RECIPES}
+            steps = {m: sum(5 * int(r[14]) for r in cells if r[:2] == [path, m]) for m in self.RECIPES}
             seconds = {r[1]: float(r[4]) for r in timing if r[0] == path}
             assert sum(seconds.values()) == pytest.approx(0.5, abs=2e-6)
             for m in self.RECIPES:
@@ -821,7 +824,7 @@ class TestBenchScoresHeldOutRows:
         best = {tuple(r[:2]): r[2:8] for r in read_rows(outdir / "best_params.csv")[1:]}
         results = read_rows(outdir / "results.csv")[1:]
         assert len(results) == 4
-        for dataset, model, *metrics, _ in results:
+        for dataset, model, *metrics in results:
             k = [str(p) for p in paths].index(dataset)
             ds, train = loaded[k], seen["search"][k]
             test = np.array([row not in self.rows(train.X) for row in map(tuple, ds.X)])
@@ -960,11 +963,11 @@ class TestRank:
         inp = tmp_path / "results.csv"
         with open(inp, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["dataset", "model", "rmse", "mae", "error_pos", "error_neg", "train_seconds"])
-            w.writerow(["d1", "a", "0.2", "0.1", "0.1", "", "0.5"])
-            w.writerow(["d1", "b", "0.3", "0.2", "0.2", "", "0.5"])
-            w.writerow(["d2", "a", "0.1", "0.1", "0.1", "", "0.5"])
-            w.writerow(["d2", "b", "0.4", "0.2", "0.2", "", "0.5"])
+            w.writerow(["dataset", "model", "rmse", "mae", "error_pos", "error_neg"])
+            w.writerow(["d1", "a", "0.2", "0.1", "0.1", ""])
+            w.writerow(["d1", "b", "0.3", "0.2", "0.2", ""])
+            w.writerow(["d2", "a", "0.1", "0.1", "0.1", ""])
+            w.writerow(["d2", "b", "0.4", "0.2", "0.2", ""])
         rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
         assert rc == 0
         rows = read_rows(tmp_path / "r_ranks.csv")
@@ -1246,6 +1249,19 @@ class TestFlagsPerCommand:
             main([*self.ARGV[command], *flags])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    @pytest.mark.parametrize("command", ["train", "predict", "bench", "rank"])
+    def test_delimiter_not_one_character_exit_2(self, tmp_path, monkeypatch, capsys, command, delimiter):
+        # csv reads only a one-character delimiter: argparse rejects any
+        # other before the command reads an input or writes an output
+        stub_readers(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGV[command], "--delimiter", delimiter])
+        assert exc.value.code == 2
+        assert f"argument --delimiter: must be exactly one character, got {delimiter!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(ARGV))

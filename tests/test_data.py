@@ -143,6 +143,21 @@ class TestKfold:
         folds = kfold_split(11, 5, seed=0)
         assert sorted(len(f) for f in folds) == [2, 2, 2, 2, 3]
 
+    def test_matches_dealing_loop(self):
+        # reference: the seeded permutation dealt in order, the n % k larger
+        # folds first, each fold sorted
+        from helssvr.seeding import make_rng, sample_without_replacement
+
+        for seed in (0, 1, 7):
+            for n in range(2, 61):
+                perm = sample_without_replacement(make_rng(seed, 0xF01D), n, n)
+                for k in range(2, min(n, 12) + 1):
+                    base, extra = divmod(n, k)
+                    starts = np.cumsum([0] + [base + (i < extra) for i in range(k)])
+                    want = [np.sort(perm[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:])]
+                    got = kfold_split(n, k, seed)
+                    assert [f.tolist() for f in got] == [f.tolist() for f in want]
+
     def test_deterministic(self):
         a = kfold_split(37, 4, seed=9)
         b = kfold_split(37, 4, seed=9)

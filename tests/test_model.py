@@ -38,8 +38,7 @@ def assert_matches_fit(model, report, alone, alone_report, exact):
     else:
         assert np.max(np.abs(model.alpha - alone.alpha)) <= SHORT_RUN_RTOL * np.max(np.abs(alone.alpha))
         assert report.final_objective == pytest.approx(alone_report.final_objective, rel=SHORT_RUN_RTOL, abs=0)
-    assert report.iterations == alone_report.iterations
-    assert report.stop_reason == alone_report.stop_reason
+    assert report.state.t == alone_report.state.t
 
 
 def rbf(sigma=1.0):
@@ -87,7 +86,7 @@ class TestFit:
                 adam=AdamConfig(max_iter=300, seed=trial, collect_trace=True),
             )
             # the trace starts at H of the initial coefficients
-            assert report.final_objective <= report.trace[0]
+            assert report.final_objective <= report.state.trace[0]
 
     def test_hawkeye_risk_bounded_by_lambda(self):
         rng = np.random.default_rng(3)
@@ -137,12 +136,18 @@ class TestFit:
             assert abs(g[j] - fd) <= max(1e-5, 1e-4 * abs(fd))
 
 
-    def test_stop_reason_names_how_training_ended(self):
+    def test_report_keeps_each_number_once(self):
+        # the steps and the trace are read from the optimizer's state
+        from dataclasses import fields
+
+        from helssvr.model import FitReport
+
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, (20, 1))
         y = np.sin(3 * X[:, 0])
         _, full = fit(X, y, rbf(), hawkeye(), C=10.0, adam=AdamConfig(max_iter=30, seed=0))
-        assert (full.stop_reason, full.iterations) == ("max_iter", 30)
+        assert [f.name for f in fields(FitReport)] == ["final_objective", "wall_time_seconds", "gram_seconds", "state"]
+        assert (full.state.t, full.state.trace) == (30, None)
 
 
 class TestPredict:
@@ -452,7 +457,7 @@ class TestFitCellsAcrossSets:
                 alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=alone_adam, scaling="zscore")
                 assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
                 assert model.X_train.tobytes() == alone.X_train.tobytes()
-                steps.add(report.iterations)
+                steps.add(report.state.t)
         assert steps == {60, 40, 1000}
 
     @pytest.mark.parametrize("rows", [1, 2, 32])
@@ -490,8 +495,8 @@ class TestFitCellsAcrossSets:
         for (model, report), (want, want_report) in zip(resumed, whole):
             assert model.alpha.tobytes() == want.alpha.tobytes()
             assert report.final_objective == want_report.final_objective
-            assert (report.iterations, report.stop_reason) == (want_report.iterations, want_report.stop_reason)
-        assert {(r.iterations, r.stop_reason) for _, r in whole} == {(60, "max_iter")}
+            assert report.state.t == want_report.state.t
+        assert {r.state.t for _, r in whole} == {60}
         with pytest.raises(ValueError, match="2 resume states for 12 cells"):
             fit_cells(sets, rbf(0.8), cells, adam, resume=[None, None])
 
@@ -523,8 +528,8 @@ def assert_same_fits(got, want):
         assert model.X_train.tobytes() == want_model.X_train.tobytes()
         assert (model.kernel, model.loss, model.C) == (want_model.kernel, want_model.loss, want_model.C)
         assert report.final_objective == want_report.final_objective
-        assert (report.iterations, report.stop_reason) == (want_report.iterations, want_report.stop_reason)
-        assert report.trace == want_report.trace
+        assert report.state.t == want_report.state.t
+        assert report.state.trace == want_report.state.trace
 
 
 class TestFitCellsMixedKinds:
@@ -574,7 +579,7 @@ class TestFitCellsMixedKinds:
         sets = TestFitCellsAcrossSets().sets()
         adam = AdamConfig(max_iter=60, batch_size=batch_size, collect_trace=True)
         mixed = self.check(sets, self.kernels, self.cells(sets), adam)
-        assert all(len(report.trace) == 61 for _, report in mixed)
+        assert all(len(report.state.trace) == 61 for _, report in mixed)
 
     @staticmethod
     def large_set():
@@ -821,7 +826,7 @@ class TestOneProductPath:
             else:
                 gram = gram_matrix(rbf(sigma), Xs, out=gram_buffer(1, n, form[0])[0])
             want = objective_value(report.state.alpha, gram, ys, 100.0, model.loss)
-            assert report.final_objective == report.trace[-1] == want
+            assert report.final_objective == report.state.trace[-1] == want
 
 
 class TestPredictCells:
@@ -1106,9 +1111,9 @@ class TestAveragedFit:
         gram = gram_matrix(rbf(0.5), model.X_train)
         ys = scale_target(model.scaling, y)
         h = objective_value(model.alpha, gram, ys, 100.0, hawkeye())
-        assert report.iterations == 120 and len(report.trace) == 121
-        assert report.final_objective == report.trace[-1] == h
-        assert report.trace[0] == objective_value(np.full(25, START), gram, ys, 100.0, hawkeye())
+        assert report.state.t == 120 and len(report.state.trace) == 121
+        assert report.final_objective == report.state.trace[-1] == h
+        assert report.state.trace[0] == objective_value(np.full(25, START), gram, ys, 100.0, hawkeye())
 
 
 class TestFloat32Gram:
