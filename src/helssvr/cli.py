@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 benchmark finished with some failed work items,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -31,6 +30,7 @@ from .data import (
     kfold_split,
     load_csv,
     load_features,
+    read_rows,
     write_csv,
     write_synthetic_csv,
 )
@@ -165,7 +165,7 @@ class RunConfig:
 
 def _read_config_file(cfg: RunConfig, path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -273,13 +273,13 @@ def cmd_train(cfg: RunConfig, args) -> int:
     loss = build_loss(cfg)
     kernel = build_kernel(cfg)
     adam = build_adam(cfg, collect_trace=args.trace_out is not None)
-    ds, report = load_csv(**_csv_options(args, args.data))
+    ds, rejected = load_csv(**_csv_options(args, args.data))
     model, fit_report = fit(ds.X, ds.y, kernel, loss, C=cfg["C"], adam=adam, scaling=cfg["scaling"])
     save_model(model, args.out)
     if args.trace_out is not None:
         write_csv(args.trace_out, ["iter", "objective"], ((i, repr(h)) for i, h in enumerate(fit_report.state.trace)))
     print(f"model written       : {args.out}")
-    print(f"training samples    : {ds.n} (rejected rows: {report.rows_rejected})")
+    print(f"training samples    : {ds.n} (rejected rows: {rejected})")
     print(f"final objective     : {fit_report.final_objective:.6g}")
     print(f"iterations          : {fit_report.state.t}")
     print(f"fit seconds         : {fit_report.wall_time_seconds:.4f}")
@@ -531,27 +531,21 @@ def _check_outputs(args, inputs, outputs, outdir=None):
 
 
 def _read_rank_table(path, delimiter=","):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        lines = [(f"{path}:{reader.line_num}", r) for r in reader if r]
-    if len(lines) < 2:
+    rows = read_rows(path, delimiter)
+    if len(rows) < 2:
         raise ValueError(f"{path}: need a header row plus at least one data row")
-    header = [c.strip() for c in lines[0][1]]
-    body = lines[1:]
-    for where, row in body:
-        if len(row) != len(header):
-            raise ValueError(f"{where}: ragged row {row!r}")
+    (header_line, header), body = rows[0], rows[1:]
 
     if {"dataset", "model", "rmse"} <= set(header):
         d_i, m_i, r_i = header.index("dataset"), header.index("model"), header.index("rmse")
         # each dataset and model name -> its first-seen position
         datasets, models, cells = {}, {}, {}
-        for where, row in body:
+        for line, row in body:
             d, m = row[d_i], row[m_i]
             cell = (datasets.setdefault(d, len(datasets)), models.setdefault(m, len(models)))
             if cell in cells:
-                raise ValueError(f"{where}: second rmse for dataset {d!r}, model {m!r}")
-            cells[cell] = _rank_score(row[r_i], where)
+                raise ValueError(f"{path}:{line}: second rmse for dataset {d!r}, model {m!r}")
+            cells[cell] = _rank_score(row[r_i], f"{path}:{line}")
         table = np.full((len(datasets), len(models)), np.nan)
         for cell, score in cells.items():
             table[cell] = score
@@ -563,11 +557,11 @@ def _read_rank_table(path, delimiter=","):
     datasets = [row[0] for _, row in body]
     i = _first_repeat(models)
     if i is not None:
-        raise ValueError(f"{lines[0][0]}: second column for model {models[i]!r}")
+        raise ValueError(f"{path}:{header_line}: second column for model {models[i]!r}")
     i = _first_repeat(datasets)
     if i is not None:
-        raise ValueError(f"{body[i][0]}: second row for dataset {datasets[i]!r}")
-    values = [[_rank_score(cell, where) for cell in row[1:]] for where, row in body]
+        raise ValueError(f"{path}:{body[i][0]}: second row for dataset {datasets[i]!r}")
+    values = [[_rank_score(cell, f"{path}:{line}") for cell in row[1:]] for line, row in body]
     return np.asarray(values, dtype=float), datasets, models
 
 

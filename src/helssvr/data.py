@@ -1,18 +1,23 @@
 """Dataset ingestion, scaling, fold splitting, and synthetic benchmarks.
 
-One reader parses every data CSV.  Rows whose cell count differs from the
-header are a format error.  A row with a non-numeric or missing target or
-feature cell is skipped and counted when loading a training set
-(:func:`load_csv`), and is an error when loading features to predict on
-(:func:`load_features`); dropped columns are never parsed.  The synthetic
-generators produce five 1-d target functions with a choice of Gaussian,
-uniform, or Student-t noise, always returning the noise-free targets
-alongside the noisy ones.
+One reader, :func:`read_rows`, parses every CSV a command reads: data
+files and rank tables.  Like every input file of the package, it is
+decoded as UTF-8 with an optional byte-order mark.  A row whose cell count
+differs from the first row's, and a non-finite target or feature cell, are
+format errors that name the file and line.  A row with a non-numeric or
+missing target or feature cell is skipped and counted when loading a
+training set (:func:`load_csv`), and is an error when loading features to
+predict on (:func:`load_features`); dropped columns are never parsed.
+
+The synthetic generators produce five 1-d target functions with a choice
+of Gaussian, uniform, or Student-t noise, always returning the noise-free
+targets alongside the noisy ones.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -30,7 +35,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: list[str] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -48,37 +52,44 @@ class Dataset:
         return self.X.shape[0]
 
 
-@dataclass(frozen=True)
-class LoadReport:
-    """Row accounting from a CSV parse."""
+def read_rows(path, delimiter: str = ",", has_header: bool = True) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV file, each with its line number.
 
-    rows_total: int
-    rows_used: int
-    rows_rejected: int
+    The file is decoded as UTF-8 with an optional byte-order mark.  With
+    ``has_header`` the first row is the header, its cells stripped.  Every
+    row must have the first row's width.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = [(reader.line_num, r) for r in reader if r]  # blank lines carry no data
+    if not rows:
+        return rows
+    width = len(rows[0][1])
+    if has_header:
+        rows[0] = (rows[0][0], [c.strip() for c in rows[0][1]])
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} cells, found {len(row)}")
+    return rows
 
 
 def _read_columns(path, has_header, delimiter, target_column, drop_columns, strict_rows):
     """The target and feature columns of a numeric CSV, parsed row by row.
 
-    Returns ``(y, X, feature_names, report)``; ``y`` is None when
+    Returns ``(y, X, rows_rejected)``; ``y`` is None when
     ``target_column`` is None.  Only the target and feature cells are
-    parsed, so a dropped column may hold text.  A row with a wrong cell
-    count raises; a row with an unparseable or empty cell raises with
-    ``strict_rows``, and is otherwise skipped and counted.
+    parsed, so a dropped column may hold text.  A non-finite cell raises;
+    a row with an unparseable or empty cell raises with ``strict_rows``,
+    and is otherwise skipped and counted.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [(reader.line_num, r) for r in reader if r]  # blank lines carry no data
+    rows = read_rows(path, delimiter, has_header)
     if not rows:
         raise ValueError(f"{path}: no rows")
-
+    width = len(rows[0][1])  # every row's, by read_rows
     names = None
     if has_header:
-        names = [c.strip() for c in rows[0][1]]
+        names = rows[0][1]
         rows = rows[1:]
-        width = len(names)
-    else:
-        width = len(rows[0][1])
 
     def resolve_column(col, what):
         if isinstance(col, str) and not col.lstrip("-").isdigit():
@@ -105,27 +116,25 @@ def _read_columns(path, has_header, delimiter, target_column, drop_columns, stri
     parsed = []
     rejected = 0
     for lineno, row in rows:
-        if len(row) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} cells, found {len(row)}")
         try:
-            parsed.append([float(row[i]) for i in used])
+            values = [float(row[i]) for i in used]
         except ValueError:
             if strict_rows:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
             rejected += 1
+            continue
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite cell")
+        parsed.append(values)
     if not parsed:
         raise ValueError(f"{path}: no usable numeric rows")
 
     data = np.asarray(parsed, dtype=float)
     if target_idx is None:
-        y, X = None, data
-    else:
-        # column-major: the summation order of the column means that
-        # zscore scaling takes, and so their bits, follow the layout
-        y, X = data[:, 0], np.asfortranarray(data[:, 1:])
-    feature_names = None if names is None else [names[i] for i in feature_idx]
-    report = LoadReport(rows_total=len(rows), rows_used=len(parsed), rows_rejected=rejected)
-    return y, X, feature_names, report
+        return None, data, rejected
+    # column-major: the summation order of the column means that
+    # zscore scaling takes, and so their bits, follow the layout
+    return data[:, 0], np.asfortranarray(data[:, 1:]), rejected
 
 
 def load_csv(
@@ -134,24 +143,20 @@ def load_csv(
     target_column=None,
     delimiter: str = ",",
     drop_columns=(),
-) -> tuple[Dataset, LoadReport]:
-    """Parse a numeric CSV into a dataset.
+) -> tuple[Dataset, int]:
+    """Parse a numeric CSV into a dataset; returns ``(dataset, rows_rejected)``.
 
     ``target_column`` may be a column name (header required), an integer
     index, or None for the last column.  ``drop_columns`` (names or
     indices) are excluded from the features and never parsed; useful for
     auxiliary columns such as the noise-free targets in synthetic files or
-    a text id.  Rows with a wrong cell count raise; rows with an
-    unparseable or empty target or feature cell are skipped and counted in
-    the report.
+    a text id.  Rows with a wrong cell count or a non-finite cell raise;
+    rows with an unparseable or empty target or feature cell are skipped
+    and counted.
     """
     target = -1 if target_column is None else target_column
-    y, X, feature_names, report = _read_columns(
-        path, has_header, delimiter, target, drop_columns, strict_rows=False
-    )
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError(f"{path}: non-finite values in data")
-    return Dataset(X=X, y=y, feature_names=feature_names, name=str(path)), report
+    y, X, rejected = _read_columns(path, has_header, delimiter, target, drop_columns, strict_rows=False)
+    return Dataset(X=X, y=y, name=str(path)), rejected
 
 
 def load_features(
@@ -165,9 +170,9 @@ def load_features(
 
     No target column is required: ``target_column``, if given, is skipped
     like the ``drop_columns``.  Every row must have the header's width and
-    every feature cell must parse, else the ValueError names the file and
-    line; so the output rows map one-to-one to the input rows.  Non-finite
-    values are passed on for :func:`~helssvr.model.predict` to reject.
+    every feature cell must parse to a finite number, else the ValueError
+    names the file and line; so the output rows map one-to-one to the
+    input rows.
     """
     skip = tuple(drop_columns) if target_column is None else (*drop_columns, target_column)
     return _read_columns(path, has_header, delimiter, None, skip, strict_rows=True)[1]
@@ -265,7 +270,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     y_true = benchmark_function(spec.function_id, x)
     y = y_true + _draw_noise(rng, spec.noise, spec.n_samples)
     name = f"f{spec.function_id}_{spec.noise}"
-    ds = Dataset(X=x.reshape(-1, 1), y=y, feature_names=["x"], name=name)
+    ds = Dataset(X=x.reshape(-1, 1), y=y, name=name)
     return ds, y_true
 
 

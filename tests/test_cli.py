@@ -1108,8 +1108,89 @@ class TestPredictNonFinite:
         rc = main(["predict", "--model", str(model), "--data", str(bad), "--target", "y",
                    "--out", str(out)])
         assert rc == 3
-        assert "features must be finite: row 1, column 0" in capsys.readouterr().err
+        assert f"{bad}:3: non-finite cell" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFiniteCellNamed:
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_train_names_file_and_line(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y,y_true\n1.0,2.0,3.0\n\n0.5,{cell},3.0\n")
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(bad), "--target", "y", "--drop", "y_true", "--out", str(out)])
+        assert rc == 3
+        assert f"{bad}:4: non-finite cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_fails_the_dataset_by_file_and_line(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_toy_csv(good)
+        write_toy_csv(bad)
+        lines = bad.read_text().splitlines(keepends=True)
+        lines[5] = "inf,0.0,0.0\n"
+        bad.write_text("".join(lines))
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--data", str(good), str(bad), "--target", "y", "--drop", "y_true",
+                   "--recipes", "hawkeye", "--outdir", str(outdir), *fast_flags()])
+        assert rc == 1
+        assert read_rows(outdir / "failures.csv")[1:] == [[str(bad), "*", "ValueError", f"{bad}:6: non-finite cell"]]
+
+
+class TestOneWidthMessage:
+    @pytest.mark.parametrize("command", ["train", "rank"])
+    def test_short_row_names_file_line_and_width(self, tmp_path, capsys, command):
+        inp = tmp_path / "t.csv"
+        inp.write_text("dataset,m1,m2\n1,0.5,0.2\n\n2,0.5\n")
+        if command == "train":
+            argv = ["train", "--data", str(inp), "--out", str(tmp_path / "m.json")]
+        else:
+            argv = ["rank", "--input", str(inp), "--out", str(tmp_path / "r")]
+        assert main(argv) == 3
+        assert f"error: {inp}:4: expected 3 cells, found 2\n" == capsys.readouterr().err
+
+
+def write_with_bom(path, text):
+    path.write_text("\ufeff" + text, encoding="utf-8")
+
+
+class TestByteOrderMark:
+    """Every input file may start with a UTF-8 byte-order mark."""
+
+    @pytest.mark.parametrize("target, drop", [("y", "x"), ("x", "y_true")])
+    def test_target_and_drop_by_name(self, tmp_path, capsys, target, drop):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_toy_csv(plain)
+        write_with_bom(marked, plain.read_text(encoding="utf-8"))
+        models = []
+        for data in (plain, marked):
+            models.append(tmp_path / f"{data.stem}.json")
+            assert main(["train", "--data", str(data), "--target", target, "--drop", drop,
+                         "--out", str(models[-1]), "--set", "adam.max_iter=50"]) == 0
+        assert "training samples    : 40 (rejected rows: 0)" in capsys.readouterr().out
+        assert models[0].read_bytes() == models[1].read_bytes()
+
+    def test_rank_reads_bench_results_as_long_format(self, tmp_path):
+        inp = tmp_path / "results.csv"
+        write_with_bom(inp, "dataset,model,rmse\nd1,a,0.2\nd1,b,0.3\nd2,a,0.1\nd2,b,0.4\n")
+        assert main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")]) == 0
+        rows = read_rows(tmp_path / "r_ranks.csv")
+        assert rows[:3] == [["dataset", "a", "b"], ["d1", "1.0", "2.0"], ["d2", "1.0", "2.0"]]
+
+    def test_config_key_is_read(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        write_with_bom(f, "seed = 5\n")
+        cfg = assemble_config(TestConfigPrecedence().parse_train_args({"config": str(f)}))
+        assert cfg["seed"] == 5
+
+    def test_model_file_loads(self, tmp_path):
+        data, model = TestPredict().setup_model(tmp_path)
+        marked = tmp_path / "marked.json"
+        write_with_bom(marked, model.read_text(encoding="utf-8"))
+        outs = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
+        for m, out in zip((model, marked), outs):
+            assert main(["predict", "--model", str(m), "--data", str(data), "--target", "y", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestPredictBadModel:

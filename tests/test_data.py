@@ -14,6 +14,7 @@ from helssvr.data import (
     kfold_split,
     load_csv,
     load_features,
+    read_rows,
     scale_features,
     scale_fit,
     scale_target,
@@ -25,26 +26,24 @@ class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,2,3\n4,5,6\n7,8,9\n")
-        ds, report = load_csv(p, has_header=True, target_column="y")
+        ds, rejected = load_csv(p, has_header=True, target_column="y")
         assert ds.X.shape == (3, 2)
         assert np.array_equal(ds.y, [3.0, 6.0, 9.0])
-        assert ds.feature_names == ["a", "b"]
-        assert report.rows_rejected == 0
+        assert rejected == 0
 
     def test_bad_row_rejected_and_counted(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,foo,3\n4,5,6\n")
-        ds, report = load_csv(p, has_header=True, target_column="y")
+        ds, rejected = load_csv(p, has_header=True, target_column="y")
         assert ds.n == 1
-        assert report.rows_rejected == 1
-        assert report.rows_used == 1
+        assert rejected == 1
 
     def test_missing_cell_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,,3\n4,5,6\n")
-        ds, report = load_csv(p, has_header=True)
+        ds, rejected = load_csv(p, has_header=True)
         assert ds.n == 1
-        assert report.rows_rejected == 1
+        assert rejected == 1
 
     def test_semicolon_delimiter(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -92,7 +91,7 @@ class TestLoadCsv:
         ("1,2\n3,4\n", dict(has_header=False, target_column="y"), "target column given by name but the file has no"),
         ("a,y\n1,2\n", dict(target_column=2), "target column index 2 out of range for width 2"),
         ("a,y\n1,2\n", dict(target_column="y", drop_columns=("a",)), "no feature columns left"),
-        ("a,y\n1,2\nnan,3\n", {}, "non-finite values in data"),
+        ("a,y\n1,2\nnan,3\n", {}, "d.csv:3: non-finite cell"),
     ], ids=["empty", "name-without-header", "index-out-of-range", "no-features", "nan-cell"])
     def test_unusable_file_rejected(self, tmp_path, text, options, message):
         p = tmp_path / "d.csv"
@@ -103,10 +102,53 @@ class TestLoadCsv:
     def test_dropped_column_is_not_parsed(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("id,x,y\na,0.1,1.0\nb,0.2,oops\nc,0.3,3.0\n")
-        ds, report = load_csv(p, target_column="y", drop_columns=("id",))
+        ds, rejected = load_csv(p, target_column="y", drop_columns=("id",))
         assert np.array_equal(ds.X, [[0.1], [0.3]])
         assert np.array_equal(ds.y, [1.0, 3.0])
-        assert (report.rows_used, report.rows_rejected) == (2, 1)
+        assert rejected == 1
+
+    def test_byte_order_mark_without_header_keeps_first_row(self, tmp_path):
+        # a spreadsheet's UTF-8 export starts with a byte-order mark, which
+        # is not part of the first cell
+        p = tmp_path / "d.csv"
+        p.write_text("\ufeff1,2\n3,4\n5,6\n", encoding="utf-8")
+        ds, rejected = load_csv(p, has_header=False)
+        assert rejected == 0
+        assert np.array_equal(ds.X, [[1.0], [3.0], [5.0]])
+
+
+class TestReadRows:
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\n a , b\n\n1,2\n\n\n3, 4\n")
+        # header cells are stripped, data cells are kept as written
+        assert read_rows(p) == [(2, ["a", "b"]), (4, ["1", "2"]), (7, ["3", " 4"])]
+
+    def test_header_only_and_empty_files(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n")
+        assert read_rows(p) == [(1, ["a", "b"])]
+        p.write_text("\n\n")
+        assert read_rows(p) == []
+
+    def test_headerless_width_is_the_first_rows(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(" 1,2,3\n4,5,6\n7,8\n")
+        with pytest.raises(ValueError, match=r"t\.csv:3: expected 3 cells, found 2$"):
+            read_rows(p, has_header=False)
+        p.write_text(" 1,2\n")
+        assert read_rows(p, has_header=False) == [(1, [" 1", "2"])]
+
+    def test_header_sets_the_width(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a;b;c\n1;2;3;4\n")
+        with pytest.raises(ValueError, match=r"t\.csv:2: expected 3 cells, found 4$"):
+            read_rows(p, delimiter=";")
+
+    def test_byte_order_mark_is_not_read_as_a_cell(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\ufeffx,y\n1,2\n", encoding="utf-8")
+        assert read_rows(p) == [(1, ["x", "y"]), (2, ["1", "2"])]
 
 
 class TestLoadFeatures:
