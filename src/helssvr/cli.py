@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-import time
 import traceback
 from contextlib import contextmanager, suppress
 from itertools import product
@@ -24,29 +23,19 @@ from itertools import product
 import numpy as np
 
 from .data import (
-    Dataset,
     SyntheticSpec,
     generate_synthetic,
-    kfold_split,
     load_csv,
     load_features,
     read_rows,
     write_csv,
     write_synthetic_csv,
 )
-from .evaluation import (
-    GridSpec,
-    ModelRecipe,
-    compute_metrics,
-    format_rank_report,
-    grid_search_recipes,
-    rank_models,
-)
+from .evaluation import GridSpec, ModelRecipe, format_rank_report, rank_models, run_benchmark
 from .kernels import KernelSpec
 from .losses import LOSS_KINDS, LossSpec, required_params
-from .model import fit, fit_cells, load_model, predict, save_model
+from .model import fit, load_model, predict, save_model
 from .optimizer import AdamConfig
-from .seeding import child_seed
 
 
 class ConfigError(Exception):
@@ -313,43 +302,6 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
-@contextmanager
-def _work_item(failures, dataset, model):
-    """Record an exception of the block as the failure of one work item:
-    one failed item must not abort the others.  An unexpected exception
-    type also gets its traceback."""
-    try:
-        yield
-    except Exception as exc:
-        if not isinstance(exc, (ValueError, OSError)):
-            traceback.print_exc(file=sys.stderr)
-        failures.append((dataset, model, type(exc).__name__, str(exc)))
-
-
-def _jointly(call, what):
-    """``call()``, the joint work of several work items, or None after one
-    line on stderr that names its error; the caller then does the work of
-    each item alone, so that a failure stays with its own item."""
-    try:
-        return call()
-    except Exception as exc:
-        message = f"joint {what} failed ({type(exc).__name__}: {exc}); running its work items one at a time"
-        print(message, file=sys.stderr)
-        return None
-
-
-def _hold_out(ds: Dataset, k: int, seed: int) -> tuple[Dataset, Dataset]:
-    """``ds`` split into the rows bench searches and refits on and the rows
-    that score the refit: the first of ``k`` :func:`kfold_split` folds, on a
-    seed stream apart from the search's folds, the same for every recipe."""
-    held = -(-ds.n // k)  # kfold_split's first fold is one of the larger ones
-    if ds.n - held < k:
-        raise ValueError(f"{ds.n} rows are too few for grid.k={k}: holding out {held} rows to score the refit"
-                         f" leaves {ds.n - held}, fewer than the search's {k} folds")
-    test = kfold_split(ds.n, k, child_seed(seed, 0x7E57))[0]
-    return Dataset(np.delete(ds.X, test, axis=0), np.delete(ds.y, test)), Dataset(ds.X[test], ds.y[test])
-
-
 #: the files bench writes into its --outdir (failures.csv only if an item fails)
 BENCH_OUTPUTS = ("results.csv", "timing.csv", "best_params.csv", "cells.csv", "failures.csv")
 
@@ -377,80 +329,49 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             for epsilon, lam, a in product(grid.epsilon_values, grid.lambda_values, grid.a_values):
                 recipe.build_loss(epsilon, lam, a)
 
-    # one joint search per dataset: its wall time is apportioned to the
-    # recipes in proportion to their cell-steps, not measured per recipe
-    def search(ds, group):
-        t0 = time.perf_counter()
-        results = grid_search_recipes(
-            ds, grid, group, seed=cfg["seed"], adam=adam, scaling=cfg["scaling"], selection=cfg["cv.selection"]
-        )
-        wall = time.perf_counter() - t0
-        steps = [sum(cell.iterations * len(cell.fold_rmse) for cell in res.cells) for res in results]
-        return [(res, wall * k / sum(steps)) for res, k in zip(results, steps)]
-
-    # then one joint refit per recipe, of its winning cells on the searched
-    # rows: every recipe's refits stack alike, so that the training times (a
-    # stack's wall time split evenly among its rows) compare across recipes
-    def refit(group):
-        sets, kernels, cells = [], [], []
-        for k, (_, ds, _, recipe, res, _) in enumerate(group):
-            p = res.best.params
-            sets.append((ds.X, ds.y))
-            kernels.append(recipe.build_kernel(p.sigma))
-            cells.append((k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma, adam.seed))
-        return fit_cells(sets, kernels, cells, adam, scaling=cfg["scaling"])
-
-    searched, failures = [], []  # (dataset, searched rows, held-out rows, recipe, search result, seconds)
+    datasets, failures = [], []  # failures: (dataset, model, exception)
     for path in args.data:
-        dataset_name = str(path)
         try:
-            ds, _ = load_csv(**_csv_options(args, path))
-            ds, test = _hold_out(ds, grid.k, cfg["seed"])
+            datasets.append((str(path), load_csv(**_csv_options(args, path))[0]))
         except (OSError, ValueError) as exc:
-            failures.append((dataset_name, "*", type(exc).__name__, str(exc)))
-            continue
-        found = _jointly(lambda: search(ds, recipes), f"search of {dataset_name}") if len(recipes) > 1 else None
-        for i, recipe in enumerate(recipes):
-            with _work_item(failures, dataset_name, recipe.name):
-                res, secs = search(ds, [recipe])[0] if found is None else found[i]
-                searched.append((dataset_name, ds, test, recipe, res, secs))
-    # one (dataset, model, search result, search seconds, held-out metrics, refit report) per work item
-    items = []
-    for recipe in recipes:
-        mine = [item for item in searched if item[3] is recipe]
-        fitted = _jointly(lambda: refit(mine), f"refit of {recipe.name}") if len(mine) > 1 else None
-        for k, (dataset_name, _, test, _, res, secs) in enumerate(mine):
-            with _work_item(failures, dataset_name, recipe.name):
-                model, refit_report = refit([mine[k]])[0] if fitted is None else fitted[k]
-                metrics = compute_metrics(test.y, predict(model, test.X))
-                items.append((dataset_name, recipe.name, res, secs, metrics, refit_report))
-    items.sort(key=lambda item: item[:2])
+            failures.append((str(path), "*", exc))
+    records, failed, fallbacks = run_benchmark(
+        datasets, recipes, grid, adam, seed=cfg["seed"], scaling=cfg["scaling"], selection=cfg["cv.selection"]
+    )
+    for what, exc in fallbacks:
+        print(f"joint {what} failed ({type(exc).__name__}: {exc}); running its work items one at a time",
+              file=sys.stderr)
+    for *_, exc in failed:
+        if not isinstance(exc, (ValueError, OSError)):
+            traceback.print_exception(exc)
     # failures in the order of the datasets, then of the recipes
     order = {name: k for k, name in enumerate(["*", *names])}
-    failures.sort(key=lambda failure: (args.data.index(failure[0]), order[failure[1]]))
+    failures = sorted(failures + failed, key=lambda failure: (args.data.index(failure[0]), order[failure[1]]))
 
     os.makedirs(args.outdir, exist_ok=True)
     results_path, timing_path, best_path, cells_path, failures_path = outputs
     write_csv(
         results_path,
         ["dataset", "model", "rmse", "mae", "error_pos", "error_neg"],
-        ([d, m, *map(_fmt, (mt.rmse, mt.mae, mt.error_pos, mt.error_neg))] for d, m, _, _, mt, _ in items),
+        ([r.dataset, r.model, *map(_fmt, (r.metrics.rmse, r.metrics.mae, r.metrics.error_pos, r.metrics.error_neg))]
+         for r in records),
     )
     write_csv(
         timing_path,
         ["dataset", "model", "fit_seconds", "gram_seconds", "search_seconds", "cells"],
         (
-            [d, m, f"{rep.wall_time_seconds:.6f}", f"{rep.gram_seconds:.6f}", f"{secs:.6f}", len(res.cells)]
-            for d, m, res, secs, _, rep in items
+            [r.dataset, r.model, f"{r.refit.wall_time_seconds:.6f}", f"{r.refit.gram_seconds:.6f}",
+             f"{r.search_seconds:.6f}", len(r.search.cells)]
+            for r in records
         ),
     )
     write_csv(
         best_path,
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma", "cv_rmse"],
         (
-            [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, res.best.stat))]
-            for d, m, res, _, _, _ in items
-            for p in [res.best_params]
+            [r.dataset, r.model, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, r.search.best.stat))]
+            for r in records
+            for p in [r.search.best_params]
         ),
     )
     # every cell's fold RMSEs, statistic, steps and stop reason ("halved"
@@ -460,16 +381,17 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma",
          *(f"rmse_fold{j}" for j in range(1, grid.k + 1)), "stat", "iterations", "stop_reason"],
         (
-            [d, m, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, *cell.fold_rmse, cell.stat)),
+            [r.dataset, r.model, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, *cell.fold_rmse, cell.stat)),
              cell.iterations, "halved" if cell.iterations < adam.max_iter else "max_iter"]
-            for d, m, res, _, _, _ in items
-            for cell in res.cells
+            for r in records
+            for cell in r.search.cells
             for p in [cell.params]
         ),
     )
-    print(f"benchmark rows      : {len(items)} -> {results_path}")
+    print(f"benchmark rows      : {len(records)} -> {results_path}")
     if failures:
-        write_csv(failures_path, ["dataset", "model", "error_type", "error"], failures)
+        rows = ([d, m, type(exc).__name__, str(exc)] for d, m, exc in failures)
+        write_csv(failures_path, ["dataset", "model", "error_type", "error"], rows)
         print(f"failed work items   : {len(failures)} -> {failures_path}", file=sys.stderr)
         return 1
     # an earlier run's failures would read as this run's

@@ -2,12 +2,13 @@
 
 One reader, :func:`read_rows`, parses every CSV a command reads: data
 files and rank tables.  Like every input file of the package, it is
-decoded as UTF-8 with an optional byte-order mark.  A row whose cell count
-differs from the first row's, and a non-finite target or feature cell, are
-format errors that name the file and line.  A row with a non-numeric or
-missing target or feature cell is skipped and counted when loading a
-training set (:func:`load_csv`), and is an error when loading features to
-predict on (:func:`load_features`); dropped columns are never parsed.
+decoded as UTF-8 with an optional byte-order mark.  Bytes that are not
+UTF-8, a row whose cell count differs from the first row's, and a
+non-finite target or feature cell are format errors that name the file
+and line.  A row with a non-numeric or missing target or feature cell is
+skipped and counted when loading a training set (:func:`load_csv`), and
+is an error when loading features to predict on (:func:`load_features`);
+dropped columns are never parsed.
 
 The synthetic generators produce five 1-d target functions with a choice
 of Gaussian, uniform, or Student-t noise, always returning the noise-free
@@ -16,6 +17,7 @@ targets alongside the noisy ones.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import numbers
@@ -52,16 +54,35 @@ class Dataset:
         return self.X.shape[0]
 
 
+def not_utf8(path) -> ValueError:
+    """The error for ``path``, which failed to decode as UTF-8 with an
+    optional byte-order mark: a ValueError naming the line of its first
+    byte that is not UTF-8, found in the file, since the decoder reads
+    ahead in chunks."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")
+        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")  # as csv counts lines
+        return ValueError(f"{path}:{line}: not UTF-8 text: byte 0x{raw[exc.start]:02x} ({exc.reason})")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
 def read_rows(path, delimiter: str = ",", has_header: bool = True) -> list[tuple[int, list[str]]]:
     """The non-blank rows of a CSV file, each with its line number.
 
-    The file is decoded as UTF-8 with an optional byte-order mark.  With
-    ``has_header`` the first row is the header, its cells stripped.  Every
-    row must have the first row's width.
+    The file is decoded as UTF-8 with an optional byte-order mark (else
+    :func:`not_utf8`).  With ``has_header`` the first row is the header,
+    its cells stripped.  Every row must have the first row's width.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [(reader.line_num, r) for r in reader if r]  # blank lines carry no data
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            rows = [(reader.line_num, r) for r in reader if r]  # blank lines carry no data
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     if not rows:
         return rows
     width = len(rows[0][1])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -22,7 +23,7 @@ from . import losses
 from .data import Dataset, kfold_split
 from .kernels import KernelSpec
 from .losses import LossSpec
-from .model import fit_cells, predict_cells
+from .model import FitReport, fit_cells, predict, predict_cells
 from .optimizer import AdamConfig
 from .seeding import child_seed
 
@@ -263,9 +264,9 @@ def grid_search_recipes(
     :func:`predict_cells` call per fold scores them.  A run to a rung
     resumed to step T is bit-identical to a run to T in the same stack
     layout, and a stack gives each kind's rows the bits of a stack of that
-    kind alone, so every number equals the one-recipe search's.  The k training sets are built once per call.  An error of
-    any recipe, such as a grid with no finite statistic, fails the whole
-    call.
+    kind alone, so every number equals the one-recipe search's.  The k
+    training sets are built once per call.  An error of any recipe, such
+    as a grid with no finite statistic, fails the whole call.
     """
     if selection not in ("best_fold", "mean"):
         raise ValueError(f"selection must be 'best_fold' or 'mean', got {selection!r}")
@@ -336,6 +337,125 @@ def grid_search_recipes(
             raise ValueError("no grid cell produced a finite fold RMSE")
         out.append(GridSearchResult(best=best, cells=res, folds=folds))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The benchmark protocol: search, refit and score every (dataset, recipe).
+
+
+@dataclass(frozen=True)
+class BenchmarkRecord:
+    """A (dataset, recipe) work item of :func:`run_benchmark` that
+    succeeded: its search, the search seconds apportioned to it, its refit
+    and the refit's metrics on the held-out rows."""
+
+    dataset: str
+    model: str
+    search: GridSearchResult
+    search_seconds: float
+    refit: FitReport
+    metrics: MetricsReport
+
+
+def _hold_out(ds: Dataset, k: int, seed: int) -> tuple[Dataset, Dataset]:
+    """``ds`` split into the rows a benchmark searches and refits on and the
+    rows that score the refit: the first of ``k`` :func:`kfold_split`
+    folds, on a seed stream apart from the search's folds, the same for
+    every recipe."""
+    held = -(-ds.n // k)  # kfold_split's first fold is one of the larger ones
+    if ds.n - held < k:
+        raise ValueError(f"{ds.n} rows are too few for grid.k={k}: holding out {held} rows to score the refit"
+                         f" leaves {ds.n - held}, fewer than the search's {k} folds")
+    test = kfold_split(ds.n, k, child_seed(seed, 0x7E57))[0]
+    return Dataset(np.delete(ds.X, test, axis=0), np.delete(ds.y, test)), Dataset(ds.X[test], ds.y[test])
+
+
+def _jointly(call, items, finish, what, failures, fallbacks):
+    """``finish(output)`` for each work item, a (dataset name, recipe, ...)
+    tuple, with its output of ``call(items)``, the joint work of all of
+    them.  If that raises, it is noted in ``fallbacks`` as ``(what,
+    exception)`` and ``call([item])`` does each item's work alone, so that
+    a failure, noted in ``failures``, stays with its own item."""
+    joint = None
+    if len(items) > 1:
+        try:
+            joint = call(items)
+        except Exception as exc:
+            fallbacks.append((what, exc))
+    for i, item in enumerate(items):
+        try:
+            finish(call([item])[0] if joint is None else joint[i])
+        except Exception as exc:
+            failures.append((item[0], item[1].name, exc))
+
+
+def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int = 0, scaling: str = "minmax",
+                  selection: str = "best_fold") -> tuple[list, list, list]:
+    """Search, refit and score every recipe of ``recipes`` (distinct
+    :class:`ModelRecipe` kinds) on every ``(name, Dataset)`` pair of
+    ``datasets``: the protocol of ``helssvr bench``.
+
+    Each dataset first gives up 1/``grid.k`` of its rows, the first of
+    ``grid.k`` folds on a seed stream apart from the search's, so every
+    recipe of a dataset is scored on the same rows.  One
+    :func:`grid_search_recipes` call per dataset searches its recipes on
+    the other rows; its wall time is apportioned to the recipes in
+    proportion to their cell-steps, not measured per recipe.  One
+    :func:`fit_cells` call per recipe then refits its winning cells, one
+    per dataset, on the searched rows with the Adam seed ``adam.seed``, and
+    :func:`predict` scores each refit on its held-out rows, which neither
+    the search nor the refit saw (Cawley & Talbot 2010).  Every number is
+    bit for bit what a run of one recipe writes.
+
+    Returns ``(records, failures, fallbacks)``: a
+    :class:`BenchmarkRecord` per (dataset, recipe) that succeeded, sorted
+    by (dataset, model); each failed one as ``(dataset, model,
+    exception)``, with model ``*`` for a dataset too small to hold rows
+    out; and each joint search or refit that raised, as ``(what,
+    exception)``, whose work items then ran one at a time, so that a
+    failure stays with its own item.  Prints nothing.
+    """
+    recipes = list(recipes)
+    records, failures, fallbacks = [], [], []
+
+    def search(items):  # items of one dataset: (name, recipe, searched rows, held-out rows)
+        t0 = time.perf_counter()
+        results = grid_search_recipes(items[0][2], grid, [item[1] for item in items], seed=seed, adam=adam,
+                                      scaling=scaling, selection=selection)
+        wall = time.perf_counter() - t0
+        steps = [sum(cell.iterations * len(cell.fold_rmse) for cell in res.cells) for res in results]
+        return [(*item, res, wall * k / sum(steps)) for item, res, k in zip(items, results, steps)]
+
+    # every recipe's refits stack alike, so that the training times (a
+    # stack's wall time split evenly among its rows) compare across recipes
+    def refit(items):  # items of one recipe, as in searched below
+        sets, kernels, cells = [], [], []
+        for k, (_, recipe, ds, _, res, _) in enumerate(items):
+            p = res.best.params
+            sets.append((ds.X, ds.y))
+            kernels.append(recipe.build_kernel(p.sigma))
+            cells.append((k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma, adam.seed))
+        return list(zip(items, fit_cells(sets, kernels, cells, adam, scaling=scaling)))
+
+    def score(fitted):
+        (name, recipe, _, test, res, secs), (model, report) = fitted
+        metrics = compute_metrics(test.y, predict(model, test.X))
+        records.append(BenchmarkRecord(name, recipe.name, res, secs, report, metrics))
+
+    searched = []  # (name, recipe, searched rows, held-out rows, search result, seconds)
+    for name, ds in datasets:
+        try:
+            ds, test = _hold_out(ds, grid.k, seed)
+        except ValueError as exc:
+            failures.append((name, "*", exc))
+            continue
+        items = [(name, recipe, ds, test) for recipe in recipes]
+        _jointly(search, items, searched.append, f"search of {name}", failures, fallbacks)
+    for recipe in recipes:
+        mine = [item for item in searched if item[1] is recipe]
+        _jointly(refit, mine, score, f"refit of {recipe.name}", failures, fallbacks)
+    records.sort(key=lambda r: (r.dataset, r.model))
+    return records, failures, fallbacks
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import SCALING_MODES, ScalingState, inverse_target, scale_features, scale_fit, scale_target
+from .data import SCALING_MODES, ScalingState, inverse_target, not_utf8, scale_features, scale_fit, scale_target
 from .kernels import GramFactors, GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
 from .losses import LossSpec
 from .optimizer import AdamConfig, AdamState, check_cell, objective_value, train_adam
@@ -513,8 +513,12 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8-sig") as fh:
-        return model_from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    return model_from_json(text)
 
 
 __all__ = [

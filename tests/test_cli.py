@@ -693,15 +693,44 @@ class TestJointBench:
         assert ("hawkeye", "10", "halved") in iterations
         assert ("hawkeye", "100", "max_iter") in iterations
 
+    def test_a_recipe_at_the_floor_trains_on_through_a_second_rung(self, tmp_path, capsys):
+        # grid.C=1,100: hawkeye halves its 12 cells at steps 10 and 30, and
+        # least squares cuts its 6 to 4 at step 10; beside hawkeye it then
+        # trains on to step 30 without a cut, which its own bench skips, so
+        # its numbers rest on a run resumed at step 30 equalling a straight one
+        data = [str(tmp_path / "j1.csv"), str(tmp_path / "j2.csv")]
+        for path, function, noise, seed in zip(data, ("1", "2"), ("gaussian", "student"), ("3", "4")):
+            assert main(["synth", "--function", function, "--noise", noise, "--n", "60", "--seed", seed,
+                         "--out", path]) == 0
+        flags = ["--data", *data, "--target", "y", "--drop", "y_true", "--set", "grid.C=1,100",
+                 "--set", "adam.max_iter=100"]
+        capsys.readouterr()
+        outdirs = {}
+        for recipes in ("hawkeye,least_squares", "hawkeye", "least_squares"):
+            outdirs[recipes] = tmp_path / recipes
+            assert main(["bench", *flags, "--recipes", recipes, "--outdir", str(outdirs[recipes])]) == 0
+            assert capsys.readouterr().err == ""
+        joint, alone = outdirs.pop("hawkeye,least_squares"), list(outdirs.values())
+        assert not (joint / "failures.csv").exists()
+        for name in ("best_params.csv", "cells.csv", "results.csv", "timing.csv"):
+            rows = {outdir: read_rows(outdir / name) for outdir in (joint, *alone)}
+            if name == "timing.csv":  # its cells column, not its seconds
+                rows = {outdir: [r[:2] + r[5:] for r in got] for outdir, got in rows.items()}
+            merged = sorted((r for outdir in alone for r in rows[outdir][1:]), key=lambda r: r[:2])
+            assert rows[joint] == [rows[alone[0]][0], *merged]
+        iterations = {(r[1], *r[14:]) for r in read_rows(joint / "cells.csv")[1:]}
+        assert {("hawkeye", "30", "halved"), ("least_squares", "10", "halved")} <= iterations
+        assert main(["rank", "--input", str(joint / "results.csv"), "--out", str(tmp_path / "rank")]) == 0
+
     def test_search_seconds_split_by_cell_steps(self, tmp_path, monkeypatch):
         # a clock that advances 0.5 s per reading: each dataset's joint
         # search takes 0.5 s, shared by its recipes as their cell-steps
         import types
 
-        import helssvr.cli
+        import helssvr.evaluation
 
         ticks = iter(range(1000))
-        monkeypatch.setattr(helssvr.cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.5 * next(ticks)))
+        monkeypatch.setattr(helssvr.evaluation, "time", types.SimpleNamespace(perf_counter=lambda: 0.5 * next(ticks)))
         data = self.datasets(tmp_path)
         outdir = self.bench(tmp_path, "joint", data, self.RECIPES)
         cells, timing = read_rows(outdir / "cells.csv")[1:], read_rows(outdir / "timing.csv")[1:]
@@ -715,18 +744,19 @@ class TestJointBench:
     def test_failed_refit_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
         # least_squares' joint refit fails, and so does each of its refits
         # alone; the other recipes' joint refits run
-        import helssvr.cli
+        import helssvr.evaluation
 
         data = self.datasets(tmp_path)
         want = self.outputs(self.bench(tmp_path, "joint", data, self.RECIPES))
-        real = helssvr.cli.fit_cells
+        real = helssvr.evaluation.fit_cells
 
         def flaky(sets, kernel, cells, *args, **kw):
-            if any(loss.kind == "least_squares" for _, loss, *_ in cells):
+            # a refit passes one kernel per set, a search one for all its sets
+            if isinstance(kernel, list) and any(loss.kind == "least_squares" for _, loss, *_ in cells):
                 raise RuntimeError("refit exploded")
             return real(sets, kernel, cells, *args, **kw)
 
-        monkeypatch.setattr(helssvr.cli, "fit_cells", flaky)
+        monkeypatch.setattr(helssvr.evaluation, "fit_cells", flaky)
         got = self.outputs(self.bench(tmp_path, "flaky", data, self.RECIPES))
         # in the order of the datasets, as a bench one item at a time writes them
         assert got["failures.csv"] == [
@@ -754,7 +784,7 @@ class TestBenchScoresHeldOutRows:
         """Run a bench of two datasets (40 and 45 rows) with spies on the
         search, the refit and the scoring predict; returns the datasets as
         bench loads them, the output directory and what each spy saw."""
-        import helssvr.cli
+        import helssvr.evaluation
         from helssvr.data import load_csv
 
         paths = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
@@ -762,23 +792,25 @@ class TestBenchScoresHeldOutRows:
         write_toy_csv(paths[1], n=45, seed=2)
         seen = {"search": [], "fit": [], "predict": []}
         real_search, real_fit, real_predict = (
-            helssvr.cli.grid_search_recipes, helssvr.cli.fit_cells, helssvr.cli.predict)
+            helssvr.evaluation.grid_search_recipes, helssvr.evaluation.fit_cells, helssvr.evaluation.predict)
 
         def search(ds, *args, **kw):
             seen["search"].append(ds)
             return real_search(ds, *args, **kw)
 
-        def fit_cells(sets, *args, **kw):
-            seen["fit"].extend(X for X, _ in sets)
-            return real_fit(sets, *args, **kw)
+        def fit_cells(sets, kernel, *args, **kw):
+            # a refit passes one kernel per set, a search one for all its sets
+            if isinstance(kernel, list):
+                seen["fit"].extend(X for X, _ in sets)
+            return real_fit(sets, kernel, *args, **kw)
 
         def predict(model, X):
             seen["predict"].append((model.loss.kind, X))
             return real_predict(model, X)
 
-        monkeypatch.setattr(helssvr.cli, "grid_search_recipes", search)
-        monkeypatch.setattr(helssvr.cli, "fit_cells", fit_cells)
-        monkeypatch.setattr(helssvr.cli, "predict", predict)
+        monkeypatch.setattr(helssvr.evaluation, "grid_search_recipes", search)
+        monkeypatch.setattr(helssvr.evaluation, "fit_cells", fit_cells)
+        monkeypatch.setattr(helssvr.evaluation, "predict", predict)
         outdir = tmp_path / "bench"
         rc = main(["bench", "--data", *map(str, paths), "--recipes", ",".join(self.RECIPES),
                    "--outdir", str(outdir), *self.FLAGS])
@@ -851,6 +883,54 @@ class TestBenchScoresHeldOutRows:
             "4 rows are too few for grid.k=3: holding out 2 rows to score the refit"
             " leaves 2, fewer than the search's 3 folds",
         ]]
+
+
+class TestRunBenchmark:
+    """evaluation.run_benchmark is bench's protocol on datasets in memory."""
+
+    def test_records_are_bench_rows_without_any_csv(self, tmp_path, monkeypatch, capsys):
+        from helssvr import AdamConfig, GridSpec, ModelRecipe, run_benchmark
+
+        # the grid and Adam settings of fast_flags(); 4 rows are too few for grid.k=3
+        sets = {name: generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=n, seed=seed))
+                for name, n, seed in (("t2.csv", 45, 2), ("tiny.csv", 4, 3), ("t1.csv", 40, 1))}
+        grid = GridSpec(C_values=(100.0,), sigma_values=(0.3, 1.0), a_values=(1.0,), k=3)
+        recipes = [ModelRecipe("least_squares"), ModelRecipe("hawkeye")]
+        records, failures, fallbacks = run_benchmark(
+            [(name, ds) for name, (ds, _) in sets.items()], recipes, grid, AdamConfig(max_iter=150))
+        assert capsys.readouterr() == ("", "")
+        assert [(d, m, type(exc).__name__) for d, m, exc in failures] == [("tiny.csv", "*", "ValueError")]
+        assert "4 rows are too few for grid.k=3" in str(failures[0][2])
+        assert fallbacks == []
+
+        monkeypatch.chdir(tmp_path)
+        for name, (ds, y_true) in sets.items():
+            write_synthetic_csv(name, ds, y_true)
+        assert main(["bench", "--data", *sets, "--target", "y", "--drop", "y_true",
+                     "--recipes", "least_squares,hawkeye", "--outdir", "bench", *fast_flags()]) == 1
+
+        def fmt(*values):
+            return ["" if v is None else repr(v) for v in values]
+
+        def params(p):
+            return fmt(p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma)
+
+        want = {
+            "results.csv": [[r.dataset, r.model, *fmt(r.metrics.rmse, r.metrics.mae, r.metrics.error_pos,
+                                                       r.metrics.error_neg)] for r in records],
+            "best_params.csv": [[r.dataset, r.model, *params(r.search.best_params), *fmt(r.search.best.stat)]
+                                for r in records],
+            "cells.csv": [[r.dataset, r.model, *params(cell.params), *fmt(*cell.fold_rmse, cell.stat),
+                           str(cell.iterations), "max_iter"] for r in records for cell in r.search.cells],
+            "timing.csv": [[r.dataset, r.model, str(len(r.search.cells))] for r in records],
+        }
+        assert [(r.dataset, r.model) for r in records] == [
+            (d, m) for d in ("t1.csv", "t2.csv") for m in ("hawkeye", "least_squares")]
+        for name, rows in want.items():
+            got = read_rows(tmp_path / "bench" / name)[1:]
+            if name == "timing.csv":  # its cells column, not its seconds
+                got = [r[:2] + r[5:] for r in got]
+            assert got == rows
 
 
 class TestRank:
@@ -1065,9 +1145,9 @@ class TestBenchIsolatesFailures:
         ]
 
     def test_unexpected_exception_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
-        import helssvr.cli
+        import helssvr.evaluation
 
-        real = helssvr.cli.grid_search_recipes
+        real = helssvr.evaluation.grid_search_recipes
 
         # a search fails whenever least_squares is among its recipes: the
         # joint search of every dataset, then least_squares' own search
@@ -1076,7 +1156,7 @@ class TestBenchIsolatesFailures:
                 raise RuntimeError("solver exploded")
             return real(ds, grid, recipes, **kw)
 
-        monkeypatch.setattr(helssvr.cli, "grid_search_recipes", flaky)
+        monkeypatch.setattr(helssvr.evaluation, "grid_search_recipes", flaky)
         d1, d2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         write_toy_csv(d1, seed=1)
         write_toy_csv(d2, seed=2)
@@ -1183,14 +1263,68 @@ class TestByteOrderMark:
         cfg = assemble_config(TestConfigPrecedence().parse_train_args({"config": str(f)}))
         assert cfg["seed"] == 5
 
+    def test_bench_on_marked_data_and_config_files(self, tmp_path, monkeypatch):
+        # a two-recipe bench, run in two directories on the same relative
+        # --data names: with and without the mark, results.csv is the same
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        for name, function, noise, seed in (("d1.csv", 1, "gaussian", 3), ("d2.csv", 2, "student", 4)):
+            ds, y_true = generate_synthetic(SyntheticSpec(function, noise, n_samples=60, seed=seed))
+            write_synthetic_csv(plain / name, ds, y_true)
+        (plain / "run.cfg").write_text("adam.max_iter = 100\n", encoding="utf-8")
+        for name in ("d1.csv", "d2.csv", "run.cfg"):
+            write_with_bom(marked / name, (plain / name).read_text(encoding="utf-8"))
+        results = []
+        for folder in (plain, marked):
+            monkeypatch.chdir(folder)
+            assert main(["bench", "--data", "d1.csv", "d2.csv", "--config", "run.cfg", "--target", "y",
+                         "--drop", "y_true", "--recipes", "hawkeye,least_squares", "--set", "grid.C=1,100",
+                         "--outdir", "bench"]) == 0
+            assert not (folder / "bench" / "failures.csv").exists()
+            results.append((folder / "bench" / "results.csv").read_bytes())
+        assert results[0] == results[1]
+        assert results[0].count(b"\n") == 5  # a header, then 2 datasets x 2 recipes
+
     def test_model_file_loads(self, tmp_path):
+        # predict with a marked model file on a marked data file
         data, model = TestPredict().setup_model(tmp_path)
-        marked = tmp_path / "marked.json"
+        marked, marked_data = tmp_path / "marked.json", tmp_path / "marked.csv"
         write_with_bom(marked, model.read_text(encoding="utf-8"))
+        write_with_bom(marked_data, data.read_text(encoding="utf-8"))
         outs = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
-        for m, out in zip((model, marked), outs):
-            assert main(["predict", "--model", str(m), "--data", str(data), "--target", "y", "--out", str(out)]) == 0
+        for m, d, out in zip((model, marked), (data, marked_data), outs):
+            assert main(["predict", "--model", str(m), "--data", str(d), "--target", "y", "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestNotUtf8:
+    """An input file that is not UTF-8 (here Latin-1's é) is an error naming
+    the file and the line."""
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_train_names_file_and_line(self, tmp_path, capsys, newline):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(newline.join([b"x,y,name", b"1.0,2.0,a", b"", b"0.5,1.5,caf\xe9", b""]))
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--target", "y", "--drop", "name", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {data}:4: not UTF-8 text: byte 0xe9 (invalid continuation byte)\n"
+        assert not out.exists()
+
+    def test_rank_names_file_and_line(self, tmp_path, capsys):
+        table = tmp_path / "latin1.csv"
+        table.write_bytes(b"\xef\xbb\xbfdataset,m1,m2\nd1,0.5,0.2\nd\xe92,0.5,0.3\n")
+        assert main(["rank", "--input", str(table), "--out", str(tmp_path / "r")]) == 3
+        assert f"error: {table}:3: not UTF-8 text: byte 0xe9" in capsys.readouterr().err
+
+    def test_predict_names_the_model_file(self, tmp_path, capsys):
+        data, model = TestPredict().setup_model(tmp_path)
+        text = model.read_bytes()
+        model.write_bytes(text[:1] + b"\n\"note\": \"caf\xe9\"," + text[1:])
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(out)]) == 3
+        assert f"error: {model}:2: not UTF-8 text: byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPredictBadModel:

@@ -150,6 +150,15 @@ class TestReadRows:
         p.write_text("\ufeffx,y\n1,2\n", encoding="utf-8")
         assert read_rows(p) == [(1, ["x", "y"]), (2, ["1", "2"])]
 
+    @pytest.mark.parametrize("rows", [1, 5000], ids=["first-chunk", "past-the-read-ahead"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, rows):
+        # the decoder reads ahead in chunks of a few KiB, so the byte is
+        # found in the file, not where the reader stands
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\xef\xbb\xbfx,y\r\n" + b"1.5,2.5\r\n" * rows + b"\r\n3,caf\xe9\r\n4,5\r\n")
+        with pytest.raises(ValueError, match=rf"t\.csv:{rows + 3}: not UTF-8 text: byte 0xe9 \(invalid continuation"):
+            read_rows(p)
+
 
 class TestLoadFeatures:
     def test_target_is_optional(self, tmp_path):
