@@ -27,6 +27,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_features,
+    not_utf8,
     read_rows,
     write_csv,
     write_synthetic_csv,
@@ -108,7 +109,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "loss.lambda": (1.0, float, "train"),
     "loss.theta": (None, _optional(float), "train"),
     "loss.t": (None, _optional(float), "train"),
-    "kernel.kind": ("rbf", _parse_choice("rbf", "linear"), "train"),
     "kernel.sigma": (1.0, float, "train"),
     "adam.gamma": (0.01, float, "train"),
     "adam.batch_size": (32, int, "train bench"),
@@ -156,8 +156,10 @@ def _read_config_file(cfg: RunConfig, path: str):
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(str(not_utf8(path))) from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -213,10 +215,6 @@ def build_loss(cfg: RunConfig) -> LossSpec:
 
 
 def build_kernel(cfg: RunConfig) -> KernelSpec:
-    if cfg["kernel.kind"] == "linear":
-        if "kernel.sigma" in cfg.explicit:
-            raise ConfigError("kernel.sigma is not a parameter of kernel.kind=linear")
-        return KernelSpec("linear")
     with _config_errors():
         return KernelSpec("rbf", sigma=cfg["kernel.sigma"])
 

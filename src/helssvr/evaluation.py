@@ -392,8 +392,9 @@ def _jointly(call, items, finish, what, failures, fallbacks):
 def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int = 0, scaling: str = "minmax",
                   selection: str = "best_fold") -> tuple[list, list, list]:
     """Search, refit and score every recipe of ``recipes`` (distinct
-    :class:`ModelRecipe` kinds) on every ``(name, Dataset)`` pair of
-    ``datasets``: the protocol of ``helssvr bench``.
+    :class:`ModelRecipe` kinds, else ValueError before any work) on every
+    ``(name, Dataset)`` pair of ``datasets``: the protocol of
+    ``helssvr bench``.
 
     Each dataset first gives up 1/``grid.k`` of its rows, the first of
     ``grid.k`` folds on a seed stream apart from the search's, so every
@@ -416,6 +417,8 @@ def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int
     failure stays with its own item.  Prints nothing.
     """
     recipes = list(recipes)
+    if len({recipe.name for recipe in recipes}) != len(recipes):
+        raise ValueError(f"run_benchmark needs distinct recipes, got {[recipe.name for recipe in recipes]}")
     records, failures, fallbacks = [], [], []
 
     def search(items):  # items of one dataset: (name, recipe, searched rows, held-out rows)

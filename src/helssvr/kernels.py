@@ -1,4 +1,4 @@
-"""Kernel functions and the three forms of a training Gram.
+"""The RBF kernel, the only kernel, and the three forms of a training Gram.
 
 The RBF kernel uses the exp(-||x - z||^2 / sigma^2) parameterization.
 RBF values below the smallest normal double (about 2.2e-308) are flushed to
@@ -53,8 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 RBF = "rbf"
-LINEAR = "linear"
-KERNEL_KINDS = (RBF, LINEAR)
 
 #: exp() of anything below this is subnormal or zero
 _LOG_TINY = np.log(np.finfo(float).tiny)
@@ -87,7 +85,7 @@ GRAM_MAX_BYTES = _physical_memory()
 
 #: a :func:`gram_factor` is complete once its residual diagonal, which
 #: bounds the trace of K - L L^T, sums to at most this share of K's trace
-#: (N for the RBF kernel)
+#: N (an RBF diagonal is all ones)
 FACTOR_TOL = 1e-12
 
 #: most bytes of one block of kernel rows' (b, n) arrays together: its
@@ -100,19 +98,16 @@ BLOCK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus parameters (sigma is the RBF width)."""
+    """The RBF kernel of width sigma: ``kind`` is always ``"rbf"``."""
 
     kind: str
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == RBF:
-            if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
-                raise ValueError("rbf kernel requires sigma > 0")
-        elif self.sigma is not None:
-            raise ValueError("linear kernel does not take sigma")
+        if self.kind != RBF:
+            raise ValueError(f"unknown kernel kind {self.kind!r}: the only kind is {RBF!r}")
+        if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
+            raise ValueError(f"kernel.sigma must be a finite number > 0, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -260,10 +255,9 @@ def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
 
     One point gives an (n,) row, a block a (b, n) array of rows; either is
     written into ``out`` when given, an array of that shape.  Each row of a
-    block is bit-identical to the row of its point alone: the RBF kernel
-    makes only elementwise operations, summing the squared differences of
-    one feature at a time, and the linear kernel keeps one matrix-vector
-    product per point (a matrix product would sum in another order).
+    block is bit-identical to the row of its point alone: it is made by
+    elementwise operations only, summing the squared differences of one
+    feature at a time.
     Raises ValueError for ``x`` of more than two dimensions or no features.
     """
     X = _as_matrix(X)
@@ -283,10 +277,6 @@ def kernel_row(spec: KernelSpec, x, X, out=None) -> np.ndarray:
     elif out.shape != shape:
         raise ValueError(f"kernel rows of shape {shape} need an output of that shape, got {out.shape}")
     rows = out.reshape(Q.shape[0], X.shape[0])
-    if spec.kind == LINEAR:
-        for q, row in zip(Q, rows):
-            np.matmul(X, q, out=row)
-        return out
     np.subtract(X[:, 0], Q[:, :1], out=rows)
     np.square(rows, out=rows)
     scratch = np.empty_like(rows) if X.shape[1] > 1 else None
@@ -378,18 +368,18 @@ def gram_factor(spec: KernelSpec, X) -> GramFactor | None:
     columns' part and divides by the square root of its residual diagonal.
     The factor is complete once the residual diagonal sums to at most
     :data:`FACTOR_TOL` times the trace of K (Harbrecht, Peters & Schneider
-    2012 bound the error by that sum).  An RBF diagonal is all ones; a
-    linear one is ||x||^2, and its factor has at most d columns.  The
-    columns are held in a buffer that doubles as it fills, up to ceil(N/4)
-    columns and :data:`GRAM_MAX_BYTES`; a factor that needs more gives up,
-    before allocating it.  Deterministic: the same inputs give the same bits.
+    2012 bound the error by that sum).  An RBF diagonal is all ones, so a
+    factor has at least one column.  The columns are held in a buffer that
+    doubles as it fills, up to ceil(N/4) columns and
+    :data:`GRAM_MAX_BYTES`; a factor that needs more gives up, before
+    allocating it.  Deterministic: the same inputs give the same bits.
     """
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
         raise ValueError("gram factor of an empty sample set")
-    resid = np.ones(n) if spec.kind == RBF else np.einsum("ij,ij->i", X, X)
-    stop = FACTOR_TOL * resid.sum()
+    resid = np.ones(n)
+    stop = FACTOR_TOL * n
     Lt, r, pivots = np.empty((0, n)), 0, np.empty(n, np.intp)
     while resid.sum() > stop:
         if r == len(Lt):

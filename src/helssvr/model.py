@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import SCALING_MODES, ScalingState, inverse_target, not_utf8, scale_features, scale_fit, scale_target
-from .kernels import GramFactors, GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
+from .kernels import RBF, GramFactors, GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
 from .losses import LossSpec
 from .optimizer import AdamConfig, AdamState, check_cell, objective_value, train_adam
 
@@ -191,9 +191,8 @@ def fit_cells(
     shares, with coefficients L_PP^-T (L^T alpha) (one solve per cell):
     K's pivot rows are exact, so at the training rows it gives L (L^T alpha),
     the fitted values training minimized, and prediction reads r kernel
-    values per query instead of n.  A rank-0 factor keeps
-    that full expansion.  The reports' ``state.alpha`` and objectives keep
-    the n training coefficients, from which a cell resumes.
+    values per query instead of n.  The reports' ``state.alpha`` and
+    objectives keep the n training coefficients, from which a cell resumes.
     """
     sets = [_training_set(X, y) for X, y in sets]
     adam = AdamConfig() if adam is None else adam
@@ -246,7 +245,7 @@ def fit_cells(
         centers = []  # (scaled centers, scaling, Gram seconds per cell) of each set
         for j in group:
             Xs, state_scaling, _ = scaled[j]
-            if j in factors and factors[j].pivots.size:
+            if j in factors:
                 Xs = Xs[factors[j].pivots]  # the centers of the models' expansion
             Xs.flags.writeable = False  # shared by every cell's model
             per_set = sum(len(of[j]) for of in cells_of.values())
@@ -473,9 +472,10 @@ def model_from_json(text: str) -> TrainedModel:
     """Parse a saved model, rejecting fields that could not have been saved.
 
     ``alpha`` must be 1-D, ``x_train`` 2-D and one row per coefficient,
-    both of finite JSON numbers (not text or booleans), and ``C``, the loss parameters and ``kernel.sigma``
-    (null for a linear kernel) finite numbers.  ``scaling.mode`` must be
-    one of ``SCALING_MODES``; a scaled model needs finite target numbers
+    both of finite JSON numbers (not text or booleans), ``C`` and the loss
+    parameters finite numbers, ``kernel.kind`` ``"rbf"`` and
+    ``kernel.sigma`` a finite number > 0.  ``scaling.mode`` must be one of
+    ``SCALING_MODES``; a scaled model needs finite target numbers
     and scaling vectors of one finite entry per feature, an unscaled one
     null in all four fields.  A document that is not a JSON object, a
     missing field or an unknown loss parameter is rejected too.  The error
@@ -489,7 +489,10 @@ def model_from_json(text: str) -> TrainedModel:
     unknown = sorted(set(loss_params) - {f.name for f in fields(LossSpec)})
     if unknown:
         raise ValueError(f"model field 'loss' has unknown parameter {unknown[0]!r}")
-    sigma = None if _member(doc, "kernel.sigma") is None else _number(doc, "kernel.sigma")
+    if (kernel := _member(doc, "kernel.kind")) != RBF:
+        raise ValueError(f"model field 'kernel.kind' must be {RBF!r}, got {kernel!r}")
+    if (sigma := _number(doc, "kernel.sigma")) <= 0:
+        raise ValueError(f"model field 'kernel.sigma' must be > 0, got {sigma!r}")
     alpha = _array_field(_member(doc, "alpha"), "alpha", 1)
     X_train = _array_field(_member(doc, "x_train"), "x_train", 2)
     alpha.flags.writeable = X_train.flags.writeable = False
@@ -500,7 +503,7 @@ def model_from_json(text: str) -> TrainedModel:
     return TrainedModel(
         alpha=alpha,
         X_train=X_train,
-        kernel=KernelSpec(kind=_member(doc, "kernel.kind"), sigma=sigma),
+        kernel=KernelSpec(RBF, sigma=sigma),
         loss=LossSpec(kind=kind, **{k: _number(doc, f"loss.{k}") for k in loss_params}),
         C=_number(doc, "C"),
         scaling=_scaling_from_doc(doc, X_train.shape[1]),

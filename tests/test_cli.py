@@ -104,7 +104,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read config file run.cfg: [Errno 2] No such file or directory"),
         (b"seed = 1\nseed 3\n", "run.cfg:2: expected 'key = value', got 'seed 3'"),
-        (b"seed = \xff\n", "cannot read config file run.cfg: 'utf-8' codec can't decode byte 0xff"),
+        (b"seed = \xff\n", "run.cfg:1: not UTF-8 text: byte 0xff (invalid start byte)"),
     ], ids=["missing", "no-equals", "not-utf8"])
     def test_bad_config_file_exit_2(self, tmp_path, monkeypatch, capsys, content, message):
         monkeypatch.chdir(tmp_path)
@@ -200,9 +200,9 @@ class TestTrain:
         (["C=-1"], "bad value for 'C' (from --set): must be finite and > 0, got -1.0"),
         (["C=nan"], "bad value for 'C' (from --set): must be finite and > 0, got nan"),
         (["C=inf"], "bad value for 'C' (from --set): must be finite and > 0, got inf"),
-        (["kernel.kind=linear", "kernel.sigma=-3"], "kernel.sigma is not a parameter of kernel.kind=linear"),
-        (["kernel.kind=linear", "kernel.sigma=1"], "kernel.sigma is not a parameter of kernel.kind=linear"),
-    ], ids=["C=0", "C=-1", "C=nan", "C=inf", "linear-sigma=-3", "linear-sigma=1"])
+        (["kernel.sigma=-3"], "kernel.sigma must be a finite number > 0, got -3.0"),
+        (["kernel.sigma=nan"], "kernel.sigma must be a finite number > 0, got nan"),
+    ], ids=["C=0", "C=-1", "C=nan", "C=inf", "sigma=-3", "sigma=nan"])
     def test_bad_setting_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, pairs, message):
         import helssvr.cli
 
@@ -368,23 +368,6 @@ class TestPredict:
         main(["predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(out1)])
         main(["predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_linear_kernel_round_trip(self, tmp_path):
-        import json
-
-        from helssvr.model import load_model, predict as lib_predict
-
-        data = tmp_path / "toy.csv"
-        ds = write_toy_csv(data)
-        model = tmp_path / "m.json"
-        assert main(["train", "--data", str(data), "--target", "y", "--drop", "y_true", "--out", str(model),
-                     "--set", "kernel.kind=linear", "--set", "adam.max_iter=50"]) == 0
-        assert json.loads(model.read_text())["kernel"]["kind"] == "linear"
-        out = tmp_path / "p.csv"
-        assert main(["predict", "--model", str(model), "--data", str(data), "--target", "y",
-                     "--drop", "y_true", "--out", str(out)]) == 0
-        got = np.array([float(r[0]) for r in read_rows(out)[1:]])
-        assert np.array_equal(got, lib_predict(load_model(model), ds.X))
 
     def test_empty_input_exit_3(self, tmp_path):
         _, model = self.setup_model(tmp_path)
@@ -601,7 +584,7 @@ class TestBench:
         monkeypatch.setattr(helssvr.cli, "load_csv", no_load)
         outdir = tmp_path / "bench"
         base = ["bench", "--data", str(tmp_path / "toy.csv"), "--recipes", "hawkeye", "--outdir", str(outdir)]
-        rc = main([*base, "--set", "kernel.kind=linear", "--set", "loss.a=0", "--set", "C=5"])
+        rc = main([*base, "--set", "loss.epsilon=0.1", "--set", "loss.a=0", "--set", "C=5"])
         assert rc == 2
         assert "config error: C is not read by bench" in capsys.readouterr().err
         for pair in ("loss.kind=least_squares", "kernel.sigma=2"):
@@ -773,6 +756,69 @@ class TestJointBench:
         assert "joint refit of least_squares failed (RuntimeError: refit exploded); running its work items" in err
 
 
+class TestGramFormsThroughTheCli:
+    """train, predict and bench on sets above the 257-row gate, from which
+    two float64 Grams exceed the 1 MiB stack budget, so that each set's
+    dense Gram would train alone.  At sigma 1 (the default) the Gram's rank
+    is 9: 500 rows at full batch and at mini-batch 32 train on its
+    pivoted-Cholesky factor, and so do 300 rows, one of whose float64 Grams
+    fits the budget but two do not.  At sigma 0.01 the rank reaches
+    500 / 4 = 125 (it is 317), the factor gives up, and the set trains on a
+    float32 Gram, whose gathered mini-batch product numpy makes in float32
+    from a cast of the derivative rows.  pyproject turns numpy
+    RuntimeWarnings into errors."""
+
+    CSV = ["--target", "y", "--drop", "y_true"]
+
+    @staticmethod
+    def synth(tmp_path, n):
+        data = tmp_path / f"s{n}.csv"
+        assert main(["synth", "--function", "1", "--noise", "gaussian", "--n", str(n), "--seed", "7",
+                     "--out", str(data)]) == 0
+        return data
+
+    @pytest.mark.parametrize("n, flags, traced, centers", [
+        (500, ["adam.batch_size=500"], False, 9),
+        (500, ["adam.batch_size=32"], True, 9),
+        (500, ["kernel.sigma=0.01", "adam.batch_size=32"], True, 500),
+        (300, [], False, 9),
+    ], ids=["factor-full-batch", "factor-mini-batch", "float32-fallback", "factor-300-rows"])
+    def test_train_and_predict(self, tmp_path, n, flags, traced, centers):
+        # a factor-trained model keeps the factor's 9 pivot rows as its
+        # centers, the fallback's all 500 rows; a traced run computes the
+        # per-step objective, which only --trace-out turns on, and writes
+        # one header and 101 rows (steps 0..100); the predictions are the
+        # library's predict of the loaded model, bit for bit
+        from helssvr.data import load_features
+        from helssvr.model import load_model, predict
+
+        data = self.synth(tmp_path, n)
+        model, out, trace = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "trace.csv"
+        sets = [arg for pair in [*flags, "adam.max_iter=100"] for arg in ("--set", pair)]
+        trace_out = ["--trace-out", str(trace)] if traced else []
+        assert main(["train", "--data", str(data), *self.CSV, "--out", str(model), *sets, *trace_out]) == 0
+        assert main(["predict", "--model", str(model), "--data", str(data), *self.CSV, "--out", str(out)]) == 0
+        loaded = load_model(model)
+        assert loaded.X_train.shape[0] == centers
+        if traced:
+            assert len(trace.read_text().splitlines()) == 102
+        got = np.array([float(row[0]) for row in read_rows(out)[1:]])
+        X = load_features(data, target_column="y", drop_columns=("y_true",))
+        assert got.tobytes() == predict(loaded, X).tobytes()
+
+    def test_bench_on_stacked_float32_grams(self, tmp_path):
+        # 420 rows at sigma 0.01: the search's 336 rows give four 269-row
+        # folds whose factors give up, so their float32 Grams train three
+        # to a stack (4 n^2 bytes each within the 1 MiB budget), each
+        # mini-batch product gathered from a stack of several sets
+        data = self.synth(tmp_path, 420)
+        outdir = tmp_path / "bench"
+        assert main(["bench", "--data", str(data), *self.CSV, "--recipes", "hawkeye", "--set", "grid.sigma=0.01",
+                     "--set", "grid.C=100", "--set", "adam.max_iter=100", "--outdir", str(outdir)]) == 0
+        assert len(read_rows(outdir / "results.csv")) == 2
+        assert not (outdir / "failures.csv").exists()
+
+
 class TestBenchScoresHeldOutRows:
     """bench holds out 1/grid.k of each dataset's rows, searches and refits
     on the rest, and writes the refit's metrics on the held-out rows."""
@@ -931,6 +977,23 @@ class TestRunBenchmark:
             if name == "timing.csv":  # its cells column, not its seconds
                 got = [r[:2] + r[5:] for r in got]
             assert got == rows
+
+
+    def test_repeated_recipe_rejected_before_any_work(self, monkeypatch):
+        # a repeated recipe would give two records of one (dataset, model)
+        import helssvr.evaluation
+        from helssvr import AdamConfig, GridSpec, ModelRecipe, run_benchmark
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run_benchmark held rows out or trained despite a repeated recipe")
+
+        for name in ("_hold_out", "grid_search_recipes", "fit_cells"):
+            monkeypatch.setattr(helssvr.evaluation, name, no_work)
+        ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=40, seed=1))
+        recipes = [ModelRecipe("hawkeye"), ModelRecipe("least_squares"), ModelRecipe("hawkeye")]
+        with pytest.raises(ValueError, match=r"run_benchmark needs distinct recipes, "
+                                             r"got \['hawkeye', 'least_squares', 'hawkeye'\]"):
+            run_benchmark([("a", ds)], recipes, GridSpec(C_values=(1.0,), sigma_values=(1.0,)), AdamConfig(max_iter=5))
 
 
 class TestRank:
@@ -1381,6 +1444,29 @@ class TestPredictBadModel:
         assert f"model field '{field}' must hold only numbers, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kernel, message", [
+        ({"kind": "linear", "sigma": None}, "model field 'kernel.kind' must be 'rbf', got 'linear'"),
+        ({"kind": "poly", "sigma": 1.0}, "model field 'kernel.kind' must be 'rbf', got 'poly'"),
+        ({"kind": "rbf", "sigma": None}, "model field 'kernel.sigma' must be a finite number, got None"),
+        ({"kind": "rbf", "sigma": -1.0}, "model field 'kernel.sigma' must be > 0, got -1.0"),
+        ({"kind": "rbf", "sigma": 0}, "model field 'kernel.sigma' must be > 0, got 0.0"),
+        ({"sigma": 1.0}, "model field 'kernel.kind' is missing"),
+    ], ids=["linear", "poly", "sigma-null", "sigma-negative", "sigma-zero", "kind-missing"])
+    def test_bad_kernel_names_its_field_exit_3(self, tmp_path, capsys, kernel, message):
+        # RBF is the only kernel: a linear model file, as an older version
+        # saved it (sigma null), names the kind, the first field at fault
+        import json
+
+        data, model = TestPredict().setup_model(tmp_path)
+        doc = json.loads(model.read_text())
+        doc["kernel"] = kernel
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestDroppedTextColumn:
     """A dropped column is never parsed, so it may hold text such as an id."""
 
@@ -1544,6 +1630,14 @@ class TestFlagsPerCommand:
         # of those settings are unknown to every command, train and bench
         # included
         self.assert_unknown(tmp_path, monkeypatch, capsys, command, via, key, value)
+
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("value", ["rbf", "linear"])
+    def test_kernel_kind_key_is_unknown(self, tmp_path, monkeypatch, capsys, command, via, value):
+        # RBF is the only kernel, so the key that chose the kernel family
+        # is unknown to every command, whatever its value
+        self.assert_unknown(tmp_path, monkeypatch, capsys, command, via, "kernel.kind", value)
 
     def assert_unknown(self, tmp_path, monkeypatch, capsys, command, via, key, value):
         # the key exits 2 before any input is read, and nothing is written

@@ -16,10 +16,6 @@ class TestKernelEval:
         # squared distance 4, sigma^2 = 4 -> e^{-1}
         assert kernel_row(spec, [0.0, 0.0], np.array([[2.0, 0.0]]))[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
-    def test_linear_dot_product(self):
-        spec = KernelSpec("linear")
-        assert kernel_row(spec, [1.0, 2.0], np.array([[3.0, 4.0]]))[0] == 11.0
-
     def test_dimension_mismatch(self):
         spec = KernelSpec("rbf", sigma=1.0)
         with pytest.raises(ValueError):
@@ -34,16 +30,15 @@ class TestKernelEval:
             gram_matrix(spec, np.empty((4, 0)))
 
     def test_invalid_specs(self):
-        with pytest.raises(ValueError):
+        for sigma in (None, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"kernel.sigma must be a finite number > 0, got {sigma!r}"):
+                KernelSpec("rbf", sigma=sigma)
+        with pytest.raises(ValueError, match="kernel.sigma must be a finite number > 0, got None"):
             KernelSpec("rbf")
-        with pytest.raises(ValueError):
-            KernelSpec("rbf", sigma=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec("rbf", sigma=-1.0)
-        with pytest.raises(ValueError):
-            KernelSpec("linear", sigma=1.0)
-        with pytest.raises(ValueError):
-            KernelSpec("poly")
+        # RBF is the only kernel
+        for kind, sigma in (("linear", None), ("linear", 1.0), ("poly", 1.0)):
+            with pytest.raises(ValueError, match=f"unknown kernel kind '{kind}': the only kind is 'rbf'"):
+                KernelSpec(kind, sigma=sigma)
 
 
 class TestGram:
@@ -88,10 +83,10 @@ class TestGram:
     def test_rows_match_kernel_row_bitwise(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(12, 4))
-        for spec in (KernelSpec("rbf", sigma=0.9), KernelSpec("linear")):
-            g = gram_matrix(spec, X).values
-            for i in range(12):
-                assert np.array_equal(g[i], kernel_row(spec, X[i], X))
+        spec = KernelSpec("rbf", sigma=0.9)
+        g = gram_matrix(spec, X).values
+        for i in range(12):
+            assert np.array_equal(g[i], kernel_row(spec, X[i], X))
 
     def test_rbf_gram_positive_semidefinite(self):
         rng = np.random.default_rng(7)
@@ -109,16 +104,15 @@ class TestGram:
         assert np.all(np.abs(row - 1.0) < 1e-6)
 
     def test_gram_matrix_type(self):
-        g = gram_matrix(KernelSpec("linear"), np.eye(3))
+        # rows of the identity lie sqrt(2) apart
+        g = gram_matrix(KernelSpec("rbf", sigma=1.0), np.eye(3))
         assert isinstance(g, GramMatrix)
-        assert np.array_equal(g.values, np.eye(3))
+        assert np.array_equal(g.values, np.exp(-2.0 * (1.0 - np.eye(3))))
 
 
 def per_point_row(spec, x, X):
     """One kernel row of one point, its squared distances summed feature by
     feature in column order: the reference for every blocked row."""
-    if spec.kind == "linear":
-        return X @ x
     diff = X - x
     dist2 = diff[:, 0] * diff[:, 0]
     for j in range(1, X.shape[1]):
@@ -159,7 +153,7 @@ class TestBlockedRows:
     """Kernel rows evaluated a block at a time agree bit for bit with the
     per-point formula, whatever the block size."""
 
-    SPECS = (KernelSpec("rbf", sigma=0.7), KernelSpec("linear"))
+    SPEC = KernelSpec("rbf", sigma=0.7)
 
     @staticmethod
     def blocks_of(monkeypatch, rows, n, d):
@@ -170,8 +164,8 @@ class TestBlockedRows:
         assert helssvr.kernels.block_rows(n, d) == rows
 
     @pytest.mark.parametrize("d", [1, 3, 7])
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
-    def test_block_rows_match_per_point_rows(self, spec, d):
+    def test_block_rows_match_per_point_rows(self, d):
+        spec = self.SPEC
         rng = np.random.default_rng(d)
         X, Q = rng.normal(size=(11, d)), rng.normal(size=(8, d))
         block = kernel_row(spec, Q, X)
@@ -185,8 +179,8 @@ class TestBlockedRows:
             assert got.tobytes() == written.tobytes() == per_point_row(spec, q, X).tobytes()
 
     @pytest.mark.parametrize("d", [1, 3, 7])
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
-    def test_gram_in_several_blocks_matches_per_point_rows(self, monkeypatch, spec, d):
+    def test_gram_in_several_blocks_matches_per_point_rows(self, monkeypatch, d):
+        spec = self.SPEC
         # 3 rows per block over 11 rows: blocks of 3, 3, 3 and a partial 2
         X = np.random.default_rng(10 + d).normal(size=(11, d))
         self.blocks_of(monkeypatch, 3, 11, d)
@@ -206,11 +200,11 @@ class TestBlockedRows:
         for i in range(13):
             assert g[i].tobytes() == per_point_row(spec, X[i], X).tobytes()
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
-    def test_float32_gram_is_the_flushed_float64_gram_rounded(self, monkeypatch, spec):
+    def test_float32_gram_is_the_flushed_float64_gram_rounded(self, monkeypatch):
         # blocks of 3, 3, 3 and a partial 2, through one float64 scratch block
         from helssvr.kernels import gram_buffer
 
+        spec = self.SPEC
         X = np.random.default_rng(11).normal(size=(11, 3))
         self.blocks_of(monkeypatch, 3, 11, 3)
         wide = gram_matrix(spec, X).values
@@ -303,8 +297,7 @@ class TestGramBuffer:
 
 class TestGramFactor:
     """The pivoted-Cholesky factor K ~= Lt.T @ Lt: complete to its tolerance,
-    at most d columns for a linear kernel, and None once its rank reaches
-    n/4."""
+    at least one column, and None once its rank reaches n/4."""
 
     @pytest.mark.parametrize("sigma, rank", [(0.5, 13), (2.0, 7)])
     def test_wide_rbf_kernel_on_one_feature(self, sigma, rank):
@@ -327,21 +320,18 @@ class TestGramFactor:
         assert first.Lt.shape[0] < 100
         assert first.Lt.tobytes() == second.Lt.tobytes()
 
-    def test_linear_kernel_has_at_most_d_columns(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(50, 3))
-        factor = gram_factor(KernelSpec("linear"), X)
-        assert factor.Lt.shape == (3, 50)
-        assert np.allclose(factor.Lt.T @ factor.Lt, X @ X.T, rtol=0, atol=1e-12)
-        empty = gram_factor(KernelSpec("linear"), np.zeros((8, 2)))
-        assert empty.Lt.shape == (0, 8) and empty.pivots.shape == (0,)
+    def test_equal_rows_give_rank_one(self):
+        # K is all ones: the first pivot, row 0, completes the factor, so
+        # no RBF factor has rank 0
+        factor = gram_factor(KernelSpec("rbf", sigma=1.0), np.zeros((8, 2)))
+        assert factor.Lt.shape == (1, 8) and factor.pivots.tolist() == [0]
+        assert np.array_equal(factor.Lt, np.ones((1, 8)))
 
     @pytest.mark.parametrize(
         "spec, X",
         [
             (KernelSpec("rbf", sigma=0.5), np.linspace(0.0, 1.0, 363).reshape(-1, 1)),
             (KernelSpec("rbf", sigma=2.0), np.random.default_rng(5).uniform(-1, 1, size=(400, 2))),
-            (KernelSpec("linear"), np.random.default_rng(6).normal(size=(50, 3))),
         ],
     )
     def test_pivot_columns_are_triangular_and_pivot_rows_exact(self, spec, X):

@@ -537,7 +537,7 @@ class TestFitCellsMixedKinds:
     with its own kernel: each kind's cells bit for bit a call of that kind
     alone."""
 
-    kernels = [rbf(0.8), rbf(0.5), KernelSpec("linear"), rbf(1.2)]
+    kernels = [rbf(0.8), rbf(0.5), rbf(0.3), rbf(1.2)]
 
     @staticmethod
     def cells(sets):
@@ -865,14 +865,12 @@ class TestPredictCells:
                 want = inverse_target(scaling, np.array([row @ model.alpha for row in rows]))
                 assert pred.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("spec", [rbf(0.6), KernelSpec("linear")], ids=lambda s: s.kind)
-    def test_blocks_match_per_point_rows(self, monkeypatch, spec):
-        self.check_blocks_match_per_point_rows(monkeypatch, spec, "none")
+    def test_blocks_match_per_point_rows(self, monkeypatch):
+        self.check_blocks_match_per_point_rows(monkeypatch, rbf(0.6), "none")
 
     @pytest.mark.parametrize("mode", ["minmax", "zscore"])
-    @pytest.mark.parametrize("spec", [rbf(0.6), KernelSpec("linear")], ids=lambda s: s.kind)
-    def test_scaled_blocks_match_per_point_rows(self, monkeypatch, spec, mode):
-        self.check_blocks_match_per_point_rows(monkeypatch, spec, mode)
+    def test_scaled_blocks_match_per_point_rows(self, monkeypatch, mode):
+        self.check_blocks_match_per_point_rows(monkeypatch, rbf(0.6), mode)
 
     def test_wide_data_allocates_about_one_block(self):
         import tracemalloc
@@ -1267,30 +1265,6 @@ class TestPivotModel:
         assert np.abs(predict(model, inside) - predict(full, inside)).max() <= 1e-10 * span
         beyond = np.linspace(2 * lo - hi, 2 * hi - lo, 2001).reshape(-1, 1)
         assert np.abs(predict(model, beyond) - predict(full, beyond)).max() <= 1e-6 * span
-
-    def test_rank_zero_factor_keeps_every_row(self, monkeypatch, tmp_path):
-        # all-zero rows under the linear kernel: a rank-0 factor, whose
-        # model keeps the expansion over every training row (zero centers
-        # would leave predict no kernel rows and the file an empty x_train)
-        import helssvr.model
-
-        ranks, real = [], helssvr.model.gram_factor
-
-        def spy(spec, X):
-            factor = real(spec, X)
-            ranks.append(len(factor.pivots))
-            return factor
-
-        monkeypatch.setattr(helssvr.model, "gram_factor", spy)
-        y = np.random.default_rng(2).normal(size=363)
-        model, report = fit(np.zeros((363, 2)), y, KernelSpec("linear"), LossSpec("least_squares"), C=1.0,
-                            adam=AdamConfig(max_iter=5), scaling="none")
-        assert ranks == [0]
-        assert model.X_train.shape == (363, 2) and model.alpha.tobytes() == report.state.alpha.tobytes()
-        queries = np.random.default_rng(3).normal(size=(7, 2))
-        assert np.array_equal(predict(model, queries), np.zeros(7))
-        save_model(model, tmp_path / "m.json")
-        assert predict(load_model(tmp_path / "m.json"), queries).tobytes() == predict(model, queries).tobytes()
 
 
 class TestGoldenModelFile:

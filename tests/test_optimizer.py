@@ -223,7 +223,7 @@ class TestObjectiveGradient:
         assert np.array_equal(g, Kalpha)
 
     def test_out_of_range_batch(self):
-        gram = gram_matrix(KernelSpec("linear"), np.eye(3))
+        gram = GramMatrix(np.eye(3))
         with pytest.raises(ValueError):
             objective_gradient(np.zeros(3), gram, np.zeros(3), 1.0, LossSpec("least_squares"), [3])
 
@@ -321,7 +321,7 @@ class TestTrainAdam:
         assert state.trace[-1] == objective_value(state.alpha, gram, y, C, loss)
 
     def test_empty_dataset_rejected(self):
-        gram = gram_matrix(KernelSpec("linear"), np.eye(2))
+        gram = GramMatrix(np.eye(2))
         with pytest.raises(ValueError):
             train_adam(gram, np.zeros(3), 1.0, LossSpec("least_squares"), AdamConfig())
         with pytest.raises(ValueError, match="cannot train on an empty dataset"):
