@@ -133,7 +133,7 @@ class RunConfig:
 
     def __init__(self):
         self.values = {k: default for k, (default, *_) in CONFIG_SCHEMA.items()}
-        self.explicit: set[str] = set()
+        self.explicit: dict[str, str] = {}  # each key set, and where it was set
 
     def set(self, key: str, raw: str, source: str):
         if key not in CONFIG_SCHEMA:
@@ -141,7 +141,15 @@ class RunConfig:
         parser = CONFIG_SCHEMA[key][1]
         with _config_errors(f"bad value for {key!r} (from {source}): "):
             self.values[key] = parser(raw)
-        self.explicit.add(key)
+        self.explicit[key] = source
+
+    def bad_value(self, keys, exc: ValueError) -> ConfigError:
+        """The ConfigError for ``exc``, a library's rejection of the values
+        of ``keys``: it names each key, its source and its value, as
+        :meth:`set` names a value its parser rejects."""
+        sources = " and ".join(f"{key!r} (from {self.explicit.get(key, 'the default')})" for key in keys)
+        values = " and ".join(repr(self[key]) for key in keys)
+        return ConfigError(f"bad value{'s' * (len(keys) > 1)} for {sources}: {exc}, got {values}")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -210,8 +218,10 @@ def build_loss(cfg: RunConfig) -> LossSpec:
             params[pname] = value
         elif key in cfg.explicit:
             raise ConfigError(f"{key} is not a parameter of loss.kind={kind}")
-    with _config_errors():
+    try:
         return LossSpec(kind, **params)
+    except ValueError as exc:
+        raise cfg.bad_value([f"loss.{'lambda' if name == 'lam' else name}" for name in exc.params], exc) from exc
 
 
 def build_kernel(cfg: RunConfig) -> KernelSpec:
@@ -221,8 +231,14 @@ def build_kernel(cfg: RunConfig) -> KernelSpec:
 
 def build_adam(cfg: RunConfig, collect_trace: bool = False) -> AdamConfig:
     fields = cfg.section("adam")  # each adam.* key names an AdamConfig field
-    with _config_errors():
-        return AdamConfig(**fields, seed=cfg["seed"], collect_trace=collect_trace)
+    # AdamConfig checks each field alone, so a config of one field finds
+    # the key at fault; the parser has already checked the seed
+    for name, value in fields.items():
+        try:
+            AdamConfig(**{name: value})
+        except ValueError as exc:
+            raise cfg.bad_value([f"adam.{name}"], exc) from exc
+    return AdamConfig(**fields, seed=cfg["seed"], collect_trace=collect_trace)
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:

@@ -226,12 +226,14 @@ def grid_search_cv(
     Cells that share a kernel width form one work item per rung: all their
     folds train in one :func:`fit_cells` call, from one step, each fold's
     Gram matrix built once and folds of equal size stacked within its
-    budget.  Cell i's fold j trains with the Adam seed
-    ``child_seed(seed, i, j)``.  Its numbers are bit-identical from run to
-    run for the same grid and ``model.STACK_ROWS``.  A cell that trains all
-    the way with the same stack layout at every rung is bit-identical to an
-    exhaustive search's, and every cell agrees with a standalone
-    :func:`fit` of its steps with that seed to rounding.  Work items run one
+    budget.  Fold j trains every cell with the Adam seed
+    ``child_seed(seed, j)``, so the cells of a fold train on one sequence
+    of mini-batches and differ only in their hyperparameters (common random
+    numbers).  Its numbers are bit-identical from run to run for the same
+    grid and ``model.STACK_ROWS``.  A cell that trains all the way with the
+    same stack layout at every rung is bit-identical to an exhaustive
+    search's, and every cell agrees with a standalone :func:`fit` of its
+    steps with its fold's seed to rounding.  Work items run one
     after another, since each Adam step's Python work holds the GIL.  This
     is the one-recipe case of :func:`grid_search_recipes`.
     """
@@ -256,15 +258,15 @@ def grid_search_recipes(
     still training; every recipe then trains its cells to it and is scored
     there.  Only the recipes above the floor halve, each on its own
     ranking; a recipe at the floor keeps every cell, as its own search
-    trains them straight on.  Each recipe keeps its cell indices, so cell
-    i's fold j of every recipe trains with the Adam seed
-    ``child_seed(seed, i, j)``.  At each rung one :func:`fit_cells` call
-    per kernel width trains the cells of every recipe, all from one step,
-    in shared optimizer stacks on each fold's Gram matrix; one
-    :func:`predict_cells` call per fold scores them.  A run to a rung
-    resumed to step T is bit-identical to a run to T in the same stack
-    layout, and a stack gives each kind's rows the bits of a stack of that
-    kind alone, so every number equals the one-recipe search's.  The k
+    trains them straight on.  Fold j of every cell of every recipe trains
+    with the Adam seed ``child_seed(seed, j)``.  At each rung one
+    :func:`fit_cells` call per kernel width trains the cells of every
+    recipe, all from one step, in shared optimizer stacks on each fold's
+    Gram matrix; one :func:`predict_cells` call per fold scores them.  A
+    run to a rung resumed to step T is bit-identical to a run to T in the
+    same stack layout, every stack on a fold draws the fold's batches, and
+    a stack gives each kind's rows the bits of a stack of that kind alone,
+    so every number equals the one-recipe search's.  The k
     training sets are built once per call.  An error of any recipe, such
     as a grid with no finite statistic, fails the whole call.
     """
@@ -279,6 +281,7 @@ def grid_search_recipes(
     # the k training sets, which every rung and kernel width trains on
     all_idx = np.arange(ds.n)
     sets = [(ds.X[idx], ds.y[idx]) for idx in (np.setdiff1d(all_idx, t, assume_unique=True) for t in folds)]
+    fold_seeds = [child_seed(seed, j) for j in range(len(folds))]
     cells = [_enumerate_cells(grid, recipe) for recipe in recipes]
     # each recipe's latest result per cell, its (cell, fold) optimizer
     # states, and the cells it still trains
@@ -305,13 +308,10 @@ def grid_search_recipes(
             # held-out kernel rows once for all its cells
             params = [cells[r][i] for r, i in owners]
             cell_losses = [recipes[r].build_loss(p.epsilon, p.lam, p.a) for (r, _), p in zip(owners, params)]
-            specs = [
-                (j, loss, p.C, p.gamma, child_seed(seed, i, j))
-                for j in range(len(folds))
-                for (_, i), loss, p in zip(owners, cell_losses, params)
-            ]
+            specs = [(j, loss, p.C, p.gamma) for j in range(len(folds)) for loss, p in zip(cell_losses, params)]
             resume = [states[r].get((i, j)) for j in range(len(folds)) for r, i in owners]
-            fitted = fit_cells(sets, recipes[0].build_kernel(sigma), specs, run, scaling=scaling, resume=resume)
+            fitted = fit_cells(sets, recipes[0].build_kernel(sigma), specs, run, scaling=scaling, resume=resume,
+                               seeds=fold_seeds)
             found = [CellResult(p, [], steps, math.nan) for p in params]
             for j, test_idx in enumerate(folds):
                 fold_fits = fitted[j * len(owners) : (j + 1) * len(owners)]
@@ -403,8 +403,9 @@ def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int
     the other rows; its wall time is apportioned to the recipes in
     proportion to their cell-steps, not measured per recipe.  One
     :func:`fit_cells` call per recipe then refits its winning cells, one
-    per dataset, on the searched rows with the Adam seed ``adam.seed``, and
-    :func:`predict` scores each refit on its held-out rows, which neither
+    per dataset, on the searched rows with the Adam seed ``adam.seed``; each
+    is the only cell of its set, so it is bit for bit a :func:`fit` of its
+    own.  :func:`predict` scores each refit on its held-out rows, which neither
     the search nor the refit saw (Cawley & Talbot 2010).  Every number is
     bit for bit what a run of one recipe writes.
 
@@ -437,7 +438,7 @@ def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int
             p = res.best.params
             sets.append((ds.X, ds.y))
             kernels.append(recipe.build_kernel(p.sigma))
-            cells.append((k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma, adam.seed))
+            cells.append((k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma))
         return list(zip(items, fit_cells(sets, kernels, cells, adam, scaling=scaling)))
 
     def score(fitted):
@@ -571,6 +572,10 @@ def rank_models(
     places (>= 0) before the test statistics are computed, which matches
     how the statistics are conventionally recomputed from 4-decimal
     published rank tables; pass None to use the exact averages.
+
+    Raises ValueError, naming ``rank.tie=fractional``, when the chi-square
+    statistic of the exact averages lies outside [0, D(p-1)], as it can
+    when competition ranks of tied models sum to less than p(p+1)/2.
     """
     values = np.asarray(table, dtype=float)
     if values.ndim != 2:
@@ -605,7 +610,17 @@ def rank_models(
         )
 
     chi2 = friedman_chi2(stat_ranks, D, p)
-    f_f = iman_davenport_F(chi2, D, p) if D * (p - 1) > chi2 else math.inf
+    # the statistic lies in [0, D(p-1)] when each dataset's ranks sum to
+    # p(p+1)/2; checked on the exact averages, with room for rounding only,
+    # so that rank_decimals' truncation cannot trip it
+    exact, top = friedman_chi2(avg_ranks, D, p), D * (p - 1)
+    if not -1e-9 * top <= exact <= top * (1 + 1e-9):
+        raise ValueError(
+            f"the Friedman chi-square {chi2:.4f} lies outside [0, D(p-1)] = [0, {top}]: it assumes that each"
+            f" dataset's ranks sum to p(p+1)/2, which {tie} ranks of tied models or absent entries break;"
+            " rank with rank.tie=fractional on a table without absent entries"
+        )
+    f_f = iman_davenport_F(chi2, D, p) if top > chi2 else math.inf
     if q_alpha is None:
         if p not in NEMENYI_Q_ALPHA_05:
             raise ValueError(f"no built-in q_alpha for p={p}; pass q_alpha explicitly")

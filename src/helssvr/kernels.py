@@ -32,20 +32,24 @@ stacks while their Grams' bytes fit the stack budget
 Both classes make the products :func:`helssvr.optimizer.train_adam` needs
 through the same methods, so the trainer never asks which form it holds:
 ``products`` makes K a for every row a of a stack, per span of rows of
-one set; ``batch_products`` makes a mini-batch's K_B^T d per row, on its
-gathered batch rows; ``one_set`` is one set's Gram in its form, on which
-:func:`helssvr.optimizer.objective_value` makes K alpha as the one-row
-product.  A span of one row runs as a GEMV (for a factor the GEMV pair
-L (L^T a)), the product a one-cell run makes; a span of several rows as
-one GEMM (pair), which sums in another order and so differs in the last
-bits; a span of one row per set as each set's GEMV, bit for bit.  A dense
-Gram makes every product in its own dtype: numpy rounds the float64
-operand to float32 and widens the product into the float64 result, and a
-float32 Gram is never upcast.  A factor's products are float64.
+one set; ``batch_products`` makes a mini-batch's K_B^T d in the same
+spans, on each set's batch rows (one batch per set, which all of its
+rows share), gathered once per call; ``one_set`` is one set's Gram in
+its form, on which :func:`helssvr.optimizer.objective_value` makes
+K alpha as the one-row product.  A span of one row runs as a GEMV (for a
+factor the GEMV pair L (L^T a)), the product a one-cell run makes; a
+span of several rows as one GEMM (pair), which sums in another order and
+so differs in the last bits; a span of the same number of rows of each
+set as each set's GEMVs or GEMMs, in one broadcast matmul for a dense
+Gram, bit for bit.  A dense Gram makes every product in its own dtype:
+numpy rounds the float64 operand to float32 and widens the product into
+the float64 result, and a float32 Gram is never upcast.  A factor's
+products are float64.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -138,30 +142,44 @@ class GramMatrix:
 
         ``A`` and ``out`` are C-contiguous (m, N) arrays whose rows come in
         blocks of one set; ``spans`` lists each block's (k, slice of rows),
-        in row order, a k of None marking a block of one row per set, in
-        set order.  A block of several rows runs as one GEMM, A_k @ K_k,
-        which equals K_k applied to each row because K_k is symmetric; a
-        block of one row per set as one broadcast ``K @ a``, which numpy
-        runs as the GEMV of each set (see the module docstring).  The
-        result depends only on the block sizes, not on what else is in
-        ``A``.
+        in row order, a k of None marking a block of the same number of
+        rows of each set, in set order.  A block of several rows runs as
+        one GEMM, A_k @ K_k, which equals K_k applied to each row because
+        K_k is symmetric, and a block of one row as the GEMV K_k @ a.  A
+        block of set None makes the GEMVs or GEMMs of all sets in one
+        broadcast matmul, which numpy runs as those of each set (see the
+        module docstring).  The result depends only on the block sizes, not
+        on what else is in ``A``.
         """
         K = self.values.reshape(-1, self.n, self.n)
         for k, rows in spans:
-            if k is None:
+            if k is None and rows.stop - rows.start == len(K):
                 np.matmul(K, A[rows, :, None], out=out[rows, :, None], dtype=K.dtype)
+            elif k is None:
+                np.matmul(_by_set(A[rows], len(K)), K, out=_by_set(out[rows], len(K)), dtype=K.dtype)
             elif rows.stop - rows.start == 1:
                 np.matmul(K[k], A[rows.start], out=out[rows.start], dtype=K.dtype)
             else:
                 np.matmul(A[rows], K[k], out=out[rows], dtype=K.dtype)
 
-    def batch_products(self, batch, D, out, spans, sets) -> None:
-        """Store K_k[batch[r]].T @ D[r] in ``out[r]`` for every row r, with
-        k = ``sets[r]``: one GEMV per row on its gathered batch rows, the
-        gather a temporary.  ``spans`` is as for :meth:`products`."""
+    def batch_products(self, batch, D, out, spans) -> None:
+        """Store K_k[batch[k]].T @ D[r] in ``out[r]`` for every row r of
+        every set k: ``batch`` is the (f, s) mini-batch of each set, whose
+        Gram rows are gathered once, one (f, s, n) temporary, for every row
+        of the set.  ``spans`` is as for :meth:`products`: a block of one row
+        runs as a GEMV, of several rows as one GEMM, D_k @ K_k[batch[k]],
+        and a block of set None as those of every set in one broadcast."""
         K = self.values.reshape(-1, self.n, self.n)
-        KB = K[sets[:, None], batch]
-        np.matmul(KB.transpose(0, 2, 1), D[:, :, None], out=out[:, :, None], dtype=K.dtype)
+        KB = K[np.arange(len(K))[:, None], batch]
+        for k, rows in spans:
+            if k is None and rows.stop - rows.start == len(K):
+                np.matmul(KB.transpose(0, 2, 1), D[rows, :, None], out=out[rows, :, None], dtype=K.dtype)
+            elif k is None:
+                np.matmul(_by_set(D[rows], len(K)), KB, out=_by_set(out[rows], len(K)), dtype=K.dtype)
+            elif rows.stop - rows.start == 1:
+                np.matmul(KB[k].T, D[rows.start], out=out[rows.start], dtype=K.dtype)
+            else:
+                np.matmul(D[rows], KB[k], out=out[rows], dtype=K.dtype)
 
 
 @dataclass(frozen=True)
@@ -210,26 +228,41 @@ class GramFactors(tuple):
 
     def products(self, A, out, spans) -> None:
         """:meth:`GramMatrix.products` on the factors: store
-        L_k (L_k^T A[r]) in ``out[r]``, each row on its own set's factor."""
+        L_k (L_k^T A[r]) in ``out[r]``, each row on its own set's factor, a
+        GEMV pair per block of one row and a GEMM pair per block of
+        several, a block of set None split into its sets' blocks."""
         for k, rows in spans:
-            if k is not None and rows.stop - rows.start > 1:
-                np.matmul(np.matmul(A[rows], self[k].Lt.T), self[k].Lt, out=out[rows])
-                continue
-            for i, r in enumerate(range(rows.start, rows.stop)):
-                Lt = self[i if k is None else k].Lt
-                np.matmul(np.matmul(Lt, A[r]), Lt, out=out[r])
+            for i, part in _shares(rows.start, rows.stop, len(self)) if k is None else ((k, rows),):
+                Lt = self[i].Lt
+                if part.stop - part.start == 1:
+                    np.matmul(np.matmul(Lt, A[part.start]), Lt, out=out[part.start])
+                else:
+                    np.matmul(np.matmul(A[part], Lt.T), Lt, out=out[part])
 
-    def batch_products(self, batch, D, out, spans, sets) -> None:
+    def batch_products(self, batch, D, out, spans) -> None:
         """:meth:`GramMatrix.batch_products` on the factors: store
-        L_k (L_k[batch[r]]^T D[r]) in ``out[r]``, two GEMVs per row on its
-        gathered rows of its set's L, in one call per block of one set and
-        one per row of a block of one row per set."""
+        L_k (L_k[batch[k]]^T D[r]) in ``out[r]``, with each set's (s, r)
+        batch rows of L gathered once for all of its rows: a GEMV pair per
+        row of a block of one row, and one GEMM pair per block of several."""
         for k, rows in spans:
-            if k is not None:
-                np.matmul(np.matmul(D[rows, None, :], self[k].Lt.T[batch[rows]]), self[k].Lt, out=out[rows, None, :])
-                continue
-            for i, r in enumerate(range(rows.start, rows.stop)):
-                np.matmul(np.matmul(D[r], self[i].Lt.T[batch[r]]), self[i].Lt, out=out[r])
+            for i, part in _shares(rows.start, rows.stop, len(self)) if k is None else ((k, rows),):
+                Lt = self[i].Lt
+                np.matmul(np.matmul(D[part], Lt.T[batch[i]]), Lt, out=out[part])
+
+
+@functools.lru_cache(maxsize=256)
+def _shares(start: int, stop: int, f: int) -> tuple:
+    """Each set's (set, slice of rows) of a block of rows start..stop that
+    holds the same number of rows of each of f sets, in set order; cached,
+    since a trainer asks for the same blocks at every step."""
+    share = (stop - start) // f
+    return tuple((i, slice(start + i * share, start + (i + 1) * share)) for i in range(f))
+
+
+def _by_set(rows: np.ndarray, f: int) -> np.ndarray:
+    """A block of the same number of rows of each of f sets, in set order,
+    as an (f, rows per set, N) view."""
+    return rows.reshape(f, -1, rows.shape[-1])
 
 
 def _as_matrix(X) -> np.ndarray:

@@ -28,6 +28,13 @@ CANAL = "canal"
 BOUNDED_LEAST_SQUARES = "bounded_least_squares"
 
 
+def _param_error(message: str, *params: str) -> ValueError:
+    """A ValueError whose ``params`` attribute names the fields at fault."""
+    exc = ValueError(message)
+    exc.params = params
+    return exc
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """A loss kind plus its hyperparameters.
@@ -60,24 +67,24 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise _param_error(f"unknown loss kind {self.kind!r}", "kind")
         record = _KINDS[self.kind]
         for name in ("epsilon", "a", "lam", "theta", "t"):
             val = getattr(self, name)
             if name in record.params:
                 if val is None:
-                    raise ValueError(f"{self.kind} loss requires parameter {name!r}")
+                    raise _param_error(f"{self.kind} loss requires parameter {name!r}", name)
                 if not np.isfinite(val):
-                    raise ValueError(f"{self.kind} loss parameter {name!r} must be finite")
+                    raise _param_error(f"{self.kind} loss parameter {name!r} must be finite", name)
             elif val is not None:
-                raise ValueError(f"{self.kind} loss does not take parameter {name!r}")
+                raise _param_error(f"{self.kind} loss does not take parameter {name!r}", name)
         for name, bound, strict in record.rules:
             val = getattr(self, name)
             limit = getattr(self, bound) if isinstance(bound, str) else bound
             if val < limit or (strict and val == limit):
-                raise ValueError(f"{self.kind} loss requires {name} {'>' if strict else '>='} {bound}")
+                raise _param_error(f"{self.kind} loss requires {name} {'>' if strict else '>='} {bound}", name)
         if self.kind == HAWKEYE and not np.isfinite(self.lam * self.a):
-            raise ValueError("hawkeye loss requires a finite lam * a")
+            raise _param_error("hawkeye loss requires a finite lam * a", "lam", "a")
 
     def params(self) -> dict:
         """Hyperparameters actually carried by this kind, as a dict."""

@@ -23,7 +23,7 @@ import numpy as np
 from .data import SCALING_MODES, ScalingState, inverse_target, not_utf8, scale_features, scale_fit, scale_target
 from .kernels import RBF, GramFactors, GramMatrix, KernelSpec, block_rows, gram_buffer, gram_factor, gram_matrix, kernel_row
 from .losses import LossSpec
-from .optimizer import AdamConfig, AdamState, check_cell, objective_value, train_adam
+from .optimizer import AdamConfig, AdamState, check_cell, check_seed, objective_value, train_adam
 
 MODEL_FORMAT = "helssvr-model-v1"
 
@@ -139,7 +139,7 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_cells(
-    sets, kernel, cells, adam: AdamConfig | None = None, scaling: str = "minmax", resume=None
+    sets, kernel, cells, adam: AdamConfig | None = None, scaling: str = "minmax", resume=None, seeds=None
 ) -> list[tuple[TrainedModel, FitReport]]:
     """Train cells of one or more loss kinds on one or more training sets
     with one Adam configuration.
@@ -147,15 +147,18 @@ def fit_cells(
     ``sets`` holds ``(X, y)`` training sets, such as the folds of a cross
     validation, and ``kernel`` is one :class:`KernelSpec` for all of them
     or a sequence of one per set.  ``cells`` holds
-    ``(set, loss, C, gamma, seed)``: the index of the cell's training set,
-    then its loss, C, learning rate and Adam seed, which replace
-    ``adam``'s (None means the defaults) and are checked as
-    :func:`~helssvr.optimizer.train_adam` checks them, naming the cell.
-    Returns one (model, report) per cell, trained to ``adam.max_iter``
-    steps (``report.state.t``).  ``resume`` optionally gives each
-    cell a ``FitReport.state`` of an earlier call with the same set, loss
-    and C, from which it trains on to ``adam.max_iter`` steps (None starts
-    it fresh).  The Grams are built again.
+    ``(set, loss, C, gamma)``: the index of the cell's training set, then
+    its loss, C and learning rate, which replaces ``adam.gamma`` (an
+    ``adam`` of None means the defaults), checked as
+    :func:`~helssvr.optimizer.train_adam` checks them, naming the cell.  ``seeds`` gives each set's Adam seed (all
+    ``adam.seed`` by default): every cell of a set trains on the mini-batches
+    that seed draws, in whichever stack it trains.  Returns one (model,
+    report) per cell, trained to ``adam.max_iter`` steps
+    (``report.state.t``).  ``resume`` optionally gives each cell a
+    ``FitReport.state`` of an earlier call with the same set, loss and C,
+    from which it trains on to ``adam.max_iter`` steps (None starts it
+    fresh); the states of one set's cells must hold its generator in one
+    state.  The Grams are built again.
 
     Each set is scaled and gets its Gram form once: a float64 Gram below 257
     rows, where two of them fit :data:`STACK_GRAM_BYTES`; from there a
@@ -177,8 +180,9 @@ def fit_cells(
     :func:`helssvr.optimizer.train_adam`).  A cell that trains as the only
     row of its kind and set in its chunk is bit-identical to a :func:`fit`
     of that cell alone; one that shares its set's Gram products with other
-    rows of its kind agrees with it to rounding.  A run resumed to step T is
-    bit-identical to a run to T in the same stack layout.
+    rows of its kind agrees with it to rounding; both with the set's seed.
+    A run resumed to step T is bit-identical to a run to T in the same
+    stack layout.
 
     A factor-trained set's models differ from a float64 fit's by the
     factor's error, which its tolerance bounds, and a float32-trained
@@ -202,10 +206,15 @@ def fit_cells(
     cells = list(cells)
     if not cells:
         raise ValueError("fit_cells needs at least one cell")
-    for i, (_, _, C, gamma, seed) in enumerate(cells):
-        check_cell(gamma, seed, C, f": cell {i}")
+    for i, (_, _, C, gamma) in enumerate(cells):
+        check_cell(gamma, C, f": cell {i}")
     if not all(0 <= j < len(sets) for j, *_ in cells):
         raise ValueError(f"cell training set indices must lie in [0, {len(sets)})")
+    seeds = [adam.seed] * len(sets) if seeds is None else list(seeds)
+    if len(seeds) != len(sets):
+        raise ValueError(f"fit_cells got {len(seeds)} seeds for {len(sets)} training sets")
+    for j, seed in enumerate(seeds):
+        check_seed(seed, f": set {j}")
     resume = [None] * len(cells) if resume is None else list(resume)
     if len(resume) != len(cells):
         raise ValueError(f"fit_cells got {len(resume)} resume states for {len(cells)} cells")
@@ -268,10 +277,11 @@ def fit_cells(
                 stacks[-1][1].extend(chunk)
         for _, stack_rows in stacks:
             folds, rows = zip(*stack_rows)
-            _, losses, Cs, gammas, seeds = zip(*(cells[i] for i in rows))
+            _, losses, Cs, gammas = zip(*(cells[i] for i in rows))
             t1 = time.perf_counter()
             stack = train_adam(
-                gram, ys, Cs, losses, adam, gamma=gammas, seed=seeds, fold=folds, resume=[resume[i] for i in rows],
+                gram, ys, Cs, losses, adam, gamma=gammas, seed=[seeds[j] for j in group], fold=folds,
+                resume=[resume[i] for i in rows],
             )
             wall = (time.perf_counter() - t1) / len(rows)
             for k, i, loss, C, state in zip(folds, rows, losses, Cs, stack.states):
@@ -312,7 +322,7 @@ def fit(
     separately.  This is the one-cell case of :func:`fit_cells`.
     """
     adam = AdamConfig() if adam is None else adam
-    return fit_cells([(X, y)], kernel, [(0, loss, C, adam.gamma, adam.seed)], adam, scaling)[0]
+    return fit_cells([(X, y)], kernel, [(0, loss, C, adam.gamma)], adam, scaling)[0]
 
 
 def predict_cells(models, X_new) -> list[np.ndarray]:

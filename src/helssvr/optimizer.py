@@ -7,27 +7,29 @@ The trainer minimizes, over the coefficient vector alpha,
 
 where K is the training Gram matrix, in any of the forms of
 :mod:`helssvr.kernels`, and L any loss from :mod:`helssvr.losses`.  Each
-iteration draws a fresh uniform mini-batch without replacement; the
-quadratic term's gradient K alpha is computed exactly every step, while the
-loss-sum gradient is restricted to the batch rows.  One call can train
-several cells (C, loss and Adam settings), of one loss kind or several, on
-one training set or on several of equal size.  A cell alone among its kind's
-cells in its training set computes exactly what a run of its own does; cells
-of one kind that share a set share its Gram products, which agree with a run
-of their own to rounding (see :func:`train_adam`).
+iteration draws a fresh uniform mini-batch of each training set without
+replacement; the quadratic term's gradient K alpha is computed exactly every
+step, while the loss-sum gradient is restricted to the batch rows.  One call
+can train several cells (C, loss and learning rate), of one loss kind or
+several, on one training set or on several of equal size.  The cells of a
+set share its mini-batches, drawn from the set's seed.  A cell alone among
+its kind's cells in its training set computes exactly what a run of its own
+with that seed does; cells of one kind that share a set share its Gram
+products, which agree with a run of their own to rounding (see
+:func:`train_adam`).
 """
 
 from __future__ import annotations
 
-import copy
 import numbers
+import pickle
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
 from .losses import LossSpec, loss_derivative, loss_value, stack_losses
-from .seeding import make_rng, sample_without_replacement
+from .seeding import copy_rng, make_rng, sample_without_replacement
 
 #: weight of the previous average in the coefficients :func:`train_adam`
 #: returns: avg_t = w avg_{t-1} + (1 - w) alpha_t from avg_0 = 0, divided
@@ -62,19 +64,25 @@ class AdamConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
-        check_cell(self.gamma, self.seed)
+        check_cell(self.gamma)
+        check_seed(self.seed)
         for name in ("batch_size", "max_iter"):
             if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
                 raise ValueError(f"adam {name} must be an integer >= 1")
 
 
-def check_cell(gamma, seed, C=None, where=""):
+def check_cell(gamma, C=None, where=""):
     """Raise ValueError, ending in ``where``, unless ``gamma`` is finite and
-    > 0, ``seed`` an integer >= 0 and ``C``, where given, finite and > 0."""
+    > 0 and ``C``, where given, finite and > 0."""
     if C is not None and not 0 < C < np.inf:
         raise ValueError(f"C must be finite and > 0{where}")
     if not 0 < gamma < np.inf:
         raise ValueError(f"adam gamma must be finite and > 0{where}")
+
+
+def check_seed(seed, where=""):
+    """Raise ValueError, ending in ``where``, unless ``seed`` is an integer
+    >= 0."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"adam seed must be an integer >= 0{where}")
 
@@ -87,8 +95,8 @@ class AdamState:
     :func:`train_adam` trains m cells together.  A state :func:`train_adam`
     returns also holds what its ``resume`` argument needs to continue the
     cell: the raw iterate (``alpha`` is the averaged one), the average
-    before its bias correction and the cell's generator.  :func:`adam_step`
-    leaves these unset.
+    before its bias correction and a copy of its training set's generator.
+    :func:`adam_step` leaves these unset.
     """
 
     alpha: np.ndarray
@@ -188,12 +196,14 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     state, whose coefficients are the moving average of the iterates.  A
     fresh cell's coefficients and moments start at :data:`START`.
 
-    A fresh mini-batch of size min(batch_size, N) is drawn uniformly
-    without replacement at every iteration.  The batches are drawn up to
-    the next multiple of N steps at a time, in one sampler call per cell,
-    and are the batches one draw per step would give.  Residuals use the
-    full coefficient vector against the batch's Gram rows.  The run is
-    bit-reproducible for a fixed config (including the seed).
+    Each training set draws a fresh mini-batch of size min(batch_size, N)
+    uniformly without replacement at every iteration, from its own
+    generator, and every cell on the set trains on it, so the cells of a set
+    are compared on common random numbers.  The batches are drawn up to the
+    next multiple of N steps at a time, in one sampler call per set, and are
+    the batches one draw per step would give.  Residuals use the full
+    coefficient vector against the batch's Gram rows.  The run is
+    bit-reproducible for a fixed config (including the seeds).
 
     When ``collect_trace`` is set, ``state.trace[t]`` holds H(alpha_t) for
     t = 0..T, except that the last entry is H of the returned coefficients
@@ -206,43 +216,47 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
 
     ``resume`` continues earlier runs: a state this function returned,
     given with the cell's settings and set of that run, trains on from its
-    step t to ``cfg.max_iter``, with its own generator and trace;
-    ``cfg.seed`` and ``seed`` then play no part.  The cells resumed in one
-    call must share t.  The states passed in are left as they were.
-    A run to step k resumed to step T is bit-identical to a run to T in the
-    same stack layout (below): a resumed cell draws the rest of its block
-    of batches, and a block of draws is bit for bit the successive draws
+    step t to ``cfg.max_iter`` with its own trace.  Its set draws on from
+    the generator its states hold, so ``cfg.seed`` and ``seed`` then play no
+    part: the cells of one set resumed in one call must hold generators in
+    one state, else ValueError naming the set.  The cells resumed in one
+    call must share t.  The states passed in are left as they were.  A run
+    to step k resumed to step T is bit-identical to a run to T in the same
+    stack layout (below): a resumed set draws the rest of its block of
+    batches, and a block of draws is bit for bit the successive draws
     (:func:`~helssvr.seeding.sample_without_replacement`).
 
     To train m cells at once, pass ``C`` and ``loss`` as sequences of m
-    values, and optionally ``gamma``, ``seed`` and ``resume`` as sequences
-    that replace ``cfg``'s learning rate and seed, and the fresh start, per
-    cell (a None in ``resume`` starts that cell fresh); ``cfg`` gives every
-    other setting.  Each cell's C, learning rate and seed are checked
-    (:func:`check_cell`), and an error names the cell.  The
-    call then returns an :class:`AdamStack`.  ``gram`` is a Gram in any
-    form of :mod:`helssvr.kernels`, of one training set of N rows with
-    ``y`` of shape (N,), or of f sets of N rows each with ``y`` the (f, N)
-    targets, and ``fold`` each cell's set (all 0 by default).  A non-finite
-    residual raises a ValueError that names the step and each affected cell
-    (its position in ``C``) and set; the whole stack stops.  The residual
-    block is checked once per step, before the loss derivative, and with
-    ``collect_trace`` once more before the objectives.
+    values, and optionally ``gamma`` and ``resume`` as sequences that
+    replace ``cfg``'s learning rate, and the fresh start, per cell (a None
+    in ``resume`` starts that cell fresh); ``cfg`` gives every other
+    setting.  Each cell's C and learning rate are checked
+    (:func:`check_cell`), and an error names the cell.  The call then
+    returns an :class:`AdamStack`.  ``gram`` is a Gram in any form of
+    :mod:`helssvr.kernels`, of one training set of N rows with ``y`` of
+    shape (N,), or of f sets of N rows each with ``y`` the (f, N) targets,
+    ``fold`` each cell's set (all 0 by default) and ``seed`` each set's
+    Adam seed (all ``cfg.seed`` by default; :func:`check_seed`, an error
+    naming the set).  A non-finite residual raises a ValueError that names
+    the step and each affected cell (its position in ``C``) and set; the
+    whole stack stops.  The residual block is checked once per step, before
+    the loss derivative, and with ``collect_trace`` once more before the
+    objectives.
 
     The cells may be of several loss kinds.  Their coefficient, moment and
     residual vectors are stacked as the rows of (m, N) arrays, grouped by
     kind (in order of first appearance) and within a kind by set, each in
     cell order, so the elementwise work of a step runs once for all of
     them, the loss derivative once per kind, in buffers allocated once per
-    call.  Each cell keeps its own targets, mini-batch draws and trace, and
-    its row from its start step to ``cfg.max_iter``.  The Gram makes
-    K alpha (and, at full batch, K d) per block of one kind and set, a block
-    of one row per set when the kind holds one row in each, and a
-    mini-batch's K_B^T d per row on its gathered batch rows (see
+    call.  Each cell keeps its own targets and trace, and its row from its
+    start step to ``cfg.max_iter``.  The Gram makes K alpha (and, at full
+    batch, K d), and a mini-batch's K_B^T d on each set's batch rows,
+    gathered once per step, per block of one kind and set, one block of
+    all sets when the kind holds the same number of rows in each (see
     :mod:`helssvr.kernels`).  So, in every form:
 
     * a cell alone among its kind's rows in its set is bit-identical to a
-      one-cell run;
+      one-cell run with its set's seed;
     * a run is bit-identical to itself for the same cells in the same
       stack layout (cells per kind and set, in the same order), whatever
       rows of other kinds share the stack: a stack of several kinds gives
@@ -267,29 +281,44 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     C, loss = list(C), list(loss)
     m = len(C)
     gamma = [cfg.gamma] * m if gamma is None else list(gamma)
-    seed = [cfg.seed] * m if seed is None else list(seed)
+    seed = [cfg.seed] * f if seed is None else list(seed)
     fold = [0] * m if fold is None else [int(k) for k in fold]
     resume = [None] * m if resume is None else list(resume)
-    if not m == len(loss) == len(gamma) == len(seed) == len(fold) == len(resume) > 0:
-        raise ValueError("C, loss, gamma, seed, fold and resume must give the same non-zero number of cells")
+    if not m == len(loss) == len(gamma) == len(fold) == len(resume) > 0:
+        raise ValueError("C, loss, gamma, fold and resume must give the same non-zero number of cells")
+    if len(seed) != f:
+        raise ValueError(f"seed must give one value per training set: got {len(seed)} for {f} sets")
     if not all(0 <= k < f for k in fold):
         raise ValueError(f"fold indices must lie in [0, {f})")
     for c in range(m):
-        check_cell(gamma[c], seed[c], C[c], f": cell {c}")
+        check_cell(gamma[c], C[c], f": cell {c}")
+    for k in sorted(set(fold)):
+        check_seed(seed[k], f": set {k}")
 
-    def fresh(c):
+    def fresh():
         alpha0 = np.full(n, START)
         return AdamState(
             alpha=alpha0, m=np.full(n, START), v=np.full(n, START),
-            trace=[] if cfg.collect_trace else None, iterate=alpha0, avg=np.zeros(n), rng=make_rng(seed[c]),
+            trace=[] if cfg.collect_trace else None, iterate=alpha0, avg=np.zeros(n),
         )
 
-    begin = [fresh(c) if start is None else start for c, start in enumerate(resume)]
+    begin = [fresh() if start is None else start for start in resume]
     t0 = begin[0].t
     if any(start.t != t0 for start in begin) or t0 > cfg.max_iter:
         raise ValueError(f"resumed cells must share one step count, at most max_iter ({cfg.max_iter})")
     if cfg.collect_trace and any(start.trace is None for start in begin):
         raise ValueError("cannot trace a cell resumed from a run without a trace")
+    # each set's generator, drawn from by all of its cells: a fresh set's
+    # from its seed, a resumed set's a copy of the one its cells hold
+    rngs, held = {}, {}
+    for c, start in enumerate(resume):
+        k = fold[c]
+        if start is not None:
+            state = pickle.dumps(start.rng.bit_generator.state)
+            if held.setdefault(k, state) != state:
+                raise ValueError(f"resumed cells of set {k} hold generators in different states")
+        if k not in rngs:
+            rngs[k] = make_rng(seed[k]) if start is None else copy_rng(start.rng)
 
     s = min(cfg.batch_size, n)
     # the cell of each stack row, by kind (in order of first appearance)
@@ -297,16 +326,17 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     kinds = {kind: i for i, kind in enumerate(dict.fromkeys(spec.kind for spec in loss))}
     order = sorted(range(m), key=lambda c: (kinds[loss[c].kind], fold[c]))
     # each kind's (set, rows) blocks of Gram products, one block of set
-    # None when the kind holds one row per set, so that one broadcast makes
-    # all of its GEMVs (against a matmul per set, it won 9 of 10 pairs of
-    # cli_bench runs), and each kind's loss stack and rows
+    # None when the kind holds the same number of rows in each set, so that
+    # one broadcast makes all of its GEMVs or GEMMs (against a matmul per
+    # set, it won 9 of 10 pairs of cli_bench runs), and each kind's loss
+    # stack and rows
     spans, stacks, lo = [], [], 0
     for _, group in groupby(order, key=lambda c: loss[c].kind):
         group = list(group)
         rows = slice(lo, lo + len(group))
         stacks.append((stack_losses([loss[c] for c in group], s), rows))
         counts = np.bincount([fold[c] for c in group], minlength=f)
-        if counts.min() == counts.max() == 1:
+        if counts.min() == counts.max():
             spans.append((None, rows))
         else:
             ends = lo + np.cumsum(counts)
@@ -332,7 +362,6 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     Kalpha, Kd = np.empty((m, n)), np.empty((m, n))
     R, D = np.empty((m, s)), np.empty((m, s))  # the residual and its derivative
     row_of = np.arange(m)[:, None]
-    rngs = [start.rng if given is None else copy.deepcopy(start.rng) for start, given in zip(begin, resume)]
     # a trace ends in H of the averaged coefficients, which a resumed
     # cell's next step replaces
     traces = [start.trace[: start.t] if cfg.collect_trace else None for start in begin]
@@ -367,17 +396,21 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
         else:
             if step % n == 0 or step == t0:
                 # the batches up to the next multiple of n steps (or the
-                # run's end) in one draw per row: at most n * n scratch
-                # indices, no more than the Gram.  A resumed run draws the
-                # rest of the block it stopped in
+                # run's end) in one draw per set: at most n * n scratch
+                # indices per set, no more than its Gram.  A resumed run
+                # draws the rest of the block it stopped in; a set without
+                # rows keeps batches of row 0, which no row uses
                 drawn_at, draws = step, min(n - step % n, cfg.max_iter - step)
-                block = np.stack([sample_without_replacement(rngs[c], n, s, draws=draws) for c in order])
+                block = np.zeros((f, draws, s), np.intp)
+                for k, rng in rngs.items():
+                    block[k] = sample_without_replacement(rng, n, s, draws=draws)
                 # canonical index order keeps the float summation order
                 # independent of the draw
                 block.sort(axis=2)
             batch = block[:, step - drawn_at]
-            np.subtract(Y[row_of, batch], Kalpha[row_of, batch], out=R)
-            gram.batch_products(batch, derivative(step), Kd, spans, fold_of)
+            rows_batch = batch[fold_of]
+            np.subtract(Y[row_of, rows_batch], Kalpha[row_of, rows_batch], out=R)
+            gram.batch_products(batch, derivative(step), Kd, spans)
         # the gradient K alpha - C * K d, in place in Kd
         Kd *= C_blk
         np.subtract(Kalpha, Kd, out=Kd)
@@ -393,6 +426,6 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
             traces[c].append(objective_value(alpha, gram.one_set(fold[c]), Ys[fold[c]], C[c], loss[c]))
         out[c] = AdamState(
             alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c],
-            iterate=state.alpha[r].copy(), avg=avg[r].copy(), rng=rngs[c],
+            iterate=state.alpha[r].copy(), avg=avg[r].copy(), rng=copy_rng(rngs[fold[c]]),
         )
     return AdamStack(out, m * (state.t - t0))

@@ -219,6 +219,46 @@ class TestTrain:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("pairs, message", [
+        (["loss.epsilon=-1"], "bad value for 'loss.epsilon' (from --set): hawkeye loss requires epsilon > 0, got -1.0"),
+        (["loss.a=0"], "bad value for 'loss.a' (from --set): hawkeye loss requires a > 0, got 0.0"),
+        (["loss.lambda=nan"], "bad value for 'loss.lambda' (from --set): hawkeye loss parameter 'lam' must be finite,"
+                              " got nan"),
+        (["loss.lambda=1e200", "loss.a=1e200"], "bad values for 'loss.lambda' (from --set) and 'loss.a' (from --set):"
+                                                " hawkeye loss requires a finite lam * a, got 1e+200 and 1e+200"),
+        (["loss.kind=huber", "loss.theta=-1"], "bad value for 'loss.theta' (from --set): huber loss requires"
+                                               " theta >= 0, got -1.0"),
+        (["loss.kind=quadratic_nonconvex_insensitive", "loss.theta=1", "loss.t=0.01"],
+         "bad value for 'loss.t' (from --set): quadratic_nonconvex_insensitive loss requires t >= epsilon, got 0.01"),
+        (["adam.gamma=-1"], "bad value for 'adam.gamma' (from --set): adam gamma must be finite and > 0, got -1.0"),
+        (["adam.max_iter=0"], "bad value for 'adam.max_iter' (from --set): adam max_iter must be an integer >= 1,"
+                              " got 0"),
+        (["adam.batch_size=0"], "bad value for 'adam.batch_size' (from --set): adam batch_size must be an integer"
+                                " >= 1, got 0"),
+    ], ids=["epsilon", "a", "lambda", "lambda-times-a", "theta", "t", "gamma", "max_iter", "batch_size"])
+    def test_bad_loss_or_adam_value_names_its_key(self, tmp_path, capsys, monkeypatch, pairs, message):
+        # the library's check, prefixed with the key, its source and value
+        # as a value the parser rejects is
+        self.refuse_to_load(monkeypatch)
+        sets = [arg for pair in pairs for arg in ("--set", pair)]
+        rc = main(["train", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "m.json"), *sets])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_bad_value_from_a_config_file_names_its_line(self, tmp_path, capsys, monkeypatch):
+        self.refuse_to_load(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nloss.epsilon = 0\n")
+        rc = main(["bench", "--data", str(tmp_path / "d.csv"), "--recipes", "hawkeye", "--outdir", str(tmp_path / "b"),
+                   "--set", "adam.max_iter=-2"])
+        assert rc == 2
+        assert "bad value for 'adam.max_iter' (from --set): adam max_iter must be an integer >= 1, got -2" in (
+            capsys.readouterr().err)
+        rc = main(["train", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert rc == 2
+        assert f"bad value for 'loss.epsilon' (from {cfg}:2): hawkeye loss requires epsilon > 0, got 0.0" in (
+            capsys.readouterr().err)
+
     @staticmethod
     def refuse_to_load(monkeypatch):
         import helssvr.cli
@@ -1056,9 +1096,20 @@ class TestRank:
             w.writerow(["dataset", "m1", "m2"])
             for i in range(4):
                 w.writerow([f"d{i}", "0.5", "0.5"])
-        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r"), "--set", "rank.tie=fractional"])
         assert rc == 0
         assert "not significant" in (tmp_path / "r_report.txt").read_text()
+
+    def test_impossible_statistic_exit_3(self, tmp_path, capsys):
+        # competition ranks of two tied models: the Friedman statistic
+        # would be negative, and the error names the tie setting that fixes it
+        inp = tmp_path / "t.csv"
+        inp.write_text("dataset,m1,m2\n" + "".join(f"d{i},0.5,0.5\n" for i in range(4)))
+        rc = main(["rank", "--input", str(inp), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Friedman chi-square -20.0000 lies outside [0, D(p-1)] = [0, 4]" in err and "rank.tie=fractional" in err
+        assert not (tmp_path / "r_report.txt").exists()
 
     def test_malformed_table_exit_3(self, tmp_path):
         inp = tmp_path / "bad.csv"

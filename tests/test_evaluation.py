@@ -245,9 +245,31 @@ class TestRankModels:
         assert np.array_equal(analysis.rank_matrix[0], [1, 2, 3])
 
     def test_identical_columns_share_rank(self):
-        analysis = rank_models(np.array([[0.5, 0.5], [0.7, 0.7], [0.2, 0.2]]))
-        assert analysis.avg_ranks[0] == analysis.avg_ranks[1]
+        # under competition ties both columns rank 1 on every dataset, and
+        # the statistic would be -15, which rank_models rejects
+        table = np.array([[0.5, 0.5], [0.7, 0.7], [0.2, 0.2]])
+        analysis = rank_models(table, tie="fractional")
+        assert analysis.avg_ranks[0] == analysis.avg_ranks[1] == 1.5
         assert not analysis.pairwise[0, 1]
+        assert analysis.chi2_F == analysis.F_F == 0.0
+        with pytest.raises(ValueError, match="Friedman chi-square -15.0000 lies outside"):
+            rank_models(table)
+
+    def test_impossible_friedman_statistic_rejected(self):
+        # competition ranks of tied models sum to less than p(p+1)/2: the
+        # statistic came out at -18.20 and F at -1.34; fractional ranks
+        # keep it in [0, D(p-1)]
+        table = np.array([[1, 1, 1, 2], [1, 1, 2, 2], [3, 1, 1, 1]], dtype=float)
+        with pytest.raises(ValueError, match=r"-18\.2010 lies outside \[0, D\(p-1\)\] = \[0, 9\]") as info:
+            rank_models(table)
+        assert "rank.tie=fractional" in str(info.value)
+        analysis = rank_models(table, tie="fractional")
+        assert 0 <= analysis.chi2_F <= 9 and analysis.F_F >= 0
+
+    def test_perfect_agreement_is_the_top_of_the_range(self):
+        # every dataset ranks the models alike: chi-square D(p-1), F infinite
+        analysis = rank_models(np.tile([0.1, 0.2, 0.3, 0.4], (18, 1)))
+        assert analysis.chi2_F == pytest.approx(18 * 3, rel=1e-12) and math.isinf(analysis.F_F)
 
     def test_competition_tie_convention(self):
         analysis = rank_models(np.array([[0.3, 0.1, 0.1, 0.4]]))
@@ -481,7 +503,7 @@ class TestStackedSearchMatchesStandaloneFits:
                 model, report = fit(
                     ds.X[train_idx], ds.y[train_idx], recipe.build_kernel(p.sigma),
                     recipe.build_loss(p.epsilon, p.lam, p.a), C=p.C,
-                    adam=replace(adam, gamma=p.gamma, seed=child_seed(11, i, j), max_iter=cell.iterations),
+                    adam=replace(adam, gamma=p.gamma, seed=child_seed(11, j), max_iter=cell.iterations),
                     scaling="zscore",
                 )
                 rmse = compute_metrics(ds.y[test_idx], predict(model, ds.X[test_idx])).rmse
@@ -736,23 +758,23 @@ class TestJointSearch:
 GOLDEN_SEARCH = {
     8: [
         (
-            ('0x1.0a5739f8cda46p-1', '0x1.12e5228c0f288p-1', '0x1.557a7bec22fa8p-1'),
-            ('0x1.766871a1686a5p+1', '0x1.840beaaa508b6p+1', '0x1.a38f5f922acf8p+1'),
+            ('0x1.0a5739f8cda46p-1', '0x1.159e81628363ap-1', '0x1.55b94a2ef99f8p-1'),
+            ('0x1.766871a1686a5p+1', '0x1.86dbe306a7f24p+1', '0x1.a35e2a63165e1p+1'),
             (60, 60, 60),
         ),
         (
-            ('0x1.96f9af9be8896p-2', '0x1.76be10032e1f8p-2', '0x1.1607b9e18cc9cp-1'),
-            ('0x1.26ed63a4ab5dep+1', '0x1.0b3bbda8ec22dp+1', '0x1.316c10632729bp+1'),
+            ('0x1.91eb03fdf2887p-2', '0x1.70bb223fb5307p-2', '0x1.18debf3e76acdp-1'),
+            ('0x1.2358e75336796p+1', '0x1.0957fcb669c45p+1', '0x1.34aac1bab01aap+1'),
             (60, 60, 60),
         ),
         (
-            ('0x1.0c9d04295a276p-2', '0x1.6fc719a1c218fp-2', '0x1.988aafd2c80fbp-2'),
-            ('0x1.1898ab69883ebp+6', '0x1.d77118d02d5efp+5', '0x1.b49e1c9cb47e7p+6'),
+            ('0x1.114934aed98dbp-2', '0x1.8840ffbd1b90cp-2', '0x1.9a87418e06d4ep-2'),
+            ('0x1.2159a32e7c096p+6', '0x1.1d1b214d924efp+6', '0x1.b4cc9306aecbep+6'),
             (60, 60, 60),
         ),
         (
-            ('0x1.48cc1d83d254dp-3', '0x1.38c31e61e4a34p-3', '0x1.4be556f9e7f87p-2'),
-            ('0x1.e117d353450bdp+5', '0x1.61a0946149945p+4', '0x1.34e5a6dd18800p+6'),
+            ('0x1.4bd4f9ef29d97p-3', '0x1.34af853ce5c64p-3', '0x1.420ec8721f41ep-2'),
+            ('0x1.e740cb657169ap+5', '0x1.4c534576d507bp+4', '0x1.160e932079414p+6'),
             (60, 60, 60),
         ),
     ],
@@ -797,7 +819,7 @@ class TestGoldenSearch:
 
         def spy(sets, kernel, cells, adam, **kw):
             fitted = real(sets, kernel, cells, adam, **kw)
-            for (j, _, C, _, _), (_, report) in zip(cells, fitted):
+            for (j, _, C, _), (_, report) in zip(cells, fitted):
                 objectives[kernel.sigma, C, j] = report.final_objective
             return fitted
 
@@ -825,50 +847,50 @@ class TestGoldenSearch:
 GOLDEN_HALVING = {
     8: [
         (
-            ('0x1.578ee43898938p-1', '0x1.496177dd83f1cp-1', '0x1.962a9fbb41e37p-1'),
-            '0x1.496177dd83f1cp-1',
+            ('0x1.578ee43898938p-1', '0x1.49ee944526fb8p-1', '0x1.96bb1406a86a5p-1'),
+            '0x1.49ee944526fb8p-1',
             (6, 6, 6),
             ('halved', 'halved', 'halved'),
         ),
         (
-            ('0x1.563482ad8618fp-1', '0x1.49e5da9a7e51dp-1', '0x1.9604b44edafe1p-1'),
-            '0x1.49e5da9a7e51dp-1',
+            ('0x1.55c7110223857p-1', '0x1.4a49d07504f86p-1', '0x1.97927dc1f5141p-1'),
+            '0x1.4a49d07504f86p-1',
             (6, 6, 6),
             ('halved', 'halved', 'halved'),
         ),
         (
-            ('0x1.4c10c11d6646fp-1', '0x1.3adf2d4fd7595p-1', '0x1.883ed5ce136fdp-1'),
-            '0x1.3adf2d4fd7595p-1',
-            (6, 6, 6),
-            ('halved', 'halved', 'halved'),
-        ),
-        (
-            ('0x1.082a4afae5067p-2', '0x1.b16640b17fbe2p-3', '0x1.ae9220a671d16p-2'),
-            '0x1.b16640b17fbe2p-3',
+            ('0x1.91eb03fdf2887p-2', '0x1.70bb223fb5307p-2', '0x1.18debf3e76acdp-1'),
+            '0x1.70bb223fb5307p-2',
             (60, 60, 60),
             ('max_iter', 'max_iter', 'max_iter'),
         ),
         (
-            ('0x1.0e2e6ff4c2eccp-2', '0x1.7adbe391143d5p-2', '0x1.9c7ac421f2ed4p-2'),
-            '0x1.0e2e6ff4c2eccp-2',
+            ('0x1.ea9a720459a75p-3', '0x1.bae434686b672p-3', '0x1.a9d3adc12941fp-2'),
+            '0x1.bae434686b672p-3',
             (60, 60, 60),
             ('max_iter', 'max_iter', 'max_iter'),
         ),
         (
-            ('0x1.42b1618cf8d09p-1', '0x1.3ad398d9d7ee2p-1', '0x1.821fb129563fep-1'),
-            '0x1.3ad398d9d7ee2p-1',
+            ('0x1.427cb9f086b49p-1', '0x1.3ae7d57708550p-1', '0x1.837f916e10cbdp-1'),
+            '0x1.3ae7d57708550p-1',
             (6, 6, 6),
             ('halved', 'halved', 'halved'),
         ),
         (
-            ('0x1.565d80729d563p-3', '0x1.300b074aa8512p-3', '0x1.4f996179efc5dp-2'),
-            '0x1.300b074aa8512p-3',
+            ('0x1.4190c0443665ep-1', '0x1.3b20eed69e336p-1', '0x1.8514dac65c9cep-1'),
+            '0x1.3b20eed69e336p-1',
+            (6, 6, 6),
+            ('halved', 'halved', 'halved'),
+        ),
+        (
+            ('0x1.4bd4f9ef29d97p-3', '0x1.34af853ce5c64p-3', '0x1.420ec8721f41ep-2'),
+            '0x1.34af853ce5c64p-3',
             (60, 60, 60),
             ('max_iter', 'max_iter', 'max_iter'),
         ),
         (
-            ('0x1.3155b33063561p-3', '0x1.27cfc344c8c50p-3', '0x1.45c96c0205f33p-2'),
-            '0x1.27cfc344c8c50p-3',
+            ('0x1.4b5ebb6a532ddp-3', '0x1.365a92e838b29p-3', '0x1.2ea5ecdd3caa5p-2'),
+            '0x1.365a92e838b29p-3',
             (60, 60, 60),
             ('max_iter', 'max_iter', 'max_iter'),
         ),
@@ -942,7 +964,7 @@ class TestGoldenHalvingSearch:
             for cell in res.cells
         ]
         assert got == GOLDEN_HALVING[batch_size]
-        assert res.best is res.cells[7]
+        assert res.best is res.cells[{8: 6, 1000: 7}[batch_size]]
 
 
 class TestAveragedSelectionIsLayoutStable:

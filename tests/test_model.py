@@ -317,8 +317,8 @@ def cell_adam(adam, gamma, seed):
 
 class TestFitCells:
     def test_cells_match_standalone_fits(self, monkeypatch):
-        # one call per loss kind and Adam settings; the cells of a call
-        # differ in gamma and seed, and one row per stack exercises the
+        # one call per loss kind, Adam settings and seed; the cells of a
+        # call differ in gamma, and one row per stack exercises the
         # chunking as well
         import helssvr.model
         from helssvr.model import fit_cells
@@ -327,19 +327,21 @@ class TestFitCells:
         X = rng.uniform(-1, 1, (21, 2))
         y = np.cos(2 * X[:, 0]) + 0.1 * rng.normal(size=21)
         calls = [
-            (AdamConfig(max_iter=60), [(hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 1), (hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3, 2)]),
-            (AdamConfig(max_iter=60), [(LossSpec("least_squares"), 1.0, 1e-2, 3)]),
-            (AdamConfig(max_iter=40, batch_size=5), [(hawkeye(0.05, 2.0, 0.5), 10.0, 1e-2, 4)]),
-            (None, [(hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 0)]),
+            (AdamConfig(max_iter=60, batch_size=5), 1,
+             [(hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2), (hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3)]),
+            (AdamConfig(max_iter=60), 3, [(LossSpec("least_squares"), 1.0, 1e-2)]),
+            (AdamConfig(max_iter=40, batch_size=5), 4, [(hawkeye(0.05, 2.0, 0.5), 10.0, 1e-2)]),
+            (None, None, [(hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2)]),
         ]
         # one row per stack is the layout of a standalone fit, bit for bit;
         # rows that share the set's Gram products stay within tolerance
         for rows in (1, 32):
             monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
-            for adam, cells in calls:
-                fitted = fit_cells([(X, y)], rbf(0.8), [(0, *cell) for cell in cells], adam, scaling="zscore")
-                for (loss, C, gamma, seed), (model, report) in zip(cells, fitted):
-                    alone_adam = cell_adam(adam, gamma, seed)
+            for adam, seed, cells in calls:
+                seeds = None if seed is None else [seed]
+                fitted = fit_cells([(X, y)], rbf(0.8), [(0, *cell) for cell in cells], adam, scaling="zscore", seeds=seeds)
+                for (loss, C, gamma), (model, report) in zip(cells, fitted):
+                    alone_adam = cell_adam(adam, gamma, seed or 0)
                     alone, alone_report = fit(X, y, rbf(0.8), loss, C=C, adam=alone_adam, scaling="zscore")
                     assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
                     assert model.loss == loss
@@ -348,7 +350,7 @@ class TestFitCells:
         from helssvr.model import fit_cells
 
         for bad in (-1.0, 0.0, np.inf, np.nan):
-            cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, hawkeye(), bad, 0.01, 0)]
+            cells = [(0, hawkeye(), 1.0, 0.01), (0, hawkeye(), bad, 0.01)]
             with pytest.raises(ValueError, match="^C must be finite and > 0: cell 1$"):
                 fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
 
@@ -363,9 +365,12 @@ class TestFitCells:
             raise AssertionError("a Gram matrix was built")
 
         monkeypatch.setattr(helssvr.model, "gram_matrix", no_gram)
-        cells = [(0, hawkeye(), 1.0, 0.01, 0), (0, hawkeye(), 1.0, gamma, seed)]
-        with pytest.raises(ValueError, match=re.escape(f"{message}: cell 1")):
-            fit_cells([(np.eye(3), np.ones(3))], rbf(), cells)
+        cells = [(0, hawkeye(), 1.0, 0.01), (1, hawkeye(), 1.0, gamma)]
+        where = "cell 1" if seed == 0 else "set 1"
+        with pytest.raises(ValueError, match=re.escape(f"{message}: {where}")):
+            fit_cells([(np.eye(3), np.ones(3))] * 2, rbf(), cells, seeds=[0, seed])
+        with pytest.raises(ValueError, match="fit_cells got 1 seeds for 2 training sets"):
+            fit_cells([(np.eye(3), np.ones(3))] * 2, rbf(), cells[:1], seeds=[0])
 
 
 class TestFoldStacks:
@@ -438,22 +443,21 @@ class TestFitCellsAcrossSets:
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
         sets = self.sets()
         # one call per loss kind and Adam settings: (settings, the cells of
-        # every set as (c, loss, C, gamma)), each cell seeded 10 j + c
+        # every set as (loss, C, gamma)), set j seeded 10 j + 1
         per_set = [
-            (AdamConfig(max_iter=60), [(0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2), (1, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3)]),
-            (AdamConfig(max_iter=60), [(2, LossSpec("least_squares"), 1.0, 1e-2)]),
-            (AdamConfig(max_iter=40, batch_size=5), [(3, hawkeye(0.05, 2.0, 0.5), 10.0, 1e-2)]),
+            (AdamConfig(max_iter=60, batch_size=5),
+             [(hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2), (hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3)]),
+            (AdamConfig(max_iter=60), [(LossSpec("least_squares"), 1.0, 1e-2)]),
+            (AdamConfig(max_iter=40, batch_size=5), [(hawkeye(0.05, 2.0, 0.5), 10.0, 1e-2)]),
         ]
-        calls = [
-            (adam, [(j, loss, C, gamma, 10 * j + c) for j in range(len(sets)) for c, loss, C, gamma in cells])
-            for adam, cells in per_set
-        ]
-        calls.append((None, [(2, hawkeye(), 10.0, 0.01, 0)]))  # set 2 holds one cell more
+        seeds = [10 * j + 1 for j in range(len(sets))]
+        calls = [(adam, [(j, *cell) for j in range(len(sets)) for cell in cells]) for adam, cells in per_set]
+        calls.append((None, [(2, hawkeye(), 10.0, 0.01)]))  # set 2 holds one cell more
         steps = set()
         for adam, cells in calls:
-            fitted = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore")
-            for (j, loss, C, gamma, seed), (model, report) in zip(cells, fitted):
-                alone_adam = cell_adam(adam, gamma, seed)
+            fitted = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore", seeds=seeds)
+            for (j, loss, C, gamma), (model, report) in zip(cells, fitted):
+                alone_adam = cell_adam(adam, gamma, seeds[j])
                 alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=alone_adam, scaling="zscore")
                 assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
                 assert model.X_train.tobytes() == alone.X_train.tobytes()
@@ -470,10 +474,12 @@ class TestFitCellsAcrossSets:
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
         sets = self.sets()
         adam = AdamConfig(max_iter=40, batch_size=5)
-        cells = [(j, hawkeye(0.05, a, 1.0), 10.0, 1e-2, 10 * j + c) for j in range(4) for c, a in enumerate((1.0, 3.0))]
-        cells.append((2, hawkeye(), 100.0, 1e-3, 99))
-        for (j, loss, C, gamma, seed), (model, report) in zip(cells, fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore")):
-            alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
+        cells = [(j, hawkeye(0.05, a, 1.0), 10.0, 1e-2) for j in range(4) for a in (1.0, 3.0)]
+        cells.append((2, hawkeye(), 100.0, 1e-3))
+        seeds = [10 * j for j in range(4)]
+        fitted = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore", seeds=seeds)
+        for (j, loss, C, gamma), (model, report) in zip(cells, fitted):
+            alone, alone_report = fit(*sets[j], rbf(0.8), loss, C=C, adam=cell_adam(adam, gamma, seeds[j]), scaling="zscore")
             assert_matches_fit(model, report, alone, alone_report, exact=rows == 1)
 
     @pytest.mark.parametrize("batch_size", [5, 1000])
@@ -485,12 +491,15 @@ class TestFitCellsAcrossSets:
         sets = self.sets()
         adam = AdamConfig(max_iter=60, batch_size=batch_size)
         cells = [
-            (j, hawkeye(0.05, a, 1.0), C, adam.gamma, 10 * j + c)
+            (j, hawkeye(0.05, a, 1.0), C, adam.gamma)
             for j in range(len(sets))
-            for c, (a, C) in enumerate([(1.0, 10.0), (3.0, 100.0), (2.0, 1.0)])
+            for a, C in [(1.0, 10.0), (3.0, 100.0), (2.0, 1.0)]
         ]
-        whole = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore")
-        part = fit_cells(sets, rbf(0.8), cells, replace(adam, max_iter=17), scaling="zscore")
+        seeds = [10 * j for j in range(len(sets))]
+        whole = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore", seeds=seeds)
+        part = fit_cells(sets, rbf(0.8), cells, replace(adam, max_iter=17), scaling="zscore", seeds=seeds)
+        # the resumed sets draw on from their states' generators, whatever
+        # the seeds say
         resumed = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore", resume=[r.state for _, r in part])
         for (model, report), (want, want_report) in zip(resumed, whole):
             assert model.alpha.tobytes() == want.alpha.tobytes()
@@ -503,7 +512,7 @@ class TestFitCellsAcrossSets:
     def test_models_of_one_set_share_inputs(self):
         from helssvr.model import fit_cells
 
-        cells = [(j, hawkeye(), 10.0, 0.01, s) for j in (0, 1) for s in (1, 2)]
+        cells = [(j, hawkeye(), C, 0.01) for j in (0, 1) for C in (10.0, 20.0)]
         models = [m for m, _ in fit_cells(self.sets()[:2], rbf(0.5), cells, AdamConfig(max_iter=10))]
         assert models[0].X_train is models[1].X_train and models[0].scaling is models[1].scaling
         assert models[1].X_train is not models[2].X_train
@@ -512,7 +521,7 @@ class TestFitCellsAcrossSets:
         from helssvr.model import fit_cells
 
         with pytest.raises(ValueError, match=r"set indices must lie in \[0, 1\)"):
-            fit_cells([(np.eye(3), np.ones(3))], rbf(), [(1, hawkeye(), 1.0, 0.01, 0)])
+            fit_cells([(np.eye(3), np.ones(3))], rbf(), [(1, hawkeye(), 1.0, 0.01)])
 
     def test_no_cells_rejected(self):
         from helssvr.model import fit_cells
@@ -546,12 +555,12 @@ class TestFitCellsMixedKinds:
         out = []
         for j in range(len(sets)):
             out += [
-                (j, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 10 * j),
-                (j, LossSpec("least_squares"), 1.0, 1e-2, 10 * j + 1),
-                (j, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3, 10 * j + 2),
-                (j, LossSpec("huber", theta=0.3), 10.0, 1e-2, 10 * j + 3),
+                (j, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2),
+                (j, LossSpec("least_squares"), 1.0, 1e-2),
+                (j, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3),
+                (j, LossSpec("huber", theta=0.3), 10.0, 1e-2),
             ]
-        return out + [(len(sets) // 2, LossSpec("huber", theta=0.5), 1.0, 1e-3, 99)]
+        return out + [(len(sets) // 2, LossSpec("huber", theta=0.5), 1.0, 1e-3)]
 
     @staticmethod
     def by_kind(cells):
@@ -650,21 +659,21 @@ class TestFitCellsMixedKinds:
         sets = TestFitCellsAcrossSets().sets()
         adam = AdamConfig(max_iter=40, batch_size=5)
         cells = [
-            (0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 1), (1, LossSpec("least_squares"), 1.0, 1e-2, 2),
-            (2, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3, 3), (3, LossSpec("least_squares"), 10.0, 1e-3, 4),
+            (0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2), (1, LossSpec("least_squares"), 1.0, 1e-2),
+            (2, hawkeye(0.1, 3.0, 1.0), 100.0, 1e-3), (3, LossSpec("least_squares"), 10.0, 1e-3),
         ]
-        fitted = fit_cells(sets, self.kernels, cells, adam, scaling="zscore")
+        fitted = fit_cells(sets, self.kernels, cells, adam, scaling="zscore", seeds=[1, 2, 3, 4])
         want = [
-            fit(*sets[j], self.kernels[j], loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
-            for j, loss, C, gamma, seed in cells
+            fit(*sets[j], self.kernels[j], loss, C=C, adam=cell_adam(adam, gamma, j + 1), scaling="zscore")
+            for j, loss, C, gamma in cells
         ]
         assert_same_fits(fitted, want)
 
     def test_kernel_count_checked(self):
         with pytest.raises(ValueError, match="fit_cells got 2 kernels for 4 training sets"):
-            fit_cells(TestFitCellsAcrossSets().sets(), self.kernels[:2], [(0, hawkeye(), 1.0, 0.01, 0)])
+            fit_cells(TestFitCellsAcrossSets().sets(), self.kernels[:2], [(0, hawkeye(), 1.0, 0.01)])
 
-    @pytest.mark.parametrize("first", [[], [(0, LossSpec("least_squares"), 1.0, 1e-2, 9)]])
+    @pytest.mark.parametrize("first", [[], [(0, LossSpec("least_squares"), 1.0, 1e-2)]])
     def test_one_chunk_of_a_kind_per_stack(self, monkeypatch, first):
         # at 3 rows a stack, hawkeye's 2 + 1 cells on two sets make a chunk
         # of one cell per set and one of set 0's second cell; the two
@@ -676,14 +685,96 @@ class TestFitCellsMixedKinds:
         monkeypatch.setattr(helssvr.model, "STACK_ROWS", 3)
         rng = np.random.default_rng(81)
         sets = [(X, np.sin(3 * X[:, 0])) for X in rng.uniform(-1, 1, (2, 21, 2))]
-        he = [(0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2, 1), (1, hawkeye(), 1.0, 1e-2, 2), (0, hawkeye(), 100.0, 1e-3, 3)]
+        he = [(0, hawkeye(0.05, 1.0, 1.0), 10.0, 1e-2), (1, hawkeye(), 1.0, 1e-2), (0, hawkeye(), 100.0, 1e-3)]
         adam = AdamConfig(max_iter=30, batch_size=8)
-        fitted = fit_cells(sets, self.kernels[0], [*first, *he], adam, scaling="zscore")
+        fitted = fit_cells(sets, self.kernels[0], [*first, *he], adam, scaling="zscore", seeds=[1, 2])
         want = [
-            fit(*sets[j], self.kernels[0], loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
-            for j, loss, C, gamma, seed in he
+            fit(*sets[j], self.kernels[0], loss, C=C, adam=cell_adam(adam, gamma, j + 1), scaling="zscore")
+            for j, loss, C, gamma in he
         ]
         assert_same_fits(fitted[len(first):], want)
+
+
+class TestSetDraws:
+    """A mini-batch fit_cells call draws each training set's batches once,
+    from the set's seed, for every cell on the set, whatever stack or kind
+    the cell trains in."""
+
+    @staticmethod
+    def sets():
+        # the three sets of 21 rows, which share stacks
+        return [(X, y) for X, y in TestFitCellsAcrossSets().sets() if len(y) == 21]
+
+    @staticmethod
+    def spy_sampler(monkeypatch):
+        import helssvr.optimizer
+
+        calls, real = [], helssvr.optimizer.sample_without_replacement
+
+        def spy(rng, n, k, draws=None):
+            calls.append(draws)
+            return real(rng, n, k, draws=draws)
+
+        monkeypatch.setattr(helssvr.optimizer, "sample_without_replacement", spy)
+        return calls
+
+    @pytest.mark.parametrize("rows", [2, 32])
+    def test_one_sampler_call_per_set_and_block(self, monkeypatch, rows):
+        # 3 sets of 21 rows, 13 cells; 50 steps at batch 5 draw blocks of
+        # 21, 21 and 8 batches: 3 sampler calls per set and stack, not per
+        # row, and every cell of a set returns the set's generator
+        import helssvr.model
+
+        monkeypatch.setattr(helssvr.model, "STACK_ROWS", rows)
+        calls = self.spy_sampler(monkeypatch)
+        stacks, train = [], helssvr.model.train_adam
+
+        def spy(gram, *args, **kw):
+            stacks.append(kw["fold"])
+            return train(gram, *args, **kw)
+
+        monkeypatch.setattr(helssvr.model, "train_adam", spy)
+        sets = self.sets()
+        cells = TestFitCellsMixedKinds.cells(sets)
+        fitted = fit_cells(sets, rbf(0.8), cells, AdamConfig(max_iter=50, batch_size=5), seeds=[4, 5, 6])
+        assert calls == [draws for folds in stacks for draws in (21, 21, 8) for _ in set(folds)]
+        assert (len(stacks) == 1) == (rows == 32) and len(calls) < 3 * len(cells)
+        held = {j: {repr(report.state.rng.bit_generator.state) for (i, *_), (_, report) in zip(cells, fitted) if i == j}
+                for j in range(3)}
+        assert all(len(states) == 1 for states in held.values()) and len(set().union(*held.values())) == 3
+        assert len({id(report.state.rng) for _, report in fitted}) == len(cells)
+
+    @pytest.mark.parametrize("batch_size", [5, 1000])
+    def test_only_row_of_its_kind_is_its_own_fit(self, batch_size):
+        # least squares holds one row per set, beside two hawkeye rows and
+        # one or two huber rows on the same draws: each least-squares cell
+        # is bit for bit a fit of its own with its set's seed
+        sets = self.sets()
+        cells = TestFitCellsMixedKinds.cells(sets)
+        adam = AdamConfig(max_iter=50, batch_size=batch_size)
+        fitted = fit_cells(sets, rbf(0.8), cells, adam, scaling="zscore", seeds=[4, 5, 6])
+        lone = [i for i, (_, loss, *_) in enumerate(cells) if loss.kind == "least_squares"]
+        want = [
+            fit(*sets[j], rbf(0.8), loss, C=C, adam=cell_adam(adam, gamma, 4 + j), scaling="zscore")
+            for j, loss, C, gamma in (cells[i] for i in lone)
+        ]
+        assert_same_fits([fitted[i] for i in lone], want)
+
+    def test_resumed_cells_of_a_set_must_hold_one_generator(self):
+        # two cells of set 0 resumed from calls with different seeds would
+        # draw two batch sequences on one set
+        sets = self.sets()[:2]
+        cells = [(0, hawkeye(), 10.0, 1e-2), (0, hawkeye(), 100.0, 1e-2), (1, hawkeye(), 10.0, 1e-2)]
+        adam = AdamConfig(max_iter=30, batch_size=5)
+        first, second = (
+            fit_cells(sets, rbf(0.8), cells, replace(adam, max_iter=10), seeds=seeds) for seeds in ([1, 2], [3, 2])
+        )
+        mixed = [first[0][1].state, second[1][1].state, first[2][1].state]
+        with pytest.raises(ValueError, match="^resumed cells of set 0 hold generators in different states$"):
+            fit_cells(sets, rbf(0.8), cells, adam, resume=mixed)
+        # set 1's cell resumes from either call: its seed was 2 in both
+        resumed = fit_cells(sets, rbf(0.8), cells, adam, resume=[r.state for _, r in first[:2]] + [second[2][1].state])
+        assert_same_fits(resumed, fit_cells(sets, rbf(0.8), cells, adam, seeds=[1, 2]))
 
 
 class TestFactorStacks:
@@ -763,7 +854,7 @@ class TestFactorStacks:
         monkeypatch.setattr(helssvr.model, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
         sets, kernels = self.sets(), [rbf(3.0), rbf(0.005), rbf(1.0)]
         # one, two and four cells on sets 0, 1 and 2
-        cells = [(j, hawkeye(), 10.0, 0.01, c) for j, count in enumerate((1, 2, 4)) for c in range(count)]
+        cells = [(j, hawkeye(), 10.0 * (c + 1), 0.01) for j, count in enumerate((1, 2, 4)) for c in range(count)]
         fitted = fit_cells(sets, kernels, cells, AdamConfig(max_iter=3), scaling="zscore")
         factor_stack, float32 = sorted(forms, key=lambda form: isinstance(form, tuple))
         assert len(factor_stack) == 2 and float32 == (np.float32, 1)
@@ -780,15 +871,15 @@ class TestFactorStacks:
         forms = self.spy_forms(monkeypatch)
         sets = self.sets(count=2)
         cells = [
-            (0, hawkeye(), 10.0, 1e-2, 1), (1, LossSpec("least_squares"), 1.0, 1e-2, 2),
-            (1, hawkeye(0.05, 3.0, 1.0), 100.0, 1e-3, 3), (0, LossSpec("least_squares"), 10.0, 1e-3, 4),
+            (0, hawkeye(), 10.0, 1e-2), (1, LossSpec("least_squares"), 1.0, 1e-2),
+            (1, hawkeye(0.05, 3.0, 1.0), 100.0, 1e-3), (0, LossSpec("least_squares"), 10.0, 1e-3),
         ]
         adam = AdamConfig(max_iter=40, batch_size=batch_size, collect_trace=True)
-        joint = fit_cells(sets, rbf(0.005), cells, adam, scaling="zscore")
+        joint = fit_cells(sets, rbf(0.005), cells, adam, scaling="zscore", seeds=[1, 2])
         assert forms == [(np.float32, 2)]
         want = [
-            fit(*sets[j], rbf(0.005), loss, C=C, adam=cell_adam(adam, gamma, seed), scaling="zscore")
-            for j, loss, C, gamma, seed in cells
+            fit(*sets[j], rbf(0.005), loss, C=C, adam=cell_adam(adam, gamma, j + 1), scaling="zscore")
+            for j, loss, C, gamma in cells
         ]
         assert forms == [(np.float32, 2)] + [(np.float32, 1)] * 4
         assert_same_fits(joint, want)
@@ -811,9 +902,9 @@ class TestOneProductPath:
 
         forms = TestFactorStacks.spy_forms(monkeypatch)
         sets = TestFactorStacks.sets(n, count=2)
-        cells = [(j, hawkeye(0.05, 3.0, 1.0), 100.0, 1e-2, j) for j in (0, 1)]
+        cells = [(j, hawkeye(0.05, 3.0, 1.0), 100.0, 1e-2) for j in (0, 1)]
         adam = AdamConfig(max_iter=30, batch_size=batch_size, collect_trace=True)
-        fitted = fit_cells(sets, rbf(sigma), cells, adam, scaling="zscore")
+        fitted = fit_cells(sets, rbf(sigma), cells, adam, scaling="zscore", seeds=[0, 1])
         (got,) = forms  # one stack of the two sets
         if form == "factors":
             assert len(got) == 2
@@ -836,8 +927,8 @@ class TestPredictCells:
         rng = np.random.default_rng(80)
         X = rng.uniform(-1, 1, (30, 2))
         y = np.sin(2 * X[:, 0])
-        cells = [(0, hawkeye(0.05, a, 1.0), C, 0.01, 1) for a in (1.0, 3.0) for C in (1.0, 100.0)]
-        models = [m for m, _ in fit_cells([(X, y)], rbf(0.6), cells, AdamConfig(max_iter=40), scaling="zscore")]
+        cells = [(0, hawkeye(0.05, a, 1.0), C, 0.01) for a in (1.0, 3.0) for C in (1.0, 100.0)]
+        models = [m for m, _ in fit_cells([(X, y)], rbf(0.6), cells, AdamConfig(max_iter=40, seed=1), scaling="zscore")]
         X_new = rng.uniform(-1, 1, (17, 2))
         got = predict_cells(models, X_new)
         assert len(got) == 4
@@ -1080,7 +1171,7 @@ class TestTrainedModelImmutable:
         rng = np.random.default_rng(5)
         X = rng.uniform(-1, 1, (12, 1))
         y = np.sin(3 * X[:, 0])
-        cells = [(0, hawkeye(), 10.0, 0.01, s) for s in (1, 2)]
+        cells = [(0, hawkeye(), C, 0.01) for C in (10.0, 20.0)]
         (m1, _), (m2, _) = fit_cells([(X, y)], rbf(0.5), cells, AdamConfig(max_iter=30))
         assert m1.X_train is m2.X_train  # the scaled inputs are shared
         before = predict(m2, X)
@@ -1139,7 +1230,7 @@ class TestFloat32Gram:
         monkeypatch.setattr(helssvr.model, "train_adam", spy)
         X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
         sets = [(X, np.sin(3 * X[:, 0])), (X, np.cos(3 * X[:, 0]))]
-        fit_cells(sets, rbf(sigma), [(j, hawkeye(), 1.0, 0.01, 0) for j in (0, 1)], AdamConfig(max_iter=1))
+        fit_cells(sets, rbf(sigma), [(j, hawkeye(), 1.0, 0.01) for j in (0, 1)], AdamConfig(max_iter=1))
         monkeypatch.setattr(helssvr.model, "train_adam", train)
         return seen
 

@@ -359,28 +359,32 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
     Each step's Gram products run with the matmul shapes the trainer uses:
     over the rows of each loss kind in each set, a GEMV K_k @ a when
     the block holds one row and one GEMM A_k @ K_k when it holds several,
-    and a GEMV on a row's gathered batch rows for a mini-batch.  Everything else
-    runs per row as in a one-cell run, with one sampler draw per step.
-    ``K`` is the (f, n, n) Gram stack and ``Ys`` the (f, n) targets.  A
-    float32 ``K`` multiplies the vectors rounded to float32, and each
-    product is widened to float64.
+    and for a mini-batch the same on the set's batch rows of K_k.  Each set
+    draws one batch per step from its seed's generator, which all of its
+    rows train on; everything else runs per row as in a one-cell run.
+    ``K`` is the (f, n, n) Gram stack, ``Ys`` the (f, n) targets and
+    ``seeds`` the seed of each set.  A float32 ``K`` multiplies the vectors
+    rounded to float32, and each product is widened to float64.
     """
     n = K.shape[-1]
     s = min(cfg.batch_size, n)
     states = [AdamState(alpha=np.full(n, START), m=np.full(n, START), v=np.full(n, START)) for _ in Cs]
     avgs = [np.zeros(n) for _ in Cs]
-    rngs = [make_rng(seed) for seed in seeds]
+    rngs = {k: make_rng(seeds[k]) for k in sorted(set(fold))}
     traces = [[] for _ in Cs]
     cells = sorted(range(len(Cs)), key=fold.__getitem__)
 
-    def products(vectors):
+    def products(vectors, batches=None):
+        # K_k, or its rows of the set's batch, against each block's vectors
         out = {}
         for kind, k in sorted({(losses[c].kind, fold[c]) for c in cells}):
             rows = [c for c in cells if (losses[c].kind, fold[c]) == (kind, k)]
+            Kk = K[k] if batches is None else K[k][batches[k]]
             if len(rows) == 1:
-                out[rows[0]] = (K[k] @ vectors[rows[0]].astype(K.dtype)).astype(float)
+                v = vectors[rows[0]].astype(K.dtype)
+                out[rows[0]] = (Kk @ v if batches is None else Kk.T @ v).astype(float)
             else:
-                out.update(zip(rows, (np.stack([vectors[c] for c in rows]).astype(K.dtype) @ K[k]).astype(float)))
+                out.update(zip(rows, (np.stack([vectors[c] for c in rows]).astype(K.dtype) @ Kk).astype(float)))
         return out
 
     for step in range(cfg.max_iter):
@@ -392,11 +396,9 @@ def layout_reference(K, Ys, Cs, losses, cfg, gammas, seeds, fold):
         if s == n:
             Kd = products({c: loss_derivative(losses[c], Ys[fold[c]] - Kalpha[c]) for c in cells})
         else:
-            Kd = {}
-            for c in cells:
-                batch = np.sort(sample_without_replacement(rngs[c], n, s))
-                d = loss_derivative(losses[c], Ys[fold[c]][batch] - Kalpha[c][batch])
-                Kd[c] = (K[fold[c]][batch].T @ d.astype(K.dtype)).astype(float)
+            batches = {k: np.sort(sample_without_replacement(rng, n, s)) for k, rng in rngs.items()}
+            rows = {c: batches[fold[c]] for c in cells}
+            Kd = products({c: loss_derivative(losses[c], Ys[fold[c]][rows[c]] - Kalpha[c][rows[c]]) for c in cells}, batches)
         for c in cells:
             states[c] = adam_step(states[c], Kalpha[c] - Cs[c] * Kd[c], gammas[c])
             avgs[c] = avgs[c] + (1.0 - EMA_WEIGHT) * (states[c].alpha - avgs[c])
@@ -465,11 +467,12 @@ class TestStackedTraining:
             LossSpec("hawkeye", epsilon=0.05, a=2.0, lam=1.5),
         ]
         gammas = [1e-3, 1e-3, 1e-2, 1e-3]
-        seeds = [4, 5, 6, 4]
         cfg = AdamConfig(max_iter=200, batch_size=batch_size, collect_trace=True)
-        stack = train_adam(gram, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
-        for C, loss, gamma, seed, got in zip(Cs, losses, gammas, seeds, stack.states):
-            alone = train_adam(gram, y, C, loss, replace(cfg, gamma=gamma, seed=seed))
+        # every row trains on the set's batches, those of a one-cell run with
+        # the set's seed
+        stack = train_adam(gram, y, Cs, losses, cfg, gamma=gammas, seed=[4])
+        for C, loss, gamma, got in zip(Cs, losses, gammas, stack.states):
+            alone = train_adam(gram, y, C, loss, replace(cfg, gamma=gamma, seed=4))
             assert_close_runs(got, alone)
             assert got.t == 200
         assert stack.t == 4 * 200
@@ -480,11 +483,11 @@ class TestStackedTraining:
         gram, y = self.instance(n=20)
         Cs = [1.0, 1.0, 100.0]
         loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
-        gammas, seeds = [1e-2, 1e-3, 1e-2], [4, 5, 6]
+        gammas = [1e-2, 1e-3, 1e-2]
         cfg = AdamConfig(max_iter=75, batch_size=8)
-        stack = train_adam(gram, y, Cs, [loss] * 3, cfg, gamma=gammas, seed=seeds)
+        stack = train_adam(gram, y, Cs, [loss] * 3, cfg, gamma=gammas, seed=[4])
         assert [got.t for got in stack.states] == [75] * 3
-        want = layout_reference(gram.values[None], y[None], Cs, [loss] * 3, cfg, gammas, seeds, [0, 0, 0])
+        want = layout_reference(gram.values[None], y[None], Cs, [loss] * 3, cfg, gammas, [4], [0, 0, 0])
         assert_matches_reference(stack, want)
 
     def test_cell_counts_must_agree(self):
@@ -494,18 +497,22 @@ class TestStackedTraining:
             train_adam(gram, y, [1.0, 2.0], [loss], AdamConfig())
         with pytest.raises(ValueError, match="number of cells"):
             train_adam(gram, y, [1.0], [loss], AdamConfig(), gamma=[0.01, 0.02])
+        with pytest.raises(ValueError, match="seed must give one value per training set: got 2 for 1 sets"):
+            train_adam(gram, y, [1.0, 2.0], [loss] * 2, AdamConfig(), seed=[0, 1])
 
     @pytest.mark.parametrize("gamma, seed, message", BAD_RATE_OR_SEED)
     def test_every_rate_and_seed_checked(self, gamma, seed, message):
-        # a per-cell value bypasses AdamConfig, so train_adam checks it the
-        # same way: a negative rate would train uphill, a zero one return
-        # the start
-        gram, y = self.instance()
+        # a per-cell rate or per-set seed bypasses AdamConfig, so train_adam
+        # checks it the same way, naming the cell or the set: a negative
+        # rate would train uphill, a zero one return the start
+        gram, Ys, _ = fold_stack(folds=2)
         loss = LossSpec("least_squares")
         with pytest.raises(ValueError, match=re.escape(message)):
             AdamConfig(gamma=gamma, seed=seed)
-        with pytest.raises(ValueError, match=re.escape(f"{message}: cell 1")):
-            train_adam(gram, y, [1.0, 1.0], [loss, loss], AdamConfig(max_iter=5), gamma=[0.01, gamma], seed=[0, seed])
+        where = "cell 1" if seed == 0 else "set 1"
+        with pytest.raises(ValueError, match=re.escape(f"{message}: {where}")):
+            train_adam(gram, Ys, [1.0, 1.0], [loss, loss], AdamConfig(max_iter=5), gamma=[0.01, gamma], seed=[0, seed],
+                       fold=[0, 1])
 
     @pytest.mark.parametrize("C", [-1.0, 0.0, float("nan"), float("inf"), float("-inf")])
     def test_every_C_checked(self, C):
@@ -611,7 +618,7 @@ class TestCrossFoldStack:
         # the rows of each fold are listed apart, at learning rates that
         # differ or one shared by all
         gram, Ys, grams = fold_stack(dtype=dtype)
-        fold, Cs, seeds = [2, 0, 1, 0, 2, 1], [1.0, 1.0, 100.0, 100.0, 10.0, 1.0], [4, 5, 6, 7, 8, 9]
+        fold, Cs, seeds = [2, 0, 1, 0, 2, 1], [1.0, 1.0, 100.0, 100.0, 10.0, 1.0], [4, 5, 6]
         gammas = [1e-2] * 6 if one_gamma else [1e-2, 1e-3, 1e-2, 1e-2, 1e-3, 1e-3]
         cfg = AdamConfig(max_iter=80, batch_size=batch_size, collect_trace=True)
         stack = train_adam(gram, Ys, Cs, [self.loss] * 6, cfg, gamma=gammas, seed=seeds, fold=fold)
@@ -622,7 +629,7 @@ class TestCrossFoldStack:
     def test_unequal_rows_per_fold(self, batch_size, dtype=np.float64):
         # fold 1 holds no row at all, fold 0 three and fold 2 one
         gram, Ys, grams = fold_stack(dtype=dtype)
-        fold, Cs, gammas, seeds = [0, 2, 0, 0], [1.0, 10.0, 100.0, 1.0], [1e-2] * 4, [1, 2, 3, 4]
+        fold, Cs, gammas, seeds = [0, 2, 0, 0], [1.0, 10.0, 100.0, 1.0], [1e-2] * 4, [1, 2, 3]
         cfg = AdamConfig(max_iter=45, batch_size=batch_size, collect_trace=True)
         stack = train_adam(gram, Ys, Cs, [self.loss] * 4, cfg, gamma=gammas, seed=seeds, fold=fold)
         self.check_rows(stack, Ys, grams, Cs, fold, gammas, seeds, cfg)
@@ -711,13 +718,13 @@ class TestMixedKindStack:
     ]
     Cs = [1.0, 10.0, 100.0, 100.0, 1.0, 10.0, 1.0, 100.0, 100.0, 1.0, 10.0, 10.0]
     gammas = [1e-2, 1e-3, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-2, 1e-2, 1e-3, 1e-2, 1e-2]
-    seeds = list(range(4, 16))
+    seeds = [4, 5, 6]  # of each set
 
     def train(self, cfg, rows, dtype=np.float64, resume=None):
         gram, Ys, _ = fold_stack(dtype=dtype)
         return train_adam(
             gram, Ys, [self.Cs[c] for c in rows], [self.cells[c][0] for c in rows], cfg,
-            gamma=[self.gammas[c] for c in rows], seed=[self.seeds[c] for c in rows],
+            gamma=[self.gammas[c] for c in rows], seed=self.seeds,
             fold=[self.cells[c][1] for c in rows], resume=None if resume is None else [resume[c] for c in rows],
         )
 
@@ -767,8 +774,9 @@ class TestBatchedProductsAreRowGemvs:
 
     A set's only row is a GEMV, bit for bit the product of a one-cell run;
     a set of several rows is a GEMM whose rows stay within the stated
-    bound of the GEMVs; and a mini-batch's gathered product is one GEMV
-    per row.  A numpy or BLAS build that does otherwise fails here first.
+    bound of the GEMVs; and a mini-batch's product does the same on the
+    set's gathered batch rows.  A numpy or BLAS build that does otherwise
+    fails here first.
     """
 
     def operands(self, n, folds=3, rows_per_fold=2):
@@ -824,17 +832,55 @@ class TestBatchedProductsAreRowGemvs:
             assert got[k].tobytes() == np.matmul(K[k], A[k]).tobytes()
         assert got[3:6].tobytes() == np.matmul(A[3:6], K[1]).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [80, 160, 333])
-    def test_gathered_batch_matmul_equals_row_gemvs(self, n):
-        K, A, fold_of = self.operands(n)
+    def test_equal_share_block_equals_per_set_gemms(self, n, dtype):
+        # a block of set None with two rows of each set makes each set's
+        # GEMM in one broadcast, bit for bit, for full and gathered rows
+        K, A, _ = self.operands(n, rows_per_fold=2)
+        K, batch = K.astype(dtype), self.batches(n)
+        D = np.random.default_rng(n + 3).normal(size=(6, 32))
+        got, got_batch = np.empty_like(A), np.empty_like(A)
+        GramMatrix(K).products(A, got, [(None, slice(0, 6))])
+        GramMatrix(K).batch_products(batch, D, got_batch, [(None, slice(0, 6))])
+        for k in range(3):
+            rows = slice(2 * k, 2 * k + 2)
+            assert got[rows].tobytes() == np.matmul(A[rows], K[k], dtype=dtype).astype(float).tobytes()
+            assert got_batch[rows].tobytes() == np.matmul(D[rows], K[k][batch[k]], dtype=dtype).astype(float).tobytes()
+
+    @staticmethod
+    def batches(n, folds=3):
         rng = np.random.default_rng(n + 1)
-        batch = np.sort(np.stack([rng.choice(n, 32, replace=False) for _ in fold_of]), axis=1)
-        d = rng.normal(size=(len(fold_of), 32))
-        got = np.empty_like(A)
-        spans = [(k, slice(2 * k, 2 * k + 2)) for k in range(3)]
-        GramMatrix(K).batch_products(batch, d, got, spans, fold_of)
-        for r, k in enumerate(fold_of):
-            assert got[r].tobytes() == np.matmul(K[k][batch[r]].T, d[r]).tobytes()
+        return np.sort(np.stack([rng.choice(n, 32, replace=False) for _ in range(folds)]), axis=1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [80, 160, 333])
+    def test_gathered_batch_lone_rows_equal_row_gemvs(self, n, dtype):
+        # a block of one row per set, and a set's only row beside a set of
+        # two: each the GEMV of its set's batch rows, bit for bit
+        K, _, _ = self.operands(n)
+        K, batch = K.astype(dtype), self.batches(n)
+        d = np.random.default_rng(n + 2).normal(size=(6, 32))
+        got = np.empty((6, n))
+        GramMatrix(K).batch_products(batch, d, got, [(None, slice(0, 3)), (0, slice(3, 5)), (2, slice(5, 6))])
+        for r, k in [(0, 0), (1, 1), (2, 2), (5, 2)]:
+            assert got[r].tobytes() == np.matmul(K[k][batch[k]].T, d[r], dtype=dtype).astype(float).tobytes()
+
+    @pytest.mark.parametrize("n", [80, 160, 333])
+    def test_gathered_batch_gemm_rows_match_row_gemvs_within_bound(self, n):
+        # a set of several rows is one GEMM on its batch rows, which does
+        # not depend on the other sets' rows
+        K, _, _ = self.operands(n)
+        batch = self.batches(n)
+        d = np.random.default_rng(n + 2).normal(size=(7, 32))
+        got = np.empty((7, n))
+        spans = [(0, slice(0, 3)), (1, slice(3, 4)), (2, slice(4, 7))]
+        GramMatrix(K).batch_products(batch, d, got, spans)
+        for k, rows in spans:
+            KB = K[k][batch[k]]
+            assert got[rows].tobytes() == np.matmul(d[rows], KB).tobytes()
+            for r in range(rows.start, rows.stop):
+                assert np.all(np.abs(got[r] - np.matmul(KB.T, d[r])) <= product_bound(KB.T, d[r]))
 
 
 class TestFactorTraining:
@@ -866,19 +912,51 @@ class TestFactorTraining:
         for r in range(3):
             assert np.allclose(got[r], np.matmul(np.matmul(Lt, A[r]), Lt), rtol=1e-13, atol=1e-13)
 
+    def test_batch_products_gather_each_sets_rows_once(self):
+        # a block of several rows is one GEMM pair on the set's batch rows
+        # of L, a lone row a GEMV pair, bit for bit a one-row block's
+        factor, _, _ = self.instance()
+        Lt = factor[0].Lt
+        batch = np.sort(np.random.default_rng(72).choice(60, 8, replace=False))[None]
+        D = np.random.default_rng(73).normal(size=(4, 8))
+        got = np.empty((4, 60))
+        factor.batch_products(batch, D, got, [(0, slice(0, 3)), (None, slice(3, 4))])
+        LB = Lt.T[batch[0]]
+        assert got[:3].tobytes() == np.matmul(np.matmul(D[:3], LB), Lt).tobytes()
+        assert got[3].tobytes() == np.matmul(np.matmul(D[3], LB), Lt).tobytes()
+        lone = np.empty((1, 60))
+        factor.batch_products(batch, D[3:], lone, [(0, slice(0, 1))])
+        assert lone[0].tobytes() == got[3].tobytes()
+
+    def test_equal_share_block_is_each_sets_block(self):
+        # a block of set None on factors of unequal rank: each set's share
+        # of rows on its own factor, a GEMM pair for two rows, bit for bit
+        X = np.random.default_rng(74).uniform(-1, 1, size=(2, 60, 1))
+        factors = GramFactors(gram_factor(KernelSpec("rbf", sigma=s), x) for s, x in zip((1.0, 2.0), X))
+        assert factors[0].Lt.shape[0] != factors[1].Lt.shape[0]
+        A = np.random.default_rng(75).normal(size=(4, 60))
+        batch = np.sort(np.random.default_rng(76).choice(60, (2, 8), replace=False), axis=1)
+        got, got_batch = np.empty_like(A), np.empty_like(A)
+        factors.products(A, got, [(None, slice(0, 4))])
+        factors.batch_products(batch, A[:, :8], got_batch, [(None, slice(0, 4))])
+        for k in range(2):
+            rows, Lt = slice(2 * k, 2 * k + 2), factors[k].Lt
+            assert got[rows].tobytes() == np.matmul(np.matmul(A[rows], Lt.T), Lt).tobytes()
+            assert got_batch[rows].tobytes() == np.matmul(np.matmul(A[rows, :8], Lt.T[batch[k]]), Lt).tobytes()
+
     @pytest.mark.parametrize("batch_size", [5, 1000])
     def test_stacked_rows_keep_the_dense_promises(self, batch_size):
         # three hawkeye rows share their GEMMs; the least-squares row is
         # alone of its kind, so it keeps the GEMV pairs of a one-cell run
         factor, _, y = self.instance()
         losses = [self.he[0], LossSpec("least_squares"), self.he[1], self.he[0]]
-        Cs, gammas, seeds = [1.0, 10.0, 100.0, 10.0], [1e-2, 1e-2, 1e-3, 1e-2], [4, 5, 6, 7]
+        Cs, gammas = [1.0, 10.0, 100.0, 10.0], [1e-2, 1e-2, 1e-3, 1e-2]
         cfg = AdamConfig(max_iter=150, batch_size=batch_size, collect_trace=True)
-        stack = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
-        again = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=seeds)
+        stack = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=[4])
+        again = train_adam(factor, y, Cs, losses, cfg, gamma=gammas, seed=[4])
         TestResume.assert_same_states(stack.states, again.states)
         for c, got in enumerate(stack.states):
-            alone = train_adam(factor, y, Cs[c], losses[c], replace(cfg, gamma=gammas[c], seed=seeds[c]))
+            alone = train_adam(factor, y, Cs[c], losses[c], replace(cfg, gamma=gammas[c], seed=4))
             if losses[c].kind == "least_squares":
                 TestResume.assert_same_states([got], [alone])
             else:
@@ -920,7 +998,7 @@ class TestResume:
     loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
     # two rows per fold, listed out of fold order
     fold, Cs = [2, 0, 1, 0, 2, 1], [1.0, 1.0, 100.0, 100.0, 10.0, 1.0]
-    gammas, seeds = [1e-2, 1e-3, 1e-2, 1e-2, 1e-3, 1e-3], [4, 5, 6, 7, 8, 9]
+    gammas, seeds = [1e-2, 1e-3, 1e-2, 1e-2, 1e-3, 1e-3], [4, 5, 6]
 
     def train(self, cfg, steps, resume=None):
         gram, Ys, _ = fold_stack()
@@ -990,3 +1068,20 @@ class TestResume:
             train_adam(gram, Ys, [1.0], [self.loss], replace(cfg, max_iter=3), resume=[b])
         with pytest.raises(ValueError, match="without a trace"):
             train_adam(gram, Ys, [1.0], [self.loss], replace(cfg, collect_trace=True), resume=[a])
+
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_resumed_cells_of_a_set_must_share_its_generator(self, batch_size):
+        # two runs with different seeds leave different generators (at full
+        # batch the untouched generators of those seeds): resumed on one set
+        # they would draw two batch sequences, which no run of that set
+        # draws; on two sets each set draws on from its own
+        gram, Ys, _ = fold_stack()
+        cfg = AdamConfig(max_iter=10, batch_size=batch_size)
+        a, b = (train_adam(gram, Ys, [1.0], [self.loss], replace(cfg, max_iter=3), seed=[seed, 0, 0]).states[0]
+                for seed in (1, 2))
+        with pytest.raises(ValueError, match="^resumed cells of set 2 hold generators in different states$"):
+            train_adam(gram, Ys, [1.0] * 3, [self.loss] * 3, cfg, fold=[0, 2, 2], resume=[a, a, b])
+        stack = train_adam(gram, Ys, [1.0] * 2, [self.loss] * 2, cfg, fold=[0, 2], resume=[a, b])
+        # each state gets a copy of its set's generator, none the one passed in
+        assert repr(stack.states[0].rng.bit_generator.state) != repr(stack.states[1].rng.bit_generator.state)
+        assert all(state.rng is not start.rng for state, start in zip(stack.states, (a, b)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helssvr.data import kfold_split
-from helssvr.seeding import child_seed, make_rng, sample_without_replacement
+from helssvr.seeding import child_seed, copy_rng, make_rng, sample_without_replacement
 
 
 class TestMakeRng:
@@ -15,6 +15,18 @@ class TestMakeRng:
         a = make_rng(42).random(5)
         b = make_rng(42, 1).random(5)
         assert not np.array_equal(a, b)
+
+
+class TestCopyRng:
+    @pytest.mark.parametrize("bits", [np.random.Philox, np.random.PCG64, np.random.MT19937])
+    def test_copy_draws_what_the_original_draws_and_apart_from_it(self, bits):
+        rng = np.random.Generator(bits(3))
+        rng.random(5)
+        twin = copy_rng(rng)
+        assert type(twin.bit_generator) is bits and twin.bit_generator is not rng.bit_generator
+        assert np.array_equal(twin.random(7), rng.random(7))
+        twin.random(1)  # drawing from one leaves the other where it was
+        assert twin.random(3).tolist() != rng.random(3).tolist()
 
 
 class TestChildSeed:
