@@ -349,12 +349,9 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             datasets.append((str(path), load_csv(**_csv_options(args, path))[0]))
         except (OSError, ValueError) as exc:
             failures.append((str(path), "*", exc))
-    records, failed, fallbacks = run_benchmark(
+    records, failed = run_benchmark(
         datasets, recipes, grid, adam, seed=cfg["seed"], scaling=cfg["scaling"], selection=cfg["cv.selection"]
     )
-    for what, exc in fallbacks:
-        print(f"joint {what} failed ({type(exc).__name__}: {exc}); running its work items one at a time",
-              file=sys.stderr)
     for *_, exc in failed:
         if not isinstance(exc, (ValueError, OSError)):
             traceback.print_exception(exc)
@@ -388,15 +385,17 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             for p in [r.search.best_params]
         ),
     )
-    # every cell's fold RMSEs, statistic, steps and stop reason ("halved"
-    # for a cell successive halving cut, at fewer than max_iter steps)
+    # every cell's fold RMSEs, statistic, steps and stop reason (the step
+    # and fold of its first fold that diverged, else "halved" for a cell
+    # successive halving cut, at fewer than max_iter steps)
     write_csv(
         cells_path,
         ["dataset", "model", "C", "sigma", "epsilon", "lambda", "a", "gamma",
          *(f"rmse_fold{j}" for j in range(1, grid.k + 1)), "stat", "iterations", "stop_reason"],
         (
             [r.dataset, r.model, *map(_fmt, (p.C, p.sigma, p.epsilon, p.lam, p.a, p.gamma, *cell.fold_rmse, cell.stat)),
-             cell.iterations, "halved" if cell.iterations < adam.max_iter else "max_iter"]
+             cell.iterations, f"diverged at step {cell.diverged[1]} of fold {cell.diverged[0]}" if cell.diverged
+             else "halved" if cell.iterations < adam.max_iter else "max_iter"]
             for r in records
             for cell in r.search.cells
             for p in [cell.params]

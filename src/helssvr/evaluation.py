@@ -23,7 +23,7 @@ from . import losses
 from .data import Dataset, kfold_split
 from .kernels import KernelSpec
 from .losses import LossSpec
-from .model import FitReport, fit_cells, predict, predict_cells
+from .model import FitReport, check_trained, fit_cells, predict, predict_cells
 from .optimizer import AdamConfig
 from .seeding import child_seed
 
@@ -151,12 +151,15 @@ class CellParams:
 class CellResult:
     """A grid cell's held-out RMSE per fold, the Adam steps every fold
     trained (the rung step for a cell successive halving cut, fewer than
-    ``max_iter``), and its statistic."""
+    ``max_iter``), its statistic, and the (fold, step) of its first fold
+    that diverged (None if none did; see
+    :func:`~helssvr.optimizer.train_adam`), whose RMSE is NaN."""
 
     params: CellParams
     fold_rmse: list[float]
     iterations: int
     stat: float
+    diverged: tuple[int, int] | None = None
 
 
 @dataclass
@@ -207,7 +210,9 @@ def grid_search_cv(
 
     For each cell the model trains on k-1 folds and is scored by RMSE on
     the held-out fold.  A cell's statistic is its best (lowest) fold RMSE
-    by default, or the fold mean with ``selection="mean"``.
+    by default, or the fold mean with ``selection="mean"``; either is NaN
+    if a fold diverged, and a cell of NaN statistic ranks last.  Raises
+    ValueError if no cell's statistic is finite.
 
     Successive halving (Jamieson & Talwalkar 2016) trains every cell to the
     rungs at ``max_iter // 10`` and ``3 * max_iter // 10`` steps
@@ -237,7 +242,14 @@ def grid_search_cv(
     after another, since each Adam step's Python work holds the GIL.  This
     is the one-recipe case of :func:`grid_search_recipes`.
     """
-    return grid_search_recipes(ds, grid, [recipe], seed, adam, scaling, selection)[0]
+    return _finite_best(grid_search_recipes(ds, grid, [recipe], seed, adam, scaling, selection)[0])
+
+
+def _finite_best(result: GridSearchResult) -> GridSearchResult:
+    """``result``, unless its best statistic is not finite: then ValueError."""
+    if not math.isfinite(result.best.stat):
+        raise ValueError("no grid cell produced a finite fold RMSE")
+    return result
 
 
 def grid_search_recipes(
@@ -267,8 +279,10 @@ def grid_search_recipes(
     same stack layout, every stack on a fold draws the fold's batches, and
     a stack gives each kind's rows the bits of a stack of that kind alone,
     so every number equals the one-recipe search's.  The k
-    training sets are built once per call.  An error of any recipe, such
-    as a grid with no finite statistic, fails the whole call.
+    training sets are built once per call.  A (cell, fold) that diverges
+    scores NaN and stops alone (see :func:`~helssvr.model.fit_cells`), so
+    every recipe gets a result, though its best statistic may be NaN when
+    no cell has a finite one.
     """
     if selection not in ("best_fold", "mean"):
         raise ValueError(f"selection must be 'best_fold' or 'mean', got {selection!r}")
@@ -317,10 +331,13 @@ def grid_search_recipes(
                 fold_fits = fitted[j * len(owners) : (j + 1) * len(owners)]
                 preds = predict_cells([model for model, _ in fold_fits], ds.X[test_idx])
                 for (r, i), res, (_, report), pred in zip(owners, found, fold_fits, preds):
+                    # a diverged fold's NaN coefficients predict NaN, so it scores NaN
                     states[r][i, j] = report.state
                     res.fold_rmse.append(compute_metrics(ds.y[test_idx], pred).rmse)
+                    if report.state.diverged is not None:
+                        res.diverged = res.diverged or (j, report.state.diverged)
             for (r, i), res in zip(owners, found):
-                res.stat = min(res.fold_rmse) if selection == "best_fold" else float(np.mean(res.fold_rmse))
+                res.stat = float(np.min(res.fold_rmse) if selection == "best_fold" else np.mean(res.fold_rmse))
                 results[r][i] = res
         if final:
             break
@@ -330,13 +347,7 @@ def grid_search_recipes(
             ranked = sorted(ids, key=lambda i: rank(results[r][i]))
             training[r] = sorted(ranked[: max(HALVING_FLOOR, -(-len(ids) // 2))])
 
-    out = []
-    for res in results:
-        best = min(res, key=rank)
-        if not math.isfinite(best.stat):
-            raise ValueError("no grid cell produced a finite fold RMSE")
-        out.append(GridSearchResult(best=best, cells=res, folds=folds))
-    return out
+    return [GridSearchResult(best=min(res, key=rank), cells=res, folds=folds) for res in results]
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +381,8 @@ def _hold_out(ds: Dataset, k: int, seed: int) -> tuple[Dataset, Dataset]:
     return Dataset(np.delete(ds.X, test, axis=0), np.delete(ds.y, test)), Dataset(ds.X[test], ds.y[test])
 
 
-def _jointly(call, items, finish, what, failures, fallbacks):
-    """``finish(output)`` for each work item, a (dataset name, recipe, ...)
-    tuple, with its output of ``call(items)``, the joint work of all of
-    them.  If that raises, it is noted in ``fallbacks`` as ``(what,
-    exception)`` and ``call([item])`` does each item's work alone, so that
-    a failure, noted in ``failures``, stays with its own item."""
-    joint = None
-    if len(items) > 1:
-        try:
-            joint = call(items)
-        except Exception as exc:
-            fallbacks.append((what, exc))
-    for i, item in enumerate(items):
-        try:
-            finish(call([item])[0] if joint is None else joint[i])
-        except Exception as exc:
-            failures.append((item[0], item[1].name, exc))
-
-
 def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int = 0, scaling: str = "minmax",
-                  selection: str = "best_fold") -> tuple[list, list, list]:
+                  selection: str = "best_fold") -> tuple[list, list]:
     """Search, refit and score every recipe of ``recipes`` (distinct
     :class:`ModelRecipe` kinds, else ValueError before any work) on every
     ``(name, Dataset)`` pair of ``datasets``: the protocol of
@@ -409,43 +401,18 @@ def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int
     the search nor the refit saw (Cawley & Talbot 2010).  Every number is
     bit for bit what a run of one recipe writes.
 
-    Returns ``(records, failures, fallbacks)``: a
-    :class:`BenchmarkRecord` per (dataset, recipe) that succeeded, sorted
-    by (dataset, model); each failed one as ``(dataset, model,
-    exception)``, with model ``*`` for a dataset too small to hold rows
-    out; and each joint search or refit that raised, as ``(what,
-    exception)``, whose work items then ran one at a time, so that a
-    failure stays with its own item.  Prints nothing.
+    Returns ``(records, failures)``: a :class:`BenchmarkRecord` per
+    (dataset, recipe) that succeeded, sorted by (dataset, model), and each
+    failed one as ``(dataset, model, exception)``, with model ``*`` for a
+    dataset too small to hold rows out.  A search without a finite cell
+    and a refit that diverged fail their own item; an exception a search
+    or refit call raises fails each item of that call.  The other items go
+    on.  Prints nothing.
     """
     recipes = list(recipes)
     if len({recipe.name for recipe in recipes}) != len(recipes):
         raise ValueError(f"run_benchmark needs distinct recipes, got {[recipe.name for recipe in recipes]}")
-    records, failures, fallbacks = [], [], []
-
-    def search(items):  # items of one dataset: (name, recipe, searched rows, held-out rows)
-        t0 = time.perf_counter()
-        results = grid_search_recipes(items[0][2], grid, [item[1] for item in items], seed=seed, adam=adam,
-                                      scaling=scaling, selection=selection)
-        wall = time.perf_counter() - t0
-        steps = [sum(cell.iterations * len(cell.fold_rmse) for cell in res.cells) for res in results]
-        return [(*item, res, wall * k / sum(steps)) for item, res, k in zip(items, results, steps)]
-
-    # every recipe's refits stack alike, so that the training times (a
-    # stack's wall time split evenly among its rows) compare across recipes
-    def refit(items):  # items of one recipe, as in searched below
-        sets, kernels, cells = [], [], []
-        for k, (_, recipe, ds, _, res, _) in enumerate(items):
-            p = res.best.params
-            sets.append((ds.X, ds.y))
-            kernels.append(recipe.build_kernel(p.sigma))
-            cells.append((k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma))
-        return list(zip(items, fit_cells(sets, kernels, cells, adam, scaling=scaling)))
-
-    def score(fitted):
-        (name, recipe, _, test, res, secs), (model, report) = fitted
-        metrics = compute_metrics(test.y, predict(model, test.X))
-        records.append(BenchmarkRecord(name, recipe.name, res, secs, report, metrics))
-
+    records, failures = [], []
     searched = []  # (name, recipe, searched rows, held-out rows, search result, seconds)
     for name, ds in datasets:
         try:
@@ -453,13 +420,41 @@ def run_benchmark(datasets, recipes, grid: GridSpec, adam: AdamConfig, seed: int
         except ValueError as exc:
             failures.append((name, "*", exc))
             continue
-        items = [(name, recipe, ds, test) for recipe in recipes]
-        _jointly(search, items, searched.append, f"search of {name}", failures, fallbacks)
-    for recipe in recipes:
+        t0 = time.perf_counter()
+        try:
+            results = grid_search_recipes(ds, grid, recipes, seed=seed, adam=adam, scaling=scaling,
+                                          selection=selection)
+        except Exception as exc:
+            failures.extend((name, recipe.name, exc) for recipe in recipes)
+            continue
+        wall = time.perf_counter() - t0
+        steps = [sum(cell.iterations * len(cell.fold_rmse) for cell in res.cells) for res in results]
+        for recipe, res, k in zip(recipes, results, steps):
+            try:
+                searched.append((name, recipe, ds, test, _finite_best(res), wall * k / sum(steps)))
+            except ValueError as exc:
+                failures.append((name, recipe.name, exc))
+    # every recipe's refits stack alike, so that the training times (a
+    # stack's wall time split evenly among its rows) compare across recipes
+    for recipe in dict.fromkeys(item[1] for item in searched):
         mine = [item for item in searched if item[1] is recipe]
-        _jointly(refit, mine, score, f"refit of {recipe.name}", failures, fallbacks)
+        params = [res.best.params for *_, res, _ in mine]
+        try:
+            fitted = fit_cells([(ds.X, ds.y) for _, _, ds, *_ in mine], [recipe.build_kernel(p.sigma) for p in params],
+                               [(k, recipe.build_loss(p.epsilon, p.lam, p.a), p.C, p.gamma)
+                                for k, p in enumerate(params)], adam, scaling=scaling)
+        except Exception as exc:
+            failures.extend((item[0], recipe.name, exc) for item in mine)
+            continue
+        for (name, _, _, test, res, secs), pair in zip(mine, fitted):
+            try:
+                model, report = check_trained(pair)
+                metrics = compute_metrics(test.y, predict(model, test.X))
+                records.append(BenchmarkRecord(name, recipe.name, res, secs, report, metrics))
+            except Exception as exc:
+                failures.append((name, recipe.name, exc))
     records.sort(key=lambda r: (r.dataset, r.model))
-    return records, failures, fallbacks
+    return records, failures
 
 
 # ---------------------------------------------------------------------------

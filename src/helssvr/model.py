@@ -182,7 +182,10 @@ def fit_cells(
     of that cell alone; one that shares its set's Gram products with other
     rows of its kind agrees with it to rounding; both with the set's seed.
     A run resumed to step T is bit-identical to a run to T in the same
-    stack layout.
+    stack layout.  A cell that diverges raises nothing and leaves every
+    other cell's bits as they were: its ``report.state.diverged`` is the
+    step (see :func:`~helssvr.optimizer.train_adam`), and its model's
+    coefficients and its report's ``final_objective`` are NaN.
 
     A factor-trained set's models differ from a float64 fit's by the
     factor's error, which its tolerance bounds, and a float32-trained
@@ -286,7 +289,6 @@ def fit_cells(
             wall = (time.perf_counter() - t1) / len(rows)
             for k, i, loss, C, state in zip(folds, rows, losses, Cs, stack.states):
                 Xs, state_scaling, gram_seconds = centers[k]
-                gram_k = gram.one_set(k)
                 alpha = state.alpha
                 if Xs.shape[0] < n:  # a factor's pivot rows: beta = L_PP^-T (L^T alpha)
                     factor = factors[group[k]]
@@ -297,7 +299,8 @@ def fit_cells(
                     scaling=state_scaling,
                 )
                 report = FitReport(
-                    final_objective=objective_value(state.alpha, gram_k, ys[k], C, loss),
+                    final_objective=np.nan if state.diverged is not None
+                    else objective_value(state.alpha, gram.one_set(k), ys[k], C, loss),
                     wall_time_seconds=wall,
                     gram_seconds=gram_seconds,
                     state=state,
@@ -319,10 +322,19 @@ def fit(
 
     Scaling parameters are fit on this training data only.  The reported
     wall time covers the optimizer run; Gram construction is timed
-    separately.  This is the one-cell case of :func:`fit_cells`.
+    separately.  This is the one-cell case of :func:`fit_cells`, except
+    that a cell that diverges raises ValueError naming the step.
     """
     adam = AdamConfig() if adam is None else adam
-    return fit_cells([(X, y)], kernel, [(0, loss, C, adam.gamma)], adam, scaling)[0]
+    return check_trained(fit_cells([(X, y)], kernel, [(0, loss, C, adam.gamma)], adam, scaling)[0])
+
+
+def check_trained(fitted: tuple[TrainedModel, FitReport]) -> tuple[TrainedModel, FitReport]:
+    """``fitted``, a (model, report) pair of :func:`fit_cells`, unless its
+    cell diverged: then ValueError naming the step."""
+    if (step := fitted[1].state.diverged) is not None:
+        raise ValueError(f"training diverged: non-finite residual or coefficients at step {step}")
+    return fitted
 
 
 def predict_cells(models, X_new) -> list[np.ndarray]:

@@ -96,7 +96,9 @@ class AdamState:
     returns also holds what its ``resume`` argument needs to continue the
     cell: the raw iterate (``alpha`` is the averaged one), the average
     before its bias correction and a copy of its training set's generator.
-    :func:`adam_step` leaves these unset.
+    :func:`adam_step` leaves these unset.  ``diverged`` is the step at which
+    :func:`train_adam` found the cell's residual or returned coefficients
+    non-finite, None for a cell that trained.
     """
 
     alpha: np.ndarray
@@ -107,6 +109,7 @@ class AdamState:
     iterate: np.ndarray | None = None
     avg: np.ndarray | None = None
     rng: np.random.Generator | None = None
+    diverged: int | None = None
 
 
 def _objective(alpha, Kalpha, resid, C, loss, check=True) -> float:
@@ -237,11 +240,18 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     shape (N,), or of f sets of N rows each with ``y`` the (f, N) targets,
     ``fold`` each cell's set (all 0 by default) and ``seed`` each set's
     Adam seed (all ``cfg.seed`` by default; :func:`check_seed`, an error
-    naming the set).  A non-finite residual raises a ValueError that names
-    the step and each affected cell (its position in ``C``) and set; the
-    whole stack stops.  The residual block is checked once per step, before
-    the loss derivative, and with ``collect_trace`` once more before the
-    objectives.
+    naming the set).
+
+    A cell diverges at the first step whose residual holds a non-finite
+    value, or at ``cfg.max_iter`` when its returned coefficients do: its
+    state records that step in ``diverged``, and its ``alpha`` is NaN.  The
+    residual block is checked once per step, before the loss derivative,
+    and with ``collect_trace`` once more before the objectives.  A diverged
+    row stays in its blocks but is inert: its iterate, moments, average, C
+    and learning rate are zeroed, so it takes zero steps, and since each
+    product row reads only its own input row, every other row keeps its
+    bits.  Its trace stops at the step before it diverged.  A resumed
+    diverged state stays diverged at its step.
 
     The cells may be of several loss kinds.  Their coefficient, moment and
     residual vectors are stacked as the rows of (m, N) arrays, grouped by
@@ -348,6 +358,10 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     # each row the bits a one-cell run gets
     C_blk = np.repeat(np.array([[C[c]] for c in order], dtype=float), n, axis=1)
     gamma_blk = np.repeat(np.array([[gamma[c]] for c in order], dtype=float), n, axis=1)
+    # the step at which each stack row diverged, None while it trains
+    diverged = [begin[c].diverged for c in order]
+    inert = [r for r, step in enumerate(diverged) if step is not None]
+    C_blk[inert] = gamma_blk[inert] = 0.0
 
     # np.stack copies, so the states passed in stay as they were
     state = AdamState(
@@ -366,13 +380,17 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
     # cell's next step replaces
     traces = [start.trace[: start.t] if cfg.collect_trace else None for start in begin]
 
-    def check_finite(step, resid):
-        # a non-finite residual aborts the whole stack; the error names
-        # the cell and set of each row that holds one
-        if not np.isfinite(resid).all():
-            bad = sorted(order[r] for r in np.flatnonzero(~np.isfinite(resid).all(axis=1)))
-            cells = ", ".join(f"cell {c} (fold {fold[c]})" for c in bad)
-            raise ValueError(f"residual must be finite: step {step}, {cells}")
+    def check_finite(step, block):
+        # a row of the residual (or, after the last step, of the returned
+        # coefficients) that holds a non-finite value diverges here: zero
+        # what it carries into later steps, and its K alpha and residual of
+        # this step, which the trace and the gradient read
+        if not np.isfinite(block).all():
+            rows = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            for a in (state.alpha, state.m, state.v, avg, C_blk, gamma_blk, Kalpha, R):
+                a[rows] = 0.0
+            for r in rows:
+                diverged[r] = step
 
     def derivative(step):
         # dL/dr of the residual block R, into D, one call per kind; the
@@ -388,7 +406,8 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
             resid = Y - Kalpha
             check_finite(step, resid)
             for r, c in enumerate(order):
-                traces[c].append(_objective(state.alpha[r], Kalpha[r], resid[r], C[c], loss[c], check=False))
+                if diverged[r] is None:
+                    traces[c].append(_objective(state.alpha[r], Kalpha[r], resid[r], C[c], loss[c], check=False))
         if s == n:
             # full batch: no draw, no row gather (K is symmetric)
             np.subtract(Y, Kalpha, out=R)
@@ -419,13 +438,16 @@ def train_adam(gram, y, C, loss, cfg: AdamConfig, gamma=None, seed=None, fold=No
         a = np.subtract(state.alpha, avg, out=work[0])
         a *= 1.0 - EMA_WEIGHT
         avg += a
+    alphas = avg / (1.0 - EMA_WEIGHT**state.t)
+    check_finite(state.t, alphas)
     out = [None] * m
     for r, c in enumerate(order):
-        alpha = avg[r] / (1.0 - EMA_WEIGHT**state.t)
-        if cfg.collect_trace:
-            traces[c].append(objective_value(alpha, gram.one_set(fold[c]), Ys[fold[c]], C[c], loss[c]))
+        if diverged[r] is not None:
+            alphas[r] = np.nan
+        elif cfg.collect_trace:
+            traces[c].append(objective_value(alphas[r], gram.one_set(fold[c]), Ys[fold[c]], C[c], loss[c]))
         out[c] = AdamState(
-            alpha=alpha, m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c],
-            iterate=state.alpha[r].copy(), avg=avg[r].copy(), rng=copy_rng(rngs[fold[c]]),
+            alpha=alphas[r], m=state.m[r].copy(), v=state.v[r].copy(), t=state.t, trace=traces[c],
+            iterate=state.alpha[r].copy(), avg=avg[r].copy(), rng=copy_rng(rngs[fold[c]]), diverged=diverged[r],
         )
     return AdamStack(out, m * (state.t - t0))

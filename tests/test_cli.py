@@ -195,6 +195,19 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("steps", [[], ["--set", "adam.max_iter=2"]], ids=["residual", "coefficients"])
+    def test_diverged_fit_exit_3_naming_the_step(self, tmp_path, capsys, steps):
+        # at a learning rate of 1e300 the residual of step 2 is non-finite;
+        # in a run of two steps, the returned coefficients are
+        data = tmp_path / "toy.csv"
+        write_toy_csv(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--data", str(data), "--target", "y", "--out", str(tmp_path / "m.json"),
+                       "--set", "adam.gamma=1e300", *steps])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: training diverged: non-finite residual or coefficients at step 2\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("pairs, message", [
         (["C=0"], "bad value for 'C' (from --set): must be finite and > 0, got 0.0"),
         (["C=-1"], "bad value for 'C' (from --set): must be finite and > 0, got -1.0"),
@@ -765,17 +778,18 @@ class TestJointBench:
                 assert seconds[m] == pytest.approx(0.5 * steps[m] / sum(steps.values()), abs=1e-6)
 
     def test_failed_refit_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
-        # least_squares' joint refit fails, and so does each of its refits
-        # alone; the other recipes' joint refits run
+        # least_squares' joint refit raises, which fails each of its work
+        # items once, with no rerun; the other recipes' joint refits run
         import helssvr.evaluation
 
         data = self.datasets(tmp_path)
         want = self.outputs(self.bench(tmp_path, "joint", data, self.RECIPES))
-        real = helssvr.evaluation.fit_cells
+        real, failed = helssvr.evaluation.fit_cells, []
 
         def flaky(sets, kernel, cells, *args, **kw):
             # a refit passes one kernel per set, a search one for all its sets
             if isinstance(kernel, list) and any(loss.kind == "least_squares" for _, loss, *_ in cells):
+                failed.append(len(cells))
                 raise RuntimeError("refit exploded")
             return real(sets, kernel, cells, *args, **kw)
 
@@ -790,10 +804,10 @@ class TestJointBench:
         ]
         for name in ("best_params.csv", "cells.csv", "results.csv", "timing.csv"):
             assert got[name] == [r for r in want[name] if r[1] != "least_squares"]
+        assert failed == [2]  # one joint refit of both datasets
         err = capsys.readouterr().err
-        assert "Traceback" in err
-        assert err.count("joint refit") == 1
-        assert "joint refit of least_squares failed (RuntimeError: refit exploded); running its work items" in err
+        assert err.count("Traceback") == 2  # one per failed work item
+        assert "joint refit" not in err and "one at a time" not in err
 
 
 class TestGramFormsThroughTheCli:
@@ -982,12 +996,11 @@ class TestRunBenchmark:
                 for name, n, seed in (("t2.csv", 45, 2), ("tiny.csv", 4, 3), ("t1.csv", 40, 1))}
         grid = GridSpec(C_values=(100.0,), sigma_values=(0.3, 1.0), a_values=(1.0,), k=3)
         recipes = [ModelRecipe("least_squares"), ModelRecipe("hawkeye")]
-        records, failures, fallbacks = run_benchmark(
+        records, failures = run_benchmark(
             [(name, ds) for name, (ds, _) in sets.items()], recipes, grid, AdamConfig(max_iter=150))
         assert capsys.readouterr() == ("", "")
         assert [(d, m, type(exc).__name__) for d, m, exc in failures] == [("tiny.csv", "*", "ValueError")]
         assert "4 rows are too few for grid.k=3" in str(failures[0][2])
-        assert fallbacks == []
 
         monkeypatch.chdir(tmp_path)
         for name, (ds, y_true) in sets.items():
@@ -1018,6 +1031,32 @@ class TestRunBenchmark:
                 got = [r[:2] + r[5:] for r in got]
             assert got == rows
 
+
+    def test_diverged_refit_fails_only_its_work_item(self, monkeypatch):
+        # hawkeye's refit on dataset a is marked diverged at step 7; its
+        # refit on b and least squares' refits score as usual
+        import helssvr.evaluation
+        from helssvr import AdamConfig, GridSpec, ModelRecipe, run_benchmark
+
+        real = helssvr.evaluation.fit_cells
+
+        def diverging(sets, kernel, cells, *args, **kw):
+            fitted = real(sets, kernel, cells, *args, **kw)
+            # a refit passes one kernel per set, a search one for all its sets
+            if isinstance(kernel, list) and cells[0][1].kind == "hawkeye":
+                fitted[0][1].state.diverged = 7
+            return fitted
+
+        monkeypatch.setattr(helssvr.evaluation, "fit_cells", diverging)
+        sets = [(name, generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=40, seed=seed))[0])
+                for name, seed in (("a", 1), ("b", 2))]
+        grid = GridSpec(C_values=(100.0,), sigma_values=(1.0,), a_values=(1.0,), k=3)
+        records, failures = run_benchmark(sets, [ModelRecipe("hawkeye"), ModelRecipe("least_squares")], grid,
+                                          AdamConfig(max_iter=50))
+        assert [(r.dataset, r.model) for r in records] == [("a", "least_squares"), ("b", "hawkeye"),
+                                                           ("b", "least_squares")]
+        assert [(d, m, type(exc), str(exc)) for d, m, exc in failures] == [
+            ("a", "hawkeye", ValueError, "training diverged: non-finite residual or coefficients at step 7")]
 
     def test_repeated_recipe_rejected_before_any_work(self, monkeypatch):
         # a repeated recipe would give two records of one (dataset, model)
@@ -1258,15 +1297,57 @@ class TestBenchIsolatesFailures:
             for model in ("least_squares", "hawkeye")
         ]
 
+    def test_diverging_grid_value_fails_no_work_item(self, tmp_path, capsys):
+        # a learning rate of 1e300 beside 0.01: the 1e300 cells diverge in
+        # every fold and rank last, and the 0.01 cells, which share their
+        # stacks, keep the bits of a grid whose second value is 0.02
+        data = tmp_path / "f1.csv"
+        assert main(["synth", "--function", "1", "--noise", "gaussian", "--n", "120", "--seed", "1",
+                     "--out", str(data)]) == 0
+        flags = ["--data", str(data), "--target", "y", "--drop", "y_true", "--recipes", "hawkeye,least_squares",
+                 "--set", "grid.C=100", "--set", "grid.sigma=1", "--set", "grid.a=1", "--set", "adam.max_iter=200",
+                 "--set", "grid.k=3"]
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["bench", *flags, "--set", "grid.gamma=0.01,1e300", "--outdir", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["bench", *flags, "--set", "grid.gamma=0.01,0.02", "--outdir", str(tmp_path / "ref")]) == 0
+        assert [r[:2] for r in read_rows(tmp_path / "b" / "results.csv")[1:]] == [
+            [str(data), "hawkeye"], [str(data), "least_squares"]]
+        cells = read_rows(tmp_path / "b" / "cells.csv")[1:]
+        assert [r[7:] for r in cells if r[7] == "1e+300"] == [
+            ["1e+300", "nan", "nan", "nan", "nan", "200", "diverged at step 2 of fold 0"]] * 2
+        want = [r for r in read_rows(tmp_path / "ref" / "cells.csv")[1:] if r[7] == "0.01"]
+        assert [r for r in cells if r[7] == "0.01"] == want and len(want) == 2
+
+    def test_recipe_without_a_finite_cell_fails_alone(self, tmp_path):
+        # lambda = 1e307 at C = 100 overflows hawkeye's derivative in every
+        # fold; least squares, which has no lambda, trains as without it
+        data = tmp_path / "f1.csv"
+        assert main(["synth", "--function", "1", "--noise", "gaussian", "--n", "60", "--seed", "1",
+                     "--out", str(data)]) == 0
+        flags = ["--data", str(data), "--target", "y", "--drop", "y_true", "--set", "grid.C=100",
+                 "--set", "grid.sigma=1", "--set", "grid.a=1", "--set", "grid.lambda=1e307",
+                 "--set", "adam.max_iter=50", "--set", "grid.k=3"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["bench", *flags, "--recipes", "hawkeye,least_squares", "--outdir", str(tmp_path / "b")])
+        assert rc == 1
+        assert read_rows(tmp_path / "b" / "failures.csv")[1:] == [
+            [str(data), "hawkeye", "ValueError", "no grid cell produced a finite fold RMSE"]]
+        assert main(["bench", *flags, "--recipes", "least_squares", "--outdir", str(tmp_path / "ls")]) == 0
+        for name in ("results.csv", "best_params.csv"):
+            assert read_rows(tmp_path / "b" / name) == read_rows(tmp_path / "ls" / name)
+
     def test_unexpected_exception_fails_only_its_work_item(self, tmp_path, monkeypatch, capsys):
         import helssvr.evaluation
 
-        real = helssvr.evaluation.grid_search_recipes
+        real, calls = helssvr.evaluation.grid_search_recipes, []
 
-        # a search fails whenever least_squares is among its recipes: the
-        # joint search of every dataset, then least_squares' own search
+        # the first dataset's joint search raises, which fails each of its
+        # work items once, with no rerun; the second dataset's search runs
         def flaky(ds, grid, recipes, **kw):
-            if any(recipe.name == "least_squares" for recipe in recipes):
+            calls.append([recipe.name for recipe in recipes])
+            if len(calls) == 1:
                 raise RuntimeError("solver exploded")
             return real(ds, grid, recipes, **kw)
 
@@ -1278,18 +1359,18 @@ class TestBenchIsolatesFailures:
         rc = main(["bench", "--data", str(d1), str(d2), "--target", "y",
                    "--recipes", "least_squares,hawkeye", "--outdir", str(outdir), *fast_flags()])
         assert rc == 1
+        assert calls == [["least_squares", "hawkeye"]] * 2
         results = read_rows(outdir / "results.csv")
-        assert sorted((r[0], r[1]) for r in results[1:]) == [(str(d1), "hawkeye"), (str(d2), "hawkeye")]
+        assert [(r[0], r[1]) for r in results[1:]] == [(str(d2), "hawkeye"), (str(d2), "least_squares")]
         failures = read_rows(outdir / "failures.csv")
-        assert failures[0] == ["dataset", "model", "error_type", "error"]
-        assert sorted(failures[1:]) == [
+        assert failures == [
+            ["dataset", "model", "error_type", "error"],
             [str(d1), "least_squares", "RuntimeError", "solver exploded"],
-            [str(d2), "least_squares", "RuntimeError", "solver exploded"],
+            [str(d1), "hawkeye", "RuntimeError", "solver exploded"],
         ]
         err = capsys.readouterr().err
-        assert "Traceback" in err
-        for path in (d1, d2):
-            assert f"joint search of {path} failed (RuntimeError: solver exploded); running its work items" in err
+        assert err.count("Traceback") == 2  # one per failed work item
+        assert "joint search" not in err and "one at a time" not in err
 
 
 class TestPredictNonFinite:

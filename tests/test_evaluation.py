@@ -355,6 +355,50 @@ class TestGridSearch:
             with pytest.raises(ValueError, match="no grid cell produced a finite fold RMSE"):
                 grid_search_cv(ds, grid, recipe_from_name("hawkeye"), adam=fast_adam(max_iter=1))
 
+    def test_last_step_overflow_ranks_its_cell_last(self):
+        # two full-batch steps at 1e300: the last residual is finite but the
+        # returned coefficients are not, so each fold diverges at step 2
+        # and scores NaN, with no objective computed for it
+        ds, _ = generate_synthetic(SyntheticSpec(function_id=1, noise="gaussian", n_samples=60, seed=1))
+        grid = GridSpec(C_values=(1.0,), sigma_values=(1.0,), gamma_values=(0.01, 1e300), k=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = grid_search_cv(ds, grid, recipe_from_name("least_squares"),
+                                 adam=fast_adam(max_iter=2, batch_size=1000))
+        good, bad = res.cells
+        assert res.best is good and good.params.gamma == 0.01 and good.diverged is None
+        assert math.isfinite(good.stat) and all(map(math.isfinite, good.fold_rmse))
+        assert bad.diverged == (0, 2) and math.isnan(bad.stat) and all(map(math.isnan, bad.fold_rmse))
+
+    @pytest.mark.parametrize("selection", ["best_fold", "mean"])
+    @pytest.mark.parametrize("nan_fold", [0, 2])
+    def test_a_diverged_fold_ranks_its_cell_last(self, monkeypatch, selection, nan_fold):
+        # the best cell's fold nan_fold diverges, as the trainer leaves such
+        # a fit: step 9 and NaN coefficients; it scores NaN, so the
+        # statistic is NaN whichever fold it is, and the other cell wins
+        from dataclasses import replace
+
+        import helssvr.evaluation
+
+        ds = toy_dataset(n=45, seed=2)
+        grid = GridSpec(C_values=(1.0, 100.0), sigma_values=(0.5,), k=3)
+        recipe = recipe_from_name("least_squares")
+        best = grid_search_cv(ds, grid, recipe, adam=fast_adam(), selection=selection).best.params
+        real = helssvr.evaluation.fit_cells
+
+        def diverging(sets, kernel, cells, *args, **kw):
+            fitted = real(sets, kernel, cells, *args, **kw)
+            for c, ((j, _, C, _), (model, report)) in enumerate(zip(cells, fitted)):
+                if j == nan_fold and C == best.C:
+                    report.state.diverged = 9
+                    fitted[c] = (replace(model, alpha=np.full_like(model.alpha, np.nan)), report)
+            return fitted
+
+        monkeypatch.setattr(helssvr.evaluation, "fit_cells", diverging)
+        res = grid_search_cv(ds, grid, recipe, adam=fast_adam(), selection=selection)
+        (bad,) = [cell for cell in res.cells if cell.params == best]
+        assert bad.diverged == (nan_fold, 9) and math.isnan(bad.fold_rmse[nan_fold]) and math.isnan(bad.stat)
+        assert res.best.params != best and math.isfinite(res.best.stat)
+
     def test_single_cell_returns_it(self):
         ds = toy_dataset()
         grid = GridSpec(C_values=(10.0,), sigma_values=(0.5,), k=3)
@@ -703,6 +747,28 @@ class TestJointSearch:
             (alone,) = grid_search_recipes(ds, grid, [recipe], seed=11, adam=adam, scaling="zscore")
             assert self.summary(res) == self.summary(alone)
             assert res.cells.index(res.best) == alone.cells.index(alone.best)
+
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_recipe_at_the_floor_resumes_a_diverged_cell(self, batch_size):
+        # at a learning rate of 1e300 a cell diverges at step 2 in fold 0;
+        # hawkeye's 8 cells halve to 4 at step 15, cutting its diverged
+        # ones, and least squares' 4 cells, at the floor, resume from step
+        # 15 with theirs, which stay diverged at step 2, as in its own
+        # search, which trains them straight on
+        from helssvr.evaluation import grid_search_recipes
+
+        grid = GridSpec(C_values=(100.0,), sigma_values=(0.3, 1.0), epsilon_values=(0.05, 0.1),
+                        gamma_values=(0.01, 1e300), k=3)
+        recipes = [ModelRecipe("hawkeye"), ModelRecipe("least_squares")]
+        adam = fast_adam(batch_size=batch_size)
+        ds = toy_dataset(n=61, seed=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            he, ls = grid_search_recipes(ds, grid, recipes, seed=11, adam=adam, scaling="zscore")
+            (alone,) = grid_search_recipes(ds, grid, recipes[1:], seed=11, adam=adam, scaling="zscore")
+        assert [(c.iterations, c.diverged) for c in he.cells] == [(150, None), (15, (0, 2))] * 4
+        assert [(c.iterations, c.diverged) for c in ls.cells] == [(150, None), (150, (0, 2))] * 2
+        assert repr(ls.cells) == repr(alone.cells)  # NaN fold RMSEs compare as text
+        assert he.best.params.gamma == ls.best.params.gamma == 0.01
 
     def test_factor_folds_share_their_centers_across_stacks(self, monkeypatch):
         # 726 rows in 2 folds: training sets of 363 rows, each trained on

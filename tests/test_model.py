@@ -373,6 +373,29 @@ class TestFitCells:
             fit_cells([(np.eye(3), np.ones(3))] * 2, rbf(), cells[:1], seeds=[0])
 
 
+class TestDivergedCell:
+    @pytest.mark.parametrize("n", [60, 300], ids=["dense", "factor"])
+    def test_diverged_cell_reports_nan_and_spares_the_others(self, n):
+        # cell 1 trains at 1e300 and diverges at step 2 beside two cells of
+        # its set; they keep the bits of a call where cell 1 trains at 0.02
+        ds, _ = generate_synthetic(SyntheticSpec(1, "gaussian", n_samples=n, seed=1))
+        loss, adam = LossSpec("least_squares"), AdamConfig(max_iter=20)
+        cells = [(0, loss, 1.0, 0.01), (0, loss, 1.0, 0.02), (0, loss, 10.0, 0.01)]
+        healthy = fit_cells([(ds.X, ds.y)], rbf(1.0), cells, adam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fitted = fit_cells([(ds.X, ds.y)], rbf(1.0), [cells[0], (0, loss, 1.0, 1e300), cells[2]], adam)
+        model, report = fitted[1]
+        assert (len(model.X_train) < n) == (n == 300)  # the factor's pivot rows
+        assert report.state.diverged == 2 and np.isnan(report.final_objective)
+        assert model.alpha.shape == (len(model.X_train),) and np.isnan(model.alpha).all()
+        for c in (0, 2):
+            assert fitted[c][0].alpha.tobytes() == healthy[c][0].alpha.tobytes()
+            assert fitted[c][1].final_objective == healthy[c][1].final_objective
+        with pytest.raises(ValueError, match="^training diverged: non-finite residual or coefficients at step 2$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit(ds.X, ds.y, rbf(1.0), loss, 1.0, replace(adam, gamma=1e300))
+
+
 class TestFoldStacks:
     """Which training sets share an optimizer stack, decided without training."""
 

@@ -646,21 +646,30 @@ class TestCrossFoldStack:
     @pytest.mark.parametrize("batch_size", [6, 1000])
     def test_non_finite_residual_names_step_cell_and_set(self, batch_size, trace, mixed):
         # cell 1, the second listed but the last stack row (fold 2), has a
-        # learning rate that overflows its coefficients: the stack aborts
-        # as a whole, naming that cell and its set, whether the objective
-        # trace or the derivative meets the residual first; mixed, cell 1
-        # is a least-squares row behind hawkeye's in a stack of both kinds
+        # learning rate that overflows its coefficients: its own state, and
+        # only its, records the step it diverged at, whether the objective
+        # trace or the derivative meets the residual first, and the stack
+        # runs on, every other row bit for bit as when cell 1 trains at
+        # 1e-2; mixed, cell 1 is a least-squares row behind hawkeye's in a
+        # stack of both kinds
         gram, Ys, _ = fold_stack()
         cfg = AdamConfig(max_iter=50, batch_size=batch_size, collect_trace=trace)
         losses, fold = [self.loss] * 3, [0, 2, 1]
         if mixed:
             losses, fold = [self.loss, LossSpec("least_squares")] * 2, [0, 2, 1, 0]
-        gamma = [1e-2, 1e300] + [1e-2] * (len(losses) - 2)
-        with pytest.raises(ValueError) as info:
-            with np.errstate(over="ignore", invalid="ignore"):
-                train_adam(gram, Ys, [1.0] * len(losses), losses, cfg, gamma=gamma, fold=fold)
-        assert re.fullmatch(r"residual must be finite: step [1-9]\d*, cell 1 \(fold 2\)", str(info.value))
-        assert info.value.__cause__ is None
+        gamma, Cs = [1e-2] * len(losses), [1.0] * len(losses)
+        healthy = train_adam(gram, Ys, Cs, losses, cfg, gamma=gamma, fold=fold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = train_adam(gram, Ys, Cs, losses, cfg, gamma=[1e-2, 1e300, *gamma[2:]], fold=fold)
+        bad = stack.states[1]
+        assert 1 <= bad.diverged < 50 and bad.t == 50 and stack.t == 50 * len(losses)
+        assert np.isnan(bad.alpha).all()
+        assert not any(getattr(bad, name).any() for name in ("iterate", "avg", "m", "v"))
+        # the trace holds H of the iterates before the step it diverged at
+        assert (len(bad.trace) == bad.diverged) if trace else bad.trace is None
+        others = [c for c in range(len(losses)) if c != 1]
+        TestResume.assert_same_states([stack.states[c] for c in others], [healthy.states[c] for c in others])
+        assert all(stack.states[c].diverged is None for c in others)
 
     def test_trainer_checks_the_residual_block_not_its_loss_calls(self, monkeypatch):
         # the trainer checks each step's residual block once itself, so an
@@ -1085,3 +1094,68 @@ class TestResume:
         # each state gets a copy of its set's generator, none the one passed in
         assert repr(stack.states[0].rng.bit_generator.state) != repr(stack.states[1].rng.bit_generator.state)
         assert all(state.rng is not start.rng for state, start in zip(stack.states, (a, b)))
+
+
+class TestDivergedRow:
+    """A row that diverges stops alone, also beside healthy rows of its own
+    kind and set: every other row keeps the bits of a run in which it
+    trains, in every Gram form and block, and a resumed diverged state
+    stays diverged at its step."""
+
+    loss = LossSpec("hawkeye", epsilon=0.05, a=1.0, lam=1.0)
+    Cs = [1.0, 10.0, 100.0, 1.0, 10.0, 1.0]
+
+    @staticmethod
+    def gram(form):
+        # three sets of 60 rows: dense float64 Grams or their factors
+        rng = np.random.default_rng(81)
+        X = rng.uniform(-1, 1, size=(3, 60, 1))
+        Ys = np.sin(3 * X[..., 0]) + 0.1 * rng.normal(size=(3, 60))
+        spec = KernelSpec("rbf", sigma=1.0)
+        if form == "factor":
+            return GramFactors(gram_factor(spec, x) for x in X), Ys
+        return GramMatrix(np.stack([gram_matrix(spec, x).values for x in X])), Ys
+
+    # cell 1 diverges in set 2 beside cell 3: two rows of each set (one
+    # broadcast block of GEMMs), or two of set 2 beside one each of sets 0
+    # and 1 (a GEMM and two GEMVs)
+    @pytest.mark.parametrize("fold", [[0, 2, 1, 2, 0, 1], [0, 2, 1, 2]], ids=["broadcast", "per-set"])
+    @pytest.mark.parametrize("form", ["dense", "factor"])
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_other_rows_keep_their_bits(self, batch_size, form, fold):
+        gram, Ys = self.gram(form)
+        m, cfg = len(fold), AdamConfig(max_iter=40, batch_size=batch_size, collect_trace=True)
+
+        def run(gamma_1, steps=40, resume=None):
+            gamma = [1e-2, gamma_1] + [1e-3] * (m - 2)
+            return train_adam(gram, Ys, self.Cs[:m], [self.loss] * m, replace(cfg, max_iter=steps), gamma=gamma,
+                              seed=[4, 5, 6], fold=fold, resume=resume)
+
+        healthy = run(1e-2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole, part = run(1e300), run(1e300, steps=15)
+            resumed = run(1e300, resume=part.states)
+        bad = part.states[1].diverged
+        assert 1 <= bad < 15
+        others = [c for c in range(m) if c != 1]
+        for stack in (whole, resumed):
+            assert [state.diverged for state in stack.states] == [None, bad] + [None] * (m - 2)
+            assert np.isnan(stack.states[1].alpha).all() and len(stack.states[1].trace) == bad
+            assert not any(getattr(stack.states[1], name).any() for name in ("iterate", "avg", "m", "v"))
+            TestResume.assert_same_states([stack.states[c] for c in others], [healthy.states[c] for c in others])
+        # its trace may end in an overflowed objective, so compared as text
+        assert repr(resumed.states[1].trace) == repr(whole.states[1].trace)
+
+    @pytest.mark.parametrize("batch_size", [6, 1000])
+    def test_non_finite_coefficients_diverge_at_max_iter(self, batch_size):
+        # two steps at 1e300: the last residual is finite, the returned
+        # coefficients are not
+        gram, Ys = self.gram("dense")
+        cfg = AdamConfig(max_iter=2, batch_size=batch_size, collect_trace=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = train_adam(gram, Ys, [1.0] * 2, [self.loss] * 2, cfg, gamma=[1e-2, 1e300], fold=[0, 0])
+        good, bad = stack.states
+        assert (good.diverged, bad.diverged) == (None, 2)
+        assert np.isfinite(good.alpha).all() and len(good.trace) == 3
+        assert np.isnan(bad.alpha).all() and len(bad.trace) == 2
+        assert not any(getattr(bad, name).any() for name in ("iterate", "avg", "m", "v"))
